@@ -55,10 +55,7 @@ from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,
     GridLine,
-    IncidencePointRecord,
-    all_incidences,
     grid_meet,
-    has_S_incidence,
     is_k_consistent,
     max_colorful_order,
 )

@@ -21,14 +21,9 @@ from statistics import quantiles
 from .configs import ColoredLineConfig
 from .constructions import ProbParams, probabilistic_trial_stats
 from .exactgeom import Line, meet, rank_of_directions
-from .gridmodel import (
-    ColoredGridConfig,
-    LineRef,
-    breaks_consistency_without,
-    is_k_consistent,
-)
+from .gridmodel import ColoredGridConfig, LineRef, _incidence_map, group_removable
 from .rng import TRIAL_OFFSET, substream
-from .structure import IncidenceStructure, Monomial, extract_structure_lines
+from .structure import IncidenceStructure, Monomial
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -146,13 +141,15 @@ class FlatnessRecord:
     flat: bool
 
 
-def flatness_audit(cfg: ColoredLineConfig, t: int) -> list[FlatnessRecord]:
-    """Audit every incidence of >= t lines: it is flat iff all lines at the
-    point lie in a flat of dimension at most min(d, t_actual) - 1, where
-    t_actual is the full line count at the point."""
+def flatness_audit(
+    cfg: ColoredLineConfig, s: IncidenceStructure, t: int
+) -> list[FlatnessRecord]:
+    """Audit every incidence of >= t lines, given the structure ``s`` of
+    ``cfg``: it is flat iff all lines at the point lie in a flat of
+    dimension at most min(d, t_actual) - 1, where t_actual is the full line
+    count at the point."""
     if t < 2:
         raise ValueError("flatness audit needs t >= 2")
-    s = extract_structure_lines(cfg)
     records = []
     for m in sorted(s.monomials, key=sorted):
         if len(m) < t:
@@ -195,14 +192,9 @@ class MinimalityVerdict:
 
 
 def minimality_audit(cfg: ColoredGridConfig, k: int) -> MinimalityVerdict:
-    """True iff removing any single line breaks k-consistency."""
-    if not is_k_consistent(cfg, k).ok:
-        raise ValueError("minimality audit requires a k-consistent configuration")
-    removable = tuple(
-        (color, idx)
-        for color, idx, _ in cfg.lines()
-        if not breaks_consistency_without(cfg, k, (color, idx))
-    )
+    """True iff removing any single line breaks k-consistency, decided in
+    one pass over the grid-point groups (``gridmodel.group_removable``)."""
+    removable = group_removable(cfg.class_sizes(), _incidence_map(cfg).values(), k)
     return MinimalityVerdict(not removable, removable)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -25,7 +24,7 @@ from .configs import ColoredLineConfig, DualPointConfig, embed_grid_config
 from .constructions import AlgebraicParams, ProbParams
 from .exactgeom import parse_rational
 from .gridmodel import ColoredGridConfig
-from .structure import extract_structure, structure_consistency
+from .structure import extract_structure, extract_structure_lines, structure_consistency
 from .transforms import dualize, extract_planarity, lift_to_concurrent, project_generic, undualize
 
 
@@ -139,26 +138,33 @@ def cmd_gen(args, run: _Run) -> int:
     return 0
 
 
+def _line_view(cfg, flag: str) -> ColoredLineConfig:
+    """The line configuration a line-only check runs on (grids are embedded)."""
+    line_cfg = embed_grid_config(cfg) if isinstance(cfg, ColoredGridConfig) else cfg
+    if not isinstance(line_cfg, ColoredLineConfig):
+        raise SystemExit2(f"--{flag} applies to line configurations")
+    return line_cfg
+
+
 def _verify_checks(cfg, args) -> tuple[dict, bool]:
     checks: dict = {}
     ok = True
+    grid = isinstance(cfg, ColoredGridConfig)
     s = None
-    if args.k_consistency is not None or args.max_colorful is not None:
+    if not grid and (args.k_consistency is not None or args.max_colorful is not None):
         s = extract_structure(cfg)
     if args.k_consistency is not None:
         k = args.k_consistency
-        if isinstance(cfg, ColoredGridConfig):
-            verdict = gridmodel.is_k_consistent(cfg, k)
-        else:
-            verdict = structure_consistency(s, k)
+        verdict = gridmodel.is_k_consistent(cfg, k) if grid else structure_consistency(s, k)
         checks["k_consistency"] = {
             "k": k,
             "pass": verdict.ok,
             "failures": [[list(ref), sorted(S)] for ref, S in verdict.failures[:50]],
+            "failures_total": len(verdict.failures),
         }
         ok &= verdict.ok
     if args.max_colorful is not None:
-        if isinstance(cfg, ColoredGridConfig):
+        if grid:
             order, witness = gridmodel.max_colorful_order(cfg)
             witness_repr = list(witness) if witness else None
         else:
@@ -173,7 +179,7 @@ def _verify_checks(cfg, args) -> tuple[dict, bool]:
         }
         ok &= passed
     if args.minimality:
-        if not isinstance(cfg, ColoredGridConfig):
+        if not grid:
             raise SystemExit2("--minimality applies to grid configurations")
         if args.k_consistency is None:
             raise SystemExit2("--minimality needs --k-consistency K")
@@ -181,13 +187,14 @@ def _verify_checks(cfg, args) -> tuple[dict, bool]:
         checks["minimality"] = {
             "pass": verdict.minimal,
             "removable": [list(r) for r in verdict.removable[:50]],
+            "removable_total": len(verdict.removable),
         }
         ok &= verdict.minimal
     if args.flatness is not None:
-        line_cfg = embed_grid_config(cfg) if isinstance(cfg, ColoredGridConfig) else cfg
-        if not isinstance(line_cfg, ColoredLineConfig):
-            raise SystemExit2("--flatness applies to line configurations")
-        records = analysis.flatness_audit(line_cfg, args.flatness)
+        line_cfg = _line_view(cfg, "flatness")
+        if s is None:
+            s = extract_structure_lines(line_cfg)
+        records = analysis.flatness_audit(line_cfg, s, args.flatness)
         flats = [r for r in records if r.flat]
         checks["flatness"] = {
             "t": args.flatness,
@@ -197,10 +204,7 @@ def _verify_checks(cfg, args) -> tuple[dict, bool]:
         }
         ok &= not flats
     if args.planarity is not None:
-        line_cfg = embed_grid_config(cfg) if isinstance(cfg, ColoredGridConfig) else cfg
-        if not isinstance(line_cfg, ColoredLineConfig):
-            raise SystemExit2("--planarity applies to line configurations")
-        planar, dim = extract_planarity(line_cfg)
+        planar, dim = extract_planarity(_line_view(cfg, "planarity"))
         expected = args.planarity == "planar"
         checks["planarity"] = {
             "expected": args.planarity,
@@ -272,7 +276,7 @@ def cmd_analyze(args, run: _Run) -> int:
         print(_dump_json(out), end="")
         return 0
     cfg = run.read_config(args.config)
-    s = extract_structure(cfg)
+    s = extract_structure(cfg) if args.structure or args.match_structure else None
     if args.structure:
         out["structure"] = {
             "monomials": sorted(analysis.monomial_name(m) for m in s.monomials),
@@ -305,8 +309,10 @@ def cmd_analyze(args, run: _Run) -> int:
         }
         ok &= rep.satisfied
     if args.flatness is not None:
-        line_cfg = embed_grid_config(cfg) if isinstance(cfg, ColoredGridConfig) else cfg
-        records = analysis.flatness_audit(line_cfg, args.flatness)
+        line_cfg = _line_view(cfg, "flatness")
+        if s is None or line_cfg is not cfg:
+            s = extract_structure_lines(line_cfg)
+        records = analysis.flatness_audit(line_cfg, s, args.flatness)
         out["flatness"] = {
             "t": args.flatness,
             "audited": len(records),
@@ -334,12 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ilab",
         description="construct, transform, and verify colored line configurations",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("ILAB_THREADS", "1")),
-        help="worker bound (results are identical for any value)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

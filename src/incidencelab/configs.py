@@ -208,6 +208,8 @@ def config_to_json(cfg) -> dict:
 
 
 def config_from_json(data: dict):
+    if not isinstance(data, dict):
+        raise ValueError(f"a configuration is a JSON object, not {type(data).__name__}")
     model = data.get("model", "grid")
     if model == "grid":
         return gridmodel.grid_from_json(data)

@@ -53,7 +53,7 @@ from .rng import (
     substream,
 )
 from .structure import (
-    IncidenceStructure,
+    concurrence_buckets,
     extract_alignments,
     extract_structure_lines,
     structure_consistency,
@@ -496,21 +496,6 @@ def _line_in_plane(line: Line, cov: Sequence[int]) -> bool:
     )
 
 
-def _point_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
-    buckets: dict[ProjPoint, set[int]] = {}
-    on_points: list[set[ProjPoint]] = [set() for _ in lines]
-    for i, j in combinations(range(len(lines)), 2):
-        if on_points[i] & on_points[j]:
-            continue
-        pt = meet(lines[i], lines[j])
-        if pt is None:
-            continue
-        buckets.setdefault(pt, set()).update((i, j))
-        on_points[i].add(pt)
-        on_points[j].add(pt)
-    return buckets
-
-
 def _search_coloring(
     lines: Sequence[Line],
     buckets: Sequence[frozenset[int]],
@@ -612,7 +597,7 @@ def gen_desargues() -> ColoredLineConfig:
     if len(lines) != 12:
         raise RuntimeError("witness does not produce 12 two-plane lines")
 
-    bucket_map = _point_buckets(lines)
+    bucket_map = concurrence_buckets(lines)
     buckets = [frozenset(b) for b in bucket_map.values()]
     candidates = []
     for at, members in sorted(bucket_map.items(), key=lambda kv: sorted(kv[1])):
@@ -665,7 +650,7 @@ def gen_reye() -> ColoredLineConfig:
     result is 3-consistent with no colorful incidence; triples of parallel
     edges meet at infinity, so some incidence points are infinite."""
     lines = _cube_lines()
-    buckets_map = _point_buckets(lines)
+    buckets_map = concurrence_buckets(lines)
     buckets = [frozenset(b) for b in buckets_map.values()]
     if len(buckets) != 12 or any(len(b) != 4 for b in buckets):
         raise RuntimeError("cube lines do not form the expected 12x4 structure")
@@ -754,17 +739,6 @@ class DualCyclesReport:
     failures: tuple
 
 
-def _subset_consistency(s: IncidenceStructure, S: frozenset[int]):
-    failures = []
-    for color in sorted(S):
-        need = S - {color}
-        for idx in range(s.class_sizes[color - 1]):
-            covers = [frozenset(c for c, _ in m) for m in s.monomials_of((color, idx))]
-            if not any(need <= mc for mc in covers):
-                failures.append(((color, idx), S))
-    return failures
-
-
 def gen_dual_cycles(
     r: int,
     slopes: Sequence[Rational] = (Fraction(1), Fraction(2), Fraction(5)),
@@ -816,16 +790,12 @@ def gen_dual_cycles(
     order, _ = s.max_colorful()
     if order >= 4:
         raise ValueError("parameters produce a colorful alignment")
-    direction_failures = []
-    for S in (frozenset({1, 2, 3}), frozenset({1, 2, 4}), frozenset({1, 3, 4})):
-        direction_failures.extend(_subset_consistency(s, S))
-    if direction_failures:
-        raise ValueError(
-            f"cycle construction broke a direction-color triple: {direction_failures}"
-        )
-    other_failures = tuple(_subset_consistency(s, frozenset({2, 3, 4})))
-    report = DualCyclesReport(True, not other_failures, other_failures)
-    return cfg, report
+    failures = structure_consistency(s, 3).failures
+    broken = [(ref, S) for ref, S in failures if 1 in S]
+    if broken:
+        raise ValueError(f"cycle construction broke a direction-color triple: {broken}")
+    # what is left are failures of the {2,3,4} triple
+    return cfg, DualCyclesReport(True, not failures, failures)
 
 
 def search_dual_cycle_params(

@@ -1,4 +1,5 @@
-"""Combinatorial model of axis-aligned lines in the grid [n]^(k+1).
+"""Combinatorial model of axis-aligned lines in the grid [n]^(k+1), and the
+incidence core shared by every configuration model.
 
 A grid line is identified by its axis and its fixed coordinates, so all
 incidence questions reduce to tuple bookkeeping — no continuous geometry
@@ -6,6 +7,11 @@ is involved.  Incidence detection hashes lines by their coordinate
 projections per axis pair rather than enumerating grid points; the full
 point-enumeration oracle lives in the test suite as an independent
 reference.
+
+The incidence core (``group_*``) decides k-consistency, minimality and
+the max colorful order for grid, line and dual configurations alike, from
+their incidence groups: grid points here, extracted monomials in
+``structure``.
 
 Colors are 1-based class indices.  Lines are referenced as
 ``(color, index)`` pairs, where ``index`` is the position in the class
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .exactgeom import Line, ProjPoint
 
@@ -108,15 +114,6 @@ class ColoredGridConfig:
         return ColoredGridConfig(self.k, self.n, new_classes)
 
 
-@dataclass(frozen=True)
-class IncidencePointRecord:
-    """A grid point on at least two configuration lines."""
-
-    point: tuple[int, ...]
-    lines: frozenset[LineRef]
-    colors: frozenset[int]
-
-
 def grid_meet(a: GridLine, b: GridLine) -> tuple[int, ...] | None:
     """Common grid point of two distinct grid lines, or None.
 
@@ -170,65 +167,6 @@ def _incidence_map(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set[LineRef]
     return points
 
 
-def all_incidences(cfg: ColoredGridConfig) -> list[IncidencePointRecord]:
-    """All grid points lying on >= 2 configuration lines, sorted by point."""
-    points = _incidence_map(cfg)
-    return [
-        IncidencePointRecord(pt, frozenset(refs), frozenset(c for c, _ in refs))
-        for pt, refs in sorted(points.items())
-    ]
-
-
-def _class_axis_bases(
-    cfg: ColoredGridConfig, removed: LineRef | None = None
-) -> list[dict[int, set[tuple[int, ...]]]]:
-    out: list[dict[int, set[tuple[int, ...]]]] = []
-    for color, cls in enumerate(cfg.classes, start=1):
-        per_axis: dict[int, set[tuple[int, ...]]] = {}
-        for idx, line in enumerate(cls):
-            if removed == (color, idx):
-                continue
-            per_axis.setdefault(line.axis, set()).add(line.base)
-        out.append(per_axis)
-    return out
-
-
-def _line_has_S_incidence(
-    cfg: ColoredGridConfig,
-    line: GridLine,
-    others: Sequence[int],
-    bases: Sequence[dict[int, set[tuple[int, ...]]]],
-) -> bool:
-    for value in range(1, cfg.n + 1):
-        point = line.point_at(value)
-        for color in others:
-            hit = False
-            for axis, base_set in bases[color - 1].items():
-                zeroed = list(point)
-                zeroed[axis - 1] = 0
-                if tuple(zeroed) in base_set:
-                    hit = True
-                    break
-            if not hit:
-                break
-        else:
-            return True
-    return False
-
-
-def has_S_incidence(cfg: ColoredGridConfig, ref: LineRef, S: Sequence[int]) -> bool:
-    """True iff some point of the line lies on lines of every color in S."""
-    color, idx = ref
-    subset = frozenset(S)
-    if color not in subset:
-        raise ValueError("the line's color must belong to S")
-    if not subset <= set(range(1, cfg.num_colors + 1)):
-        raise ValueError("S contains an unknown color")
-    line = cfg.classes[color - 1][idx]
-    others = sorted(subset - {color})
-    return _line_has_S_incidence(cfg, line, others, _class_axis_bases(cfg))
-
-
 @dataclass(frozen=True)
 class ConsistencyVerdict:
     """Outcome of a k-consistency check with the full failing-pair witness list."""
@@ -240,48 +178,124 @@ class ConsistencyVerdict:
         return self.ok
 
 
-def _iter_consistency_failures(
-    cfg: ColoredGridConfig, k: int, removed: LineRef | None = None
-) -> Iterator[tuple[LineRef, frozenset[int]]]:
-    bases = _class_axis_bases(cfg, removed)
-    colors = range(1, cfg.num_colors + 1)
-    for color, cls in enumerate(cfg.classes, start=1):
-        other_colors = [c for c in colors if c != color]
-        for T in combinations(other_colors, k - 1):
-            S = frozenset((color, *T))
-            for idx, line in enumerate(cls):
-                if removed == (color, idx):
-                    continue
-                if not _line_has_S_incidence(cfg, line, T, bases):
-                    yield (color, idx), S
+# ---------------------------------------------------------------------------
+# The incidence core.  Colors are bits of an int mask, so "a group carries
+# every color of T" is one mask test.
+
+
+def _subsets(m: int, k: int) -> list[tuple[int, frozenset[int], int]]:
+    """(color, S, mask of T) for every k-subset S = {color} | T of the m
+    colors with T nonempty, in failure order: color, then T in
+    ``combinations`` order."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > m:
+        raise ValueError("k exceeds the number of colors")
+    return [
+        (color, frozenset((color, *T)), sum(1 << c for c in T))
+        for color in range(1, m + 1)
+        for T in combinations([c for c in range(1, m + 1) if c != color], k - 1)
+        if T
+    ]
+
+
+def _groups_by_line(
+    groups: Iterable[Collection[LineRef]],
+) -> dict[LineRef, list[tuple[int, Collection[LineRef]]]]:
+    """(color mask, group) of every group through each line."""
+    by_line: dict[LineRef, list[tuple[int, Collection[LineRef]]]] = {}
+    for refs in groups:
+        mask = 0
+        for color, _ in refs:
+            mask |= 1 << color
+        for ref in refs:
+            by_line.setdefault(ref, []).append((mask, refs))
+    return by_line
+
+
+def group_consistency(
+    class_sizes: Sequence[int], groups: Iterable[Collection[LineRef]], k: int
+) -> ConsistencyVerdict:
+    """k-consistency over incidence groups: line (c, i) fails S = {c} | T
+    when no group through it carries every color of T.  Failures are
+    listed by color, then T in ``combinations`` order, then index."""
+    subsets = _subsets(len(class_sizes), k)
+    by_line = _groups_by_line(groups)
+    failures = tuple(
+        ((color, idx), S)
+        for color, S, need in subsets
+        for idx in range(class_sizes[color - 1])
+        if all(need & ~mask for mask, _ in by_line.get((color, idx), ()))
+    )
+    return ConsistencyVerdict(not failures, failures)
+
+
+def group_removable(
+    class_sizes: Sequence[int], groups: Iterable[Collection[LineRef]], k: int
+) -> tuple[LineRef, ...]:
+    """Lines whose removal keeps a k-consistent configuration k-consistent.
+
+    Removing r changes only the groups through r, and such a group stops
+    carrying T iff r is its only line of a color in T (a group left with
+    one line carries no T, as T never holds that line's color).  So r is
+    essential iff, for some line l and some T of l, that holds for r in
+    every group through l carrying T ("carriers" below): one pass decides
+    every line.  Raises ValueError if some (l, T) has no carrier at all.
+    """
+    subsets = _subsets(len(class_sizes), k)
+    by_line = _groups_by_line(groups)
+    essential: set[LineRef] = set()
+    for color, _, need in subsets:
+        for idx in range(class_sizes[color - 1]):
+            carriers = []
+            for mask, refs in by_line.get((color, idx), ()):
+                if not need & ~mask:
+                    colors = [c for c, _ in refs]
+                    sole = [r for r in refs if colors.count(r[0]) == 1]
+                    carriers.append({r for r in sole if need >> r[0] & 1})
+            if not carriers:
+                raise ValueError("minimality audit requires a k-consistent configuration")
+            essential |= set.intersection(*carriers)
+    return tuple(
+        (color, idx)
+        for color, size in enumerate(class_sizes, start=1)
+        for idx in range(size)
+        if (color, idx) not in essential
+    )
+
+
+def group_max_colorful(
+    groups: Iterable[tuple[object, Collection[LineRef]]],
+) -> tuple[int, object | None]:
+    """Largest color count over (witness, group) pairs, with the witness of
+    the first group reaching it in the caller's order."""
+    best, witness = 0, None
+    for at, refs in groups:
+        order = len({c for c, _ in refs})
+        if order > best:
+            best, witness = order, at
+    return best, witness
+
+
+# Grid entry points.  Their groups are the grid points of ``_incidence_map``
+# only: the grid has no points at infinity (see ``grid_meet``), so the
+# shared-axis directions that ``extract_structure_grid`` adds never count.
 
 
 def is_k_consistent(cfg: ColoredGridConfig, k: int) -> ConsistencyVerdict:
     """Check that every line of every color in every k-subset S has an S-incidence."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > cfg.num_colors:
-        raise ValueError("k exceeds the number of colors")
-    failures = tuple(_iter_consistency_failures(cfg, k))
-    return ConsistencyVerdict(not failures, failures)
+    return group_consistency(cfg.class_sizes(), _incidence_map(cfg).values(), k)
 
 
 def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> bool:
     """True iff removing the referenced line makes the configuration inconsistent."""
-    return next(_iter_consistency_failures(cfg, k, removed=ref), None) is not None
+    return not is_k_consistent(cfg.without_line(ref), k).ok
 
 
-def max_colorful_order(
-    cfg: ColoredGridConfig,
-) -> tuple[int, tuple[int, ...] | None]:
-    """Largest number of distinct colors at any incidence point, with a witness."""
-    best = 0
-    witness: tuple[int, ...] | None = None
-    for rec in all_incidences(cfg):
-        if len(rec.colors) > best:
-            best = len(rec.colors)
-            witness = rec.point
-    return best, witness
+def max_colorful_order(cfg: ColoredGridConfig) -> tuple[int, tuple[int, ...] | None]:
+    """Largest number of distinct colors at any grid point, with the
+    lexicographically first point reaching it."""
+    return group_max_colorful(sorted(_incidence_map(cfg).items()))
 
 
 def grid_to_json(cfg: ColoredGridConfig) -> dict:
@@ -304,8 +318,10 @@ def grid_from_json(data: dict) -> ColoredGridConfig:
         raise ValueError("not a grid configuration")
     k, n = data["k"], data["n"]
     classes: dict[int, list[GridLine]] = {}
-    for entry in data["classes"]:
+    for pos, entry in enumerate(data["classes"]):
         color, axis = entry["color"], entry["axis"]
+        if color < 1:
+            raise ValueError(f"classes[{pos}] has color {color}; colors start at 1")
         classes.setdefault(color, [])
         for stripped in entry["bases"]:
             base = list(stripped)

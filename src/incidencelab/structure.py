@@ -11,17 +11,28 @@ triples only; use :meth:`IncidenceStructure.colorful_triples` for those.
 For dual point configurations the same record type holds the maximal
 *alignments* (collinear subsets), which are exactly the dual notion of
 concurrences, so the consistency checks below apply unchanged.
+
+Verdicts run the incidence core of ``gridmodel`` on the monomials.  Grid
+structures add one monomial per shared axis direction, which the grid
+verifiers (grid points only) never count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Sequence
 
 from . import gridmodel
 from .configs import ColoredLineConfig, DualPointConfig
 from .exactgeom import Line, ProjPoint, line_covector_2d, meet
-from .gridmodel import ColoredGridConfig, ConsistencyVerdict, LineRef
+from .gridmodel import (
+    ColoredGridConfig,
+    ConsistencyVerdict,
+    LineRef,
+    group_consistency,
+    group_max_colorful,
+)
 
 Monomial = frozenset[LineRef]
 
@@ -42,9 +53,6 @@ class IncidenceStructure:
     def num_colors(self) -> int:
         return len(self.class_sizes)
 
-    def monomials_of(self, ref: LineRef) -> list[Monomial]:
-        return [m for m in self.monomials if ref in m]
-
     def colorful_triples(self) -> frozenset[Monomial]:
         """Monomials of exactly three lines in three distinct colors."""
         return frozenset(
@@ -52,61 +60,58 @@ class IncidenceStructure:
         )
 
     def max_colorful(self) -> tuple[int, object | None]:
-        """Largest color count over all monomials, with a witness."""
-        best, witness = 0, None
-        for m in sorted(self.monomials, key=sorted):
-            order = len({c for c, _ in m})
-            if order > best:
-                best, witness = order, self.witnesses.get(m)
-        return best, witness
+        """Largest color count over all monomials, with the witness of the
+        first monomial (by sorted refs) reaching it."""
+        return group_max_colorful(
+            (self.witnesses.get(m), m) for m in sorted(self.monomials, key=sorted)
+        )
 
 
 def _structure_from_map(
     point_map: dict, class_sizes: tuple[int, ...]
 ) -> IncidenceStructure:
-    monomials = {}
-    for witness, refs in point_map.items():
-        if len(refs) >= 2:
-            monomials[frozenset(refs)] = witness
-    return IncidenceStructure(
-        frozenset(monomials), class_sizes, {m: w for m, w in monomials.items()}
-    )
+    witnesses = {frozenset(refs): at for at, refs in point_map.items() if len(refs) >= 2}
+    return IncidenceStructure(frozenset(witnesses), class_sizes, witnesses)
 
 
 def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
     """Grid-point concurrences plus one monomial per shared axis direction."""
-    point_map: dict[ProjPoint, set[LineRef]] = {}
-    for pt, refs in gridmodel._incidence_map(cfg).items():
-        point_map[ProjPoint.affine(pt)] = set(refs)
+    point_map = {
+        ProjPoint.affine(pt): refs for pt, refs in gridmodel._incidence_map(cfg).items()
+    }
     by_axis: dict[int, set[LineRef]] = {}
     for color, idx, line in cfg.lines():
         by_axis.setdefault(line.axis, set()).add((color, idx))
     for axis, refs in by_axis.items():
-        if len(refs) >= 2:
-            direction = [0] * (cfg.k + 1)
-            direction[axis - 1] = 1
-            point_map[ProjPoint.direction(direction)] = refs
+        direction = [0] * (cfg.k + 1)
+        direction[axis - 1] = 1
+        point_map[ProjPoint.direction(direction)] = refs
     return _structure_from_map(point_map, cfg.class_sizes())
 
 
-def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
-    """All maximal concurrences of a line configuration via exact pairwise meets."""
-    entries = list(cfg.lines())
-    refs = [(color, idx) for color, idx, _ in entries]
-    lines = [line for _, _, line in entries]
+def concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
+    """Every point where two or more of the lines meet, with the positions
+    of the lines through it, in first-meeting pair order."""
     on_points: list[set[ProjPoint]] = [set() for _ in lines]
-    point_map: dict[ProjPoint, set[LineRef]] = {}
+    buckets: dict[ProjPoint, set[int]] = {}
     for i, j in combinations(range(len(lines)), 2):
         if on_points[i] & on_points[j]:
             continue  # already bucketed at a shared point
         pt = meet(lines[i], lines[j])
         if pt is None:
             continue
-        bucket = point_map.setdefault(pt, set())
-        bucket.add(refs[i])
-        bucket.add(refs[j])
+        buckets.setdefault(pt, set()).update((i, j))
         on_points[i].add(pt)
         on_points[j].add(pt)
+    return buckets
+
+
+def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
+    """All maximal concurrences of a line configuration via exact pairwise meets."""
+    entries = list(cfg.lines())
+    refs = [(color, idx) for color, idx, _ in entries]
+    buckets = concurrence_buckets([line for _, _, line in entries])
+    point_map = {pt: {refs[i] for i in members} for pt, members in buckets.items()}
     return _structure_from_map(point_map, cfg.class_sizes())
 
 
@@ -136,28 +141,6 @@ def structure_consistency(s: IncidenceStructure, k: int) -> ConsistencyVerdict:
 
     A line (or dual point) of color c is good for a k-subset S with
     c in S iff some monomial containing it covers the other colors of S.
+    Failures are listed by color, then S, then index.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > s.num_colors:
-        raise ValueError("k exceeds the number of colors")
-    colors = range(1, s.num_colors + 1)
-    per_ref: dict[LineRef, list[frozenset[int]]] = {}
-    for m in s.monomials:
-        mcolors = frozenset(c for c, _ in m)
-        for ref in m:
-            per_ref.setdefault(ref, []).append(mcolors)
-    failures = []
-    for color in colors:
-        others = [c for c in colors if c != color]
-        for idx in range(s.class_sizes[color - 1]):
-            covers = per_ref.get((color, idx), [])
-            for T in combinations(others, k - 1):
-                need = frozenset(T)
-                if need and not any(need <= mc for mc in covers):
-                    failures.append(((color, idx), need | {color}))
-    return ConsistencyVerdict(not failures, tuple(failures))
-
-
-def max_colorful_order_structure(s: IncidenceStructure) -> tuple[int, object | None]:
-    return s.max_colorful()
+    return group_consistency(s.class_sizes, s.monomials, k)

@@ -28,7 +28,6 @@ from .exactgeom import (
     int_rank,
     line_covector_2d,
     line_from_covector_2d,
-    span,
 )
 from .gridmodel import ColoredGridConfig
 from .rng import RETRY_OFFSET, splitmix64, substream
@@ -217,10 +216,3 @@ def extract_planarity(cfg: ColoredLineConfig) -> tuple[bool, int]:
         return True, 0
     dim = int_rank(rows) - 1
     return dim <= 2, dim
-
-
-def flat_of_config(cfg: ColoredLineConfig):
-    points = []
-    for _, _, line in cfg.lines():
-        points.extend([line.p, line.q])
-    return span(points)

@@ -1,14 +1,16 @@
 """Independent brute-force references used to check the production paths.
 
-These deliberately avoid the axis-pair hashing of the library: they
-enumerate grid points (or raw containment) and nothing else, so
-agreement is meaningful evidence rather than a tautology.
+These deliberately avoid the axis-pair hashing and the incidence core of
+the library: they enumerate grid points (or raw containment) and nothing
+else, so agreement is meaningful evidence rather than a tautology.  The
+point scan and the per-line minimality rescan are the references for
+the incidence core's grid verdicts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from incidencelab.gridmodel import ColoredGridConfig, GridLine
 
@@ -64,6 +66,67 @@ def colorful_point_exists(cfg: ColoredGridConfig) -> bool:
         if len({c for c, _ in refs}) == m:
             return True
     return False
+
+
+def _class_axis_bases(cfg: ColoredGridConfig, removed=None) -> list[dict]:
+    out = []
+    for color, cls in enumerate(cfg.classes, start=1):
+        per_axis: dict[int, set[tuple[int, ...]]] = {}
+        for idx, line in enumerate(cls):
+            if removed != (color, idx):
+                per_axis.setdefault(line.axis, set()).add(line.base)
+        out.append(per_axis)
+    return out
+
+
+def _point_on_colors(point: tuple[int, ...], colors, bases) -> bool:
+    for color in colors:
+        for axis, base_set in bases[color - 1].items():
+            zeroed = list(point)
+            zeroed[axis - 1] = 0
+            if tuple(zeroed) in base_set:
+                break
+        else:
+            return False
+    return True
+
+
+def point_scan_failures(cfg: ColoredGridConfig, k: int, removed=None) -> tuple:
+    """k-consistency failures by scanning every point of every line, in the
+    order color, T (``combinations`` order), index; ``removed`` skips a line."""
+    if not 1 <= k <= cfg.num_colors:
+        raise ValueError("k out of range")
+    bases = _class_axis_bases(cfg, removed)
+    colors = range(1, cfg.num_colors + 1)
+    failures = []
+    for color, cls in enumerate(cfg.classes, start=1):
+        for T in combinations([c for c in colors if c != color], k - 1):
+            for idx, line in enumerate(cls):
+                if removed == (color, idx):
+                    continue
+                if not any(_point_on_colors(pt, T, bases) for pt in line.points(cfg.n)):
+                    failures.append(((color, idx), frozenset((color, *T))))
+    return tuple(failures)
+
+
+def rescan_removable(cfg: ColoredGridConfig, k: int) -> tuple:
+    """Lines whose removal leaves no failure, one full point scan per line."""
+    return tuple(
+        (color, idx)
+        for color, idx, _ in cfg.lines()
+        if not point_scan_failures(cfg, k, removed=(color, idx))
+    )
+
+
+def point_enumeration_max_colorful(cfg: ColoredGridConfig):
+    """Largest color count at a grid point and the first point (in
+    lexicographic order) reaching it, from the full grid sweep."""
+    best, witness = 0, None
+    for point, refs in sorted(point_enumeration_incidences(cfg).items()):
+        order = len({c for c, _ in refs})
+        if order > best:
+            best, witness = order, point
+    return best, witness
 
 
 def collinear(p, q, r) -> bool:

@@ -34,7 +34,6 @@ from incidencelab.constructions import (
 from incidencelab.exactgeom import ProjPoint, meet
 from incidencelab.gridmodel import (
     GridLine,
-    all_incidences,
     embed_grid_line,
     grid_meet,
     is_k_consistent,
@@ -54,6 +53,7 @@ from incidencelab.transforms import (
     undualize,
 )
 from oracles import point_enumeration_incidences
+from test_gridmodel import grid_point_incidences
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -108,7 +108,7 @@ def test_criterion_3_no_k_plus_1_incidence_oracle_agreement():
     for k, p in [(3, 2), (3, 3), (4, 2)]:
         cfg = gen_algebraic(AlgebraicParams(k, p))
         oracle = point_enumeration_incidences(cfg)
-        hashed = {r.point: set(r.lines) for r in all_incidences(cfg)}
+        hashed = grid_point_incidences(cfg)
         agreements.append(oracle == hashed)
         no_colorful.append(
             all(len({c for c, _ in refs}) <= k for refs in oracle.values())
@@ -198,7 +198,7 @@ def test_criterion_7_flatness_and_bound(algebraic_3_2):
 
     lifted = lift_to_concurrent(algebraic_3_2, audit=False)
     projected = project_generic(lifted, 3, seed=0).config
-    records = flatness_audit(projected, 3)
+    records = flatness_audit(projected, extract_structure_lines(projected), 3)
     flats = [r for r in records if r.flat]
     bound = joint_bound(projected, 3)
     ok = (

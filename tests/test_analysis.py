@@ -116,6 +116,12 @@ class TestMinimality:
         assert not verdict.minimal
         assert len(verdict.removable) >= 1
 
+    def test_algebraic_4_2_minimal(self, algebraic_4_2):
+        # 10,240 lines: out of reach for one re-verification per line
+        verdict = minimality_audit(algebraic_4_2, 4)
+        assert verdict.minimal
+        assert verdict.removable == ()
+
     def test_empty_vacuously_minimal(self):
         cfg = ColoredGridConfig(2, 2, [[], [], []])
         assert minimality_audit(cfg, 2).minimal
@@ -135,7 +141,7 @@ class TestFlatness:
             Line(at, ProjPoint.affine((1, 1, 0))),
         ]
         cfg = ColoredLineConfig(3, [[lines[0]], [lines[1]], [lines[2]]])
-        records = flatness_audit(cfg, 3)
+        records = flatness_audit(cfg, extract_structure_lines(cfg), 3)
         assert len(records) == 1
         assert records[0].rank == 2 and records[0].flat
 
@@ -147,7 +153,7 @@ class TestFlatness:
             Line(at, ProjPoint.affine((0, 0, 1))),
         ]
         cfg = ColoredLineConfig(3, [[lines[0]], [lines[1]], [lines[2]]])
-        records = flatness_audit(cfg, 3)
+        records = flatness_audit(cfg, extract_structure_lines(cfg), 3)
         assert records[0].rank == 3 and not records[0].flat
 
 

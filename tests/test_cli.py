@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from incidencelab import cli
 from incidencelab.cli import main
 
 
@@ -75,6 +76,8 @@ class TestVerify:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["pass"] is True
         assert verdict["checks"]["minimality"]["pass"] is True
+        assert verdict["checks"]["minimality"]["removable_total"] == 0
+        assert verdict["checks"]["k_consistency"]["failures_total"] == 0
 
     def test_fail_with_witness(self, workdir, capsys):
         self.gen_alg()
@@ -85,11 +88,63 @@ class TestVerify:
         rc = run(["verify", "broken.json", "--k-consistency", "3"])
         assert rc == 1
         verdict = json.loads(capsys.readouterr().out)
-        assert verdict["checks"]["k_consistency"]["failures"]
+        check = verdict["checks"]["k_consistency"]
+        assert check["failures"]
+        assert check["failures_total"] >= len(check["failures"])
+
+    def test_failures_total_counts_past_the_list(self, workdir, capsys):
+        assert run(
+            ["gen", "probabilistic", "--k", "3", "--n", "16", "--seed", "1", "-o", "p.json"]
+        ) == 0
+        capsys.readouterr()
+        assert run(["verify", "p.json", "--k-consistency", "2"]) == 1
+        check = json.loads(capsys.readouterr().out)["checks"]["k_consistency"]
+        assert len(check["failures"]) == 50
+        assert check["failures_total"] > 50
 
     def test_malformed_exits_2(self, workdir):
         (workdir / "junk.json").write_text("{not json")
         assert run(["verify", "junk.json", "--k-consistency", "2"]) == 2
+
+    @pytest.mark.parametrize("text", ["[]", "3", "null"])
+    def test_non_object_json_exits_2(self, workdir, capsys, text):
+        (workdir / "x.json").write_text(text)
+        assert run(["verify", "x.json", "--k-consistency", "2"]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_color_below_one_exits_2(self, workdir, capsys):
+        data = {
+            "model": "grid", "k": 2, "n": 2,
+            "classes": [
+                {"color": 0, "axis": 1, "bases": [[1, 1]]},
+                {"color": 1, "axis": 2, "bases": [[1, 1]]},
+                {"color": 2, "axis": 3, "bases": [[1, 1]]},
+            ],
+        }
+        (workdir / "c0.json").write_text(json.dumps(data))
+        assert run(["verify", "c0.json", "--k-consistency", "2"]) == 2
+        assert "classes[0] has color 0" in capsys.readouterr().err
+
+    def test_threads_option_removed(self, workdir):
+        with pytest.raises(SystemExit):
+            run(["--threads", "2", "gen", "reye", "-o", "reye.json"])
+
+    def test_structure_extracted_at_most_once(self, workdir, capsys, monkeypatch):
+        calls = []
+        for name in ("extract_structure", "extract_structure_lines"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda cfg, f=original, n=name: calls.append(n) or f(cfg)
+            )
+        self.gen_alg()
+        args = ["--k-consistency", "3", "--max-colorful", "3", "--minimality"]
+        assert run(["verify", "alg.json", *args]) == 0
+        assert calls == []  # grid verdicts count grid points, no structure
+        run(["gen", "reye", "-o", "reye.json"])
+        assert run(["verify", "reye.json", *args[:4], "--flatness", "3"]) == 0
+        assert calls == ["extract_structure"]  # reused by the flatness audit
+        assert run(["analyze", "reye.json", "--joint-bound", "3"]) == 0
+        assert calls == ["extract_structure"]
 
     def test_tricolor_pipeline(self, workdir):
         assert run(

@@ -1,22 +1,29 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incidencelab.analysis import minimality_audit
 from incidencelab.exactgeom import ProjPoint, meet
 from incidencelab.gridmodel import (
     ColoredGridConfig,
     GridLine,
-    all_incidences,
+    breaks_consistency_without,
     embed_grid_line,
     grid_meet,
     grid_from_json,
     grid_to_json,
-    has_S_incidence,
     is_k_consistent,
     max_colorful_order,
 )
-from oracles import tiny_incidences
+from incidencelab.structure import extract_structure_grid, structure_consistency
+from oracles import (
+    point_enumeration_max_colorful,
+    point_scan_failures,
+    rescan_removable,
+    tiny_incidences,
+)
 
 
 def gl(axis, *base):
@@ -76,6 +83,37 @@ def random_config(rng: random.Random, k: int, n: int, per_class: int) -> Colored
     return ColoredGridConfig(k, n, classes)
 
 
+def mixed_config(
+    rng: random.Random, k: int, n: int, m: int, per_class: int
+) -> ColoredGridConfig:
+    """m colors whose lines take any axis: axes mix within a class and are
+    shared across colors."""
+    classes = []
+    seen = set()
+    for _ in range(m):
+        cls = []
+        while len(cls) < per_class:
+            axis = rng.randint(1, k + 1)
+            base = [rng.randint(1, n) for _ in range(k + 1)]
+            base[axis - 1] = 0
+            line = GridLine(axis, tuple(base))
+            if line not in seen:
+                seen.add(line)
+                cls.append(line)
+        classes.append(cls)
+    return ColoredGridConfig(k, n, classes)
+
+
+def grid_point_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
+    """The finite (grid-point) monomials of the extracted grid structure."""
+    s = extract_structure_grid(cfg)
+    return {
+        tuple(int(v) for v in w.affine_coords()): set(m)
+        for m, w in s.witnesses.items()
+        if not w.is_infinite
+    }
+
+
 class TestConfigValidation:
     def test_duplicate_across_classes(self):
         line = gl(1, 0, 1, 1)
@@ -111,46 +149,50 @@ class TestConfigValidation:
 
 
 class TestAllIncidences:
+    """The grid-point monomials of the extracted structure are exactly the
+    grid points on two or more lines."""
+
     def test_empty(self):
         cfg = ColoredGridConfig(2, 3, [[], [], []])
-        assert all_incidences(cfg) == []
+        assert grid_point_incidences(cfg) == {}
 
     def test_two_crossing_lines(self):
         cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
-        recs = all_incidences(cfg)
-        assert len(recs) == 1
-        assert recs[0].point == (1, 1, 1)
-        assert recs[0].lines == frozenset({(1, 0), (2, 0)})
+        assert grid_point_incidences(cfg) == {(1, 1, 1): {(1, 0), (2, 0)}}
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_tiny_oracle(self, seed):
         rng = random.Random(seed)
         cfg = random_config(rng, 2, 3, 4)
-        got = {r.point: set(r.lines) for r in all_incidences(cfg)}
-        assert got == tiny_incidences(cfg)
+        assert grid_point_incidences(cfg) == tiny_incidences(cfg)
 
     def test_one_line_per_color_when_axis_aligned(self):
         rng = random.Random(11)
         cfg = random_config(rng, 3, 3, 6)
-        for rec in all_incidences(cfg):
-            colors = [c for c, _ in rec.lines]
+        for refs in grid_point_incidences(cfg).values():
+            colors = [c for c, _ in refs]
             assert len(colors) == len(set(colors))
 
 
 class TestHasSIncidence:
+    """Single (line, S) incidences, read off the k-consistency failures."""
+
     def test_singleton_always_true(self):
         cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [], []])
-        assert has_S_incidence(cfg, (1, 0), [1])
+        assert is_k_consistent(cfg, 1).ok
 
     def test_color_not_in_S(self):
+        # a failure names an S holding the line's own color
         cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
-        with pytest.raises(ValueError):
-            has_S_incidence(cfg, (1, 0), [2, 3])
+        failures = is_k_consistent(cfg, 2).failures
+        assert failures
+        assert all(ref[0] in S for ref, S in failures)
 
     def test_pair(self):
         cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
-        assert has_S_incidence(cfg, (1, 0), [1, 2])
-        assert not has_S_incidence(cfg, (1, 0), [1, 3])
+        failures = is_k_consistent(cfg, 2).failures
+        assert ((1, 0), frozenset({1, 2})) not in failures
+        assert ((1, 0), frozenset({1, 3})) in failures
 
 
 class TestKConsistency:
@@ -213,6 +255,92 @@ class TestMaxColorful:
     def test_empty(self):
         cfg = ColoredGridConfig(2, 2, [[], [], []])
         assert max_colorful_order(cfg) == (0, None)
+
+
+def dense_mixed_config(
+    rng: random.Random, k: int, n: int, m: int, keep: float
+) -> ColoredGridConfig:
+    """Each line of the grid kept with probability ``keep`` under a random
+    color: dense enough that k-consistent mixed configurations are common."""
+    classes = [[] for _ in range(m)]
+    for axis in range(1, k + 2):
+        for rest in product(range(1, n + 1), repeat=k):
+            if rng.random() < keep:
+                base = list(rest)
+                base.insert(axis - 1, 0)
+                classes[rng.randrange(m)].append(GridLine(axis, tuple(base)))
+    return ColoredGridConfig(k, n, classes)
+
+
+grid_cases = st.builds(
+    lambda seed, k, n, m, per, dense: (
+        dense_mixed_config(random.Random(seed), k, n, m, 0.6 + per / 20)
+        if dense
+        else mixed_config(random.Random(seed), k, n, m, min(per, (k + 1) * n**k // m))
+    ),
+    st.integers(0, 10**9),
+    st.integers(2, 3),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(0, 8),
+    st.booleans(),
+)
+
+
+class TestCoreAgainstOracles:
+    """The incidence core against the point scan, the full grid sweep and
+    the per-line rescan, on configs that mix axes within a class and share
+    axes across colors."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(grid_cases)
+    def test_failures_match_point_scan(self, cfg):
+        for k in range(1, cfg.num_colors + 1):
+            assert is_k_consistent(cfg, k).failures == point_scan_failures(cfg, k)
+
+    @settings(max_examples=120, deadline=None)
+    @given(grid_cases)
+    def test_max_colorful_matches_sweep(self, cfg):
+        assert max_colorful_order(cfg) == point_enumeration_max_colorful(cfg)
+
+    @settings(max_examples=80, deadline=None)
+    @given(grid_cases)
+    def test_minimality_matches_rescan(self, cfg):
+        for k in range(1, cfg.num_colors + 1):
+            if not is_k_consistent(cfg, k).ok:
+                with pytest.raises(ValueError):
+                    minimality_audit(cfg, k)
+                continue
+            removable = rescan_removable(cfg, k)
+            assert minimality_audit(cfg, k).removable == removable
+            assert removable == tuple(
+                (c, i)
+                for c, i, _ in cfg.lines()
+                if not breaks_consistency_without(cfg, k, (c, i))
+            )
+
+    def test_minimality_on_consistent_mixed_configs(self):
+        # the hypothesis cases above are mostly inconsistent for k >= 2;
+        # here every compared case is 2-consistent with mixed axes
+        rng = random.Random(77)
+        compared = nontrivial = 0
+        while compared < 12:
+            cfg = dense_mixed_config(rng, 2, 3, 3, 1.0)
+            if not is_k_consistent(cfg, 2).ok:
+                continue
+            removable = minimality_audit(cfg, 2).removable
+            assert removable == rescan_removable(cfg, 2)
+            compared += 1
+            nontrivial += 0 < len(removable) < cfg.total_lines()
+        assert nontrivial
+
+    def test_grid_ignores_shared_directions(self):
+        # two colors on one axis meet only at infinity: the grid has no such
+        # point, while the extracted structure records the shared direction
+        cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [gl(1, 0, 2, 2)]])
+        assert not is_k_consistent(cfg, 2).ok
+        assert max_colorful_order(cfg) == (0, None)
+        assert structure_consistency(extract_structure_grid(cfg), 2).ok
 
 
 class TestCrossModelOracle:

@@ -69,7 +69,8 @@ class TestStructureConsistency:
             grid_verdict = is_k_consistent(cfg, k)
             struct_verdict = structure_consistency(s, k)
             assert struct_verdict.ok == grid_verdict.ok
-            assert set(struct_verdict.failures) == set(grid_verdict.failures)
+            # one core, one order: color, then S, then index
+            assert struct_verdict.failures == grid_verdict.failures
 
     @pytest.mark.parametrize("seed", range(5))
     def test_max_colorful_matches_grid(self, seed):
