@@ -110,21 +110,12 @@ def determinant_monomials() -> frozenset[Monomial]:
     """
     terms = []
     for perm in permutations(range(4)):
-        sign = 1
-        seen = list(perm)
         # parity via inversion count
-        inv = sum(
-            1 for x, y in combinations(range(4), 2) if seen[x] > seen[y]
-        )
-        sign = -1 if inv % 2 else 1
-        if sign != 1:
-            continue
-        refs = []
-        for row, col in enumerate(perm):
-            if row == 3:
-                continue  # the all-ones row contributes the constant 1
-            refs.append((col + 1, row))
-        terms.append(frozenset(refs))
+        inv = sum(1 for x, y in combinations(range(4), 2) if perm[x] > perm[y])
+        if inv % 2:
+            continue  # negative sign
+        # the all-ones row 3 contributes the constant 1
+        terms.append(frozenset((col + 1, row) for row, col in enumerate(perm[:3])))
     result = frozenset(terms)
     if result != TABLE_I:
         raise AssertionError("determinant expansion does not reproduce table I")

@@ -110,10 +110,7 @@ def cmd_gen(args, run: _Run) -> int:
     elif sub == "dual-cycles":
         slopes = _parse_steps(args.slopes)
         starts = _parse_steps(args.starts) if args.starts else None
-        if starts is None:
-            cfg, rep = constructions.gen_dual_cycles(args.r, slopes)
-        else:
-            cfg, rep = constructions.gen_dual_cycles(args.r, slopes, starts)
+        cfg, rep = constructions.gen_dual_cycles(args.r, slopes, starts)
         report = {
             "direction_triples_consistent": rep.triples_with_direction_color,
             "other_triple_consistent": rep.triple_other_colors,
@@ -183,13 +180,17 @@ def _verify_checks(cfg, args) -> tuple[dict, bool]:
             raise SystemExit2("--minimality applies to grid configurations")
         if args.k_consistency is None:
             raise SystemExit2("--minimality needs --k-consistency K")
-        verdict = analysis.minimality_audit(cfg, args.k_consistency)
-        checks["minimality"] = {
-            "pass": verdict.minimal,
-            "removable": [list(r) for r in verdict.removable[:50]],
-            "removable_total": len(verdict.removable),
-        }
-        ok &= verdict.minimal
+        # minimality is defined for K-consistent configurations only
+        checks["minimality"] = {"pass": False, "evaluated": False}
+        if checks["k_consistency"]["pass"]:
+            verdict = analysis.minimality_audit(cfg, args.k_consistency)
+            checks["minimality"] = {
+                "pass": verdict.minimal,
+                "evaluated": True,
+                "removable": [list(r) for r in verdict.removable[:50]],
+                "removable_total": len(verdict.removable),
+            }
+            ok &= verdict.minimal
     if args.flatness is not None:
         line_cfg = _line_view(cfg, "flatness")
         if s is None:

@@ -113,12 +113,8 @@ class DualPointConfig:
 
 def concurrency_center(lines: Sequence[Line]) -> ProjPoint | None:
     """Common point of a class of >= 2 lines, or None if not concurrent."""
-    if len(lines) < 2:
-        return None
-    center = meet(lines[0], lines[1])
-    if center is None:
-        return None
-    if all(ln.contains(center) for ln in lines[2:]):
+    center = meet(lines[0], lines[1]) if len(lines) >= 2 else None
+    if center is not None and all(ln.contains(center) for ln in lines[2:]):
         return center
     return None
 

@@ -170,10 +170,6 @@ class AlgebraicParams:
         return self.p ** (self.k * self.k - self.k - 1)
 
 
-def _digits(value: int, p: int, length: int) -> tuple[int, ...]:
-    return tuple((value // p**t) % p for t in range(length))
-
-
 def _coord_from_vec(entries: Sequence[int], p: int) -> int:
     return 1 + sum(e * p**t for t, e in enumerate(entries))
 

@@ -5,7 +5,9 @@ rational coordinates.  Every object canonicalizes its homogeneous
 coordinates to a primitive integer vector (denominators cleared, gcd
 divided out, first nonzero entry positive), so equality is tuple
 equality, hashing is O(1), and every predicate reduces to exact integer
-row reduction.  No floating point is used anywhere.
+arithmetic.  No floating point is used anywhere.  A line is row-reduced
+once, into its canonical key; meets and incidences on it are then
+fraction-free residual tests on plain ints (see ``Line.residual``).
 
 Conventions
 -----------
@@ -35,28 +37,28 @@ def format_rational(value: Rational) -> str:
 
 
 def _canonical_ints(values: Sequence[Rational]) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector, sign-fixed."""
-    fracs = [Fraction(v) for v in values]
-    if all(f == 0 for f in fracs):
+    """Scale a rational vector to a primitive integer vector, sign-fixed
+    (an all-int vector skips the ``Fraction`` conversion)."""
+    for v in values:
+        if not isinstance(v, int):
+            fracs = [Fraction(v) for v in values]
+            scale = lcm(*(f.denominator for f in fracs))
+            values = [int(f * scale) for f in fracs]
+            break
+    if not any(values):
         raise ValueError("zero vector has no canonical homogeneous form")
-    scale = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return _reduce_row(values)
 
 
 def _reduce_row(row: Sequence[int]) -> tuple[int, ...]:
     """Divide a nonzero integer row by its gcd and fix the leading sign."""
     g = gcd(*row)
-    out = [x // g for x in row]
-    first = next(x for x in out if x != 0)
+    for first in row:
+        if first:
+            break
     if first < 0:
-        out = [-x for x in out]
-    return tuple(out)
+        g = -g
+    return tuple([x // g for x in row])
 
 
 def int_rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -97,9 +99,7 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
 def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of the right nullspace, one vector per free column."""
     rref = int_rref(rows)
-    pivots: list[int] = []
-    for row in rref:
-        pivots.append(next(c for c in range(ncols) if row[c] != 0))
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rref]
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -154,10 +154,6 @@ class ProjPoint:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
-def _combine(a: ProjPoint, ca: int, b: ProjPoint, cb: int) -> ProjPoint:
-    return ProjPoint([ca * x + cb * y for x, y in zip(a.coords, b.coords)])
-
-
 @dataclass(frozen=True)
 class ProjFlat:
     """A flat (point, line, plane, ...) as a canonical row-reduced point basis."""
@@ -205,13 +201,15 @@ class Line:
     """A projective line stored as two distinct spanning points.
 
     The canonical key (reduced row-echelon basis of the two coordinate
-    rows) identifies the line independently of the chosen point pair, so
-    lines hash and compare by the geometric object they represent.
+    rows, with pivot columns ``pivots``) identifies the line independently
+    of the chosen point pair, so lines hash and compare by the geometric
+    object they represent.
     """
 
     p: ProjPoint
     q: ProjPoint
     key: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, int]
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p.ambient_dim != q.ambient_dim:
@@ -222,6 +220,8 @@ class Line:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "key", (rows[0], rows[1]))
+        pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
+        object.__setattr__(self, "pivots", pivots)
 
     @classmethod
     def through_affine(cls, a: Sequence[Rational], b: Sequence[Rational]) -> "Line":
@@ -235,14 +235,22 @@ class Line:
 
     @property
     def ambient_dim(self) -> int:
-        return self.p.ambient_dim
+        return len(self.key[0]) - 1
 
-    @property
-    def flat(self) -> ProjFlat:
-        return ProjFlat([self.p, self.q])
+    def residual(self, v: Sequence[int]) -> list[int]:
+        """p1*p2*v - v[c1]*p2*r1 - v[c2]*p1*r2 for the key rows r1, r2 with
+        pivots p1, p2 at columns c1 < c2: each key row is zero at the other's
+        pivot, so this vanishes at both pivots, and it is zero iff v lies on
+        the line.  Fraction-free and linear in v."""
+        (r1, r2), (c1, c2) = self.key, self.pivots
+        p1, p2 = r1[c1], r2[c2]
+        s, a, b = p1 * p2, v[c1] * p2, v[c2] * p1
+        return [s * x - a * y - b * z for x, y, z in zip(v, r1, r2)]
 
     def contains(self, point: ProjPoint) -> bool:
-        return incident(point, self.flat)
+        if point.ambient_dim != self.ambient_dim:
+            raise ValueError("point and line live in different ambient dimensions")
+        return not any(self.residual(point.coords))
 
     def at_infinity(self) -> ProjPoint | None:
         """The line's point at infinity, or None if the line lies at infinity."""
@@ -253,7 +261,7 @@ class Line:
             return self.p
         if qw == 0:
             return self.q
-        return _combine(self.p, qw, self.q, -pw)
+        return ProjPoint([qw * x - pw * y for x, y in zip(self.p.coords, self.q.coords)])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Line) and self.key == other.key
@@ -268,6 +276,10 @@ class Line:
 def meet(a: Line, b: Line) -> ProjPoint | None:
     """The unique common point of two distinct lines, or None if they are skew.
 
+    The residuals u, w of b's key rows s1, s2 against a are linearly
+    dependent iff the lines meet; then w[j]*u - u[j]*w = 0 for a column
+    j with u[j] != 0, so w[j]*s1 - u[j]*s2 lies on both lines.
+
     Raises ValueError for identical lines (configurations assume pairwise
     distinct lines, so asking for their meet is a caller bug).
     """
@@ -275,18 +287,18 @@ def meet(a: Line, b: Line) -> ProjPoint | None:
         raise ValueError("lines live in different ambient dimensions")
     if a.key == b.key:
         raise ValueError("meet of identical lines is undefined")
-    # Columns are the four spanning points; a nullvector (l1, l2, m1, m2)
-    # expresses l1*a.p + l2*a.q = -(m1*b.p + m2*b.q) = common point.
-    ncols = 4
-    rows = [
-        (a.p.coords[i], a.q.coords[i], b.p.coords[i], b.q.coords[i])
-        for i in range(a.ambient_dim + 1)
-    ]
-    null = int_nullspace(rows, ncols)
-    if not null:
-        return None
-    l1, l2 = null[0][0], null[0][1]
-    return _combine(a.p, l1, a.q, l2)
+    s1, s2 = b.key
+    u, w = a.residual(s1), a.residual(s2)
+    for j, uj in enumerate(u):
+        if uj:
+            break
+    else:
+        return ProjPoint(s1)  # s1 lies on a
+    wj = w[j]
+    for x, y in zip(u, w):
+        if wj * x != uj * y:
+            return None
+    return ProjPoint([wj * x - uj * y for x, y in zip(s1, s2)])
 
 
 def rank_of_directions(lines: Sequence[Line], at: ProjPoint) -> int:
@@ -301,28 +313,29 @@ def rank_of_directions(lines: Sequence[Line], at: ProjPoint) -> int:
     for ln in lines:
         if not ln.contains(at):
             raise ValueError(f"line {ln!r} does not pass through {at!r}")
-    rows = [at.coords]
-    for ln in lines:
-        rows.append(ln.p.coords)
-        rows.append(ln.q.coords)
-    return int_rank(rows) - 1
+    return int_rank([at.coords, *(row for ln in lines for row in ln.key)]) - 1
 
 
 def apply_matrix(matrix: Sequence[Sequence[Rational]], point: ProjPoint) -> ProjPoint:
-    """Image of a point under a projective transformation given by matrix rows."""
+    """Image of a point under a projective transformation given by matrix rows
+    (ints or Fractions; an int matrix maps with integer dot products)."""
     if len(matrix[0]) != len(point.coords):
         raise ValueError("matrix shape does not match point coordinates")
-    return ProjPoint(
-        [sum(Fraction(m) * c for m, c in zip(row, point.coords)) for row in matrix]
-    )
+    return ProjPoint([sum(m * c for m, c in zip(row, point.coords)) for row in matrix])
+
+
+def covector_2d(p: ProjPoint, q: ProjPoint) -> tuple[int, ...]:
+    """Canonical covector (a, b, c) of the planar line through two distinct
+    points, a*x + b*y + c*w = 0: their cross product, reduced."""
+    (p1, p2, p3), (q1, q2, q3) = p.coords, q.coords
+    return _reduce_row((p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1))
 
 
 def line_covector_2d(line: Line) -> tuple[int, ...]:
     """Canonical covector (a, b, c) of a planar line: a*x + b*y + c*w = 0."""
     if line.ambient_dim != 2:
         raise ValueError("covectors are defined for planar lines only")
-    (p1, p2, p3), (q1, q2, q3) = line.p.coords, line.q.coords
-    return _reduce_row((p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1))
+    return covector_2d(line.p, line.q)
 
 
 def line_from_covector_2d(cov: Sequence[int]) -> Line:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import gridmodel
 from .configs import ColoredLineConfig, DualPointConfig
-from .exactgeom import Line, ProjPoint, line_covector_2d, meet
+from .exactgeom import Line, ProjPoint, covector_2d, meet
 from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,
@@ -120,7 +120,7 @@ def extract_alignments(cfg: DualPointConfig) -> IncidenceStructure:
     entries = list(cfg.points())
     line_map: dict[tuple[int, ...], set[LineRef]] = {}
     for (ca, ia, pa), (cb, ib, pb) in combinations(entries, 2):
-        cov = line_covector_2d(Line(pa, pb))
+        cov = covector_2d(pa, pb)
         line_map.setdefault(cov, set()).update([(ca, ia), (cb, ib)])
     return _structure_from_map(line_map, cfg.class_sizes())
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .configs import ColoredLineConfig, DualPointConfig
@@ -42,7 +44,11 @@ _DRAW_HALF_RANGE = 1 << 16
 
 
 def apply_projective(cfg: ColoredLineConfig, matrix: Sequence[Sequence]) -> ColoredLineConfig:
-    """Map every line (and center) of a configuration through a matrix."""
+    """Map every line (and center) of a configuration through a matrix,
+    scaled once to integers (the same projective map)."""
+    rows = [[Fraction(m) for m in row] for row in matrix]
+    scale = lcm(*(m.denominator for row in rows for m in row))
+    matrix = [[int(m * scale) for m in row] for row in rows]
     classes = []
     for cls in cfg.classes:
         mapped = []
@@ -71,8 +77,8 @@ def lift_to_concurrent(cfg: ColoredGridConfig, audit: bool = True) -> ColoredLin
             raise ValueError("lift requires axis-parallel classes")
     dim = cfg.k + 1
     c = dim * cfg.n + 1
-    matrix = [[Fraction(int(i == j)) for j in range(dim)] + [Fraction(0)] for i in range(dim)]
-    matrix.append([Fraction(1)] * dim + [Fraction(-c)])
+    matrix = [[int(i == j) for j in range(dim)] + [0] for i in range(dim)]
+    matrix.append([1] * dim + [-c])
 
     from .configs import embed_grid_config
 
@@ -107,11 +113,11 @@ def _audit_projection(
     if not before.monomials <= after.monomials:
         return False, frozenset()
     extras = after.monomials - before.monomials
-    for m in extras:
-        if len(m) != 2:
-            return False, frozenset()
-        if any(m <= old for old in before.monomials):
-            return False, frozenset()
+    source_pairs = {
+        frozenset(pair) for old in before.monomials for pair in combinations(old, 2)
+    }
+    if any(len(m) != 2 or m in source_pairs for m in extras):
+        return False, frozenset()
     return True, frozenset(extras)
 
 
@@ -208,10 +214,7 @@ def undualize(dual: DualPointConfig) -> ColoredLineConfig:
 
 def extract_planarity(cfg: ColoredLineConfig) -> tuple[bool, int]:
     """(all lines lie in a common 2-flat?, projective dimension of their span)."""
-    rows = []
-    for _, _, line in cfg.lines():
-        rows.append(line.p.coords)
-        rows.append(line.q.coords)
+    rows = [row for _, _, line in cfg.lines() for row in line.key]
     if not rows:
         return True, 0
     dim = int_rank(rows) - 1

@@ -4,7 +4,9 @@ These deliberately avoid the axis-pair hashing and the incidence core of
 the library: they enumerate grid points (or raw containment) and nothing
 else, so agreement is meaningful evidence rather than a tautology.  The
 point scan and the per-line minimality rescan are the references for
-the incidence core's grid verdicts.
+the incidence core's grid verdicts.  ``rref_meet`` is the reference for
+the residual-test ``meet``: it solves the 4-column system of the two
+lines' spanning points by generic row reduction.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
+from incidencelab.exactgeom import Line, ProjPoint, int_nullspace
 from incidencelab.gridmodel import ColoredGridConfig, GridLine
 
 
@@ -160,3 +163,23 @@ def rank3x3(rows) -> int:
             if minor[0][0] * minor[1][1] - minor[0][1] * minor[1][0] != 0:
                 return 2
     return 1 if any(any(v != 0 for v in row) for row in rows) else 0
+
+
+def rref_meet(a: Line, b: Line) -> ProjPoint | None:
+    """Common point of two distinct lines from the nullspace of the
+    (d+1) x 4 matrix of their spanning points, or None if they are skew."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("lines live in different ambient dimensions")
+    if a.key == b.key:
+        raise ValueError("meet of identical lines is undefined")
+    # A nullvector (l1, l2, m1, m2) expresses
+    # l1*a.p + l2*a.q = -(m1*b.p + m2*b.q) = common point.
+    rows = [
+        (a.p.coords[i], a.q.coords[i], b.p.coords[i], b.q.coords[i])
+        for i in range(a.ambient_dim + 1)
+    ]
+    null = int_nullspace(rows, 4)
+    if not null:
+        return None
+    l1, l2 = null[0][0], null[0][1]
+    return ProjPoint([l1 * x + l2 * y for x, y in zip(a.p.coords, a.q.coords)])

@@ -125,6 +125,24 @@ class TestVerify:
         assert run(["verify", "c0.json", "--k-consistency", "2"]) == 2
         assert "classes[0] has color 0" in capsys.readouterr().err
 
+    def test_minimality_on_inconsistent_grid_exits_1(self, workdir, capsys):
+        # color 1 mixes axes 1 and 2; its axis-2 line meets no color-2 line
+        data = {
+            "model": "grid", "k": 2, "n": 2,
+            "classes": [
+                {"color": 1, "axis": 1, "bases": [[1, 1]]},
+                {"color": 1, "axis": 2, "bases": [[2, 2]]},
+                {"color": 2, "axis": 3, "bases": [[1, 1]]},
+            ],
+        }
+        (workdir / "mixed.json").write_text(json.dumps(data))
+        rc = run(["verify", "mixed.json", "--k-consistency", "2", "--minimality"])
+        assert rc == 1
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["pass"] is False
+        assert verdict["checks"]["k_consistency"]["failures"] == [[[1, 1], [1, 2]]]
+        assert verdict["checks"]["minimality"] == {"pass": False, "evaluated": False}
+
     def test_threads_option_removed(self, workdir):
         with pytest.raises(SystemExit):
             run(["--threads", "2", "gen", "reye", "-o", "reye.json"])

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from incidencelab.exactgeom import (
     Line,
     ProjPoint,
+    covector_2d,
     format_rational,
     incident,
     int_nullspace,
@@ -18,7 +19,7 @@ from incidencelab.exactgeom import (
     rank_of_directions,
     span,
 )
-from oracles import rank3x3
+from oracles import rank3x3, rref_meet
 
 nonzero_ints = st.integers(-50, 50).filter(lambda v: v != 0)
 small_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -26,6 +27,60 @@ small_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 def pt(*coords):
     return ProjPoint(list(coords))
+
+
+small = st.integers(-6, 6)
+# small coordinates plus magnitudes beyond 2^64
+coord = st.one_of(small, st.integers(2**64, 2**66), st.integers(-(2**66), -(2**64)))
+
+
+@st.composite
+def points(draw, d, at_infinity=False):
+    c = draw(st.lists(coord, min_size=d + 1, max_size=d + 1))
+    if at_infinity:
+        c[-1] = 0
+    assume(any(c))
+    return ProjPoint(c)
+
+
+@st.composite
+def lines(draw, d, at_infinity=False):
+    p, q = draw(points(d, at_infinity)), draw(points(d, at_infinity))
+    assume(p != q)
+    return Line(p, q)
+
+
+@st.composite
+def on_line(draw, line):
+    """A point of the line: an integer combination of its spanning points."""
+    s, t = draw(small), draw(small)
+    assume(s or t)
+    return ProjPoint([s * x + t * y for x, y in zip(line.p.coords, line.q.coords)])
+
+
+@st.composite
+def line_pairs(draw):
+    """(kind, a, b) in d = 2..5: b built to meet a, parallel to a (through
+    a's point at infinity), both at infinity, the same line, or random."""
+    d = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["meeting", "parallel", "infinity", "identical", "random"]))
+    a = draw(lines(d, at_infinity=kind == "infinity"))
+    if kind == "meeting":
+        x, y = draw(on_line(a)), draw(points(d))
+        assume(x != y)
+        b = Line(x, y)
+    elif kind == "parallel":
+        assume(a.at_infinity() is not None)
+        y = draw(points(d))
+        assume(y != a.at_infinity())
+        b = Line(y, a.at_infinity())
+    elif kind == "identical":
+        x, y = draw(on_line(a)), draw(on_line(a))
+        assume(x != y)
+        b = Line(x, y)
+    else:
+        b = draw(lines(d, at_infinity=kind == "infinity"))
+    return kind, a, b
 
 
 class TestRationalIO:
@@ -127,6 +182,47 @@ class TestMeet:
         if a.key == b.key:
             return
         assert meet(a, b) == meet(b, a)
+
+
+class TestResidualKernel:
+    """The residual-test kernel against row-reduction references."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(line_pairs())
+    def test_meet_matches_rref_meet(self, pair):
+        kind, a, b = pair
+        if a.key == b.key:
+            with pytest.raises(ValueError):
+                meet(a, b)
+            with pytest.raises(ValueError):
+                rref_meet(a, b)
+            return
+        assert kind != "identical"
+        got = meet(a, b)
+        assert got == rref_meet(a, b)
+        if kind in ("meeting", "parallel"):
+            assert got is not None and a.contains(got) and b.contains(got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda d: st.tuples(lines(d), points(d))), st.booleans(), st.data())
+    def test_contains_matches_rank(self, line_and_point, take_on_line, data):
+        line, x = line_and_point
+        if take_on_line:
+            x = data.draw(on_line(line))
+        rank = int_rank([line.p.coords, line.q.coords, x.coords])
+        assert line.contains(x) == (rank == 2)
+
+    @given(st.lists(coord, min_size=2, max_size=6).filter(any), st.integers(1, 10**6))
+    def test_int_point_matches_fraction_point(self, ints, den):
+        via_int = ProjPoint(ints).coords
+        assert via_int == ProjPoint([Fraction(v) for v in ints]).coords
+        assert via_int == ProjPoint([Fraction(v, den) for v in ints]).coords
+
+    @given(lines(2))
+    def test_cross_product_covector(self, line):
+        cov = covector_2d(line.p, line.q)
+        assert cov == line_covector_2d(Line(line.p, line.q))
+        assert [cov] == int_nullspace([line.p.coords, line.q.coords], 3)
 
 
 class TestSpan:
