@@ -21,7 +21,7 @@ from statistics import quantiles
 from .configs import ColoredLineConfig
 from .constructions import ProbParams, probabilistic_trial_stats
 from .exactgeom import Line, meet, rank_of_directions
-from .gridmodel import ColoredGridConfig, LineRef, _incidence_map, group_removable
+from .gridmodel import ColoredGridConfig, LineRef, group_removable
 from .rng import TRIAL_OFFSET, substream
 from .structure import IncidenceStructure, Monomial
 
@@ -185,7 +185,7 @@ class MinimalityVerdict:
 def minimality_audit(cfg: ColoredGridConfig, k: int) -> MinimalityVerdict:
     """True iff removing any single line breaks k-consistency, decided in
     one pass over the grid-point groups (``gridmodel.group_removable``)."""
-    removable = group_removable(cfg.class_sizes(), _incidence_map(cfg).values(), k)
+    removable = group_removable(cfg.class_sizes(), cfg.incidence_map.values(), k)
     return MinimalityVerdict(not removable, removable)
 
 

@@ -6,7 +6,8 @@
 * ``gen_probabilistic`` — two-stage random selection: keep each grid line
   independently with an exact rational probability, then delete every
   line through a point covered by all k+1 axes (which unconditionally
-  kills all (k+1)-incidences).
+  kills all (k+1)-incidences).  The deletion streams x1-slabs in O(n^k)
+  memory for any n; only ``probabilistic_trial_stats`` has a size guard.
 * ``gen_tricolor`` — the planar-style 3-color closed polygon family:
   2-consistent, no colorful incidence.
 * ``gen_desargues`` / ``gen_reye`` — the two non-planar 4x3
@@ -60,7 +61,8 @@ from .structure import (
 )
 from .transforms import extract_planarity
 
-DENSE_GRID_LIMIT = 1 << 26
+DENSE_GRID_LIMIT = 1 << 26  # largest coverage cube probabilistic_trial_stats builds
+SLAB_CELLS = 1 << 20  # grid points per slab of the stage-2 deletion
 
 
 # ---------------------------------------------------------------------------
@@ -275,88 +277,41 @@ class DeletionReport:
         return tuple(s - f for s, f in zip(self.selected_sizes, self.final_sizes))
 
 
-def _axis_slots(k: int, axis: int) -> list[int]:
-    return [s for s in range(1, k + 2) if s != axis]
-
-
-def _gridline_from_index(k: int, n: int, axis: int, index: int) -> GridLine:
-    # Base indices are big-endian over the non-axis slots in ascending order.
-    base = [0] * (k + 1)
-    rem = index
-    for t, slot in enumerate(_axis_slots(k, axis)):
-        power = n ** (k - 1 - t)
-        base[slot - 1] = rem // power + 1
-        rem %= power
-    return GridLine(axis, tuple(base))
-
-
 def _selection_masks(k: int, n: int, seed: int, threshold: int) -> list[np.ndarray]:
-    masks = []
-    for axis in range(1, k + 2):
-        stream = substream(seed, axis)
-        draws = splitmix64_block(stream, 0, n**k)
-        if threshold > (1 << 64) - 1:
-            mask = np.ones(n**k, dtype=bool)
-        else:
-            mask = draws < np.uint64(threshold)
-        masks.append(mask)
-    return masks
+    # u < threshold as u <= threshold - 1, which fits in uint64 for p_sel in (0, 1]
+    limit = np.uint64(threshold - 1)
+    return [splitmix64_block(substream(seed, axis), 0, n**k) <= limit for axis in range(1, k + 2)]
 
 
-def _dense_deletion(k: int, n: int, masks: list[np.ndarray]):
+def _deletion(k: int, n: int, masks: list[np.ndarray], width: int):
+    """Stage 2 on the stage-1 masks: (final masks, number of grid points
+    covered by all k+1 axes).
+
+    The coverage cube is streamed in slabs of ``width`` whole x1-slices:
+    axis 1 spans every slice, axis a > 1 only its rows at those x1, so
+    each slab is exact and the memory is O(width * n^k) for any n.
+    """
     shaped = [m.reshape((n,) * k) for m in masks]
-    full = None
-    for axis in range(1, k + 2):
-        cov = np.expand_dims(shaped[axis - 1], axis=axis - 1)
-        full = cov if full is None else full & cov
-    covered = int(full.sum())
-    final = [
-        shaped[axis - 1] & ~full.any(axis=axis - 1) for axis in range(1, k + 2)
-    ]
-    return [m.reshape(-1) for m in final], covered
-
-
-def _sparse_deletion(k: int, n: int, masks: list[np.ndarray]):
-    coverage: dict[tuple[int, ...], int] = {}
-    per_axis_points: list[list[tuple[int, list[tuple[int, ...]]]]] = []
-    for axis in range(1, k + 2):
-        entries = []
-        for index in np.nonzero(masks[axis - 1])[0]:
-            line = _gridline_from_index(k, n, axis, int(index))
-            pts = [line.point_at(v) for v in range(1, n + 1)]
-            for pt in pts:
-                coverage[pt] = coverage.get(pt, 0) | (1 << (axis - 1))
-            entries.append((int(index), pts))
-        per_axis_points.append(entries)
-    all_axes = (1 << (k + 1)) - 1
-    covered = sum(1 for v in coverage.values() if v == all_axes)
-    final = []
-    for axis in range(1, k + 2):
-        keep = masks[axis - 1].copy()
-        for index, pts in per_axis_points[axis - 1]:
-            if any(coverage[pt] == all_axes for pt in pts):
-                keep[index] = False
-        final.append(keep)
-    return final, covered
+    hit = [np.zeros_like(m) for m in shaped]
+    covered = 0
+    for lo in range(0, n, width):
+        rows = slice(lo, lo + width)
+        full = shaped[0][None] & shaped[1][rows][:, None]
+        for axis in range(3, k + 2):
+            full &= np.expand_dims(shaped[axis - 1][rows], axis - 1)
+        covered += int(np.count_nonzero(full))
+        hit[0] |= full.any(axis=0)
+        for axis in range(2, k + 2):
+            hit[axis - 1][rows] = full.any(axis=axis - 1)
+    return [(m & ~h).reshape(-1) for m, h in zip(shaped, hit)], covered
 
 
 def _stage_masks(params: ProbParams):
     k, n = params.k, params.n
     threshold = selection_threshold(params.p_sel)
     selected = _selection_masks(k, n, params.seed, threshold)
-    if n ** (k + 1) <= DENSE_GRID_LIMIT:
-        final, covered = _dense_deletion(k, n, selected)
-    else:
-        final, covered = _sparse_deletion(k, n, selected)
+    final, covered = _deletion(k, n, selected, max(1, SLAB_CELLS // n**k))
     return selected, final, covered
-
-
-def _materialize(k: int, n: int, masks: list[np.ndarray]) -> ColoredGridConfig:
-    classes = []
-    for axis in range(1, k + 2):
-        idx = np.nonzero(masks[axis - 1])[0]
-        classes.append([_gridline_from_index(k, n, axis, int(i)) for i in idx])
-    return ColoredGridConfig(k, n, classes)
 
 
 def gen_probabilistic(
@@ -368,18 +323,18 @@ def gen_probabilistic(
     per axis, one draw per line in base-index order).  Stage 2 deletes,
     simultaneously on the stage-1 sets, every line through a point
     covered by all k+1 axes; the survivor therefore has no
-    (k+1)-incidence regardless of the randomness.
+    (k+1)-incidence regardless of the randomness.  Both configurations
+    build their ``GridLine`` objects only when their classes are first read.
     """
     selected, final, covered = _stage_masks(params)
-    before = _materialize(params.k, params.n, selected)
-    after = _materialize(params.k, params.n, final)
+    before, after = (ColoredGridConfig.from_masks(params.k, params.n, m) for m in (selected, final))
     report = DeletionReport(
         params.k,
         params.n,
         params.seed,
         params.p_sel,
-        tuple(int(m.sum()) for m in selected),
-        tuple(int(m.sum()) for m in final),
+        before.class_sizes(),
+        after.class_sizes(),
         covered,
     )
     return before, after, report
@@ -390,11 +345,12 @@ def probabilistic_trial_stats(params: ProbParams) -> dict:
 
     Returns final class sizes, the k-consistency verdict with the number
     of distinct bad lines, and the maximal colorful order after deletion.
-    Needs the dense grid path (n^(k+1) <= 2^26).
+    The statistics hold whole n^(k+1) cubes, so this is the one place
+    with a size guard: n^(k+1) <= 2^26 (``DENSE_GRID_LIMIT``).
     """
     k, n = params.k, params.n
     if n ** (k + 1) > DENSE_GRID_LIMIT:
-        raise ValueError("trial statistics need the dense grid path")
+        raise ValueError("trial statistics need n^(k+1) <= 2^26")
     selected, final, covered = _stage_masks(params)
     shaped = [m.reshape((n,) * k) for m in final]
     expanded = [

@@ -21,8 +21,11 @@ tuple after the constructor's canonical sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .exactgeom import Line, ProjPoint
 
@@ -89,11 +92,38 @@ class ColoredGridConfig:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "classes", canon)
 
+    @classmethod
+    def from_masks(cls, k: int, n: int, masks: Sequence[np.ndarray]) -> "ColoredGridConfig":
+        """Class c holds the axis-c lines selected by ``masks[c-1]``, a bool
+        array over base indices: big-endian over the ascending non-axis
+        slots, digit v for coordinate v+1.  Index order is the canonical
+        order, so nothing is sorted or checked, and the classes are decoded
+        on first read (``class_sizes`` needs no decoding)."""
+        cfg = object.__new__(cls)
+        object.__setattr__(cfg, "k", k)
+        object.__setattr__(cfg, "n", n)
+        object.__setattr__(cfg, "_indices", tuple(np.flatnonzero(m) for m in masks))
+        return cfg
+
+    def __getattr__(self, name: str):
+        # Reached only for unset attributes: the classes of a configuration
+        # built by ``from_masks``, before their first read.
+        if name != "classes" or "_indices" not in self.__dict__:
+            raise AttributeError(name)
+        classes = tuple(
+            _decode_axis_class(self.k, self.n, axis, idx)
+            for axis, idx in enumerate(self._indices, start=1)
+        )
+        object.__setattr__(self, "classes", classes)
+        return classes
+
     @property
     def num_colors(self) -> int:
         return len(self.classes)
 
     def class_sizes(self) -> tuple[int, ...]:
+        if "_indices" in self.__dict__:
+            return tuple(len(idx) for idx in self._indices)
         return tuple(len(cls) for cls in self.classes)
 
     def total_lines(self) -> int:
@@ -112,6 +142,38 @@ class ColoredGridConfig:
         new_classes = list(self.classes)
         new_classes[color - 1] = tuple(cls)
         return ColoredGridConfig(self.k, self.n, new_classes)
+
+    @cached_property
+    def incidence_map(self) -> dict[tuple[int, ...], set[LineRef]]:
+        """Every grid point on two or more lines, with the refs of the lines
+        through it; built once and shared, so callers must not modify it."""
+        by_axis: dict[int, list[tuple[LineRef, GridLine]]] = {}
+        for color, idx, line in self.lines():
+            by_axis.setdefault(line.axis, []).append(((color, idx), line))
+        points: dict[tuple[int, ...], set[LineRef]] = {}
+        axes = sorted(by_axis)
+        for a, b in combinations(axes, 2):
+            ia, ib = a - 1, b - 1
+            buckets: dict[tuple[int, ...], list[tuple[LineRef, GridLine]]] = {}
+            for ref, line in by_axis[a]:
+                key = tuple(v for t, v in enumerate(line.base) if t not in (ia, ib))
+                buckets.setdefault(key, []).append((ref, line))
+            for ref_b, line_b in by_axis[b]:
+                key = tuple(v for t, v in enumerate(line_b.base) if t not in (ia, ib))
+                for ref_a, line_a in buckets.get(key, ()):
+                    pt = list(line_a.base)
+                    pt[ia] = line_b.base[ia]
+                    pt[ib] = line_a.base[ib]
+                    tpt = tuple(pt)
+                    points.setdefault(tpt, set()).update((ref_a, ref_b))
+        return points
+
+
+def _decode_axis_class(k: int, n: int, axis: int, indices: np.ndarray) -> tuple[GridLine, ...]:
+    """The axis lines with the given base indices, in index order."""
+    digits = indices[:, None] // n ** np.arange(k - 1, -1, -1) % n + 1
+    bases = np.insert(digits, axis - 1, 0, axis=1)
+    return tuple(GridLine(axis, tuple(base)) for base in bases.tolist())
 
 
 def grid_meet(a: GridLine, b: GridLine) -> tuple[int, ...] | None:
@@ -142,29 +204,6 @@ def embed_grid_line(line: GridLine) -> Line:
     direction = [0] * len(line.base)
     direction[line.axis - 1] = 1
     return Line(ProjPoint.affine(line.point_at(1)), ProjPoint.direction(direction))
-
-
-def _incidence_map(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set[LineRef]]:
-    by_axis: dict[int, list[tuple[LineRef, GridLine]]] = {}
-    for color, idx, line in cfg.lines():
-        by_axis.setdefault(line.axis, []).append(((color, idx), line))
-    points: dict[tuple[int, ...], set[LineRef]] = {}
-    axes = sorted(by_axis)
-    for a, b in combinations(axes, 2):
-        ia, ib = a - 1, b - 1
-        buckets: dict[tuple[int, ...], list[tuple[LineRef, GridLine]]] = {}
-        for ref, line in by_axis[a]:
-            key = tuple(v for t, v in enumerate(line.base) if t not in (ia, ib))
-            buckets.setdefault(key, []).append((ref, line))
-        for ref_b, line_b in by_axis[b]:
-            key = tuple(v for t, v in enumerate(line_b.base) if t not in (ia, ib))
-            for ref_a, line_a in buckets.get(key, ()):
-                pt = list(line_a.base)
-                pt[ia] = line_b.base[ia]
-                pt[ib] = line_a.base[ib]
-                tpt = tuple(pt)
-                points.setdefault(tpt, set()).update((ref_a, ref_b))
-    return points
 
 
 @dataclass(frozen=True)
@@ -277,14 +316,14 @@ def group_max_colorful(
     return best, witness
 
 
-# Grid entry points.  Their groups are the grid points of ``_incidence_map``
+# Grid entry points.  Their groups are the grid points of ``incidence_map``
 # only: the grid has no points at infinity (see ``grid_meet``), so the
 # shared-axis directions that ``extract_structure_grid`` adds never count.
 
 
 def is_k_consistent(cfg: ColoredGridConfig, k: int) -> ConsistencyVerdict:
     """Check that every line of every color in every k-subset S has an S-incidence."""
-    return group_consistency(cfg.class_sizes(), _incidence_map(cfg).values(), k)
+    return group_consistency(cfg.class_sizes(), cfg.incidence_map.values(), k)
 
 
 def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> bool:
@@ -295,7 +334,7 @@ def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> 
 def max_colorful_order(cfg: ColoredGridConfig) -> tuple[int, tuple[int, ...] | None]:
     """Largest number of distinct colors at any grid point, with the
     lexicographically first point reaching it."""
-    return group_max_colorful(sorted(_incidence_map(cfg).items()))
+    return group_max_colorful(sorted(cfg.incidence_map.items()))
 
 
 def grid_to_json(cfg: ColoredGridConfig) -> dict:

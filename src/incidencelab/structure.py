@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from . import gridmodel
 from .configs import ColoredLineConfig, DualPointConfig
 from .exactgeom import Line, ProjPoint, covector_2d, meet
 from .gridmodel import (
@@ -77,7 +76,7 @@ def _structure_from_map(
 def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
     """Grid-point concurrences plus one monomial per shared axis direction."""
     point_map = {
-        ProjPoint.affine(pt): refs for pt, refs in gridmodel._incidence_map(cfg).items()
+        ProjPoint.affine(pt): refs for pt, refs in cfg.incidence_map.items()
     }
     by_axis: dict[int, set[LineRef]] = {}
     for color, idx, line in cfg.lines():

@@ -6,13 +6,19 @@ else, so agreement is meaningful evidence rather than a tautology.  The
 point scan and the per-line minimality rescan are the references for
 the incidence core's grid verdicts.  ``rref_meet`` is the reference for
 the residual-test ``meet``: it solves the 4-column system of the two
-lines' spanning points by generic row reduction.
+lines' spanning points by generic row reduction.  ``dense_deletion``
+(the whole n^(k+1) coverage cube) and ``sparse_deletion`` (a dict of
+covered points, line by line) are the references for the slab deletion
+kernel, and ``gridline_from_index`` (one line, digit by digit) for the
+vectorized decoding of base indices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 from incidencelab.exactgeom import Line, ProjPoint, int_nullspace
 from incidencelab.gridmodel import ColoredGridConfig, GridLine
@@ -183,3 +189,56 @@ def rref_meet(a: Line, b: Line) -> ProjPoint | None:
         return None
     l1, l2 = null[0][0], null[0][1]
     return ProjPoint([l1 * x + l2 * y for x, y in zip(a.p.coords, a.q.coords)])
+
+
+def gridline_from_index(k: int, n: int, axis: int, index: int) -> GridLine:
+    """The axis line with the given base index: big-endian over the
+    non-axis slots in ascending order, digit v for coordinate v+1."""
+    base = [0] * (k + 1)
+    rem = index
+    slots = [s for s in range(1, k + 2) if s != axis]
+    for t, slot in enumerate(slots):
+        power = n ** (k - 1 - t)
+        base[slot - 1] = rem // power + 1
+        rem %= power
+    return GridLine(axis, tuple(base))
+
+
+def dense_deletion(k: int, n: int, masks: list[np.ndarray]):
+    """(final masks, covered points) from the whole n^(k+1) coverage cube."""
+    shaped = [m.reshape((n,) * k) for m in masks]
+    full = None
+    for axis in range(1, k + 2):
+        cov = np.expand_dims(shaped[axis - 1], axis=axis - 1)
+        full = cov if full is None else full & cov
+    covered = int(full.sum())
+    final = [
+        shaped[axis - 1] & ~full.any(axis=axis - 1) for axis in range(1, k + 2)
+    ]
+    return [m.reshape(-1) for m in final], covered
+
+
+def sparse_deletion(k: int, n: int, masks: list[np.ndarray]):
+    """(final masks, covered points) from the axis bitmask of every point
+    of every selected line."""
+    coverage: dict[tuple[int, ...], int] = {}
+    per_axis_points: list[list[tuple[int, list[tuple[int, ...]]]]] = []
+    for axis in range(1, k + 2):
+        entries = []
+        for index in np.nonzero(masks[axis - 1])[0]:
+            line = gridline_from_index(k, n, axis, int(index))
+            pts = [line.point_at(v) for v in range(1, n + 1)]
+            for pt in pts:
+                coverage[pt] = coverage.get(pt, 0) | (1 << (axis - 1))
+            entries.append((int(index), pts))
+        per_axis_points.append(entries)
+    all_axes = (1 << (k + 1)) - 1
+    covered = sum(1 for v in coverage.values() if v == all_axes)
+    final = []
+    for axis in range(1, k + 2):
+        keep = masks[axis - 1].copy()
+        for index, pts in per_axis_points[axis - 1]:
+            if any(coverage[pt] == all_axes for pt in pts):
+                keep[index] = False
+        final.append(keep)
+    return final, covered

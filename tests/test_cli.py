@@ -1,10 +1,12 @@
 import json
 import xml.etree.ElementTree as ET
+from functools import cached_property
 
 import pytest
 
-from incidencelab import cli
+from incidencelab import cli, configs, gridmodel
 from incidencelab.cli import main
+from incidencelab.gridmodel import ColoredGridConfig
 
 
 def run(args):
@@ -37,6 +39,31 @@ class TestGen:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert "final_sizes" in report and len(report["final_sizes"]) == 4
+
+    def test_probabilistic_emit_before(self, workdir, capsys):
+        argv = ["gen", "probabilistic", "--k", "3", "--n", "8", "--seed", "5", "--emit", "before"]
+        assert run([*argv, "-o", "a.json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        cfg = configs.config_from_json(json.loads((workdir / "a.json").read_text()))
+        assert list(cfg.class_sizes()) == report["selected_sizes"]
+        assert report["selected_sizes"] != report["final_sizes"]
+        assert run([*argv, "-o", "b.json"]) == 0
+        assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("emit,sizes", [("after", "final_sizes"), ("before", "selected_sizes")])
+    def test_probabilistic_decodes_only_the_emitted_stage(
+        self, workdir, capsys, monkeypatch, emit, sizes
+    ):
+        decoded = []
+        original = gridmodel._decode_axis_class
+        monkeypatch.setattr(
+            gridmodel,
+            "_decode_axis_class",
+            lambda k, n, axis, idx: decoded.append(len(idx)) or original(k, n, axis, idx),
+        )
+        argv = ["gen", "probabilistic", "--k", "3", "--n", "16", "--seed", "3", "--emit", emit]
+        assert run([*argv, "-o", "p.json"]) == 0
+        assert decoded == json.loads(capsys.readouterr().out)[sizes]
 
     def test_reye_and_desargues(self, workdir):
         assert run(["gen", "reye", "-o", "reye.json"]) == 0
@@ -146,6 +173,17 @@ class TestVerify:
     def test_threads_option_removed(self, workdir):
         with pytest.raises(SystemExit):
             run(["--threads", "2", "gen", "reye", "-o", "reye.json"])
+
+    def test_grid_incidence_map_built_once(self, workdir, capsys, monkeypatch):
+        builds = []
+        original = ColoredGridConfig.incidence_map.func
+        counting = cached_property(lambda cfg: builds.append(cfg) or original(cfg))
+        counting.__set_name__(ColoredGridConfig, "incidence_map")
+        monkeypatch.setattr(ColoredGridConfig, "incidence_map", counting)
+        self.gen_alg()
+        args = ["--k-consistency", "3", "--max-colorful", "3", "--minimality"]
+        assert run(["verify", "alg.json", *args]) == 0
+        assert len(builds) == 1
 
     def test_structure_extracted_at_most_once(self, workdir, capsys, monkeypatch):
         calls = []

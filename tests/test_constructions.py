@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +11,11 @@ from incidencelab.configs import concurrency_center
 from incidencelab.constructions import (
     AlgebraicParams,
     FiniteVec,
+    SLAB_CELLS,
     ProbParams,
-    _dense_deletion,
+    _deletion,
     _selection_masks,
-    _sparse_deletion,
+    _stage_masks,
     closure_shift,
     default_generic_slits,
     default_v_vectors,
@@ -28,7 +31,9 @@ from incidencelab.constructions import (
 )
 from incidencelab.exactgeom import meet, span
 from incidencelab.gridmodel import (
+    ColoredGridConfig,
     GridLine,
+    grid_to_json,
     is_k_consistent,
     max_colorful_order,
 )
@@ -38,7 +43,20 @@ from incidencelab.structure import (
     extract_structure_lines,
     structure_consistency,
 )
-from oracles import colorful_point_exists
+from oracles import (
+    colorful_point_exists,
+    dense_deletion,
+    gridline_from_index,
+    sparse_deletion,
+)
+
+
+@st.composite
+def axis_masks(draw, k, n):
+    """k+1 base-index masks of one density: none, all, or a random share."""
+    p = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [rng.random(n**k) < p for _ in range(k + 1)]
 
 
 class TestVVectors:
@@ -217,11 +235,61 @@ class TestProbabilistic:
         k = 3
         params = ProbParams(k, n, seed)
         masks = _selection_masks(k, n, seed, selection_threshold(params.p_sel))
-        dense_final, dense_cov = _dense_deletion(k, n, masks)
-        sparse_final, sparse_cov = _sparse_deletion(k, n, masks)
+        dense_final, dense_cov = dense_deletion(k, n, masks)
+        sparse_final, sparse_cov = sparse_deletion(k, n, masks)
         assert dense_cov == sparse_cov
         for md, ms in zip(dense_final, sparse_final):
             assert (md == ms).all()
+        _, final, covered = _stage_masks(params)
+        assert covered == dense_cov
+        for m, md in zip(final, dense_final):
+            assert np.array_equal(m, md)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([3, 4]), n=st.integers(2, 9), data=st.data())
+    def test_slab_deletion_matches_oracles(self, k, n, data):
+        width = data.draw(st.integers(1, n + 1), label="width")
+        masks = data.draw(axis_masks(k, n))
+        final, covered = _deletion(k, n, masks, width)
+        for oracle in (dense_deletion, sparse_deletion):
+            oracle_final, oracle_covered = oracle(k, n, masks)
+            assert covered == oracle_covered
+            for m, om in zip(final, oracle_final):
+                assert np.array_equal(m, om)
+
+    def test_slabs_with_a_partial_last_slab_match_dense(self):
+        # n=40 streams slabs of 16 x1-slices, the last one holding 8
+        k, n = 3, 40
+        assert n % (SLAB_CELLS // n**k) != 0
+        selected, final, covered = _stage_masks(ProbParams(k, n, 11))
+        dense_final, dense_cov = dense_deletion(k, n, selected)
+        assert covered == dense_cov > 0
+        for m, md in zip(final, dense_final):
+            assert np.array_equal(m, md)
+
+    def test_full_selection_stages_match_oracle_decoding(self):
+        k, n = 3, 5
+        before, after, _ = gen_probabilistic(ProbParams(k, n, 3, Fraction(1)))
+        full = [
+            [gridline_from_index(k, n, axis, i) for i in range(n**k)]
+            for axis in range(1, k + 2)
+        ]
+        assert before == ColoredGridConfig(k, n, full)
+        assert after == ColoredGridConfig(k, n, [[] for _ in full])
+
+    def test_large_grid_runs_in_bounded_memory(self):
+        # n^(k+1) = 10^8 grid points; the stage-2 cube is never whole
+        params = ProbParams(3, 100, 1)
+        tracemalloc.start()
+        try:
+            first = gen_probabilistic(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        second = gen_probabilistic(params)
+        assert first[2] == second[2]
+        assert first[1] == second[1]
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -230,6 +298,25 @@ class TestProbabilistic:
             ProbParams(3, 1, 0)
         with pytest.raises(ValueError):
             ProbParams(3, 8, 0, Fraction(2))
+
+
+class TestMaskConfig:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([3, 4]), n=st.integers(1, 6), data=st.data())
+    def test_equals_validated_config(self, k, n, data):
+        masks = data.draw(axis_masks(k, n))
+        oracle = ColoredGridConfig(
+            k,
+            n,
+            [
+                [gridline_from_index(k, n, axis, int(i)) for i in np.flatnonzero(m)]
+                for axis, m in enumerate(masks, start=1)
+            ],
+        )
+        cfg = ColoredGridConfig.from_masks(k, n, masks)
+        assert cfg.class_sizes() == oracle.class_sizes()
+        assert json.dumps(grid_to_json(cfg)) == json.dumps(grid_to_json(oracle))
+        assert cfg == oracle
 
 
 class TestTricolor:
