@@ -227,15 +227,16 @@ def cmd_verify(args, run: _Run) -> int:
 
 def cmd_transform(args, run: _Run) -> int:
     cfg = run.read_config(args.config)
+    s = None
     if args.lift:
         if not isinstance(cfg, ColoredGridConfig):
             raise SystemExit2("--lift applies to grid configurations")
-        cfg = lift_to_concurrent(cfg, audit=not args.no_audit)
+        cfg, s = lift_to_concurrent(cfg, audit=not args.no_audit)
     if args.project is not None:
         if isinstance(cfg, ColoredGridConfig):
             cfg = embed_grid_config(cfg)
         run.seeds["projection"] = args.seed
-        result = project_generic(cfg, args.project, args.seed)
+        result = project_generic(cfg, s or extract_structure_lines(cfg), args.project, args.seed)
         cfg = result.config
         if result.new_crossings:
             print(f"note: {len(result.new_crossings)} new planar crossings recorded", file=sys.stderr)
@@ -332,7 +333,7 @@ def cmd_export(args, run: _Run) -> int:
         cfg = embed_grid_config(cfg)
     if isinstance(cfg, ColoredLineConfig) and cfg.d > 2:
         run.seeds["projection"] = args.seed
-        cfg = project_generic(cfg, 2, args.seed).config
+        cfg = project_generic(cfg, extract_structure_lines(cfg), 2, args.seed).config
     run.write_artifact(args.svg, render.render_svg(cfg))
     return 0
 

@@ -6,8 +6,8 @@
 * ``gen_probabilistic`` — two-stage random selection: keep each grid line
   independently with an exact rational probability, then delete every
   line through a point covered by all k+1 axes (which unconditionally
-  kills all (k+1)-incidences).  The deletion streams x1-slabs in O(n^k)
-  memory for any n; only ``probabilistic_trial_stats`` has a size guard.
+  kills all (k+1)-incidences).  Selection, deletion and the Monte Carlo
+  trial statistics all stream in slabs, in O(n^k) memory for any n.
 * ``gen_tricolor`` — the planar-style 3-color closed polygon family:
   2-consistent, no colorful incidence.
 * ``gen_desargues`` / ``gen_reye`` — the two non-planar 4x3
@@ -61,8 +61,8 @@ from .structure import (
 )
 from .transforms import extract_planarity
 
-DENSE_GRID_LIMIT = 1 << 26  # largest coverage cube probabilistic_trial_stats builds
-SLAB_CELLS = 1 << 20  # grid points per slab of the stage-2 deletion
+SLAB_CELLS = 1 << 20  # grid points per slab of the stage-2 deletion and statistics
+SELECTION_CHUNK = 1 << 16  # draws per block of the stage-1 selection
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,12 @@ class DeletionReport:
 def _selection_masks(k: int, n: int, seed: int, threshold: int) -> list[np.ndarray]:
     # u < threshold as u <= threshold - 1, which fits in uint64 for p_sel in (0, 1]
     limit = np.uint64(threshold - 1)
-    return [splitmix64_block(substream(seed, axis), 0, n**k) <= limit for axis in range(1, k + 2)]
+    masks = [np.empty(n**k, dtype=bool) for _ in range(k + 1)]
+    for axis, mask in enumerate(masks, start=1):
+        for lo in range(0, n**k, SELECTION_CHUNK):
+            draws = splitmix64_block(substream(seed, axis), lo, min(SELECTION_CHUNK, n**k - lo))
+            np.less_equal(draws, limit, out=mask[lo : lo + SELECTION_CHUNK])
+    return masks
 
 
 def _deletion(k: int, n: int, masks: list[np.ndarray], width: int):
@@ -340,39 +345,53 @@ def gen_probabilistic(
     return before, after, report
 
 
+def _trial_stats(k: int, n: int, final: list[np.ndarray], width: int) -> tuple[int, int]:
+    """(bad lines, max colorful order) of the stage-2 masks.
+
+    For axes a != b and R the other k-1, ``good[a,b]``, the lines of axis a
+    through a point every axis in R covers, is an einsum: the OR over x_a
+    of the AND of R's masks.  A line is bad iff some ``good[a,b]`` misses
+    it.  No final point has all k+1 axes, so the order is k iff some final
+    line of axis a is in ``good[a,b]``, else the largest m < k with m axes
+    sharing a point (0 if m < 2).  Exact for every n: an einsum sums
+    products of 0.0s and 1.0s, and a float sum of nonnegative terms, in any
+    order and rounding, with FMA or BLAS threads, is 0 iff every term is;
+    it cannot overflow.  Einsums run on slabs of ``width`` slices of x_b.
+    """
+    letters = "abcdefghijklmnopqrstuvwxyz"[: k + 1]
+    subs = [letters.replace(c, "") for c in letters]
+    cube = [m.reshape((n,) * k).astype(np.float32) for m in final]
+
+    def shared(axes, out, x):  # where the lines of ``axes`` share a point, over ``out``, flat
+        spec = ",".join(subs[j] for j in axes) + "->" + out
+        slabs = zip(*(np.array_split(cube[j], -(-n // width), subs[j].index(x)) for j in axes))
+        parts = [np.einsum(spec, *ops, optimize=True) > 0 for ops in slabs]
+        return np.concatenate(parts, out.index(x)).ravel()
+
+    bad_lines = top = 0
+    for a in range(k + 1):
+        others = [b for b in range(k + 1) if b != a]
+        good = [shared(set(others) - {b}, subs[a], letters[b]) for b in others]
+        top = k if any((final[a] & g).any() for g in good) else top
+        bad_lines += int(np.count_nonzero(final[a] & ~np.logical_and.reduce(good)))
+    for axes in (S for m in range(k - 1, 1, -1) for S in combinations(range(k + 1), m)):
+        rest = "".join(letters[j] for j in range(k + 1) if j not in axes)
+        top = top or (len(axes) if shared(axes, rest, rest[0]).any() else 0)
+    return bad_lines, top
+
+
 def probabilistic_trial_stats(params: ProbParams) -> dict:
     """Array-level statistics of one probabilistic run (no object materialization).
 
     Returns final class sizes, the k-consistency verdict with the number
-    of distinct bad lines, and the maximal colorful order after deletion.
-    The statistics hold whole n^(k+1) cubes, so this is the one place
-    with a size guard: n^(k+1) <= 2^26 (``DENSE_GRID_LIMIT``).
+    of distinct bad lines, and the maximal colorful order after deletion,
+    in O(n^k) memory for any n.
     """
     k, n = params.k, params.n
-    if n ** (k + 1) > DENSE_GRID_LIMIT:
-        raise ValueError("trial statistics need n^(k+1) <= 2^26")
     selected, final, covered = _stage_masks(params)
-    shaped = [m.reshape((n,) * k) for m in final]
-    expanded = [
-        np.expand_dims(shaped[axis - 1], axis=axis - 1) for axis in range(1, k + 2)
-    ]
-    counts = np.zeros((n,) * (k + 1), dtype=np.uint8)
-    for cov in expanded:
-        counts = counts + cov
-    top = int(counts.max()) if counts.size else 0
-    max_colorful = top if top >= 2 else 0
-
-    bad_total = 0
-    for axis in range(1, k + 2):
-        others = [a for a in range(1, k + 2) if a != axis]
-        bad = np.zeros_like(shaped[axis - 1])
-        for T in combinations(others, k - 1):
-            cov = None
-            for j in T:
-                cov = expanded[j - 1] if cov is None else cov & expanded[j - 1]
-            good = cov.any(axis=axis - 1)
-            bad |= shaped[axis - 1] & ~good
-        bad_total += int(bad.sum())
+    # one x_b-slice of einsum's largest array: the output's n^(k-1) cells at k = 3, else n^k
+    width = max(1, SLAB_CELLS // n ** (k - 1 if k == 3 else k))
+    bad_lines, max_colorful = _trial_stats(k, n, final, width)
     return {
         "k": k,
         "n": n,
@@ -380,8 +399,8 @@ def probabilistic_trial_stats(params: ProbParams) -> dict:
         "selected_sizes": tuple(int(m.sum()) for m in selected),
         "sizes": tuple(int(m.sum()) for m in final),
         "covered_points": covered,
-        "consistent": bad_total == 0,
-        "bad_lines": bad_total,
+        "consistent": bad_lines == 0,
+        "bad_lines": bad_lines,
         "max_colorful": max_colorful,
     }
 

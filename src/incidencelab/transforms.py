@@ -62,15 +62,17 @@ def apply_projective(cfg: ColoredLineConfig, matrix: Sequence[Sequence]) -> Colo
     return ColoredLineConfig(len(matrix) - 1, classes, centers)
 
 
-def lift_to_concurrent(cfg: ColoredGridConfig, audit: bool = True) -> ColoredLineConfig:
+def lift_to_concurrent(
+    cfg: ColoredGridConfig, audit: bool = True
+) -> tuple[ColoredLineConfig, IncidenceStructure]:
     """Projective lift of a grid configuration making each axis class concurrent.
 
     The hyperplane {x_1 + ... + x_(k+1) = c} with c beyond the grid's
     coordinate-sum range is sent to infinity; the class of axis a becomes
     concurrent through the image of its direction, the affine unit point
-    on axis a.  With ``audit`` the extracted incidence structure is
-    checked to be identical before and after (skip for very large
-    configurations, where the quadratic extraction is the bottleneck).
+    on axis a.  Returns the lift and the grid's incidence structure, which
+    it preserves; ``audit`` checks that on the lifted lines (skip for very
+    large configurations, where the quadratic extraction is the bottleneck).
     """
     for cls in cfg.classes:
         if len({line.axis for line in cls}) > 1:
@@ -84,12 +86,10 @@ def lift_to_concurrent(cfg: ColoredGridConfig, audit: bool = True) -> ColoredLin
 
     embedded = embed_grid_config(cfg)
     lifted = apply_projective(embedded, matrix)
-    if audit:
-        before = extract_structure_grid(cfg)
-        after = extract_structure_lines(lifted)
-        if before != after:
-            raise RuntimeError("lift failed its incidence preservation audit")
-    return lifted
+    s = extract_structure_grid(cfg)
+    if audit and extract_structure_lines(lifted) != s:
+        raise RuntimeError("lift failed its incidence preservation audit")
+    return lifted, s
 
 
 @dataclass(frozen=True)
@@ -123,20 +123,20 @@ def _audit_projection(
 
 def project_generic(
     cfg: ColoredLineConfig,
+    before: IncidenceStructure,
     d: int,
     seed: int,
     max_attempts: int = 32,
 ) -> ProjectionResult:
     """Seeded random rational linear projection R^D -> R^d, certified generic.
 
-    Retries with fresh draws until the incidence structure survives the
-    audit (exact equality for d >= 3; the documented relaxed contract for
-    d = 2) and no two lines collapse; raises after ``max_attempts``.
+    Retries with fresh draws until ``before``, the structure of ``cfg``,
+    survives the audit (exact equality for d >= 3; the documented relaxed
+    contract for d = 2) and no two lines collapse; raises after ``max_attempts``.
     """
     D = cfg.d
     if not 2 <= d <= D:
         raise ValueError("projection target must satisfy 2 <= d <= D")
-    before = extract_structure_lines(cfg)
     for attempt in range(max_attempts):
         stream = substream(seed, RETRY_OFFSET + attempt)
         draws = iter(

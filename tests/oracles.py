@@ -9,8 +9,9 @@ the residual-test ``meet``: it solves the 4-column system of the two
 lines' spanning points by generic row reduction.  ``dense_deletion``
 (the whole n^(k+1) coverage cube) and ``sparse_deletion`` (a dict of
 covered points, line by line) are the references for the slab deletion
-kernel, and ``gridline_from_index`` (one line, digit by digit) for the
-vectorized decoding of base indices.
+kernel, ``dense_trial_stats`` (whole n^(k+1) count and coverage cubes)
+for the einsum trial statistics, and ``gridline_from_index`` (one line,
+digit by digit) for the vectorized decoding of base indices.
 """
 
 from __future__ import annotations
@@ -242,3 +243,28 @@ def sparse_deletion(k: int, n: int, masks: list[np.ndarray]):
                 keep[index] = False
         final.append(keep)
     return final, covered
+
+
+def dense_trial_stats(k: int, n: int, final: list[np.ndarray]) -> tuple[int, int]:
+    """(bad lines, max colorful order) from the whole n^(k+1) cubes: an
+    axis count per grid point, and per line and (k-1)-subset T of the
+    other axes an ANY over the line of the AND of T's coverage."""
+    shaped = [m.reshape((n,) * k) for m in final]
+    expanded = [
+        np.expand_dims(shaped[axis - 1], axis=axis - 1) for axis in range(1, k + 2)
+    ]
+    counts = np.zeros((n,) * (k + 1), dtype=np.uint8)
+    for cov in expanded:
+        counts = counts + cov
+    top = int(counts.max()) if counts.size else 0
+    bad_total = 0
+    for axis in range(1, k + 2):
+        others = [a for a in range(1, k + 2) if a != axis]
+        bad = np.zeros_like(shaped[axis - 1])
+        for T in combinations(others, k - 1):
+            cov = None
+            for j in T:
+                cov = expanded[j - 1] if cov is None else cov & expanded[j - 1]
+            bad |= shaped[axis - 1] & ~cov.any(axis=axis - 1)
+        bad_total += int(bad.sum())
+    return bad_total, top if top >= 2 else 0

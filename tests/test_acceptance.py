@@ -172,10 +172,10 @@ def test_criterion_6_transform_pipeline_20_seeds(algebraic_3_2):
     source = extract_structure_grid(algebraic_3_2)
     grid_consistent = is_k_consistent(algebraic_3_2, 3).ok
     grid_order, _ = max_colorful_order(algebraic_3_2)
-    lifted = lift_to_concurrent(algebraic_3_2)  # audited internally
+    lifted, lifted_structure = lift_to_concurrent(algebraic_3_2)  # audited internally
     failures = []
     for seed in range(20):
-        res = project_generic(lifted, 3, seed=seed)
+        res = project_generic(lifted, lifted_structure, 3, seed=seed)
         after = extract_structure_lines(res.config)
         same_structure = after == source
         verdict = structure_consistency(after, 3)
@@ -196,8 +196,8 @@ def test_criterion_6_transform_pipeline_20_seeds(algebraic_3_2):
 def test_criterion_7_flatness_and_bound(algebraic_3_2):
     from incidencelab.analysis import flatness_audit
 
-    lifted = lift_to_concurrent(algebraic_3_2, audit=False)
-    projected = project_generic(lifted, 3, seed=0).config
+    lifted, s = lift_to_concurrent(algebraic_3_2, audit=False)
+    projected = project_generic(lifted, s, 3, seed=0).config
     records = flatness_audit(projected, extract_structure_lines(projected), 3)
     flats = [r for r in records if r.flat]
     bound = joint_bound(projected, 3)
@@ -216,7 +216,7 @@ def test_criterion_7_flatness_and_bound(algebraic_3_2):
 
 
 def test_criterion_8_duality_round_trip(desargues):
-    flat = project_generic(desargues, 2, seed=13).config
+    flat = project_generic(desargues, extract_structure_lines(desargues), 2, seed=13).config
     round_trip = undualize(dualize(flat))
     structure_ok = extract_structure_lines(flat) == extract_structure_lines(round_trip)
 

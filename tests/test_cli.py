@@ -4,7 +4,7 @@ from functools import cached_property
 
 import pytest
 
-from incidencelab import cli, configs, gridmodel
+from incidencelab import cli, configs, gridmodel, transforms
 from incidencelab.cli import main
 from incidencelab.gridmodel import ColoredGridConfig
 
@@ -259,6 +259,28 @@ class TestTransformAnalyze:
         lines = (workdir / "mc.csv").read_text().splitlines()
         assert lines[0] == "k,n,seed,trial,consistent,bad_lines,size_1,size_2,size_3,size_4,max_colorful"
         assert len(lines) == 5
+
+    def test_analyze_monte_carlo_large_grid(self, workdir, capsys):
+        # n^(k+1) = 2^28 grid points per trial
+        argv = ["analyze", "--monte-carlo", "--k", "3", "--n", "128", "--trials", "1"]
+        assert run([*argv, "-o", "mc.csv"]) == 0
+        assert len((workdir / "mc.csv").read_text().splitlines()) == 2
+
+    def test_lift_project_extracts_the_lifted_structure_once(self, workdir, monkeypatch):
+        extracted = []
+        original = transforms.extract_structure_lines
+
+        def counting(cfg):
+            extracted.append(cfg)
+            return original(cfg)
+
+        for module in (cli, transforms):
+            monkeypatch.setattr(module, "extract_structure_lines", counting)
+        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
+        argv = ["transform", "alg.json", "--lift", "--project", "3", "--seed", "11"]
+        assert run([*argv, "-o", "proj.json"]) == 0
+        lifted = extracted[0]  # the lift audit
+        assert [cfg is lifted for cfg in extracted].count(True) == 1
 
     def test_dualize_round_trip(self, workdir):
         run(["gen", "desargues", "-o", "des.json"])

@@ -11,11 +11,13 @@ from incidencelab.configs import concurrency_center
 from incidencelab.constructions import (
     AlgebraicParams,
     FiniteVec,
+    SELECTION_CHUNK,
     SLAB_CELLS,
     ProbParams,
     _deletion,
     _selection_masks,
     _stage_masks,
+    _trial_stats,
     closure_shift,
     default_generic_slits,
     default_v_vectors,
@@ -24,6 +26,7 @@ from incidencelab.constructions import (
     gen_tricolor,
     gen_two_slit,
     is_prime,
+    probabilistic_trial_stats,
     quadric_ruling,
     quadric_ruling_slits,
     search_dual_cycle_params,
@@ -37,7 +40,7 @@ from incidencelab.gridmodel import (
     is_k_consistent,
     max_colorful_order,
 )
-from incidencelab.rng import selection_threshold
+from incidencelab.rng import selection_threshold, splitmix64_block, substream
 from incidencelab.structure import (
     extract_alignments,
     extract_structure_lines,
@@ -46,6 +49,7 @@ from incidencelab.structure import (
 from oracles import (
     colorful_point_exists,
     dense_deletion,
+    dense_trial_stats,
     gridline_from_index,
     sparse_deletion,
 )
@@ -57,6 +61,15 @@ def axis_masks(draw, k, n):
     p = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return [rng.random(n**k) < p for _ in range(k + 1)]
+
+
+@st.composite
+def final_masks(draw, k, n):
+    """Stage-2 masks: the deletion of stage-1 masks of per-axis densities."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
+    densities = draw(st.lists(density, min_size=k + 1, max_size=k + 1))
+    return _deletion(k, n, [rng.random(n**k) < p for p in densities], 1)[0]
 
 
 class TestVVectors:
@@ -290,6 +303,62 @@ class TestProbabilistic:
         second = gen_probabilistic(params)
         assert first[2] == second[2]
         assert first[1] == second[1]
+
+    def test_chunked_selection_keeps_the_draws(self):
+        # n^k = 68,921 draws: one whole chunk and a partial one
+        k, n, seed = 3, 41, 5
+        assert n**k % SELECTION_CHUNK != 0
+        threshold = selection_threshold(ProbParams(k, n, seed).p_sel)
+        for axis, mask in enumerate(_selection_masks(k, n, seed, threshold), start=1):
+            whole = splitmix64_block(substream(seed, axis), 0, n**k) < threshold
+            assert np.array_equal(mask, whole)
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.sampled_from([3, 4]), data=st.data())
+    def test_trial_stats_match_dense_oracle(self, k, data):
+        n = data.draw(st.integers(1, 8 if k == 3 else 5), label="n")
+        width = data.draw(st.integers(1, n + 1), label="width")
+        final = data.draw(final_masks(k, n))
+        assert _trial_stats(k, n, final, width) == dense_trial_stats(k, n, final)
+
+    @pytest.mark.parametrize("k,m", [(3, m) for m in range(4)] + [(4, m) for m in range(5)])
+    def test_trial_stats_reach_every_colorful_order(self, k, m):
+        # m lines of axes 1..m through the grid point (1, ..., 1), and one
+        # line of axis k+1 through no point of them
+        n = 3
+        final = [np.zeros(n**k, dtype=bool) for _ in range(k + 1)]
+        for axis in range(m):
+            final[axis][0] = True
+        final[k][-1] = True
+        expected = dense_trial_stats(k, n, final)
+        assert expected[1] == (m if m >= 2 else 0)
+        for width in (1, 2, n):
+            assert _trial_stats(k, n, final, width) == expected
+
+    def test_trial_stats_run_in_bounded_memory(self):
+        # n^(k+1) = 2^28 grid points, over the old 2^26 cube limit
+        params = ProbParams(3, 128, 1)
+        tracemalloc.start()
+        try:
+            stats = probabilistic_trial_stats(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2**20
+        assert stats["sizes"] == gen_probabilistic(params)[2].final_sizes
+        assert stats["max_colorful"] <= 3
+
+    def test_trial_stats_kernel_stays_below_one_cube(self):
+        k, n = 4, 20
+        _, final, _ = _stage_masks(ProbParams(k, n, 2))
+        width = max(1, SLAB_CELLS // n**k)
+        tracemalloc.start()
+        try:
+            _trial_stats(k, n, final, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n ** (k + 1)  # one float32 n^(k+1) array
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

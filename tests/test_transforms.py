@@ -26,7 +26,7 @@ def line2(a, b):
 
 class TestLift:
     def test_centers_are_axis_unit_points(self, algebraic_3_2):
-        lifted = lift_to_concurrent(algebraic_3_2)
+        lifted, _ = lift_to_concurrent(algebraic_3_2)
         d = algebraic_3_2.k + 1
         for axis, center in enumerate(lifted.centers, start=1):
             expected = [0] * d
@@ -34,32 +34,32 @@ class TestLift:
             assert center == ProjPoint.affine(expected)
 
     def test_classes_concurrent(self, algebraic_3_2):
-        lifted = lift_to_concurrent(algebraic_3_2)
+        lifted, _ = lift_to_concurrent(algebraic_3_2)
         for cls, center in zip(lifted.classes, lifted.centers):
             assert concurrency_center(cls) == center
 
     def test_structure_preserved(self, algebraic_3_2):
-        lifted = lift_to_concurrent(algebraic_3_2)
-        assert extract_structure_grid(algebraic_3_2) == extract_structure_lines(lifted)
+        lifted, s = lift_to_concurrent(algebraic_3_2)
+        assert extract_structure_grid(algebraic_3_2) == extract_structure_lines(lifted) == s
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_configs(self, seed):
         rng = random.Random(seed)
         cfg = random_config(rng, 2, 3, 3)
-        lifted = lift_to_concurrent(cfg)  # audit on
+        lifted, _ = lift_to_concurrent(cfg)  # audit on
         assert lifted.d == 3
 
 
 class TestProjectGeneric:
     def test_same_dimension_identity_like(self, algebraic_3_2):
-        lifted = lift_to_concurrent(algebraic_3_2, audit=False)
-        res = project_generic(lifted, lifted.d, seed=3)
+        lifted, s = lift_to_concurrent(algebraic_3_2, audit=False)
+        res = project_generic(lifted, s, lifted.d, seed=3)
         assert extract_structure_lines(res.config) == extract_structure_lines(lifted)
 
     def test_bit_reproducible(self, algebraic_3_2):
-        lifted = lift_to_concurrent(algebraic_3_2, audit=False)
-        r1 = project_generic(lifted, 3, seed=17)
-        r2 = project_generic(lifted, 3, seed=17)
+        lifted, s = lift_to_concurrent(algebraic_3_2, audit=False)
+        r1 = project_generic(lifted, s, 3, seed=17)
+        r2 = project_generic(lifted, s, 3, seed=17)
         assert r1.config == r2.config
         assert r1.attempts == r2.attempts
 
@@ -72,16 +72,16 @@ class TestProjectGeneric:
                 [Line(ProjPoint.affine((0, 1, 0)), ProjPoint.affine((0, 1, 1)))],
             ],
         )
-        res = project_generic(skew, 2, seed=1)
+        res = project_generic(skew, extract_structure_lines(skew), 2, seed=1)
         assert len(res.new_crossings) == 1
         a, b = res.config.classes[0][0], res.config.classes[1][0]
         assert meet(a, b) is not None
 
     def test_target_range_validated(self, tricolor):
         with pytest.raises(ValueError):
-            project_generic(tricolor, 1, seed=0)
+            project_generic(tricolor, extract_structure_lines(tricolor), 1, seed=0)
         with pytest.raises(ValueError):
-            project_generic(tricolor, 4, seed=0)
+            project_generic(tricolor, extract_structure_lines(tricolor), 4, seed=0)
 
 
 class TestDuality:
@@ -108,7 +108,7 @@ class TestDuality:
         assert s.monomials == a.monomials
 
     def test_consistency_corresponds(self, desargues):
-        flat = project_generic(desargues, 2, seed=23).config
+        flat = project_generic(desargues, extract_structure_lines(desargues), 2, seed=23).config
         dual = dualize(flat)
         primal = structure_consistency(extract_structure_lines(flat), 3)
         dualv = structure_consistency(extract_alignments(dual), 3)
