@@ -86,7 +86,7 @@ def cmd_gen(args, run: _Run) -> int:
         params = AlgebraicParams(args.k, args.p)
         cfg = constructions.gen_algebraic(params)
     elif sub == "probabilistic":
-        p_sel = Fraction(args.p_sel) if args.p_sel else None
+        p_sel = parse_rational(args.p_sel) if args.p_sel else None
         params = ProbParams(args.k, args.n, args.seed, p_sel)
         run.seeds["selection"] = args.seed
         before, after, rep = constructions.gen_probabilistic(params)
@@ -235,6 +235,8 @@ def cmd_transform(args, run: _Run) -> int:
     if args.project is not None:
         if isinstance(cfg, ColoredGridConfig):
             cfg = embed_grid_config(cfg)
+        if not isinstance(cfg, ColoredLineConfig):
+            raise SystemExit2("--project applies to line and grid configurations")
         run.seeds["projection"] = args.seed
         result = project_generic(cfg, s or extract_structure_lines(cfg), args.project, args.seed)
         cfg = result.config

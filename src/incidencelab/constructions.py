@@ -6,8 +6,11 @@
 * ``gen_probabilistic`` — two-stage random selection: keep each grid line
   independently with an exact rational probability, then delete every
   line through a point covered by all k+1 axes (which unconditionally
-  kills all (k+1)-incidences).  Selection, deletion and the Monte Carlo
-  trial statistics all stream in slabs, in O(n^k) memory for any n.
+  kills all (k+1)-incidences).  The deletion and the Monte Carlo trial
+  statistics share one bit-packed coverage kernel (``_coverage``): AND,
+  OR, NOT and popcount on uint64 words holding one grid point per bit,
+  exact by construction.  Selection and the kernel stream in slabs, in
+  O(n^k) memory for any n.
 * ``gen_tricolor`` — the planar-style 3-color closed polygon family:
   2-consistent, no colorful incidence.
 * ``gen_desargues`` / ``gen_reye`` — the two non-planar 4x3
@@ -22,9 +25,9 @@ All generators are deterministic given identical parameters and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -61,8 +64,9 @@ from .structure import (
 )
 from .transforms import extract_planarity
 
-SLAB_CELLS = 1 << 20  # grid points per slab of the stage-2 deletion and statistics
+SLAB_WORDS = 1 << 16  # uint64 words per slab of the stage-2 coverage cube
 SELECTION_CHUNK = 1 << 16  # draws per block of the stage-1 selection
+_M1, _M2, _M4, _H = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 0x01))
 
 
 # ---------------------------------------------------------------------------
@@ -288,34 +292,97 @@ def _selection_masks(k: int, n: int, seed: int, threshold: int) -> list[np.ndarr
     return masks
 
 
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, by SWAR (numpy < 2 has no bitwise_count)."""
+    count = words - ((words >> 1) & _M1)
+    count = (count & _M2) + ((count >> 2) & _M2)
+    count = (count + (count >> 4)) & _M4
+    return (count * _H) >> 56  # the byte sums, summed into the top byte
+
+
+def _words(k: int, n: int, masks: list[np.ndarray]) -> list[np.ndarray]:
+    """Coverage words of the k+1 stage masks.  A mask of axis a <= k has
+    x_(k+1) as its last slot; packed along it, it is (W, n, ..., n) words,
+    W = ceil(n/64), one bit per line (in a cube, per grid point) and zero
+    past n.  Axis k+1 has no x_(k+1) slot: (1, n, ..., n) words of all
+    ones or zeros.  A cube ANDs two or more axes, one of them packed, so
+    no bit past n is ever set."""
+    packed = []
+    for mask in masks[:k]:
+        octets = np.zeros((n ** (k - 1), 8 * -(-n // 64)), dtype=np.uint8)
+        bits = np.packbits(mask.reshape(-1, n), axis=1, bitorder="little")
+        octets[:, : bits.shape[1]] = bits
+        packed.append(octets.view(np.uint64).T.copy().reshape(-1, *[n] * (k - 1)))
+    return packed + [np.negative(masks[k].reshape((1,) + (n,) * k).astype(np.uint64))]
+
+
+def _fold(cube: np.ndarray, dim: int) -> np.ndarray:
+    """OR of ``cube`` along ``dim`` as log2(length) halvings, each one OR
+    of contiguous slices; ``np.bitwise_or.reduce`` along a middle dim runs
+    word by word once the dims after it are short."""
+    lead, size = (slice(None),) * dim, cube.shape[dim]
+    while size > 1:
+        half = size // 2
+        head = cube[lead + (slice(half),)] | cube[lead + (slice(half, 2 * half),)]
+        if size % 2:
+            head[lead + (0,)] |= cube[lead + (size - 1,)]
+        cube, size = head, half
+    return cube[lead + (0,)]
+
+
+def _coverage(words: list[np.ndarray], axes, along, width: int, count: bool = False):
+    """The coverage kernel: ({a: lines of axis a through a point covered by
+    every axis in ``axes``, for a in ``along``}, the number of such points
+    if ``count``); axes are 0-based, k for axis k+1, whose lines are bool.
+
+    The cube of ``axes``, the AND of their words, spans (words of x_(k+1),
+    x_1, ..., x_k): axis a's lines are its OR along dim (a + 1) % (k + 1).
+    It runs in slabs of ``width`` whole x1-slices (axis 1 has no x1 slot,
+    the others add their rows at those x1), each exact and holding
+    W * width * n^(k-1) words: O(n^k) bytes at ``_slab_width``.
+    """
+    k = len(words) - 1
+    lines = {a: np.zeros_like(words[a]) if a < k else np.zeros(words[k].shape[1:], bool)
+             for a in along}
+    covered = 0
+    for lo in range(0, words[k].shape[1], width):
+        rows = slice(lo, lo + width)
+        parts = [words[0][:, None] if j == 0 else words[j][:, rows] for j in axes]
+        parts = [np.expand_dims(p, j + 1) if 0 < j < k else p for j, p in zip(axes, parts)]
+        cube = parts[0] & parts[1]  # two axes miss different slots: the whole slab
+        for part in parts[2:]:
+            cube &= part
+        covered += int(_popcount(cube).sum()) if count else 0
+        for a in along:
+            hit = _fold(cube, (a + 1) % (k + 1))
+            if a == 0:
+                lines[0] |= hit
+            elif a < k:
+                lines[a][:, rows] = hit
+            else:
+                lines[k][rows] = hit != 0
+    return lines, covered
+
+
+def _slab_width(k: int, n: int) -> int:
+    """x1-slices per slab of the coverage cube: about SLAB_WORDS words."""
+    return max(1, SLAB_WORDS // (n ** (k - 1) * -(-n // 64)))
+
+
 def _deletion(k: int, n: int, masks: list[np.ndarray], width: int):
     """Stage 2 on the stage-1 masks: (final masks, number of grid points
-    covered by all k+1 axes).
-
-    The coverage cube is streamed in slabs of ``width`` whole x1-slices:
-    axis 1 spans every slice, axis a > 1 only its rows at those x1, so
-    each slab is exact and the memory is O(width * n^k) for any n.
-    """
-    shaped = [m.reshape((n,) * k) for m in masks]
-    hit = [np.zeros_like(m) for m in shaped]
-    covered = 0
-    for lo in range(0, n, width):
-        rows = slice(lo, lo + width)
-        full = shaped[0][None] & shaped[1][rows][:, None]
-        for axis in range(3, k + 2):
-            full &= np.expand_dims(shaped[axis - 1][rows], axis - 1)
-        covered += int(np.count_nonzero(full))
-        hit[0] |= full.any(axis=0)
-        for axis in range(2, k + 2):
-            hit[axis - 1][rows] = full.any(axis=axis - 1)
-    return [(m & ~h).reshape(-1) for m, h in zip(shaped, hit)], covered
+    covered by all k+1 axes)."""
+    words = _words(k, n, masks)
+    hit, covered = _coverage(words, range(k + 1), range(k + 1), width, count=True)
+    kept = [(words[a] & ~hit[a]).reshape(len(words[a]), -1).T.copy() for a in range(k)]
+    final = [np.unpackbits(w.view(np.uint8), axis=1, count=n, bitorder="little") for w in kept]
+    return [m.view(bool).reshape(-1) for m in final] + [masks[k] & ~hit[k].reshape(-1)], covered
 
 
 def _stage_masks(params: ProbParams):
     k, n = params.k, params.n
-    threshold = selection_threshold(params.p_sel)
-    selected = _selection_masks(k, n, params.seed, threshold)
-    final, covered = _deletion(k, n, selected, max(1, SLAB_CELLS // n**k))
+    selected = _selection_masks(k, n, params.seed, selection_threshold(params.p_sel))
+    final, covered = _deletion(k, n, selected, _slab_width(k, n))
     return selected, final, covered
 
 
@@ -333,51 +400,35 @@ def gen_probabilistic(
     """
     selected, final, covered = _stage_masks(params)
     before, after = (ColoredGridConfig.from_masks(params.k, params.n, m) for m in (selected, final))
-    report = DeletionReport(
-        params.k,
-        params.n,
-        params.seed,
-        params.p_sel,
-        before.class_sizes(),
-        after.class_sizes(),
-        covered,
-    )
+    report = DeletionReport(*astuple(params), before.class_sizes(), after.class_sizes(), covered)
     return before, after, report
 
 
 def _trial_stats(k: int, n: int, final: list[np.ndarray], width: int) -> tuple[int, int]:
     """(bad lines, max colorful order) of the stage-2 masks.
 
-    For axes a != b and R the other k-1, ``good[a,b]``, the lines of axis a
-    through a point every axis in R covers, is an einsum: the OR over x_a
-    of the AND of R's masks.  A line is bad iff some ``good[a,b]`` misses
+    For axes a != b and R the other k-1, ``good[a,b]`` holds the lines of
+    axis a through a point every axis in R covers; one cube per pair
+    {a, b} serves both orders.  A line is bad iff some ``good[a,b]`` misses
     it.  No final point has all k+1 axes, so the order is k iff some final
-    line of axis a is in ``good[a,b]``, else the largest m < k with m axes
-    sharing a point (0 if m < 2).  Exact for every n: an einsum sums
-    products of 0.0s and 1.0s, and a float sum of nonnegative terms, in any
-    order and rounding, with FMA or BLAS threads, is 0 iff every term is;
-    it cannot overflow.  Einsums run on slabs of ``width`` slices of x_b.
+    line of axis a is in ``good[a,b]``, else the largest m < k with a
+    nonempty m-axis cube (0 if m < 2); the (k-1)-axis cubes are the R's.
     """
-    letters = "abcdefghijklmnopqrstuvwxyz"[: k + 1]
-    subs = [letters.replace(c, "") for c in letters]
-    cube = [m.reshape((n,) * k).astype(np.float32) for m in final]
-
-    def shared(axes, out, x):  # where the lines of ``axes`` share a point, over ``out``, flat
-        spec = ",".join(subs[j] for j in axes) + "->" + out
-        slabs = zip(*(np.array_split(cube[j], -(-n // width), subs[j].index(x)) for j in axes))
-        parts = [np.einsum(spec, *ops, optimize=True) > 0 for ops in slabs]
-        return np.concatenate(parts, out.index(x)).ravel()
-
+    words = _words(k, n, final)
+    good = {}
+    for a, b in combinations(range(k + 1), 2):
+        found, _ = _coverage(words, [j for j in range(k + 1) if j not in (a, b)], (a, b), width)
+        good[a, b], good[b, a] = found[a], found[b]
     bad_lines = top = 0
-    for a in range(k + 1):
-        others = [b for b in range(k + 1) if b != a]
-        good = [shared(set(others) - {b}, subs[a], letters[b]) for b in others]
-        top = k if any((final[a] & g).any() for g in good) else top
-        bad_lines += int(np.count_nonzero(final[a] & ~np.logical_and.reduce(good)))
-    for axes in (S for m in range(k - 1, 1, -1) for S in combinations(range(k + 1), m)):
-        rest = "".join(letters[j] for j in range(k + 1) if j not in axes)
-        top = top or (len(axes) if shared(axes, rest, rest[0]).any() else 0)
-    return bad_lines, top
+    for a, line in enumerate(words[:k] + [final[k].reshape((n,) * k)]):
+        goods = [good[a, b] for b in range(k + 1) if b != a]
+        top = k if any((line & g).any() for g in goods) else top
+        missed = line & ~np.bitwise_and.reduce(goods)
+        bad_lines += int(_popcount(missed).sum()) if a < k else int(np.count_nonzero(missed))
+    top = top or (k - 1 if any(g.any() for g in good.values()) else 0)
+    smaller = (S for m in range(k - 2, 1, -1) for S in combinations(range(k + 1), m))
+    shared = (len(S) for S in smaller if _coverage(words, S, (), width, count=True)[1])
+    return bad_lines, top or next(shared, 0)
 
 
 def probabilistic_trial_stats(params: ProbParams) -> dict:
@@ -389,9 +440,7 @@ def probabilistic_trial_stats(params: ProbParams) -> dict:
     """
     k, n = params.k, params.n
     selected, final, covered = _stage_masks(params)
-    # one x_b-slice of einsum's largest array: the output's n^(k-1) cells at k = 3, else n^k
-    width = max(1, SLAB_CELLS // n ** (k - 1 if k == 3 else k))
-    bad_lines, max_colorful = _trial_stats(k, n, final, width)
+    bad_lines, max_colorful = _trial_stats(k, n, final, _slab_width(k, n))
     return {
         "k": k,
         "n": n,
@@ -664,43 +713,6 @@ def gen_reye() -> ColoredLineConfig:
 # Dual six-cycles
 
 
-def _proj_v(slope: Fraction, beta: Fraction, pt: tuple[Fraction, Fraction]):
-    return (pt[0], slope * pt[0] + beta)
-
-
-def _proj_h(slope: Fraction, beta: Fraction, pt: tuple[Fraction, Fraction]):
-    return ((pt[1] - beta) / slope, pt[1])
-
-
-def six_fold_map(
-    alphas: Sequence[Rational],
-    betas: Sequence[Rational],
-    point: tuple[Rational, Rational],
-) -> tuple[Fraction, Fraction]:
-    """One pass of the alternating projection cycle starting on the middle line.
-
-    Lines are y = alpha_i x + beta_i for i = 2, 3, 4; the cycle applies
-    h->4, v->2, h->3, v->4, h->2, v->3 in that order.
-    """
-    a2, a3, a4 = (Fraction(a) for a in alphas)
-    b2, b3, b4 = (Fraction(b) for b in betas)
-    pt = (Fraction(point[0]), Fraction(point[1]))
-    pt = _proj_h(a4, b4, pt)
-    pt = _proj_v(a2, b2, pt)
-    pt = _proj_h(a3, b3, pt)
-    pt = _proj_v(a4, b4, pt)
-    pt = _proj_h(a2, b2, pt)
-    pt = _proj_v(a3, b3, pt)
-    return pt
-
-
-def closure_shift(alphas: Sequence[Rational], betas: Sequence[Rational]) -> Fraction:
-    """x-shift of one six-fold cycle pass when beta_2 = beta_3 = 0."""
-    a2, a3, _ = (Fraction(a) for a in alphas)
-    b4 = Fraction(betas[2])
-    return (a3 - a2) / (a3 * a2) * b4
-
-
 @dataclass(frozen=True)
 class DualCyclesReport:
     """Which color-triple consistency conditions the dual cycles satisfy."""
@@ -767,30 +779,6 @@ def gen_dual_cycles(
         raise ValueError(f"cycle construction broke a direction-color triple: {broken}")
     # what is left are failures of the {2,3,4} triple
     return cfg, DualCyclesReport(True, not failures, failures)
-
-
-def search_dual_cycle_params(
-    r: int,
-    slope_candidates: Sequence[Rational],
-    start_candidates: Sequence[Rational],
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]] | None:
-    """Best-effort deterministic search for parameters whose report is fully
-    consistent (all four color triples).  Returns (slopes, starts) or None."""
-    slope_pool = [Fraction(s) for s in slope_candidates]
-    start_pool = [Fraction(s) for s in start_candidates]
-    for slopes in permutations(slope_pool, 3):
-        if 0 in slopes:
-            continue
-        for starts in combinations(start_pool, r):
-            if 0 in starts:
-                continue
-            try:
-                _, report = gen_dual_cycles(r, slopes, starts)
-            except ValueError:
-                continue
-            if report.triple_other_colors:
-                return tuple(slopes), tuple(starts)
-    return None
 
 
 # ---------------------------------------------------------------------------

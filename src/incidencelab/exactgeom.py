@@ -27,8 +27,13 @@ Rational = int | Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a "num/den" string (tolerating unicode minus signs)."""
-    return Fraction(text.strip().replace("−", "-"))
+    """Parse a "num/den" string (tolerating unicode minus signs), else ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"rational must be a 'num/den' string, not {text!r}")
+    try:
+        return Fraction(text.strip().replace("−", "-"))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Rational) -> str:

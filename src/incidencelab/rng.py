@@ -55,13 +55,17 @@ def substream(seed: int, s: int) -> int:
 
 
 def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs ``start .. start+count-1`` as a uint64 array (vectorized mix)."""
-    with np.errstate(over="ignore"):
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        z = (np.uint64(seed & MASK64) + idx * np.uint64(GAMMA)).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+    """Outputs ``start .. start+count-1`` as a uint64 array: ``mix64`` in
+    place, where uint64 array arithmetic wraps mod 2**64."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GAMMA)
+    z += np.uint64(seed & MASK64)
+    shifted = np.empty_like(z)
+    for shift, mult in ((30, _M1), (27, _M2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def selection_threshold(p: Fraction) -> int:

@@ -8,20 +8,23 @@ the incidence core's grid verdicts.  ``rref_meet`` is the reference for
 the residual-test ``meet``: it solves the 4-column system of the two
 lines' spanning points by generic row reduction.  ``dense_deletion``
 (the whole n^(k+1) coverage cube) and ``sparse_deletion`` (a dict of
-covered points, line by line) are the references for the slab deletion
-kernel, ``dense_trial_stats`` (whole n^(k+1) count and coverage cubes)
-for the einsum trial statistics, and ``gridline_from_index`` (one line,
-digit by digit) for the vectorized decoding of base indices.
+covered points, line by line) are the references for the bit-packed
+deletion, ``dense_trial_stats`` (whole n^(k+1) count and coverage cubes)
+for the trial statistics, and ``gridline_from_index`` (one line, digit
+by digit) for the vectorized decoding of base indices.  ``six_fold_map``
+composes the six projections of a dual cycle one by one, the reference
+for the closed-form ``closure_shift`` that ``gen_dual_cycles`` rests on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 import numpy as np
 
-from incidencelab.exactgeom import Line, ProjPoint, int_nullspace
+from incidencelab.exactgeom import Line, ProjPoint, Rational, int_nullspace
 from incidencelab.gridmodel import ColoredGridConfig, GridLine
 
 
@@ -268,3 +271,40 @@ def dense_trial_stats(k: int, n: int, final: list[np.ndarray]) -> tuple[int, int
             bad |= shaped[axis - 1] & ~cov.any(axis=axis - 1)
         bad_total += int(bad.sum())
     return bad_total, top if top >= 2 else 0
+
+
+def _proj_v(slope: Fraction, beta: Fraction, pt: tuple[Fraction, Fraction]):
+    return (pt[0], slope * pt[0] + beta)
+
+
+def _proj_h(slope: Fraction, beta: Fraction, pt: tuple[Fraction, Fraction]):
+    return ((pt[1] - beta) / slope, pt[1])
+
+
+def six_fold_map(
+    alphas: Sequence[Rational],
+    betas: Sequence[Rational],
+    point: tuple[Rational, Rational],
+) -> tuple[Fraction, Fraction]:
+    """One pass of the alternating projection cycle starting on the middle line.
+
+    Lines are y = alpha_i x + beta_i for i = 2, 3, 4; the cycle applies
+    h->4, v->2, h->3, v->4, h->2, v->3 in that order.
+    """
+    a2, a3, a4 = (Fraction(a) for a in alphas)
+    b2, b3, b4 = (Fraction(b) for b in betas)
+    pt = (Fraction(point[0]), Fraction(point[1]))
+    pt = _proj_h(a4, b4, pt)
+    pt = _proj_v(a2, b2, pt)
+    pt = _proj_h(a3, b3, pt)
+    pt = _proj_v(a4, b4, pt)
+    pt = _proj_h(a2, b2, pt)
+    pt = _proj_v(a3, b3, pt)
+    return pt
+
+
+def closure_shift(alphas: Sequence[Rational], betas: Sequence[Rational]) -> Fraction:
+    """x-shift of one six-fold cycle pass when beta_2 = beta_3 = 0."""
+    a2, a3, _ = (Fraction(a) for a in alphas)
+    b4 = Fraction(betas[2])
+    return (a3 - a2) / (a3 * a2) * b4

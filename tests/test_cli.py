@@ -32,6 +32,11 @@ class TestGen:
     def test_nonprime_exits_2(self, workdir):
         assert run(["gen", "algebraic", "--k", "3", "--p", "4", "-o", "x.json"]) == 2
 
+    def test_zero_denominator_p_sel_exits_2(self, workdir, capsys):
+        argv = ["gen", "probabilistic", "--k", "3", "--n", "4", "--seed", "1"]
+        assert run([*argv, "--p-sel", "1/0"]) == 2
+        assert "error: zero denominator" in capsys.readouterr().err
+
     def test_probabilistic_report(self, workdir, capsys):
         rc = run(
             ["gen", "probabilistic", "--k", "3", "--n", "8", "--seed", "5", "-o", "p.json"]
@@ -151,6 +156,19 @@ class TestVerify:
         (workdir / "c0.json").write_text(json.dumps(data))
         assert run(["verify", "c0.json", "--k-consistency", "2"]) == 2
         assert "classes[0] has color 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value,reason", [(1, "not 1"), ("1/0", "zero denominator in '1/0'")]
+    )
+    def test_bad_rational_exits_2(self, workdir, capsys, value, reason):
+        run(["gen", "desargues", "-o", "des.json"])
+        data = json.loads((workdir / "des.json").read_text())
+        data["classes"][0]["center"][0] = value
+        (workdir / "bad.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["verify", "bad.json", "--k-consistency", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed configuration bad.json") and reason in err
 
     def test_minimality_on_inconsistent_grid_exits_1(self, workdir, capsys):
         # color 1 mixes axes 1 and 2; its axis-2 line meets no color-2 line
@@ -291,6 +309,14 @@ class TestTransformAnalyze:
         assert run(["transform", "dual.json", "--undualize", "-o", "back.json"]) == 0
         data = json.loads((workdir / "back.json").read_text())
         assert data["model"] == "lines"
+
+    def test_project_dual_points_exits_2(self, workdir, capsys):
+        run(["gen", "dual-cycles", "--r", "2", "-o", "dc.json"])
+        capsys.readouterr()
+        argv = ["transform", "dc.json", "--project", "2", "-o", "proj.json"]
+        assert run(argv) == 2
+        assert "error: --project applies to line and grid" in capsys.readouterr().err
+        assert not (workdir / "proj.json").exists()
 
 
 class TestExport:

@@ -12,13 +12,13 @@ from incidencelab.constructions import (
     AlgebraicParams,
     FiniteVec,
     SELECTION_CHUNK,
-    SLAB_CELLS,
     ProbParams,
     _deletion,
+    _popcount,
     _selection_masks,
+    _slab_width,
     _stage_masks,
     _trial_stats,
-    closure_shift,
     default_generic_slits,
     default_v_vectors,
     gen_dual_cycles,
@@ -29,8 +29,6 @@ from incidencelab.constructions import (
     probabilistic_trial_stats,
     quadric_ruling,
     quadric_ruling_slits,
-    search_dual_cycle_params,
-    six_fold_map,
 )
 from incidencelab.exactgeom import meet, span
 from incidencelab.gridmodel import (
@@ -47,10 +45,12 @@ from incidencelab.structure import (
     structure_consistency,
 )
 from oracles import (
+    closure_shift,
     colorful_point_exists,
     dense_deletion,
     dense_trial_stats,
     gridline_from_index,
+    six_fold_map,
     sparse_deletion,
 )
 
@@ -271,14 +271,46 @@ class TestProbabilistic:
                 assert np.array_equal(m, om)
 
     def test_slabs_with_a_partial_last_slab_match_dense(self):
-        # n=40 streams slabs of 16 x1-slices, the last one holding 8
-        k, n = 3, 40
-        assert n % (SLAB_CELLS // n**k) != 0
+        # n=41 streams slabs of 38 x1-slices, the last one holding 3
+        k, n = 3, 41
+        assert n % _slab_width(k, n) != 0
         selected, final, covered = _stage_masks(ProbParams(k, n, 11))
         dense_final, dense_cov = dense_deletion(k, n, selected)
         assert covered == dense_cov > 0
         for m, md in zip(final, dense_final):
             assert np.array_equal(m, md)
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_kernel_matches_oracles_at_word_boundaries(self, n):
+        # x_(k+1) fills 63, 64 or 65 bits of its uint64 words
+        k = 3
+        rng = np.random.default_rng(n)
+        masks = [rng.random(n**k) < 0.3 for _ in range(k + 1)]
+        dense_final, dense_cov = dense_deletion(k, n, masks)
+        expected = dense_trial_stats(k, n, dense_final)
+        assert expected[1] == k
+        for width in (1, 7, n + 1):
+            final, covered = _deletion(k, n, masks, width)
+            assert covered == dense_cov
+            for m, md in zip(final, dense_final):
+                assert np.array_equal(m, md)
+            assert _trial_stats(k, n, final, width) == expected
+        sparse = [rng.random(n**k) < 0.01 for _ in range(k + 1)]
+        sparse_final, sparse_cov = sparse_deletion(k, n, sparse)
+        final, covered = _deletion(k, n, sparse, 7)
+        assert covered == sparse_cov
+        for m, ms in zip(final, sparse_final):
+            assert np.array_equal(m, ms)
+
+    def test_popcount_matches_bin_count(self):
+        rng = np.random.default_rng(3)
+        edges = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        words = np.concatenate([edges, rng.integers(0, 2**64, 1000, dtype=np.uint64)])
+        kept = words.copy()
+        counts = _popcount(words)
+        assert [int(c) for c in counts] == [bin(int(w)).count("1") for w in words]
+        assert [int(c) for c in counts[:4]] == [0, 1, 1, 64]
+        assert np.array_equal(words, kept)
 
     def test_full_selection_stages_match_oracle_decoding(self):
         k, n = 3, 5
@@ -349,16 +381,21 @@ class TestProbabilistic:
         assert stats["max_colorful"] <= 3
 
     def test_trial_stats_kernel_stays_below_one_cube(self):
+        # seed 2 leaves every final class empty; the sparser deletion keeps
+        # lines on every axis, so its cubes hold points
         k, n = 4, 20
         _, final, _ = _stage_masks(ProbParams(k, n, 2))
-        width = max(1, SLAB_CELLS // n**k)
-        tracemalloc.start()
-        try:
-            _trial_stats(k, n, final, width)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * n ** (k + 1)  # one float32 n^(k+1) array
+        rng = np.random.default_rng(2)
+        kept, _ = _deletion(k, n, [rng.random(n**k) < 0.2 for _ in range(k + 1)], 1)
+        assert all(m.any() for m in kept)
+        for masks in (final, kept):
+            tracemalloc.start()
+            try:
+                _trial_stats(k, n, masks, _slab_width(k, n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * n ** (k + 1)  # one float32 n^(k+1) array
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -517,11 +554,6 @@ class TestDualCycles:
     def test_zero_shift_means_fixed_point(self):
         pt = (Fraction(7, 3), Fraction(2) * Fraction(7, 3))
         assert six_fold_map((5, 2, 9), (0, 0, 0), pt) == pt
-
-    def test_search_helper_runs(self):
-        # the deterministic search is best-effort; on this tiny pool it
-        # reports None quickly rather than hanging
-        assert search_dual_cycle_params(2, [1, 2, 3], [1, 2]) is None
 
 
 class TestTwoSlit:

@@ -91,6 +91,11 @@ class TestRationalIO:
     def test_parse_unicode_minus(self):
         assert parse_rational("−3/7") == Fraction(-3, 7)
 
+    @pytest.mark.parametrize("bad", [1, None, ["1"], "1/0", "-2/0", "x"])
+    def test_parse_rejects_non_rationals(self, bad):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
     @given(small_fracs)
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
