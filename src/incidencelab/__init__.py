@@ -55,7 +55,6 @@ from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,
     GridLine,
-    grid_meet,
     is_k_consistent,
     max_colorful_order,
 )

@@ -126,18 +126,13 @@ def with_computed_centers(cfg: ColoredLineConfig) -> ColoredLineConfig:
 
 def embed_grid_config(cfg: gridmodel.ColoredGridConfig) -> ColoredLineConfig:
     """The grid configuration as rational lines in R^(k+1), parallel per axis."""
-    classes = [
-        [gridmodel.embed_grid_line(line) for line in cls] for cls in cfg.classes
-    ]
+    classes = [[gridmodel.embed_grid_line(line) for line in cls] for cls in cfg.classes]
     centers = []
     for cls in cfg.classes:
         axes = {line.axis for line in cls}
-        if len(axes) == 1 and len(cls) >= 2:
-            direction = [0] * (cfg.k + 1)
-            direction[next(iter(axes)) - 1] = 1
-            centers.append(ProjPoint.direction(direction))
-        else:
-            centers.append(None)
+        direction = [int(axes == {a}) for a in range(1, cfg.k + 2)]
+        concurrent = len(cls) >= 2 and any(direction)
+        centers.append(ProjPoint.direction(direction) if concurrent else None)
     return ColoredLineConfig(cfg.k + 1, classes, centers)
 
 

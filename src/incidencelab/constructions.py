@@ -47,7 +47,7 @@ from .exactgeom import (
     meet,
     rank_of_directions,
 )
-from .gridmodel import ColoredGridConfig, GridLine
+from .gridmodel import ColoredGridConfig
 from .rng import (
     SLIT_OFFSET,
     default_selection_probability,
@@ -217,16 +217,16 @@ def gen_algebraic(params: AlgebraicParams) -> ColoredGridConfig:
             slot_coeff = {j: v[k - 1] for j in slots}
             rhs = 1
         coeffs = [slot_coeff[j].entries[t] for j in slots for t in range(dim)]
-        lines = []
+        ids = []
         for sol in _enumerate_affine_solutions(coeffs, rhs, p):
-            base = [0] * (k + 1)
-            for s_idx, j in enumerate(slots):
-                entries = sol[s_idx * dim : (s_idx + 1) * dim]
-                base[j - 1] = _coord_from_vec(entries, p)
-            lines.append(GridLine(i, tuple(base)))
-        if len(lines) != params.class_size:
+            line_id = i - 1  # the grid line id: axis, then the slots' coordinates
+            for s_idx in range(len(slots)):
+                coord = _coord_from_vec(sol[s_idx * dim : (s_idx + 1) * dim], p)
+                line_id = line_id * n + coord - 1
+            ids.append(line_id)
+        if len(ids) != params.class_size:
             raise RuntimeError("algebraic class has unexpected size")
-        classes.append(lines)
+        classes.append(np.array(ids, dtype=np.int64))
     return ColoredGridConfig(k, n, classes)
 
 
@@ -395,11 +395,15 @@ def gen_probabilistic(
     per axis, one draw per line in base-index order).  Stage 2 deletes,
     simultaneously on the stage-1 sets, every line through a point
     covered by all k+1 axes; the survivor therefore has no
-    (k+1)-incidence regardless of the randomness.  Both configurations
-    build their ``GridLine`` objects only when their classes are first read.
+    (k+1)-incidence regardless of the randomness.  A mask's indices are
+    base indices, so they give the line ids directly.
     """
+    k, n = params.k, params.n
     selected, final, covered = _stage_masks(params)
-    before, after = (ColoredGridConfig.from_masks(params.k, params.n, m) for m in (selected, final))
+    before, after = (
+        ColoredGridConfig(k, n, [np.flatnonzero(m) + a * n**k for a, m in enumerate(masks)])
+        for masks in (selected, final)
+    )
     report = DeletionReport(*astuple(params), before.class_sizes(), after.class_sizes(), covered)
     return before, after, report
 

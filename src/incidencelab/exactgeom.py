@@ -257,17 +257,6 @@ class Line:
             raise ValueError("point and line live in different ambient dimensions")
         return not any(self.residual(point.coords))
 
-    def at_infinity(self) -> ProjPoint | None:
-        """The line's point at infinity, or None if the line lies at infinity."""
-        pw, qw = self.p.coords[-1], self.q.coords[-1]
-        if pw == 0 and qw == 0:
-            return None
-        if pw == 0:
-            return self.p
-        if qw == 0:
-            return self.q
-        return ProjPoint([qw * x - pw * y for x, y in zip(self.p.coords, self.q.coords)])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Line) and self.key == other.key
 

@@ -1,28 +1,28 @@
 """Combinatorial model of axis-aligned lines in the grid [n]^(k+1), and the
 incidence core shared by every configuration model.
 
-A grid line is identified by its axis and its fixed coordinates, so all
-incidence questions reduce to tuple bookkeeping — no continuous geometry
-is involved.  Incidence detection hashes lines by their coordinate
-projections per axis pair rather than enumerating grid points; the full
-point-enumeration oracle lives in the test suite as an independent
-reference.
+A configuration stores each class as one sorted array of line ids, so all
+incidence questions reduce to integer bookkeeping; ``GridLine`` objects
+are only a decoded view.  The axis-a line with coordinates c_1..c_k on
+its other slots has the id (a-1)*n^k + the big-endian base-n number with
+digits c_t - 1, so id order is ``GridLine`` order.  A point's id is that
+number over all k+1 coordinates, so id order is lexicographic order.
+Ids and their intermediates stay below max(n, k+1)*n^k, which
+``_line_count`` keeps below 2^63.
 
 The incidence core (``group_*``) decides k-consistency, minimality and
 the max colorful order for grid, line and dual configurations alike, from
 their incidence groups: grid points here, extracted monomials in
-``structure``.
-
-Colors are 1-based class indices.  Lines are referenced as
-``(color, index)`` pairs, where ``index`` is the position in the class
-tuple after the constructor's canonical sort.
+``structure``.  Colors are 1-based class indices; lines are referenced as
+``(color, index)`` pairs, ``index`` being the position in id order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
+from operator import index
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -62,69 +62,87 @@ class GridLine:
             yield self.point_at(v)
 
 
-@dataclass(frozen=True)
+def _line_count(k: int, n: int) -> int:
+    """(k+1)*n^k, once line and point ids are known to fit int64."""
+    if k < 2 or n < 1:
+        raise ValueError("the grid model needs k >= 2 and n >= 1")
+    if (n > 1 and k >= 63) or max(n, k + 1) * n**k >= 2**63:
+        raise ValueError(f"grid too large (k={k}, n={n}): n^(k+1), (k+1)*n^k must be < 2^63")
+    return (k + 1) * n**k
+
+
+def _digits(ids: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The ``width`` big-endian base-n digits of each id, one row per id."""
+    return ids[:, None] // n ** np.arange(width - 1, -1, -1) % n
+
+
+def _encode(k: int, n: int, lines: Iterable[GridLine]) -> np.ndarray:
+    ids = []
+    for line in lines:
+        if len(line.base) != k + 1 or max(line.base) > n:
+            raise ValueError(f"{line} is not a line of the grid [{n}]^{k + 1}")
+        idx = line.axis - 1
+        for v in line.base[: line.axis - 1] + line.base[line.axis :]:
+            idx = idx * n + v - 1
+        ids.append(idx)
+    return np.array(ids, dtype=np.int64)
+
+
+def _decode(k: int, n: int, ids: np.ndarray) -> tuple[GridLine, ...]:
+    axes, digits = (ids // n**k).tolist(), (_digits(ids % n**k, n, k) + 1).tolist()
+    return tuple(GridLine(a + 1, (*d[:a], 0, *d[a:])) for a, d in zip(axes, digits))
+
+
+@dataclass(frozen=True, eq=False)
 class ColoredGridConfig:
-    """Colored axis-aligned lines in [n]^(k+1); classes are canonically sorted."""
+    """Colored axis-aligned lines in [n]^(k+1): class c is ``ids[c-1]``, a
+    sorted int64 array of line ids.  A class passed in is an integer array
+    of line ids (kept, not copied, if sorted int64: do not modify it) or a
+    sequence of ``GridLine``s, validated alike."""
 
     k: int
     n: int
-    classes: tuple[tuple[GridLine, ...], ...]
+    ids: tuple[np.ndarray, ...]
 
-    def __init__(self, k: int, n: int, classes: Sequence[Sequence[GridLine]]):
-        if k < 2:
-            raise ValueError("grid model needs k >= 2")
-        if n < 1:
-            raise ValueError("grid side n must be >= 1")
-        canon = tuple(tuple(sorted(set(cls))) for cls in classes)
-        seen: set[GridLine] = set()
-        for cls_idx, cls in enumerate(canon):
-            if len(cls) != len(classes[cls_idx]):
-                raise ValueError("duplicate line within a color class")
-            for line in cls:
-                if len(line.base) != k + 1:
-                    raise ValueError("grid line dimension does not match k+1")
-                if any(v > n for v in line.base):
-                    raise ValueError("grid line base entry exceeds n")
-                if line in seen:
-                    raise ValueError(f"duplicate line across color classes: {line}")
-                seen.add(line)
+    def __init__(self, k: int, n: int, classes: Sequence):
+        k, n = index(k), index(n)  # Python ints, so the bound check is exact
+        count = _line_count(k, n)
+        ids, merge = [], False  # merge: a class came unsorted, so it may repeat a line
+        for c in classes:
+            c = np.asarray(c, np.int64) if isinstance(c, np.ndarray) else _encode(k, n, c)
+            if not np.all(c[1:] > c[:-1]):
+                c, merge = np.sort(c), True
+            ids.append(c)
+        spans = sorted((int(c[0]), int(c[-1])) for c in ids if c.size)
+        if spans and (spans[0][0] < 0 or max(last for _, last in spans) >= count):
+            raise ValueError("line id out of range for the grid")
+        # increasing classes on disjoint id ranges share no line: merge only if needed
+        if merge or any(first <= last for (_, last), (first, _) in zip(spans, spans[1:])):
+            every = np.sort(np.concatenate(ids))
+            dup = every[1:][every[1:] == every[:-1]]
+            if dup.size:
+                raise ValueError(f"duplicate line in the configuration: {_decode(k, n, dup[:1])[0]}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "classes", canon)
+        object.__setattr__(self, "ids", tuple(ids))
 
-    @classmethod
-    def from_masks(cls, k: int, n: int, masks: Sequence[np.ndarray]) -> "ColoredGridConfig":
-        """Class c holds the axis-c lines selected by ``masks[c-1]``, a bool
-        array over base indices: big-endian over the ascending non-axis
-        slots, digit v for coordinate v+1.  Index order is the canonical
-        order, so nothing is sorted or checked, and the classes are decoded
-        on first read (``class_sizes`` needs no decoding)."""
-        cfg = object.__new__(cls)
-        object.__setattr__(cfg, "k", k)
-        object.__setattr__(cfg, "n", n)
-        object.__setattr__(cfg, "_indices", tuple(np.flatnonzero(m) for m in masks))
-        return cfg
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ColoredGridConfig) or len(self.ids) != len(other.ids):
+            return False
+        same = (self.k, self.n) == (other.k, other.n)
+        return same and all(map(np.array_equal, self.ids, other.ids))
 
-    def __getattr__(self, name: str):
-        # Reached only for unset attributes: the classes of a configuration
-        # built by ``from_masks``, before their first read.
-        if name != "classes" or "_indices" not in self.__dict__:
-            raise AttributeError(name)
-        classes = tuple(
-            _decode_axis_class(self.k, self.n, axis, idx)
-            for axis, idx in enumerate(self._indices, start=1)
-        )
-        object.__setattr__(self, "classes", classes)
-        return classes
+    @cached_property
+    def classes(self) -> tuple[tuple[GridLine, ...], ...]:
+        """The classes decoded to ``GridLine``s, in id order."""
+        return tuple(_decode(self.k, self.n, cls) for cls in self.ids)
 
     @property
     def num_colors(self) -> int:
-        return len(self.classes)
+        return len(self.ids)
 
     def class_sizes(self) -> tuple[int, ...]:
-        if "_indices" in self.__dict__:
-            return tuple(len(idx) for idx in self._indices)
-        return tuple(len(cls) for cls in self.classes)
+        return tuple(len(cls) for cls in self.ids)
 
     def total_lines(self) -> int:
         return sum(self.class_sizes())
@@ -136,67 +154,46 @@ class ColoredGridConfig:
                 yield color, idx, line
 
     def without_line(self, ref: LineRef) -> "ColoredGridConfig":
-        color, idx = ref
-        cls = list(self.classes[color - 1])
-        del cls[idx]
-        new_classes = list(self.classes)
-        new_classes[color - 1] = tuple(cls)
-        return ColoredGridConfig(self.k, self.n, new_classes)
+        ids = list(self.ids)
+        ids[ref[0] - 1] = np.delete(ids[ref[0] - 1], ref[1])
+        return ColoredGridConfig(self.k, self.n, ids)
 
     @cached_property
     def incidence_map(self) -> dict[tuple[int, ...], set[LineRef]]:
-        """Every grid point on two or more lines, with the refs of the lines
-        through it; built once and shared, so callers must not modify it."""
-        by_axis: dict[int, list[tuple[LineRef, GridLine]]] = {}
-        for color, idx, line in self.lines():
-            by_axis.setdefault(line.axis, []).append(((color, idx), line))
-        points: dict[tuple[int, ...], set[LineRef]] = {}
-        axes = sorted(by_axis)
-        for a, b in combinations(axes, 2):
-            ia, ib = a - 1, b - 1
-            buckets: dict[tuple[int, ...], list[tuple[LineRef, GridLine]]] = {}
-            for ref, line in by_axis[a]:
-                key = tuple(v for t, v in enumerate(line.base) if t not in (ia, ib))
-                buckets.setdefault(key, []).append((ref, line))
-            for ref_b, line_b in by_axis[b]:
-                key = tuple(v for t, v in enumerate(line_b.base) if t not in (ia, ib))
-                for ref_a, line_a in buckets.get(key, ()):
-                    pt = list(line_a.base)
-                    pt[ia] = line_b.base[ia]
-                    pt[ib] = line_a.base[ib]
-                    tpt = tuple(pt)
-                    points.setdefault(tpt, set()).update((ref_a, ref_b))
-        return points
-
-
-def _decode_axis_class(k: int, n: int, axis: int, indices: np.ndarray) -> tuple[GridLine, ...]:
-    """The axis lines with the given base indices, in index order."""
-    digits = indices[:, None] // n ** np.arange(k - 1, -1, -1) % n + 1
-    bases = np.insert(digits, axis - 1, 0, axis=1)
-    return tuple(GridLine(axis, tuple(base)) for base in bases.tolist())
-
-
-def grid_meet(a: GridLine, b: GridLine) -> tuple[int, ...] | None:
-    """Common grid point of two distinct grid lines, or None.
-
-    Lines on the same axis are distinct parallels and never meet in the
-    grid; lines on different axes meet iff their bases agree on every
-    slot outside the two axes.
-    """
-    if len(a.base) != len(b.base):
-        raise ValueError("grid lines live in different grids")
-    if a == b:
-        raise ValueError("meet of identical grid lines is undefined")
-    if a.axis == b.axis:
-        return None
-    ia, ib = a.axis - 1, b.axis - 1
-    for t in range(len(a.base)):
-        if t not in (ia, ib) and a.base[t] != b.base[t]:
-            return None
-    coords = list(a.base)
-    coords[ia] = b.base[ia]
-    coords[ib] = a.base[ib]
-    return tuple(coords)
+        """Every grid point on two or more lines, in lexicographic order, with
+        the refs of the lines through it; built once and shared, so callers
+        must not modify it.  Lines on axes a < b meet iff their point ids
+        with slots a and b zeroed match: each axis pair is matched by
+        sorting, and the matches are grouped by meeting point."""
+        k, n = self.k, self.n
+        ids = np.concatenate((np.empty(0, np.int64), *self.ids))
+        axis, base = ids // n**k, ids % n**k
+        weight = n ** (k - axis)  # of the line's own slot in a point id
+        zeroed = base // weight * (weight * n) + base % weight
+        points, lines = [], []
+        for a, b in combinations(range(k + 1), 2):
+            wa, wb = n ** (k - a), n ** (k - b)
+            on_a, on_b = np.flatnonzero(axis == a), np.flatnonzero(axis == b)
+            za, zb = zeroed[on_a], zeroed[on_b]
+            key_a, key_b = za - za // wb % n * wb, zb - zb // wa % n * wa
+            order = np.argsort(key_b)
+            lo = np.searchsorted(key_b[order], key_a, "left")
+            count = np.searchsorted(key_b[order], key_a, "right") - lo
+            ma = np.repeat(np.arange(len(on_a)), count)  # each match: A-line, B-line
+            mb = order[np.arange(len(ma)) + np.repeat(lo - np.cumsum(count) + count, count)]
+            pid = za[ma] + (zb[mb] - key_b[mb])
+            points += [pid, pid]
+            lines += [on_a[ma], on_b[mb]]
+        pid, line = np.concatenate(points), np.concatenate(lines)
+        order = np.argsort(pid)
+        pid, line = pid[order], line[order]
+        ref_of = [(c, i) for c, cls in enumerate(self.ids, start=1) for i in range(len(cls))]
+        refs = list(map(ref_of.__getitem__, line.tolist()))
+        starts = np.flatnonzero(np.diff(pid, prepend=-1))
+        coords = (_digits(pid[starts], n, k + 1) + 1).tolist()
+        bounds = [*starts.tolist(), len(refs)]
+        # a line through a point of r lines was matched r-1 times there
+        return {tuple(c): set(refs[s:e]) for c, s, e in zip(coords, bounds, bounds[1:])}
 
 
 def embed_grid_line(line: GridLine) -> Line:
@@ -278,23 +275,24 @@ def group_removable(
     carrying T iff r is its only line of a color in T (a group left with
     one line carries no T, as T never holds that line's color).  So r is
     essential iff, for some line l and some T of l, that holds for r in
-    every group through l carrying T ("carriers" below): one pass decides
-    every line.  Raises ValueError if some (l, T) has no carrier at all.
+    every group through l carrying T ("carriers" below).  Two groups
+    through l share only l, whose color is not in T, so that needs l to
+    have exactly one carrier: one pass decides every line.  Raises
+    ValueError if some (l, T) has no carrier at all.
     """
     subsets = _subsets(len(class_sizes), k)
     by_line = _groups_by_line(groups)
     essential: set[LineRef] = set()
     for color, _, need in subsets:
         for idx in range(class_sizes[color - 1]):
-            carriers = []
-            for mask, refs in by_line.get((color, idx), ()):
-                if not need & ~mask:
-                    colors = [c for c, _ in refs]
-                    sole = [r for r in refs if colors.count(r[0]) == 1]
-                    carriers.append({r for r in sole if need >> r[0] & 1})
+            carriers = [refs for mask, refs in by_line.get((color, idx), ()) if not need & ~mask]
             if not carriers:
                 raise ValueError("minimality audit requires a k-consistent configuration")
-            essential |= set.intersection(*carriers)
+            if len(carriers) == 1:
+                colors = [c for c, _ in carriers[0]]
+                essential.update(
+                    r for r in carriers[0] if need >> r[0] & 1 and colors.count(r[0]) == 1
+                )
     return tuple(
         (color, idx)
         for color, size in enumerate(class_sizes, start=1)
@@ -317,8 +315,9 @@ def group_max_colorful(
 
 
 # Grid entry points.  Their groups are the grid points of ``incidence_map``
-# only: the grid has no points at infinity (see ``grid_meet``), so the
-# shared-axis directions that ``extract_structure_grid`` adds never count.
+# only: the grid has no points at infinity (two lines on one axis never
+# meet in it), so the shared-axis directions that ``extract_structure_grid``
+# adds never count.
 
 
 def is_k_consistent(cfg: ColoredGridConfig, k: int) -> ConsistencyVerdict:
@@ -334,37 +333,47 @@ def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> 
 def max_colorful_order(cfg: ColoredGridConfig) -> tuple[int, tuple[int, ...] | None]:
     """Largest number of distinct colors at any grid point, with the
     lexicographically first point reaching it."""
-    return group_max_colorful(sorted(cfg.incidence_map.items()))
+    return group_max_colorful(cfg.incidence_map.items())
 
 
 def grid_to_json(cfg: ColoredGridConfig) -> dict:
+    k, n = cfg.k, cfg.n
     classes = []
-    for color, cls in enumerate(cfg.classes, start=1):
-        by_axis: dict[int, list[list[int]]] = {}
-        for line in cls:
-            stripped = [v for t, v in enumerate(line.base) if t != line.axis - 1]
-            by_axis.setdefault(line.axis, []).append(stripped)
-        if not by_axis:
-            # an empty class still occupies its color slot
-            classes.append({"color": color, "axis": 1, "bases": []})
-        for axis in sorted(by_axis):
-            classes.append({"color": color, "axis": axis, "bases": by_axis[axis]})
-    return {"model": "grid", "k": cfg.k, "n": cfg.n, "classes": classes}
+    for color, ids in enumerate(cfg.ids, start=1):
+        bases = (_digits(ids % n**k, n, k) + 1).tolist()
+        cuts = np.searchsorted(ids, np.arange(k + 2) * n**k).tolist()
+        for axis, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
+            if lo < hi or not ids.size and axis == 1:  # an empty class keeps its color
+                classes.append({"color": color, "axis": axis, "bases": bases[lo:hi]})
+    return {"model": "grid", "k": k, "n": n, "classes": classes}
 
 
 def grid_from_json(data: dict) -> ColoredGridConfig:
+    """The configuration of a grid file.  ``k``, ``n``, colors, axes and
+    base entries must be JSON ints (no bools, floats or strings), each color
+    in 1..len(classes), each axis in 1..k+1 and each base k entries in
+    1..n; else ValueError, naming ``classes[i]`` for a bad entry."""
     if data.get("model", "grid") != "grid":
         raise ValueError("not a grid configuration")
-    k, n = data["k"], data["n"]
-    classes: dict[int, list[GridLine]] = {}
-    for pos, entry in enumerate(data["classes"]):
-        color, axis = entry["color"], entry["axis"]
-        if color < 1:
-            raise ValueError(f"classes[{pos}] has color {color}; colors start at 1")
-        classes.setdefault(color, [])
-        for stripped in entry["bases"]:
-            base = list(stripped)
-            base.insert(axis - 1, 0)
-            classes[color].append(GridLine(axis, tuple(base)))
-    ordered = [classes.get(c, []) for c in range(1, max(classes, default=0) + 1)]
-    return ColoredGridConfig(k, n, ordered)
+    k, n, entries = data["k"], data["n"], data["classes"]
+    if type(k) is not int or type(n) is not int or not isinstance(entries, list):
+        raise ValueError("a grid configuration needs integer k and n and a list of classes")
+    span = _line_count(k, n) // (k + 1)
+    classes: list[list[np.ndarray]] = [[] for _ in entries]
+    for pos, entry in enumerate(entries):
+        color, axis, bases = entry["color"], entry["axis"], entry["bases"]
+        try:
+            rows = np.array(bases, dtype=np.int64).reshape(len(bases), k)
+            exact = set(map(type, [color, axis, *chain.from_iterable(bases)])) <= {int}
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        ok = exact and 1 <= color <= len(entries) and 1 <= axis <= k + 1
+        if not (ok and (not rows.size or 1 <= rows.min() and rows.max() <= n)):
+            raise ValueError(
+                f"classes[{pos}] has color {color!r}, axis {axis!r}: colors are ints in "
+                f"1..{len(entries)}, axes ints in 1..{k + 1}, bases lists of {k} ints in 1..{n}"
+            )
+        classes[color - 1].append((axis - 1) * span + (rows - 1) @ n ** np.arange(k - 1, -1, -1))
+    while classes and not classes[-1]:
+        classes.pop()  # the highest color present is the last class
+    return ColoredGridConfig(k, n, [np.concatenate((np.empty(0, np.int64), *c)) for c in classes])

@@ -74,9 +74,8 @@ def lift_to_concurrent(
     it preserves; ``audit`` checks that on the lifted lines (skip for very
     large configurations, where the quadratic extraction is the bottleneck).
     """
-    for cls in cfg.classes:
-        if len({line.axis for line in cls}) > 1:
-            raise ValueError("lift requires axis-parallel classes")
+    if any(c.size and c[0] // cfg.n**cfg.k != c[-1] // cfg.n**cfg.k for c in cfg.ids):
+        raise ValueError("lift requires axis-parallel classes")  # ids sort by axis first
     dim = cfg.k + 1
     c = dim * cfg.n + 1
     matrix = [[int(i == j) for j in range(dim)] + [0] for i in range(dim)]

@@ -1,15 +1,17 @@
 """Independent brute-force references used to check the production paths.
 
-These deliberately avoid the axis-pair hashing and the incidence core of
+These deliberately avoid the axis-pair matching and the incidence core of
 the library: they enumerate grid points (or raw containment) and nothing
 else, so agreement is meaningful evidence rather than a tautology.  The
-point scan and the per-line minimality rescan are the references for
-the incidence core's grid verdicts.  ``rref_meet`` is the reference for
-the residual-test ``meet``: it solves the 4-column system of the two
-lines' spanning points by generic row reduction.  ``dense_deletion``
-(the whole n^(k+1) coverage cube) and ``sparse_deletion`` (a dict of
-covered points, line by line) are the references for the bit-packed
-deletion, ``dense_trial_stats`` (whole n^(k+1) count and coverage cubes)
+point enumeration is the reference for ``incidence_map``, and the point
+scan and the per-line minimality rescan for the incidence core's grid
+verdicts.  ``grid_meet`` meets two grid lines slot by slot; the exact
+rational ``meet`` of embedded lines is checked against it.  ``rref_meet``
+is the reference for the residual-test ``meet``: it solves the 4-column
+system of the two lines' spanning points by generic row reduction.
+``dense_deletion`` (the whole n^(k+1) coverage cube) and
+``sparse_deletion`` (a dict of covered points, line by line) are the
+references for the bit-packed deletion, ``dense_trial_stats`` (whole n^(k+1) count and coverage cubes)
 for the trial statistics, and ``gridline_from_index`` (one line, digit
 by digit) for the vectorized decoding of base indices.  ``six_fold_map``
 composes the six projections of a dual cycle one by one, the reference
@@ -70,6 +72,29 @@ def point_enumeration_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...]
         if len(refs) >= 2:
             out[point] = refs
     return out
+
+
+def grid_meet(a: GridLine, b: GridLine) -> tuple[int, ...] | None:
+    """Common grid point of two distinct grid lines, or None.
+
+    Lines on the same axis are distinct parallels and never meet in the
+    grid; lines on different axes meet iff their bases agree on every
+    slot outside the two axes.
+    """
+    if len(a.base) != len(b.base):
+        raise ValueError("grid lines live in different grids")
+    if a == b:
+        raise ValueError("meet of identical grid lines is undefined")
+    if a.axis == b.axis:
+        return None
+    ia, ib = a.axis - 1, b.axis - 1
+    for t in range(len(a.base)):
+        if t not in (ia, ib) and a.base[t] != b.base[t]:
+            return None
+    coords = list(a.base)
+    coords[ia] = b.base[ia]
+    coords[ib] = a.base[ib]
+    return tuple(coords)
 
 
 def colorful_point_exists(cfg: ColoredGridConfig) -> bool:

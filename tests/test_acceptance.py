@@ -35,7 +35,6 @@ from incidencelab.exactgeom import ProjPoint, meet
 from incidencelab.gridmodel import (
     GridLine,
     embed_grid_line,
-    grid_meet,
     is_k_consistent,
     max_colorful_order,
 )
@@ -52,7 +51,7 @@ from incidencelab.transforms import (
     project_generic,
     undualize,
 )
-from oracles import point_enumeration_incidences
+from oracles import grid_meet, point_enumeration_incidences
 from test_gridmodel import grid_point_incidences
 
 

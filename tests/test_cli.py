@@ -29,6 +29,14 @@ class TestGen:
         assert manifest["version"]
         assert "alg.json" in manifest["outputs"]
 
+    def test_algebraic_builds_no_grid_lines(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(
+            gridmodel.GridLine, "__post_init__", lambda line: pytest.fail(f"built {line}")
+        )
+        assert run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"]) == 0
+        args = ["--k-consistency", "3", "--max-colorful", "3", "--minimality"]
+        assert run(["verify", "alg.json", *args]) == 0
+
     def test_nonprime_exits_2(self, workdir):
         assert run(["gen", "algebraic", "--k", "3", "--p", "4", "-o", "x.json"]) == 2
 
@@ -56,19 +64,25 @@ class TestGen:
         assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
 
     @pytest.mark.parametrize("emit,sizes", [("after", "final_sizes"), ("before", "selected_sizes")])
-    def test_probabilistic_decodes_only_the_emitted_stage(
+    def test_probabilistic_builds_no_grid_lines(
         self, workdir, capsys, monkeypatch, emit, sizes
     ):
-        decoded = []
-        original = gridmodel._decode_axis_class
+        built = []
+        original = gridmodel.GridLine.__post_init__
         monkeypatch.setattr(
-            gridmodel,
-            "_decode_axis_class",
-            lambda k, n, axis, idx: decoded.append(len(idx)) or original(k, n, axis, idx),
+            gridmodel.GridLine, "__post_init__", lambda line: built.append(line) or original(line)
         )
         argv = ["gen", "probabilistic", "--k", "3", "--n", "16", "--seed", "3", "--emit", emit]
         assert run([*argv, "-o", "p.json"]) == 0
-        assert decoded == json.loads(capsys.readouterr().out)[sizes]
+        expected = json.loads(capsys.readouterr().out)[sizes]
+        assert run(["verify", "p.json", "--k-consistency", "3", "--max-colorful", "3"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["checks"]["k_consistency"]["k"] == 3
+        assert built == []
+        # the written file holds the emitted stage; reading it builds no
+        # GridLine either, and its decoded view shows that the count is live
+        cfg = configs.config_from_json(json.loads((workdir / "p.json").read_text()))
+        assert list(cfg.class_sizes()) == expected and built == []
+        assert len(cfg.classes) == 4 and len(built) == sum(expected)
 
     def test_reye_and_desargues(self, workdir):
         assert run(["gen", "reye", "-o", "reye.json"]) == 0
@@ -156,6 +170,34 @@ class TestVerify:
         (workdir / "c0.json").write_text(json.dumps(data))
         assert run(["verify", "c0.json", "--k-consistency", "2"]) == 2
         assert "classes[0] has color 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"color": 1, "axis": 1, "bases": [[1.5, 1]]},
+            {"color": 1, "axis": 1, "bases": [[True, 1]]},
+            {"color": 1, "axis": 1, "bases": [["1", 1]]},
+            {"color": 1, "axis": 9, "bases": [[1, 1]]},
+        ],
+        ids=["float", "bool", "string", "axis"],
+    )
+    def test_inexact_grid_input_exits_2(self, workdir, capsys, entry):
+        # with the float or bool base, the two lines would meet at (2, x, 1)
+        data = {
+            "model": "grid", "k": 2, "n": 2,
+            "classes": [entry, {"color": 2, "axis": 2, "bases": [[2, 1]]}],
+        }
+        (workdir / "g.json").write_text(json.dumps(data))
+        assert run(["verify", "g.json", "--max-colorful", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed configuration g.json") and "classes[0]" in err
+
+    def test_color_beyond_the_entries_exits_2(self, workdir, capsys):
+        entry = {"color": 1000, "axis": 1, "bases": []}
+        data = {"model": "grid", "k": 2, "n": 2, "classes": [entry]}
+        (workdir / "c.json").write_text(json.dumps(data))
+        assert run(["verify", "c.json", "--max-colorful", "2"]) == 2
+        assert "classes[0] has color 1000" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "value,reason", [(1, "not 1"), ("1/0", "zero denominator in '1/0'")]

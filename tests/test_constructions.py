@@ -411,18 +411,20 @@ class TestMaskConfig:
     @given(k=st.sampled_from([3, 4]), n=st.integers(1, 6), data=st.data())
     def test_equals_validated_config(self, k, n, data):
         masks = data.draw(axis_masks(k, n))
-        oracle = ColoredGridConfig(
-            k,
-            n,
-            [
-                [gridline_from_index(k, n, axis, int(i)) for i in np.flatnonzero(m)]
-                for axis, m in enumerate(masks, start=1)
-            ],
+        lines = [
+            [gridline_from_index(k, n, axis, int(i)) for i in np.flatnonzero(m)]
+            for axis, m in enumerate(masks, start=1)
+        ]
+        oracle = ColoredGridConfig(k, n, lines)
+        # the line ids gen_probabilistic builds from its masks
+        cfg = ColoredGridConfig(
+            k, n, [np.flatnonzero(m) + (axis - 1) * n**k for axis, m in enumerate(masks, start=1)]
         )
-        cfg = ColoredGridConfig.from_masks(k, n, masks)
         assert cfg.class_sizes() == oracle.class_sizes()
         assert json.dumps(grid_to_json(cfg)) == json.dumps(grid_to_json(oracle))
         assert cfg == oracle
+        # decoding matches the digit-by-digit oracle, in base-index order
+        assert cfg.classes == tuple(map(tuple, lines))
 
 
 class TestTricolor:

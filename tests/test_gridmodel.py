@@ -1,6 +1,9 @@
+import json
 import random
 from itertools import product
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +14,6 @@ from incidencelab.gridmodel import (
     GridLine,
     breaks_consistency_without,
     embed_grid_line,
-    grid_meet,
     grid_from_json,
     grid_to_json,
     is_k_consistent,
@@ -19,6 +21,8 @@ from incidencelab.gridmodel import (
 )
 from incidencelab.structure import extract_structure_grid, structure_consistency
 from oracles import (
+    grid_meet,
+    point_enumeration_incidences,
     point_enumeration_max_colorful,
     point_scan_failures,
     rescan_removable,
@@ -128,6 +132,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ColoredGridConfig(2, 2, [[gl(1, 0, 3, 1)], [], []])
 
+    @pytest.mark.parametrize("line_id", [-1, 12])
+    def test_line_id_out_of_range(self, line_id):
+        # k=2, n=2: ids 0..11
+        with pytest.raises(ValueError):
+            ColoredGridConfig(2, 2, [np.array([0, 5]), np.array([line_id])])
+
     def test_json_round_trip(self):
         rng = random.Random(5)
         cfg = random_config(rng, 2, 4, 3)
@@ -146,6 +156,30 @@ class TestConfigValidation:
         data = grid_to_json(cfg)
         del data["model"]
         assert grid_from_json(data) == cfg
+
+
+class TestIdBound:
+    """Line and point ids are int64: grids with n^(k+1) or (k+1)*n^k at or
+    above 2^63 are refused, and the largest accepted grids meet exactly at
+    their last point."""
+
+    @pytest.mark.parametrize("k,n", [(2, 2**21), (3, isqrt(isqrt(2**63)) + 1), (62, 2), (61, 2)])
+    def test_too_large_raises(self, k, n):
+        with pytest.raises(ValueError, match="2\\^63"):
+            ColoredGridConfig(k, n, [[]])
+        with pytest.raises(ValueError, match="2\\^63"):
+            grid_from_json({"k": k, "n": n, "classes": []})
+
+    @pytest.mark.parametrize("k,n", [(2, 2**21 - 1), (3, isqrt(isqrt(2**63 - 1)))])
+    def test_last_point_of_the_largest_grid(self, k, n):
+        first = GridLine(1, (0,) + (n,) * k)
+        last = GridLine(k + 1, (n,) * k + (0,))
+        cfg = ColoredGridConfig(k, n, [[first], [last]])
+        corner = (n,) * (k + 1)
+        assert cfg.incidence_map == {corner: {(1, 0), (2, 0)}}
+        assert max_colorful_order(cfg) == (2, corner)
+        assert grid_from_json(json.loads(json.dumps(grid_to_json(cfg)))) == cfg
+        assert cfg.classes == ((first,), (last,))
 
 
 class TestAllIncidences:
@@ -318,6 +352,17 @@ class TestCoreAgainstOracles:
                 for c, i, _ in cfg.lines()
                 if not breaks_consistency_without(cfg, k, (c, i))
             )
+
+    @settings(max_examples=120, deadline=None)
+    @given(grid_cases)
+    def test_incidence_map_matches_sweep(self, cfg):
+        assert cfg.incidence_map == point_enumeration_incidences(cfg)
+        assert list(cfg.incidence_map) == sorted(cfg.incidence_map)
+
+    @settings(max_examples=120, deadline=None)
+    @given(grid_cases)
+    def test_json_round_trip(self, cfg):
+        assert grid_from_json(json.loads(json.dumps(grid_to_json(cfg)))) == cfg
 
     def test_minimality_on_consistent_mixed_configs(self):
         # the hypothesis cases above are mostly inconsistent for k >= 2;

@@ -4,6 +4,7 @@ import pytest
 
 from incidencelab.configs import ColoredLineConfig, concurrency_center
 from incidencelab.exactgeom import Line, ProjPoint, meet
+from incidencelab.gridmodel import ColoredGridConfig, GridLine
 from incidencelab.structure import (
     extract_alignments,
     extract_structure_grid,
@@ -48,6 +49,14 @@ class TestLift:
         cfg = random_config(rng, 2, 3, 3)
         lifted, _ = lift_to_concurrent(cfg)  # audit on
         assert lifted.d == 3
+
+    def test_mixed_axes_rejected(self):
+        # class 2 holds an axis-1 and an axis-3 line; class 1 is empty
+        cfg = ColoredGridConfig(2, 2, [[], [GridLine(1, (0, 1, 1)), GridLine(3, (2, 2, 0))]])
+        with pytest.raises(ValueError, match="axis-parallel"):
+            lift_to_concurrent(cfg)
+        one_axis = ColoredGridConfig(2, 2, [[], [GridLine(1, (0, 1, 1)), GridLine(1, (0, 2, 2))]])
+        assert lift_to_concurrent(one_axis)[0].centers[1] == ProjPoint.affine([1, 0, 0])
 
 
 class TestProjectGeneric:
