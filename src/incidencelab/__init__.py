@@ -49,7 +49,6 @@ from .exactgeom import (
     incident,
     meet,
     rank_of_directions,
-    span,
 )
 from .gridmodel import (
     ColoredGridConfig,

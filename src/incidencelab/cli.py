@@ -6,7 +6,8 @@ the command line, seeds, library version, input/output SHA-256 hashes,
 and wall timings, so identical manifests imply identical artifact bytes.
 
 Exit codes: 0 = all requested checks pass, 1 = a check failed (witnesses
-in the JSON verdict), 2 = usage or I/O error.
+in the JSON verdict), 2 = usage or I/O error, or a failed operation (a
+lift audit or projection retries), which writes no artifact.
 """
 
 from __future__ import annotations

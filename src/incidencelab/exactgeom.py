@@ -186,11 +186,6 @@ class ProjFlat:
         return incident(p, self)
 
 
-def span(points: Sequence[ProjPoint]) -> ProjFlat:
-    """Smallest flat containing all given points (exact Gaussian elimination)."""
-    return ProjFlat(points)
-
-
 def incident(p: ProjPoint, flat: ProjFlat) -> bool:
     """True iff p lies in the span of the flat's basis (exact rank test)."""
     if p.ambient_dim != flat.ambient_dim:

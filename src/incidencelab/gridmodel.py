@@ -12,18 +12,18 @@ Ids and their intermediates stay below max(n, k+1)*n^k, which
 
 The incidence core (``group_*``) decides k-consistency, minimality and
 the max colorful order for grid, line and dual configurations alike, from
-their incidence groups: grid points here, extracted monomials in
-``structure``.  Colors are 1-based class indices; lines are referenced as
-``(color, index)`` pairs, ``index`` being the position in id order.
+int64 entry arrays ``(group, line)`` of their incidence groups: grid points
+here, extracted monomials in ``structure``.  Colors are 1-based class
+indices; verdicts name a line ``(color, index)``, by its position in id order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from operator import index
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -147,24 +147,22 @@ class ColoredGridConfig:
     def total_lines(self) -> int:
         return sum(self.class_sizes())
 
-    def lines(self) -> Iterator[tuple[int, int, GridLine]]:
-        """Yield (color, index, line) over the whole configuration."""
-        for color, cls in enumerate(self.classes, start=1):
-            for idx, line in enumerate(cls):
-                yield color, idx, line
-
     def without_line(self, ref: LineRef) -> "ColoredGridConfig":
         ids = list(self.ids)
         ids[ref[0] - 1] = np.delete(ids[ref[0] - 1], ref[1])
         return ColoredGridConfig(self.k, self.n, ids)
 
+    def coordinates(self, points: np.ndarray) -> list[tuple[int, ...]]:
+        """The coordinates of an array of point ids."""
+        return list(map(tuple, (_digits(points, self.n, self.k + 1) + 1).tolist()))
+
     @cached_property
-    def incidence_map(self) -> dict[tuple[int, ...], set[LineRef]]:
-        """Every grid point on two or more lines, in lexicographic order, with
-        the refs of the lines through it; built once and shared, so callers
-        must not modify it.  Lines on axes a < b meet iff their point ids
-        with slots a and b zeroed match: each axis pair is matched by
-        sorting, and the matches are grouped by meeting point."""
+    def incidences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(points, group, line): the ids of the grid points on two or more
+        lines in lexicographic order, and the core's entries of the lines
+        through them; built once and shared, so do not modify them.  Lines
+        on axes a < b meet iff their point ids with slots a and b zeroed
+        match: each axis pair is matched by sorting."""
         k, n = self.k, self.n
         ids = np.concatenate((np.empty(0, np.int64), *self.ids))
         axis, base = ids // n**k, ids % n**k
@@ -185,15 +183,12 @@ class ColoredGridConfig:
             points += [pid, pid]
             lines += [on_a[ma], on_b[mb]]
         pid, line = np.concatenate(points), np.concatenate(lines)
-        order = np.argsort(pid)
+        order = np.lexsort((line, pid))
         pid, line = pid[order], line[order]
-        ref_of = [(c, i) for c, cls in enumerate(self.ids, start=1) for i in range(len(cls))]
-        refs = list(map(ref_of.__getitem__, line.tolist()))
-        starts = np.flatnonzero(np.diff(pid, prepend=-1))
-        coords = (_digits(pid[starts], n, k + 1) + 1).tolist()
-        bounds = [*starts.tolist(), len(refs)]
         # a line through a point of r lines was matched r-1 times there
-        return {tuple(c): set(refs[s:e]) for c, s, e in zip(coords, bounds, bounds[1:])}
+        keep = np.diff(pid, prepend=-1).astype(bool) | np.diff(line, prepend=-1).astype(bool)
+        points, group = np.unique(pid[keep], return_inverse=True)
+        return points, group, line[keep]
 
 
 def embed_grid_line(line: GridLine) -> Line:
@@ -215,59 +210,56 @@ class ConsistencyVerdict:
 
 
 # ---------------------------------------------------------------------------
-# The incidence core.  Colors are bits of an int mask, so "a group carries
-# every color of T" is one mask test.
+# The incidence core.  Entries (group, line), sorted by group then line,
+# put each line (its position in class order) into a group at most once;
+# the distinct (group, color) pairs decide which groups carry a color set.
 
 
-def _subsets(m: int, k: int) -> list[tuple[int, frozenset[int], int]]:
-    """(color, S, mask of T) for every k-subset S = {color} | T of the m
-    colors with T nonempty, in failure order: color, then T in
-    ``combinations`` order."""
+def _subsets(m: int, k: int) -> list[tuple[int, frozenset[int], list[int]]]:
+    """(color, S, T) for every k-subset S = {color} | T of the m colors
+    with T nonempty, in failure order: color, then T in ``combinations``
+    order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > m:
         raise ValueError("k exceeds the number of colors")
     return [
-        (color, frozenset((color, *T)), sum(1 << c for c in T))
+        (color, frozenset((color, *T)), list(T))
         for color in range(1, m + 1)
         for T in combinations([c for c in range(1, m + 1) if c != color], k - 1)
         if T
     ]
 
 
-def _groups_by_line(
-    groups: Iterable[Collection[LineRef]],
-) -> dict[LineRef, list[tuple[int, Collection[LineRef]]]]:
-    """(color mask, group) of every group through each line."""
-    by_line: dict[LineRef, list[tuple[int, Collection[LineRef]]]] = {}
-    for refs in groups:
-        mask = 0
-        for color, _ in refs:
-            mask |= 1 << color
-        for ref in refs:
-            by_line.setdefault(ref, []).append((mask, refs))
-    return by_line
+def _color_runs(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray):
+    """(first, color, pair, size): ``first[c-1]`` is color c's first position;
+    each entry's color; whether it opens a (group, color) pair; the group count."""
+    first = np.cumsum((0, *class_sizes), dtype=np.int64)
+    color = np.searchsorted(first, line, "right")  # an empty class owns no position
+    pair = np.diff(group, prepend=-1).astype(bool) | np.diff(color, prepend=-1).astype(bool)
+    return first, color, pair, group[-1] + 1 if group.size else 0
 
 
 def group_consistency(
-    class_sizes: Sequence[int], groups: Iterable[Collection[LineRef]], k: int
+    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int
 ) -> ConsistencyVerdict:
     """k-consistency over incidence groups: line (c, i) fails S = {c} | T
     when no group through it carries every color of T.  Failures are
     listed by color, then T in ``combinations`` order, then index."""
     subsets = _subsets(len(class_sizes), k)
-    by_line = _groups_by_line(groups)
-    failures = tuple(
-        ((color, idx), S)
-        for color, S, need in subsets
-        for idx in range(class_sizes[color - 1])
-        if all(need & ~mask for mask, _ in by_line.get((color, idx), ()))
-    )
-    return ConsistencyVerdict(not failures, failures)
+    first, color, pair, size = _color_runs(class_sizes, group, line)
+    failures: list[tuple[LineRef, frozenset[int]]] = []
+    for c, S, T in subsets:
+        in_T = np.isin(np.arange(len(first)), T)[color]  # one lookup per entry
+        carries = np.bincount(group[pair & in_T], minlength=size) == len(T)
+        good = np.zeros(class_sizes[c - 1], bool)
+        good[line[(color == c) & carries[group]] - first[c - 1]] = True
+        failures += zip(zip(repeat(c), np.flatnonzero(~good).tolist()), repeat(S))
+    return ConsistencyVerdict(not failures, tuple(failures))
 
 
 def group_removable(
-    class_sizes: Sequence[int], groups: Iterable[Collection[LineRef]], k: int
+    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int
 ) -> tuple[LineRef, ...]:
     """Lines whose removal keeps a k-consistent configuration k-consistent.
 
@@ -281,40 +273,34 @@ def group_removable(
     ValueError if some (l, T) has no carrier at all.
     """
     subsets = _subsets(len(class_sizes), k)
-    by_line = _groups_by_line(groups)
-    essential: set[LineRef] = set()
-    for color, _, need in subsets:
-        for idx in range(class_sizes[color - 1]):
-            carriers = [refs for mask, refs in by_line.get((color, idx), ()) if not need & ~mask]
-            if not carriers:
-                raise ValueError("minimality audit requires a k-consistent configuration")
-            if len(carriers) == 1:
-                colors = [c for c, _ in carriers[0]]
-                essential.update(
-                    r for r in carriers[0] if need >> r[0] & 1 and colors.count(r[0]) == 1
-                )
-    return tuple(
-        (color, idx)
-        for color, size in enumerate(class_sizes, start=1)
-        for idx in range(size)
-        if (color, idx) not in essential
-    )
+    first, color, pair, size = _color_runs(class_sizes, group, line)
+    alone = pair & np.append(pair[1:], True)  # its group's only line of its color
+    essential = np.zeros(first[-1], bool)
+    for c, _, T in subsets:
+        in_T = np.isin(np.arange(len(first)), T)[color]  # one lookup per entry
+        carries = np.bincount(group[pair & in_T], minlength=size) == len(T)
+        mine = np.flatnonzero((color == c) & carries[group])  # entries of (l, carrier) pairs
+        carriers = np.bincount(line[mine] - first[c - 1], minlength=class_sizes[c - 1])
+        if (carriers == 0).any():
+            raise ValueError("minimality audit requires a k-consistent configuration")
+        single = np.zeros(size, bool)
+        single[group[mine[carriers[line[mine] - first[c - 1]] == 1]]] = True
+        essential[line[single[group] & alone & in_T]] = True
+    keep = np.flatnonzero(~essential)
+    colors = np.searchsorted(first, keep, "right")
+    return tuple(zip(colors.tolist(), (keep - first[colors - 1]).tolist()))
 
 
 def group_max_colorful(
-    groups: Iterable[tuple[object, Collection[LineRef]]],
-) -> tuple[int, object | None]:
-    """Largest color count over (witness, group) pairs, with the witness of
-    the first group reaching it in the caller's order."""
-    best, witness = 0, None
-    for at, refs in groups:
-        order = len({c for c, _ in refs})
-        if order > best:
-            best, witness = order, at
-    return best, witness
+    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray
+) -> tuple[int, int | None]:
+    """Largest color count over the groups, with the first group reaching it."""
+    orders = np.bincount(group[_color_runs(class_sizes, group, line)[2]])
+    best = int(orders.argmax()) if orders.size else None
+    return (0, None) if best is None else (int(orders[best]), best)
 
 
-# Grid entry points.  Their groups are the grid points of ``incidence_map``
+# Grid entry points.  Their groups are the grid points of ``incidences``
 # only: the grid has no points at infinity (two lines on one axis never
 # meet in it), so the shared-axis directions that ``extract_structure_grid``
 # adds never count.
@@ -322,7 +308,7 @@ def group_max_colorful(
 
 def is_k_consistent(cfg: ColoredGridConfig, k: int) -> ConsistencyVerdict:
     """Check that every line of every color in every k-subset S has an S-incidence."""
-    return group_consistency(cfg.class_sizes(), cfg.incidence_map.values(), k)
+    return group_consistency(cfg.class_sizes(), *cfg.incidences[1:], k)
 
 
 def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> bool:
@@ -333,7 +319,9 @@ def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> 
 def max_colorful_order(cfg: ColoredGridConfig) -> tuple[int, tuple[int, ...] | None]:
     """Largest number of distinct colors at any grid point, with the
     lexicographically first point reaching it."""
-    return group_max_colorful(cfg.incidence_map.items())
+    points, group, line = cfg.incidences
+    order, at = group_max_colorful(cfg.class_sizes(), group, line)
+    return order, None if at is None else cfg.coordinates(points[at : at + 1])[0]
 
 
 def grid_to_json(cfg: ColoredGridConfig) -> dict:

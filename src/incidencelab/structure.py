@@ -12,16 +12,19 @@ For dual point configurations the same record type holds the maximal
 *alignments* (collinear subsets), which are exactly the dual notion of
 concurrences, so the consistency checks below apply unchanged.
 
-Verdicts run the incidence core of ``gridmodel`` on the monomials.  Grid
-structures add one monomial per shared axis direction, which the grid
-verifiers (grid points only) never count.
+Verdicts run the incidence core of ``gridmodel`` on the monomials, once
+converted to its entry arrays.  Grid structures add one monomial per
+shared axis direction, which the grid verifiers never count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 from .configs import ColoredLineConfig, DualPointConfig
 from .exactgeom import Line, ProjPoint, covector_2d, meet
@@ -58,12 +61,21 @@ class IncidenceStructure:
             m for m in self.monomials if len(m) == 3 and len({c for c, _ in m}) == 3
         )
 
+    @cached_property
+    def incidences(self) -> tuple[list[list[LineRef]], np.ndarray, np.ndarray]:
+        """(monomials, group, line): the monomials as sorted ref lists, in
+        sorted order, and their entries for the incidence core; built once."""
+        monomials = sorted(sorted(m) for m in self.monomials)
+        first = np.cumsum((0, *self.class_sizes)).tolist()
+        entries = [(g, first[c - 1] + i) for g, refs in enumerate(monomials) for c, i in refs]
+        return (monomials, *np.array(entries, np.int64).reshape(-1, 2).T)
+
     def max_colorful(self) -> tuple[int, object | None]:
         """Largest color count over all monomials, with the witness of the
         first monomial (by sorted refs) reaching it."""
-        return group_max_colorful(
-            (self.witnesses.get(m), m) for m in sorted(self.monomials, key=sorted)
-        )
+        monomials, group, line = self.incidences
+        order, at = group_max_colorful(self.class_sizes, group, line)
+        return order, None if at is None else self.witnesses.get(frozenset(monomials[at]))
 
 
 def _structure_from_map(
@@ -75,16 +87,16 @@ def _structure_from_map(
 
 def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
     """Grid-point concurrences plus one monomial per shared axis direction."""
-    point_map = {
-        ProjPoint.affine(pt): refs for pt, refs in cfg.incidence_map.items()
-    }
-    by_axis: dict[int, set[LineRef]] = {}
-    for color, idx, line in cfg.lines():
-        by_axis.setdefault(line.axis, set()).add((color, idx))
-    for axis, refs in by_axis.items():
-        direction = [0] * (cfg.k + 1)
-        direction[axis - 1] = 1
-        point_map[ProjPoint.direction(direction)] = refs
+    points, group, line = cfg.incidences
+    refs = [(c, i) for c, size in enumerate(cfg.class_sizes(), start=1) for i in range(size)]
+    at = [ProjPoint.affine(pt) for pt in cfg.coordinates(points)]
+    point_map: dict[ProjPoint, set[LineRef]] = {}
+    for g, i in zip(group.tolist(), line.tolist()):
+        point_map.setdefault(at[g], set()).add(refs[i])
+    axes = np.concatenate((np.empty(0, np.int64), *cfg.ids)) // cfg.n**cfg.k
+    for axis in np.unique(axes).tolist():
+        direction = ProjPoint.direction([int(t == axis) for t in range(cfg.k + 1)])
+        point_map[direction] = {refs[i] for i in np.flatnonzero(axes == axis).tolist()}
     return _structure_from_map(point_map, cfg.class_sizes())
 
 
@@ -142,4 +154,4 @@ def structure_consistency(s: IncidenceStructure, k: int) -> ConsistencyVerdict:
     c in S iff some monomial containing it covers the other colors of S.
     Failures are listed by color, then S, then index.
     """
-    return group_consistency(s.class_sizes, s.monomials, k)
+    return group_consistency(s.class_sizes, *s.incidences[1:], k)

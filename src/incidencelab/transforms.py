@@ -41,6 +41,7 @@ from .structure import (
 )
 
 _DRAW_HALF_RANGE = 1 << 16
+PROJECTION_ATTEMPTS = 32  # fresh draws before ``project_generic`` gives up
 
 
 def apply_projective(cfg: ColoredLineConfig, matrix: Sequence[Sequence]) -> ColoredLineConfig:
@@ -125,18 +126,18 @@ def project_generic(
     before: IncidenceStructure,
     d: int,
     seed: int,
-    max_attempts: int = 32,
 ) -> ProjectionResult:
     """Seeded random rational linear projection R^D -> R^d, certified generic.
 
     Retries with fresh draws until ``before``, the structure of ``cfg``,
     survives the audit (exact equality for d >= 3; the documented relaxed
-    contract for d = 2) and no two lines collapse; raises after ``max_attempts``.
+    contract for d = 2) and no two lines collapse; raises RuntimeError after
+    ``PROJECTION_ATTEMPTS`` draws.
     """
     D = cfg.d
     if not 2 <= d <= D:
         raise ValueError("projection target must satisfy 2 <= d <= D")
-    for attempt in range(max_attempts):
+    for attempt in range(PROJECTION_ATTEMPTS):
         stream = substream(seed, RETRY_OFFSET + attempt)
         draws = iter(
             splitmix64(stream, i) % (2 * _DRAW_HALF_RANGE + 1) - _DRAW_HALF_RANGE
@@ -155,7 +156,7 @@ def project_generic(
         ok, extras = _audit_projection(before, after, d)
         if ok:
             return ProjectionResult(image, seed, attempt + 1, extras)
-    raise RuntimeError(f"no generic projection found in {max_attempts} attempts")
+    raise RuntimeError(f"no generic projection found in {PROJECTION_ATTEMPTS} attempts")
 
 
 _POLE = (0, 0, 1)

@@ -3,10 +3,14 @@
 These deliberately avoid the axis-pair matching and the incidence core of
 the library: they enumerate grid points (or raw containment) and nothing
 else, so agreement is meaningful evidence rather than a tautology.  The
-point enumeration is the reference for ``incidence_map``, and the point
-scan and the per-line minimality rescan for the incidence core's grid
-verdicts.  ``grid_meet`` meets two grid lines slot by slot; the exact
-rational ``meet`` of embedded lines is checked against it.  ``rref_meet``
+point enumeration is the reference for the grid's ``incidences``, and
+the point scan and the per-line minimality rescan for the incidence
+core's grid verdicts.  ``loop_consistency``, ``loop_removable`` and
+``loop_max_colorful`` are the incidence core written as Python loops over
+each line's groups, with one unbounded int color bitmask per group: the
+reference for the array core on arbitrary groups of refs, as line and
+dual structures have them.  ``grid_meet`` meets two grid lines slot by
+slot; the exact rational ``meet`` of embedded lines is checked against it.  ``rref_meet``
 is the reference for the residual-test ``meet``: it solves the 4-column
 system of the two lines' spanning points by generic row reduction.
 ``dense_deletion`` (the whole n^(k+1) coverage cube) and
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -45,7 +49,8 @@ def tiny_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
     for point in product(range(1, cfg.n + 1), repeat=cfg.k + 1):
         refs = {
             (color, idx)
-            for color, idx, line in cfg.lines()
+            for color, cls in enumerate(cfg.classes, start=1)
+            for idx, line in enumerate(cls)
             if point_on_line(point, line)
         }
         if len(refs) >= 2:
@@ -151,7 +156,8 @@ def rescan_removable(cfg: ColoredGridConfig, k: int) -> tuple:
     """Lines whose removal leaves no failure, one full point scan per line."""
     return tuple(
         (color, idx)
-        for color, idx, _ in cfg.lines()
+        for color, size in enumerate(cfg.class_sizes(), start=1)
+        for idx in range(size)
         if not point_scan_failures(cfg, k, removed=(color, idx))
     )
 
@@ -164,6 +170,79 @@ def point_enumeration_max_colorful(cfg: ColoredGridConfig):
         order = len({c for c, _ in refs})
         if order > best:
             best, witness = order, point
+    return best, witness
+
+
+def _mask_subsets(m: int, k: int) -> list[tuple[int, frozenset[int], int]]:
+    """(color, S, mask of T) for every k-subset S = {color} | T of the m
+    colors with T nonempty, in failure order."""
+    if not 1 <= k <= m:
+        raise ValueError("k out of range")
+    return [
+        (color, frozenset((color, *T)), sum(1 << c for c in T))
+        for color in range(1, m + 1)
+        for T in combinations([c for c in range(1, m + 1) if c != color], k - 1)
+        if T
+    ]
+
+
+def _groups_by_line(groups: Iterable[Collection]) -> dict:
+    """(color mask, group) of every group through each line."""
+    by_line: dict = {}
+    for refs in groups:
+        mask = 0
+        for color, _ in refs:
+            mask |= 1 << color
+        for ref in refs:
+            by_line.setdefault(ref, []).append((mask, refs))
+    return by_line
+
+
+def loop_consistency(class_sizes: Sequence[int], groups: Iterable[Collection], k: int) -> tuple:
+    """k-consistency failures over groups of refs, in the order color, T
+    (``combinations`` order), index."""
+    subsets = _mask_subsets(len(class_sizes), k)
+    by_line = _groups_by_line(groups)
+    return tuple(
+        ((color, idx), S)
+        for color, S, need in subsets
+        for idx in range(class_sizes[color - 1])
+        if all(need & ~mask for mask, _ in by_line.get((color, idx), ()))
+    )
+
+
+def loop_removable(class_sizes: Sequence[int], groups: Iterable[Collection], k: int) -> tuple:
+    """Lines whose removal keeps k-consistency, by the one-carrier rule;
+    ValueError if some (line, T) has no carrier."""
+    subsets = _mask_subsets(len(class_sizes), k)
+    by_line = _groups_by_line(groups)
+    essential = set()
+    for color, _, need in subsets:
+        for idx in range(class_sizes[color - 1]):
+            carriers = [refs for mask, refs in by_line.get((color, idx), ()) if not need & ~mask]
+            if not carriers:
+                raise ValueError("minimality audit requires a k-consistent configuration")
+            if len(carriers) == 1:
+                colors = [c for c, _ in carriers[0]]
+                essential.update(
+                    r for r in carriers[0] if need >> r[0] & 1 and colors.count(r[0]) == 1
+                )
+    return tuple(
+        (color, idx)
+        for color, size in enumerate(class_sizes, start=1)
+        for idx in range(size)
+        if (color, idx) not in essential
+    )
+
+
+def loop_max_colorful(groups: Iterable[tuple[object, Collection]]) -> tuple:
+    """Largest color count over (witness, group) pairs, with the witness of
+    the first group reaching it."""
+    best, witness = 0, None
+    for at, refs in groups:
+        order = len({c for c, _ in refs})
+        if order > best:
+            best, witness = order, at
     return best, witness
 
 

@@ -7,6 +7,7 @@ import pytest
 from incidencelab import cli, configs, gridmodel, transforms
 from incidencelab.cli import main
 from incidencelab.gridmodel import ColoredGridConfig
+from incidencelab.structure import IncidenceStructure
 
 
 def run(args):
@@ -234,12 +235,12 @@ class TestVerify:
         with pytest.raises(SystemExit):
             run(["--threads", "2", "gen", "reye", "-o", "reye.json"])
 
-    def test_grid_incidence_map_built_once(self, workdir, capsys, monkeypatch):
+    def test_grid_incidences_built_once(self, workdir, capsys, monkeypatch):
         builds = []
-        original = ColoredGridConfig.incidence_map.func
+        original = ColoredGridConfig.incidences.func
         counting = cached_property(lambda cfg: builds.append(cfg) or original(cfg))
-        counting.__set_name__(ColoredGridConfig, "incidence_map")
-        monkeypatch.setattr(ColoredGridConfig, "incidence_map", counting)
+        counting.__set_name__(ColoredGridConfig, "incidences")
+        monkeypatch.setattr(ColoredGridConfig, "incidences", counting)
         self.gen_alg()
         args = ["--k-consistency", "3", "--max-colorful", "3", "--minimality"]
         assert run(["verify", "alg.json", *args]) == 0
@@ -351,6 +352,30 @@ class TestTransformAnalyze:
         assert run(["transform", "dual.json", "--undualize", "-o", "back.json"]) == 0
         data = json.loads((workdir / "back.json").read_text())
         assert data["model"] == "lines"
+
+    @pytest.mark.parametrize(
+        "failure, message",
+        [("projection_attempts", "no generic projection"), ("lift_audit", "audit")],
+    )
+    def test_failed_operation_exits_2(self, workdir, capsys, monkeypatch, failure, message):
+        # a transform that cannot keep its guarantee writes no file
+        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
+        capsys.readouterr()
+        argv = ["transform", "alg.json", "--lift", "-o", "out.json"]
+        if failure == "projection_attempts":
+            monkeypatch.setattr(transforms, "PROJECTION_ATTEMPTS", 0)
+            argv += ["--project", "3", "--seed", "11"]
+        else:  # the lifted lines disagree with the grid structure
+            monkeypatch.setattr(
+                transforms,
+                "extract_structure_lines",
+                lambda cfg: IncidenceStructure(frozenset(), cfg.class_sizes()),
+            )
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (workdir / "out.json").exists()
+        assert not (workdir / "out.json.manifest.json").exists()
 
     def test_project_dual_points_exits_2(self, workdir, capsys):
         run(["gen", "dual-cycles", "--r", "2", "-o", "dc.json"])

@@ -30,7 +30,7 @@ from incidencelab.constructions import (
     quadric_ruling,
     quadric_ruling_slits,
 )
-from incidencelab.exactgeom import meet, span
+from incidencelab.exactgeom import ProjFlat, meet
 from incidencelab.gridmodel import (
     ColoredGridConfig,
     GridLine,
@@ -506,7 +506,7 @@ class TestReye:
 
     def test_incidence_points_span_3_flat(self, reye):
         s = extract_structure_lines(reye)
-        flat = span(list(s.witnesses.values()))
+        flat = ProjFlat(list(s.witnesses.values()))
         assert flat.dim == 3
 
     def test_verdicts(self, reye):

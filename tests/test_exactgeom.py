@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from incidencelab.exactgeom import (
     Line,
+    ProjFlat,
     ProjPoint,
     covector_2d,
     format_rational,
@@ -17,7 +18,6 @@ from incidencelab.exactgeom import (
     meet,
     parse_rational,
     rank_of_directions,
-    span,
 )
 from oracles import rank3x3, rref_meet
 
@@ -136,22 +136,22 @@ class TestProjPoint:
 
 class TestIncident:
     def test_midpoint_on_segment_line(self):
-        f = span([pt(1, 0, 1), pt(-1, 0, 1)])
+        f = ProjFlat([pt(1, 0, 1), pt(-1, 0, 1)])
         assert incident(pt(0, 0, 1), f)
 
     def test_off_line(self):
-        f = span([pt(1, 0, 1), pt(-1, 0, 1)])
+        f = ProjFlat([pt(1, 0, 1), pt(-1, 0, 1)])
         assert not incident(pt(1, 1, 1), f)
 
     def test_infinite_point_on_vertical_line(self):
         # rank of the 3x3 rational matrix is the independent oracle
         rows = [(0, 0, 1), (0, 1, 1), (0, 1, 0)]
         assert rank3x3(rows) == 2
-        f = span([pt(0, 0, 1), pt(0, 1, 1)])
+        f = ProjFlat([pt(0, 0, 1), pt(0, 1, 1)])
         assert incident(pt(0, 1, 0), f)
 
     def test_dimension_mismatch(self):
-        f = span([pt(0, 0, 1), pt(0, 1, 1)])
+        f = ProjFlat([pt(0, 0, 1), pt(0, 1, 1)])
         with pytest.raises(ValueError):
             incident(pt(1, 0, 0, 1), f)
 
@@ -244,11 +244,11 @@ class TestResidualKernel:
 
 class TestSpan:
     def test_collinear_points(self):
-        f = span([pt(0, 0, 1), pt(1, 1, 1), pt(2, 2, 1)])
+        f = ProjFlat([pt(0, 0, 1), pt(1, 1, 1), pt(2, 2, 1)])
         assert f.dim == 1
 
     def test_general_position_r3(self):
-        f = span([pt(0, 0, 0, 1), pt(1, 0, 0, 1), pt(0, 1, 0, 1), pt(0, 0, 1, 1)])
+        f = ProjFlat([pt(0, 0, 0, 1), pt(1, 0, 0, 1), pt(0, 1, 0, 1), pt(0, 0, 1, 1)])
         assert f.dim == 3
 
     @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 3), min_size=1, max_size=6))
@@ -256,7 +256,7 @@ class TestSpan:
         pts = [ProjPoint(t) for t in triples if any(t)]
         if not pts:
             return
-        f = span(pts)
+        f = ProjFlat(pts)
         assert all(incident(p, f) for p in pts)
 
 

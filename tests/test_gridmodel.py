@@ -5,7 +5,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incidencelab.analysis import minimality_audit
 from incidencelab.exactgeom import ProjPoint, meet
@@ -118,6 +118,17 @@ def grid_point_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
     }
 
 
+def incidence_dict(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
+    """The grid's incidences decoded to {point: refs of the lines through it}."""
+    points, group, line = cfg.incidences
+    refs = [(c, i) for c, size in enumerate(cfg.class_sizes(), start=1) for i in range(size)]
+    coords = cfg.coordinates(points)
+    out = {pt: set() for pt in coords}
+    for g, i in zip(group.tolist(), line.tolist()):
+        out[coords[g]].add(refs[i])
+    return out
+
+
 class TestConfigValidation:
     def test_duplicate_across_classes(self):
         line = gl(1, 0, 1, 1)
@@ -176,7 +187,7 @@ class TestIdBound:
         last = GridLine(k + 1, (n,) * k + (0,))
         cfg = ColoredGridConfig(k, n, [[first], [last]])
         corner = (n,) * (k + 1)
-        assert cfg.incidence_map == {corner: {(1, 0), (2, 0)}}
+        assert incidence_dict(cfg) == {corner: {(1, 0), (2, 0)}}
         assert max_colorful_order(cfg) == (2, corner)
         assert grid_from_json(json.loads(json.dumps(grid_to_json(cfg)))) == cfg
         assert cfg.classes == ((first,), (last,))
@@ -321,6 +332,16 @@ grid_cases = st.builds(
 )
 
 
+# 70 colors on 2 axes of [6]^3: an int64 color mask would overflow here
+MANY_COLORS = dense_mixed_config(random.Random(70), 2, 6, 70, 0.9)
+
+
+def orders(m: int):
+    """Every k for a few colors; at m >= 64, where C(m-1, k-1) color
+    subsets per line rule that out, k = 1, 2 and m."""
+    return range(1, m + 1) if m < 64 else (1, 2, m)
+
+
 class TestCoreAgainstOracles:
     """The incidence core against the point scan, the full grid sweep and
     the per-line rescan, on configs that mix axes within a class and share
@@ -328,8 +349,9 @@ class TestCoreAgainstOracles:
 
     @settings(max_examples=120, deadline=None)
     @given(grid_cases)
+    @example(MANY_COLORS)
     def test_failures_match_point_scan(self, cfg):
-        for k in range(1, cfg.num_colors + 1):
+        for k in orders(cfg.num_colors):
             assert is_k_consistent(cfg, k).failures == point_scan_failures(cfg, k)
 
     @settings(max_examples=120, deadline=None)
@@ -339,8 +361,9 @@ class TestCoreAgainstOracles:
 
     @settings(max_examples=80, deadline=None)
     @given(grid_cases)
+    @example(MANY_COLORS)
     def test_minimality_matches_rescan(self, cfg):
-        for k in range(1, cfg.num_colors + 1):
+        for k in orders(cfg.num_colors):
             if not is_k_consistent(cfg, k).ok:
                 with pytest.raises(ValueError):
                     minimality_audit(cfg, k)
@@ -349,15 +372,19 @@ class TestCoreAgainstOracles:
             assert minimality_audit(cfg, k).removable == removable
             assert removable == tuple(
                 (c, i)
-                for c, i, _ in cfg.lines()
+                for c, size in enumerate(cfg.class_sizes(), start=1)
+                for i in range(size)
                 if not breaks_consistency_without(cfg, k, (c, i))
             )
 
     @settings(max_examples=120, deadline=None)
     @given(grid_cases)
-    def test_incidence_map_matches_sweep(self, cfg):
-        assert cfg.incidence_map == point_enumeration_incidences(cfg)
-        assert list(cfg.incidence_map) == sorted(cfg.incidence_map)
+    def test_incidences_match_sweep(self, cfg):
+        assert incidence_dict(cfg) == point_enumeration_incidences(cfg)
+        points, group, line = cfg.incidences
+        assert np.all(points[1:] > points[:-1])  # lexicographic point order
+        assert np.all((group[1:] > group[:-1]) | (line[1:] > line[:-1]) & (group[1:] == group[:-1]))
+        assert np.array_equal(np.unique(group), np.arange(len(points)))
 
     @settings(max_examples=120, deadline=None)
     @given(grid_cases)

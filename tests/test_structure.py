@@ -1,18 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incidencelab.configs import DualPointConfig, embed_grid_config
 from incidencelab.exactgeom import Line, ProjPoint
 from incidencelab.configs import ColoredLineConfig
-from incidencelab.gridmodel import is_k_consistent, max_colorful_order
+from incidencelab.gridmodel import group_removable, is_k_consistent, max_colorful_order
 from incidencelab.structure import (
+    IncidenceStructure,
     extract_alignments,
     extract_structure_grid,
     extract_structure_lines,
     structure_consistency,
 )
-from test_gridmodel import random_config
+from oracles import loop_consistency, loop_max_colorful, loop_removable
+from test_gridmodel import orders, random_config
 
 
 def line2(a, b):
@@ -111,3 +114,61 @@ class TestAlignments:
 
         cfg, _ = gen_dual_cycles(2)
         assert dual_from_json(dual_to_json(cfg)) == cfg
+
+
+def random_structure(seed: int, m: int, rainbow: bool) -> IncidenceStructure:
+    """Random groups of 1..6 lines over m classes of 0..4 lines, colors
+    repeating within a group; ``rainbow`` gives the classes one size and
+    adds, per index j, the group of every color's line j, which makes the
+    structure k-consistent for every k."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 3)
+    sizes = [size if rainbow else rng.randint(0, 4) for _ in range(m)]
+    refs = [(c, i) for c, s in enumerate(sizes, start=1) for i in range(s)]
+    groups = {
+        frozenset(rng.sample(refs, min(len(refs), rng.randint(1, 6))))
+        for _ in range(rng.randint(0, 3 * m)) if refs
+    }
+    if rainbow:
+        groups |= {frozenset((c, j) for c in range(1, m + 1)) for j in range(size)}
+    return IncidenceStructure(frozenset(groups), tuple(sizes), {g: sorted(g) for g in groups})
+
+
+structures = st.builds(
+    random_structure,
+    st.integers(0, 10**9),
+    st.one_of(st.integers(1, 6), st.integers(64, 70)),
+    st.booleans(),
+)
+
+
+class TestCoreAgainstLoopOracle:
+    """The array core on a structure's entry arrays against the loop core
+    on its monomials: empty classes, groups repeating a color, k up to m,
+    and 64 colors or more, beyond an int64 color mask."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(structures)
+    def test_consistency(self, s):
+        for k in orders(s.num_colors):
+            expected = loop_consistency(s.class_sizes, s.monomials, k)
+            assert structure_consistency(s, k).failures == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(structures)
+    def test_removable(self, s):
+        _, group, line = s.incidences
+        for k in orders(s.num_colors):
+            try:
+                expected = loop_removable(s.class_sizes, s.monomials, k)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    group_removable(s.class_sizes, group, line, k)
+                continue
+            assert group_removable(s.class_sizes, group, line, k) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(structures)
+    def test_max_colorful(self, s):
+        by_refs = sorted(s.monomials, key=sorted)
+        assert s.max_colorful() == loop_max_colorful((s.witnesses[m], m) for m in by_refs)
