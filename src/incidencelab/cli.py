@@ -193,9 +193,7 @@ def _verify_checks(cfg, args) -> tuple[dict, bool]:
             }
             ok &= verdict.minimal
     if args.flatness is not None:
-        line_cfg = _line_view(cfg, "flatness")
-        if s is None:
-            s = extract_structure_lines(line_cfg)
+        line_cfg, s = _line_view(cfg, "flatness"), s or extract_structure(cfg)  # a grid: its own
         records = analysis.flatness_audit(line_cfg, s, args.flatness)
         flats = [r for r in records if r.flat]
         checks["flatness"] = {
@@ -235,7 +233,7 @@ def cmd_transform(args, run: _Run) -> int:
         cfg, s = lift_to_concurrent(cfg, audit=not args.no_audit)
     if args.project is not None:
         if isinstance(cfg, ColoredGridConfig):
-            cfg = embed_grid_config(cfg)
+            s, cfg = extract_structure(cfg), embed_grid_config(cfg)
         if not isinstance(cfg, ColoredLineConfig):
             raise SystemExit2("--project applies to line and grid configurations")
         run.seeds["projection"] = args.seed
@@ -314,9 +312,7 @@ def cmd_analyze(args, run: _Run) -> int:
         }
         ok &= rep.satisfied
     if args.flatness is not None:
-        line_cfg = _line_view(cfg, "flatness")
-        if s is None or line_cfg is not cfg:
-            s = extract_structure_lines(line_cfg)
+        line_cfg, s = _line_view(cfg, "flatness"), s or extract_structure(cfg)
         records = analysis.flatness_audit(line_cfg, s, args.flatness)
         out["flatness"] = {
             "t": args.flatness,
@@ -332,11 +328,9 @@ def cmd_analyze(args, run: _Run) -> int:
 
 def cmd_export(args, run: _Run) -> int:
     cfg = run.read_config(args.config)
-    if isinstance(cfg, ColoredGridConfig):
-        cfg = embed_grid_config(cfg)
-    if isinstance(cfg, ColoredLineConfig) and cfg.d > 2:
+    if isinstance(cfg, ColoredGridConfig) or isinstance(cfg, ColoredLineConfig) and cfg.d > 2:
         run.seeds["projection"] = args.seed
-        cfg = project_generic(cfg, extract_structure_lines(cfg), 2, args.seed).config
+        cfg = project_generic(_line_view(cfg, "svg"), extract_structure(cfg), 2, args.seed).config
     run.write_artifact(args.svg, render.render_svg(cfg))
     return 0
 

@@ -12,6 +12,11 @@ For dual point configurations the same record type holds the maximal
 *alignments* (collinear subsets), which are exactly the dual notion of
 concurrences, so the consistency checks below apply unchanged.
 
+Line concurrences come from a numpy kernel over the line pairs on
+residues mod a prime (``concurrence_buckets``): it certifies skew pairs
+in bulk and groups the others by their meeting point mod p, and each
+point is then confirmed by one exact meet, so structures stay exact.
+
 Verdicts run the incidence core of ``gridmodel`` on the monomials, once
 converted to its entry arrays.  Grid structures add one monomial per
 shared axis direction, which the grid verifiers never count.
@@ -27,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .configs import ColoredLineConfig, DualPointConfig
-from .exactgeom import Line, ProjPoint, covector_2d, meet
+from .exactgeom import Line, ProjPoint, covector_2d, line_covector_2d, meet
 from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,
@@ -35,6 +40,7 @@ from .gridmodel import (
     group_consistency,
     group_max_colorful,
 )
+from .rng import mix64
 
 Monomial = frozenset[LineRef]
 
@@ -100,25 +106,118 @@ def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
     return _structure_from_map(point_map, cfg.class_sizes())
 
 
+# The largest prime below 2^30: a product of two residues is below 2^60.
+PRIME = 2**30 - 35
+# Line pairs per kernel chunk (at least one row); bounds its temporaries.
+PAIR_CHUNK = 1 << 12
+
+
+def _residues(rows, p: int) -> np.ndarray:
+    return np.array([[x % p for x in row] for row in rows], np.int64)
+
+
+def _inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of nonzero residues mod p: a product tree with one ``pow``."""
+    levels = [np.concatenate((x, np.ones((1 << (len(x) - 1).bit_length()) - len(x), np.int64)))]
+    while len(levels[-1]) > 1:
+        levels.append(levels[-1][0::2] * levels[-1][1::2] % p)
+    inv = np.array([pow(int(levels[-1][0]), p - 2, p)], np.int64)
+    for v in reversed(levels[:-1]):
+        inv = np.stack((inv * v[1::2] % p, inv * v[0::2] % p), axis=1).ravel()
+    return inv[: len(x)]
+
+
+def _candidates(lines: Sequence[Line], p: int):
+    """Per chunk of rows i: the pairs (i, j > i) not certified skew, with points."""
+    n, pad = len(lines), (0,) * (3 - lines[0].ambient_dim)  # a plane lies in P^3
+    r1, r2 = (_residues([line.key[t] + pad for line in lines], p) for t in (0, 1))
+    dim, (c1, c2), at = r1.shape[1], np.array([line.pivots for line in lines]).T, np.arange(n)
+    # X = [I | E] and g are fixed and pseudo-random; see concurrence_buckets
+    e = _residues([[mix64(r * dim + c) for c in range(dim - 4)] for r in range(4)], p)
+    g = _residues([[mix64(4 * dim + c) for c in range(dim)]], p)[0]
+    x1, x2 = ((r[:, :4] + (r[:, 4:, None] * e.T % p).sum(axis=1)) % p for r in (r1, r2))
+    pairs = list(combinations(range(4), 2))
+    plucker = np.stack([(x1[:, s] * x2[:, t] - x1[:, t] * x2[:, s]) % p for s, t in pairs], 1)
+    dual = plucker[:, ::-1] * np.array([1, p - 1, 1, 1, p - 1, 1]) % p
+    g1, g2 = ((r * g % p).sum(axis=1) % p for r in (r1, r2))
+    p1, p2 = r1[at, c1], r2[at, c2]
+    s, t1, t2 = p1 * p2 % p, p2 * g1 % p, p1 * g2 % p
+    step = max(1, PAIR_CHUNK // n)
+    for i0 in range(0, n - 1, step):
+        i, j = np.nonzero(np.arange(n) > np.arange(i0, min(i0 + step, n - 1))[:, None])
+        i += i0
+        keep = (plucker[i] * dual[j]).sum(axis=1) % p == 0
+        i, j = i[keep], j[keep]
+        # g(Line.residual) of b's key rows against a = lines[i]
+        u = (s[i] * g1[j] - r1[j, c1[i]] * t1[i] - r1[j, c2[i]] * t2[i]) % p
+        w = (s[i] * g2[j] - r2[j, c1[i]] * t1[i] - r2[j, c2[i]] * t2[i]) % p
+        yield i, j, (r1[j] * w[:, None] - r2[j] * u[:, None]) % p
+
+
 def concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
     """Every point where two or more of the lines meet, with the positions
-    of the lines through it, in first-meeting pair order."""
-    on_points: list[set[ProjPoint]] = [set() for _ in lines]
-    buckets: dict[ProjPoint, set[int]] = {}
-    for i, j in combinations(range(len(lines)), 2):
-        if on_points[i] & on_points[j]:
-            continue  # already bucketed at a shared point
-        pt = meet(lines[i], lines[j])
-        if pt is None:
-            continue
-        buckets.setdefault(pt, set()).update((i, j))
-        on_points[i].add(pt)
-        on_points[j].add(pt)
-    return buckets
+    of the lines through it, in first-meeting pair order: ascending by the
+    two smallest positions of lines through the point.
+
+    A numpy kernel over the line pairs, on residues mod ``PRIME``, proposes
+    the points.  Lines a, b (d >= 3) meet iff their stacked keys M have
+    rank 3; then M X^T (X = [I | E], E fixed pseudo-random) has determinant
+    0, the side product of the Pluecker coordinates of the key pencils
+    mapped by X, so a nonzero residue of it proves the pair skew.  Other
+    pairs get the point g(w)*s1 - g(u)*s2 (b's key rows s1, s2, their
+    residuals u, w against a, a fixed pseudo-random functional g): lines
+    meeting at l*s1 + m*s2 have l*u + m*w = 0, so it is a multiple of the
+    meet.  Planes sit in P^3 as w' = 0.  Points scaled to a leading 1 are
+    grouped by sorting, chunk by chunk; per group two lines meet exactly
+    and ``Line.contains`` checks the others, or the pairs go to exact
+    meets one by one.  So every meeting pair lands on its exact point, and
+    a group of one pair needs nothing more.  Overflow: residues are below
+    p < 2^30, so products of two are below 2^60, and no int64 sum has more
+    than six of them.  Identical lines raise ValueError, as ``meet`` does.
+    """
+    if len({line.ambient_dim for line in lines}) > 1:
+        raise ValueError("lines live in different ambient dimensions")
+    if len({line.key for line in lines}) < len(lines):
+        raise ValueError("meet of identical lines is undefined")
+    if len(lines) < 2:
+        return {}
+    plane = [line_covector_2d(line) for line in lines if line.ambient_dim == 2]
+
+    def exact(x: int, y: int) -> ProjPoint | None:
+        if not plane:
+            return meet(lines[x], lines[y])
+        (a, b, c), (d, e, f) = plane[x], plane[y]  # the cross product of covectors
+        return ProjPoint((b * f - c * e, c * d - a * f, a * e - b * d))
+
+    groups: dict[bytes, set[int]] = {}  # residue point -> lines
+    for i, j, point in _candidates(lines, PRIME):
+        lead = point[np.arange(len(point)), (point != 0).argmax(axis=1)]
+        lead[lead == 0] = 1  # zero points stay zero and form a group of their own
+        point = point * _inverse(lead, PRIME)[:, None] % PRIME
+        order = np.lexsort(point.T)
+        point, first, second = point[order], i[order].tolist(), j[order].tolist()
+        starts = np.flatnonzero(np.diff(point, axis=0, prepend=-1).any(axis=1)).tolist()
+        for a, b, key in zip(starts, starts[1:] + [len(first)], map(bytes, point[starts])):
+            groups.setdefault(key, set()).update(first[a:b], second[a:b])
+    found: dict[ProjPoint, set[int]] = {}
+    pending: list[tuple[int, int]] = []  # pairs to meet one by one
+    for members in groups.values():
+        x, y, *rest = members
+        at = exact(x, y)
+        if at is not None and all(lines[m].contains(at) for m in rest):
+            found.setdefault(at, members).update(members)
+        elif rest:  # a skew pair, a lost point, or two points in one residue class
+            pending += combinations(sorted(members), 2)
+    for x, y in pending:
+        if (at := exact(x, y)) is not None:
+            found.setdefault(at, set()).update((x, y))
+    # two points share at most one line, so their two smallest lines differ
+    order = sorted(found, key=lambda at: sorted(found[at])[:2])
+    return {at: set(sorted(found.pop(at))) for at in order}
 
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
-    """All maximal concurrences of a line configuration via exact pairwise meets."""
+    """All maximal concurrences of a line configuration (``concurrence_buckets``)."""
     entries = list(cfg.lines())
     refs = [(color, idx) for color, idx, _ in entries]
     buckets = concurrence_buckets([line for _, _, line in entries])

@@ -13,6 +13,9 @@ dual structures have them.  ``grid_meet`` meets two grid lines slot by
 slot; the exact rational ``meet`` of embedded lines is checked against it.  ``rref_meet``
 is the reference for the residual-test ``meet``: it solves the 4-column
 system of the two lines' spanning points by generic row reduction.
+``loop_concurrence_buckets`` calls exact ``meet`` on one line pair at a
+time, skipping pairs already bucketed together: the reference for the
+mod-p pair kernel of ``concurrence_buckets``, order of the points included.
 ``dense_deletion`` (the whole n^(k+1) coverage cube) and
 ``sparse_deletion`` (a dict of covered points, line by line) are the
 references for the bit-packed deletion, ``dense_trial_stats`` (whole n^(k+1) count and coverage cubes)
@@ -30,7 +33,7 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from incidencelab.exactgeom import Line, ProjPoint, Rational, int_nullspace
+from incidencelab.exactgeom import Line, ProjPoint, Rational, int_nullspace, meet
 from incidencelab.gridmodel import ColoredGridConfig, GridLine
 
 
@@ -297,6 +300,23 @@ def rref_meet(a: Line, b: Line) -> ProjPoint | None:
         return None
     l1, l2 = null[0][0], null[0][1]
     return ProjPoint([l1 * x + l2 * y for x, y in zip(a.p.coords, a.q.coords)])
+
+
+def loop_concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
+    """Every point where two or more of the lines meet, with the positions
+    of the lines through it, in first-meeting pair order."""
+    on_points: list[set[ProjPoint]] = [set() for _ in lines]
+    buckets: dict[ProjPoint, set[int]] = {}
+    for i, j in combinations(range(len(lines)), 2):
+        if on_points[i] & on_points[j]:
+            continue  # already bucketed at a shared point
+        pt = meet(lines[i], lines[j])
+        if pt is None:
+            continue
+        buckets.setdefault(pt, set()).update((i, j))
+        on_points[i].add(pt)
+        on_points[j].add(pt)
+    return buckets
 
 
 def gridline_from_index(k: int, n: int, axis: int, index: int) -> GridLine:

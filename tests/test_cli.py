@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from functools import cached_property
@@ -342,6 +343,38 @@ class TestTransformAnalyze:
         assert run([*argv, "-o", "proj.json"]) == 0
         lifted = extracted[0]  # the lift audit
         assert [cfg is lifted for cfg in extracted].count(True) == 1
+
+    def test_grid_projection_extracts_only_the_images(self, workdir, monkeypatch):
+        # the grid's own structure is the audit reference, so each projection
+        # attempt extracts its image and the embedded source is never extracted
+        extracted, results = [], []
+        original = transforms.extract_structure_lines
+
+        def counting(cfg):
+            extracted.append(cfg)
+            return original(cfg)
+
+        for module in (cli, transforms):
+            monkeypatch.setattr(module, "extract_structure_lines", counting)
+        project = cli.project_generic
+        monkeypatch.setattr(
+            cli, "project_generic", lambda *a: results.append(project(*a)) or results[-1]
+        )
+        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
+        argv = ["transform", "alg.json", "--project", "3", "--seed", "11", "-o", "proj.json"]
+        assert run(argv) == 0
+        assert len(extracted) == results[0].attempts
+        assert all(cfg.d == 3 for cfg in extracted)
+
+    def test_alg_3_3_lift_project_bytes(self, workdir, capsys):
+        # the artifact of the exact pairwise meet loop, byte for byte
+        run(["gen", "algebraic", "--k", "3", "--p", "3", "-o", "alg.json"])
+        argv = ["transform", "alg.json", "--lift", "--project", "3", "--seed", "11"]
+        assert run([*argv, "-o", "proj.json"]) == 0
+        digest = hashlib.sha256((workdir / "proj.json").read_bytes()).hexdigest()
+        assert digest == "172a2352649062302521b7d34c1c9f6b377cb1f6357ae19658b7d1033fbd63f9"
+        args = ["--k-consistency", "3", "--max-colorful", "3"]
+        assert run(["verify", "proj.json", *args]) == 0
 
     def test_dualize_round_trip(self, workdir):
         run(["gen", "desargues", "-o", "des.json"])

@@ -1,20 +1,30 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incidencelab import structure
 from incidencelab.configs import DualPointConfig, embed_grid_config
+from incidencelab.constructions import ProbParams, gen_probabilistic
 from incidencelab.exactgeom import Line, ProjPoint
 from incidencelab.configs import ColoredLineConfig
 from incidencelab.gridmodel import group_removable, is_k_consistent, max_colorful_order
+from incidencelab.transforms import lift_to_concurrent
 from incidencelab.structure import (
     IncidenceStructure,
+    concurrence_buckets,
     extract_alignments,
     extract_structure_grid,
     extract_structure_lines,
     structure_consistency,
 )
-from oracles import loop_consistency, loop_max_colorful, loop_removable
+from oracles import (
+    loop_concurrence_buckets,
+    loop_consistency,
+    loop_max_colorful,
+    loop_removable,
+)
 from test_gridmodel import orders, random_config
 
 
@@ -51,6 +61,16 @@ class TestExtraction:
         assert extract_structure_grid(cfg) == extract_structure_lines(
             embed_grid_config(cfg)
         )
+
+    @pytest.mark.parametrize("grid", ["algebraic_3_2", "algebraic_3_3", "probabilistic_8"])
+    def test_grid_structure_is_the_embedded_structure(self, grid, request):
+        # grid inputs of the line-only commands use the grid's own structure
+        if grid == "probabilistic_8":
+            cfg = gen_probabilistic(ProbParams(3, 8, 5))[0]
+        else:
+            cfg = request.getfixturevalue(grid)
+        s, embedded = extract_structure_grid(cfg), extract_structure_lines(embed_grid_config(cfg))
+        assert s == embedded and s.witnesses == embedded.witnesses
 
     def test_grid_direction_monomials(self):
         rng = random.Random(3)
@@ -172,3 +192,104 @@ class TestCoreAgainstLoopOracle:
     def test_max_colorful(self, s):
         by_refs = sorted(s.monomials, key=sorted)
         assert s.max_colorful() == loop_max_colorful((s.witnesses[m], m) for m in by_refs)
+
+
+@st.composite
+def line_lists(draw):
+    """2..14 lines in projective d-space, d = 2..5, each through two of a
+    pool of 3..7 small points: lines sharing a pool point form concurrent
+    classes, pool points with w = 0 give parallel lines and points at
+    infinity, and collinear pool points give identical lines.  A diagonal
+    map scaling every other coordinate by a large factor keeps the
+    incidences and puts coordinates above 2^64."""
+    d = draw(st.integers(2, 5))
+    scale = draw(st.sampled_from([1, 2**64 + 13, 3**45]))
+    point = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1).filter(any)
+    pool = [
+        ProjPoint([x * scale if t % 2 else x for t, x in enumerate(coords)])
+        for coords in draw(
+            st.lists(point, min_size=3, max_size=7, unique_by=lambda c: ProjPoint(c).coords)
+        )
+    ]
+    index = st.integers(0, len(pool) - 1)
+    pair = st.tuples(index, index).map(sorted).map(tuple).filter(lambda t: t[0] < t[1])
+    pairs = draw(st.lists(pair, min_size=2, max_size=14, unique=True))
+    return [Line(pool[a], pool[b]) for a, b in pairs]
+
+
+def assert_kernel_matches_loop(lines):
+    """Equal dicts, in order, on distinct lines; identical lines raise, and
+    the loop raises only for identical lines."""
+    try:
+        expected = list(loop_concurrence_buckets(lines).items())
+    except ValueError:
+        expected = None
+    if len({line.key for line in lines}) < len(lines) or expected is None:
+        with pytest.raises(ValueError):
+            concurrence_buckets(lines)
+        assert len({line.key for line in lines}) < len(lines)
+        return
+    got = list(concurrence_buckets(lines).items())
+    assert got == expected
+    assert [list(m) for _, m in got] == [list(m) for _, m in expected]  # set order too
+
+
+class TestConcurrenceKernel:
+    """The mod-p pair kernel against the pairwise exact meet loop: the same
+    points, members and order on distinct lines, and ValueError on
+    identical lines, the only inputs for which the loop raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(line_lists())
+    def test_matches_loop(self, lines):
+        assert_kernel_matches_loop(lines)
+
+    @pytest.mark.parametrize("prime, chunk", [(2, 1), (3, 7), (5, 7), (5, 1)])
+    @settings(max_examples=100, deadline=None)
+    @given(lines=line_lists())
+    def test_tiny_prime_and_chunks(self, prime, chunk, lines):
+        # residues collide, points vanish mod p and chunks end mid-list
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structure, "PRIME", prime)
+            mp.setattr(structure, "PAIR_CHUNK", chunk)
+            assert_kernel_matches_loop(lines)
+
+    @pytest.mark.parametrize("chunk", [1, 900])  # 1 and 7 of the 128 lines' rows
+    def test_partial_chunks_on_a_lift(self, chunk, monkeypatch, algebraic_3_2):
+        lines = [line for _, _, line in lift_to_concurrent(algebraic_3_2, audit=False)[0].lines()]
+        monkeypatch.setattr(structure, "PAIR_CHUNK", chunk)
+        assert_kernel_matches_loop(lines)
+
+    def test_no_lines_and_one_line(self):
+        line = line2((0, 0), (1, 1))
+        assert concurrence_buckets([]) == {} == loop_concurrence_buckets([])
+        assert concurrence_buckets([line]) == {} == loop_concurrence_buckets([line])
+
+    def test_identical_lines(self):
+        a, b = line2((0, 0), (1, 1)), line2((0, 1), (1, 0))
+        copy = line2((2, 2), (3, 3))
+        for lines in ([a, copy], [a, b, copy], [b, a, copy], [a, b, copy, copy]):
+            assert_kernel_matches_loop(lines)
+        with pytest.raises(ValueError):
+            loop_concurrence_buckets([a, copy])
+        # b meets a before the copy of a is reached, so the loop skips that
+        # pair; the kernel refuses identical lines whatever their order
+        assert len(loop_concurrence_buckets([b, a, copy])) == 1
+        with pytest.raises(ValueError):
+            concurrence_buckets([b, a, copy])
+
+    def test_mixed_dimensions_raise(self):
+        with pytest.raises(ValueError):
+            concurrence_buckets([line2((0, 0), (1, 1)), Line.through_affine((0, 0, 0), (1, 1, 1))])
+
+    def test_memory_is_bounded_on_alg_3_3(self, algebraic_3_3):
+        # 972 lifted lines, 471,906 pairs
+        lines = [line for _, _, line in lift_to_concurrent(algebraic_3_3, audit=False)[0].lines()]
+        tracemalloc.start()
+        try:
+            buckets = concurrence_buckets(lines)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(buckets) == 2434
+        assert peak < 32 * 2**20
