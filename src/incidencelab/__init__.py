@@ -31,9 +31,7 @@ from .constructions import (
     AlgebraicParams,
     DeletionReport,
     DualCyclesReport,
-    FiniteVec,
     ProbParams,
-    default_v_vectors,
     gen_algebraic,
     gen_desargues,
     gen_dual_cycles,

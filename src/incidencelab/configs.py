@@ -150,12 +150,24 @@ def lines_to_json(cfg: ColoredLineConfig) -> dict:
     return {"model": "lines", "d": cfg.d, "classes": classes}
 
 
+def _class_entries(data: dict) -> list:
+    """The classes of a line or point file; entry i must have color i + 1."""
+    for pos, entry in enumerate(data["classes"]):
+        if type(entry["color"]) is not int or entry["color"] != pos + 1:
+            raise ValueError(f"classes[{pos}] has color {entry['color']!r}, not the int {pos + 1}")
+    return data["classes"]
+
+
 def lines_from_json(data: dict) -> ColoredLineConfig:
+    """The configuration of a lines file; ``d`` must be a JSON int and the
+    colors 1, 2, ... in class order, else ValueError."""
     if data.get("model") != "lines":
         raise ValueError("not a line configuration")
+    if type(data["d"]) is not int:
+        raise ValueError(f"a line configuration needs an integer d, not {data['d']!r}")
     classes = []
     centers = []
-    for entry in data["classes"]:
+    for entry in _class_entries(data):
         classes.append(
             [
                 Line(ProjPoint.from_strings(ln["p"]), ProjPoint.from_strings(ln["q"]))
@@ -178,13 +190,12 @@ def dual_to_json(cfg: DualPointConfig) -> dict:
 
 
 def dual_from_json(data: dict) -> DualPointConfig:
+    """The configuration of a points file; the colors must be 1, 2, ... in
+    class order, else ValueError."""
     if data.get("model") != "points":
         raise ValueError("not a dual point configuration")
     return DualPointConfig(
-        [
-            [ProjPoint.from_strings(p) for p in entry["points"]]
-            for entry in data["classes"]
-        ]
+        [[ProjPoint.from_strings(p) for p in entry["points"]] for entry in _class_entries(data)]
     )
 
 

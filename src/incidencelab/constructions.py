@@ -1,8 +1,10 @@
 """Generators for colored line configurations.
 
 * ``gen_algebraic`` — k+1 concurrent-after-lift classes of axis lines in
-  [n]^(k+1), n = p^(k-1), selected by linear equations over (Z/pZ)^(k-1);
-  k-consistent, no (k+1)-incidence, minimal, |class| = p^(k^2-k-1).
+  [n]^(k+1), n = p^(k-1), selected by linear equations over (Z/pZ)^(k-1)
+  with one fixed vector family (``AlgebraicParams``: every admissible
+  family gives the same configuration up to relabeling); k-consistent,
+  no (k+1)-incidence, minimal, |class| = p^(k^2-k-1).
 * ``gen_probabilistic`` — two-stage random selection: keep each grid line
   independently with an exact rational probability, then delete every
   line through a point covered by all k+1 axes (which unconditionally
@@ -86,86 +88,27 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _modp_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    mat = [[v % p for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] % p != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] % p != 0:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-@dataclass(frozen=True)
-class FiniteVec:
-    """A vector of length k-1 over Z/pZ, entries reduced mod p."""
-
-    entries: tuple[int, ...]
-    p: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if any(not 0 <= e < self.p for e in self.entries):
-            raise ValueError("entries must be reduced mod p")
-
-    def dot(self, other: Sequence[int]) -> int:
-        return sum(a * b for a, b in zip(self.entries, other)) % self.p
-
-
-def default_v_vectors(k: int, p: int) -> list[FiniteVec]:
-    """The standard admissible vector family: e_1..e_(k-1) and -(e_1+...+e_(k-1))."""
-    if k < 3:
-        raise ValueError("need k >= 3")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    dim = k - 1
-    vecs = [
-        FiniteVec(tuple(1 if t == i else 0 for t in range(dim)), p) for i in range(dim)
-    ]
-    vecs.append(FiniteVec(tuple((-1) % p for _ in range(dim)), p))
-    return vecs
-
-
 @dataclass(frozen=True)
 class AlgebraicParams:
-    """Parameters of the finite-field selection: prime p and vectors v_1..v_k
-    summing to zero with every proper subset linearly independent."""
+    """Parameters of the finite-field selection: a prime p and the vectors
+    v = e_1, ..., e_(k-1), -(e_1 + ... + e_(k-1)) of (Z/pZ)^(k-1), which sum
+    to zero with every k-1 of them independent.  Any such family is A*v for
+    an invertible A, and x -> A^T x on every slot maps its selection onto
+    this one's, so no other family adds a configuration up to relabeling."""
 
     k: int
     p: int
-    v: tuple[FiniteVec, ...]
 
-    def __init__(self, k: int, p: int, v: Sequence[FiniteVec] | None = None):
-        if k < 3:
+    def __post_init__(self) -> None:
+        if self.k < 3:
             raise ValueError("algebraic construction needs k >= 3")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        vecs = tuple(v) if v is not None else tuple(default_v_vectors(k, p))
-        if len(vecs) != k:
-            raise ValueError(f"need exactly {k} vectors")
-        if any(vec.p != p or len(vec.entries) != k - 1 for vec in vecs):
-            raise ValueError("vectors must live in (Z/pZ)^(k-1)")
-        total = [sum(vec.entries[t] for vec in vecs) % p for t in range(k - 1)]
-        if any(total):
-            raise ValueError("vectors must sum to zero")
-        for subset in combinations(vecs, k - 1):
-            if _modp_rank([vec.entries for vec in subset], p) != k - 1:
-                raise ValueError("every proper subset of vectors must be independent")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v", vecs)
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+
+    @property
+    def v(self) -> tuple[tuple[int, ...], ...]:
+        units = [tuple(int(t == i) for t in range(self.k - 1)) for i in range(self.k - 1)]
+        return (*units, (self.p - 1,) * (self.k - 1))
 
     @property
     def n(self) -> int:
@@ -174,10 +117,6 @@ class AlgebraicParams:
     @property
     def class_size(self) -> int:
         return self.p ** (self.k * self.k - self.k - 1)
-
-
-def _coord_from_vec(entries: Sequence[int], p: int) -> int:
-    return 1 + sum(e * p**t for t, e in enumerate(entries))
 
 
 def _enumerate_affine_solutions(
@@ -216,13 +155,13 @@ def gen_algebraic(params: AlgebraicParams) -> ColoredGridConfig:
             slots = list(range(1, k + 1))
             slot_coeff = {j: v[k - 1] for j in slots}
             rhs = 1
-        coeffs = [slot_coeff[j].entries[t] for j in slots for t in range(dim)]
+        coeffs = [slot_coeff[j][t] for j in slots for t in range(dim)]
         ids = []
         for sol in _enumerate_affine_solutions(coeffs, rhs, p):
             line_id = i - 1  # the grid line id: axis, then the slots' coordinates
-            for s_idx in range(len(slots)):
-                coord = _coord_from_vec(sol[s_idx * dim : (s_idx + 1) * dim], p)
-                line_id = line_id * n + coord - 1
+            for s_idx in range(len(slots)):  # coordinate 1 + the little-endian digits
+                digits = sol[s_idx * dim : (s_idx + 1) * dim]
+                line_id = line_id * n + sum(e * p**t for t, e in enumerate(digits))
             ids.append(line_id)
         if len(ids) != params.class_size:
             raise RuntimeError("algebraic class has unexpected size")
@@ -621,15 +560,13 @@ def gen_desargues() -> ColoredLineConfig:
     if len(lines) != 12:
         raise RuntimeError("witness does not produce 12 two-plane lines")
 
-    bucket_map = concurrence_buckets(lines)
+    bucket_map = concurrence_buckets(lines)  # ordered by each point's sorted lines
     buckets = [frozenset(b) for b in bucket_map.values()]
-    candidates = []
-    for at, members in sorted(bucket_map.items(), key=lambda kv: sorted(kv[1])):
-        bucket = frozenset(members)
-        if len(bucket) != 3:
-            continue
-        if rank_of_directions([lines[i] for i in sorted(bucket)], at) == 3:
-            candidates.append(bucket)
+    candidates = [
+        bucket
+        for bucket, at in zip(buckets, bucket_map)
+        if len(bucket) == 3 and rank_of_directions([lines[i] for i in bucket], at) == 3
+    ]
     for cand in candidates:
         fixed = {i: 1 for i in cand}
         free = [i for i in range(12) if i not in cand]
@@ -674,8 +611,7 @@ def gen_reye() -> ColoredLineConfig:
     result is 3-consistent with no colorful incidence; triples of parallel
     edges meet at infinity, so some incidence points are infinite."""
     lines = _cube_lines()
-    buckets_map = concurrence_buckets(lines)
-    buckets = [frozenset(b) for b in buckets_map.values()]
+    buckets = [frozenset(b) for b in concurrence_buckets(lines).values()]
     if len(buckets) != 12 or any(len(b) != 4 for b in buckets):
         raise RuntimeError("cube lines do not form the expected 12x4 structure")
     memberships = [frozenset(i for i, b in enumerate(buckets) if idx in b) for idx in range(16)]

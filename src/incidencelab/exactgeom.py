@@ -50,14 +50,15 @@ def _canonical_ints(values: Sequence[Rational]) -> tuple[int, ...]:
             scale = lcm(*(f.denominator for f in fracs))
             values = [int(f * scale) for f in fracs]
             break
-    if not any(values):
-        raise ValueError("zero vector has no canonical homogeneous form")
     return _reduce_row(values)
 
 
 def _reduce_row(row: Sequence[int]) -> tuple[int, ...]:
-    """Divide a nonzero integer row by its gcd and fix the leading sign."""
+    """Divide an integer row by its gcd and fix the leading sign; a zero
+    row has no canonical form (ValueError)."""
     g = gcd(*row)
+    if not g:
+        raise ValueError("zero vector has no canonical homogeneous form")
     for first in row:
         if first:
             break
@@ -313,10 +314,11 @@ def apply_matrix(matrix: Sequence[Sequence[Rational]], point: ProjPoint) -> Proj
     return ProjPoint([sum(m * c for m, c in zip(row, point.coords)) for row in matrix])
 
 
-def covector_2d(p: ProjPoint, q: ProjPoint) -> tuple[int, ...]:
-    """Canonical covector (a, b, c) of the planar line through two distinct
-    points, a*x + b*y + c*w = 0: their cross product, reduced."""
-    (p1, p2, p3), (q1, q2, q3) = p.coords, q.coords
+def covector_2d(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The canonical cross product of two independent integer triples: the
+    covector (a, b, c) of the line a*x + b*y + c*w = 0 through two points,
+    or the point where two lines with those covectors meet; else ValueError."""
+    (p1, p2, p3), (q1, q2, q3) = p, q
     return _reduce_row((p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1))
 
 
@@ -324,7 +326,7 @@ def line_covector_2d(line: Line) -> tuple[int, ...]:
     """Canonical covector (a, b, c) of a planar line: a*x + b*y + c*w = 0."""
     if line.ambient_dim != 2:
         raise ValueError("covectors are defined for planar lines only")
-    return covector_2d(line.p, line.q)
+    return covector_2d(line.p.coords, line.q.coords)
 
 
 def line_from_covector_2d(cov: Sequence[int]) -> Line:

@@ -12,10 +12,14 @@ For dual point configurations the same record type holds the maximal
 *alignments* (collinear subsets), which are exactly the dual notion of
 concurrences, so the consistency checks below apply unchanged.
 
-Line concurrences come from a numpy kernel over the line pairs on
-residues mod a prime (``concurrence_buckets``): it certifies skew pairs
-in bulk and groups the others by their meeting point mod p, and each
-point is then confirmed by one exact meet, so structures stay exact.
+In the plane both group pairs by one exact cross product
+(``planar_buckets``): the line through two points, or the point where
+two lines meet.  Line concurrences in d >= 3 come from a numpy kernel
+over the line pairs on residues mod a prime (``concurrence_buckets``):
+it certifies skew pairs in bulk and groups the others by their meeting
+point mod p, and each point is then confirmed by one exact meet, so
+structures stay exact.  Every extractor hands buckets of line positions
+to one builder.
 
 Verdicts run the incidence core of ``gridmodel`` on the monomials, once
 converted to its entry arrays.  Grid structures add one monomial per
@@ -84,26 +88,26 @@ class IncidenceStructure:
         return order, None if at is None else self.witnesses.get(frozenset(monomials[at]))
 
 
-def _structure_from_map(
-    point_map: dict, class_sizes: tuple[int, ...]
-) -> IncidenceStructure:
-    witnesses = {frozenset(refs): at for at, refs in point_map.items() if len(refs) >= 2}
+def _structure(buckets: dict, class_sizes: tuple[int, ...]) -> IncidenceStructure:
+    """The structure of buckets of line positions (lines counted in class
+    order): one monomial per bucket of two or more, its key the witness."""
+    refs = [(c, i) for c, size in enumerate(class_sizes, start=1) for i in range(size)]
+    kept = ((at, members) for at, members in buckets.items() if len(members) >= 2)
+    witnesses = {frozenset([refs[i] for i in members]): at for at, members in kept}
     return IncidenceStructure(frozenset(witnesses), class_sizes, witnesses)
 
 
 def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
     """Grid-point concurrences plus one monomial per shared axis direction."""
     points, group, line = cfg.incidences
-    refs = [(c, i) for c, size in enumerate(cfg.class_sizes(), start=1) for i in range(size)]
-    at = [ProjPoint.affine(pt) for pt in cfg.coordinates(points)]
-    point_map: dict[ProjPoint, set[LineRef]] = {}
-    for g, i in zip(group.tolist(), line.tolist()):
-        point_map.setdefault(at[g], set()).add(refs[i])
+    starts = np.flatnonzero(np.diff(group, prepend=-1))[1:]  # entries sort by group
+    at = map(ProjPoint.affine, cfg.coordinates(points))
+    buckets = dict(zip(at, (members.tolist() for members in np.split(line, starts))))
     axes = np.concatenate((np.empty(0, np.int64), *cfg.ids)) // cfg.n**cfg.k
     for axis in np.unique(axes).tolist():
         direction = ProjPoint.direction([int(t == axis) for t in range(cfg.k + 1)])
-        point_map[direction] = {refs[i] for i in np.flatnonzero(axes == axis).tolist()}
-    return _structure_from_map(point_map, cfg.class_sizes())
+        buckets[direction] = np.flatnonzero(axes == axis).tolist()
+    return _structure(buckets, cfg.class_sizes())
 
 
 # The largest prime below 2^30: a product of two residues is below 2^60.
@@ -128,9 +132,9 @@ def _inverse(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _candidates(lines: Sequence[Line], p: int):
-    """Per chunk of rows i: the pairs (i, j > i) not certified skew, with points."""
-    n, pad = len(lines), (0,) * (3 - lines[0].ambient_dim)  # a plane lies in P^3
-    r1, r2 = (_residues([line.key[t] + pad for line in lines], p) for t in (0, 1))
+    """Per chunk of rows i: the pairs (i, j > i) not certified skew (d >= 3), with points."""
+    n = len(lines)
+    r1, r2 = (_residues([line.key[t] for line in lines], p) for t in (0, 1))
     dim, (c1, c2), at = r1.shape[1], np.array([line.pivots for line in lines]).T, np.arange(n)
     # X = [I | E] and g are fixed and pseudo-random; see concurrence_buckets
     e = _residues([[mix64(r * dim + c) for c in range(dim - 4)] for r in range(4)], p)
@@ -154,26 +158,39 @@ def _candidates(lines: Sequence[Line], p: int):
         yield i, j, (r1[j] * w[:, None] - r2[j] * u[:, None]) % p
 
 
+def planar_buckets(triples: Sequence[Sequence[int]]) -> dict[tuple[int, ...], set[int]]:
+    """Every canonical cross product of two of the planar triples, with the
+    positions of the triples incident to it, in first-pair order: points
+    give the covectors of their alignments, line covectors the points where
+    the lines meet.  One projective element twice raises ValueError."""
+    buckets: dict[tuple[int, ...], set[int]] = {}
+    for (i, a), (j, b) in combinations(enumerate(triples), 2):
+        buckets.setdefault(covector_2d(a, b), set()).update((i, j))
+    return buckets
+
+
 def concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
     """Every point where two or more of the lines meet, with the positions
     of the lines through it, in first-meeting pair order: ascending by the
     two smallest positions of lines through the point.
 
-    A numpy kernel over the line pairs, on residues mod ``PRIME``, proposes
-    the points.  Lines a, b (d >= 3) meet iff their stacked keys M have
-    rank 3; then M X^T (X = [I | E], E fixed pseudo-random) has determinant
-    0, the side product of the Pluecker coordinates of the key pencils
-    mapped by X, so a nonzero residue of it proves the pair skew.  Other
-    pairs get the point g(w)*s1 - g(u)*s2 (b's key rows s1, s2, their
-    residuals u, w against a, a fixed pseudo-random functional g): lines
-    meeting at l*s1 + m*s2 have l*u + m*w = 0, so it is a multiple of the
-    meet.  Planes sit in P^3 as w' = 0.  Points scaled to a leading 1 are
-    grouped by sorting, chunk by chunk; per group two lines meet exactly
-    and ``Line.contains`` checks the others, or the pairs go to exact
-    meets one by one.  So every meeting pair lands on its exact point, and
-    a group of one pair needs nothing more.  Overflow: residues are below
-    p < 2^30, so products of two are below 2^60, and no int64 sum has more
-    than six of them.  Identical lines raise ValueError, as ``meet`` does.
+    Planar lines meet at the cross products of their covectors
+    (``planar_buckets``).  For d >= 3 a numpy kernel over the line pairs,
+    on residues mod ``PRIME``, proposes the points.  Lines a, b meet iff
+    their stacked keys M have rank 3; then M X^T (X = [I | E], E fixed
+    pseudo-random) has determinant 0, the side product of the Pluecker
+    coordinates of the key pencils mapped by X, so a nonzero residue of it
+    proves the pair skew.  Other pairs get the point g(w)*s1 - g(u)*s2
+    (b's key rows s1, s2, their residuals u, w against a, a fixed
+    pseudo-random functional g): lines meeting at l*s1 + m*s2 have
+    l*u + m*w = 0, so it is a multiple of the meet.  Points scaled to a
+    leading 1 are grouped by sorting, chunk by chunk; per group two lines
+    meet exactly and ``Line.contains`` checks the others, or the pairs go
+    to exact meets one by one.  So every meeting pair lands on its exact
+    point, and a group of one pair needs nothing more.  Overflow: residues
+    are below p < 2^30, so products of two are below 2^60, and no int64
+    sum has more than six of them.  Identical lines raise ValueError, as
+    ``meet`` does.
     """
     if len({line.ambient_dim for line in lines}) > 1:
         raise ValueError("lines live in different ambient dimensions")
@@ -181,14 +198,9 @@ def concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
         raise ValueError("meet of identical lines is undefined")
     if len(lines) < 2:
         return {}
-    plane = [line_covector_2d(line) for line in lines if line.ambient_dim == 2]
-
-    def exact(x: int, y: int) -> ProjPoint | None:
-        if not plane:
-            return meet(lines[x], lines[y])
-        (a, b, c), (d, e, f) = plane[x], plane[y]  # the cross product of covectors
-        return ProjPoint((b * f - c * e, c * d - a * f, a * e - b * d))
-
+    if lines[0].ambient_dim == 2:
+        buckets = planar_buckets([line_covector_2d(line) for line in lines])
+        return {ProjPoint(at): members for at, members in buckets.items()}
     groups: dict[bytes, set[int]] = {}  # residue point -> lines
     for i, j, point in _candidates(lines, PRIME):
         lead = point[np.arange(len(point)), (point != 0).argmax(axis=1)]
@@ -203,13 +215,13 @@ def concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
     pending: list[tuple[int, int]] = []  # pairs to meet one by one
     for members in groups.values():
         x, y, *rest = members
-        at = exact(x, y)
+        at = meet(lines[x], lines[y])
         if at is not None and all(lines[m].contains(at) for m in rest):
             found.setdefault(at, members).update(members)
         elif rest:  # a skew pair, a lost point, or two points in one residue class
             pending += combinations(sorted(members), 2)
     for x, y in pending:
-        if (at := exact(x, y)) is not None:
+        if (at := meet(lines[x], lines[y])) is not None:
             found.setdefault(at, set()).update((x, y))
     # two points share at most one line, so their two smallest lines differ
     order = sorted(found, key=lambda at: sorted(found[at])[:2])
@@ -218,21 +230,15 @@ def concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
     """All maximal concurrences of a line configuration (``concurrence_buckets``)."""
-    entries = list(cfg.lines())
-    refs = [(color, idx) for color, idx, _ in entries]
-    buckets = concurrence_buckets([line for _, _, line in entries])
-    point_map = {pt: {refs[i] for i in members} for pt, members in buckets.items()}
-    return _structure_from_map(point_map, cfg.class_sizes())
+    buckets = concurrence_buckets([line for _, _, line in cfg.lines()])
+    return _structure(buckets, cfg.class_sizes())
 
 
 def extract_alignments(cfg: DualPointConfig) -> IncidenceStructure:
-    """Maximal collinear subsets of a dual point configuration."""
-    entries = list(cfg.points())
-    line_map: dict[tuple[int, ...], set[LineRef]] = {}
-    for (ca, ia, pa), (cb, ib, pb) in combinations(entries, 2):
-        cov = covector_2d(pa, pb)
-        line_map.setdefault(cov, set()).update([(ca, ia), (cb, ib)])
-    return _structure_from_map(line_map, cfg.class_sizes())
+    """Maximal collinear subsets of a dual point configuration, with their
+    covectors as witnesses (``planar_buckets``)."""
+    buckets = planar_buckets([p.coords for _, _, p in cfg.points()])
+    return _structure(buckets, cfg.class_sizes())
 
 
 def extract_structure(cfg) -> IncidenceStructure:

@@ -16,6 +16,9 @@ system of the two lines' spanning points by generic row reduction.
 ``loop_concurrence_buckets`` calls exact ``meet`` on one line pair at a
 time, skipping pairs already bucketed together: the reference for the
 mod-p pair kernel of ``concurrence_buckets``, order of the points included.
+``loop_alignments`` joins two dual points at a time by an integer
+nullspace: the reference for the cross products of ``planar_buckets``
+behind ``extract_alignments``, witness order included.
 ``dense_deletion`` (the whole n^(k+1) coverage cube) and
 ``sparse_deletion`` (a dict of covered points, line by line) are the
 references for the bit-packed deletion, ``dense_trial_stats`` (whole n^(k+1) count and coverage cubes)
@@ -35,6 +38,7 @@ import numpy as np
 
 from incidencelab.exactgeom import Line, ProjPoint, Rational, int_nullspace, meet
 from incidencelab.gridmodel import ColoredGridConfig, GridLine
+from incidencelab.structure import IncidenceStructure
 
 
 def point_on_line(point: tuple[int, ...], line: GridLine) -> bool:
@@ -317,6 +321,20 @@ def loop_concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]
         on_points[i].add(pt)
         on_points[j].add(pt)
     return buckets
+
+
+def loop_alignments(classes: Sequence[Sequence[ProjPoint]]) -> IncidenceStructure:
+    """Maximal collinear subsets of colored planar points, witnessed by the
+    covector of their line: the nullspace of each pair of points in turn."""
+    points = [(c, i, p) for c, cls in enumerate(classes, start=1) for i, p in enumerate(cls)]
+    line_map: dict[tuple[int, ...], set] = {}
+    for (ca, ia, pa), (cb, ib, pb) in combinations(points, 2):
+        null = int_nullspace([pa.coords, pb.coords], 3)
+        if len(null) != 1:
+            raise ValueError("a line needs two distinct points")
+        line_map.setdefault(null[0], set()).update([(ca, ia), (cb, ib)])
+    witnesses = {frozenset(refs): cov for cov, refs in line_map.items()}
+    return IncidenceStructure(frozenset(witnesses), tuple(map(len, classes)), witnesses)
 
 
 def gridline_from_index(k: int, n: int, axis: int, index: int) -> GridLine:

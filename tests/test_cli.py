@@ -201,6 +201,38 @@ class TestVerify:
         assert run(["verify", "c.json", "--max-colorful", "2"]) == 2
         assert "classes[0] has color 1000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["transform", "export"])
+    def test_float_d_exits_2(self, workdir, capsys, command):
+        run(["gen", "desargues", "-o", "des.json"])
+        data = json.loads((workdir / "des.json").read_text())
+        data["d"] = 3.0
+        (workdir / "bad.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        if command == "transform":
+            argv = ["transform", "bad.json", "--project", "2", "-o", "out.json"]
+        else:
+            argv = ["export", "bad.json", "--svg", "out.svg"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed configuration bad.json") and "3.0" in err
+        assert not list(workdir.glob("out.*"))
+
+    @pytest.mark.parametrize("model", ["lines", "points"])
+    @pytest.mark.parametrize("colors", [[99, 2, 3, 4], [2, 1, 3, 4]], ids=["99", "swapped"])
+    def test_colors_out_of_class_order_exit_2(self, workdir, capsys, model, colors):
+        gen = ["desargues"] if model == "lines" else ["dual-cycles", "--r", "2"]
+        run(["gen", *gen, "-o", "cfg.json"])
+        data = json.loads((workdir / "cfg.json").read_text())
+        assert data["model"] == model and len(data["classes"]) == 4
+        for entry, color in zip(data["classes"], colors):
+            entry["color"] = color
+        (workdir / "bad.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["verify", "bad.json", "--k-consistency", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed configuration bad.json")
+        assert f"classes[0] has color {colors[0]}" in err
+
     @pytest.mark.parametrize(
         "value,reason", [(1, "not 1"), ("1/0", "zero denominator in '1/0'")]
     )
@@ -375,6 +407,16 @@ class TestTransformAnalyze:
         assert digest == "172a2352649062302521b7d34c1c9f6b377cb1f6357ae19658b7d1033fbd63f9"
         args = ["--k-consistency", "3", "--max-colorful", "3"]
         assert run(["verify", "proj.json", *args]) == 0
+
+    def test_alg_3_2_lift_project_2_dualize_bytes(self, workdir, capsys):
+        # planar lines and dual points through the one planar routine
+        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
+        argv = ["transform", "alg.json", "--lift", "--project", "2", "--dualize", "--seed", "11"]
+        assert run([*argv, "-o", "dual.json"]) == 0
+        digest = hashlib.sha256((workdir / "dual.json").read_bytes()).hexdigest()
+        assert digest == "55928455ce02bbfa0e0e8426e4fe175b2b7d1d38f918275de5c1d2eab3f37aa8"
+        args = ["--k-consistency", "3", "--max-colorful", "3"]
+        assert run(["verify", "dual.json", *args]) == 0
 
     def test_dualize_round_trip(self, workdir):
         run(["gen", "desargues", "-o", "des.json"])

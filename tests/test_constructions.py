@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from incidencelab.configs import concurrency_center
 from incidencelab.constructions import (
     AlgebraicParams,
-    FiniteVec,
     SELECTION_CHUNK,
     ProbParams,
     _deletion,
@@ -20,7 +19,6 @@ from incidencelab.constructions import (
     _stage_masks,
     _trial_stats,
     default_generic_slits,
-    default_v_vectors,
     gen_dual_cycles,
     gen_probabilistic,
     gen_tricolor,
@@ -74,28 +72,24 @@ def final_masks(draw, k, n):
 
 class TestVVectors:
     def test_k3_p2(self):
-        assert [v.entries for v in default_v_vectors(3, 2)] == [(1, 0), (0, 1), (1, 1)]
+        assert AlgebraicParams(3, 2).v == ((1, 0), (0, 1), (1, 1))
 
     def test_k3_p5(self):
-        assert [v.entries for v in default_v_vectors(3, 5)] == [(1, 0), (0, 1), (4, 4)]
+        assert AlgebraicParams(3, 5).v == ((1, 0), (0, 1), (4, 4))
 
     @pytest.mark.parametrize("k,p", [(3, 2), (4, 3), (5, 2), (6, 5)])
     def test_sum_zero(self, k, p):
-        vecs = default_v_vectors(k, p)
-        assert all(
-            sum(v.entries[t] for v in vecs) % p == 0 for t in range(k - 1)
-        )
+        vecs = AlgebraicParams(k, p).v
+        assert all(sum(v[t] for v in vecs) % p == 0 for t in range(k - 1))
 
     def test_invariants_enforced(self):
-        # e1, e2, e1+e2 over F_2 sums to ... e1+e2+(e1+e2)=0 but {e1, e1} no:
-        # a dependent proper subset must be rejected
-        bad = [
-            FiniteVec((1, 0), 2),
-            FiniteVec((1, 0), 2),
-            FiniteVec((0, 0), 2),
-        ]
-        with pytest.raises(ValueError):
-            AlgebraicParams(3, 2, bad)
+        # every k-1 of the vectors are independent: no nonzero combination
+        # of them over F_p vanishes
+        for k, p in [(3, 2), (3, 5), (4, 3), (5, 2)]:
+            for subset in combinations(AlgebraicParams(k, p).v, k - 1):
+                for coeffs in product(range(p), repeat=k - 1):
+                    total = [sum(c * v[t] for c, v in zip(coeffs, subset)) for t in range(k - 1)]
+                    assert any(x % p for x in total) or not any(coeffs)
 
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
@@ -121,7 +115,7 @@ def brute_force_class(params: AlgebraicParams, i: int) -> set[GridLine]:
         total = 0
         for s_idx, j in enumerate(slots):
             vec = assignment[s_idx * dim : (s_idx + 1) * dim]
-            total += sum(a * b for a, b in zip(coeff[j].entries, vec))
+            total += sum(a * b for a, b in zip(coeff[j], vec))
         if total % p != rhs:
             continue
         base = [0] * (k + 1)
@@ -162,10 +156,10 @@ class TestAlgebraic:
                         continue
                     coeff = v[i - 2] if j < i else v[i - 1]
                     total = [
-                        (a + b) % p for a, b in zip(total, coeff.entries)
+                        (a + b) % p for a, b in zip(total, coeff)
                     ]
                 if j <= k:  # class k+1 equation covers slots 1..k
-                    total = [(a + b) % p for a, b in zip(total, v[k - 1].entries)]
+                    total = [(a + b) % p for a, b in zip(total, v[k - 1])]
                 assert all(t == 0 for t in total)
 
     def test_no_colorful_point_by_full_sweep(self, algebraic_3_2):
@@ -186,8 +180,8 @@ class TestAlgebraic:
             vals = np.empty(n, dtype=np.int64)
             for x in range(n):
                 digits = [(x // p**t) % p for t in range(dim)]
-                vals[x] = sum(a * b for a, b in zip(vec.entries, digits)) % p
-            digit_tables[vec.entries] = vals
+                vals[x] = sum(a * b for a, b in zip(vec, digits)) % p
+            digit_tables[vec] = vals
 
         shape = (n,) * (k + 1)
         satisfied = np.ones(shape, dtype=bool)
@@ -198,7 +192,7 @@ class TestAlgebraic:
                 if j == i:
                     continue
                 vec = (v[i - 2] if j < i else v[i - 1]) if i <= k else v[k - 1]
-                table = digit_tables[vec.entries]
+                table = digit_tables[vec]
                 idx = [None] * (k + 1)
                 idx[j - 1] = slice(None)
                 total = total + table[tuple(idx)]

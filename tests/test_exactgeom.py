@@ -237,7 +237,7 @@ class TestResidualKernel:
 
     @given(lines(2))
     def test_cross_product_covector(self, line):
-        cov = covector_2d(line.p, line.q)
+        cov = covector_2d(line.p.coords, line.q.coords)
         assert cov == line_covector_2d(Line(line.p, line.q))
         assert [cov] == int_nullspace([line.p.coords, line.q.coords], 3)
 

@@ -10,7 +10,7 @@ from incidencelab.constructions import ProbParams, gen_probabilistic
 from incidencelab.exactgeom import Line, ProjPoint
 from incidencelab.configs import ColoredLineConfig
 from incidencelab.gridmodel import group_removable, is_k_consistent, max_colorful_order
-from incidencelab.transforms import lift_to_concurrent
+from incidencelab.transforms import lift_to_concurrent, project_generic
 from incidencelab.structure import (
     IncidenceStructure,
     concurrence_buckets,
@@ -20,6 +20,7 @@ from incidencelab.structure import (
     structure_consistency,
 )
 from oracles import (
+    loop_alignments,
     loop_concurrence_buckets,
     loop_consistency,
     loop_max_colorful,
@@ -107,6 +108,27 @@ class TestStructureConsistency:
         assert struct_order == max(grid_order, 1 if s.monomials else 0)
 
 
+@st.composite
+def dual_point_classes(draw):
+    """1..4 classes (some empty) of small planar points and collinear runs
+    a + t*b, points at infinity among them; one draw in ten keeps a
+    repeated point.  A diagonal map scaling y by a large factor keeps the
+    alignments and puts coordinates above 2^64."""
+    scale = draw(st.sampled_from([1, 2**64 + 13, 3**45]))
+    triple = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+    coords = draw(st.lists(triple.filter(any), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(triple), draw(triple)
+        runs = ([x + t * y for x, y in zip(a, b)] for t in range(draw(st.integers(2, 5))))
+        coords += [c for c in runs if any(c)]
+    points = [ProjPoint((x, y * scale, w)) for x, y, w in coords]
+    if draw(st.integers(0, 9)):
+        points = list(dict.fromkeys(points))
+    colors = draw(st.lists(st.integers(1, 4), min_size=len(points), max_size=len(points)))
+    palette = range(1, max(colors, default=1) + 1)
+    return [[p for p, c in zip(points, colors) if c == color] for color in palette]
+
+
 class TestAlignments:
     def test_collinear_triple(self):
         pts = [
@@ -127,6 +149,22 @@ class TestAlignments:
         ]
         s = extract_alignments(DualPointConfig(pts))
         assert frozenset({(1, 0), (2, 0), (3, 0)}) in s.monomials
+
+    @settings(max_examples=200, deadline=None)
+    @given(dual_point_classes())
+    def test_matches_loop(self, classes):
+        coords = [p.coords for cls in classes for p in cls]
+        if len(set(coords)) < len(coords):
+            with pytest.raises(ValueError):
+                DualPointConfig(classes)
+            with pytest.raises(ValueError):
+                structure.planar_buckets(coords)
+            with pytest.raises(ValueError):
+                loop_alignments(classes)
+            return
+        s, expected = extract_alignments(DualPointConfig(classes)), loop_alignments(classes)
+        assert s == expected  # monomials and class sizes
+        assert list(s.witnesses.items()) == list(expected.witnesses.items())
 
     def test_dual_json_round_trip(self):
         from incidencelab.configs import dual_from_json, dual_to_json
@@ -281,6 +319,18 @@ class TestConcurrenceKernel:
     def test_mixed_dimensions_raise(self):
         with pytest.raises(ValueError):
             concurrence_buckets([line2((0, 0), (1, 1)), Line.through_affine((0, 0, 0), (1, 1, 1))])
+
+    def test_planar_lines_skip_the_kernel(self, monkeypatch, algebraic_3_2):
+        lifted, s = lift_to_concurrent(algebraic_3_2, audit=False)
+
+        def refuse(*args):
+            raise AssertionError("planar lines reached the pair kernel")
+
+        monkeypatch.setattr(structure, "_candidates", refuse)
+        with pytest.raises(AssertionError):
+            extract_structure_lines(lifted)  # d = 4 goes through the kernel
+        planar = project_generic(lifted, s, 2, 11).config
+        assert extract_structure_lines(planar).monomials > s.monomials
 
     def test_memory_is_bounded_on_alg_3_3(self, algebraic_3_3):
         # 972 lifted lines, 471,906 pairs
