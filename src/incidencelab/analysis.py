@@ -142,14 +142,13 @@ def flatness_audit(
     if t < 2:
         raise ValueError("flatness audit needs t >= 2")
     records = []
-    for m in sorted(s.monomials, key=sorted):
-        if len(m) < t:
+    for g, refs in enumerate(s.members):
+        if len(refs) < t:
             continue
-        point = s.witnesses[m]
-        lines = [cfg.line(ref) for ref in sorted(m)]
-        rank = rank_of_directions(lines, point)
-        flat = rank <= min(cfg.d, len(m)) - 1
-        records.append(FlatnessRecord(point, tuple(sorted(m)), rank, flat))
+        point = s.witness(g)
+        rank = rank_of_directions([cfg.line(ref) for ref in refs], point)
+        flat = rank <= min(cfg.d, len(refs)) - 1
+        records.append(FlatnessRecord(point, tuple(refs), rank, flat))
     return records
 
 

@@ -240,7 +240,7 @@ def cmd_transform(args, run: _Run) -> int:
         result = project_generic(cfg, s or extract_structure_lines(cfg), args.project, args.seed)
         cfg = result.config
         if result.new_crossings:
-            print(f"note: {len(result.new_crossings)} new planar crossings recorded", file=sys.stderr)
+            print(f"note: {result.new_crossings} new planar crossings recorded", file=sys.stderr)
     if args.dualize:
         if not isinstance(cfg, ColoredLineConfig) or cfg.d != 2:
             raise SystemExit2("--dualize needs a planar line configuration")

@@ -53,6 +53,8 @@ class ColoredLineConfig:
             centers = (None,) * len(canon)
         if len(centers) != len(canon):
             raise ValueError("one center entry per class required")
+        if any(c is not None and c.ambient_dim != d for c in centers):
+            raise ValueError("center ambient dimension does not match d")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "classes", canon)
         object.__setattr__(self, "centers", tuple(centers))
@@ -151,7 +153,10 @@ def lines_to_json(cfg: ColoredLineConfig) -> dict:
 
 
 def _class_entries(data: dict) -> list:
-    """The classes of a line or point file; entry i must have color i + 1."""
+    """The classes of a line or point file, a JSON list; entry i must have
+    color i + 1."""
+    if not isinstance(data["classes"], list):
+        raise ValueError(f"classes must be a list, not {type(data['classes']).__name__}")
     for pos, entry in enumerate(data["classes"]):
         if type(entry["color"]) is not int or entry["color"] != pos + 1:
             raise ValueError(f"classes[{pos}] has color {entry['color']!r}, not the int {pos + 1}")

@@ -560,12 +560,13 @@ def gen_desargues() -> ColoredLineConfig:
     if len(lines) != 12:
         raise RuntimeError("witness does not produce 12 two-plane lines")
 
-    bucket_map = concurrence_buckets(lines)  # ordered by each point's sorted lines
-    buckets = [frozenset(b) for b in bucket_map.values()]
+    bucket_lists = concurrence_buckets(lines)  # ordered by each point's sorted lines
+    buckets = [frozenset(b) for b in bucket_lists]
     candidates = [
-        bucket
-        for bucket, at in zip(buckets, bucket_map)
-        if len(bucket) == 3 and rank_of_directions([lines[i] for i in bucket], at) == 3
+        frozenset(b)
+        for b in bucket_lists
+        if len(b) == 3
+        and rank_of_directions([lines[i] for i in b], meet(lines[b[0]], lines[b[1]])) == 3
     ]
     for cand in candidates:
         fixed = {i: 1 for i in cand}
@@ -611,7 +612,7 @@ def gen_reye() -> ColoredLineConfig:
     result is 3-consistent with no colorful incidence; triples of parallel
     edges meet at infinity, so some incidence points are infinite."""
     lines = _cube_lines()
-    buckets = [frozenset(b) for b in concurrence_buckets(lines).values()]
+    buckets = [frozenset(b) for b in concurrence_buckets(lines)]
     if len(buckets) != 12 or any(len(b) != 4 for b in buckets):
         raise RuntimeError("cube lines do not form the expected 12x4 structure")
     memberships = [frozenset(i for i, b in enumerate(buckets) if idx in b) for idx in range(16)]

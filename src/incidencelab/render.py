@@ -133,8 +133,7 @@ def render_line_config(cfg: ColoredLineConfig) -> str:
     s = extract_structure_lines(cfg)
     finite_pts = []
     infinite_dirs = []
-    for m in sorted(s.monomials, key=sorted):
-        w = s.witnesses[m]
+    for w in map(s.witness, range(s.num_groups)):
         if w.is_infinite:
             infinite_dirs.append((float(w.coords[0]), float(w.coords[1])))
         else:
@@ -166,8 +165,8 @@ def render_dual_config(cfg: DualPointConfig) -> str:
     ]
     canvas = _Canvas(_frame([xy for xy, _ in finite]))
     frame = (canvas.x0, canvas.y0, canvas.x1, canvas.y1)
-    for m in sorted(s.monomials, key=sorted):
-        seg = _clip_line(s.witnesses[m], frame)
+    for covector in map(s.witness, range(s.num_groups)):
+        seg = _clip_line(covector, frame)
         if seg is not None:
             canvas.line(seg[0], seg[1], "#dddddd")
     for xy, color in finite:

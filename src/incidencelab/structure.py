@@ -1,16 +1,20 @@
 """Incidence structures: the maximal concurrences of a configuration.
 
-An incidence structure records, per concurrency point, the set of
-``(color, index)`` line references meeting there ("monomials").  All
-maximal concurrences are kept, including single-color ones (the center
-of a concurrent class, or the shared direction of a parallel class), so
-transform preservation audits can compare structures exactly.  The
-classification tables of 4x3 configurations speak about the colorful
-triples only; use :meth:`IncidenceStructure.colorful_triples` for those.
+A structure holds the incidence core's int64 entry arrays ``(group,
+line)``: one group per concurrency point, listing the positions (in class
+order) of the lines through it, sorted by group, then line, with groups
+ascending by their sorted member lists, so equal structures have equal
+arrays.  All maximal concurrences are kept, including single-color ones
+(the center of a concurrent class, or the shared direction of a parallel
+class), so transform preservation audits can compare structures exactly.
+A group's witness, its point, is met exactly from its first two lines
+only when asked.  ``monomials``, the groups as frozensets of ``(color,
+index)`` refs, is a view derived when asked; the classification tables of
+4x3 configurations read its colorful triples (``colorful_triples``).
 
 For dual point configurations the same record type holds the maximal
-*alignments* (collinear subsets), which are exactly the dual notion of
-concurrences, so the consistency checks below apply unchanged.
+*alignments* (collinear subsets), witnessed by their covectors: the dual
+notion of concurrences, so the consistency checks apply unchanged.
 
 In the plane both group pairs by one exact cross product
 (``planar_buckets``): the line through two points, or the point where
@@ -18,20 +22,17 @@ two lines meet.  Line concurrences in d >= 3 come from a numpy kernel
 over the line pairs on residues mod a prime (``concurrence_buckets``):
 it certifies skew pairs in bulk and groups the others by their meeting
 point mod p, and each point is then confirmed by one exact meet, so
-structures stay exact.  Every extractor hands buckets of line positions
-to one builder.
-
-Verdicts run the incidence core of ``gridmodel`` on the monomials, once
-converted to its entry arrays.  Grid structures add one monomial per
-shared axis direction, which the grid verifiers never count.
+structures stay exact.  Every extractor hands sorted lists of line
+positions to one builder.  Grid structures add one group per shared
+axis direction, which the grid verifiers never count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Sequence
+from itertools import chain, combinations
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +42,8 @@ from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,
     LineRef,
+    _decode,
+    embed_grid_line,
     group_consistency,
     group_max_colorful,
 )
@@ -49,21 +52,60 @@ from .rng import mix64
 Monomial = frozenset[LineRef]
 
 
-@dataclass(frozen=True)
+def _bounds(group: np.ndarray) -> list[int]:
+    """The first entry of each group of sorted entries, then the entry count."""
+    return [*np.flatnonzero(np.diff(group, prepend=-1)).tolist(), len(group)]
+
+
+@dataclass(frozen=True, eq=False)
 class IncidenceStructure:
-    """Maximal concurrences with color annotations; witnesses per monomial.
+    """Maximal concurrences as entry arrays; ``meet_of(i, j)`` is the point
+    (or covector) shared by the lines at positions i and j.  Equality
+    ignores it: witnesses differ across incidence-preserving transforms."""
 
-    Equality compares monomials and class sizes only — witnesses are
-    geometric and differ across incidence-preserving transforms.
-    """
-
-    monomials: frozenset[Monomial]
     class_sizes: tuple[int, ...]
-    witnesses: dict = field(compare=False, hash=False, default_factory=dict)
+    group: np.ndarray
+    line: np.ndarray
+    meet_of: Callable[[int, int], object] | None = None
+
+    @classmethod
+    def from_groups(cls, groups: Iterable[list[int]], class_sizes: Sequence[int], meet_of=None):
+        """The structure of groups of line positions, each a sorted list."""
+        groups = sorted(groups)
+        sizes = list(map(len, groups))
+        line = np.fromiter(chain.from_iterable(groups), np.int64, sum(sizes))
+        group = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
+        return cls(tuple(class_sizes), group, line, meet_of)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IncidenceStructure) or self.class_sizes != other.class_sizes:
+            return False
+        return np.array_equal(self.group, other.group) and np.array_equal(self.line, other.line)
 
     @property
     def num_colors(self) -> int:
         return len(self.class_sizes)
+
+    @cached_property
+    def bounds(self) -> list[int]:
+        """The first entry of each group, then the entry count."""
+        return _bounds(self.group)
+
+    @property
+    def num_groups(self) -> int:
+        return len(self.bounds) - 1
+
+    @cached_property
+    def members(self) -> list[list[LineRef]]:
+        """Each group's lines as sorted ``(color, index)`` refs, in group order."""
+        refs = [(c, i) for c, size in enumerate(self.class_sizes, start=1) for i in range(size)]
+        line = [refs[i] for i in self.line.tolist()]
+        return [line[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
+
+    @cached_property
+    def monomials(self) -> frozenset[Monomial]:
+        """The groups as frozensets of refs."""
+        return frozenset(map(frozenset, self.members))
 
     def colorful_triples(self) -> frozenset[Monomial]:
         """Monomials of exactly three lines in three distinct colors."""
@@ -71,43 +113,35 @@ class IncidenceStructure:
             m for m in self.monomials if len(m) == 3 and len({c for c, _ in m}) == 3
         )
 
-    @cached_property
-    def incidences(self) -> tuple[list[list[LineRef]], np.ndarray, np.ndarray]:
-        """(monomials, group, line): the monomials as sorted ref lists, in
-        sorted order, and their entries for the incidence core; built once."""
-        monomials = sorted(sorted(m) for m in self.monomials)
-        first = np.cumsum((0, *self.class_sizes)).tolist()
-        entries = [(g, first[c - 1] + i) for g, refs in enumerate(monomials) for c, i in refs]
-        return (monomials, *np.array(entries, np.int64).reshape(-1, 2).T)
+    def witness(self, g: int):
+        """Group g's point (or covector), computed from its first two lines."""
+        lo, hi = self.bounds[g : g + 2]
+        return self.meet_of(*self.line[lo : min(hi, lo + 2)].tolist())
 
     def max_colorful(self) -> tuple[int, object | None]:
-        """Largest color count over all monomials, with the witness of the
-        first monomial (by sorted refs) reaching it."""
-        monomials, group, line = self.incidences
-        order, at = group_max_colorful(self.class_sizes, group, line)
-        return order, None if at is None else self.witnesses.get(frozenset(monomials[at]))
-
-
-def _structure(buckets: dict, class_sizes: tuple[int, ...]) -> IncidenceStructure:
-    """The structure of buckets of line positions (lines counted in class
-    order): one monomial per bucket of two or more, its key the witness."""
-    refs = [(c, i) for c, size in enumerate(class_sizes, start=1) for i in range(size)]
-    kept = ((at, members) for at, members in buckets.items() if len(members) >= 2)
-    witnesses = {frozenset([refs[i] for i in members]): at for at, members in kept}
-    return IncidenceStructure(frozenset(witnesses), class_sizes, witnesses)
+        """Largest color count over all groups, with the witness of the
+        first group reaching it."""
+        order, at = group_max_colorful(self.class_sizes, self.group, self.line)
+        return order, None if at is None else self.witness(at)
 
 
 def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
-    """Grid-point concurrences plus one monomial per shared axis direction."""
-    points, group, line = cfg.incidences
-    starts = np.flatnonzero(np.diff(group, prepend=-1))[1:]  # entries sort by group
-    at = map(ProjPoint.affine, cfg.coordinates(points))
-    buckets = dict(zip(at, (members.tolist() for members in np.split(line, starts))))
-    axes = np.concatenate((np.empty(0, np.int64), *cfg.ids)) // cfg.n**cfg.k
+    """Grid-point concurrences plus one group per shared axis direction;
+    witnesses meet the two lines embedded in R^(k+1)."""
+    _, group, line = cfg.incidences
+    bounds, line = _bounds(group), line.tolist()
+    groups = [line[a:b] for a, b in zip(bounds, bounds[1:])]
+    ids = np.concatenate((np.empty(0, np.int64), *cfg.ids))
+    axes = ids // cfg.n**cfg.k
     for axis in np.unique(axes).tolist():
-        direction = ProjPoint.direction([int(t == axis) for t in range(cfg.k + 1)])
-        buckets[direction] = np.flatnonzero(axes == axis).tolist()
-    return _structure(buckets, cfg.class_sizes())
+        members = np.flatnonzero(axes == axis).tolist()
+        if len(members) >= 2:
+            groups.append(members)
+
+    def meet_of(i: int, j: int):
+        return meet(*map(embed_grid_line, _decode(cfg.k, cfg.n, ids[[i, j]])))
+
+    return IncidenceStructure.from_groups(groups, cfg.class_sizes(), meet_of)
 
 
 # The largest prime below 2^30: a product of two residues is below 2^60.
@@ -158,20 +192,20 @@ def _candidates(lines: Sequence[Line], p: int):
         yield i, j, (r1[j] * w[:, None] - r2[j] * u[:, None]) % p
 
 
-def planar_buckets(triples: Sequence[Sequence[int]]) -> dict[tuple[int, ...], set[int]]:
-    """Every canonical cross product of two of the planar triples, with the
-    positions of the triples incident to it, in first-pair order: points
-    give the covectors of their alignments, line covectors the points where
-    the lines meet.  One projective element twice raises ValueError."""
+def planar_buckets(triples: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The sorted positions of the planar triples incident to each canonical
+    cross product of two of them, in first-pair order: points give the
+    covectors of their alignments, line covectors the points where the
+    lines meet.  One projective element twice raises ValueError."""
     buckets: dict[tuple[int, ...], set[int]] = {}
     for (i, a), (j, b) in combinations(enumerate(triples), 2):
         buckets.setdefault(covector_2d(a, b), set()).update((i, j))
-    return buckets
+    return [sorted(m) for m in buckets.values()]
 
 
-def concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
-    """Every point where two or more of the lines meet, with the positions
-    of the lines through it, in first-meeting pair order: ascending by the
+def concurrence_buckets(lines: Sequence[Line]) -> list[list[int]]:
+    """The sorted positions of the lines through each point where two or
+    more of the lines meet, in first-meeting pair order: ascending by the
     two smallest positions of lines through the point.
 
     Planar lines meet at the cross products of their covectors
@@ -197,10 +231,9 @@ def concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
     if len({line.key for line in lines}) < len(lines):
         raise ValueError("meet of identical lines is undefined")
     if len(lines) < 2:
-        return {}
+        return []
     if lines[0].ambient_dim == 2:
-        buckets = planar_buckets([line_covector_2d(line) for line in lines])
-        return {ProjPoint(at): members for at, members in buckets.items()}
+        return planar_buckets([line_covector_2d(line) for line in lines])
     groups: dict[bytes, set[int]] = {}  # residue point -> lines
     for i, j, point in _candidates(lines, PRIME):
         lead = point[np.arange(len(point)), (point != 0).argmax(axis=1)]
@@ -224,21 +257,25 @@ def concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:
         if (at := meet(lines[x], lines[y])) is not None:
             found.setdefault(at, set()).update((x, y))
     # two points share at most one line, so their two smallest lines differ
-    order = sorted(found, key=lambda at: sorted(found[at])[:2])
-    return {at: set(sorted(found.pop(at))) for at in order}
+    return sorted(map(sorted, found.values()))
 
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
-    """All maximal concurrences of a line configuration (``concurrence_buckets``)."""
-    buckets = concurrence_buckets([line for _, _, line in cfg.lines()])
-    return _structure(buckets, cfg.class_sizes())
+    """All maximal concurrences of a line configuration (``concurrence_buckets``),
+    witnessed by the points where their lines ``meet``."""
+    lines = [line for _, _, line in cfg.lines()]
+    return IncidenceStructure.from_groups(
+        concurrence_buckets(lines), cfg.class_sizes(), lambda i, j: meet(lines[i], lines[j])
+    )
 
 
 def extract_alignments(cfg: DualPointConfig) -> IncidenceStructure:
-    """Maximal collinear subsets of a dual point configuration, with their
-    covectors as witnesses (``planar_buckets``)."""
-    buckets = planar_buckets([p.coords for _, _, p in cfg.points()])
-    return _structure(buckets, cfg.class_sizes())
+    """Maximal collinear subsets of a dual point configuration, witnessed by
+    the covectors of their lines (``planar_buckets``)."""
+    coords = [p.coords for _, _, p in cfg.points()]
+    return IncidenceStructure.from_groups(
+        planar_buckets(coords), cfg.class_sizes(), lambda i, j: covector_2d(coords[i], coords[j])
+    )
 
 
 def extract_structure(cfg) -> IncidenceStructure:
@@ -259,4 +296,4 @@ def structure_consistency(s: IncidenceStructure, k: int) -> ConsistencyVerdict:
     c in S iff some monomial containing it covers the other colors of S.
     Failures are listed by color, then S, then index.
     """
-    return group_consistency(s.class_sizes, *s.incidences[1:], k)
+    return group_consistency(s.class_sizes, s.group, s.line, k)

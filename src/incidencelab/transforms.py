@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Sequence
+
+import numpy as np
 
 from .configs import ColoredLineConfig, DualPointConfig
 from .exactgeom import (
@@ -35,7 +36,6 @@ from .gridmodel import ColoredGridConfig
 from .rng import RETRY_OFFSET, splitmix64, substream
 from .structure import (
     IncidenceStructure,
-    Monomial,
     extract_structure_grid,
     extract_structure_lines,
 )
@@ -99,26 +99,38 @@ class ProjectionResult:
     config: ColoredLineConfig
     seed: int
     attempts: int
-    new_crossings: frozenset[Monomial]
+    new_crossings: int  # two-line groups of a planar image that no source group has
+
+
+def _inner_pairs(s: IncidenceStructure, total: int) -> np.ndarray:
+    """i * total + j for every two lines i < j sharing a group of s."""
+    n = s.group.size
+    later = np.searchsorted(s.group, s.group, "right") - np.arange(n) - 1  # entries after each
+    left = np.repeat(np.arange(n), later)
+    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
+    return s.line[left] * total + s.line[right]
 
 
 def _audit_projection(
     before: IncidenceStructure, after: IncidenceStructure, d: int
-) -> tuple[bool, frozenset[Monomial]]:
+) -> tuple[bool, int]:
+    """(passes, new crossings) of the structure ``after`` of an image."""
     if d >= 3:
-        return before.monomials == after.monomials, frozenset()
+        return before == after, 0
     # In the plane new 2-line crossings among previously disjoint lines
     # are unavoidable; every source incidence must survive with exactly
-    # its line set and gain nothing.
-    if not before.monomials <= after.monomials:
-        return False, frozenset()
-    extras = after.monomials - before.monomials
-    source_pairs = {
-        frozenset(pair) for old in before.monomials for pair in combinations(old, 2)
-    }
-    if any(len(m) != 2 or m in source_pairs for m in extras):
-        return False, frozenset()
-    return True, frozenset(extras)
+    # its line set and gain nothing.  So the image less its two-line
+    # groups that share no source group is the source.
+    total = sum(before.class_sizes)
+    starts = np.flatnonzero(np.diff(after.group, prepend=-1))
+    two = starts[np.diff(starts, append=after.group.size) == 2]  # first entries of pairs
+    pairs = after.line[two] * total + after.line[two + 1]
+    new = after.group[two[~np.isin(pairs, _inner_pairs(before, total))]]
+    kept = ~np.isin(after.group, new)
+    same = np.array_equal(after.line[kept], before.line) and np.array_equal(
+        np.diff(after.group[kept]) > 0, np.diff(before.group) > 0
+    )
+    return same, len(new) if same else 0
 
 
 def project_generic(
@@ -148,14 +160,11 @@ def project_generic(
         try:
             image = apply_projective(cfg, matrix)
         except ValueError:
-            continue  # a line collapsed to a point
-        keys = [line.key for _, _, line in image.lines()]
-        if len(set(keys)) != len(keys):
-            continue  # two distinct lines collapsed together
+            continue  # a line collapsed to a point, or two lines to one
         after = extract_structure_lines(image)
-        ok, extras = _audit_projection(before, after, d)
+        ok, crossings = _audit_projection(before, after, d)
         if ok:
-            return ProjectionResult(image, seed, attempt + 1, extras)
+            return ProjectionResult(image, seed, attempt + 1, crossings)
     raise RuntimeError(f"no generic projection found in {PROJECTION_ATTEMPTS} attempts")
 
 

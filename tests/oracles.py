@@ -19,6 +19,10 @@ mod-p pair kernel of ``concurrence_buckets``, order of the points included.
 ``loop_alignments`` joins two dual points at a time by an integer
 nullspace: the reference for the cross products of ``planar_buckets``
 behind ``extract_alignments``, witness order included.
+``set_audit_projection`` is the projection audit on monomial sets of
+frozensets: the reference for the array audit of ``project_generic``.
+``structure_of`` builds a structure from groups of refs, and
+``random_structure`` random ones for the core comparisons.
 ``dense_deletion`` (the whole n^(k+1) coverage cube) and
 ``sparse_deletion`` (a dict of covered points, line by line) are the
 references for the bit-packed deletion, ``dense_trial_stats`` (whole n^(k+1) count and coverage cubes)
@@ -30,8 +34,9 @@ for the closed-form ``closure_shift`` that ``gen_dual_cycles`` rests on.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -323,9 +328,10 @@ def loop_concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]
     return buckets
 
 
-def loop_alignments(classes: Sequence[Sequence[ProjPoint]]) -> IncidenceStructure:
-    """Maximal collinear subsets of colored planar points, witnessed by the
-    covector of their line: the nullspace of each pair of points in turn."""
+def loop_alignments(classes: Sequence[Sequence[ProjPoint]]) -> dict[tuple[int, ...], set]:
+    """Maximal collinear subsets of colored planar points, as refs keyed by
+    the covector of their line, in first-pair order: the nullspace of each
+    pair of points in turn."""
     points = [(c, i, p) for c, cls in enumerate(classes, start=1) for i, p in enumerate(cls)]
     line_map: dict[tuple[int, ...], set] = {}
     for (ca, ia, pa), (cb, ib, pb) in combinations(points, 2):
@@ -333,8 +339,57 @@ def loop_alignments(classes: Sequence[Sequence[ProjPoint]]) -> IncidenceStructur
         if len(null) != 1:
             raise ValueError("a line needs two distinct points")
         line_map.setdefault(null[0], set()).update([(ca, ia), (cb, ib)])
-    witnesses = {frozenset(refs): cov for cov, refs in line_map.items()}
-    return IncidenceStructure(frozenset(witnesses), tuple(map(len, classes)), witnesses)
+    return line_map
+
+
+def structure_of(
+    monomials: Iterable[Collection[tuple[int, int]]], class_sizes: Sequence[int]
+) -> IncidenceStructure:
+    """The structure with the given groups of ``(color, index)`` refs; the
+    witness of a group is the tuple of its first two line positions (one
+    for a group of one line)."""
+    first = [0, *accumulate(class_sizes)]
+    groups = [sorted(first[c - 1] + i for c, i in m) for m in monomials]
+    return IncidenceStructure.from_groups(groups, class_sizes, lambda *first: first)
+
+
+def random_structure(seed: int, m: int, rainbow: bool) -> IncidenceStructure:
+    """Random groups of 1..6 lines over m classes of 0..4 lines, colors
+    repeating within a group and groups sharing any number of lines;
+    ``rainbow`` gives the classes one size and adds, per index j, the group
+    of every color's line j, which makes the structure k-consistent for
+    every k."""
+    rng = random.Random(seed)
+    size = rng.randint(1, 3)
+    sizes = [size if rainbow else rng.randint(0, 4) for _ in range(m)]
+    refs = [(c, i) for c, s in enumerate(sizes, start=1) for i in range(s)]
+    groups = {
+        frozenset(rng.sample(refs, min(len(refs), rng.randint(1, 6))))
+        for _ in range(rng.randint(0, 3 * m)) if refs
+    }
+    if rainbow:
+        groups |= {frozenset((c, j) for c in range(1, m + 1)) for j in range(size)}
+    return structure_of(groups, sizes)
+
+
+def set_audit_projection(
+    before: IncidenceStructure, after: IncidenceStructure, d: int
+) -> tuple[bool, frozenset]:
+    """The projection audit on the structures' monomials as sets: equal in
+    d >= 3; in the plane, every source monomial survives and every new one
+    is a pair of lines that shares no source monomial.  Returns (passes,
+    the new monomials)."""
+    if d >= 3:
+        return before.monomials == after.monomials, frozenset()
+    if not before.monomials <= after.monomials:
+        return False, frozenset()
+    extras = after.monomials - before.monomials
+    source_pairs = {
+        frozenset(pair) for old in before.monomials for pair in combinations(old, 2)
+    }
+    if any(len(m) != 2 or m in source_pairs for m in extras):
+        return False, frozenset()
+    return True, frozenset(extras)
 
 
 def gridline_from_index(k: int, n: int, axis: int, index: int) -> GridLine:

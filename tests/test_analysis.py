@@ -27,7 +27,8 @@ from incidencelab.constructions import (
 )
 from incidencelab.exactgeom import Line, ProjPoint
 from incidencelab.gridmodel import ColoredGridConfig, GridLine
-from incidencelab.structure import IncidenceStructure, extract_structure_lines
+from incidencelab.structure import extract_structure_lines
+from oracles import structure_of
 
 
 class TestMonomialNotation:
@@ -42,10 +43,10 @@ class TestTables:
         assert all(len(m) == 3 for m in TABLE_I | TABLE_II)
 
     def test_tables_not_isomorphic(self):
-        s = IncidenceStructure(TABLE_I, (3, 3, 3, 3))
+        s = structure_of(TABLE_I, (3, 3, 3, 3))
         assert match_structure(s, "I") is not None
         assert match_structure(s, "II") is None
-        s2 = IncidenceStructure(TABLE_II, (3, 3, 3, 3))
+        s2 = structure_of(TABLE_II, (3, 3, 3, 3))
         assert match_structure(s2, "II") is not None
         assert match_structure(s2, "I") is None
 
@@ -61,7 +62,7 @@ class TestTables:
         assert match_structure(s, "I") is None
 
     def test_wrong_shape_rejected(self):
-        s = IncidenceStructure(frozenset(), (3, 3, 3))
+        s = structure_of(frozenset(), (3, 3, 3))
         with pytest.raises(ValueError):
             match_structure(s, "I")
 

@@ -233,6 +233,32 @@ class TestVerify:
         assert err.startswith("error: malformed configuration bad.json")
         assert f"classes[0] has color {colors[0]}" in err
 
+    @pytest.mark.parametrize("command", ["verify", "transform"])
+    def test_center_of_another_dimension_exits_2(self, workdir, capsys, command):
+        # a planar center in R^3 used to verify, then fail every projection draw
+        run(["gen", "desargues", "-o", "des.json"])
+        data = json.loads((workdir / "des.json").read_text())
+        data["classes"][0]["center"] = ["0", "0", "1"]
+        (workdir / "bad.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        if command == "verify":
+            argv = ["verify", "bad.json", "--k-consistency", "3"]
+        else:
+            argv = ["transform", "bad.json", "--project", "2", "-o", "out.json"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed configuration bad.json") and "center" in err
+        assert not list(workdir.glob("out.*"))
+
+    @pytest.mark.parametrize("model", ["lines", "points"])
+    def test_classes_not_a_list_exit_2(self, workdir, capsys, model):
+        # an empty object used to read as an empty configuration
+        (workdir / "bad.json").write_text(json.dumps({"model": model, "d": 2, "classes": {}}))
+        assert run(["transform", "bad.json", "-o", "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed configuration bad.json") and "list" in err
+        assert not list(workdir.glob("out.*"))
+
     @pytest.mark.parametrize(
         "value,reason", [(1, "not 1"), ("1/0", "zero denominator in '1/0'")]
     )
@@ -444,7 +470,7 @@ class TestTransformAnalyze:
             monkeypatch.setattr(
                 transforms,
                 "extract_structure_lines",
-                lambda cfg: IncidenceStructure(frozenset(), cfg.class_sizes()),
+                lambda cfg: IncidenceStructure.from_groups([], cfg.class_sizes()),
             )
         assert run(argv) == 2
         err = capsys.readouterr().err

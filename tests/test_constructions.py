@@ -496,11 +496,11 @@ class TestReye:
 
     def test_infinite_incidence_points(self, reye):
         s = extract_structure_lines(reye)
-        assert any(w.is_infinite for w in s.witnesses.values())
+        assert any(s.witness(g).is_infinite for g in range(s.num_groups))
 
     def test_incidence_points_span_3_flat(self, reye):
         s = extract_structure_lines(reye)
-        flat = ProjFlat(list(s.witnesses.values()))
+        flat = ProjFlat([s.witness(g) for g in range(s.num_groups)])
         assert flat.dim == 3
 
     def test_verdicts(self, reye):

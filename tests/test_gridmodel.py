@@ -111,9 +111,10 @@ def mixed_config(
 def grid_point_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
     """The finite (grid-point) monomials of the extracted grid structure."""
     s = extract_structure_grid(cfg)
+    witnesses = map(s.witness, range(s.num_groups))
     return {
         tuple(int(v) for v in w.affine_coords()): set(m)
-        for m, w in s.witnesses.items()
+        for m, w in zip(s.members, witnesses)
         if not w.is_infinite
     }
 

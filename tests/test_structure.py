@@ -9,10 +9,14 @@ from incidencelab.configs import DualPointConfig, embed_grid_config
 from incidencelab.constructions import ProbParams, gen_probabilistic
 from incidencelab.exactgeom import Line, ProjPoint
 from incidencelab.configs import ColoredLineConfig
-from incidencelab.gridmodel import group_removable, is_k_consistent, max_colorful_order
+from incidencelab.gridmodel import (
+    group_max_colorful,
+    group_removable,
+    is_k_consistent,
+    max_colorful_order,
+)
 from incidencelab.transforms import lift_to_concurrent, project_generic
 from incidencelab.structure import (
-    IncidenceStructure,
     concurrence_buckets,
     extract_alignments,
     extract_structure_grid,
@@ -25,6 +29,7 @@ from oracles import (
     loop_consistency,
     loop_max_colorful,
     loop_removable,
+    random_structure,
 )
 from test_gridmodel import orders, random_config
 
@@ -71,13 +76,21 @@ class TestExtraction:
         else:
             cfg = request.getfixturevalue(grid)
         s, embedded = extract_structure_grid(cfg), extract_structure_lines(embed_grid_config(cfg))
-        assert s == embedded and s.witnesses == embedded.witnesses
+        assert s == embedded
+        witnesses = [s.witness(g) for g in range(s.num_groups)]
+        assert witnesses == [embedded.witness(g) for g in range(embedded.num_groups)]
+
+    def test_single_line_axes_share_no_direction(self):
+        cfg = random_config(random.Random(7), 2, 4, 1)  # one line per axis
+        s = extract_structure_grid(cfg)
+        assert s == extract_structure_lines(embed_grid_config(cfg))
+        assert not any(s.witness(g).is_infinite for g in range(s.num_groups))
 
     def test_grid_direction_monomials(self):
         rng = random.Random(3)
         cfg = random_config(rng, 2, 4, 3)
         s = extract_structure_grid(cfg)
-        directions = [m for m, w in s.witnesses.items() if w.is_infinite]
+        directions = [m for g, m in enumerate(s.members) if s.witness(g).is_infinite]
         assert len(directions) == 3  # one parallel class per axis
         for m in directions:
             assert len({c for c, _ in m}) == 1
@@ -163,8 +176,10 @@ class TestAlignments:
                 loop_alignments(classes)
             return
         s, expected = extract_alignments(DualPointConfig(classes)), loop_alignments(classes)
-        assert s == expected  # monomials and class sizes
-        assert list(s.witnesses.items()) == list(expected.witnesses.items())
+        assert s.class_sizes == tuple(map(len, classes))
+        # groups and covectors, in order
+        got = [(refs, s.witness(g)) for g, refs in enumerate(s.members)]
+        assert got == [(sorted(refs), cov) for cov, refs in expected.items()]
 
     def test_dual_json_round_trip(self):
         from incidencelab.configs import dual_from_json, dual_to_json
@@ -172,24 +187,6 @@ class TestAlignments:
 
         cfg, _ = gen_dual_cycles(2)
         assert dual_from_json(dual_to_json(cfg)) == cfg
-
-
-def random_structure(seed: int, m: int, rainbow: bool) -> IncidenceStructure:
-    """Random groups of 1..6 lines over m classes of 0..4 lines, colors
-    repeating within a group; ``rainbow`` gives the classes one size and
-    adds, per index j, the group of every color's line j, which makes the
-    structure k-consistent for every k."""
-    rng = random.Random(seed)
-    size = rng.randint(1, 3)
-    sizes = [size if rainbow else rng.randint(0, 4) for _ in range(m)]
-    refs = [(c, i) for c, s in enumerate(sizes, start=1) for i in range(s)]
-    groups = {
-        frozenset(rng.sample(refs, min(len(refs), rng.randint(1, 6))))
-        for _ in range(rng.randint(0, 3 * m)) if refs
-    }
-    if rainbow:
-        groups |= {frozenset((c, j) for c in range(1, m + 1)) for j in range(size)}
-    return IncidenceStructure(frozenset(groups), tuple(sizes), {g: sorted(g) for g in groups})
 
 
 structures = st.builds(
@@ -215,7 +212,7 @@ class TestCoreAgainstLoopOracle:
     @settings(max_examples=60, deadline=None)
     @given(structures)
     def test_removable(self, s):
-        _, group, line = s.incidences
+        group, line = s.group, s.line
         for k in orders(s.num_colors):
             try:
                 expected = loop_removable(s.class_sizes, s.monomials, k)
@@ -229,7 +226,10 @@ class TestCoreAgainstLoopOracle:
     @given(structures)
     def test_max_colorful(self, s):
         by_refs = sorted(s.monomials, key=sorted)
-        assert s.max_colorful() == loop_max_colorful((s.witnesses[m], m) for m in by_refs)
+        expected = loop_max_colorful((sorted(m), m) for m in by_refs)
+        order, at = group_max_colorful(s.class_sizes, s.group, s.line)
+        assert (order, None if at is None else s.members[at]) == expected
+        assert s.max_colorful() == (order, None if at is None else s.witness(at))
 
 
 @st.composite
@@ -256,8 +256,8 @@ def line_lists(draw):
 
 
 def assert_kernel_matches_loop(lines):
-    """Equal dicts, in order, on distinct lines; identical lines raise, and
-    the loop raises only for identical lines."""
+    """Equal groups and points, in order, on distinct lines; identical lines
+    raise, and the loop raises only for identical lines."""
     try:
         expected = list(loop_concurrence_buckets(lines).items())
     except ValueError:
@@ -267,9 +267,10 @@ def assert_kernel_matches_loop(lines):
             concurrence_buckets(lines)
         assert len({line.key for line in lines}) < len(lines)
         return
-    got = list(concurrence_buckets(lines).items())
-    assert got == expected
-    assert [list(m) for _, m in got] == [list(m) for _, m in expected]  # set order too
+    got = concurrence_buckets(lines)
+    assert got == [sorted(m) for _, m in expected]
+    s = extract_structure_lines(ColoredLineConfig(lines[0].ambient_dim, [lines]))
+    assert [s.witness(g) for g in range(s.num_groups)] == [at for at, _ in expected]
 
 
 class TestConcurrenceKernel:
@@ -300,8 +301,8 @@ class TestConcurrenceKernel:
 
     def test_no_lines_and_one_line(self):
         line = line2((0, 0), (1, 1))
-        assert concurrence_buckets([]) == {} == loop_concurrence_buckets([])
-        assert concurrence_buckets([line]) == {} == loop_concurrence_buckets([line])
+        assert concurrence_buckets([]) == [] and loop_concurrence_buckets([]) == {}
+        assert concurrence_buckets([line]) == [] and loop_concurrence_buckets([line]) == {}
 
     def test_identical_lines(self):
         a, b = line2((0, 0), (1, 1)), line2((0, 1), (1, 0))

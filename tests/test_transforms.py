@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from incidencelab.analysis import parse_monomial
 from incidencelab.configs import ColoredLineConfig, concurrency_center
 from incidencelab.exactgeom import Line, ProjPoint, meet
 from incidencelab.gridmodel import ColoredGridConfig, GridLine
@@ -12,12 +15,14 @@ from incidencelab.structure import (
     structure_consistency,
 )
 from incidencelab.transforms import (
+    _audit_projection,
     dualize,
     extract_planarity,
     lift_to_concurrent,
     project_generic,
     undualize,
 )
+from oracles import set_audit_projection, structure_of
 from test_gridmodel import random_config
 
 
@@ -82,7 +87,7 @@ class TestProjectGeneric:
             ],
         )
         res = project_generic(skew, extract_structure_lines(skew), 2, seed=1)
-        assert len(res.new_crossings) == 1
+        assert res.new_crossings == 1
         a, b = res.config.classes[0][0], res.config.classes[1][0]
         assert meet(a, b) is not None
 
@@ -177,3 +182,74 @@ class TestPlanarity:
 
     def test_reye_nonplanar(self, reye):
         assert not extract_planarity(reye)[0]
+
+
+FAULTS = ("missing", "gained a line", "source pair", "three-line extra")
+
+
+@st.composite
+def audit_cases(draw):
+    """(source, image, d): up to six source groups of 2..5 lines over 1..4
+    classes of 0..5 lines; the image adds up to four pairs of lines that
+    share no source group (valid new crossings), then any of the faults:
+    a source group missing, a source group that gained a line, a two-line
+    extra that lies inside a source group, and a three-line extra."""
+    classes = st.lists(st.integers(0, 5), min_size=1, max_size=4)
+    sizes = draw(classes.filter(lambda sizes: sum(sizes) >= 3))
+    refs = [(c, i) for c, size in enumerate(sizes, start=1) for i in range(size)]
+    group = lambda n: st.lists(st.sampled_from(refs), min_size=n, max_size=n, unique=True)
+    sized = st.integers(2, min(5, len(refs))).flatmap(group).map(frozenset)
+    source = draw(st.lists(sized, max_size=6, unique=True))
+    inside = {frozenset(p) for g in source for p in combinations(g, 2)}
+    crossings = [frozenset(p) for p in combinations(refs, 2) if frozenset(p) not in inside]
+    image = set(source)
+    if crossings:
+        image |= set(draw(st.lists(st.sampled_from(crossings), max_size=4)))
+    faults = draw(st.sets(st.sampled_from(FAULTS)))
+    by_refs = sorted(source, key=sorted)
+    if by_refs and "missing" in faults:
+        image.discard(draw(st.sampled_from(by_refs)))
+    if by_refs and "gained a line" in faults:
+        g = draw(st.sampled_from(by_refs))
+        if len(g) < len(refs):
+            image.discard(g)
+            image.add(g | {draw(st.sampled_from([r for r in refs if r not in g]))})
+    big = [g for g in by_refs if len(g) >= 3]
+    if big and "source pair" in faults:
+        pairs = combinations(sorted(draw(st.sampled_from(big))), 2)
+        image.add(frozenset(draw(st.sampled_from(list(pairs)))))
+    if "three-line extra" in faults:
+        image.add(frozenset(draw(group(3))))
+    return structure_of(source, sizes), structure_of(image, sizes), draw(st.integers(2, 4))
+
+
+class TestProjectionAudit:
+    """The array audit of a projection against the audit on monomial sets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(audit_cases())
+    def test_matches_set_audit(self, case):
+        before, after, d = case
+        ok, extras = set_audit_projection(before, after, d)
+        assert _audit_projection(before, after, d) == (ok, len(extras))
+
+    @pytest.mark.parametrize(
+        "image, d, expected",
+        [
+            (["a1b1c1", "c1d1", "a2d1", "b1d1"], 2, (True, 2)),  # valid new crossings
+            (["a1b1c1", "c1d1", "a2d1", "b1d1"], 3, (False, 0)),
+            (["a1b1c1", "c1d1"], 3, (True, 0)),
+            (["a1b1c1", "a2d1"], 2, (False, 0)),  # a source group missing
+            (["a1b1c1a2", "c1d1"], 2, (False, 0)),  # a source group gained a line
+            (["a1b1", "c1", "c1d1"], 2, (False, 0)),  # a source group split
+            (["a1b1c1", "c1d1", "a1b1"], 2, (False, 0)),  # an extra that is a source pair
+            (["a1b1c1", "c1d1", "a2b1d1"], 2, (False, 0)),  # a three-line extra
+        ],
+    )
+    def test_cases(self, image, d, expected):
+        sizes = (2, 1, 1, 1)
+        before = structure_of(map(parse_monomial, ["a1b1c1", "c1d1"]), sizes)
+        after = structure_of(map(parse_monomial, image), sizes)
+        assert _audit_projection(before, after, d) == expected
+        ok, extras = set_audit_projection(before, after, d)
+        assert (ok, len(extras)) == expected
