@@ -51,7 +51,6 @@ from .exactgeom import (
 from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,
-    GridLine,
     is_k_consistent,
     max_colorful_order,
 )

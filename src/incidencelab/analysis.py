@@ -164,13 +164,15 @@ class JointBoundReport:
 
 
 def joint_bound_value(m: int, k: int) -> Fraction:
+    if not 1 <= k <= m:
+        raise ValueError(f"the joint bound needs K in 1..{m} (the number of colors), not {k}")
     denom = comb(m - 1, k - 1)
     return Fraction(comb(denom + k - 1, k), denom)
 
 
 def joint_bound(cfg, k: int) -> JointBoundReport:
     m = cfg.num_colors
-    total = cfg.total_lines()
+    total = sum(cfg.class_sizes())  # every configuration model has class sizes
     bound = joint_bound_value(m, k)
     return JointBoundReport(m, k, total, bound, Fraction(total) >= bound)
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from . import gridmodel
 from .exactgeom import Line, ProjPoint, meet
 
@@ -126,15 +128,23 @@ def with_computed_centers(cfg: ColoredLineConfig) -> ColoredLineConfig:
     return ColoredLineConfig(cfg.d, cfg.classes, centers)
 
 
+def _grid_lines(k: int, n: int, ids: np.ndarray) -> list[Line]:
+    """The lines of a grid id array as exact rational lines in R^(k+1)."""
+    axes, digits = (ids // n**k).tolist(), (gridmodel._digits(ids % n**k, n, k) + 1).tolist()
+    units = np.eye(k + 1, dtype=np.int64).tolist()
+    return [Line.affine_with_direction([*d[:a], 1, *d[a:]], units[a]) for a, d in zip(axes, digits)]
+
+
 def embed_grid_config(cfg: gridmodel.ColoredGridConfig) -> ColoredLineConfig:
-    """The grid configuration as rational lines in R^(k+1), parallel per axis."""
-    classes = [[gridmodel.embed_grid_line(line) for line in cls] for cls in cfg.classes]
-    centers = []
-    for cls in cfg.classes:
-        axes = {line.axis for line in cls}
-        direction = [int(axes == {a}) for a in range(1, cfg.k + 2)]
-        concurrent = len(cls) >= 2 and any(direction)
-        centers.append(ProjPoint.direction(direction) if concurrent else None)
+    """The grid configuration as rational lines in R^(k+1), parallel per axis:
+    a class of two or more lines on one axis (ids sort by axis first) is
+    concurrent at their direction."""
+    span = cfg.n**cfg.k
+    classes = [_grid_lines(cfg.k, cfg.n, c) for c in cfg.ids]
+    centers = [
+        lines[0].q if len(c) >= 2 and c[0] // span == c[-1] // span else None
+        for lines, c in zip(classes, cfg.ids)
+    ]
     return ColoredLineConfig(cfg.k + 1, classes, centers)
 
 
@@ -152,14 +162,17 @@ def lines_to_json(cfg: ColoredLineConfig) -> dict:
     return {"model": "lines", "d": cfg.d, "classes": classes}
 
 
-def _class_entries(data: dict) -> list:
+def _class_entries(data: dict, member: str) -> list:
     """The classes of a line or point file, a JSON list; entry i must have
-    color i + 1."""
+    color i + 1 and a JSON list as its ``member``."""
     if not isinstance(data["classes"], list):
         raise ValueError(f"classes must be a list, not {type(data['classes']).__name__}")
     for pos, entry in enumerate(data["classes"]):
         if type(entry["color"]) is not int or entry["color"] != pos + 1:
             raise ValueError(f"classes[{pos}] has color {entry['color']!r}, not the int {pos + 1}")
+        if not isinstance(entry[member], list):
+            kind = type(entry[member]).__name__
+            raise ValueError(f"classes[{pos}] has {member} of type {kind}, not a list")
     return data["classes"]
 
 
@@ -172,7 +185,7 @@ def lines_from_json(data: dict) -> ColoredLineConfig:
         raise ValueError(f"a line configuration needs an integer d, not {data['d']!r}")
     classes = []
     centers = []
-    for entry in _class_entries(data):
+    for entry in _class_entries(data, "lines"):
         classes.append(
             [
                 Line(ProjPoint.from_strings(ln["p"]), ProjPoint.from_strings(ln["q"]))
@@ -199,9 +212,8 @@ def dual_from_json(data: dict) -> DualPointConfig:
     class order, else ValueError."""
     if data.get("model") != "points":
         raise ValueError("not a dual point configuration")
-    return DualPointConfig(
-        [[ProjPoint.from_strings(p) for p in entry["points"]] for entry in _class_entries(data)]
-    )
+    entries = _class_entries(data, "points")
+    return DualPointConfig([[ProjPoint.from_strings(p) for p in e["points"]] for e in entries])
 
 
 def config_to_json(cfg) -> dict:

@@ -3,8 +3,9 @@
 * ``gen_algebraic`` — k+1 concurrent-after-lift classes of axis lines in
   [n]^(k+1), n = p^(k-1), selected by linear equations over (Z/pZ)^(k-1)
   with one fixed vector family (``AlgebraicParams``: every admissible
-  family gives the same configuration up to relabeling); k-consistent,
-  no (k+1)-incidence, minimal, |class| = p^(k^2-k-1).
+  family gives the same configuration up to relabeling), computed as
+  int64 id arrays in O(class size) memory; k-consistent, no
+  (k+1)-incidence, minimal, |class| = p^(k^2-k-1).
 * ``gen_probabilistic`` — two-stage random selection: keep each grid line
   independently with an exact rational probability, then delete every
   line through a point covered by all k+1 axes (which unconditionally
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,53 +120,40 @@ class AlgebraicParams:
         return self.p ** (self.k * self.k - self.k - 1)
 
 
-def _enumerate_affine_solutions(
-    coeffs: Sequence[int], rhs: int, p: int
-) -> Iterator[tuple[int, ...]]:
-    """All solutions of one nonzero linear equation over F_p^D, in a fixed order."""
-    D = len(coeffs)
-    pivot = next(i for i, c in enumerate(coeffs) if c % p != 0)
-    inv = pow(coeffs[pivot] % p, p - 2, p)
-    free = [i for i in range(D) if i != pivot]
-    for counter in range(p ** len(free)):
-        x = [0] * D
-        for t, pos in enumerate(free):
-            x[pos] = (counter // p**t) % p
-        acc = sum(coeffs[i] * x[i] for i in free)
-        x[pivot] = ((rhs - acc) * inv) % p
-        yield tuple(x)
-
-
 def gen_algebraic(params: AlgebraicParams) -> ColoredGridConfig:
     """The finite-field grid selection; class i solves its own linear equation.
 
     Grid coordinates x in [1, p^(k-1)] correspond to vectors of
-    (Z/pZ)^(k-1) via the little-endian base-p digits of x-1.
+    (Z/pZ)^(k-1) via the little-endian base-p digits of x-1, so a line of
+    axis i is a vector of D = k(k-1) digits, k-1 per other slot.  The
+    solutions of class i's equation are counted by an int64 counter whose
+    little-endian base-p digits are the D-1 free digits, one column at a
+    time; the pivot digit is solved from them, and each line id is the
+    weighted sum of the digit columns.  Temporaries stay O(class size).
     """
     k, p, v = params.k, params.p, params.v
-    n = params.n
-    dim = k - 1
+    n, size = params.n, params.class_size
+    # the weight of digit t of the s-th slot (in slot order) in a line id
+    weights = [p**t * n ** (k - 1 - s) for s in range(k) for t in range(k - 1)]
     classes = []
     for i in range(1, k + 2):
-        if i <= k:
-            slots = [j for j in range(1, k + 2) if j != i]
-            slot_coeff = {j: v[i - 2] if j < i else v[i - 1] for j in slots}
-            rhs = 0
+        if i <= k:  # over the slots j != i: v_(i-1) before slot i, v_i after it
+            vecs, rhs = [v[i - 2]] * (i - 1) + [v[i - 1]] * (k + 1 - i), 0
         else:
-            slots = list(range(1, k + 1))
-            slot_coeff = {j: v[k - 1] for j in slots}
-            rhs = 1
-        coeffs = [slot_coeff[j][t] for j in slots for t in range(dim)]
-        ids = []
-        for sol in _enumerate_affine_solutions(coeffs, rhs, p):
-            line_id = i - 1  # the grid line id: axis, then the slots' coordinates
-            for s_idx in range(len(slots)):  # coordinate 1 + the little-endian digits
-                digits = sol[s_idx * dim : (s_idx + 1) * dim]
-                line_id = line_id * n + sum(e * p**t for t, e in enumerate(digits))
-            ids.append(line_id)
-        if len(ids) != params.class_size:
-            raise RuntimeError("algebraic class has unexpected size")
-        classes.append(np.array(ids, dtype=np.int64))
+            vecs, rhs = [v[k - 1]] * k, 1
+        coeffs = [c for vec in vecs for c in vec]
+        pivot = next(q for q, c in enumerate(coeffs) if c % p)
+        counter, acc = np.arange(size, dtype=np.int64), np.zeros(size, np.int64)
+        ids = np.full(size, (i - 1) * n**k, np.int64)
+        for q in range(len(coeffs)):
+            if q != pivot:
+                digit = counter % p
+                counter //= p
+                acc += coeffs[q] * digit
+                ids += weights[q] * digit
+        ids += weights[pivot] * ((rhs - acc) * pow(coeffs[pivot], -1, p) % p)
+        ids.sort()
+        classes.append(ids)
     return ColoredGridConfig(k, n, classes)
 
 

@@ -1,13 +1,13 @@
 """Combinatorial model of axis-aligned lines in the grid [n]^(k+1), and the
 incidence core shared by every configuration model.
 
-A configuration stores each class as one sorted array of line ids, so all
-incidence questions reduce to integer bookkeeping; ``GridLine`` objects
-are only a decoded view.  The axis-a line with coordinates c_1..c_k on
-its other slots has the id (a-1)*n^k + the big-endian base-n number with
-digits c_t - 1, so id order is ``GridLine`` order.  A point's id is that
-number over all k+1 coordinates, so id order is lexicographic order.
-Ids and their intermediates stay below max(n, k+1)*n^k, which
+A configuration stores each class as one sorted array of int64 line ids,
+the only representation of a grid line, so all incidence questions reduce
+to integer bookkeeping.  The axis-a line with coordinates c_1..c_k on its
+other slots has the id (a-1)*n^k + the big-endian base-n number with
+digits c_t - 1, so ids sort by axis, then by coordinates.  A point's id
+is that number over all k+1 coordinates, so id order is lexicographic
+order.  Ids and their intermediates stay below max(n, k+1)*n^k, which
 ``_line_count`` keeps below 2^63.
 
 The incidence core (``group_*``) decides k-consistency, minimality and
@@ -23,43 +23,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .exactgeom import Line, ProjPoint
-
 LineRef = tuple[int, int]
-
-
-@dataclass(frozen=True, order=True)
-class GridLine:
-    """An axis-parallel grid line: axis index (1-based) plus fixed coordinates.
-
-    ``base`` has length k+1 with the (ignored) axis slot stored as 0 and
-    every other entry in [1, n].
-    """
-
-    axis: int
-    base: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.axis <= len(self.base):
-            raise ValueError(f"axis {self.axis} out of range for base {self.base}")
-        if self.base[self.axis - 1] != 0:
-            raise ValueError("the axis slot of a grid line base must be stored as 0")
-        if any(v < 1 for i, v in enumerate(self.base) if i != self.axis - 1):
-            raise ValueError("non-axis base entries must be >= 1")
-
-    def point_at(self, value: int) -> tuple[int, ...]:
-        """The grid point on this line with the axis coordinate set to ``value``."""
-        coords = list(self.base)
-        coords[self.axis - 1] = value
-        return tuple(coords)
-
-    def points(self, n: int) -> Iterator[tuple[int, ...]]:
-        for v in range(1, n + 1):
-            yield self.point_at(v)
 
 
 def _line_count(k: int, n: int) -> int:
@@ -76,29 +44,13 @@ def _digits(ids: np.ndarray, n: int, width: int) -> np.ndarray:
     return ids[:, None] // n ** np.arange(width - 1, -1, -1) % n
 
 
-def _encode(k: int, n: int, lines: Iterable[GridLine]) -> np.ndarray:
-    ids = []
-    for line in lines:
-        if len(line.base) != k + 1 or max(line.base) > n:
-            raise ValueError(f"{line} is not a line of the grid [{n}]^{k + 1}")
-        idx = line.axis - 1
-        for v in line.base[: line.axis - 1] + line.base[line.axis :]:
-            idx = idx * n + v - 1
-        ids.append(idx)
-    return np.array(ids, dtype=np.int64)
-
-
-def _decode(k: int, n: int, ids: np.ndarray) -> tuple[GridLine, ...]:
-    axes, digits = (ids // n**k).tolist(), (_digits(ids % n**k, n, k) + 1).tolist()
-    return tuple(GridLine(a + 1, (*d[:a], 0, *d[a:])) for a, d in zip(axes, digits))
-
-
 @dataclass(frozen=True, eq=False)
 class ColoredGridConfig:
     """Colored axis-aligned lines in [n]^(k+1): class c is ``ids[c-1]``, a
-    sorted int64 array of line ids.  A class passed in is an integer array
-    of line ids (kept, not copied, if sorted int64: do not modify it) or a
-    sequence of ``GridLine``s, validated alike."""
+    sorted int64 array of line ids.  A class passed in is a 1-d integer
+    array (or sequence) of line ids, kept, not copied, if sorted int64: do
+    not modify it.  A repeated line is named by its axis and base, as in a
+    grid file."""
 
     k: int
     n: int
@@ -109,7 +61,10 @@ class ColoredGridConfig:
         count = _line_count(k, n)
         ids, merge = [], False  # merge: a class came unsorted, so it may repeat a line
         for c in classes:
-            c = np.asarray(c, np.int64) if isinstance(c, np.ndarray) else _encode(k, n, c)
+            c = np.asarray(c)
+            if c.ndim != 1 or c.size and c.dtype.kind not in "iu":
+                raise ValueError("a grid class is a 1-d array of integer line ids")
+            c = c.astype(np.int64, copy=False)
             if not np.all(c[1:] > c[:-1]):
                 c, merge = np.sort(c), True
             ids.append(c)
@@ -121,7 +76,8 @@ class ColoredGridConfig:
             every = np.sort(np.concatenate(ids))
             dup = every[1:][every[1:] == every[:-1]]
             if dup.size:
-                raise ValueError(f"duplicate line in the configuration: {_decode(k, n, dup[:1])[0]}")
+                axis, base = dup[0] // n**k + 1, (_digits(dup[:1] % n**k, n, k)[0] + 1).tolist()
+                raise ValueError(f"duplicate line in the configuration: axis {axis}, base {base}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ids", tuple(ids))
@@ -132,20 +88,12 @@ class ColoredGridConfig:
         same = (self.k, self.n) == (other.k, other.n)
         return same and all(map(np.array_equal, self.ids, other.ids))
 
-    @cached_property
-    def classes(self) -> tuple[tuple[GridLine, ...], ...]:
-        """The classes decoded to ``GridLine``s, in id order."""
-        return tuple(_decode(self.k, self.n, cls) for cls in self.ids)
-
     @property
     def num_colors(self) -> int:
         return len(self.ids)
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(cls) for cls in self.ids)
-
-    def total_lines(self) -> int:
-        return sum(self.class_sizes())
 
     def without_line(self, ref: LineRef) -> "ColoredGridConfig":
         ids = list(self.ids)
@@ -189,13 +137,6 @@ class ColoredGridConfig:
         keep = np.diff(pid, prepend=-1).astype(bool) | np.diff(line, prepend=-1).astype(bool)
         points, group = np.unique(pid[keep], return_inverse=True)
         return points, group, line[keep]
-
-
-def embed_grid_line(line: GridLine) -> Line:
-    """The grid line as an exact rational line in R^(k+1)."""
-    direction = [0] * len(line.base)
-    direction[line.axis - 1] = 1
-    return Line(ProjPoint.affine(line.point_at(1)), ProjPoint.direction(direction))
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .configs import ColoredLineConfig, DualPointConfig
+from .configs import ColoredLineConfig, DualPointConfig, _grid_lines
 from .exactgeom import Line, ProjPoint, covector_2d, line_covector_2d, meet
 from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,
     LineRef,
-    _decode,
-    embed_grid_line,
     group_consistency,
     group_max_colorful,
 )
@@ -139,7 +137,7 @@ def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
             groups.append(members)
 
     def meet_of(i: int, j: int):
-        return meet(*map(embed_grid_line, _decode(cfg.k, cfg.n, ids[[i, j]])))
+        return meet(*_grid_lines(cfg.k, cfg.n, ids[[i, j]]))
 
     return IncidenceStructure.from_groups(groups, cfg.class_sizes(), meet_of)
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .configs import ColoredLineConfig, DualPointConfig
+from .configs import ColoredLineConfig, DualPointConfig, embed_grid_config
 from .exactgeom import (
     Line,
     ProjPoint,
@@ -81,9 +81,6 @@ def lift_to_concurrent(
     c = dim * cfg.n + 1
     matrix = [[int(i == j) for j in range(dim)] + [0] for i in range(dim)]
     matrix.append([1] * dim + [-c])
-
-    from .configs import embed_grid_config
-
     embedded = embed_grid_config(cfg)
     lifted = apply_projective(embedded, matrix)
     s = extract_structure_grid(cfg)

@@ -1,5 +1,13 @@
 """Independent brute-force references used to check the production paths.
 
+The library holds a grid line only as an int64 id.  ``GridLine`` (axis
+plus base) is the oracles' own decoded model of one: ``encode`` and
+``decode`` translate between the two, ``decode`` digit by digit through
+``gridline_from_index``; ``grid_config`` builds a configuration from
+classes of ``GridLine``s and ``decoded`` gives its classes back as them.
+``embed_grid_line`` is one line embedded by the library's
+``embed_grid_config``.
+
 These deliberately avoid the axis-pair matching and the incidence core of
 the library: they enumerate grid points (or raw containment) and nothing
 else, so agreement is meaningful evidence rather than a tautology.  The
@@ -35,15 +43,80 @@ for the closed-form ``closure_shift`` that ``gen_dual_cycles`` rests on.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from incidencelab.exactgeom import Line, ProjPoint, Rational, int_nullspace, meet
-from incidencelab.gridmodel import ColoredGridConfig, GridLine
+from incidencelab.configs import embed_grid_config
+from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import IncidenceStructure
+
+
+@dataclass(frozen=True, order=True)
+class GridLine:
+    """An axis-parallel grid line: axis index (1-based) plus fixed coordinates.
+
+    ``base`` has length k+1 with the (ignored) axis slot stored as 0 and
+    every other entry in [1, n].
+    """
+
+    axis: int
+    base: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.axis <= len(self.base):
+            raise ValueError(f"axis {self.axis} out of range for base {self.base}")
+        if self.base[self.axis - 1] != 0:
+            raise ValueError("the axis slot of a grid line base must be stored as 0")
+        if any(v < 1 for i, v in enumerate(self.base) if i != self.axis - 1):
+            raise ValueError("non-axis base entries must be >= 1")
+
+    def point_at(self, value: int) -> tuple[int, ...]:
+        """The grid point on this line with the axis coordinate set to ``value``."""
+        coords = list(self.base)
+        coords[self.axis - 1] = value
+        return tuple(coords)
+
+    def points(self, n: int) -> Iterator[tuple[int, ...]]:
+        for v in range(1, n + 1):
+            yield self.point_at(v)
+
+
+def encode(k: int, n: int, lines: Iterable[GridLine]) -> np.ndarray:
+    """The line ids of grid lines of [n]^(k+1), in the given order."""
+    ids = []
+    for line in lines:
+        if len(line.base) != k + 1 or max(line.base) > n:
+            raise ValueError(f"{line} is not a line of the grid [{n}]^{k + 1}")
+        idx = line.axis - 1
+        for v in line.base[: line.axis - 1] + line.base[line.axis :]:
+            idx = idx * n + v - 1
+        ids.append(idx)
+    return np.array(ids, dtype=np.int64)
+
+
+def decode(k: int, n: int, ids: np.ndarray) -> tuple[GridLine, ...]:
+    """The grid lines of an id array, in its order."""
+    return tuple(gridline_from_index(k, n, i // n**k + 1, i % n**k) for i in ids.tolist())
+
+
+def grid_config(k: int, n: int, classes: Iterable[Iterable[GridLine]]) -> ColoredGridConfig:
+    return ColoredGridConfig(k, n, [encode(k, n, cls) for cls in classes])
+
+
+def decoded(cfg: ColoredGridConfig) -> tuple[tuple[GridLine, ...], ...]:
+    """The classes of a grid configuration as ``GridLine``s, in id order."""
+    return tuple(decode(cfg.k, cfg.n, ids) for ids in cfg.ids)
+
+
+def embed_grid_line(line: GridLine) -> Line:
+    """The exact rational line in R^(k+1) that ``embed_grid_config`` makes of ``line``."""
+    k, n = len(line.base) - 1, max(line.base)
+    return embed_grid_config(ColoredGridConfig(k, n, [encode(k, n, [line])])).classes[0][0]
 
 
 def point_on_line(point: tuple[int, ...], line: GridLine) -> bool:
@@ -58,10 +131,11 @@ def point_on_line(point: tuple[int, ...], line: GridLine) -> bool:
 def tiny_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
     """O(points * lines) enumeration; only for very small grids."""
     out: dict[tuple[int, ...], set] = {}
+    classes = decoded(cfg)
     for point in product(range(1, cfg.n + 1), repeat=cfg.k + 1):
         refs = {
             (color, idx)
-            for color, cls in enumerate(cfg.classes, start=1)
+            for color, cls in enumerate(classes, start=1)
             for idx, line in enumerate(cls)
             if point_on_line(point, line)
         }
@@ -73,7 +147,7 @@ def tiny_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
 def point_enumeration_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
     """Full n^(k+1) grid sweep, testing class membership per axis at each point."""
     index_of = [
-        {line: idx for idx, line in enumerate(cls)} for cls in cfg.classes
+        {line: idx for idx, line in enumerate(cls)} for cls in decoded(cfg)
     ]
     out: dict[tuple[int, ...], set] = {}
     for point in product(range(1, cfg.n + 1), repeat=cfg.k + 1):
@@ -125,7 +199,7 @@ def colorful_point_exists(cfg: ColoredGridConfig) -> bool:
 
 def _class_axis_bases(cfg: ColoredGridConfig, removed=None) -> list[dict]:
     out = []
-    for color, cls in enumerate(cfg.classes, start=1):
+    for color, cls in enumerate(decoded(cfg), start=1):
         per_axis: dict[int, set[tuple[int, ...]]] = {}
         for idx, line in enumerate(cls):
             if removed != (color, idx):
@@ -154,7 +228,7 @@ def point_scan_failures(cfg: ColoredGridConfig, k: int, removed=None) -> tuple:
     bases = _class_axis_bases(cfg, removed)
     colors = range(1, cfg.num_colors + 1)
     failures = []
-    for color, cls in enumerate(cfg.classes, start=1):
+    for color, cls in enumerate(decoded(cfg), start=1):
         for T in combinations([c for c in colors if c != color], k - 1):
             for idx, line in enumerate(cls):
                 if removed == (color, idx):

@@ -32,12 +32,7 @@ from incidencelab.constructions import (
     quadric_ruling_slits,
 )
 from incidencelab.exactgeom import ProjPoint, meet
-from incidencelab.gridmodel import (
-    GridLine,
-    embed_grid_line,
-    is_k_consistent,
-    max_colorful_order,
-)
+from incidencelab.gridmodel import is_k_consistent, max_colorful_order
 from incidencelab.structure import (
     extract_alignments,
     extract_structure_grid,
@@ -51,7 +46,7 @@ from incidencelab.transforms import (
     project_generic,
     undualize,
 )
-from oracles import grid_meet, point_enumeration_incidences
+from oracles import GridLine, embed_grid_line, grid_meet, point_enumeration_incidences
 from test_gridmodel import grid_point_incidences
 
 

@@ -26,9 +26,9 @@ from incidencelab.constructions import (
     quadric_ruling_slits,
 )
 from incidencelab.exactgeom import Line, ProjPoint
-from incidencelab.gridmodel import ColoredGridConfig, GridLine
+from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import extract_structure_lines
-from oracles import structure_of
+from oracles import GridLine, grid_config, structure_of
 
 
 class TestMonomialNotation:
@@ -105,7 +105,7 @@ class TestMinimality:
     def test_redundant_line_detected(self):
         # two colors, one line of color 1 crossed by two color-2 lines:
         # either color-2 line alone already provides every needed incidence
-        cfg = ColoredGridConfig(
+        cfg = grid_config(
             2,
             2,
             [

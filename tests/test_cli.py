@@ -5,7 +5,7 @@ from functools import cached_property
 
 import pytest
 
-from incidencelab import cli, configs, gridmodel, transforms
+from incidencelab import cli, configs, exactgeom, gridmodel, transforms
 from incidencelab.cli import main
 from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import IncidenceStructure
@@ -32,12 +32,25 @@ class TestGen:
         assert "alg.json" in manifest["outputs"]
 
     def test_algebraic_builds_no_grid_lines(self, workdir, capsys, monkeypatch):
-        monkeypatch.setattr(
-            gridmodel.GridLine, "__post_init__", lambda line: pytest.fail(f"built {line}")
-        )
+        # grid lines are int64 ids: no line object is built on the way to a verdict
+        assert not hasattr(gridmodel, "GridLine")
+        monkeypatch.setattr(exactgeom.Line, "__init__", lambda *a: pytest.fail("built a Line"))
         assert run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"]) == 0
         args = ["--k-consistency", "3", "--max-colorful", "3", "--minimality"]
         assert run(["verify", "alg.json", *args]) == 0
+
+    @pytest.mark.parametrize(
+        "k,p,digest",
+        [
+            (3, 2, "e2364cf8d2fba238824270899a44551c5ab04f4949893c13f350e26ca870bbba"),
+            (3, 3, "613a98ad1bf3d8e1d67972df97ba2db1426b5468e711b13434074e9b6131b36f"),
+            (3, 5, "049f9e129c00dae64b347826e793e4d6d7943a01542ee8e1a40f3527dd25437e"),
+            (4, 2, "072500da4b90318422a50214eb072c32aee080f95d4e4a4e85efde3b33a9fa9b"),
+        ],
+    )
+    def test_algebraic_bytes(self, workdir, k, p, digest):
+        assert run(["gen", "algebraic", "--k", str(k), "--p", str(p), "-o", "alg.json"]) == 0
+        assert hashlib.sha256((workdir / "alg.json").read_bytes()).hexdigest() == digest
 
     def test_nonprime_exits_2(self, workdir):
         assert run(["gen", "algebraic", "--k", "3", "--p", "4", "-o", "x.json"]) == 2
@@ -70,9 +83,9 @@ class TestGen:
         self, workdir, capsys, monkeypatch, emit, sizes
     ):
         built = []
-        original = gridmodel.GridLine.__post_init__
+        original = exactgeom.Line.__init__
         monkeypatch.setattr(
-            gridmodel.GridLine, "__post_init__", lambda line: built.append(line) or original(line)
+            exactgeom.Line, "__init__", lambda line, *a: built.append(a) or original(line, *a)
         )
         argv = ["gen", "probabilistic", "--k", "3", "--n", "16", "--seed", "3", "--emit", emit]
         assert run([*argv, "-o", "p.json"]) == 0
@@ -81,10 +94,10 @@ class TestGen:
         assert json.loads(capsys.readouterr().out)["checks"]["k_consistency"]["k"] == 3
         assert built == []
         # the written file holds the emitted stage; reading it builds no
-        # GridLine either, and its decoded view shows that the count is live
+        # Line either, and embedding it shows that the count is live
         cfg = configs.config_from_json(json.loads((workdir / "p.json").read_text()))
         assert list(cfg.class_sizes()) == expected and built == []
-        assert len(cfg.classes) == 4 and len(built) == sum(expected)
+        assert len(configs.embed_grid_config(cfg).classes) == 4 and len(built) == sum(expected)
 
     def test_reye_and_desargues(self, workdir):
         assert run(["gen", "reye", "-o", "reye.json"]) == 0
@@ -258,6 +271,36 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed configuration bad.json") and "list" in err
         assert not list(workdir.glob("out.*"))
+
+    @pytest.mark.parametrize("model", ["lines", "points"])
+    def test_class_member_not_a_list_exits_2(self, workdir, capsys, model):
+        # an object member used to read as an empty class, and verify passed
+        data = {"model": model, "d": 2, "classes": [{"color": 1, model: {}}]}
+        (workdir / "bad.json").write_text(json.dumps(data))
+        assert run(["verify", "bad.json", "--k-consistency", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed configuration bad.json")
+        assert f"classes[0] has {model} of type dict, not a list" in err
+
+    @pytest.mark.parametrize(
+        "classes",
+        [
+            [{"color": 1, "axis": 2, "bases": [[3, 1], [1, 2], [3, 1]]}],
+            [
+                {"color": 1, "axis": 2, "bases": [[3, 1]]},
+                {"color": 2, "axis": 2, "bases": [[1, 2], [3, 1]]},
+            ],
+        ],
+        ids=["within", "across"],
+    )
+    def test_repeated_line_exits_2(self, workdir, capsys, classes):
+        # named as the file names it: axis, then the k base entries
+        data = {"model": "grid", "k": 2, "n": 3, "classes": classes}
+        (workdir / "g.json").write_text(json.dumps(data))
+        assert run(["verify", "g.json", "--max-colorful", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed configuration g.json")
+        assert "duplicate line in the configuration: axis 2, base [3, 1]" in err
 
     @pytest.mark.parametrize(
         "value,reason", [(1, "not 1"), ("1/0", "zero denominator in '1/0'")]
@@ -477,6 +520,34 @@ class TestTransformAnalyze:
         assert err.startswith("error: ") and message in err
         assert not (workdir / "out.json").exists()
         assert not (workdir / "out.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("model", ["grid", "lines", "points"])
+    def test_joint_bound_needs_k_in_1_to_m(self, workdir, capsys, model):
+        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "grid.json"])
+        if model == "lines":
+            run(["transform", "grid.json", "--lift", "-o", "lines.json"])
+        elif model == "points":
+            argv = ["--lift", "--project", "2", "--dualize", "--seed", "11"]
+            run(["transform", "grid.json", *argv, "-o", "points.json"])
+        capsys.readouterr()
+        for bound, code in [(0, 2), (4, 0), (5, 2)]:  # m = 4 colors
+            assert run(["analyze", f"{model}.json", "--joint-bound", str(bound)]) == code
+            out, err = capsys.readouterr()
+            if code == 2:
+                reason = f"the joint bound needs K in 1..4 (the number of colors), not {bound}"
+                assert err == f"error: {reason}\n"
+            else:
+                report = json.loads(out)["joint_bound"]
+                assert (report["m"], report["k"], report["total_lines"]) == (4, 4, 128)
+
+    def test_lift_no_audit_writes_the_audited_bytes(self, workdir, monkeypatch):
+        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
+        assert run(["transform", "alg.json", "--lift", "-o", "audited.json"]) == 0
+        monkeypatch.setattr(
+            transforms, "extract_structure_lines", lambda cfg: pytest.fail("audited the lift")
+        )
+        assert run(["transform", "alg.json", "--lift", "--no-audit", "-o", "fast.json"]) == 0
+        assert (workdir / "fast.json").read_bytes() == (workdir / "audited.json").read_bytes()
 
     def test_project_dual_points_exits_2(self, workdir, capsys):
         run(["gen", "dual-cycles", "--r", "2", "-o", "dc.json"])

@@ -19,6 +19,7 @@ from incidencelab.constructions import (
     _stage_masks,
     _trial_stats,
     default_generic_slits,
+    gen_algebraic,
     gen_dual_cycles,
     gen_probabilistic,
     gen_tricolor,
@@ -31,7 +32,6 @@ from incidencelab.constructions import (
 from incidencelab.exactgeom import ProjFlat, meet
 from incidencelab.gridmodel import (
     ColoredGridConfig,
-    GridLine,
     grid_to_json,
     is_k_consistent,
     max_colorful_order,
@@ -43,10 +43,13 @@ from incidencelab.structure import (
     structure_consistency,
 )
 from oracles import (
+    GridLine,
     closure_shift,
     colorful_point_exists,
+    decoded,
     dense_deletion,
     dense_trial_stats,
+    grid_config,
     gridline_from_index,
     six_fold_map,
     sparse_deletion,
@@ -141,7 +144,26 @@ class TestAlgebraic:
     def test_classes_match_brute_force_filter(self, algebraic_3_2):
         params = AlgebraicParams(3, 2)
         for i in range(1, 5):
-            assert set(algebraic_3_2.classes[i - 1]) == brute_force_class(params, i)
+            assert set(decoded(algebraic_3_2)[i - 1]) == brute_force_class(params, i)
+
+    @pytest.mark.parametrize("k,p", [(3, 3), (4, 2)])
+    def test_array_classes_match_brute_force_filter(self, k, p):
+        params = AlgebraicParams(k, p)
+        classes = decoded(gen_algebraic(params))
+        for i in range(1, k + 2):
+            assert set(classes[i - 1]) == brute_force_class(params, i)
+
+    def test_algebraic_4_3_runs_in_class_size_memory(self):
+        # the ids are built column by column: no solution matrix, no Python ints
+        params = AlgebraicParams(4, 3)
+        tracemalloc.start()
+        try:
+            cfg = gen_algebraic(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cfg.class_sizes() == (params.class_size,) * 5
+        assert peak <= 16 * 8 * params.class_size  # 16 classes of int64 ids: 21.6 MiB
 
     def test_equation_sum_contradiction(self):
         # summing the k+1 equations gives coefficient 0 on every slot but
@@ -313,7 +335,7 @@ class TestProbabilistic:
             [gridline_from_index(k, n, axis, i) for i in range(n**k)]
             for axis in range(1, k + 2)
         ]
-        assert before == ColoredGridConfig(k, n, full)
+        assert before == grid_config(k, n, full)
         assert after == ColoredGridConfig(k, n, [[] for _ in full])
 
     def test_large_grid_runs_in_bounded_memory(self):
@@ -409,7 +431,7 @@ class TestMaskConfig:
             [gridline_from_index(k, n, axis, int(i)) for i in np.flatnonzero(m)]
             for axis, m in enumerate(masks, start=1)
         ]
-        oracle = ColoredGridConfig(k, n, lines)
+        oracle = grid_config(k, n, lines)
         # the line ids gen_probabilistic builds from its masks
         cfg = ColoredGridConfig(
             k, n, [np.flatnonzero(m) + (axis - 1) * n**k for axis, m in enumerate(masks, start=1)]
@@ -418,7 +440,7 @@ class TestMaskConfig:
         assert json.dumps(grid_to_json(cfg)) == json.dumps(grid_to_json(oracle))
         assert cfg == oracle
         # decoding matches the digit-by-digit oracle, in base-index order
-        assert cfg.classes == tuple(map(tuple, lines))
+        assert decoded(cfg) == tuple(map(tuple, lines))
 
 
 class TestTricolor:

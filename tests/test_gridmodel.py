@@ -11,9 +11,7 @@ from incidencelab.analysis import minimality_audit
 from incidencelab.exactgeom import ProjPoint, meet
 from incidencelab.gridmodel import (
     ColoredGridConfig,
-    GridLine,
     breaks_consistency_without,
-    embed_grid_line,
     grid_from_json,
     grid_to_json,
     is_k_consistent,
@@ -21,6 +19,10 @@ from incidencelab.gridmodel import (
 )
 from incidencelab.structure import extract_structure_grid, structure_consistency
 from oracles import (
+    GridLine,
+    decoded,
+    embed_grid_line,
+    grid_config,
     grid_meet,
     point_enumeration_incidences,
     point_enumeration_max_colorful,
@@ -84,7 +86,7 @@ def random_config(rng: random.Random, k: int, n: int, per_class: int) -> Colored
                 seen.add(line)
                 cls.append(line)
         classes.append(cls)
-    return ColoredGridConfig(k, n, classes)
+    return grid_config(k, n, classes)
 
 
 def mixed_config(
@@ -105,7 +107,7 @@ def mixed_config(
                 seen.add(line)
                 cls.append(line)
         classes.append(cls)
-    return ColoredGridConfig(k, n, classes)
+    return grid_config(k, n, classes)
 
 
 def grid_point_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
@@ -133,16 +135,24 @@ def incidence_dict(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
 class TestConfigValidation:
     def test_duplicate_across_classes(self):
         line = gl(1, 0, 1, 1)
-        with pytest.raises(ValueError):
-            ColoredGridConfig(2, 2, [[line], [line], []])
+        with pytest.raises(ValueError, match=r"axis 1, base \[1, 1\]"):
+            grid_config(2, 2, [[line], [line], []])
 
     def test_duplicate_within_class(self):
-        with pytest.raises(ValueError):
-            ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1), gl(1, 0, 1, 1)], [], []])
+        with pytest.raises(ValueError, match=r"axis 2, base \[2, 1\]"):
+            grid_config(2, 2, [[gl(2, 2, 0, 1), gl(2, 2, 0, 1)], [], []])
 
     def test_entry_exceeds_n(self):
         with pytest.raises(ValueError):
-            ColoredGridConfig(2, 2, [[gl(1, 0, 3, 1)], [], []])
+            grid_config(2, 2, [[gl(1, 0, 3, 1)], [], []])
+        with pytest.raises(ValueError, match=r"classes\[0\]"):
+            entry = {"color": 1, "axis": 1, "bases": [[3, 1]]}
+            grid_from_json({"k": 2, "n": 2, "classes": [entry]})
+
+    @pytest.mark.parametrize("cls", [[0.0], np.array([0.5]), [[0, 1]], [gl(1, 0, 1, 1)]])
+    def test_class_must_be_integer_ids(self, cls):
+        with pytest.raises(ValueError, match="integer line ids"):
+            ColoredGridConfig(2, 2, [cls])
 
     @pytest.mark.parametrize("line_id", [-1, 12])
     def test_line_id_out_of_range(self, line_id):
@@ -156,7 +166,7 @@ class TestConfigValidation:
         assert grid_from_json(grid_to_json(cfg)) == cfg
 
     def test_json_preserves_empty_classes(self):
-        cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [], []])
+        cfg = grid_config(2, 2, [[gl(1, 0, 1, 1)], [], []])
         loaded = grid_from_json(grid_to_json(cfg))
         assert loaded == cfg
         assert loaded.num_colors == 3
@@ -186,12 +196,12 @@ class TestIdBound:
     def test_last_point_of_the_largest_grid(self, k, n):
         first = GridLine(1, (0,) + (n,) * k)
         last = GridLine(k + 1, (n,) * k + (0,))
-        cfg = ColoredGridConfig(k, n, [[first], [last]])
+        cfg = grid_config(k, n, [[first], [last]])
         corner = (n,) * (k + 1)
         assert incidence_dict(cfg) == {corner: {(1, 0), (2, 0)}}
         assert max_colorful_order(cfg) == (2, corner)
         assert grid_from_json(json.loads(json.dumps(grid_to_json(cfg)))) == cfg
-        assert cfg.classes == ((first,), (last,))
+        assert decoded(cfg) == ((first,), (last,))
 
 
 class TestAllIncidences:
@@ -203,7 +213,7 @@ class TestAllIncidences:
         assert grid_point_incidences(cfg) == {}
 
     def test_two_crossing_lines(self):
-        cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
+        cfg = grid_config(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
         assert grid_point_incidences(cfg) == {(1, 1, 1): {(1, 0), (2, 0)}}
 
     @pytest.mark.parametrize("seed", range(6))
@@ -224,18 +234,18 @@ class TestHasSIncidence:
     """Single (line, S) incidences, read off the k-consistency failures."""
 
     def test_singleton_always_true(self):
-        cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [], []])
+        cfg = grid_config(2, 2, [[gl(1, 0, 1, 1)], [], []])
         assert is_k_consistent(cfg, 1).ok
 
     def test_color_not_in_S(self):
         # a failure names an S holding the line's own color
-        cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
+        cfg = grid_config(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
         failures = is_k_consistent(cfg, 2).failures
         assert failures
         assert all(ref[0] in S for ref, S in failures)
 
     def test_pair(self):
-        cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
+        cfg = grid_config(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
         failures = is_k_consistent(cfg, 2).failures
         assert ((1, 0), frozenset({1, 2})) not in failures
         assert ((1, 0), frozenset({1, 3})) in failures
@@ -254,7 +264,7 @@ class TestKConsistency:
             is_k_consistent(cfg, 4)
 
     def test_witnesses_reported(self):
-        cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], [gl(3, 2, 2, 0)]])
+        cfg = grid_config(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], [gl(3, 2, 2, 0)]])
         verdict = is_k_consistent(cfg, 2)
         assert not verdict.ok
         assert ((1, 0), frozenset({1, 3})) in verdict.failures
@@ -268,8 +278,9 @@ class TestKConsistency:
         cfg = random_config(rng, 2, 3, 2)
 
         def failures_by_line(config):
+            classes = decoded(config)
             return {
-                (config.classes[c - 1][i], S)
+                (classes[c - 1][i], S)
                 for (c, i), S in is_k_consistent(config, 2).failures
             }
 
@@ -279,13 +290,13 @@ class TestKConsistency:
             base = [rng.randint(1, 3) for _ in range(3)]
             base[color - 1] = 0
             new = GridLine(color, tuple(base))
-            if all(new not in cls for cls in cfg.classes):
+            if all(new not in cls for cls in decoded(cfg)):
                 break
         else:
             return
-        classes = [list(cls) for cls in cfg.classes]
+        classes = [list(cls) for cls in decoded(cfg)]
         classes[color - 1].append(new)
-        bigger = ColoredGridConfig(2, 3, classes)
+        bigger = grid_config(2, 3, classes)
         for line, S in failures_by_line(bigger):
             if line != new:
                 assert (line, S) in old_failures
@@ -293,7 +304,7 @@ class TestKConsistency:
 
 class TestMaxColorful:
     def test_single_crossing(self):
-        cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
+        cfg = grid_config(2, 2, [[gl(1, 0, 1, 1)], [gl(2, 1, 0, 1)], []])
         order, witness = max_colorful_order(cfg)
         assert order == 2
         assert witness == (1, 1, 1)
@@ -315,7 +326,7 @@ def dense_mixed_config(
                 base = list(rest)
                 base.insert(axis - 1, 0)
                 classes[rng.randrange(m)].append(GridLine(axis, tuple(base)))
-    return ColoredGridConfig(k, n, classes)
+    return grid_config(k, n, classes)
 
 
 grid_cases = st.builds(
@@ -404,13 +415,13 @@ class TestCoreAgainstOracles:
             removable = minimality_audit(cfg, 2).removable
             assert removable == rescan_removable(cfg, 2)
             compared += 1
-            nontrivial += 0 < len(removable) < cfg.total_lines()
+            nontrivial += 0 < len(removable) < sum(cfg.class_sizes())
         assert nontrivial
 
     def test_grid_ignores_shared_directions(self):
         # two colors on one axis meet only at infinity: the grid has no such
         # point, while the extracted structure records the shared direction
-        cfg = ColoredGridConfig(2, 2, [[gl(1, 0, 1, 1)], [gl(1, 0, 2, 2)]])
+        cfg = grid_config(2, 2, [[gl(1, 0, 1, 1)], [gl(1, 0, 2, 2)]])
         assert not is_k_consistent(cfg, 2).ok
         assert max_colorful_order(cfg) == (0, None)
         assert structure_consistency(extract_structure_grid(cfg), 2).ok

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from incidencelab.analysis import parse_monomial
 from incidencelab.configs import ColoredLineConfig, concurrency_center
 from incidencelab.exactgeom import Line, ProjPoint, meet
-from incidencelab.gridmodel import ColoredGridConfig, GridLine
 from incidencelab.structure import (
     extract_alignments,
     extract_structure_grid,
@@ -22,7 +21,7 @@ from incidencelab.transforms import (
     project_generic,
     undualize,
 )
-from oracles import set_audit_projection, structure_of
+from oracles import GridLine, grid_config, set_audit_projection, structure_of
 from test_gridmodel import random_config
 
 
@@ -57,10 +56,10 @@ class TestLift:
 
     def test_mixed_axes_rejected(self):
         # class 2 holds an axis-1 and an axis-3 line; class 1 is empty
-        cfg = ColoredGridConfig(2, 2, [[], [GridLine(1, (0, 1, 1)), GridLine(3, (2, 2, 0))]])
+        cfg = grid_config(2, 2, [[], [GridLine(1, (0, 1, 1)), GridLine(3, (2, 2, 0))]])
         with pytest.raises(ValueError, match="axis-parallel"):
             lift_to_concurrent(cfg)
-        one_axis = ColoredGridConfig(2, 2, [[], [GridLine(1, (0, 1, 1)), GridLine(1, (0, 2, 2))]])
+        one_axis = grid_config(2, 2, [[], [GridLine(1, (0, 1, 1)), GridLine(1, (0, 2, 2))]])
         assert lift_to_concurrent(one_axis)[0].centers[1] == ProjPoint.affine([1, 0, 0])
 
 
