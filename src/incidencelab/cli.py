@@ -1,9 +1,10 @@
 """Command-line front end: generate, verify, transform, analyze, export.
 
-Every artifact file is written with deterministic bytes (sorted keys,
-fixed separators) and accompanied by a ``<file>.manifest.json`` carrying
-the command line, seeds, library version, input/output SHA-256 hashes,
-and wall timings, so identical manifests imply identical artifact bytes.
+Every artifact file is written with deterministic bytes (JSON as
+``json.dumps(obj, indent=2, sort_keys=True)`` writes it, plus a newline)
+and accompanied by a ``<file>.manifest.json`` carrying the command line,
+seeds, library version, SHA-256 hashes of the input and output bytes, and
+wall timings, so identical manifests imply identical artifact bytes.
 
 Exit codes: 0 = all requested checks pass, 1 = a check failed (witnesses
 in the JSON verdict), 2 = usage or I/O error, or a failed operation (a
@@ -18,6 +19,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from . import __version__, analysis, configs, constructions, gridmodel, render
@@ -29,12 +31,63 @@ from .structure import extract_structure, extract_structure_lines, structure_con
 from .transforms import dualize, extract_planarity, lift_to_concurrent, project_generic, undualize
 
 
+_scalar = json.JSONEncoder().encode  # a str, int, float, bool or None, at C speed
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: str, or a converted int, float, bool or None."""
+    if isinstance(key, (str, int, float)) or key is None:
+        return _scalar(key if isinstance(key, str) else _scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(obj, indent: str, out: list[str]) -> None:
+    """Append the pieces of ``obj``, as ``json.dumps(obj, indent=2,
+    sort_keys=True)`` writes it at ``indent``, to ``out``."""
+    if not isinstance(obj, (dict, list, tuple)):
+        out.append(_scalar(obj))
+        return
+    if not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, dict):
+        out.append("{\n" + inner)
+        for key, value in sorted(obj.items()):
+            out.append(_key(key) + ": ")
+            _encode(value, inner, out)
+            out.append(sep)
+        out[-1] = "\n" + indent + "}"
+        return
+    widths = set(map(len, obj)) if set(map(type, obj)) <= {list, tuple} else ()
+    flat = tuple(chain.from_iterable(obj)) if len(widths) == 1 else ()
+    if flat and set(map(type, flat)) == {int}:
+        # equal-length rows of plain ints (grid bases): one printf-style
+        # format of the row template repeated once per row ("%d" writes an
+        # int without an intermediate string)
+        row = "[\n" + inner + "  " + (sep + "  ").join(["%d"] * widths.pop()) + "\n" + inner + "]"
+        out.extend(("[\n" + inner, sep.join([row] * len(obj)) % flat, "\n" + indent + "]"))
+        return
+    out.append("[\n" + inner)
+    for value in obj:
+        _encode(value, inner, out)
+        out.append(sep)
+    out[-1] = "\n" + indent + "]"
+
+
 def _dump_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(data, indent=2, sort_keys=True)`` and a
+    newline: dicts and lists are walked here, scalars go to ``json``'s C
+    encoder (which ``json`` itself uses only without ``indent``)."""
+    out: list[str] = []
+    _encode(data, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class _Run:
@@ -49,24 +102,25 @@ class _Run:
     def read_config(self, path: str):
         p = Path(path)
         try:
-            data = json.loads(p.read_text())
+            raw = p.read_bytes()
+            data = json.loads(raw.decode())
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit2(f"cannot read configuration {path}: {exc}")
-        self.inputs[str(p)] = _sha256(p)
+        self.inputs[str(p)] = _sha256(raw)
         try:
             return configs.config_from_json(data)
         except (KeyError, ValueError, TypeError) as exc:
             raise SystemExit2(f"malformed configuration {path}: {exc}")
 
     def write_artifact(self, path: str, text: str) -> None:
-        p = Path(path)
-        p.write_text(text)
+        p, data = Path(path), text.encode()
+        p.write_bytes(data)
         manifest = {
             "command": self.argv,
             "version": __version__,
             "seeds": self.seeds,
             "inputs": self.inputs,
-            "outputs": {str(p): _sha256(p)},
+            "outputs": {str(p): _sha256(data)},
             "timings": {"wall_s": round(time.time() - self.t0, 3)},
         }
         Path(str(p) + ".manifest.json").write_text(_dump_json(manifest))

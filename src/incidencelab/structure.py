@@ -260,11 +260,17 @@ def concurrence_buckets(lines: Sequence[Line]) -> list[list[int]]:
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
     """All maximal concurrences of a line configuration (``concurrence_buckets``),
-    witnessed by the points where their lines ``meet``."""
+    witnessed by the points where their lines ``meet``; in the plane, by the
+    canonical cross product of their covectors."""
     lines = [line for _, _, line in cfg.lines()]
-    return IncidenceStructure.from_groups(
-        concurrence_buckets(lines), cfg.class_sizes(), lambda i, j: meet(lines[i], lines[j])
-    )
+    covectors = [line_covector_2d(line) for line in lines] if cfg.d == 2 else None
+
+    def meet_of(i: int, j: int) -> ProjPoint | None:
+        if covectors is None:
+            return meet(lines[i], lines[j])
+        return ProjPoint(covector_2d(covectors[i], covectors[j]))
+
+    return IncidenceStructure.from_groups(concurrence_buckets(lines), cfg.class_sizes(), meet_of)
 
 
 def extract_alignments(cfg: DualPointConfig) -> IncidenceStructure:

@@ -38,10 +38,13 @@ for the trial statistics, and ``gridline_from_index`` (one line, digit
 by digit) for the vectorized decoding of base indices.  ``six_fold_map``
 composes the six projections of a dual cycle one by one, the reference
 for the closed-form ``closure_shift`` that ``gen_dual_cycles`` rests on.
+``dump_json`` is ``json``'s own indented writer (its pure-Python encoder),
+the reference for the CLI's JSON writer.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -579,3 +582,8 @@ def closure_shift(alphas: Sequence[Rational], betas: Sequence[Rational]) -> Frac
     a2, a3, _ = (Fraction(a) for a in alphas)
     b4 = Fraction(betas[2])
     return (a3 - a2) / (a3 * a2) * b4
+
+
+def dump_json(data) -> str:
+    """The bytes every JSON file and printed report of the CLI must have."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

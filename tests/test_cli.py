@@ -2,13 +2,18 @@ import hashlib
 import json
 import xml.etree.ElementTree as ET
 from functools import cached_property
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incidencelab import cli, configs, exactgeom, gridmodel, transforms
 from incidencelab.cli import main
 from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import IncidenceStructure
+from oracles import dump_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(args):
@@ -98,6 +103,19 @@ class TestGen:
         cfg = configs.config_from_json(json.loads((workdir / "p.json").read_text()))
         assert list(cfg.class_sizes()) == expected and built == []
         assert len(configs.embed_grid_config(cfg).classes) == 4 and len(built) == sum(expected)
+
+    @pytest.mark.parametrize(
+        "emit,digest",
+        [
+            ("after", "4135b97557a9f01e8540bc274562186e582275db14a439f32f7bce5c3ee0c84e"),
+            # 396,910 lines of bases rows, 24 MB
+            ("before", "5ede9ea2e6a5d6697d3292452488a92c50ff93ec4ad5aa1519d9324c842d1e3a"),
+        ],
+    )
+    def test_probabilistic_bytes(self, workdir, capsys, emit, digest):
+        argv = ["gen", "probabilistic", "--k", "3", "--n", "64", "--seed", "42", "--emit", emit]
+        assert run([*argv, "-o", "p.json"]) == 0
+        assert hashlib.sha256((workdir / "p.json").read_bytes()).hexdigest() == digest
 
     def test_reye_and_desargues(self, workdir):
         assert run(["gen", "reye", "-o", "reye.json"]) == 0
@@ -584,8 +602,86 @@ class TestManifest:
         digest = hashlib.sha256((workdir / "alg.json").read_bytes()).hexdigest()
         assert manifest["outputs"]["alg.json"] == digest
 
+    def test_digests_are_file_digests(self, workdir, capsys):
+        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
+        assert run(["transform", "alg.json", "--lift", "-o", "lift.json"]) == 0
+        manifest = json.loads((workdir / "lift.json.manifest.json").read_text())
+
+        def digest(name):
+            return hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+
+        assert manifest["inputs"] == {"alg.json": digest("alg.json")}
+        assert manifest["outputs"] == {"lift.json": digest("lift.json")}
+        manifest_bytes = (workdir / "lift.json.manifest.json").read_bytes()
+        assert manifest_bytes.decode() == dump_json(manifest)
+
     def test_identical_reruns_identical_bytes(self, workdir):
         run(["gen", "probabilistic", "--k", "3", "--n", "4", "--seed", "9", "-o", "a.json"])
         first = (workdir / "a.json").read_bytes()
         run(["gen", "probabilistic", "--k", "3", "--n", "4", "--seed", "9", "-o", "b.json"])
         assert first == (workdir / "b.json").read_bytes()
+
+
+# json's own scalars: ints beyond 2^64, floats with nan, inf and -0.0, and
+# strings with escapes and non-ASCII characters
+big = st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64))
+json_ints = st.integers() | big
+json_floats = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+json_text = st.text() | st.sampled_from(["", "\u00e9t\u00e9", "\u2603\U0001f600", '"\\\n\t\x00'])
+scalars = st.none() | st.booleans() | json_ints | json_floats | json_text
+
+
+def rows_of(elements, width: int):
+    row = st.lists(elements, min_size=width, max_size=width)
+    return st.lists(row | row.map(tuple), max_size=7)
+
+
+# lists of equal-length rows of ints, the writer's row-template case, and
+# rows that must take the general path: bools, floats, strings or ragged
+int_rows = st.integers(0, 4).flatmap(lambda width: rows_of(json_ints, width))
+mixed_rows = st.integers(0, 3).flatmap(lambda width: rows_of(scalars, width))
+ragged_rows = st.lists(st.lists(json_ints, max_size=4), max_size=5)
+documents = st.recursive(
+    scalars | int_rows | mixed_rows | ragged_rows,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=5)
+    | st.dictionaries(json_ints, inner, max_size=5)
+    | st.dictionaries(json_floats, inner, max_size=3)
+    | st.dictionaries(st.booleans(), inner, max_size=2)
+    | st.dictionaries(st.none(), inner, max_size=1),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """The CLI's writer against ``json.dumps(data, indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(documents)
+    def test_matches_json(self, data):
+        assert cli._dump_json(data) == dump_json(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {1: 0, "a": 0},  # unorderable keys
+            {(1, 2): 0},  # a key json cannot convert
+            {"a": object()},
+            [[1, 2], [3, object()]],
+            {"rows": [[1, 2**64], [3, 4.5]], "ids": (1, True)},
+        ],
+    )
+    def test_errors_match_json(self, data):
+        try:
+            expected = dump_json(data)
+        except TypeError:
+            with pytest.raises(TypeError):
+                cli._dump_json(data)
+        else:
+            assert cli._dump_json(data) == expected
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+    def test_golden_bytes(self, path):
+        text = path.read_bytes().decode()
+        assert cli._dump_json(json.loads(text)) == text == dump_json(json.loads(text))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from incidencelab import structure
 from incidencelab.configs import DualPointConfig, embed_grid_config
 from incidencelab.constructions import ProbParams, gen_probabilistic
-from incidencelab.exactgeom import Line, ProjPoint
+from incidencelab.exactgeom import Line, ProjPoint, meet
 from incidencelab.configs import ColoredLineConfig
 from incidencelab.gridmodel import (
     group_max_colorful,
@@ -332,6 +332,17 @@ class TestConcurrenceKernel:
             extract_structure_lines(lifted)  # d = 4 goes through the kernel
         planar = project_generic(lifted, s, 2, 11).config
         assert extract_structure_lines(planar).monomials > s.monomials
+
+    def test_planar_witnesses_are_meets(self, algebraic_3_2):
+        # in the plane a group's witness is the cross product of two covectors
+        lifted, s = lift_to_concurrent(algebraic_3_2, audit=False)
+        planar = project_generic(lifted, s, 2, 11).config
+        lines = [line for _, _, line in planar.lines()]
+        s = extract_structure_lines(planar)
+        witnesses = [s.witness(g) for g in range(s.num_groups)]
+        pairs = [s.line[a : a + 2].tolist() for a in s.bounds[:-1]]
+        assert witnesses == [meet(lines[i], lines[j]) for i, j in pairs]
+        assert len(witnesses) > 1000
 
     def test_memory_is_bounded_on_alg_3_3(self, algebraic_3_3):
         # 972 lifted lines, 471,906 pairs
