@@ -493,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     run = _Run(["ilab", *argv])
     try:
         return _COMMANDS[args.command](args, run)
-    except (SystemExit2, ValueError, RuntimeError, OSError) as exc:
+    except (SystemExit2, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

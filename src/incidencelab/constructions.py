@@ -746,11 +746,8 @@ def quadric_ruling_slits() -> tuple[Line, Line, Line, Line]:
     )
 
 
-def _point_on(line: Line, t: Fraction) -> ProjPoint:
-    num, den = t.numerator, t.denominator
-    return ProjPoint(
-        [den * a + num * b for a, b in zip(line.p.coords, line.q.coords)]
-    )
+def _point_on(line: Line, t: int) -> ProjPoint:
+    return ProjPoint([a + t * b for a, b in zip(line.p.coords, line.q.coords)])
 
 
 def gen_two_slit(
@@ -761,8 +758,9 @@ def gen_two_slit(
 ) -> list[Line]:
     """Sample ``count`` distinct lines secant to the chosen family's two slits.
 
-    Each line joins a rational point of each slit (drawn from the seeded
-    substream for the chosen family).
+    Each line joins a point p + t*q of each slit, where p and q are the
+    slit's spanning points and the integer t is drawn from the seeded
+    substream for the chosen family.
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
@@ -777,8 +775,8 @@ def gen_two_slit(
     while len(out) < count:
         if attempts > 20 * count + 100:
             raise RuntimeError("could not sample enough distinct secant lines")
-        t = Fraction(splitmix64(stream, i) % 20011) - 10005
-        u = Fraction(splitmix64(stream, i + 1) % 20011) - 10005
+        t = splitmix64(stream, i) % 20011 - 10005
+        u = splitmix64(stream, i + 1) % 20011 - 10005
         i += 2
         attempts += 1
         line = Line(_point_on(sa, t), _point_on(sb, u))

@@ -13,7 +13,8 @@ Conventions
 -----------
 * Homogeneous coordinates are ``(x_1, ..., x_d, w)``; a point is at
   infinity iff ``w == 0``.  The affine point ``x`` embeds as ``(x, 1)``.
-* Rationals serialize as ``"num/den"`` strings (``"5"`` for 5/1).
+* Coordinates parse from ``"num/den"`` strings and are ints from then
+  on: canonical coordinates serialize as integer strings (``"5"``).
 """
 
 from __future__ import annotations
@@ -36,21 +37,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def format_rational(value: Rational) -> str:
-    """Format a rational as "num/den", or "num" when the denominator is 1."""
-    return str(Fraction(value))
-
-
 def _canonical_ints(values: Sequence[Rational]) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector, sign-fixed
-    (an all-int vector skips the ``Fraction`` conversion)."""
-    for v in values:
-        if not isinstance(v, int):
-            fracs = [Fraction(v) for v in values]
-            scale = lcm(*(f.denominator for f in fracs))
-            values = [int(f * scale) for f in fracs]
-            break
-    return _reduce_row(values)
+    (``int`` turns numpy integers into Python ints, which cannot wrap)."""
+    scale = lcm(*[v.denominator for v in values])
+    return _reduce_row([int(v.numerator) * (scale // v.denominator) for v in values])
 
 
 def _reduce_row(row: Sequence[int]) -> tuple[int, ...]:
@@ -147,14 +138,8 @@ class ProjPoint:
     def is_infinite(self) -> bool:
         return self.coords[-1] == 0
 
-    def affine_coords(self) -> tuple[Fraction, ...]:
-        if self.is_infinite:
-            raise ValueError("point at infinity has no affine coordinates")
-        w = self.coords[-1]
-        return tuple(Fraction(c, w) for c in self.coords[:-1])
-
     def to_strings(self) -> list[str]:
-        return [format_rational(c) for c in self.coords]
+        return [str(c) for c in self.coords]
 
     def __repr__(self) -> str:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
@@ -306,9 +291,9 @@ def rank_of_directions(lines: Sequence[Line], at: ProjPoint) -> int:
     return int_rank([at.coords, *(row for ln in lines for row in ln.key)]) - 1
 
 
-def apply_matrix(matrix: Sequence[Sequence[Rational]], point: ProjPoint) -> ProjPoint:
-    """Image of a point under a projective transformation given by matrix rows
-    (ints or Fractions; an int matrix maps with integer dot products)."""
+def apply_matrix(matrix: Sequence[Sequence[int]], point: ProjPoint) -> ProjPoint:
+    """Image of a point under a projective transformation given by integer
+    matrix rows (integer dot products)."""
     if len(matrix[0]) != len(point.coords):
         raise ValueError("matrix shape does not match point coordinates")
     return ProjPoint([sum(m * c for m, c in zip(row, point.coords)) for row in matrix])

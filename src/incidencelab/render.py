@@ -27,8 +27,8 @@ def _color(i: int) -> str:
 
 
 def _finite_xy(p) -> tuple[float, float]:
-    x, y = p.affine_coords()
-    return float(x), float(y)
+    x, y, w = p.coords
+    return x / w, y / w  # int true division rounds correctly
 
 
 def _frame(points: list[tuple[float, float]]) -> tuple[float, float, float, float]:

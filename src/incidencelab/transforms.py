@@ -17,8 +17,7 @@ stable along pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -44,12 +43,10 @@ _DRAW_HALF_RANGE = 1 << 16
 PROJECTION_ATTEMPTS = 32  # fresh draws before ``project_generic`` gives up
 
 
-def apply_projective(cfg: ColoredLineConfig, matrix: Sequence[Sequence]) -> ColoredLineConfig:
-    """Map every line (and center) of a configuration through a matrix,
-    scaled once to integers (the same projective map)."""
-    rows = [[Fraction(m) for m in row] for row in matrix]
-    scale = lcm(*(m.denominator for row in rows for m in row))
-    matrix = [[int(m * scale) for m in row] for row in rows]
+def apply_projective(
+    cfg: ColoredLineConfig, matrix: Sequence[Sequence[int]]
+) -> ColoredLineConfig:
+    """Map every line (and center) of a configuration through an integer matrix."""
     classes = []
     for cls in cfg.classes:
         mapped = []
@@ -165,44 +162,23 @@ def project_generic(
     raise RuntimeError(f"no generic projection found in {PROJECTION_ATTEMPTS} attempts")
 
 
-_POLE = (0, 0, 1)
-
-
-def _translation_clearing_pole(cfg: ColoredLineConfig) -> tuple[int, int]:
-    """Deterministic translation after which no line passes the duality pole.
-
-    Lines through the pole after translating by (j, j^2) correspond to
-    source lines through (-j, -j^2); a line meets that parabola at most
-    twice, so at most 2L candidates fail.
-    """
-    total = cfg.total_lines()
-    for j in range(2 * total + 1):
-        probe = ProjPoint([-j, -j * j, 1])
-        if not any(line.contains(probe) for _, _, line in cfg.lines()):
-            return j, j * j
-    raise RuntimeError("unreachable: translation search exhausted")
-
-
 def dualize(cfg: ColoredLineConfig) -> DualPointConfig:
     """Pole-polar dual of a planar line configuration.
 
     Concurrences of size t map to collinear t-tuples and vice versa.  The
-    configuration is first translated (deterministically) so that no line
-    passes through the pole, keeping every dual point finite.
+    configuration is first translated by (j, j^2), for the least j >= 0
+    that moves no line onto the pole, keeping every dual point finite: the
+    covector (a, b, c) becomes (a, b, c - a*j - b*j^2), whose last entry,
+    zero iff the line passes the pole, vanishes for at most two j.
     """
     if cfg.d != 2:
         raise ValueError("dualize needs a planar configuration; project to d=2 first")
-    tx, ty = _translation_clearing_pole(cfg)
-    matrix = [[1, 0, tx], [0, 1, ty], [0, 0, 1]]
-    moved = apply_projective(cfg, matrix) if (tx, ty) != (0, 0) else cfg
-    classes = []
-    for cls in moved.classes:
-        pts = []
-        for line in cls:
-            a, b, c = line_covector_2d(line)
-            pts.append(ProjPoint([a, b, -c]))
-        classes.append(pts)
-    return DualPointConfig(classes)
+    covectors = [[line_covector_2d(line) for line in cls] for cls in cfg.classes]
+    flat = [cov for cls in covectors for cov in cls]
+    j = next(j for j in count() if all(c - a * j - b * j * j for a, b, c in flat))
+    return DualPointConfig(
+        [[ProjPoint([a, b, a * j + b * j * j - c]) for a, b, c in cls] for cls in covectors]
+    )
 
 
 def undualize(dual: DualPointConfig) -> ColoredLineConfig:

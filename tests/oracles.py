@@ -38,6 +38,11 @@ for the trial statistics, and ``gridline_from_index`` (one line, digit
 by digit) for the vectorized decoding of base indices.  ``six_fold_map``
 composes the six projections of a dual cycle one by one, the reference
 for the closed-form ``closure_shift`` that ``gen_dual_cycles`` rests on.
+``fraction_canonical_ints`` scales a vector through ``Fraction``s, the
+reference for ``exactgeom._canonical_ints``; ``translated_dual`` moves
+every line's spanning points off the pole before taking covectors, the
+reference for the covector shift of ``dualize``; ``fraction_xy`` is the
+reference for the renderer's float coordinates.
 ``dump_json`` is ``json``'s own indented writer (its pure-Python encoder),
 the reference for the CLI's JSON writer.
 """
@@ -49,12 +54,25 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, product
+from math import gcd, lcm
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from incidencelab.exactgeom import Line, ProjPoint, Rational, int_nullspace, meet
-from incidencelab.configs import embed_grid_config
+from incidencelab.exactgeom import (
+    Line,
+    ProjPoint,
+    Rational,
+    apply_matrix,
+    int_nullspace,
+    line_covector_2d,
+    meet,
+)
+from incidencelab.configs import (
+    ColoredLineConfig,
+    DualPointConfig,
+    embed_grid_config,
+)
 from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import IncidenceStructure
 
@@ -582,6 +600,49 @@ def closure_shift(alphas: Sequence[Rational], betas: Sequence[Rational]) -> Frac
     a2, a3, _ = (Fraction(a) for a in alphas)
     b4 = Fraction(betas[2])
     return (a3 - a2) / (a3 * a2) * b4
+
+
+def fraction_canonical_ints(values: Sequence) -> tuple[int, ...]:
+    """A rational vector as ``Fraction``s scaled by their common
+    denominator, divided by its gcd and sign-fixed so that its first
+    nonzero entry is positive; ValueError for a zero vector.  Integers
+    enter through ``int``: ``Fraction`` keeps a numpy integer as it is,
+    and it wraps when scaled."""
+    fracs = [v if isinstance(v, Fraction) else Fraction(int(v)) for v in values]
+    scale = lcm(*(f.denominator for f in fracs))
+    row = [int(f * scale) for f in fracs]
+    g = gcd(*row)
+    if not g:
+        raise ValueError("zero vector")
+    if next(x for x in row if x) < 0:
+        g = -g
+    return tuple(x // g for x in row)
+
+
+def translated_dual(cfg: ColoredLineConfig) -> tuple[int, DualPointConfig]:
+    """(j, dual) of a planar configuration: the least j >= 0 for which no
+    line passes through (-j, -j^2), and the pole-polar dual of the lines
+    after translating their spanning points by (j, j^2)."""
+    lines = [line for _, _, line in cfg.lines()]
+    j = 0
+    while any(line.contains(ProjPoint([-j, -j * j, 1])) for line in lines):
+        j += 1
+    shift = [[1, 0, j], [0, 1, j * j], [0, 0, 1]]
+    classes = []
+    for cls in cfg.classes:
+        points = []
+        for line in cls:
+            moved = Line(apply_matrix(shift, line.p), apply_matrix(shift, line.q))
+            a, b, c = line_covector_2d(moved)
+            points.append(ProjPoint([a, b, -c]))
+        classes.append(points)
+    return j, DualPointConfig(classes)
+
+
+def fraction_xy(p: ProjPoint) -> tuple[float, float]:
+    """The affine coordinates of a finite planar point as floats of ``Fraction``s."""
+    x, y, w = p.coords
+    return float(Fraction(x, w)), float(Fraction(y, w))
 
 
 def dump_json(data) -> str:

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incidencelab import cli, configs, exactgeom, gridmodel, transforms
+from incidencelab import cli, configs, exactgeom, gridmodel, render, transforms
 from incidencelab.cli import main
 from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import IncidenceStructure
-from oracles import dump_json
+from oracles import dump_json, fraction_xy
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,6 +59,12 @@ class TestGen:
 
     def test_nonprime_exits_2(self, workdir):
         assert run(["gen", "algebraic", "--k", "3", "--p", "4", "-o", "x.json"]) == 2
+
+    def test_out_of_memory_exits_2(self, workdir, capsys):
+        # 7^19 lines of 8 bytes: 81 PiB, beyond any address space
+        assert run(["gen", "algebraic", "--k", "5", "--p", "7", "-o", "x.json"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "x.json").exists()
 
     def test_zero_denominator_p_sel_exits_2(self, workdir, capsys):
         argv = ["gen", "probabilistic", "--k", "3", "--n", "4", "--seed", "1"]
@@ -591,6 +597,72 @@ class TestExport:
         root = ET.parse(workdir / "reye.svg").getroot()
         polys = [e for e in root.iter() if e.tag.endswith("polygon")]
         assert polys  # infinite incidence points drawn as arrowheads
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-50, 50) | st.integers(2**64, 2**120) | st.integers(-(2**120), -(2**64)),
+        st.integers(-50, 50) | st.integers(2**64, 2**120) | st.integers(-(2**120), -(2**64)),
+        st.integers(1, 50) | st.integers(2**54, 2**70) | st.integers(-(2**70), -1),
+    )
+    def test_finite_xy_matches_fractions(self, x, y, w):
+        # equal as floats; a zero over a negative w is -0.0 here, which the
+        # canvas only ever subtracts from nonzero frame bounds
+        p = exactgeom.ProjPoint([x, y, w])
+        assert render._finite_xy(p) == fraction_xy(p)
+
+
+ALG32_DUAL = [
+    ["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"],
+    ["transform", "alg.json", "--lift", "--project", "2", "--dualize", "--seed", "11", "-o", "dual32.json"],
+]
+
+
+class TestIntegerCoordinateBytes:
+    """Artifacts and SVGs of the two-slit sampler, dualizing, undualizing
+    and rendering, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argvs, output, digest",
+        [
+            (
+                [["gen", "two-slit", "--which", "1", "--count", "50", "--seed", "7", "-o", "ts.json"]],
+                "ts.json",
+                "ba97f4c15b067a4fccc0762a9a5731fa81be43339939ccff4a9d04fc3357d91f",
+            ),
+            (
+                [["gen", "two-slit", "--which", "2", "--count", "50", "--seed", "7", "--quadric", "-o", "ts.json"]],
+                "ts.json",
+                "c0df236e2f551274ad2cf8053a94343f34aeb46efc179ce7df190731bd172ace",
+            ),
+            (
+                [
+                    ["gen", "tricolor", "--steps", "1,1,1,-1,-1,-1", "-o", "tri.json"],
+                    ["transform", "tri.json", "--project", "2", "--dualize", "--seed", "1", "-o", "dual.json"],
+                ],
+                "dual.json",
+                "e48472b9ce0721b62c6142e6be095e8479db308d053efb65b492273b022581ec",
+            ),
+            (
+                [*ALG32_DUAL, ["transform", "dual32.json", "--undualize", "-o", "back.json"]],
+                "back.json",
+                "86934cb3a946b446eba56db6c443a72925b65051e97eacd0923623d241ab0cf1",
+            ),
+            (
+                [["gen", "desargues", "-o", "des.json"], ["export", "des.json", "--svg", "des.svg", "--seed", "3"]],
+                "des.svg",
+                "47d09ad8ef5c037ab25257239d63d8000125a6cf882582d5ba2dd38974b28af5",
+            ),
+            (
+                [*ALG32_DUAL, ["export", "dual32.json", "--svg", "dual32.svg"]],
+                "dual32.svg",
+                "3c2b10405ee3748e992e24d1695b0403645f588183e81a9f20427f8d7464e2a1",
+            ),
+        ],
+    )
+    def test_bytes(self, workdir, capsys, argvs, output, digest):
+        for argv in argvs:
+            assert run(argv) == 0
+        assert hashlib.sha256((workdir / output).read_bytes()).hexdigest() == digest
 
 
 class TestManifest:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -7,8 +8,8 @@ from incidencelab.exactgeom import (
     Line,
     ProjFlat,
     ProjPoint,
+    _canonical_ints,
     covector_2d,
-    format_rational,
     incident,
     int_nullspace,
     int_rank,
@@ -19,7 +20,7 @@ from incidencelab.exactgeom import (
     parse_rational,
     rank_of_directions,
 )
-from oracles import rank3x3, rref_meet
+from oracles import fraction_canonical_ints, rank3x3, rref_meet
 
 nonzero_ints = st.integers(-50, 50).filter(lambda v: v != 0)
 small_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -97,8 +98,7 @@ def line_pairs(draw):
 
 class TestRationalIO:
     def test_format(self):
-        assert format_rational(Fraction(-3, 7)) == "-3/7"
-        assert format_rational(Fraction(5)) == "5"
+        assert ProjPoint.from_strings(["3/7", "-5", "1"]).to_strings() == ["3", "-35", "7"]
 
     def test_parse_unicode_minus(self):
         assert parse_rational("−3/7") == Fraction(-3, 7)
@@ -108,9 +108,11 @@ class TestRationalIO:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
-    @given(small_fracs)
-    def test_round_trip(self, q):
-        assert parse_rational(format_rational(q)) == q
+    @given(st.lists(small_fracs, min_size=2, max_size=5).filter(any))
+    def test_round_trip(self, coords):
+        p = ProjPoint(coords)
+        assert ProjPoint.from_strings(p.to_strings()) == p
+        assert [parse_rational(t) for t in p.to_strings()] == list(p.coords)
 
 
 class TestProjPoint:
@@ -131,7 +133,33 @@ class TestProjPoint:
     def test_infinity_flag(self):
         assert pt(1, 2, 0).is_infinite
         assert not pt(1, 2, 3).is_infinite
-        assert pt(2, 4, 2).affine_coords() == (Fraction(1), Fraction(2))
+        assert pt(2, 4, 2).coords == (1, 2, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                coord,
+                st.integers(),
+                st.booleans(),
+                st.integers(-(2**63), 2**63 - 1).map(np.int64),
+                st.fractions(),
+                st.fractions(max_denominator=2**70),
+                coord.map(Fraction),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_canonical_ints_matches_fraction_oracle(self, values):
+        if not any(values):
+            for canonicalize in (_canonical_ints, fraction_canonical_ints):
+                with pytest.raises(ValueError):
+                    canonicalize(values)
+            return
+        got = _canonical_ints(values)
+        assert got == fraction_canonical_ints(values)
+        assert all(type(c) is int for c in got)
 
 
 class TestIncident:

@@ -115,7 +115,7 @@ def grid_point_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
     s = extract_structure_grid(cfg)
     witnesses = map(s.witness, range(s.num_groups))
     return {
-        tuple(int(v) for v in w.affine_coords()): set(m)
+        tuple(v // w.coords[-1] for v in w.coords[:-1]): set(m)
         for m, w in zip(s.members, witnesses)
         if not w.is_infinite
     }

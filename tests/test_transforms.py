@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from incidencelab.analysis import parse_monomial
 from incidencelab.configs import ColoredLineConfig, concurrency_center
@@ -21,12 +21,37 @@ from incidencelab.transforms import (
     project_generic,
     undualize,
 )
-from oracles import GridLine, grid_config, set_audit_projection, structure_of
+from oracles import (
+    GridLine,
+    grid_config,
+    set_audit_projection,
+    structure_of,
+    translated_dual,
+)
 from test_gridmodel import random_config
 
 
 def line2(a, b):
     return Line(ProjPoint.affine(a), ProjPoint.affine(b))
+
+
+planar_coord = st.integers(-5, 5) | st.integers(2**64, 2**66) | st.integers(-(2**66), -(2**64))
+# points with x = -j, y = -j^2: a line through one blocks the shift by (j, j^2)
+on_parabola = st.integers(0, 3).map(lambda j: (-j, -j * j, 1))
+
+
+@st.composite
+def planar_configs(draw):
+    lines: dict[tuple, Line] = {}
+    point = st.tuples(planar_coord, planar_coord, planar_coord)
+    for p, q in draw(st.lists(st.tuples(on_parabola | point, point), min_size=1, max_size=8)):
+        if any(p) and any(q) and ProjPoint(p) != ProjPoint(q):
+            line = Line(ProjPoint(p), ProjPoint(q))
+            lines.setdefault(line.key, line)
+    assume(lines)
+    lines = list(lines.values())
+    cut = draw(st.integers(1, len(lines)))
+    return ColoredLineConfig(2, [lines[:cut], lines[cut:]])
 
 
 class TestLift:
@@ -136,6 +161,25 @@ class TestDuality:
         dual = dualize(cfg)
         for _, _, p in dual.points():
             assert not p.is_infinite
+
+    @pytest.mark.parametrize(
+        "lines, j",
+        [
+            ([line2((1, 0), (1, 1))], 0),
+            ([line2((0, 0), (1, 3))], 1),
+            ([line2((0, 0), (1, 3)), line2((-1, -1), (2, 0))], 2),
+            # y = 3x also passes (-3, -9)
+            ([line2((0, 0), (1, 3)), line2((-1, -1), (2, 0)), line2((-2, -4), (0, 1))], 4),
+        ],
+    )
+    def test_covector_shift_skips_lines_through_the_parabola(self, lines, j):
+        cfg = ColoredLineConfig(2, [lines])
+        assert translated_dual(cfg) == (j, dualize(cfg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(planar_configs())
+    def test_covector_shift_matches_translated_lines(self, cfg):
+        assert dualize(cfg) == translated_dual(cfg)[1]
 
     def test_inverse_accepts_directions(self):
         from incidencelab.configs import DualPointConfig
