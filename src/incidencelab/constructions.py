@@ -220,11 +220,15 @@ def _selection_masks(k: int, n: int, seed: int, threshold: int) -> list[np.ndarr
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, by SWAR (numpy < 2 has no bitwise_count)."""
-    count = words - ((words >> 1) & _M1)
-    count = (count & _M2) + ((count >> 2) & _M2)
-    count = (count + (count >> 4)) & _M4
-    return (count * _H) >> 56  # the byte sums, summed into the top byte
+    """Set bits of each uint64 word, by SWAR in two arrays (numpy < 2 has no bitwise_count)."""
+    scratch = words >> 1
+    count = words - np.bitwise_and(scratch, _M1, out=scratch)  # 2-bit counts
+    np.bitwise_and(np.right_shift(count, 2, out=scratch), _M2, out=scratch)
+    count &= _M2
+    count += scratch  # 4-bit counts
+    count += np.right_shift(count, 4, out=scratch)
+    count &= _M4  # byte counts, summed into the top byte:
+    return np.right_shift(np.multiply(count, _H, out=count), 56, out=count)
 
 
 def _words(k: int, n: int, masks: list[np.ndarray]) -> list[np.ndarray]:

@@ -16,15 +16,13 @@ For dual point configurations the same record type holds the maximal
 *alignments* (collinear subsets), witnessed by their covectors: the dual
 notion of concurrences, so the consistency checks apply unchanged.
 
-In the plane both group pairs by one exact cross product
-(``planar_buckets``): the line through two points, or the point where
-two lines meet.  Line concurrences in d >= 3 come from a numpy kernel
-over the line pairs on residues mod a prime (``concurrence_buckets``):
-it certifies skew pairs in bulk and groups the others by their meeting
-point mod p, and each point is then confirmed by one exact meet, so
-structures stay exact.  Every extractor hands sorted lists of line
-positions to one builder.  Grid structures add one group per shared
-axis direction, which the grid verifiers never count.
+Both come from numpy kernels over the pairs on residues mod a prime,
+confirmed exactly: in the plane (``planar_buckets``) pairs group by their
+cross product (the line through two points, or the point where two lines
+meet) straight into entry arrays; in d >= 3 (``concurrence_buckets``) skew
+pairs are certified in bulk, the others grouped by their meeting point, and
+the sorted lists of line positions go to one builder, as do grid structures,
+with one group per shared axis direction, which grid verifiers never count.
 """
 
 from __future__ import annotations
@@ -163,6 +161,20 @@ def _inverse(x: np.ndarray, p: int) -> np.ndarray:
     return inv[: len(x)]
 
 
+def _scaled(rows: np.ndarray, p: int) -> np.ndarray:
+    """Residue rows scaled to a leading 1; zero rows stay zero."""
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return rows * _inverse(np.maximum(lead, 1), p)[:, None] % p
+
+
+def _pair_chunks(n: int):
+    """Index arrays (i, j > i) over chunks of rows i, about ``PAIR_CHUNK`` pairs each."""
+    step = max(1, PAIR_CHUNK // n)
+    for i0 in range(0, n - 1, step):
+        i, j = np.nonzero(np.arange(n) > np.arange(i0, min(i0 + step, n - 1))[:, None])
+        yield i + i0, j
+
+
 def _candidates(lines: Sequence[Line], p: int):
     """Per chunk of rows i: the pairs (i, j > i) not certified skew (d >= 3), with points."""
     n = len(lines)
@@ -178,10 +190,7 @@ def _candidates(lines: Sequence[Line], p: int):
     g1, g2 = ((r * g % p).sum(axis=1) % p for r in (r1, r2))
     p1, p2 = r1[at, c1], r2[at, c2]
     s, t1, t2 = p1 * p2 % p, p2 * g1 % p, p1 * g2 % p
-    step = max(1, PAIR_CHUNK // n)
-    for i0 in range(0, n - 1, step):
-        i, j = np.nonzero(np.arange(n) > np.arange(i0, min(i0 + step, n - 1))[:, None])
-        i += i0
+    for i, j in _pair_chunks(n):
         keep = (plucker[i] * dual[j]).sum(axis=1) % p == 0
         i, j = i[keep], j[keep]
         # g(Line.residual) of b's key rows against a = lines[i]
@@ -190,15 +199,44 @@ def _candidates(lines: Sequence[Line], p: int):
         yield i, j, (r1[j] * w[:, None] - r2[j] * u[:, None]) % p
 
 
-def planar_buckets(triples: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The sorted positions of the planar triples incident to each canonical
-    cross product of two of them, in first-pair order: points give the
-    covectors of their alignments, line covectors the points where the
-    lines meet.  One projective element twice raises ValueError."""
-    buckets: dict[tuple[int, ...], set[int]] = {}
-    for (i, a), (j, b) in combinations(enumerate(triples), 2):
-        buckets.setdefault(covector_2d(a, b), set()).update((i, j))
-    return [sorted(m) for m in buckets.values()]
+def planar_buckets(triples: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Entry arrays ``(group, line)``: the planar triples on each canonical
+    cross product of two of them (points: the covectors of alignments; line
+    covectors: the points where lines meet), groups ascending by their two
+    smallest positions, which no two share.  One element twice: ValueError.
+
+    Pairs group by the cross product of their primitive residues mod
+    ``PRIME``.  Distinct elements always meet, so a one-pair group is exact,
+    and a larger one is if its members lie on its first pair's exact cross
+    product; else, and for zero residues, pairs are crossed one by one.
+    Those points have no one-pair group (a, b): a third element on one has a
+    nonzero residue independent of a's or b's, giving the key of (a, b)."""
+    n, p = len(triples), PRIME
+    if n < 2:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    r, pack = _residues([ProjPoint(t).coords for t in triples], p), np.array([p * p, p, 1])
+    # scaled to (1, x, y), (0, 1, y) or (0, 0, 1), or zero: a unique key below 2p^2 < 2^61
+    chunks = [(_scaled(np.cross(r[i], r[j]) % p, p) @ pack, i * n + j) for i, j in _pair_chunks(n)]
+    key, pair = (np.concatenate(c) for c in zip(*chunks))
+    key, pair = key[order := np.argsort(key)], pair[order]
+    bounds = np.array(_bounds(key))
+    one = (np.diff(bounds) == 1) & (key[bounds[:-1]] != 0)
+    exact: dict[tuple[int, ...], set[int]] = {}  # exact point -> positions
+    for a, b in zip(bounds[:-1][~one].tolist(), bounds[1:][~one].tolist()):
+        i, j = (pair[a:b] // n).tolist(), (pair[a:b] % n).tolist()
+        at = covector_2d(triples[i[0]], triples[j[0]]) if key[a] else None
+        if at and all(not sum(x * y for x, y in zip(triples[m], at)) for m in {*i, *j}):
+            exact.setdefault(at, set()).update(i, j)
+        else:  # cross the pairs one by one
+            for x, y in zip(i, j):
+                exact.setdefault(covector_2d(triples[x], triples[y]), set()).update((x, y))
+    code = np.sort(pair[bounds[:-1][one]])  # one-pair groups, i * n + j
+    groups = sorted(sorted(m) for m in exact.values())
+    at, sizes = np.searchsorted(code, [g[0] * n + g[1] for g in groups]), list(map(len, groups))
+    line = np.stack(np.divmod(code, n), 1).ravel()
+    line = np.insert(line, np.repeat(2 * at, sizes), list(chain.from_iterable(groups)))
+    size = np.insert(np.full(len(code), 2), at, sizes)
+    return np.repeat(np.arange(len(size), dtype=np.int64), size), line
 
 
 def concurrence_buckets(lines: Sequence[Line]) -> list[list[int]]:
@@ -206,8 +244,8 @@ def concurrence_buckets(lines: Sequence[Line]) -> list[list[int]]:
     more of the lines meet, in first-meeting pair order: ascending by the
     two smallest positions of lines through the point.
 
-    Planar lines meet at the cross products of their covectors
-    (``planar_buckets``).  For d >= 3 a numpy kernel over the line pairs,
+    Planar lines meet at the cross products of their covectors, grouped
+    mod p and confirmed (``planar_buckets``).  For d >= 3 a numpy pair kernel,
     on residues mod ``PRIME``, proposes the points.  Lines a, b meet iff
     their stacked keys M have rank 3; then M X^T (X = [I | E], E fixed
     pseudo-random) has determinant 0, the side product of the Pluecker
@@ -231,12 +269,11 @@ def concurrence_buckets(lines: Sequence[Line]) -> list[list[int]]:
     if len(lines) < 2:
         return []
     if lines[0].ambient_dim == 2:
-        return planar_buckets([line_covector_2d(line) for line in lines])
+        group, line = planar_buckets([line_covector_2d(line) for line in lines])
+        return [part.tolist() for part in np.split(line, _bounds(group)[1:-1])]
     groups: dict[bytes, set[int]] = {}  # residue point -> lines
     for i, j, point in _candidates(lines, PRIME):
-        lead = point[np.arange(len(point)), (point != 0).argmax(axis=1)]
-        lead[lead == 0] = 1  # zero points stay zero and form a group of their own
-        point = point * _inverse(lead, PRIME)[:, None] % PRIME
+        point = _scaled(point, PRIME)  # zero points stay zero and form a group of their own
         order = np.lexsort(point.T)
         point, first, second = point[order], i[order].tolist(), j[order].tolist()
         starts = np.flatnonzero(np.diff(point, axis=0, prepend=-1).any(axis=1)).tolist()
@@ -260,25 +297,24 @@ def concurrence_buckets(lines: Sequence[Line]) -> list[list[int]]:
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
     """All maximal concurrences of a line configuration (``concurrence_buckets``),
-    witnessed by the points where their lines ``meet``; in the plane, by the
-    canonical cross product of their covectors."""
+    witnessed by the points where their lines ``meet``; in the plane
+    (``planar_buckets``), by the canonical cross product of their covectors."""
     lines = [line for _, _, line in cfg.lines()]
-    covectors = [line_covector_2d(line) for line in lines] if cfg.d == 2 else None
-
-    def meet_of(i: int, j: int) -> ProjPoint | None:
-        if covectors is None:
-            return meet(lines[i], lines[j])
-        return ProjPoint(covector_2d(covectors[i], covectors[j]))
-
-    return IncidenceStructure.from_groups(concurrence_buckets(lines), cfg.class_sizes(), meet_of)
+    if cfg.d != 2:
+        groups, meet_of = concurrence_buckets(lines), lambda i, j: meet(lines[i], lines[j])
+        return IncidenceStructure.from_groups(groups, cfg.class_sizes(), meet_of)
+    cov = [line_covector_2d(line) for line in lines]
+    return IncidenceStructure(
+        cfg.class_sizes(), *planar_buckets(cov), lambda i, j: ProjPoint(covector_2d(cov[i], cov[j]))
+    )
 
 
 def extract_alignments(cfg: DualPointConfig) -> IncidenceStructure:
     """Maximal collinear subsets of a dual point configuration, witnessed by
     the covectors of their lines (``planar_buckets``)."""
     coords = [p.coords for _, _, p in cfg.points()]
-    return IncidenceStructure.from_groups(
-        planar_buckets(coords), cfg.class_sizes(), lambda i, j: covector_2d(coords[i], coords[j])
+    return IncidenceStructure(
+        cfg.class_sizes(), *planar_buckets(coords), lambda i, j: covector_2d(coords[i], coords[j])
     )
 
 

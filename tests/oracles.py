@@ -24,6 +24,8 @@ system of the two lines' spanning points by generic row reduction.
 ``loop_concurrence_buckets`` calls exact ``meet`` on one line pair at a
 time, skipping pairs already bucketed together: the reference for the
 mod-p pair kernel of ``concurrence_buckets``, order of the points included.
+``loop_planar_buckets`` takes one exact cross product per pair of planar
+triples: the reference for the residue kernel of ``planar_buckets``.
 ``loop_alignments`` joins two dual points at a time by an integer
 nullspace: the reference for the cross products of ``planar_buckets``
 behind ``extract_alignments``, witness order included.
@@ -64,6 +66,7 @@ from incidencelab.exactgeom import (
     ProjPoint,
     Rational,
     apply_matrix,
+    covector_2d,
     int_nullspace,
     line_covector_2d,
     meet,
@@ -421,6 +424,17 @@ def loop_concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]
         on_points[i].add(pt)
         on_points[j].add(pt)
     return buckets
+
+
+def loop_planar_buckets(triples: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The sorted positions of the planar triples incident to each canonical
+    cross product of two of them, in first-pair order: points give the
+    covectors of their alignments, line covectors the points where the
+    lines meet.  One projective element twice raises ValueError."""
+    buckets: dict[tuple[int, ...], set[int]] = {}
+    for (i, a), (j, b) in combinations(enumerate(triples), 2):
+        buckets.setdefault(covector_2d(a, b), set()).update((i, j))
+    return [sorted(m) for m in buckets.values()]
 
 
 def loop_alignments(classes: Sequence[Sequence[ProjPoint]]) -> dict[tuple[int, ...], set]:

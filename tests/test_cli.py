@@ -501,6 +501,33 @@ class TestTransformAnalyze:
         args = ["--k-consistency", "3", "--max-colorful", "3"]
         assert run(["verify", "proj.json", *args]) == 0
 
+    @pytest.mark.parametrize(
+        "dualize, digest, witness",
+        [
+            (
+                [],
+                "fe09dcb3e19c20e632e13be19e02d91ef28b6b9408c68bfbfc919fe15932214d",
+                "(29951:31677:-33)",
+            ),
+            (
+                ["--dualize"],
+                "bf2e6b07da85f2bde72ffa53548a8a9aee2ae94e00dae800c4672e947f7847c9",
+                "(29951, 31677, 33)",
+            ),
+        ],
+        ids=["lines", "dual"],
+    )
+    def test_alg_3_3_lift_project_2_bytes(self, workdir, capsys, dualize, digest, witness):
+        # 352,354 planar groups, 349,920 of them new crossings, as lines or dual points
+        run(["gen", "algebraic", "--k", "3", "--p", "3", "-o", "alg.json"])
+        capsys.readouterr()
+        argv = ["transform", "alg.json", "--lift", "--project", "2", *dualize, "--seed", "11"]
+        assert run([*argv, "-o", "out.json"]) == 0
+        assert "note: 349920 new planar crossings recorded" in capsys.readouterr().err.splitlines()
+        assert hashlib.sha256((workdir / "out.json").read_bytes()).hexdigest() == digest
+        assert run(["verify", "out.json", "--k-consistency", "3", "--max-colorful", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]["max_colorful"]["witness"] == witness
+
     def test_alg_3_2_lift_project_2_dualize_bytes(self, workdir, capsys):
         # planar lines and dual points through the one planar routine
         run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])

@@ -1,13 +1,15 @@
 import random
 import tracemalloc
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from incidencelab import structure
 from incidencelab.configs import DualPointConfig, embed_grid_config
 from incidencelab.constructions import ProbParams, gen_probabilistic
-from incidencelab.exactgeom import Line, ProjPoint, meet
+from incidencelab.exactgeom import Line, ProjPoint, covector_2d, line_covector_2d, meet
 from incidencelab.configs import ColoredLineConfig
 from incidencelab.gridmodel import (
     group_max_colorful,
@@ -17,6 +19,7 @@ from incidencelab.gridmodel import (
 )
 from incidencelab.transforms import lift_to_concurrent, project_generic
 from incidencelab.structure import (
+    IncidenceStructure,
     concurrence_buckets,
     extract_alignments,
     extract_structure_grid,
@@ -28,6 +31,7 @@ from oracles import (
     loop_concurrence_buckets,
     loop_consistency,
     loop_max_colorful,
+    loop_planar_buckets,
     loop_removable,
     random_structure,
 )
@@ -233,14 +237,14 @@ class TestCoreAgainstLoopOracle:
 
 
 @st.composite
-def line_lists(draw):
+def line_lists(draw, dims=st.integers(2, 5)):
     """2..14 lines in projective d-space, d = 2..5, each through two of a
     pool of 3..7 small points: lines sharing a pool point form concurrent
     classes, pool points with w = 0 give parallel lines and points at
     infinity, and collinear pool points give identical lines.  A diagonal
     map scaling every other coordinate by a large factor keeps the
     incidences and puts coordinates above 2^64."""
-    d = draw(st.integers(2, 5))
+    d = draw(dims)
     scale = draw(st.sampled_from([1, 2**64 + 13, 3**45]))
     point = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1).filter(any)
     pool = [
@@ -355,3 +359,73 @@ class TestConcurrenceKernel:
             tracemalloc.stop()
         assert len(buckets) == 2434
         assert peak < 32 * 2**20
+
+
+@st.composite
+def planar_triples(draw):
+    """The coordinates of dual points (``dual_point_classes``) or the
+    covectors of planar lines (``line_lists``): collinear runs and pencils,
+    points at infinity and parallel lines, coordinates above 2^64, and
+    sometimes one projective element twice.  Some triples are multiplied
+    by small primes, so all their residues vanish for a tiny prime."""
+    if draw(st.booleans()):
+        triples = [p.coords for cls in draw(dual_point_classes()) for p in cls]
+    else:
+        triples = [line_covector_2d(line) for line in draw(line_lists(st.just(2)))]
+    factor = st.sampled_from([1, 1, -1, 2, 3, 5, 7, 210])
+    factors = draw(st.lists(factor, min_size=len(triples), max_size=len(triples)))
+    return [tuple(f * x for x in t) for f, t in zip(factors, triples)]
+
+
+@pytest.fixture(scope="module")
+def planar_3_3(algebraic_3_3):
+    """alg(3,3) lifted and projected to the plane, seed 11: 972 lines, 471,906 pairs."""
+    lifted, s = lift_to_concurrent(algebraic_3_3, audit=False)
+    return project_generic(lifted, s, 2, 11).config
+
+
+class TestPlanarKernel:
+    """The residue kernel of ``planar_buckets`` against one exact cross
+    product per pair: equal entry arrays, and ValueError on both sides for
+    one projective element twice.  Tiny primes make residues collide and
+    cross products vanish, so groups fail their check and pairs fall back
+    to exact cross products that join confirmed groups; triples multiplied
+    by the prime check that residues are taken of primitive triples; tiny
+    chunks end mid-row."""
+
+    @pytest.mark.parametrize(
+        "prime, chunk", [(structure.PRIME, structure.PAIR_CHUNK), *product((2, 3, 5, 7), (1, 7))]
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(triples=planar_triples())
+    def test_matches_loop(self, prime, chunk, triples):
+        try:
+            expected = IncidenceStructure.from_groups(loop_planar_buckets(triples), [len(triples)])
+        except ValueError:
+            expected = None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structure, "PRIME", prime)
+            mp.setattr(structure, "PAIR_CHUNK", chunk)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    structure.planar_buckets(triples)
+                return
+            group, line = structure.planar_buckets(triples)
+        assert group.dtype == line.dtype == np.int64
+        assert IncidenceStructure((len(triples),), group, line) == expected
+
+    def test_few_exact_cross_products_on_alg_3_3(self, planar_3_3, monkeypatch):
+        calls = []
+        monkeypatch.setattr(structure, "covector_2d", lambda a, b: calls.append(1) or covector_2d(a, b))
+        assert extract_structure_lines(planar_3_3).num_groups == 352354
+        assert len(calls) < 10000  # one per pair would be 471,906
+
+    def test_memory_is_bounded_on_alg_3_3(self, planar_3_3):
+        tracemalloc.start()
+        try:
+            s = extract_structure_lines(planar_3_3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.num_groups == 352354
+        assert peak < 96 * 2**20  # one exact cross product per pair peaked at ~174 MiB
