@@ -312,6 +312,8 @@ def cmd_analyze(args, run: _Run) -> int:
     ok = True
     if args.monte_carlo:
         ns = [int(t) for t in args.n.replace(",", " ").split()]
+        if not ns:
+            raise SystemExit2("--monte-carlo needs at least one --n size")
         run.seeds["master"] = args.seed
         grid = [ProbParams(args.k, n, args.seed) for n in ns]
         report = analysis.monte_carlo(grid, args.trials)

@@ -9,11 +9,11 @@
 * ``gen_probabilistic`` — two-stage random selection: keep each grid line
   independently with an exact rational probability, then delete every
   line through a point covered by all k+1 axes (which unconditionally
-  kills all (k+1)-incidences).  The deletion and the Monte Carlo trial
-  statistics share one bit-packed coverage kernel (``_coverage``): AND,
-  OR, NOT and popcount on uint64 words holding one grid point per bit,
-  exact by construction.  Selection and the kernel stream in slabs, in
-  O(n^k) memory for any n.
+  kills all (k+1)-incidences).  The deletion ANDs bit-packed coverage
+  words, one grid point per bit (``_coverage``); the Monte Carlo trial
+  statistics gather bit tables of the surviving lines at the survivors
+  (``_trial_stats``): exact by construction.  Selection and the deletion
+  stream in blocks and slabs, in O(n^k) memory for any n.
 * ``gen_tricolor`` — the planar-style 3-color closed polygon family:
   2-consistent, no colorful incidence.
 * ``gen_desargues`` / ``gen_reye`` — the two non-planar 4x3
@@ -68,7 +68,7 @@ from .structure import (
 from .transforms import extract_planarity
 
 SLAB_WORDS = 1 << 16  # uint64 words per slab of the stage-2 coverage cube
-SELECTION_CHUNK = 1 << 16  # draws per block of the stage-1 selection
+SELECTION_CHUNK = 1 << 13  # draws per axis in one block of the stage-1 selection
 _M1, _M2, _M4, _H = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 0x01))
 
 
@@ -208,19 +208,21 @@ class DeletionReport:
         return tuple(s - f for s, f in zip(self.selected_sizes, self.final_sizes))
 
 
-def _selection_masks(k: int, n: int, seed: int, threshold: int) -> list[np.ndarray]:
+def _selection_masks(k: int, n: int, seed: int, threshold: int) -> np.ndarray:
     # u < threshold as u <= threshold - 1, which fits in uint64 for p_sel in (0, 1]
     limit = np.uint64(threshold - 1)
-    masks = [np.empty(n**k, dtype=bool) for _ in range(k + 1)]
-    for axis, mask in enumerate(masks, start=1):
-        for lo in range(0, n**k, SELECTION_CHUNK):
-            draws = splitmix64_block(substream(seed, axis), lo, min(SELECTION_CHUNK, n**k - lo))
-            np.less_equal(draws, limit, out=mask[lo : lo + SELECTION_CHUNK])
+    seeds = [substream(seed, axis) for axis in range(1, k + 2)]
+    masks = np.empty((k + 1, n**k), dtype=bool)
+    for lo in range(0, n**k, SELECTION_CHUNK):
+        draws = splitmix64_block(seeds, lo, min(SELECTION_CHUNK, n**k - lo))
+        np.less_equal(draws, limit, out=masks[:, lo : lo + SELECTION_CHUNK])
     return masks
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, by SWAR in two arrays (numpy < 2 has no bitwise_count)."""
+    """Set bits of each uint64 word: ``np.bitwise_count``, or SWAR in two arrays on numpy < 2."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(words)
     scratch = words >> 1
     count = words - np.bitwise_and(scratch, _M1, out=scratch)  # 2-bit counts
     np.bitwise_and(np.right_shift(count, 2, out=scratch), _M2, out=scratch)
@@ -231,20 +233,20 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return np.right_shift(np.multiply(count, _H, out=count), 56, out=count)
 
 
-def _words(k: int, n: int, masks: list[np.ndarray]) -> list[np.ndarray]:
-    """Coverage words of the k+1 stage masks.  A mask of axis a <= k has
+def _words(k: int, n: int, masks) -> list[np.ndarray]:
+    """Coverage words of the k+1 stage-1 masks.  A mask of axis a <= k has
     x_(k+1) as its last slot; packed along it, it is (W, n, ..., n) words,
-    W = ceil(n/64), one bit per line (in a cube, per grid point) and zero
-    past n.  Axis k+1 has no x_(k+1) slot: (1, n, ..., n) words of all
-    ones or zeros.  A cube ANDs two or more axes, one of them packed, so
-    no bit past n is ever set."""
+    W = ceil(n/64), one bit per line (in the cube, per grid point) and zero
+    past n.  Axis k+1 has no x_(k+1) slot: its bool mask, shaped
+    (n, ..., n), multiplies whole words.  The cube ANDs packed axes, so no
+    bit past n is ever set."""
     packed = []
     for mask in masks[:k]:
         octets = np.zeros((n ** (k - 1), 8 * -(-n // 64)), dtype=np.uint8)
         bits = np.packbits(mask.reshape(-1, n), axis=1, bitorder="little")
         octets[:, : bits.shape[1]] = bits
         packed.append(octets.view(np.uint64).T.copy().reshape(-1, *[n] * (k - 1)))
-    return packed + [np.negative(masks[k].reshape((1,) + (n,) * k).astype(np.uint64))]
+    return packed + [masks[k].reshape((n,) * k)]
 
 
 def _fold(cube: np.ndarray, dim: int) -> np.ndarray:
@@ -261,37 +263,31 @@ def _fold(cube: np.ndarray, dim: int) -> np.ndarray:
     return cube[lead + (0,)]
 
 
-def _coverage(words: list[np.ndarray], axes, along, width: int, count: bool = False):
-    """The coverage kernel: ({a: lines of axis a through a point covered by
-    every axis in ``axes``, for a in ``along``}, the number of such points
-    if ``count``); axes are 0-based, k for axis k+1, whose lines are bool.
+def _coverage(words: list[np.ndarray], width: int):
+    """The coverage kernel: (per axis, its lines through a point covered by
+    all k+1 axes; the number of such points).  Axes are 0-based, k for
+    axis k+1, whose lines are bool.
 
-    The cube of ``axes``, the AND of their words, spans (words of x_(k+1),
-    x_1, ..., x_k): axis a's lines are its OR along dim (a + 1) % (k + 1).
-    It runs in slabs of ``width`` whole x1-slices (axis 1 has no x1 slot,
-    the others add their rows at those x1), each exact and holding
-    W * width * n^(k-1) words: O(n^k) bytes at ``_slab_width``.
+    The cube, the AND of the packed words times axis k+1's mask, spans
+    (words of x_(k+1), x_1, ..., x_k): axis a's lines are its OR along dim
+    (a + 1) % (k + 1).  It runs in slabs of ``width`` whole x1-slices (axis
+    1 has no x1 slot, the others add their rows at those x1), each exact
+    and holding W * width * n^(k-1) words: O(n^k) bytes at ``_slab_width``.
     """
     k = len(words) - 1
-    lines = {a: np.zeros_like(words[a]) if a < k else np.zeros(words[k].shape[1:], bool)
-             for a in along}
+    lines = [np.zeros_like(w) for w in words]
     covered = 0
-    for lo in range(0, words[k].shape[1], width):
+    for lo in range(0, len(words[k]), width):
         rows = slice(lo, lo + width)
-        parts = [words[0][:, None] if j == 0 else words[j][:, rows] for j in axes]
-        parts = [np.expand_dims(p, j + 1) if 0 < j < k else p for j, p in zip(axes, parts)]
-        cube = parts[0] & parts[1]  # two axes miss different slots: the whole slab
-        for part in parts[2:]:
-            cube &= part
-        covered += int(_popcount(cube).sum()) if count else 0
-        for a in along:
-            hit = _fold(cube, (a + 1) % (k + 1))
-            if a == 0:
-                lines[0] |= hit
-            elif a < k:
-                lines[a][:, rows] = hit
-            else:
-                lines[k][rows] = hit != 0
+        cube = words[0][:, None] & np.expand_dims(words[1][:, rows], 2)  # x1, x2 missing
+        for j in range(2, k):
+            cube &= np.expand_dims(words[j][:, rows], j + 1)
+        cube *= words[k][rows]
+        covered += int(_popcount(cube).sum())
+        lines[0] |= _fold(cube, 1)
+        for a in range(1, k):
+            lines[a][:, rows] = _fold(cube, a + 1)
+        lines[k][rows] = _fold(cube, 0) != 0
     return lines, covered
 
 
@@ -300,11 +296,11 @@ def _slab_width(k: int, n: int) -> int:
     return max(1, SLAB_WORDS // (n ** (k - 1) * -(-n // 64)))
 
 
-def _deletion(k: int, n: int, masks: list[np.ndarray], width: int):
+def _deletion(k: int, n: int, masks, width: int):
     """Stage 2 on the stage-1 masks: (final masks, number of grid points
     covered by all k+1 axes)."""
     words = _words(k, n, masks)
-    hit, covered = _coverage(words, range(k + 1), range(k + 1), width, count=True)
+    hit, covered = _coverage(words, width)
     kept = [(words[a] & ~hit[a]).reshape(len(words[a]), -1).T.copy() for a in range(k)]
     final = [np.unpackbits(w.view(np.uint8), axis=1, count=n, bitorder="little") for w in kept]
     return [m.view(bool).reshape(-1) for m in final] + [masks[k] & ~hit[k].reshape(-1)], covered
@@ -339,30 +335,46 @@ def gen_probabilistic(
     return before, after, report
 
 
-def _trial_stats(k: int, n: int, final: list[np.ndarray], width: int) -> tuple[int, int]:
-    """(bad lines, max colorful order) of the stage-2 masks.
+def _split(k: int, n: int, index: np.ndarray, axis: int, slot: int):
+    """(base indices of lines of ``axis`` without the digit of ``slot``, that digit)."""
+    low = n ** (k - 1 - slot + (slot > axis))
+    return index // (low * n) * low + index % low, index // low % n
 
-    For axes a != b and R the other k-1, ``good[a,b]`` holds the lines of
-    axis a through a point every axis in R covers; one cube per pair
-    {a, b} serves both orders.  A line is bad iff some ``good[a,b]`` misses
-    it.  No final point has all k+1 axes, so the order is k iff some final
-    line of axis a is in ``good[a,b]``, else the largest m < k with a
-    nonempty m-axis cube (0 if m < 2); the (k-1)-axis cubes are the R's.
-    """
-    words = _words(k, n, final)
-    good = {}
-    for a, b in combinations(range(k + 1), 2):
-        found, _ = _coverage(words, [j for j in range(k + 1) if j not in (a, b)], (a, b), width)
-        good[a, b], good[b, a] = found[a], found[b]
+
+def _hits(k: int, n: int, survivors: list[np.ndarray], a: int, others) -> list[np.ndarray]:
+    """Per axis c in ``others``, W = ceil(n/64) words per survivor of axis a
+    (base indices in ``survivors``), bit x set iff a survivor of c meets it
+    at x_a = x: a table of c's survivors as bits along x_a, gathered."""
+    hits = []
+    for c in others:
+        at, x = _split(k, n, survivors[c], c, a)
+        table = np.zeros((n ** (k - 1), -(-n // 64)), dtype=np.uint64)
+        np.bitwise_or.at(table, (at, x >> 6), np.uint64(1) << (x & 63).astype(np.uint64))
+        hits.append(table[_split(k, n, survivors[a], a, c)[0]])
+    return hits
+
+
+def _trial_stats(k: int, n: int, final) -> tuple[int, int]:
+    """(bad lines, max colorful order) of the stage-2 masks, from their
+    survivors alone, by bit operations.  For axes a != b, a survivor of
+    axis a is in ``good[a,b]`` iff the AND of its hits over the axes other
+    than a and b is nonzero; a line is bad iff some ``good[a,b]`` misses
+    it.  The order is k+1 iff a survivor of axis 1 has a nonzero AND of
+    all its hits (never after deletion), else k iff some ``good[a,b]`` is
+    nonempty, else the largest m < k for which some m-set S of axes covers
+    a point (0 if m < 2): a survivor of S's first axis has a nonzero AND of
+    its hits over the rest of S."""
+    survivors = [np.flatnonzero(m) for m in final]
     bad_lines = top = 0
-    for a, line in enumerate(words[:k] + [final[k].reshape((n,) * k)]):
-        goods = [good[a, b] for b in range(k + 1) if b != a]
-        top = k if any((line & g).any() for g in goods) else top
-        missed = line & ~np.bitwise_and.reduce(goods)
-        bad_lines += int(_popcount(missed).sum()) if a < k else int(np.count_nonzero(missed))
-    top = top or (k - 1 if any(g.any() for g in good.values()) else 0)
-    smaller = (S for m in range(k - 2, 1, -1) for S in combinations(range(k + 1), m))
-    shared = (len(S) for S in smaller if _coverage(words, S, (), width, count=True)[1])
+    for a in range(k + 1):
+        hits = _hits(k, n, survivors, a, [c for c in range(k + 1) if c != a])
+        good = np.array([np.bitwise_and.reduce(hits[:b] + hits[b + 1 :]).any(axis=1)
+                         for b in range(k)])  # b: the other axis left out
+        bad_lines += int(np.count_nonzero(~good.all(axis=0)))
+        top = max(top, k if good.any() else 0)
+        top = k + 1 if a == 0 and np.bitwise_and.reduce(hits).any() else top
+    shared = (m for m in range(k - 1, 1, -1) for S in combinations(range(k + 1), m)
+              if np.bitwise_and.reduce(_hits(k, n, survivors, S[0], S[1:])).any())
     return bad_lines, top or next(shared, 0)
 
 
@@ -375,13 +387,13 @@ def probabilistic_trial_stats(params: ProbParams) -> dict:
     """
     k, n = params.k, params.n
     selected, final, covered = _stage_masks(params)
-    bad_lines, max_colorful = _trial_stats(k, n, final, _slab_width(k, n))
+    bad_lines, max_colorful = _trial_stats(k, n, final)
     return {
         "k": k,
         "n": n,
         "seed": params.seed,
-        "selected_sizes": tuple(int(m.sum()) for m in selected),
-        "sizes": tuple(int(m.sum()) for m in final),
+        "selected_sizes": tuple(int(np.count_nonzero(m)) for m in selected),
+        "sizes": tuple(int(np.count_nonzero(m)) for m in final),
         "covered_points": covered,
         "consistent": bad_lines == 0,
         "bad_lines": bad_lines,

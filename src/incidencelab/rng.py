@@ -54,18 +54,19 @@ def substream(seed: int, s: int) -> int:
     return splitmix64(seed, s)
 
 
-def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs ``start .. start+count-1`` as a uint64 array: ``mix64`` in
-    place, where uint64 array arithmetic wraps mod 2**64."""
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= np.uint64(GAMMA)
-    z += np.uint64(seed & MASK64)
+def splitmix64_block(seed, start: int, count: int) -> np.ndarray:
+    """Outputs ``start .. start+count-1`` as a uint64 array, one row per
+    seed if ``seed`` is a sequence: ``mix64`` in place, where uint64 array
+    arithmetic wraps mod 2**64."""
+    one = np.ndim(seed) == 0
+    seeds = np.array([int(s) & MASK64 for s in ([seed] if one else seed)], dtype=np.uint64)
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(GAMMA) + seeds[:, None]
     shifted = np.empty_like(z)
     for shift, mult in ((30, _M1), (27, _M2)):
         z ^= np.right_shift(z, np.uint64(shift), out=shifted)
         z *= np.uint64(mult)
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    return z
+    return z[0] if one else z
 
 
 def selection_threshold(p: Fraction) -> int:

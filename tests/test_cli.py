@@ -447,6 +447,26 @@ class TestTransformAnalyze:
         assert lines[0] == "k,n,seed,trial,consistent,bad_lines,size_1,size_2,size_3,size_4,max_colorful"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("sizes", ["", ",", " , "])
+    def test_analyze_monte_carlo_without_sizes_exits_2(self, workdir, capsys, sizes):
+        assert run(["analyze", "--monte-carlo", "--n", sizes, "-o", "mc.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --monte-carlo needs at least one --n size\n"
+        assert not (workdir / "mc.csv").exists()
+
+    @pytest.mark.parametrize(
+        "k, sizes, trials, digest",
+        [
+            # x_(k+1) fills 63 or 64 bits of one uint64 word, then two words
+            ("3", "63,64,65,100", "5", "e6b377ca23133205dc0022234733414804c25eb7640f7b163629d2baf03ba5a8"),
+            ("4", "5,9,12", "10", "3bc2cc198a40b4d021f41ce25e1ca8bd581c1d89edcf5ba6f4d6621f7aff08e8"),
+        ],
+    )
+    def test_analyze_monte_carlo_bytes(self, workdir, capsys, k, sizes, trials, digest):
+        argv = ["analyze", "--monte-carlo", "--k", k, "--n", sizes, "--seed", "11"]
+        assert run([*argv, "--trials", trials, "-o", "mc.csv"]) == 0
+        assert hashlib.sha256((workdir / "mc.csv").read_bytes()).hexdigest() == digest
+
     def test_analyze_monte_carlo_large_grid(self, workdir, capsys):
         # n^(k+1) = 2^28 grid points per trial
         argv = ["analyze", "--monte-carlo", "--k", "3", "--n", "128", "--trials", "1"]

@@ -310,7 +310,7 @@ class TestProbabilistic:
             assert covered == dense_cov
             for m, md in zip(final, dense_final):
                 assert np.array_equal(m, md)
-            assert _trial_stats(k, n, final, width) == expected
+        assert _trial_stats(k, n, final) == expected
         sparse = [rng.random(n**k) < 0.01 for _ in range(k + 1)]
         sparse_final, sparse_cov = sparse_deletion(k, n, sparse)
         final, covered = _deletion(k, n, sparse, 7)
@@ -327,6 +327,11 @@ class TestProbabilistic:
         assert [int(c) for c in counts] == [bin(int(w)).count("1") for w in words]
         assert [int(c) for c in counts[:4]] == [0, 1, 1, 64]
         assert np.array_equal(words, kept)
+
+    def test_swar_popcount_matches_bin_count(self, monkeypatch):
+        # the path of numpy < 2, which has no bitwise_count
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        self.test_popcount_matches_bin_count()
 
     def test_full_selection_stages_match_oracle_decoding(self):
         k, n = 3, 5
@@ -353,7 +358,7 @@ class TestProbabilistic:
         assert first[1] == second[1]
 
     def test_chunked_selection_keeps_the_draws(self):
-        # n^k = 68,921 draws: one whole chunk and a partial one
+        # n^k = 68,921 draws per axis: whole chunks and a partial one
         k, n, seed = 3, 41, 5
         assert n**k % SELECTION_CHUNK != 0
         threshold = selection_threshold(ProbParams(k, n, seed).p_sel)
@@ -365,9 +370,41 @@ class TestProbabilistic:
     @given(k=st.sampled_from([3, 4]), data=st.data())
     def test_trial_stats_match_dense_oracle(self, k, data):
         n = data.draw(st.integers(1, 8 if k == 3 else 5), label="n")
-        width = data.draw(st.integers(1, n + 1), label="width")
         final = data.draw(final_masks(k, n))
-        assert _trial_stats(k, n, final, width) == dense_trial_stats(k, n, final)
+        assert _trial_stats(k, n, final) == dense_trial_stats(k, n, final)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.sampled_from([3, 4]), data=st.data())
+    def test_survivor_stats_match_dense_oracle(self, k, data):
+        # every axis empty, full, holding one line (anywhere, or through one
+        # shared grid point) or a random share, taken as stage-1 masks (a
+        # (k+1)-colored point is possible) or deleted
+        n = data.draw(st.integers(1, 7 if k == 3 else 4), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+        point = data.draw(st.lists(st.integers(0, n - 1), min_size=k + 1, max_size=k + 1))
+        masks = []
+        for axis in range(k + 1):
+            kind = data.draw(st.sampled_from(["empty", "full", "single", "through", "share"]))
+            mask = np.full(n**k, kind == "full")
+            if kind == "single":
+                mask[data.draw(st.integers(0, n**k - 1), label="line")] = True
+            elif kind == "through":
+                mask[np.ravel_multi_index(point[:axis] + point[axis + 1 :], (n,) * k)] = True
+            elif kind == "share":
+                mask = rng.random(n**k) < data.draw(st.floats(0.05, 0.95), label="density")
+            masks.append(mask)
+        if data.draw(st.booleans(), label="deleted"):
+            masks = _deletion(k, n, masks, 1)[0]
+        assert _trial_stats(k, n, masks) == dense_trial_stats(k, n, masks)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_survivor_stats_reach_k_plus_one_on_stage_1_masks(self, k):
+        # full axes cover every grid point k+1 times; deletion removes them all
+        n = 2
+        full = [np.ones(n**k, dtype=bool) for _ in range(k + 1)]
+        assert _trial_stats(k, n, full) == dense_trial_stats(k, n, full) == (0, k + 1)
+        final = _deletion(k, n, full, 1)[0]
+        assert _trial_stats(k, n, final) == dense_trial_stats(k, n, final) == (0, 0)
 
     @pytest.mark.parametrize("k,m", [(3, m) for m in range(4)] + [(4, m) for m in range(5)])
     def test_trial_stats_reach_every_colorful_order(self, k, m):
@@ -380,8 +417,7 @@ class TestProbabilistic:
         final[k][-1] = True
         expected = dense_trial_stats(k, n, final)
         assert expected[1] == (m if m >= 2 else 0)
-        for width in (1, 2, n):
-            assert _trial_stats(k, n, final, width) == expected
+        assert _trial_stats(k, n, final) == expected
 
     def test_trial_stats_run_in_bounded_memory(self):
         # n^(k+1) = 2^28 grid points, over the old 2^26 cube limit
@@ -407,7 +443,7 @@ class TestProbabilistic:
         for masks in (final, kept):
             tracemalloc.start()
             try:
-                _trial_stats(k, n, masks, _slab_width(k, n))
+                _trial_stats(k, n, masks)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -22,6 +22,17 @@ class TestSplitMix:
         for off, value in enumerate(block):
             assert int(value) == splitmix64(seed, 5 + off)
 
+    @pytest.mark.parametrize("start,count", [(0, 8192 * 2 + 17), (3, 100), (0, 0)])
+    def test_block_of_several_seeds_matches_scalar(self, start, count):
+        # counts off the selection block (8,192), below it, and empty;
+        # a negative seed is taken mod 2**64
+        seeds = [0, 2**64 - 1, -12345, 0xDEADBEEF]
+        block = splitmix64_block(seeds, start, count)
+        assert block.shape == (len(seeds), count) and block.dtype == np.uint64
+        for seed, row in zip(seeds, block):
+            assert np.array_equal(row, splitmix64_block(seed, start, count))
+            assert [int(u) for u in row] == [splitmix64(seed, start + i) for i in range(count)]
+
     def test_known_reference_values(self):
         # Pinned outputs: portability contract across platforms/releases.
         assert splitmix64(0, 0) == mix64(0x9E3779B97F4A7C15)
