@@ -211,8 +211,8 @@ def _verify_checks(cfg, args) -> tuple[dict, bool]:
         checks["k_consistency"] = {
             "k": k,
             "pass": verdict.ok,
-            "failures": [[list(ref), sorted(S)] for ref, S in verdict.failures[:50]],
-            "failures_total": len(verdict.failures),
+            "failures": [[list(ref), sorted(S)] for ref, S in verdict.first(50)],
+            "failures_total": verdict.total,
         }
         ok &= verdict.ok
     if args.max_colorful is not None:

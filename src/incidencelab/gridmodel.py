@@ -15,6 +15,8 @@ the max colorful order for grid, line and dual configurations alike, from
 int64 entry arrays ``(group, line)`` of their incidence groups: grid points
 here, extracted monomials in ``structure``.  Colors are 1-based class
 indices; verdicts name a line ``(color, index)``, by its position in id order.
+Carriers of a color set come from one color x group table, and a verdict
+counts its failures from index arrays, building the list only on request.
 """
 
 from __future__ import annotations
@@ -131,20 +133,42 @@ class ColoredGridConfig:
             points += [pid, pid]
             lines += [on_a[ma], on_b[mb]]
         pid, line = np.concatenate(points), np.concatenate(lines)
+        del points, lines  # the pieces
         order = np.lexsort((line, pid))
-        pid, line = pid[order], line[order]
+        pid = pid[order]
+        line = line[order]
         # a line through a point of r lines was matched r-1 times there
-        keep = np.diff(pid, prepend=-1).astype(bool) | np.diff(line, prepend=-1).astype(bool)
-        points, group = np.unique(pid[keep], return_inverse=True)
-        return points, group, line[keep]
+        new = np.diff(pid, prepend=-1).astype(bool)  # pid is sorted: runs are points
+        keep = new | np.diff(line, prepend=-1).astype(bool)
+        return pid[new], np.cumsum(new[keep]) - 1, line[keep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsistencyVerdict:
-    """Outcome of a k-consistency check with the full failing-pair witness list."""
+    """Outcome of a k-consistency check, counted from index arrays: ``runs``
+    holds (color, S, the failing lines' int64 indices) for each (color, S),
+    in failure order.  ``ok``, ``total`` and ``first(limit)`` read the arrays;
+    the full ``failures`` tuple of ((color, index), S) is built on request."""
 
-    ok: bool
-    failures: tuple[tuple[LineRef, frozenset[int]], ...]
+    runs: tuple[tuple[int, frozenset[int], np.ndarray], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.total
+
+    @cached_property
+    def total(self) -> int:
+        return sum(len(idx) for _, _, idx in self.runs)
+
+    def first(self, limit: int) -> list[tuple[LineRef, frozenset[int]]]:
+        out: list[tuple[LineRef, frozenset[int]]] = []
+        for c, S, idx in self.runs:
+            out += zip(zip(repeat(c), idx[: max(0, limit - len(out))].tolist()), repeat(S))
+        return out
+
+    @cached_property
+    def failures(self) -> tuple[tuple[LineRef, frozenset[int]], ...]:
+        return tuple(self.first(self.total))
 
     def __bool__(self) -> bool:
         return self.ok
@@ -156,29 +180,29 @@ class ConsistencyVerdict:
 # the distinct (group, color) pairs decide which groups carry a color set.
 
 
-def _subsets(m: int, k: int) -> list[tuple[int, frozenset[int], list[int]]]:
-    """(color, S, T) for every k-subset S = {color} | T of the m colors
-    with T nonempty, in failure order: color, then T in ``combinations``
-    order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > m:
-        raise ValueError("k exceeds the number of colors")
-    return [
-        (color, frozenset((color, *T)), list(T))
-        for color in range(1, m + 1)
-        for T in combinations([c for c in range(1, m + 1) if c != color], k - 1)
-        if T
-    ]
-
-
-def _color_runs(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray):
-    """(first, color, pair, size): ``first[c-1]`` is color c's first position;
-    each entry's color; whether it opens a (group, color) pair; the group count."""
-    first = np.cumsum((0, *class_sizes), dtype=np.int64)
+def _carriers(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int):
+    """(own, carrying): ``own[c-1]`` is (positions in class c, groups) of
+    color c's entries, groups ascending.  ``carrying`` yields (c, T, at) for
+    each (k-1)-set T of colors, in ``combinations`` order, and each c not in
+    T, ``at`` marking c's entries at the groups carrying T: the AND of T's
+    rows of one table has[color, group], one byte per (color, group)."""
+    m = len(class_sizes)
+    if not 1 <= k <= m:
+        raise ValueError("k must be >= 1" if k < 1 else "k exceeds the number of colors")
+    first = np.cumsum((0, *class_sizes), dtype=np.int64)  # color c's first position
     color = np.searchsorted(first, line, "right")  # an empty class owns no position
-    pair = np.diff(group, prepend=-1).astype(bool) | np.diff(color, prepend=-1).astype(bool)
-    return first, color, pair, group[-1] + 1 if group.size else 0
+    has = np.zeros((m, group[-1] + 1 if group.size else 0), bool)
+    has[color - 1, group] = True
+    masks = (color == c for c in range(1, m + 1))  # each color's entries, taken once
+    own = [(line[mine] - at, group[mine]) for at, mine in zip(first, masks)]
+
+    def carrying():
+        for T in combinations(range(1, m + 1), k - 1) if k > 1 else ():
+            carries = np.logical_and.reduce(has[np.array(T) - 1])
+            for c in sorted(set(range(1, m + 1)).difference(T)):
+                yield c, T, carries[own[c - 1][1]]
+
+    return own, carrying()
 
 
 def group_consistency(
@@ -187,16 +211,13 @@ def group_consistency(
     """k-consistency over incidence groups: line (c, i) fails S = {c} | T
     when no group through it carries every color of T.  Failures are
     listed by color, then T in ``combinations`` order, then index."""
-    subsets = _subsets(len(class_sizes), k)
-    first, color, pair, size = _color_runs(class_sizes, group, line)
-    failures: list[tuple[LineRef, frozenset[int]]] = []
-    for c, S, T in subsets:
-        in_T = np.isin(np.arange(len(first)), T)[color]  # one lookup per entry
-        carries = np.bincount(group[pair & in_T], minlength=size) == len(T)
+    own, carrying = _carriers(class_sizes, group, line, k)
+    runs: list[list] = [[] for _ in class_sizes]
+    for c, T, at in carrying:
         good = np.zeros(class_sizes[c - 1], bool)
-        good[line[(color == c) & carries[group]] - first[c - 1]] = True
-        failures += zip(zip(repeat(c), np.flatnonzero(~good).tolist()), repeat(S))
-    return ConsistencyVerdict(not failures, tuple(failures))
+        good[own[c - 1][0][at]] = True
+        runs[c - 1].append((c, frozenset((c, *T)), np.flatnonzero(~good)))
+    return ConsistencyVerdict(tuple(chain.from_iterable(runs)))
 
 
 def group_removable(
@@ -213,30 +234,29 @@ def group_removable(
     have exactly one carrier: one pass decides every line.  Raises
     ValueError if some (l, T) has no carrier at all.
     """
-    subsets = _subsets(len(class_sizes), k)
-    first, color, pair, size = _color_runs(class_sizes, group, line)
-    alone = pair & np.append(pair[1:], True)  # its group's only line of its color
-    essential = np.zeros(first[-1], bool)
-    for c, _, T in subsets:
-        in_T = np.isin(np.arange(len(first)), T)[color]  # one lookup per entry
-        carries = np.bincount(group[pair & in_T], minlength=size) == len(T)
-        mine = np.flatnonzero((color == c) & carries[group])  # entries of (l, carrier) pairs
-        carriers = np.bincount(line[mine] - first[c - 1], minlength=class_sizes[c - 1])
+    own, carrying = _carriers(class_sizes, group, line, k)
+    essential = [np.zeros(size, bool) for size in class_sizes]
+    for c, T, at in carrying:
+        lines, groups = own[c - 1][0][at], own[c - 1][1][at]
+        carriers = np.bincount(lines, minlength=class_sizes[c - 1])
         if (carriers == 0).any():
             raise ValueError("minimality audit requires a k-consistent configuration")
-        single = np.zeros(size, bool)
-        single[group[mine[carriers[line[mine] - first[c - 1]] == 1]]] = True
-        essential[line[single[group] & alone & in_T]] = True
-    keep = np.flatnonzero(~essential)
-    colors = np.searchsorted(first, keep, "right")
-    return tuple(zip(colors.tolist(), (keep - first[colors - 1]).tolist()))
+        single = groups[carriers[lines] == 1]  # the only carrier of some line
+        for t in T:  # a line of color t alone in its color at such a group
+            pos, at_t = own[t - 1]
+            lo, hi = np.searchsorted(at_t, single, "left"), np.searchsorted(at_t, single, "right")
+            essential[t - 1][pos[lo[hi - lo == 1]]] = True
+    keep = [np.flatnonzero(~e).tolist() for e in essential]
+    return tuple((c, i) for c, idx in enumerate(keep, start=1) for i in idx)
 
 
 def group_max_colorful(
     class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray
 ) -> tuple[int, int | None]:
     """Largest color count over the groups, with the first group reaching it."""
-    orders = np.bincount(group[_color_runs(class_sizes, group, line)[2]])
+    color = np.searchsorted(np.cumsum((0, *class_sizes)), line, "right")
+    pair = np.diff(group, prepend=-1).astype(bool) | np.diff(color, prepend=-1).astype(bool)
+    orders = np.bincount(group[pair])  # pair: an entry opens a (group, color) pair
     best = int(orders.argmax()) if orders.size else None
     return (0, None) if best is None else (int(orders[best]), best)
 

@@ -187,6 +187,22 @@ class TestVerify:
         assert len(check["failures"]) == 50
         assert check["failures_total"] > 50
 
+    def test_probabilistic_verdict_bytes(self, workdir, capsys):
+        # n = 64, seed 42: the first 50 of 33,294 failures, read off the
+        # verdict's index arrays, are the full list's first 50, byte for byte
+        argv = ["gen", "probabilistic", "--k", "3", "--n", "64", "--seed", "42"]
+        assert run([*argv, "-o", "prob42.json"]) == 0
+        capsys.readouterr()
+        assert run(["verify", "prob42.json", "--k-consistency", "3", "--max-colorful", "3"]) == 1
+        out = capsys.readouterr().out
+        digest = "55d0a6cf43fd5c7a37c161c7f7a18c82d680abe9e97825fb7451dbb7e713a468"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        check = json.loads(out)["checks"]["k_consistency"]
+        cfg = configs.config_from_json(json.loads((workdir / "prob42.json").read_text()))
+        failures = gridmodel.is_k_consistent(cfg, 3).failures
+        assert check["failures"] == [[list(ref), sorted(S)] for ref, S in failures[:50]]
+        assert check["failures_total"] == len(failures) == 33294
+
     def test_malformed_exits_2(self, workdir):
         (workdir / "junk.json").write_text("{not json")
         assert run(["verify", "junk.json", "--k-consistency", "2"]) == 2

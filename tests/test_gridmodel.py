@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import product
 from math import isqrt
 
@@ -8,12 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from incidencelab.analysis import minimality_audit
+from incidencelab.constructions import ProbParams, gen_probabilistic
 from incidencelab.exactgeom import ProjPoint, meet
 from incidencelab.gridmodel import (
     ColoredGridConfig,
     breaks_consistency_without,
     grid_from_json,
     grid_to_json,
+    group_consistency,
+    group_removable,
     is_k_consistent,
     max_colorful_order,
 )
@@ -24,6 +28,8 @@ from oracles import (
     embed_grid_line,
     grid_config,
     grid_meet,
+    loop_consistency,
+    loop_removable,
     point_enumeration_incidences,
     point_enumeration_max_colorful,
     point_scan_failures,
@@ -425,6 +431,66 @@ class TestCoreAgainstOracles:
         assert not is_k_consistent(cfg, 2).ok
         assert max_colorful_order(cfg) == (0, None)
         assert structure_consistency(extract_structure_grid(cfg), 2).ok
+
+
+@st.composite
+def entry_arrays(draw):
+    """Up to 6 classes of 0..4 lines and the core's (group, line) entry
+    arrays of up to 12 groups of 1..6 of their lines, one-line groups and
+    groups repeating a color included; returns (sizes, groups, group, line)."""
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    refs = [(c, i) for c, size in enumerate(sizes, start=1) for i in range(size)]
+    member = st.sets(st.sampled_from(refs), min_size=1, max_size=6) if refs else st.nothing()
+    groups = draw(st.lists(member, max_size=12 if refs else 0))
+    first = np.cumsum([0, *sizes])
+    entries = [(g, first[c - 1] + i) for g, refs_g in enumerate(groups) for c, i in sorted(refs_g)]
+    group, line = np.array(entries, np.int64).reshape(-1, 2).T
+    return sizes, groups, group, line
+
+
+class TestCarrierKernel:
+    """The carrier-table core on random entry arrays against the loop
+    oracles, for every k in 1..m: the same failures, counted and sliced
+    from the index arrays, and the same removable lines or ValueError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(entry_arrays())
+    def test_consistency_matches_loop(self, case):
+        sizes, groups, group, line = case
+        for k in range(1, len(sizes) + 1):
+            expected = loop_consistency(sizes, groups, k)
+            verdict = group_consistency(sizes, group, line, k)
+            assert verdict.failures == expected
+            assert verdict.ok == (not expected) and verdict.total == len(expected)
+            for limit in (0, 1, 50, verdict.total + 1):
+                assert verdict.first(limit) == list(expected[:limit])
+
+    @settings(max_examples=300, deadline=None)
+    @given(entry_arrays())
+    def test_removable_matches_loop(self, case):
+        sizes, groups, group, line = case
+        for k in range(1, len(sizes) + 1):
+            try:
+                expected = loop_removable(sizes, groups, k)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    group_removable(sizes, group, line, k)
+                continue
+            assert group_removable(sizes, group, line, k) == expected
+
+    def test_grid_verdict_runs_in_bounded_memory(self):
+        # k = 3, n = 128: 111,903 lines on 272,049 points, and 330,019
+        # failures counted from index arrays, not built as tuples
+        cfg = gen_probabilistic(ProbParams(3, 128, 1))[1]
+        tracemalloc.start()
+        try:
+            verdict = is_k_consistent(cfg, 3)
+            order, _ = max_colorful_order(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
+        assert verdict.total == 330019 and order == 3
 
 
 class TestCrossModelOracle:
