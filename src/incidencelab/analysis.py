@@ -19,7 +19,7 @@ from math import comb
 from statistics import quantiles
 
 from .configs import ColoredLineConfig
-from .constructions import ProbParams, probabilistic_trial_stats
+from .constructions import ProbParams, probabilistic_batch_stats
 from .exactgeom import Line, meet, rank_of_directions
 from .gridmodel import ColoredGridConfig, LineRef, group_removable
 from .rng import TRIAL_OFFSET, substream
@@ -243,11 +243,9 @@ def monte_carlo(params_grid: list[ProbParams], trials: int) -> MonteCarloReport:
     summaries = []
     for params in params_grid:
         per_rows = []
-        for trial in range(trials):
-            seed = substream(params.seed, TRIAL_OFFSET + trial)
-            stats = probabilistic_trial_stats(
-                ProbParams(params.k, params.n, seed, params.p_sel)
-            )
+        seeds = (substream(params.seed, TRIAL_OFFSET + t) for t in range(trials))
+        runs = [ProbParams(params.k, params.n, seed, params.p_sel) for seed in seeds]
+        for trial, stats in enumerate(probabilistic_batch_stats(runs)):
             row = {
                 "k": params.k,
                 "n": params.n,

@@ -311,6 +311,11 @@ def cmd_analyze(args, run: _Run) -> int:
     out: dict = {}
     ok = True
     if args.monte_carlo:
+        checks = ("structure", "match_structure", "joint_bound", "flatness", "determinant_check")
+        given = {f"--{c.replace('_', '-')}": getattr(args, c) for c in checks}
+        extra = [flag for flag, value in given.items() if value is not None and value is not False]
+        if args.config or extra:
+            raise SystemExit2(f"--monte-carlo takes no {extra[0] if extra else 'configuration file'}")
         ns = [int(t) for t in args.n.replace(",", " ").split()]
         if not ns:
             raise SystemExit2("--monte-carlo needs at least one --n size")

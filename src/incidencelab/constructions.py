@@ -9,10 +9,10 @@
 * ``gen_probabilistic`` — two-stage random selection: keep each grid line
   independently with an exact rational probability, then delete every
   line through a point covered by all k+1 axes (which unconditionally
-  kills all (k+1)-incidences).  The deletion ANDs bit-packed coverage
-  words, one grid point per bit (``_coverage``); the Monte Carlo trial
-  statistics gather bit tables of the surviving lines at the survivors
-  (``_trial_stats``): exact by construction.  Selection and the deletion
+  kills all (k+1)-incidences), ANDing bit-packed coverage words
+  (``_coverage``).  Monte Carlo trials run in batches that hold only
+  their survivors, and one exact ``_trial_stats`` call per batch gathers
+  bit tables of the surviving lines at them.  Selection and the deletion
   stream in blocks and slabs, in O(n^k) memory for any n.
 * ``gen_tricolor`` — the planar-style 3-color closed polygon family:
   2-consistent, no colorful incidence.
@@ -69,6 +69,7 @@ from .transforms import extract_planarity
 
 SLAB_WORDS = 1 << 16  # uint64 words per slab of the stage-2 coverage cube
 SELECTION_CHUNK = 1 << 13  # draws per axis in one block of the stage-1 selection
+TRIAL_BATCH_LINES = 1 << 18  # lines per axis in one batch of Monte Carlo trial statistics
 _M1, _M2, _M4, _H = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 0x01))
 
 
@@ -213,9 +214,11 @@ def _selection_masks(k: int, n: int, seed: int, threshold: int) -> np.ndarray:
     limit = np.uint64(threshold - 1)
     seeds = [substream(seed, axis) for axis in range(1, k + 2)]
     masks = np.empty((k + 1, n**k), dtype=bool)
+    draws = np.empty((k + 1, min(SELECTION_CHUNK, n**k)), dtype=np.uint64)
     for lo in range(0, n**k, SELECTION_CHUNK):
-        draws = splitmix64_block(seeds, lo, min(SELECTION_CHUNK, n**k - lo))
-        np.less_equal(draws, limit, out=masks[:, lo : lo + SELECTION_CHUNK])
+        block = draws[:, : n**k - lo]
+        splitmix64_block(seeds, lo, block.shape[1], out=block)
+        np.less_equal(block, limit, out=masks[:, lo : lo + SELECTION_CHUNK])
     return masks
 
 
@@ -338,44 +341,79 @@ def gen_probabilistic(
 def _split(k: int, n: int, index: np.ndarray, axis: int, slot: int):
     """(base indices of lines of ``axis`` without the digit of ``slot``, that digit)."""
     low = n ** (k - 1 - slot + (slot > axis))
-    return index // (low * n) * low + index % low, index // low % n
+    high, top = index // low, index // (low * n)  # floor division by a constant is the fast path
+    return top * low + index - high * low, high - top * n
 
 
-def _hits(k: int, n: int, survivors: list[np.ndarray], a: int, others) -> list[np.ndarray]:
-    """Per axis c in ``others``, W = ceil(n/64) words per survivor of axis a
-    (base indices in ``survivors``), bit x set iff a survivor of c meets it
-    at x_a = x: a table of c's survivors as bits along x_a, gathered."""
-    hits = []
-    for c in others:
-        at, x = _split(k, n, survivors[c], c, a)
-        table = np.zeros((n ** (k - 1), -(-n // 64)), dtype=np.uint64)
-        np.bitwise_or.at(table, (at, x >> 6), np.uint64(1) << (x & 63).astype(np.uint64))
-        hits.append(table[_split(k, n, survivors[a], a, c)[0]])
+def _hits(k: int, n: int, survivors: list[np.ndarray], rows: int) -> list[list[np.ndarray]]:
+    """``hits[a][c]``, a != c: W = ceil(n/64) words per survivor of axis a,
+    bit x set iff a survivor of c meets it at x_a = x.  Each side's
+    ``_split`` at the other's slot, computed once per pair, places its
+    survivors as bits in a table of ``rows`` rows and gathers the other's."""
+    hits, words = [[None] * (k + 1) for _ in range(k + 1)], -(-n // 64)
+    for a, c in combinations(range(k + 1), 2):
+        split = {(s, t): _split(k, n, survivors[s], s, t) for s, t in ((a, c), (c, a))}
+        for s, t in ((a, c), (c, a)):
+            at, x = split[t, s]
+            table = np.zeros((rows, words), dtype=np.uint64)
+            np.bitwise_or.at(table, (at, x >> 6), np.uint64(1) << (x & 63).astype(np.uint64))
+            hits[s][t] = table[split[s, t][0]]
     return hits
 
 
-def _trial_stats(k: int, n: int, final) -> tuple[int, int]:
-    """(bad lines, max colorful order) of the stage-2 masks, from their
-    survivors alone, by bit operations.  For axes a != b, a survivor of
-    axis a is in ``good[a,b]`` iff the AND of its hits over the axes other
-    than a and b is nonzero; a line is bad iff some ``good[a,b]`` misses
-    it.  The order is k+1 iff a survivor of axis 1 has a nonzero AND of
-    all its hits (never after deletion), else k iff some ``good[a,b]`` is
-    nonempty, else the largest m < k for which some m-set S of axes covers
-    a point (0 if m < 2): a survivor of S's first axis has a nonzero AND of
-    its hits over the rest of S."""
-    survivors = [np.flatnonzero(m) for m in final]
-    bad_lines = top = 0
+def _trial_stats(k: int, n: int, survivors: list[np.ndarray], trials: int):
+    """(bad lines, max colorful order) per trial, two int64 arrays, from the
+    stage-2 survivors alone, by bit operations.  Trial t's survivors are
+    base indices offset by t * n^k, which ``_split`` keeps as t * n^(k-1)
+    table rows.  For axes a != b, a survivor of axis a is in ``good[a,b]``
+    iff the AND of its hits over the axes other than a and b is nonzero;
+    a line is bad iff some ``good[a,b]`` misses it.  A trial's order is
+    k+1 iff a survivor of axis 1 has a nonzero AND of all its hits (never
+    after deletion), else k iff some ``good[a,b]`` is nonempty, else the
+    largest m < k for which some m-set S of axes covers a point (0 if m <
+    2): a survivor of S's first axis has a nonzero AND of its hits over
+    the rest of S."""
+    bad, orders = np.zeros(trials, np.int64), np.zeros(trials, np.int64)
+    hits = _hits(k, n, survivors, trials * n ** (k - 1))
     for a in range(k + 1):
-        hits = _hits(k, n, survivors, a, [c for c in range(k + 1) if c != a])
-        good = np.array([np.bitwise_and.reduce(hits[:b] + hits[b + 1 :]).any(axis=1)
+        trial, mine = survivors[a] // n**k, [h for h in hits[a] if h is not None]
+        good = np.array([np.bitwise_and.reduce(mine[:b] + mine[b + 1 :]).any(axis=1)
                          for b in range(k)])  # b: the other axis left out
-        bad_lines += int(np.count_nonzero(~good.all(axis=0)))
-        top = max(top, k if good.any() else 0)
-        top = k + 1 if a == 0 and np.bitwise_and.reduce(hits).any() else top
-    shared = (m for m in range(k - 1, 1, -1) for S in combinations(range(k + 1), m)
-              if np.bitwise_and.reduce(_hits(k, n, survivors, S[0], S[1:])).any())
-    return bad_lines, top or next(shared, 0)
+        bad += np.bincount(trial[~good.all(axis=0)], minlength=trials)
+        orders[trial[good.any(axis=0)]] = k
+    orders[(survivors[0] // n**k)[np.bitwise_and.reduce(hits[0][1:]).any(axis=1)]] = k + 1
+    for m, S in ((m, S) for m in range(k - 1, 1, -1) for S in combinations(range(k + 1), m)):
+        if orders.all():
+            break
+        trial = survivors[S[0]] // n**k
+        rest = orders[trial] == 0  # the survivors of trials without an order yet
+        covers = np.bitwise_and.reduce([hits[S[0]][c][rest] for c in S[1:]]).any(axis=1)
+        orders[trial[rest][covers]] = m
+    return bad, orders
+
+
+def probabilistic_batch_stats(runs: Sequence[ProbParams]) -> list[dict]:
+    """``probabilistic_trial_stats`` of each run, all of one k and n, in
+    batches of max(1, TRIAL_BATCH_LINES // n^k) runs: a trial keeps only
+    its stage counts and its survivors, offset by its place in the batch,
+    and one ``_trial_stats`` call serves the whole batch."""
+    k, n = runs[0].k, runs[0].n
+    if any((p.k, p.n) != (k, n) for p in runs):
+        raise ValueError("trial statistics in batches need one k and one n")
+    size, out = max(1, TRIAL_BATCH_LINES // n**k), []
+    for lo in range(0, len(runs), size):
+        batch = []  # per trial, per axis, its survivors
+        for t, params in enumerate(runs[lo : lo + size]):
+            selected, final, covered = _stage_masks(params)
+            batch.append([np.flatnonzero(m) + t * n**k for m in final])
+            out.append({"k": k, "n": n, "seed": params.seed,
+                        "selected_sizes": tuple(int(np.count_nonzero(m)) for m in selected),
+                        "sizes": tuple(map(len, batch[-1])), "covered_points": covered})
+            del selected, final  # a batch holds survivors only
+        bad, orders = _trial_stats(k, n, [np.concatenate(s) for s in zip(*batch)], len(batch))
+        for stats, b, m in zip(out[lo:], bad.tolist(), orders.tolist()):
+            stats.update(consistent=b == 0, bad_lines=b, max_colorful=m)
+    return out
 
 
 def probabilistic_trial_stats(params: ProbParams) -> dict:
@@ -383,22 +421,9 @@ def probabilistic_trial_stats(params: ProbParams) -> dict:
 
     Returns final class sizes, the k-consistency verdict with the number
     of distinct bad lines, and the maximal colorful order after deletion,
-    in O(n^k) memory for any n.
+    in O(n^k) memory for any n: the batch of one.
     """
-    k, n = params.k, params.n
-    selected, final, covered = _stage_masks(params)
-    bad_lines, max_colorful = _trial_stats(k, n, final)
-    return {
-        "k": k,
-        "n": n,
-        "seed": params.seed,
-        "selected_sizes": tuple(int(np.count_nonzero(m)) for m in selected),
-        "sizes": tuple(int(np.count_nonzero(m)) for m in final),
-        "covered_points": covered,
-        "consistent": bad_lines == 0,
-        "bad_lines": bad_lines,
-        "max_colorful": max_colorful,
-    }
+    return probabilistic_batch_stats([params])[0]
 
 
 # ---------------------------------------------------------------------------

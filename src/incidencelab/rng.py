@@ -54,19 +54,30 @@ def substream(seed: int, s: int) -> int:
     return splitmix64(seed, s)
 
 
-def splitmix64_block(seed, start: int, count: int) -> np.ndarray:
-    """Outputs ``start .. start+count-1`` as a uint64 array, one row per
-    seed if ``seed`` is a sequence: ``mix64`` in place, where uint64 array
-    arithmetic wraps mod 2**64."""
-    one = np.ndim(seed) == 0
-    seeds = np.array([int(s) & MASK64 for s in ([seed] if one else seed)], dtype=np.uint64)
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(GAMMA) + seeds[:, None]
+# (i + 1) * GAMMA mod 2**64 for i < 2**13, the length of a stage-1 selection block
+_STEPS = np.arange(1, (1 << 13) + 1, dtype=np.uint64) * np.uint64(GAMMA)
+
+
+def splitmix64_block(seed, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Outputs ``start .. start+count-1`` as a uint64 array (one row per
+    seed if ``seed`` is a sequence), into ``out`` if given: the step table
+    (i + 1) * GAMMA plus each seed's offset start * GAMMA + seed, then
+    ``mix64`` in place, where uint64 array arithmetic wraps mod 2**64."""
+    steps = _STEPS[:count]
+    if count > len(_STEPS):
+        steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    one = np.isscalar(seed)
+    offsets = [(int(s) + start * GAMMA) & MASK64 for s in ([seed] if one else seed)]
+    if out is None:
+        out = np.empty(count if one else (len(offsets), count), dtype=np.uint64)
+    z = out[None] if one else out
+    np.add(steps, np.array(offsets, dtype=np.uint64)[:, None], out=z)
     shifted = np.empty_like(z)
     for shift, mult in ((30, _M1), (27, _M2)):
         z ^= np.right_shift(z, np.uint64(shift), out=shifted)
         z *= np.uint64(mult)
     z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    return z[0] if one else z
+    return out
 
 
 def selection_threshold(p: Fraction) -> int:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -171,6 +172,18 @@ class TestMonteCarlo:
         assert 0 <= s.consistency_rate <= 1
         assert s.colorful_within_k_rate == 1.0
         assert len(s.size_quartiles) == 3
+
+    def test_batches_run_in_bounded_memory(self):
+        # a batch holds its trials' survivors, not their masks, so the peak
+        # is that of one trial's selection and deletion at n = 64
+        grid = [ProbParams(3, n, 7) for n in (16, 32, 64)]
+        tracemalloc.start()
+        try:
+            monte_carlo(grid, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     def test_mixed_k_rejected(self):
         with pytest.raises(ValueError):

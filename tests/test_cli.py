@@ -471,6 +471,42 @@ class TestTransformAnalyze:
         assert not (workdir / "mc.csv").exists()
 
     @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["/nonexistent.json"], "configuration file"),
+            (["alg.json"], "configuration file"),
+            (["--structure"], "--structure"),
+            (["--joint-bound", "0"], "--joint-bound"),
+            (["--flatness", "3", "--determinant-check"], "--flatness"),
+        ],
+    )
+    def test_analyze_monte_carlo_with_a_file_or_check_exits_2(self, workdir, capsys, extra, named):
+        # a Monte Carlo run reads no configuration, so neither a file nor a
+        # check on one is silently ignored
+        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
+        capsys.readouterr()
+        argv = ["analyze", *extra, "--monte-carlo", "--n", "8", "--trials", "1", "-o", "mc.csv"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --monte-carlo takes no {named}\n"
+        assert captured.out == ""
+        assert not (workdir / "mc.csv").exists()
+
+    @pytest.mark.parametrize(
+        "sizes, seed, trials, digest",
+        [
+            # 21 trials: one batch at n = 16, 18 + 3 at n = 24 and 8 + 8 + 5 at n = 32
+            ("16,24,32", "3", "21", "f605b4846cfed027d2aaf76ad61b50d2471a420722f14e3f6e309a22b819a21b"),
+            # the monte-carlo benchmark's own pass
+            ("16,32,64", "1001", "20", "ebd5189cbd576a8c8a366cf8edc139baed0581049c57d3218f469508c20ff38f"),
+        ],
+    )
+    def test_analyze_monte_carlo_batch_bytes(self, workdir, capsys, sizes, seed, trials, digest):
+        argv = ["analyze", "--monte-carlo", "--k", "3", "--n", sizes, "--seed", seed]
+        assert run([*argv, "--trials", trials, "-o", "mc.csv"]) == 0
+        assert hashlib.sha256((workdir / "mc.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "k, sizes, trials, digest",
         [
             # x_(k+1) fills 63 or 64 bits of one uint64 word, then two words

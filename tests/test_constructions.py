@@ -25,6 +25,7 @@ from incidencelab.constructions import (
     gen_tricolor,
     gen_two_slit,
     is_prime,
+    probabilistic_batch_stats,
     probabilistic_trial_stats,
     quadric_ruling,
     quadric_ruling_slits,
@@ -71,6 +72,44 @@ def final_masks(draw, k, n):
     density = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
     densities = draw(st.lists(density, min_size=k + 1, max_size=k + 1))
     return _deletion(k, n, [rng.random(n**k) < p for p in densities], 1)[0]
+
+
+@st.composite
+def trial_masks(draw, k, n):
+    """One trial's k+1 masks: every axis empty, full, holding one line
+    (anywhere, or through one shared grid point) or a random share, taken
+    as stage-1 masks (a (k+1)-colored point is possible) or deleted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="rng"))
+    point = draw(st.lists(st.integers(0, n - 1), min_size=k + 1, max_size=k + 1))
+    masks = []
+    for axis in range(k + 1):
+        kind = draw(st.sampled_from(["empty", "full", "single", "through", "share"]))
+        mask = np.full(n**k, kind == "full")
+        if kind == "single":
+            mask[draw(st.integers(0, n**k - 1), label="line")] = True
+        elif kind == "through":
+            mask[np.ravel_multi_index(point[:axis] + point[axis + 1 :], (n,) * k)] = True
+        elif kind == "share":
+            mask = rng.random(n**k) < draw(st.floats(0.05, 0.95), label="density")
+        masks.append(mask)
+    return _deletion(k, n, masks, 1)[0] if draw(st.booleans(), label="deleted") else masks
+
+
+def batch_stats(k, n, trials) -> list[tuple[int, int]]:
+    """(bad lines, max colorful order) per trial from one ``_trial_stats``
+    call on the batch: trial t's survivors are offset by t * n^k."""
+    survivors = [
+        np.concatenate([np.flatnonzero(masks[axis]) + t * n**k for t, masks in enumerate(trials)])
+        for axis in range(k + 1)
+    ]
+    bad, orders = _trial_stats(k, n, survivors, len(trials))
+    assert bad.shape == orders.shape == (len(trials),)
+    return list(zip(bad.tolist(), orders.tolist()))
+
+
+def mask_stats(k, n, masks) -> tuple[int, int]:
+    """``_trial_stats`` of one trial's stage-2 masks, the batch of one."""
+    return batch_stats(k, n, [masks])[0]
 
 
 class TestVVectors:
@@ -310,7 +349,7 @@ class TestProbabilistic:
             assert covered == dense_cov
             for m, md in zip(final, dense_final):
                 assert np.array_equal(m, md)
-        assert _trial_stats(k, n, final) == expected
+        assert mask_stats(k, n, final) == expected
         sparse = [rng.random(n**k) < 0.01 for _ in range(k + 1)]
         sparse_final, sparse_cov = sparse_deletion(k, n, sparse)
         final, covered = _deletion(k, n, sparse, 7)
@@ -371,7 +410,7 @@ class TestProbabilistic:
     def test_trial_stats_match_dense_oracle(self, k, data):
         n = data.draw(st.integers(1, 8 if k == 3 else 5), label="n")
         final = data.draw(final_masks(k, n))
-        assert _trial_stats(k, n, final) == dense_trial_stats(k, n, final)
+        assert mask_stats(k, n, final) == dense_trial_stats(k, n, final)
 
     @settings(max_examples=150, deadline=None)
     @given(k=st.sampled_from([3, 4]), data=st.data())
@@ -380,31 +419,56 @@ class TestProbabilistic:
         # shared grid point) or a random share, taken as stage-1 masks (a
         # (k+1)-colored point is possible) or deleted
         n = data.draw(st.integers(1, 7 if k == 3 else 4), label="n")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
-        point = data.draw(st.lists(st.integers(0, n - 1), min_size=k + 1, max_size=k + 1))
-        masks = []
-        for axis in range(k + 1):
-            kind = data.draw(st.sampled_from(["empty", "full", "single", "through", "share"]))
-            mask = np.full(n**k, kind == "full")
-            if kind == "single":
-                mask[data.draw(st.integers(0, n**k - 1), label="line")] = True
-            elif kind == "through":
-                mask[np.ravel_multi_index(point[:axis] + point[axis + 1 :], (n,) * k)] = True
-            elif kind == "share":
-                mask = rng.random(n**k) < data.draw(st.floats(0.05, 0.95), label="density")
-            masks.append(mask)
-        if data.draw(st.booleans(), label="deleted"):
-            masks = _deletion(k, n, masks, 1)[0]
-        assert _trial_stats(k, n, masks) == dense_trial_stats(k, n, masks)
+        masks = data.draw(trial_masks(k, n), label="masks")
+        assert mask_stats(k, n, masks) == dense_trial_stats(k, n, masks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.sampled_from([3, 4]), data=st.data())
+    def test_batched_stats_match_dense_oracle_per_trial(self, k, data):
+        # 1-9 trials of every kind above in one call, each trial against the
+        # oracle on its own masks
+        n = data.draw(st.integers(1, 6 if k == 3 else 4), label="n")
+        trials = data.draw(st.lists(trial_masks(k, n), min_size=1, max_size=9), label="trials")
+        assert batch_stats(k, n, trials) == [dense_trial_stats(k, n, m) for m in trials]
+
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.sampled_from([64, 65]), data=st.data())
+    def test_batched_stats_match_dense_oracle_in_one_and_two_words(self, n, data):
+        # x_(k+1) fills one uint64 word at n = 64 and two at n = 65
+        trials = data.draw(st.lists(trial_masks(3, n), min_size=2, max_size=3), label="trials")
+        assert batch_stats(3, n, trials) == [dense_trial_stats(3, n, m) for m in trials]
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_batch_mixes_fallback_and_full_orders(self, n):
+        # orders k (deleted shares), k+1 (stage-1 shares), 2 (two lines through
+        # one point: only the m < k fallback finds it) and 0 (empty), batched
+        k = 3
+        rng = np.random.default_rng(n)
+        share = [rng.random(n**k) < 0.05 for _ in range(k + 1)]
+        pair = [np.zeros(n**k, dtype=bool) for _ in range(k + 1)]
+        pair[0][n**k - 1] = pair[1][n**k - 1] = True  # both through (n, ..., n)
+        pair[3][0] = True  # through no point of them
+        empty = [np.zeros(n**k, dtype=bool) for _ in range(k + 1)]
+        trials = [_deletion(k, n, share, 7)[0], pair, share, empty, pair]
+        expected = [dense_trial_stats(k, n, m) for m in trials]
+        assert [order for _, order in expected] == [k, 2, k + 1, 0, 2]
+        assert batch_stats(k, n, trials) == expected
+
+    def test_batches_equal_batches_of_one(self):
+        # n = 16 runs whole batches in the Monte Carlo harness
+        runs = [ProbParams(3, 16, substream(5, t)) for t in range(7)]
+        assert probabilistic_batch_stats(runs) == [probabilistic_trial_stats(p) for p in runs]
+        with pytest.raises(ValueError):
+            probabilistic_batch_stats([ProbParams(3, 16, 1), ProbParams(3, 17, 1)])
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_survivor_stats_reach_k_plus_one_on_stage_1_masks(self, k):
         # full axes cover every grid point k+1 times; deletion removes them all
         n = 2
         full = [np.ones(n**k, dtype=bool) for _ in range(k + 1)]
-        assert _trial_stats(k, n, full) == dense_trial_stats(k, n, full) == (0, k + 1)
+        assert mask_stats(k, n, full) == dense_trial_stats(k, n, full) == (0, k + 1)
         final = _deletion(k, n, full, 1)[0]
-        assert _trial_stats(k, n, final) == dense_trial_stats(k, n, final) == (0, 0)
+        assert mask_stats(k, n, final) == dense_trial_stats(k, n, final) == (0, 0)
 
     @pytest.mark.parametrize("k,m", [(3, m) for m in range(4)] + [(4, m) for m in range(5)])
     def test_trial_stats_reach_every_colorful_order(self, k, m):
@@ -417,7 +481,7 @@ class TestProbabilistic:
         final[k][-1] = True
         expected = dense_trial_stats(k, n, final)
         assert expected[1] == (m if m >= 2 else 0)
-        assert _trial_stats(k, n, final) == expected
+        assert mask_stats(k, n, final) == expected
 
     def test_trial_stats_run_in_bounded_memory(self):
         # n^(k+1) = 2^28 grid points, over the old 2^26 cube limit
@@ -443,7 +507,7 @@ class TestProbabilistic:
         for masks in (final, kept):
             tracemalloc.start()
             try:
-                _trial_stats(k, n, masks)
+                mask_stats(k, n, masks)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -33,6 +33,21 @@ class TestSplitMix:
             assert np.array_equal(row, splitmix64_block(seed, start, count))
             assert [int(u) for u in row] == [splitmix64(seed, start + i) for i in range(count)]
 
+    def test_block_into_a_reused_buffer_matches_fresh_calls(self):
+        # one buffer through start 0, the next selection chunk and a short
+        # tail, for one seed and for a sequence of seeds
+        seeds = [0, 2**64 - 1, -12345, 0xDEADBEEF]
+        rows = np.empty((len(seeds), 8192), dtype=np.uint64)
+        row = np.empty(8192, dtype=np.uint64)
+        for start, count in ((0, 8192), (8192, 8192), (16384, 17), (0, 8192)):
+            block = splitmix64_block(seeds, start, count, out=rows[:, :count])
+            assert np.shares_memory(block, rows)
+            assert np.array_equal(block, splitmix64_block(seeds, start, count))
+            single = splitmix64_block(seeds[1], start, count, out=row[:count])
+            assert np.shares_memory(single, row)
+            assert np.array_equal(single, splitmix64_block(seeds[1], start, count))
+            assert [int(u) for u in single[:3]] == [splitmix64(seeds[1], start + i) for i in range(3)]
+
     def test_known_reference_values(self):
         # Pinned outputs: portability contract across platforms/releases.
         assert splitmix64(0, 0) == mix64(0x9E3779B97F4A7C15)
