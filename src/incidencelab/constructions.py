@@ -317,9 +317,10 @@ def _stage_masks(params: ProbParams):
 
 
 def gen_probabilistic(
-    params: ProbParams,
-) -> tuple[ColoredGridConfig, ColoredGridConfig, DeletionReport]:
-    """Run both stages; returns (before deletion, after deletion, report).
+    params: ProbParams, emit: Sequence[str] = ("before", "after")
+) -> tuple[ColoredGridConfig | None, ColoredGridConfig | None, DeletionReport]:
+    """Run both stages; returns (before deletion, after deletion, report),
+    with None for a stage not in ``emit``, whose configuration is not built.
 
     Stage 1 draws every grid line independently (one SplitMix64 substream
     per axis, one draw per line in base-index order).  Stage 2 deletes,
@@ -330,12 +331,14 @@ def gen_probabilistic(
     """
     k, n = params.k, params.n
     selected, final, covered = _stage_masks(params)
+    stages = {"before": selected, "after": final}
     before, after = (
         ColoredGridConfig(k, n, [np.flatnonzero(m) + a * n**k for a, m in enumerate(masks)])
-        for masks in (selected, final)
+        if stage in emit else None
+        for stage, masks in stages.items()
     )
-    report = DeletionReport(*astuple(params), before.class_sizes(), after.class_sizes(), covered)
-    return before, after, report
+    sizes = (tuple(int(np.count_nonzero(m)) for m in masks) for masks in stages.values())
+    return before, after, DeletionReport(*astuple(params), *sizes, covered)
 
 
 def _split(k: int, n: int, index: np.ndarray, axis: int, slot: int):

@@ -286,10 +286,13 @@ def max_colorful_order(cfg: ColoredGridConfig) -> tuple[int, tuple[int, ...] | N
 
 
 def grid_to_json(cfg: ColoredGridConfig) -> dict:
+    """The grid file's dict: one class entry per (color, axis) present, an
+    empty class as axis 1.  ``bases`` is an (m, k) int64 array of 1-based
+    coordinates, written as rows by ``cli._dump_json`` (``json`` needs lists)."""
     k, n = cfg.k, cfg.n
     classes = []
     for color, ids in enumerate(cfg.ids, start=1):
-        bases = (_digits(ids % n**k, n, k) + 1).tolist()
+        bases = _digits(ids % n**k, n, k) + 1
         cuts = np.searchsorted(ids, np.arange(k + 2) * n**k).tolist()
         for axis, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
             if lo < hi or not ids.size and axis == 1:  # an empty class keeps its color

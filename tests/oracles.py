@@ -5,6 +5,8 @@ plus base) is the oracles' own decoded model of one: ``encode`` and
 ``decode`` translate between the two, ``decode`` digit by digit through
 ``gridline_from_index``; ``grid_config`` builds a configuration from
 classes of ``GridLine``s and ``decoded`` gives its classes back as them.
+``grid_to_json`` writes a grid file's dict from those lines, with list
+bases: the reference for the library's array bases.
 ``embed_grid_line`` is one line embedded by the library's
 ``embed_grid_config``.
 
@@ -135,6 +137,21 @@ def grid_config(k: int, n: int, classes: Iterable[Iterable[GridLine]]) -> Colore
 def decoded(cfg: ColoredGridConfig) -> tuple[tuple[GridLine, ...], ...]:
     """The classes of a grid configuration as ``GridLine``s, in id order."""
     return tuple(decode(cfg.k, cfg.n, ids) for ids in cfg.ids)
+
+
+def grid_to_json(cfg: ColoredGridConfig) -> dict:
+    """The grid file of ``cfg`` with bases as lists of plain ints, built line
+    by line from ``decoded``: one class entry per (color, axis) present, in
+    axis order, and an empty class as one axis-1 entry with no bases."""
+    classes = []
+    for color, lines in enumerate(decoded(cfg), start=1):
+        by_axis: dict[int, list] = {}
+        for line in lines:
+            base = [v for slot, v in enumerate(line.base, start=1) if slot != line.axis]
+            by_axis.setdefault(line.axis, []).append(base)
+        for axis, bases in sorted(by_axis.items()) or [(1, [])]:
+            classes.append({"color": color, "axis": axis, "bases": bases})
+    return {"model": "grid", "k": cfg.k, "n": cfg.n, "classes": classes}
 
 
 def embed_grid_line(line: GridLine) -> Line:

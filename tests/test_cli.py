@@ -1,9 +1,13 @@
 import hashlib
 import json
+import subprocess
+import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,6 +126,18 @@ class TestGen:
         argv = ["gen", "probabilistic", "--k", "3", "--n", "64", "--seed", "42", "--emit", emit]
         assert run([*argv, "-o", "p.json"]) == 0
         assert hashlib.sha256((workdir / "p.json").read_bytes()).hexdigest() == digest
+
+    def test_probabilistic_runs_in_bounded_memory(self, workdir, capsys):
+        # only the emitted stage is built, and its bases go to bytes as one
+        # int64 array per class entry, with no Python list per line
+        argv = ["gen", "probabilistic", "--k", "3", "--n", "128", "--seed", "1", "-o", "p.json"]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * 2**20
 
     def test_reye_and_desargues(self, workdir):
         assert run(["gen", "reye", "-o", "reye.json"]) == 0
@@ -376,6 +392,39 @@ class TestVerify:
     def test_threads_option_removed(self, workdir):
         with pytest.raises(SystemExit):
             run(["--threads", "2", "gen", "reye", "-o", "reye.json"])
+
+    # a usage error, then the four commands of a grid-pipeline pass
+    SEQUENCE = (
+        ["gen", "probabilistic", "--k", "3"],
+        ["gen", "probabilistic", "--k", "3", "--n", "16", "--seed", "1", "-o", "prob.json"],
+        ["verify", "prob.json", "--k-consistency", "3", "--max-colorful", "3"],
+        ["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"],
+        ["verify", "alg.json", "--k-consistency", "3", "--max-colorful", "3", "--minimality"],
+    )
+
+    def outcomes(self, workdir, capsys, fresh: bool):
+        results = []
+        for argv in self.SEQUENCE:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                rc = run(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            results.append((rc, *capsys.readouterr()))
+        return results, [(workdir / name).read_bytes() for name in ("prob.json", "alg.json")]
+
+    def test_shared_parser_matches_fresh_parsers(self, workdir, capsys):
+        shared = self.outcomes(workdir, capsys, fresh=False)
+        assert cli.build_parser() is cli.build_parser()
+        assert [rc for rc, _, _ in shared[0]] == [2, 0, 1, 0, 0]
+        assert shared == self.outcomes(workdir, capsys, fresh=True)
+
+    def test_parser_not_built_at_import(self):
+        code = "import incidencelab.cli as c; print(c.build_parser.cache_info().currsize)"
+        src = Path(cli.__file__).parents[1]  # python -c imports from its working directory
+        done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
     def test_grid_incidences_built_once(self, workdir, capsys, monkeypatch):
         builds = []
@@ -807,8 +856,8 @@ def rows_of(elements, width: int):
     return st.lists(row | row.map(tuple), max_size=7)
 
 
-# lists of equal-length rows of ints, the writer's row-template case, and
-# rows that must take the general path: bools, floats, strings or ragged
+# lists of equal-length rows of ints (grid bases as plain lists), and rows
+# of bools, floats, strings or ragged ones
 int_rows = st.integers(0, 4).flatmap(lambda width: rows_of(json_ints, width))
 mixed_rows = st.integers(0, 3).flatmap(lambda width: rows_of(scalars, width))
 ragged_rows = st.lists(st.lists(json_ints, max_size=4), max_size=5)
@@ -825,6 +874,29 @@ documents = st.recursive(
 )
 
 
+# 2-d int64 arrays (grid bases), written as their ``tolist()``
+int64s = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([-(2**63), -1, 0, 2**63 - 1])
+int64_arrays = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(int64s, min_size=width, max_size=width), max_size=7).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    )
+)
+array_documents = st.recursive(
+    int64_arrays | scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def listed(data):
+    """``data`` with each array replaced by its ``tolist()``."""
+    if isinstance(data, np.ndarray):
+        return data.tolist()
+    if isinstance(data, dict):
+        return {key: listed(value) for key, value in data.items()}
+    return [listed(value) for value in data] if isinstance(data, (list, tuple)) else data
+
+
 class TestJsonWriter:
     """The CLI's writer against ``json.dumps(data, indent=2, sort_keys=True)``."""
 
@@ -832,6 +904,25 @@ class TestJsonWriter:
     @given(documents)
     def test_matches_json(self, data):
         assert cli._dump_json(data) == dump_json(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(array_documents)
+    def test_int_arrays_match_json_of_their_lists(self, data):
+        assert cli._dump_json(data) == dump_json(listed(data))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.zeros((0, 3), np.int64),
+            np.zeros((2, 0), np.int64),
+            np.array([[2**64 - 1, 0]], np.uint64),
+            np.arange(6, dtype=np.int32).reshape(3, 2)[::-1],
+        ],
+        ids=["no-rows", "empty-rows", "uint64", "int32-view"],
+    )
+    def test_other_int_arrays_match_json_of_their_lists(self, rows):
+        data = {"bases": rows, "rows": [rows, rows]}
+        assert cli._dump_json(data) == dump_json(listed(data))
 
     @pytest.mark.parametrize(
         "data",
@@ -841,6 +932,12 @@ class TestJsonWriter:
             {"a": object()},
             [[1, 2], [3, object()]],
             {"rows": [[1, 2**64], [3, 4.5]], "ids": (1, True)},
+            # arrays other than 2-d integer ones, as json refuses every array
+            {"ids": np.arange(3)},
+            {"bases": np.zeros((2, 2))},
+            {"bases": np.zeros((2, 2), bool)},
+            [np.zeros((1, 1, 1), np.int64)],
+            {"id": np.int64(5)},
         ],
     )
     def test_errors_match_json(self, data):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incidencelab.cli import _dump_json
 from incidencelab.configs import concurrency_center
 from incidencelab.constructions import (
     AlgebraicParams,
@@ -293,6 +294,15 @@ class TestProbabilistic:
         assert order <= 3
         assert not colorful_point_exists(after)
 
+    @pytest.mark.parametrize("emit", [("after",), ("before",)])
+    def test_emit_builds_only_the_requested_stage(self, emit):
+        params = ProbParams(3, 16, 4)
+        both = gen_probabilistic(params)
+        one = gen_probabilistic(params, emit=emit)
+        kept = 0 if emit == ("before",) else 1
+        assert one[1 - kept] is None
+        assert one[kept] == both[kept] and one[2] == both[2]
+
     def test_deterministic(self):
         a = gen_probabilistic(ProbParams(3, 8, 5))[1]
         b = gen_probabilistic(ProbParams(3, 8, 5))[1]
@@ -537,7 +547,7 @@ class TestMaskConfig:
             k, n, [np.flatnonzero(m) + (axis - 1) * n**k for axis, m in enumerate(masks, start=1)]
         )
         assert cfg.class_sizes() == oracle.class_sizes()
-        assert json.dumps(grid_to_json(cfg)) == json.dumps(grid_to_json(oracle))
+        assert _dump_json(grid_to_json(cfg)) == _dump_json(grid_to_json(oracle))
         assert cfg == oracle
         # decoding matches the digit-by-digit oracle, in base-index order
         assert decoded(cfg) == tuple(map(tuple, lines))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from incidencelab.analysis import minimality_audit
+from incidencelab.cli import _dump_json
 from incidencelab.constructions import ProbParams, gen_probabilistic
 from incidencelab.exactgeom import ProjPoint, meet
 from incidencelab.gridmodel import (
@@ -25,8 +26,10 @@ from incidencelab.structure import extract_structure_grid, structure_consistency
 from oracles import (
     GridLine,
     decoded,
+    dump_json,
     embed_grid_line,
     grid_config,
+    grid_to_json as oracle_grid_to_json,
     grid_meet,
     loop_consistency,
     loop_removable,
@@ -76,6 +79,11 @@ class TestGridMeet:
         a = gl(1, 0, 1, 1)
         with pytest.raises(ValueError):
             grid_meet(a, gl(1, 0, 1, 1))
+
+
+def file_data(cfg: ColoredGridConfig) -> dict:
+    """A configuration's grid file, written by the CLI's writer and parsed back."""
+    return json.loads(_dump_json(grid_to_json(cfg)))
 
 
 def random_config(rng: random.Random, k: int, n: int, per_class: int) -> ColoredGridConfig:
@@ -169,11 +177,11 @@ class TestConfigValidation:
     def test_json_round_trip(self):
         rng = random.Random(5)
         cfg = random_config(rng, 2, 4, 3)
-        assert grid_from_json(grid_to_json(cfg)) == cfg
+        assert grid_from_json(file_data(cfg)) == cfg
 
     def test_json_preserves_empty_classes(self):
         cfg = grid_config(2, 2, [[gl(1, 0, 1, 1)], [], []])
-        loaded = grid_from_json(grid_to_json(cfg))
+        loaded = grid_from_json(file_data(cfg))
         assert loaded == cfg
         assert loaded.num_colors == 3
 
@@ -181,7 +189,7 @@ class TestConfigValidation:
         # bare schema files (no "model" key) are grid configurations
         rng = random.Random(6)
         cfg = random_config(rng, 2, 3, 2)
-        data = grid_to_json(cfg)
+        data = file_data(cfg)
         del data["model"]
         assert grid_from_json(data) == cfg
 
@@ -206,8 +214,39 @@ class TestIdBound:
         corner = (n,) * (k + 1)
         assert incidence_dict(cfg) == {corner: {(1, 0), (2, 0)}}
         assert max_colorful_order(cfg) == (2, corner)
-        assert grid_from_json(json.loads(json.dumps(grid_to_json(cfg)))) == cfg
+        assert grid_from_json(file_data(cfg)) == cfg
         assert decoded(cfg) == ((first,), (last,))
+
+
+@st.composite
+def grid_files(draw) -> ColoredGridConfig:
+    """Up to 24 distinct lines of one grid, k = 2..4 and n up to 300, colored
+    into 1-4 classes: classes may be empty and mix axes."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(1, 300))
+    ids = draw(st.lists(st.integers(0, (k + 1) * n**k - 1), unique=True, max_size=24))
+    m = draw(st.integers(1, 4))
+    colors = draw(st.lists(st.integers(0, m - 1), min_size=len(ids), max_size=len(ids)))
+    classes = [[i for i, c in zip(ids, colors) if c == color] for color in range(m)]
+    return ColoredGridConfig(k, n, classes)
+
+
+class TestGridFile:
+    """Grid files hold int64 bases arrays; their bytes are those of the
+    line-by-line oracle's plain lists."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_files())
+    @example(ColoredGridConfig(4, 300, [[], [5 * 300**4 - 1, 0, 2 * 300**4 + 12345], []]))
+    def test_bytes_match_line_by_line_oracle(self, cfg):
+        assert _dump_json(grid_to_json(cfg)) == dump_json(oracle_grid_to_json(cfg))
+        assert grid_from_json(file_data(cfg)) == cfg
+
+    def test_bases_are_int64_arrays(self):
+        cfg = ColoredGridConfig(3, 300, [[0, 2 * 300**3 + 299], []])
+        bases = [entry["bases"] for entry in grid_to_json(cfg)["classes"]]
+        assert [b.dtype for b in bases] == [np.int64] * 3
+        assert [b.shape for b in bases] == [(1, 3), (1, 3), (0, 3)]
+        assert [b.tolist() for b in bases] == [[[1, 1, 1]], [[1, 1, 300]], []]
 
 
 class TestAllIncidences:
@@ -407,7 +446,7 @@ class TestCoreAgainstOracles:
     @settings(max_examples=120, deadline=None)
     @given(grid_cases)
     def test_json_round_trip(self, cfg):
-        assert grid_from_json(json.loads(json.dumps(grid_to_json(cfg)))) == cfg
+        assert grid_from_json(file_data(cfg)) == cfg
 
     def test_minimality_on_consistent_mixed_configs(self):
         # the hypothesis cases above are mostly inconsistent for k >= 2;
