@@ -46,7 +46,6 @@ from .exactgeom import (
     ProjPoint,
     incident,
     meet,
-    rank_of_directions,
 )
 from .gridmodel import (
     ColoredGridConfig,

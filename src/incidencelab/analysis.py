@@ -18,9 +18,11 @@ from itertools import combinations, permutations, product
 from math import comb
 from statistics import quantiles
 
+import numpy as np
+
 from .configs import ColoredLineConfig
 from .constructions import ProbParams, probabilistic_batch_stats
-from .exactgeom import Line, meet, rank_of_directions
+from .exactgeom import Line, key_ranks, meet
 from .gridmodel import ColoredGridConfig, LineRef, group_removable
 from .rng import TRIAL_OFFSET, substream
 from .structure import IncidenceStructure, Monomial
@@ -124,9 +126,9 @@ def determinant_monomials() -> frozenset[Monomial]:
 
 @dataclass(frozen=True)
 class FlatnessRecord:
-    """One audited incidence: its point, lines, direction rank, and verdict."""
+    """One audited incidence: its group (``witness`` gives its point), lines, rank, verdict."""
 
-    point: object
+    group: int
     lines: tuple[LineRef, ...]
     rank: int
     flat: bool
@@ -138,18 +140,23 @@ def flatness_audit(
     """Audit every incidence of >= t lines, given the structure ``s`` of
     ``cfg``: it is flat iff all lines at the point lie in a flat of
     dimension at most min(d, t_actual) - 1, where t_actual is the full line
-    count at the point."""
+    count at the point.  The point lies on every line, so no witness is met: the
+    rank is that of the lines' stacked keys less one (``key_ranks`` per group size)."""
     if t < 2:
         raise ValueError("flatness audit needs t >= 2")
-    records = []
-    for g, refs in enumerate(s.members):
-        if len(refs) < t:
-            continue
-        point = s.witness(g)
-        rank = rank_of_directions([cfg.line(ref) for ref in refs], point)
-        flat = rank <= min(cfg.d, len(refs)) - 1
-        records.append(FlatnessRecord(point, tuple(refs), rank, flat))
-    return records
+    lines, bounds = [line for _, _, line in cfg.lines()], np.array(s.bounds)
+    sizes = np.diff(bounds)
+    rank = np.zeros(len(sizes), np.int64)
+    for size in np.unique(sizes[sizes >= t]).tolist():
+        at = np.flatnonzero(sizes == size)
+        members = s.line[bounds[at, None] + np.arange(size)]
+        rank[at] = key_ranks(lines, members, min(cfg.d, size) + 1) - 1
+    rank, sizes = rank.tolist(), sizes.tolist()
+    return [
+        FlatnessRecord(g, tuple(s.members[g]), rank[g], rank[g] <= min(cfg.d, size) - 1)
+        for g, size in enumerate(sizes)
+        if size >= t
+    ]
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,12 @@ def _line_view(cfg, flag: str) -> ColoredLineConfig:
     return line_cfg
 
 
+def _flatness(cfg, s, t: int) -> dict:
+    """The flatness audit's counts, on ``s`` or the structure of ``cfg`` (a grid: its own)."""
+    records = analysis.flatness_audit(_line_view(cfg, "flatness"), s or extract_structure(cfg), t)
+    return {"t": t, "audited": len(records), "flat_incidences": sum(r.flat for r in records)}
+
+
 def _verify_checks(cfg, args) -> tuple[dict, bool]:
     checks: dict = {}
     grid = isinstance(cfg, ColoredGridConfig)
@@ -253,15 +259,8 @@ def _verify_checks(cfg, args) -> tuple[dict, bool]:
                 "removable_total": len(verdict.removable),
             }
     if args.flatness is not None:
-        line_cfg, s = _line_view(cfg, "flatness"), s or extract_structure(cfg)  # a grid: its own
-        records = analysis.flatness_audit(line_cfg, s, args.flatness)
-        flats = [r for r in records if r.flat]
-        checks["flatness"] = {
-            "t": args.flatness,
-            "audited": len(records),
-            "flat_incidences": len(flats),
-            "pass": not flats,
-        }
+        flatness = _flatness(cfg, s, args.flatness)
+        checks["flatness"] = {**flatness, "pass": not flatness["flat_incidences"]}
     if args.planarity is not None:
         planar, dim = extract_planarity(_line_view(cfg, "planarity"))
         checks["planarity"] = {
@@ -365,13 +364,7 @@ def cmd_analyze(args, run: _Run) -> int:
         }
         ok &= rep.satisfied
     if args.flatness is not None:
-        line_cfg, s = _line_view(cfg, "flatness"), s or extract_structure(cfg)
-        records = analysis.flatness_audit(line_cfg, s, args.flatness)
-        out["flatness"] = {
-            "t": args.flatness,
-            "audited": len(records),
-            "flat_incidences": sum(1 for r in records if r.flat),
-        }
+        out["flatness"] = _flatness(cfg, s, args.flatness)
     if args.determinant_check:
         monos = analysis.determinant_monomials()
         out["determinant_monomials"] = sorted(analysis.monomial_name(m) for m in monos)

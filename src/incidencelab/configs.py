@@ -18,8 +18,6 @@ import numpy as np
 from . import gridmodel
 from .exactgeom import Line, ProjPoint, meet
 
-LineRef = tuple[int, int]
-
 
 @dataclass(frozen=True)
 class ColoredLineConfig:
@@ -75,9 +73,6 @@ class ColoredLineConfig:
         for color, cls in enumerate(self.classes, start=1):
             for idx, line in enumerate(cls):
                 yield color, idx, line
-
-    def line(self, ref: LineRef) -> Line:
-        return self.classes[ref[0] - 1][ref[1]]
 
 
 @dataclass(frozen=True)

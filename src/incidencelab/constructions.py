@@ -47,8 +47,8 @@ from .exactgeom import (
     Rational,
     int_nullspace,
     int_rank,
+    key_ranks,
     meet,
-    rank_of_directions,
 )
 from .gridmodel import ColoredGridConfig
 from .rng import (
@@ -598,7 +598,7 @@ def gen_desargues() -> ColoredLineConfig:
         frozenset(b)
         for b in bucket_lists
         if len(b) == 3
-        and rank_of_directions([lines[i] for i in b], meet(lines[b[0]], lines[b[1]])) == 3
+        and key_ranks(lines, np.array([b]), 4)[0] == 4  # three directions span R^3
     ]
     for cand in candidates:
         fixed = {i: 1 for i in cand}

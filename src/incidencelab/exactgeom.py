@@ -19,20 +19,32 @@ Conventions
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
+
+import numpy as np
 
 Rational = int | Fraction
 
+# The largest prime below 2^30: a product of two residues is below 2^60.
+PRIME = 2**30 - 35
+_ASCII_INT = re.compile(r"-?[0-9]+")
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a "num/den" string (tolerating unicode minus signs), else ValueError."""
+
+def parse_rational(text: str) -> Rational:
+    """Parse a "num/den" string (tolerating unicode minus signs), else
+    ValueError; an ASCII integer string parses to its int."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a 'num/den' string, not {text!r}")
+    text = text.strip().replace("−", "-")
+    if _ASCII_INT.fullmatch(text):
+        return int(text)
     try:
-        return Fraction(text.strip().replace("−", "-"))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -93,6 +105,36 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(int_rref(rows))
 
 
+def residues(rows: Iterable[Sequence[int]], p: int) -> np.ndarray:
+    """An integer matrix reduced mod p, as int64 residues in [0, p)."""
+    return np.array([[x % p for x in row] for row in rows], np.int64)
+
+
+def key_ranks(lines: Sequence[Line], groups: np.ndarray, cap: int) -> np.ndarray:
+    """The rank of each group's stacked key rows, for a (G, t) array of line
+    positions and a bound ``cap`` on every rank (t concurrent lines span at
+    most min(d, t) + 1 dimensions).  Fraction-free elimination mod ``PRIME``
+    of all stacks at once: per column, every row becomes (pivot * row -
+    row[c] * pivot row) mod p, pivots never inverted, products below 2^60.
+    A rank mod p is at most the rational one, so one reaching ``cap`` is
+    exact; the others get ``int_rank``."""
+    p, (used, at) = PRIME, np.unique(groups, return_inverse=True)
+    r = residues([row for x in used.tolist() for row in lines[x].key], p)
+    m = r.reshape(len(used), 2, -1)[at.reshape(groups.shape)].reshape(len(groups), -1, r.shape[1])
+    g, free, rank = np.arange(len(m)), np.ones(m.shape[:2], bool), np.zeros(len(m), np.int64)
+    for c in range(m.shape[2]):
+        nonzero = free & (m[:, :, c] != 0)
+        has, piv = nonzero.any(axis=1), nonzero.argmax(axis=1)
+        row = m[g, piv]
+        lead = np.where(has, row[:, c], 1)  # no pivot: column c is zero, m stays
+        m = (m * lead[:, None, None] - m[:, :, c, None] * row[:, None, :]) % p
+        free[g, piv] &= ~has
+        rank += has
+    for x in np.flatnonzero(rank < cap).tolist():
+        rank[x] = int_rank([row for y in groups[x].tolist() for row in lines[y].key])
+    return rank
+
+
 def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of the right nullspace, one vector per free column."""
     rref = int_rref(rows)
@@ -117,6 +159,13 @@ class ProjPoint:
 
     def __init__(self, coords: Sequence[Rational]):
         object.__setattr__(self, "coords", _canonical_ints(coords))
+
+    @classmethod
+    def canonical(cls, coords: tuple[int, ...]) -> "ProjPoint":
+        """The point of an already primitive, sign-fixed tuple, taken as it is."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", coords)
+        return point
 
     @classmethod
     def affine(cls, values: Sequence[Rational]) -> "ProjPoint":
@@ -268,27 +317,12 @@ def meet(a: Line, b: Line) -> ProjPoint | None:
         if uj:
             break
     else:
-        return ProjPoint(s1)  # s1 lies on a
+        return ProjPoint.canonical(s1)  # s1, a canonical key row, lies on a
     wj = w[j]
     for x, y in zip(u, w):
         if wj * x != uj * y:
             return None
-    return ProjPoint([wj * x - uj * y for x, y in zip(s1, s2)])
-
-
-def rank_of_directions(lines: Sequence[Line], at: ProjPoint) -> int:
-    """Projective dimension of the smallest flat containing concurrent lines.
-
-    Every line must pass through ``at``; k concurrent lines spanning k
-    independent directions have rank k, three concurrent coplanar lines
-    have rank 2.
-    """
-    if not lines:
-        raise ValueError("need at least one line")
-    for ln in lines:
-        if not ln.contains(at):
-            raise ValueError(f"line {ln!r} does not pass through {at!r}")
-    return int_rank([at.coords, *(row for ln in lines for row in ln.key)]) - 1
+    return ProjPoint.canonical(_reduce_row([wj * x - uj * y for x, y in zip(s1, s2)]))
 
 
 def apply_matrix(matrix: Sequence[Sequence[int]], point: ProjPoint) -> ProjPoint:
@@ -296,7 +330,7 @@ def apply_matrix(matrix: Sequence[Sequence[int]], point: ProjPoint) -> ProjPoint
     matrix rows (integer dot products)."""
     if len(matrix[0]) != len(point.coords):
         raise ValueError("matrix shape does not match point coordinates")
-    return ProjPoint([sum(m * c for m, c in zip(row, point.coords)) for row in matrix])
+    return ProjPoint.canonical(_reduce_row([sum(map(mul, row, point.coords)) for row in matrix]))
 
 
 def covector_2d(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:

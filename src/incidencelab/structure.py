@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .configs import ColoredLineConfig, DualPointConfig, _grid_lines
-from .exactgeom import Line, ProjPoint, covector_2d, line_covector_2d, meet
+from .exactgeom import PRIME, Line, ProjPoint, covector_2d, line_covector_2d, meet, residues
 from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,
@@ -140,14 +140,8 @@ def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
     return IncidenceStructure.from_groups(groups, cfg.class_sizes(), meet_of)
 
 
-# The largest prime below 2^30: a product of two residues is below 2^60.
-PRIME = 2**30 - 35
-# Line pairs per kernel chunk (at least one row); bounds its temporaries.
-PAIR_CHUNK = 1 << 12
-
-
-def _residues(rows, p: int) -> np.ndarray:
-    return np.array([[x % p for x in row] for row in rows], np.int64)
+# Side of the square tiles of pairs the kernels work on (at most n); bounds their temporaries.
+TILE = 1 << 8
 
 
 def _inverse(x: np.ndarray, p: int) -> np.ndarray:
@@ -162,27 +156,48 @@ def _inverse(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _scaled(rows: np.ndarray, p: int) -> np.ndarray:
-    """Residue rows scaled to a leading 1; zero rows stay zero."""
+    """Residue rows scaled in place to a leading 1; zero rows stay zero."""
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    return rows * _inverse(np.maximum(lead, 1), p)[:, None] % p
+    rows *= _inverse(np.maximum(lead, 1), p)[:, None]
+    return np.remainder(rows, p, out=rows)
 
 
-def _pair_chunks(n: int):
-    """Index arrays (i, j > i) over chunks of rows i, about ``PAIR_CHUNK`` pairs each."""
-    step = max(1, PAIR_CHUNK // n)
-    for i0 in range(0, n - 1, step):
-        i, j = np.nonzero(np.arange(n) > np.arange(i0, min(i0 + step, n - 1))[:, None])
-        yield i + i0, j
+def _tile_pairs(n: int, keep=None) -> Iterator[np.ndarray]:
+    """Per tile of side min(TILE, n), the codes i * n + j of its pairs i < j
+    where ``keep(rows, cols)`` holds if given (a bool block; None skips it)."""
+    side = min(TILE, n)
+    for i0 in range(0, n, side):
+        for j0 in range(i0, n, side):
+            rows, cols = slice(i0, min(i0 + side, n)), slice(j0, min(j0 + side, n))
+            mask = keep(rows, cols) if keep else np.ones((rows.stop - i0, cols.stop - j0), bool)
+            if mask is None:
+                continue
+            if i0 == j0:  # a tile on the diagonal
+                mask &= np.arange(j0, cols.stop) > np.arange(i0, rows.stop)[:, None]
+            i, j = np.divmod(np.flatnonzero(mask), cols.stop - j0)
+            yield (i + i0) * n + j + j0
 
 
-def _candidates(lines: Sequence[Line], p: int):
-    """Per chunk of rows i: the pairs (i, j > i) not certified skew (d >= 3), with points."""
+def _batched(codes) -> Iterator[np.ndarray]:
+    """Pair codes of many tiles in batches of 16 * TILE, whose points are scaled at once."""
+    step, held = 16 * TILE, np.empty(0, np.int64)
+    for part in codes:
+        held = np.concatenate((held, part))
+        while len(held) >= step:
+            yield held[:step]
+            held = held[step:]
+    if len(held):
+        yield held
+
+
+def _candidates(lines: Sequence[Line], p: int, label: np.ndarray):
+    """Batches of the pairs (i, j > i) not certified skew, less equal ``label``s, with points."""
     n = len(lines)
-    r1, r2 = (_residues([line.key[t] for line in lines], p) for t in (0, 1))
+    r1, r2 = (residues([line.key[t] for line in lines], p) for t in (0, 1))
     dim, (c1, c2), at = r1.shape[1], np.array([line.pivots for line in lines]).T, np.arange(n)
     # X = [I | E] and g are fixed and pseudo-random; see concurrence_buckets
-    e = _residues([[mix64(r * dim + c) for c in range(dim - 4)] for r in range(4)], p)
-    g = _residues([[mix64(4 * dim + c) for c in range(dim)]], p)[0]
+    e = residues([[mix64(r * dim + c) for c in range(dim - 4)] for r in range(4)], p)
+    g = residues([[mix64(4 * dim + c) for c in range(dim)]], p)[0]
     x1, x2 = ((r[:, :4] + (r[:, 4:, None] * e.T % p).sum(axis=1)) % p for r in (r1, r2))
     pairs = list(combinations(range(4), 2))
     plucker = np.stack([(x1[:, s] * x2[:, t] - x1[:, t] * x2[:, s]) % p for s, t in pairs], 1)
@@ -190,13 +205,24 @@ def _candidates(lines: Sequence[Line], p: int):
     g1, g2 = ((r * g % p).sum(axis=1) % p for r in (r1, r2))
     p1, p2 = r1[at, c1], r2[at, c2]
     s, t1, t2 = p1 * p2 % p, p2 * g1 % p, p1 * g2 % p
-    for i, j in _pair_chunks(n):
-        keep = (plucker[i] * dual[j]).sum(axis=1) % p == 0
-        i, j = i[keep], j[keep]
+
+    def unskewed(rows: slice, cols: slice) -> np.ndarray | None:
+        """The pairs whose side product, an entry of plucker @ dual.T, is 0 mod p."""
+        ends = label[[rows.start, rows.stop - 1, cols.start, cols.stop - 1]]
+        if ends[0] >= 0 and (ends == ends[0]).all():
+            return None  # a tile inside one class whose center is on all its lines
+        side = plucker[rows] @ dual[cols].T
+        keep = np.remainder(side, p, out=side) == 0
+        if rows.start == cols.start or ends[1] == ends[2]:  # classes are runs of positions
+            keep &= label[rows, None] != label[cols]  # and a negative label is unique
+        return keep
+
+    for code in _batched(_tile_pairs(n, unskewed)):
+        i, j = np.divmod(code, n)
         # g(Line.residual) of b's key rows against a = lines[i]
         u = (s[i] * g1[j] - r1[j, c1[i]] * t1[i] - r1[j, c2[i]] * t2[i]) % p
         w = (s[i] * g2[j] - r2[j, c1[i]] * t1[i] - r2[j, c2[i]] * t2[i]) % p
-        yield i, j, (r1[j] * w[:, None] - r2[j] * u[:, None]) % p
+        yield i, j, _scaled((r1[j] * w[:, None] - r2[j] * u[:, None]) % p, p)
 
 
 def planar_buckets(triples: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -214,10 +240,11 @@ def planar_buckets(triples: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.nda
     n, p = len(triples), PRIME
     if n < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    r, pack = _residues([ProjPoint(t).coords for t in triples], p), np.array([p * p, p, 1])
+    r, pack = residues([ProjPoint(t).coords for t in triples], p), np.array([p * p, p, 1])
+    pair = np.concatenate(list(_tile_pairs(n)))
+    ij = (np.divmod(batch, n) for batch in _batched([pair]))  # the batches of d >= 3
     # scaled to (1, x, y), (0, 1, y) or (0, 0, 1), or zero: a unique key below 2p^2 < 2^61
-    chunks = [(_scaled(np.cross(r[i], r[j]) % p, p) @ pack, i * n + j) for i, j in _pair_chunks(n)]
-    key, pair = (np.concatenate(c) for c in zip(*chunks))
+    key = np.concatenate([_scaled(np.cross(r[i], r[j]) % p, p) @ pack for i, j in ij])
     key, pair = key[order := np.argsort(key)], pair[order]
     bounds = np.array(_bounds(key))
     one = (np.diff(bounds) == 1) & (key[bounds[:-1]] != 0)
@@ -239,28 +266,32 @@ def planar_buckets(triples: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.nda
     return np.repeat(np.arange(len(size), dtype=np.int64), size), line
 
 
-def concurrence_buckets(lines: Sequence[Line]) -> list[list[int]]:
+def concurrence_buckets(
+    lines: Sequence[Line], classes: Sequence[tuple[int, ProjPoint | None]] = ()
+) -> list[list[int]]:
     """The sorted positions of the lines through each point where two or
     more of the lines meet, in first-meeting pair order: ascending by the
-    two smallest positions of lines through the point.
+    two smallest positions of lines through the point.  ``classes`` gives
+    the leading lines' classes in order as (size, center or None).
 
     Planar lines meet at the cross products of their covectors, grouped
-    mod p and confirmed (``planar_buckets``).  For d >= 3 a numpy pair kernel,
-    on residues mod ``PRIME``, proposes the points.  Lines a, b meet iff
+    mod p and confirmed (``planar_buckets``).  For d >= 3 a class whose
+    center is on all of its two or more lines is one group there, and its
+    pairs are not tested: two distinct lines share at most one point.
+    Residues mod ``PRIME`` propose the other points.  Lines a, b meet iff
     their stacked keys M have rank 3; then M X^T (X = [I | E], E fixed
     pseudo-random) has determinant 0, the side product of the Pluecker
     coordinates of the key pencils mapped by X, so a nonzero residue of it
-    proves the pair skew.  Other pairs get the point g(w)*s1 - g(u)*s2
-    (b's key rows s1, s2, their residuals u, w against a, a fixed
-    pseudo-random functional g): lines meeting at l*s1 + m*s2 have
-    l*u + m*w = 0, so it is a multiple of the meet.  Points scaled to a
-    leading 1 are grouped by sorting, chunk by chunk; per group two lines
-    meet exactly and ``Line.contains`` checks the others, or the pairs go
-    to exact meets one by one.  So every meeting pair lands on its exact
-    point, and a group of one pair needs nothing more.  Overflow: residues
-    are below p < 2^30, so products of two are below 2^60, and no int64
-    sum has more than six of them.  Identical lines raise ValueError, as
-    ``meet`` does.
+    (an entry of a tile's int64 product of Pluecker rows and dual columns)
+    proves the pair skew.  Other pairs get the point g(w)*s1 - g(u)*s2 (b's
+    key rows s1, s2, their residuals u, w against a, a fixed pseudo-random
+    functional g): lines meeting at l*s1 + m*s2 have l*u + m*w = 0, so it
+    is a multiple of the meet.  Points scaled to a leading 1 are grouped by
+    sorting; per group two lines meet exactly and ``Line.contains`` checks
+    the others, or the pairs go to exact meets one by one.  Overflow:
+    residues are below p < 2^30, products of two below 2^60, and no int64
+    sum has more than six of them (< 6 * 2^60 < 2^63).  Identical lines
+    raise ValueError, as ``meet`` does.
     """
     if len({line.ambient_dim for line in lines}) > 1:
         raise ValueError("lines live in different ambient dimensions")
@@ -271,18 +302,23 @@ def concurrence_buckets(lines: Sequence[Line]) -> list[list[int]]:
     if lines[0].ambient_dim == 2:
         group, line = planar_buckets([line_covector_2d(line) for line in lines])
         return [part.tolist() for part in np.split(line, _bounds(group)[1:-1])]
+    found: dict[ProjPoint, set[int]] = {}
+    label, start = -1 - np.arange(len(lines)), 0  # equal labels: a pair on a known center
+    for c, (size, center) in enumerate(classes):
+        at = range(start, start := start + size)
+        if size >= 2 and center is not None and all(lines[m].contains(center) for m in at):
+            found.setdefault(center, set()).update(at)
+            label[at] = c
     groups: dict[bytes, set[int]] = {}  # residue point -> lines
-    for i, j, point in _candidates(lines, PRIME):
-        point = _scaled(point, PRIME)  # zero points stay zero and form a group of their own
+    for i, j, point in _candidates(lines, PRIME, label):  # zero points form a group of their own
         order = np.lexsort(point.T)
         point, first, second = point[order], i[order].tolist(), j[order].tolist()
         starts = np.flatnonzero(np.diff(point, axis=0, prepend=-1).any(axis=1)).tolist()
         for a, b, key in zip(starts, starts[1:] + [len(first)], map(bytes, point[starts])):
             groups.setdefault(key, set()).update(first[a:b], second[a:b])
-    found: dict[ProjPoint, set[int]] = {}
     pending: list[tuple[int, int]] = []  # pairs to meet one by one
-    for members in groups.values():
-        x, y, *rest = members
+    while groups:  # popped, so residue groups and exact points do not pile up
+        x, y, *rest = members = groups.popitem()[1]
         at = meet(lines[x], lines[y])
         if at is not None and all(lines[m].contains(at) for m in rest):
             found.setdefault(at, members).update(members)
@@ -296,16 +332,17 @@ def concurrence_buckets(lines: Sequence[Line]) -> list[list[int]]:
 
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
-    """All maximal concurrences of a line configuration (``concurrence_buckets``),
-    witnessed by the points where their lines ``meet``; in the plane
-    (``planar_buckets``), by the canonical cross product of their covectors."""
+    """All maximal concurrences of a line configuration (``concurrence_buckets``
+    given its class centers), witnessed by the points where their lines meet;
+    in the plane (``planar_buckets``), by the canonical cross product of covectors."""
     lines = [line for _, _, line in cfg.lines()]
     if cfg.d != 2:
-        groups, meet_of = concurrence_buckets(lines), lambda i, j: meet(lines[i], lines[j])
+        classes = list(zip(cfg.class_sizes(), cfg.centers))
+        groups, meet_of = concurrence_buckets(lines, classes), lambda i, j: meet(lines[i], lines[j])
         return IncidenceStructure.from_groups(groups, cfg.class_sizes(), meet_of)
-    cov = [line_covector_2d(line) for line in lines]
+    cov, point = [line_covector_2d(line) for line in lines], ProjPoint.canonical
     return IncidenceStructure(
-        cfg.class_sizes(), *planar_buckets(cov), lambda i, j: ProjPoint(covector_2d(cov[i], cov[j]))
+        cfg.class_sizes(), *planar_buckets(cov), lambda i, j: point(covector_2d(cov[i], cov[j]))
     )
 
 

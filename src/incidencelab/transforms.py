@@ -17,6 +17,7 @@ stable along pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Sequence
 
@@ -27,7 +28,7 @@ from .exactgeom import (
     Line,
     ProjPoint,
     apply_matrix,
-    int_rank,
+    key_ranks,
     line_covector_2d,
     line_from_covector_2d,
 )
@@ -47,16 +48,9 @@ def apply_projective(
     cfg: ColoredLineConfig, matrix: Sequence[Sequence[int]]
 ) -> ColoredLineConfig:
     """Map every line (and center) of a configuration through an integer matrix."""
-    classes = []
-    for cls in cfg.classes:
-        mapped = []
-        for line in cls:
-            p, q = apply_matrix(matrix, line.p), apply_matrix(matrix, line.q)
-            mapped.append(Line(p, q))
-        classes.append(mapped)
-    centers = [
-        apply_matrix(matrix, c) if c is not None else None for c in cfg.centers
-    ]
+    image = partial(apply_matrix, matrix)
+    classes = [[Line(image(line.p), image(line.q)) for line in cls] for cls in cfg.classes]
+    centers = [None if c is None else image(c) for c in cfg.centers]
     return ColoredLineConfig(len(matrix) - 1, classes, centers)
 
 
@@ -196,8 +190,8 @@ def undualize(dual: DualPointConfig) -> ColoredLineConfig:
 
 def extract_planarity(cfg: ColoredLineConfig) -> tuple[bool, int]:
     """(all lines lie in a common 2-flat?, projective dimension of their span)."""
-    rows = [row for _, _, line in cfg.lines() for row in line.key]
-    if not rows:
+    lines = [line for _, _, line in cfg.lines()]
+    if not lines:
         return True, 0
-    dim = int_rank(rows) - 1
+    dim = int(key_ranks(lines, np.arange(len(lines))[None], min(cfg.d + 1, 2 * len(lines)))[0]) - 1
     return dim <= 2, dim

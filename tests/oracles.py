@@ -26,6 +26,10 @@ system of the two lines' spanning points by generic row reduction.
 ``loop_concurrence_buckets`` calls exact ``meet`` on one line pair at a
 time, skipping pairs already bucketed together: the reference for the
 mod-p pair kernel of ``concurrence_buckets``, order of the points included.
+``loop_flatness_audit`` meets each group's witness and row-reduces its
+lines' keys with that point (``rank_of_directions``): the reference for
+the batched residue ranks of ``exactgeom.key_ranks`` behind
+``analysis.flatness_audit``.
 ``loop_planar_buckets`` takes one exact cross product per pair of planar
 triples: the reference for the residue kernel of ``planar_buckets``.
 ``loop_alignments`` joins two dual points at a time by an integer
@@ -70,6 +74,7 @@ from incidencelab.exactgeom import (
     apply_matrix,
     covector_2d,
     int_nullspace,
+    int_rank,
     line_covector_2d,
     meet,
 )
@@ -441,6 +446,34 @@ def loop_concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]
         on_points[i].add(pt)
         on_points[j].add(pt)
     return buckets
+
+
+def rank_of_directions(lines: Sequence[Line], at: ProjPoint) -> int:
+    """Projective dimension of the smallest flat containing concurrent lines.
+
+    Every line must pass through ``at``; k concurrent lines spanning k
+    independent directions have rank k, three concurrent coplanar lines
+    have rank 2.
+    """
+    if not lines:
+        raise ValueError("need at least one line")
+    for ln in lines:
+        if not ln.contains(at):
+            raise ValueError(f"line {ln!r} does not pass through {at!r}")
+    return int_rank([at.coords, *(row for ln in lines for row in ln.key)]) - 1
+
+
+def loop_flatness_audit(cfg: ColoredLineConfig, s: IncidenceStructure, t: int) -> list[tuple]:
+    """(point, refs, rank, flat) of each group of >= t lines, group by
+    group: its witness met from two lines, and ``rank_of_directions`` of
+    its lines through that point."""
+    records = []
+    for g, refs in enumerate(s.members):
+        if len(refs) >= t:
+            point = s.witness(g)
+            rank = rank_of_directions([cfg.classes[c - 1][i] for c, i in refs], point)
+            records.append((point, tuple(refs), rank, rank <= min(cfg.d, len(refs)) - 1))
+    return records
 
 
 def loop_planar_buckets(triples: Sequence[Sequence[int]]) -> list[list[int]]:

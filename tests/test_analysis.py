@@ -1,8 +1,10 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incidencelab.analysis import (
     TABLE_I,
@@ -29,7 +31,9 @@ from incidencelab.constructions import (
 from incidencelab.exactgeom import Line, ProjPoint
 from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import extract_structure_lines
-from oracles import GridLine, grid_config, structure_of
+from incidencelab.transforms import lift_to_concurrent, project_generic
+from oracles import GridLine, grid_config, loop_flatness_audit, structure_of
+from test_structure import line_lists
 
 
 class TestMonomialNotation:
@@ -157,6 +161,68 @@ class TestFlatness:
         cfg = ColoredLineConfig(3, [[lines[0]], [lines[1]], [lines[2]]])
         records = flatness_audit(cfg, extract_structure_lines(cfg), 3)
         assert records[0].rank == 3 and not records[0].flat
+
+
+def assert_audit_matches_loop(cfg, t):
+    """The records of ``flatness_audit`` are the oracle's, the oracle's
+    point being the witness of the record's group."""
+    s = extract_structure_lines(cfg)
+    records = flatness_audit(cfg, s, t)
+    expected = loop_flatness_audit(cfg, s, t)
+    assert [(r.lines, r.rank, r.flat) for r in records] == [e[1:] for e in expected]
+    assert [s.witness(r.group) for r in records] == [e[0] for e in expected]
+    return records
+
+
+@st.composite
+def pencils(draw):
+    """Distinct lines in d = 3..5 through 1..3 centers, 2..6 per center, each
+    pencil inside a plane through its center (flat from three lines on) or
+    in general directions; coordinates are scaled above 2^64 as in
+    ``line_lists``, whose pool lines are added too."""
+    d = draw(st.integers(3, 5))
+    scale = draw(st.sampled_from([1, 2**64 + 13]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lines = {line.key: line for line in draw(line_lists(st.just(d)))}
+    for _ in range(draw(st.integers(1, 3))):
+        center = [rng.randint(-3, 3) for _ in range(d + 1)]
+        basis = [[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(rng.choice([2, d]))]
+        for _ in range(rng.randint(2, 6)):
+            coef = [rng.randint(-2, 2) for _ in basis]
+            q = [sum(c * v[x] for c, v in zip(coef, basis)) for x in range(d + 1)]
+            try:
+                line = Line(*(ProjPoint([v * scale if x % 2 else v for x, v in enumerate(c)])
+                              for c in (center, q)))
+            except ValueError:  # a zero point, or q on the center
+                continue
+            lines.setdefault(line.key, line)
+    return list(lines.values())
+
+
+class TestFlatnessAgainstLoop:
+    """Batched key ranks against one witness and ``rank_of_directions`` per
+    group: pencils of coplanar (flat) and independent lines in d = 3..5,
+    with coordinates above 2^64."""
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    @settings(max_examples=150, deadline=None)
+    @given(lines=pencils(), colors=st.integers(1, 3))
+    def test_matches_loop(self, t, lines, colors):
+        cfg = ColoredLineConfig(lines[0].ambient_dim, [lines[c::colors] for c in range(colors)])
+        assert_audit_matches_loop(cfg, t)
+
+    @pytest.mark.parametrize("fixture", ["algebraic_3_2", "algebraic_3_3"])
+    def test_projected_algebraic(self, fixture, request):
+        lifted, s = lift_to_concurrent(request.getfixturevalue(fixture), audit=False)
+        records = assert_audit_matches_loop(project_generic(lifted, s, 3, 11).config, 3)
+        assert records and not any(r.flat for r in records)
+
+    def test_projected_algebraic_4_2(self, algebraic_4_2):
+        # 10,240 lines in R^3; the audit counts of verify --flatness 3
+        lifted, s = lift_to_concurrent(algebraic_4_2, audit=False)
+        projected = project_generic(lifted, s, 3, 11).config
+        records = flatness_audit(projected, extract_structure_lines(projected), 3)
+        assert (len(records), sum(r.flat for r in records)) == (10245, 0)
 
 
 class TestMonteCarlo:

@@ -53,6 +53,7 @@ from oracles import (
     dense_trial_stats,
     grid_config,
     gridline_from_index,
+    rank_of_directions,
     six_fold_map,
     sparse_deletion,
 )
@@ -600,8 +601,6 @@ class TestDesargues:
         assert s.max_colorful()[0] == 3
 
     def test_concurrent_class_spans_rank_3(self, desargues):
-        from incidencelab.exactgeom import rank_of_directions
-
         for cls in desargues.classes:
             center = concurrency_center(cls)
             if center is not None:

@@ -1,10 +1,14 @@
+import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from incidencelab import exactgeom
 from incidencelab.exactgeom import (
+    PRIME,
     Line,
     ProjFlat,
     ProjPoint,
@@ -14,13 +18,13 @@ from incidencelab.exactgeom import (
     int_nullspace,
     int_rank,
     int_rref,
+    key_ranks,
     line_covector_2d,
     line_from_covector_2d,
     meet,
     parse_rational,
-    rank_of_directions,
 )
-from oracles import fraction_canonical_ints, rank3x3, rref_meet
+from oracles import fraction_canonical_ints, rank3x3, rank_of_directions, rref_meet
 
 nonzero_ints = st.integers(-50, 50).filter(lambda v: v != 0)
 small_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -113,6 +117,49 @@ class TestRationalIO:
         p = ProjPoint(coords)
         assert ProjPoint.from_strings(p.to_strings()) == p
         assert [parse_rational(t) for t in p.to_strings()] == list(p.coords)
+
+
+def fraction_or_none(text: str) -> Fraction | None:
+    """``Fraction`` of a stripped string with unicode minus signs replaced,
+    or None where it refuses the string."""
+    try:
+        return Fraction(text.strip().replace("−", "-"))
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+rational_texts = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.from_regex(r"\A\s?[-−+]?[0-9]{1,22}(/[-−+]?[0-9]{1,22})?\s?\Z"),
+    st.text(alphabet="0123456789-−+/._ eE\t\n٣", max_size=10),
+)
+
+
+class TestIntegerParse:
+    """The int fast path of ``parse_rational`` accepts, refuses and values
+    exactly what ``Fraction`` does; only ASCII integers become ints."""
+
+    @settings(max_examples=600)
+    @given(rational_texts)
+    def test_matches_fraction(self, text):
+        expected = fraction_or_none(text)
+        if expected is None:
+            with pytest.raises(ValueError):
+                parse_rational(text)
+            return
+        got = parse_rational(text)
+        assert got == expected
+        ascii_int = re.fullmatch(r"-?[0-9]+", text.strip().replace("−", "-"))
+        assert type(got) is (int if ascii_int else Fraction)
+
+    @pytest.mark.parametrize("text", ["7", " -12 ", "−3", "-0", "007", str(2**80)])
+    def test_integers_are_ints(self, text):
+        got = parse_rational(text)
+        assert type(got) is int and got == Fraction(text.strip().replace("−", "-"))
+
+    @pytest.mark.parametrize("text", ["+7", "٣", "1_0", "7.0", "1e3", "3/1"])
+    def test_other_forms_stay_fractions(self, text):
+        assert type(parse_rational(text)) is Fraction
 
 
 class TestProjPoint:
@@ -325,6 +372,76 @@ class TestRankOfDirections:
         assert 1 <= r <= min(3, len(lines))
 
 
+@st.composite
+def line_groups(draw):
+    """(lines, groups, concurrent): 1..3 groups of t = 1..40 lines in d = 2..5,
+    as a (G, t) position array.  A concurrent group's lines pass through one
+    point, with directions from the whole space or, flat, from a plane; other
+    lines are arbitrary.  A diagonal map scales alternate coordinates by a
+    factor up to 2^66 or by a multiple of ``PRIME`` (their residues vanish),
+    and every other line's second point may be its predecessor's shifted by
+    ``PRIME`` (their residues agree)."""
+    d, t, count = draw(st.integers(2, 5)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1, 2**64 + 13, 3 * 2**64 + 1, PRIME, 5 * PRIME]))
+    shift, concurrent = draw(st.sampled_from([0, PRIME])), draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def small():
+        return [rng.randint(-3, 3) for _ in range(d + 1)]
+
+    def scaled(coords):
+        return ProjPoint([v * scale if x % 2 else v for x, v in enumerate(coords)])
+
+    lines = []
+    for _ in range(count):
+        center, group, last = small(), [], None
+        basis = [small() for _ in range(2 if rng.random() < 0.5 else d + 1)]
+        while len(group) < t:
+            p = center if concurrent else small()
+            if last and shift and len(group) % 2:
+                q = [last[0] + shift, *last[1:]]
+            else:
+                coef = [rng.randint(-2, 2) for _ in basis]
+                q = [sum(c * v[x] for c, v in zip(coef, basis)) for x in range(d + 1)]
+            try:
+                group.append(Line(scaled(p), scaled(q)))
+                last = q
+            except ValueError:  # a zero point, or q on p: draw again
+                center, last = (center if any(center) else small()), None
+                basis = [small() for _ in basis]
+        lines += group
+    return lines, np.arange(count * t).reshape(count, t), concurrent
+
+
+class TestKeyRanks:
+    """The batched residue ranks of ``key_ranks`` against ``int_rank`` of each
+    group's key rows, with the exact fallback forced by vanishing or agreeing
+    residues and by tiny primes."""
+
+    @pytest.mark.parametrize("prime", [PRIME, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(case=line_groups())
+    def test_matches_int_rank(self, prime, case):
+        lines, groups, concurrent = case
+        d, t = lines[0].ambient_dim, groups.shape[1]
+        cap = min(d, t) + 1 if concurrent else min(d + 1, 2 * t)
+        expected = [int_rank([row for x in g for row in lines[x].key]) for g in groups.tolist()]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactgeom, "PRIME", prime)
+            got = key_ranks(lines, groups, cap)
+        assert got.tolist() == expected
+
+    def test_vanishing_residues_fall_back(self, monkeypatch):
+        # three concurrent lines in R^3 with independent directions, whose
+        # z entries are all multiples of PRIME
+        at, directions = ProjPoint([0, 0, 0, 1]), [(1, 0, 1), (0, 1, 1), (1, 1, 3)]
+        lines = [Line(at, ProjPoint([x, y, PRIME * z, 0])) for x, y, z in directions]
+        calls = []
+        monkeypatch.setattr(exactgeom, "int_rank", lambda rows: calls.append(1) or int_rank(rows))
+        assert key_ranks(lines, np.array([[0, 1, 2]]), 4).tolist() == [4]
+        assert calls == [1]  # the residue rank is 3: column z vanishes mod PRIME
+
+
 class TestIntLinalg:
     @given(st.lists(st.tuples(*[st.integers(-8, 8)] * 4), min_size=1, max_size=5))
     def test_rref_idempotent_and_rank(self, rows):
@@ -352,6 +469,17 @@ class TestCovector:
         if first < 0:
             reduced = tuple(-v for v in reduced)
         assert got == reduced
+
+
+class TestCanonicalPoint:
+    @given(st.lists(st.integers(-(2**70), 2**70), min_size=6, max_size=6))
+    def test_cross_product_is_taken_as_it_is(self, entries):
+        try:
+            cov = covector_2d(entries[:3], entries[3:])
+        except ValueError:  # dependent triples
+            assume(False)
+        assert ProjPoint.canonical(cov) == ProjPoint(cov)
+        assert ProjPoint.canonical(cov).coords == ProjPoint(cov).coords == cov
 
 
 class TestLine:

@@ -259,22 +259,64 @@ def line_lists(draw, dims=st.integers(2, 5)):
     return [Line(pool[a], pool[b]) for a, b in pairs]
 
 
-def assert_kernel_matches_loop(lines):
+def assert_kernel_matches_loop(lines, classes=None):
     """Equal groups and points, in order, on distinct lines; identical lines
-    raise, and the loop raises only for identical lines."""
+    raise, and the loop raises only for identical lines.  ``classes`` are
+    (size, center) pairs, one class of every line by default."""
     try:
         expected = list(loop_concurrence_buckets(lines).items())
     except ValueError:
         expected = None
+    classes = classes or [(len(lines), None)]
     if len({line.key for line in lines}) < len(lines) or expected is None:
         with pytest.raises(ValueError):
-            concurrence_buckets(lines)
+            concurrence_buckets(lines, classes)
         assert len({line.key for line in lines}) < len(lines)
         return
-    got = concurrence_buckets(lines)
+    got = concurrence_buckets(lines, classes)
     assert got == [sorted(m) for _, m in expected]
-    s = extract_structure_lines(ColoredLineConfig(lines[0].ambient_dim, [lines]))
+    if not lines:
+        return
+    parts = np.split(np.array(lines, object), np.cumsum([size for size, _ in classes])[:-1])
+    centers = [center for _, center in classes]
+    cfg = ColoredLineConfig(lines[0].ambient_dim, [part.tolist() for part in parts], centers)
+    s = extract_structure_lines(cfg)
     assert [s.witness(g) for g in range(s.num_groups)] == [at for at, _ in expected]
+
+
+@st.composite
+def centered_classes(draw):
+    """(lines, classes): 1..4 classes of up to 6 distinct lines in d = 3..5,
+    each through two points of a pool of 3..7 small points, most through the
+    class's own pool point, its center.  The center is given, wrong (another
+    pool point) or missing, and a class may hold one line off its center.
+    Coordinates are scaled above 2^64 as in ``line_lists``."""
+    d = draw(st.integers(3, 5))
+    scale = draw(st.sampled_from([1, 2**64 + 13]))
+    point = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1).filter(any)
+    pool = [
+        ProjPoint([x * scale if t % 2 else x for t, x in enumerate(coords)])
+        for coords in draw(
+            st.lists(point, min_size=3, max_size=7, unique_by=lambda c: ProjPoint(c).coords)
+        )
+    ]
+    index = st.integers(0, len(pool) - 1)
+    lines, classes, seen = [], [], set()
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(index)
+        ends = [(c, other) for other in draw(st.lists(index, max_size=6, unique=True))]
+        if draw(st.booleans()):  # one line off its center, unless it happens to pass it
+            ends.append((draw(index), draw(index)))
+        cls = []
+        for a, b in ends:
+            if a != b and (line := Line(pool[a], pool[b])).key not in seen:
+                seen.add(line.key)
+                cls.append(line)
+        kind = draw(st.sampled_from(["center", "center", "wrong", "missing"]))
+        center = {"center": pool[c], "wrong": pool[draw(index)], "missing": None}[kind]
+        lines += cls
+        classes.append((len(cls), center))
+    return lines, classes
 
 
 class TestConcurrenceKernel:
@@ -291,16 +333,44 @@ class TestConcurrenceKernel:
     @settings(max_examples=100, deadline=None)
     @given(lines=line_lists())
     def test_tiny_prime_and_chunks(self, prime, chunk, lines):
-        # residues collide, points vanish mod p and chunks end mid-list
+        # residues collide, points vanish mod p and tiles end mid-list
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(structure, "PRIME", prime)
-            mp.setattr(structure, "PAIR_CHUNK", chunk)
+            mp.setattr(structure, "TILE", chunk)
             assert_kernel_matches_loop(lines)
 
-    @pytest.mark.parametrize("chunk", [1, 900])  # 1 and 7 of the 128 lines' rows
+    @pytest.mark.parametrize(
+        "prime, tile", [(structure.PRIME, structure.TILE), *product((2, 3, 5, 7), (1, 7))]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(case=centered_classes())
+    def test_centers_match_loop(self, prime, tile, case):
+        # a class on its center is one group whose pairs are never tested;
+        # wrong and missing centers, and lines off them, keep the pair path
+        lines, classes = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structure, "PRIME", prime)
+            mp.setattr(structure, "TILE", tile)
+            assert_kernel_matches_loop(lines, classes)
+
+    def test_centered_classes_send_no_pair_to_points(self, monkeypatch, algebraic_3_3):
+        # 972 lifted lines in four classes of 243 on their centers
+        lifted = lift_to_concurrent(algebraic_3_3, audit=False)[0]
+        lines = [line for _, _, line in lifted.lines()]
+        classes = list(zip(lifted.class_sizes(), lifted.centers))
+        rows = []
+        scaled = structure._scaled
+        monkeypatch.setattr(structure, "_scaled", lambda m, p: rows.append(len(m)) or scaled(m, p))
+        with_centers = concurrence_buckets(lines, classes)
+        skipped = sum(rows)
+        rows.clear()
+        assert concurrence_buckets(lines, [(size, None) for size, _ in classes]) == with_centers
+        assert sum(rows) - skipped == 4 * (243 * 242 // 2)  # every same-class pair
+
+    @pytest.mark.parametrize("chunk", [1, 7])  # tiles of side 1 and 7 over the 128 lines
     def test_partial_chunks_on_a_lift(self, chunk, monkeypatch, algebraic_3_2):
         lines = [line for _, _, line in lift_to_concurrent(algebraic_3_2, audit=False)[0].lines()]
-        monkeypatch.setattr(structure, "PAIR_CHUNK", chunk)
+        monkeypatch.setattr(structure, "TILE", chunk)
         assert_kernel_matches_loop(lines)
 
     def test_no_lines_and_one_line(self):
@@ -336,6 +406,17 @@ class TestConcurrenceKernel:
             extract_structure_lines(lifted)  # d = 4 goes through the kernel
         planar = project_generic(lifted, s, 2, 11).config
         assert extract_structure_lines(planar).monomials > s.monomials
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=line_lists(st.just(2)))
+    def test_planar_witnesses_are_canonical_cross_products(self, lines):
+        # taken as covector_2d returns them, with no second canonicalization
+        lines = list({line.key: line for line in lines}.values())
+        s = extract_structure_lines(ColoredLineConfig(2, [lines]))
+        cov = [line_covector_2d(line) for line in lines]
+        for g in range(s.num_groups):
+            a, b = s.line[s.bounds[g] : s.bounds[g] + 2].tolist()
+            assert s.witness(g) == ProjPoint(covector_2d(cov[a], cov[b]))
 
     def test_planar_witnesses_are_meets(self, algebraic_3_2):
         # in the plane a group's witness is the cross product of two covectors
@@ -391,10 +472,10 @@ class TestPlanarKernel:
     cross products vanish, so groups fail their check and pairs fall back
     to exact cross products that join confirmed groups; triples multiplied
     by the prime check that residues are taken of primitive triples; tiny
-    chunks end mid-row."""
+    tiles end mid-row."""
 
     @pytest.mark.parametrize(
-        "prime, chunk", [(structure.PRIME, structure.PAIR_CHUNK), *product((2, 3, 5, 7), (1, 7))]
+        "prime, chunk", [(structure.PRIME, structure.TILE), *product((2, 3, 5, 7), (1, 7))]
     )
     @settings(max_examples=100, deadline=None)
     @given(triples=planar_triples())
@@ -405,7 +486,7 @@ class TestPlanarKernel:
             expected = None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(structure, "PRIME", prime)
-            mp.setattr(structure, "PAIR_CHUNK", chunk)
+            mp.setattr(structure, "TILE", chunk)
             if expected is None:
                 with pytest.raises(ValueError):
                     structure.planar_buckets(triples)
