@@ -144,13 +144,13 @@ def flatness_audit(
     rank is that of the lines' stacked keys less one (``key_ranks`` per group size)."""
     if t < 2:
         raise ValueError("flatness audit needs t >= 2")
-    lines, bounds = [line for _, _, line in cfg.lines()], np.array(s.bounds)
+    bounds = np.array(s.bounds)
     sizes = np.diff(bounds)
     rank = np.zeros(len(sizes), np.int64)
     for size in np.unique(sizes[sizes >= t]).tolist():
         at = np.flatnonzero(sizes == size)
         members = s.line[bounds[at, None] + np.arange(size)]
-        rank[at] = key_ranks(lines, members, min(cfg.d, size) + 1) - 1
+        rank[at] = key_ranks(cfg.keys, members, min(cfg.d, size) + 1) - 1
     rank, sizes = rank.tolist(), sizes.tolist()
     return [
         FlatnessRecord(g, tuple(s.members[g]), rank[g], rank[g] <= min(cfg.d, size) - 1)

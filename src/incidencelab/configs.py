@@ -2,72 +2,131 @@
 
 ``ColoredLineConfig`` is the continuous counterpart of the grid model:
 classes of pairwise-distinct projective lines in R^d, with an optional
-concurrency center recorded per class.  ``DualPointConfig`` holds the
-planar point sets produced by duality.  Both serialize to JSON with
-rationals as "num/den" strings and a "model" discriminator so pipeline
-commands can dispatch on file content.
+concurrency center recorded per class, stored as one (L, 2, d + 1) array
+of canonical endpoint rows with keys and pivots from ``line_keys`` (one
+lexsort of the keys finds duplicates).  ``DualPointConfig`` holds the
+planar points produced by duality as one (P, 3) array.  Arrays are int64
+under ``exactgeom``'s bounds, Python ints above them.  ``Line`` and
+``ProjPoint`` objects are built from stored rows only when asked.  Both
+serialize to JSON with rationals as "num/den" strings and a "model"
+discriminator so pipeline commands can dispatch on file content.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import gridmodel
-from .exactgeom import Line, ProjPoint, meet
+from .exactgeom import (
+    Line,
+    ProjPoint,
+    _canonical_ints,
+    canonical_rows,
+    has_duplicate_rows,
+    int_array,
+    line_keys,
+    meet,
+    parse_rational,
+)
+
+_ASCII_INTS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
-@dataclass(frozen=True)
+def _split(items: Sequence, sizes: Sequence[int]) -> tuple[tuple, ...]:
+    """A flat sequence cut into consecutive classes of the given sizes."""
+    bounds = np.cumsum([0, *sizes]).tolist()
+    return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def _lines(ends: np.ndarray, keys: np.ndarray, pivots: np.ndarray) -> list[Line]:
+    """The ``Line`` objects of endpoint, key and pivot rows (no row reduction)."""
+    point = ProjPoint.canonical
+    return [
+        Line(point(tuple(p)), point(tuple(q)), (tuple(k1), tuple(k2)), c)
+        for (p, q), (k1, k2), c in zip(ends.tolist(), keys.tolist(), pivots.tolist())
+    ]
+
+
+@dataclass(frozen=True, eq=False)
 class ColoredLineConfig:
     """Colored, pairwise-distinct lines in projective R^d.
 
     Class and line order is caller-defined and preserved verbatim:
     transforms map lines in order, so ``(color, index)`` references stay
-    stable along a pipeline.  Generators emit deterministic orders.
+    stable along a pipeline.  Generators emit deterministic orders.  Built
+    from classes of ``Line`` objects, or from endpoint rows (``from_ends``).
+    Equal configurations have equal lines (keys), classes and centers.
     """
 
     d: int
-    classes: tuple[tuple[Line, ...], ...]
+    ends: np.ndarray  # (L, 2, d + 1): each line's two canonical spanning points
+    sizes: tuple[int, ...]
     centers: tuple[ProjPoint | None, ...]
+    keys: np.ndarray  # (L, 2, d + 1): canonical key rows, as ``Line.key``
+    pivots: np.ndarray  # (L, 2): pivot columns of the key rows, as ``Line.pivots``
 
-    def __init__(
-        self,
-        d: int,
-        classes: Sequence[Sequence[Line]],
-        centers: Sequence[ProjPoint | None] | None = None,
-    ):
+    def __init__(self, d: int, classes: Sequence[Sequence[Line]], centers=None):
+        classes = [list(cls) for cls in classes]
+        lines = [line for cls in classes for line in cls]
+        if any(line.ambient_dim != d for line in lines):
+            raise ValueError("line ambient dimension does not match d")
+        ends = int_array([(line.p.coords, line.q.coords) for line in lines])
+        self._fill(d, ends.reshape(len(lines), 2, d + 1), tuple(map(len, classes)), centers)
+
+    @classmethod
+    def from_ends(cls, d: int, ends: np.ndarray, sizes: Sequence[int], centers=None):
+        """The configuration of canonical (L, 2, d + 1) endpoint rows, cut
+        into classes of ``sizes``; keys and pivots come from ``line_keys``."""
+        cfg = object.__new__(cls)
+        cfg._fill(d, ends, tuple(sizes), centers)
+        return cfg
+
+    def _fill(self, d, ends, sizes, centers) -> None:
         if d < 2:
             raise ValueError("line configurations need ambient dimension d >= 2")
-        canon = tuple(tuple(cls) for cls in classes)
-        seen: set[tuple] = set()
-        for cls in canon:
-            for line in cls:
-                if line.ambient_dim != d:
-                    raise ValueError("line ambient dimension does not match d")
-                if line.key in seen:
-                    raise ValueError("duplicate line in configuration")
-                seen.add(line.key)
-        if centers is None:
-            centers = (None,) * len(canon)
-        if len(centers) != len(canon):
+        if ends.shape[1:] != (2, d + 1):
+            raise ValueError("line ambient dimension does not match d")
+        keys, pivots = line_keys(ends)
+        if has_duplicate_rows(keys):
+            raise ValueError("duplicate line in configuration")
+        centers = (None,) * len(sizes) if centers is None else tuple(centers)
+        if len(centers) != len(sizes):
             raise ValueError("one center entry per class required")
         if any(c is not None and c.ambient_dim != d for c in centers):
             raise ValueError("center ambient dimension does not match d")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "classes", canon)
-        object.__setattr__(self, "centers", tuple(centers))
+        for name, value in zip(self.__dataclass_fields__, (d, ends, sizes, centers, keys, pivots)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ColoredLineConfig)
+            and (self.d, self.sizes, self.centers) == (other.d, other.sizes, other.centers)
+            and np.array_equal(self.keys, other.keys)
+        )
 
     @property
     def num_colors(self) -> int:
-        return len(self.classes)
+        return len(self.sizes)
 
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(cls) for cls in self.classes)
+        return self.sizes
 
     def total_lines(self) -> int:
-        return sum(self.class_sizes())
+        return len(self.ends)
+
+    def line(self, i: int) -> Line:
+        """The line at position i (in class order)."""
+        return _lines(self.ends[i : i + 1], self.keys[i : i + 1], self.pivots[i : i + 1])[0]
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Line, ...], ...]:
+        """The lines as ``Line`` objects, class by class (built on first use)."""
+        return _split(_lines(self.ends, self.keys, self.pivots), self.sizes)
 
     def lines(self) -> Iterator[tuple[int, int, Line]]:
         for color, cls in enumerate(self.classes, start=1):
@@ -75,34 +134,56 @@ class ColoredLineConfig:
                 yield color, idx, line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPointConfig:
-    """Colored, pairwise-distinct points in the projective plane.
+    """Colored, pairwise-distinct points in the projective plane, as one
+    (P, 3) array of canonical rows cut into classes of ``sizes``.
 
     Point order is preserved verbatim so duality round trips keep
-    ``(color, index)`` references stable.
+    ``(color, index)`` references stable.  Built from classes of
+    ``ProjPoint`` objects, or from canonical rows (``from_coords``).
     """
 
-    classes: tuple[tuple[ProjPoint, ...], ...]
+    coords: np.ndarray
+    sizes: tuple[int, ...]
 
     def __init__(self, classes: Sequence[Sequence[ProjPoint]]):
-        canon = tuple(tuple(cls) for cls in classes)
-        seen: set[tuple[int, ...]] = set()
-        for cls in canon:
-            for p in cls:
-                if p.ambient_dim != 2:
-                    raise ValueError("dual points live in the projective plane")
-                if p.coords in seen:
-                    raise ValueError("duplicate point in dual configuration")
-                seen.add(p.coords)
-        object.__setattr__(self, "classes", canon)
+        classes = [list(cls) for cls in classes]
+        points = [p for cls in classes for p in cls]
+        if any(p.ambient_dim != 2 for p in points):
+            raise ValueError("dual points live in the projective plane")
+        self._fill(int_array([p.coords for p in points]).reshape(-1, 3), tuple(map(len, classes)))
+
+    @classmethod
+    def from_coords(cls, coords: np.ndarray, sizes: Sequence[int]) -> "DualPointConfig":
+        cfg = object.__new__(cls)
+        cfg._fill(coords, tuple(sizes))
+        return cfg
+
+    def _fill(self, coords, sizes) -> None:
+        if has_duplicate_rows(coords):
+            raise ValueError("duplicate point in dual configuration")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "sizes", sizes)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, DualPointConfig)
+            and self.sizes == other.sizes
+            and np.array_equal(self.coords, other.coords)
+        )
 
     @property
     def num_colors(self) -> int:
-        return len(self.classes)
+        return len(self.sizes)
 
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(cls) for cls in self.classes)
+        return self.sizes
+
+    @cached_property
+    def classes(self) -> tuple[tuple[ProjPoint, ...], ...]:
+        """The points as ``ProjPoint`` objects, class by class (built on first use)."""
+        return _split([ProjPoint.canonical(tuple(p)) for p in self.coords.tolist()], self.sizes)
 
     def points(self) -> Iterator[tuple[int, int, ProjPoint]]:
         for color, cls in enumerate(self.classes, start=1):
@@ -120,37 +201,52 @@ def concurrency_center(lines: Sequence[Line]) -> ProjPoint | None:
 
 def with_computed_centers(cfg: ColoredLineConfig) -> ColoredLineConfig:
     centers = [concurrency_center(cls) for cls in cfg.classes]
-    return ColoredLineConfig(cfg.d, cfg.classes, centers)
+    return ColoredLineConfig.from_ends(cfg.d, cfg.ends, cfg.sizes, centers)
+
+
+def _grid_ends(k: int, n: int, ids: np.ndarray) -> np.ndarray:
+    """The (L, 2, k + 2) endpoint rows of grid lines in R^(k+1), straight from
+    the id digits: the affine point of the base digits + 1 with a 1 in the
+    axis slot, and the axis direction (both already canonical)."""
+    axes, digits = ids // n**k, gridmodel._digits(ids % n**k, n, k) + 1
+    slot, at = np.arange(k + 1), np.arange(len(ids))
+    ends = np.zeros((len(ids), 2, k + 2), np.int64)
+    ends[:, 0, : k + 1] = digits[at[:, None], np.minimum(slot - (slot > axes[:, None]), k - 1)]
+    ends[at, 0, axes] = 1
+    ends[:, 0, k + 1] = 1
+    ends[at, 1, axes] = 1
+    return ends
 
 
 def _grid_lines(k: int, n: int, ids: np.ndarray) -> list[Line]:
     """The lines of a grid id array as exact rational lines in R^(k+1)."""
-    axes, digits = (ids // n**k).tolist(), (gridmodel._digits(ids % n**k, n, k) + 1).tolist()
-    units = np.eye(k + 1, dtype=np.int64).tolist()
-    return [Line.affine_with_direction([*d[:a], 1, *d[a:]], units[a]) for a, d in zip(axes, digits)]
+    ends = _grid_ends(k, n, ids)
+    return _lines(ends, *line_keys(ends))
 
 
 def embed_grid_config(cfg: gridmodel.ColoredGridConfig) -> ColoredLineConfig:
     """The grid configuration as rational lines in R^(k+1), parallel per axis:
     a class of two or more lines on one axis (ids sort by axis first) is
     concurrent at their direction."""
-    span = cfg.n**cfg.k
-    classes = [_grid_lines(cfg.k, cfg.n, c) for c in cfg.ids]
+    span, unit = cfg.n**cfg.k, np.eye(cfg.k + 2, dtype=np.int64).tolist()
+    ends = _grid_ends(cfg.k, cfg.n, np.concatenate((np.empty(0, np.int64), *cfg.ids)))
     centers = [
-        lines[0].q if len(c) >= 2 and c[0] // span == c[-1] // span else None
-        for lines, c in zip(classes, cfg.ids)
+        ProjPoint.canonical(tuple(unit[c[0] // span]))
+        if len(c) >= 2 and c[0] // span == c[-1] // span else None
+        for c in cfg.ids
     ]
-    return ColoredLineConfig(cfg.k + 1, classes, centers)
+    return ColoredLineConfig.from_ends(cfg.k + 1, ends, [len(c) for c in cfg.ids], centers)
+
+
+def _strings(rows: np.ndarray, sizes: Sequence[int]) -> tuple[tuple, ...]:
+    """Integer rows as lists of decimal strings, cut into classes of ``sizes``."""
+    return _split(rows.astype(str).tolist(), sizes)
 
 
 def lines_to_json(cfg: ColoredLineConfig) -> dict:
     classes = []
-    for color, cls in enumerate(cfg.classes, start=1):
-        entry: dict = {
-            "color": color,
-            "lines": [{"p": ln.p.to_strings(), "q": ln.q.to_strings()} for ln in cls],
-        }
-        center = cfg.centers[color - 1]
+    for color, (cls, center) in enumerate(zip(_strings(cfg.ends, cfg.sizes), cfg.centers), 1):
+        entry: dict = {"color": color, "lines": [{"p": p, "q": q} for p, q in cls]}
         if center is not None:
             entry["center"] = center.to_strings()
         classes.append(entry)
@@ -171,44 +267,60 @@ def _class_entries(data: dict, member: str) -> list:
     return data["classes"]
 
 
+def _point_rows(points: list, width: int, where: str) -> np.ndarray:
+    """The canonical (N, width) rows of a file's points, each a JSON list of
+    ``width`` coordinate strings (else ValueError, naming ``where``): ASCII
+    integers all at once, anything else ``parse_rational`` per coordinate."""
+    for i, point in enumerate(points):
+        if type(point) is not list or len(point) != width:
+            raise ValueError(f"{where}[{i}] is {point!r}, not a list of {width} coordinate strings")
+    flat = [x for point in points for x in point]
+    text = ",".join(flat) if all(type(x) is str for x in flat) else ""
+    if _ASCII_INTS.fullmatch(text) and text.count(",") == len(flat) - 1:
+        return canonical_rows(int_array(list(map(int, flat))).reshape(len(points), width))
+    rows = [_canonical_ints([parse_rational(t) for t in point]) for point in points]
+    return int_array(rows).reshape(len(points), width)
+
+
 def lines_from_json(data: dict) -> ColoredLineConfig:
-    """The configuration of a lines file; ``d`` must be a JSON int and the
-    colors 1, 2, ... in class order, else ValueError."""
+    """The configuration of a lines file; ``d`` must be a JSON int, the
+    colors 1, 2, ... in class order, and every ``p``, ``q`` and ``center``
+    a list of d + 1 coordinate strings, else ValueError."""
     if data.get("model") != "lines":
         raise ValueError("not a line configuration")
-    if type(data["d"]) is not int:
-        raise ValueError(f"a line configuration needs an integer d, not {data['d']!r}")
-    classes = []
-    centers = []
-    for entry in _class_entries(data, "lines"):
-        classes.append(
-            [
-                Line(ProjPoint.from_strings(ln["p"]), ProjPoint.from_strings(ln["q"]))
-                for ln in entry["lines"]
-            ]
-        )
-        center = entry.get("center")
-        centers.append(ProjPoint.from_strings(center) if center else None)
-    return ColoredLineConfig(data["d"], classes, centers)
+    d = data["d"]
+    if type(d) is not int:
+        raise ValueError(f"a line configuration needs an integer d, not {d!r}")
+    ends, sizes, centers = [np.empty((0, 2, d + 1), np.int64)], [], []
+    for pos, entry in enumerate(_class_entries(data, "lines")):
+        points = [point for line in entry["lines"] for point in (line["p"], line["q"])]
+        ends.append(_point_rows(points, d + 1, f"classes[{pos}] endpoints").reshape(-1, 2, d + 1))
+        sizes.append(len(entry["lines"]))
+        given = [entry["center"]] if "center" in entry else []
+        center = _point_rows(given, d + 1, f"classes[{pos}] center").tolist()
+        centers.append(ProjPoint.canonical(tuple(center[0])) if center else None)
+    return ColoredLineConfig.from_ends(d, np.concatenate(ends), sizes, centers)
 
 
 def dual_to_json(cfg: DualPointConfig) -> dict:
     return {
         "model": "points",
         "classes": [
-            {"color": color, "points": [p.to_strings() for p in cls]}
-            for color, cls in enumerate(cfg.classes, start=1)
+            {"color": color, "points": list(cls)}
+            for color, cls in enumerate(_strings(cfg.coords, cfg.sizes), start=1)
         ],
     }
 
 
 def dual_from_json(data: dict) -> DualPointConfig:
     """The configuration of a points file; the colors must be 1, 2, ... in
-    class order, else ValueError."""
+    class order and every point a list of 3 coordinate strings, else ValueError."""
     if data.get("model") != "points":
         raise ValueError("not a dual point configuration")
     entries = _class_entries(data, "points")
-    return DualPointConfig([[ProjPoint.from_strings(p) for p in e["points"]] for e in entries])
+    rows = [_point_rows(e["points"], 3, f"classes[{pos}] points") for pos, e in enumerate(entries)]
+    coords = np.concatenate([np.empty((0, 3), np.int64), *rows])
+    return DualPointConfig.from_coords(coords, [len(e["points"]) for e in entries])
 
 
 def config_to_json(cfg) -> dict:

@@ -592,13 +592,14 @@ def gen_desargues() -> ColoredLineConfig:
     if len(lines) != 12:
         raise RuntimeError("witness does not produce 12 two-plane lines")
 
-    bucket_lists = concurrence_buckets(lines)  # ordered by each point's sorted lines
-    buckets = [frozenset(b) for b in bucket_lists]
+    one = ColoredLineConfig(3, [lines])
+    bucket_lists = concurrence_buckets(one.keys, one.pivots)
+    buckets = [frozenset(b) for b in bucket_lists]  # ordered by each point's sorted lines
     candidates = [
         frozenset(b)
         for b in bucket_lists
         if len(b) == 3
-        and key_ranks(lines, np.array([b]), 4)[0] == 4  # three directions span R^3
+        and key_ranks(one.keys, np.array([b]), 4)[0] == 4  # three directions span R^3
     ]
     for cand in candidates:
         fixed = {i: 1 for i in cand}
@@ -644,7 +645,8 @@ def gen_reye() -> ColoredLineConfig:
     result is 3-consistent with no colorful incidence; triples of parallel
     edges meet at infinity, so some incidence points are infinite."""
     lines = _cube_lines()
-    buckets = [frozenset(b) for b in concurrence_buckets(lines)]
+    cube = ColoredLineConfig(3, [lines])
+    buckets = [frozenset(b) for b in concurrence_buckets(cube.keys, cube.pivots)]
     if len(buckets) != 12 or any(len(b) != 4 for b in buckets):
         raise RuntimeError("cube lines do not form the expected 12x4 structure")
     memberships = [frozenset(i for i, b in enumerate(buckets) if idx in b) for idx in range(16)]

@@ -5,9 +5,15 @@ rational coordinates.  Every object canonicalizes its homogeneous
 coordinates to a primitive integer vector (denominators cleared, gcd
 divided out, first nonzero entry positive), so equality is tuple
 equality, hashing is O(1), and every predicate reduces to exact integer
-arithmetic.  No floating point is used anywhere.  A line is row-reduced
-once, into its canonical key; meets and incidences on it are then
-fraction-free residual tests on plain ints (see ``Line.residual``).
+arithmetic.  No floating point is used anywhere.
+
+Configurations hold points and lines as integer arrays: int64 under a
+stated bound, Python-int object arrays above it.  Rows are canonicalized
+in bulk, line keys come from 2x2 minors of the endpoints (``line_keys``,
+int64 below 2^30) and a projective map is one product (``image_rows``,
+int64 below 2^63).  A ``Line`` built from stored key rows skips row
+reduction; ``meet`` and ``Line.contains`` on it are fraction-free
+residual tests on plain ints (see ``Line.residual``).
 
 Conventions
 -----------
@@ -70,6 +76,77 @@ def _reduce_row(row: Sequence[int]) -> tuple[int, ...]:
     return tuple([x // g for x in row])
 
 
+def int_array(values) -> np.ndarray:
+    """Integers (nested lists or an array) as int64 if all fit, else as Python ints."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
+
+
+def magnitude(a: np.ndarray) -> int:
+    """The largest absolute entry of an integer array, as a Python int (0 if empty)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """Integer rows (the last axis) divided by their gcd and sign-fixed, all
+    at once, as ``_reduce_row`` does each; a zero row: ValueError."""
+    g = np.gcd.reduce(rows, axis=-1)
+    if not np.all(g):
+        raise ValueError("zero vector has no canonical homogeneous form")
+    first = np.take_along_axis(rows, (rows != 0).argmax(axis=-1)[..., None], -1)[..., 0]
+    return rows // np.where(first < 0, -g, g)[..., None]
+
+
+def line_keys(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The keys (L, 2, D) and pivots (L, 2) that ``Line`` gets from
+    ``int_rref``, of the lines through (L, 2, D) endpoint rows P, Q.  With
+    m(i, j) = P_i Q_j - P_j Q_i, pivot c1 is the first column where P or Q
+    is nonzero, c2 the first with m(c1, c2) != 0, and the key rows are
+    (m(j, c2))_j and (m(c1, j))_j made primitive and sign-fixed.  int64 when
+    every coordinate is below 2^30 (so |m| < 2^61), else Python ints.  Two
+    endpoints on one point: ValueError."""
+    ends = ends.astype(object) if magnitude(ends) >= 2**30 else ends
+    p, q, at = ends[:, 0], ends[:, 1], np.arange(len(ends))
+    c1 = ((p != 0) | (q != 0)).argmax(axis=1)
+    second = p[at, c1, None] * q - q[at, c1, None] * p
+    if not (second != 0).any(axis=1).all():
+        raise ValueError("a line needs two distinct projective points")
+    c2 = (second != 0).argmax(axis=1)
+    first = p * q[at, c2, None] - q * p[at, c2, None]
+    return canonical_rows(np.stack((first, second), axis=1)), np.stack((c1, c2), axis=1)
+
+
+def image_rows(matrix: Sequence[Sequence[int]], rows: np.ndarray) -> np.ndarray:
+    """Canonical images of point rows (the last axis) under an integer matrix:
+    one product, int64 when (D+1) * max|A| * max|x| < 2^63, else Python ints."""
+    a = int_array(matrix)
+    if a.ndim != 2 or a.shape[1] != rows.shape[-1]:
+        raise ValueError("matrix shape does not match point coordinates")
+    if a.shape[1] * magnitude(a) * magnitude(rows) >= 2**63:
+        a, rows = a.astype(object), rows.astype(object)
+    return canonical_rows(rows @ a.T)
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Canonical cross products (``covector_2d``) of (N, 3) integer rows;
+    int64 when every entry is below 2^30, else Python ints."""
+    if max(magnitude(a), magnitude(b)) >= 2**30:
+        a, b = a.astype(object), b.astype(object)
+    return canonical_rows(np.cross(a, b).reshape(len(a), 3))
+
+
+def has_duplicate_rows(rows: np.ndarray) -> bool:
+    """True iff two entries of an integer array along its first axis are
+    equal: one lexsort for int64, a set of tuples for Python ints."""
+    rows = rows.reshape(len(rows), int(np.prod(rows.shape[1:])))
+    if rows.dtype == object:
+        return len(set(map(tuple, rows.tolist()))) < len(rows)
+    rows = rows[np.lexsort(rows.T)]
+    return bool((rows[1:] == rows[:-1]).all(axis=1).any())
+
+
 def int_rref(rows: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """Canonical reduced row-echelon form of an integer matrix.
 
@@ -105,22 +182,24 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
     return len(int_rref(rows))
 
 
-def residues(rows: Iterable[Sequence[int]], p: int) -> np.ndarray:
-    """An integer matrix reduced mod p, as int64 residues in [0, p)."""
-    return np.array([[x % p for x in row] for row in rows], np.int64)
+def residues(rows, p: int) -> np.ndarray:
+    """An integer array (or nested lists) reduced mod p, as int64 residues in [0, p)."""
+    rows = rows if isinstance(rows, np.ndarray) else int_array(rows)
+    return (rows % p).astype(np.int64)
 
 
-def key_ranks(lines: Sequence[Line], groups: np.ndarray, cap: int) -> np.ndarray:
-    """The rank of each group's stacked key rows, for a (G, t) array of line
-    positions and a bound ``cap`` on every rank (t concurrent lines span at
-    most min(d, t) + 1 dimensions).  Fraction-free elimination mod ``PRIME``
-    of all stacks at once: per column, every row becomes (pivot * row -
-    row[c] * pivot row) mod p, pivots never inverted, products below 2^60.
+def key_ranks(keys: np.ndarray, groups: np.ndarray, cap: int) -> np.ndarray:
+    """The rank of each group's stacked key rows, for (L, 2, D) line keys, a
+    (G, t) array of line positions and a bound ``cap`` on every rank (t
+    concurrent lines span at most min(d, t) + 1 dimensions).  Fraction-free
+    elimination mod ``PRIME`` of all stacks at once: per column, every row
+    becomes (pivot * row - row[c] * pivot row) mod p, pivots never inverted,
+    products below 2^60.
     A rank mod p is at most the rational one, so one reaching ``cap`` is
     exact; the others get ``int_rank``."""
     p, (used, at) = PRIME, np.unique(groups, return_inverse=True)
-    r = residues([row for x in used.tolist() for row in lines[x].key], p)
-    m = r.reshape(len(used), 2, -1)[at.reshape(groups.shape)].reshape(len(groups), -1, r.shape[1])
+    r = residues(keys[used], p)
+    m = r[at.reshape(groups.shape)].reshape(len(groups), -1, r.shape[2])
     g, free, rank = np.arange(len(m)), np.ones(m.shape[:2], bool), np.zeros(len(m), np.int64)
     for c in range(m.shape[2]):
         nonzero = free & (m[:, :, c] != 0)
@@ -131,7 +210,7 @@ def key_ranks(lines: Sequence[Line], groups: np.ndarray, cap: int) -> np.ndarray
         free[g, piv] &= ~has
         rank += has
     for x in np.flatnonzero(rank < cap).tolist():
-        rank[x] = int_rank([row for y in groups[x].tolist() for row in lines[y].key])
+        rank[x] = int_rank(keys[groups[x]].reshape(-1, keys.shape[2]).tolist())
     return rank
 
 
@@ -174,10 +253,6 @@ class ProjPoint:
     @classmethod
     def direction(cls, values: Sequence[Rational]) -> "ProjPoint":
         return cls([*values, 0])
-
-    @classmethod
-    def from_strings(cls, texts: Sequence[str]) -> "ProjPoint":
-        return cls([parse_rational(t) for t in texts])
 
     @property
     def ambient_dim(self) -> int:
@@ -238,7 +313,8 @@ class Line:
     The canonical key (reduced row-echelon basis of the two coordinate
     rows, with pivot columns ``pivots``) identifies the line independently
     of the chosen point pair, so lines hash and compare by the geometric
-    object they represent.
+    object they represent.  A key given with its pivots (stored key rows,
+    see ``line_keys``) is taken as it is, with no row reduction.
     """
 
     p: ProjPoint
@@ -246,17 +322,18 @@ class Line:
     key: tuple[tuple[int, ...], ...]
     pivots: tuple[int, int]
 
-    def __init__(self, p: ProjPoint, q: ProjPoint):
-        if p.ambient_dim != q.ambient_dim:
-            raise ValueError("line endpoints in different ambient dimensions")
-        rows = int_rref([p.coords, q.coords])
-        if len(rows) != 2:
-            raise ValueError("a line needs two distinct projective points")
+    def __init__(self, p: ProjPoint, q: ProjPoint, key=None, pivots=None):
+        if key is None:
+            if p.ambient_dim != q.ambient_dim:
+                raise ValueError("line endpoints in different ambient dimensions")
+            key = int_rref([p.coords, q.coords])
+            if len(key) != 2:
+                raise ValueError("a line needs two distinct projective points")
+            pivots = tuple(next(c for c, x in enumerate(r) if x) for r in key)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "key", (rows[0], rows[1]))
-        pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
-        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "key", tuple(key))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @classmethod
     def through_affine(cls, a: Sequence[Rational], b: Sequence[Rational]) -> "Line":
@@ -339,13 +416,6 @@ def covector_2d(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     or the point where two lines with those covectors meet; else ValueError."""
     (p1, p2, p3), (q1, q2, q3) = p, q
     return _reduce_row((p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1))
-
-
-def line_covector_2d(line: Line) -> tuple[int, ...]:
-    """Canonical covector (a, b, c) of a planar line: a*x + b*y + c*w = 0."""
-    if line.ambient_dim != 2:
-        raise ValueError("covectors are defined for planar lines only")
-    return covector_2d(line.p.coords, line.q.coords)
 
 
 def line_from_covector_2d(cov: Sequence[int]) -> Line:

@@ -10,7 +10,7 @@ exact rationals to floats; nothing here feeds back into predicates.
 from __future__ import annotations
 
 from .configs import ColoredLineConfig, DualPointConfig
-from .exactgeom import line_covector_2d
+from .exactgeom import covector_2d
 from .structure import extract_alignments, extract_structure_lines
 
 PALETTE = [
@@ -146,7 +146,7 @@ def render_line_config(cfg: ColoredLineConfig) -> str:
     canvas = _Canvas(_frame(anchor_pts))
     frame = (canvas.x0, canvas.y0, canvas.x1, canvas.y1)
     for color, _, line in cfg.lines():
-        seg = _clip_line(line_covector_2d(line), frame)
+        seg = _clip_line(covector_2d(line.p.coords, line.q.coords), frame)
         if seg is not None:
             canvas.line(seg[0], seg[1], _color(color))
     for pt in finite_pts:

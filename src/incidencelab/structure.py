@@ -19,8 +19,8 @@ notion of concurrences, so the consistency checks apply unchanged.
 Both come from numpy kernels over the pairs on residues mod a prime,
 confirmed exactly: in the plane (``planar_buckets``) pairs group by their
 cross product (the line through two points, or the point where two lines
-meet) straight into entry arrays; in d >= 3 (``concurrence_buckets``) skew
-pairs are certified in bulk, the others grouped by their meeting point, and
+meet) straight into entry arrays; in d >= 3 (``concurrence_buckets``, on a
+configuration's key and pivot arrays) skew pairs are certified in bulk, the others grouped by their meeting point, and
 the sorted lists of line positions go to one builder, as do grid structures,
 with one group per shared axis direction, which grid verifiers never count.
 """
@@ -34,8 +34,18 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .configs import ColoredLineConfig, DualPointConfig, _grid_lines
-from .exactgeom import PRIME, Line, ProjPoint, covector_2d, line_covector_2d, meet, residues
+from .configs import ColoredLineConfig, DualPointConfig, _grid_lines, _lines
+from .exactgeom import (
+    PRIME,
+    ProjPoint,
+    canonical_rows,
+    covector_2d,
+    cross_rows,
+    has_duplicate_rows,
+    int_array,
+    meet,
+    residues,
+)
 from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,
@@ -190,11 +200,11 @@ def _batched(codes) -> Iterator[np.ndarray]:
         yield held
 
 
-def _candidates(lines: Sequence[Line], p: int, label: np.ndarray):
+def _candidates(keys: np.ndarray, pivots: np.ndarray, p: int, label: np.ndarray):
     """Batches of the pairs (i, j > i) not certified skew, less equal ``label``s, with points."""
-    n = len(lines)
-    r1, r2 = (residues([line.key[t] for line in lines], p) for t in (0, 1))
-    dim, (c1, c2), at = r1.shape[1], np.array([line.pivots for line in lines]).T, np.arange(n)
+    n = len(keys)
+    r1, r2 = residues(keys[:, 0], p), residues(keys[:, 1], p)
+    dim, (c1, c2), at = r1.shape[1], pivots.T, np.arange(n)
     # X = [I | E] and g are fixed and pseudo-random; see concurrence_buckets
     e = residues([[mix64(r * dim + c) for c in range(dim - 4)] for r in range(4)], p)
     g = residues([[mix64(4 * dim + c) for c in range(dim)]], p)[0]
@@ -225,7 +235,7 @@ def _candidates(lines: Sequence[Line], p: int, label: np.ndarray):
         yield i, j, _scaled((r1[j] * w[:, None] - r2[j] * u[:, None]) % p, p)
 
 
-def planar_buckets(triples: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+def planar_buckets(triples) -> tuple[np.ndarray, np.ndarray]:
     """Entry arrays ``(group, line)``: the planar triples on each canonical
     cross product of two of them (points: the covectors of alignments; line
     covectors: the points where lines meet), groups ascending by their two
@@ -240,7 +250,8 @@ def planar_buckets(triples: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.nda
     n, p = len(triples), PRIME
     if n < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    r, pack = residues([ProjPoint(t).coords for t in triples], p), np.array([p * p, p, 1])
+    rows = canonical_rows(int_array(triples).reshape(n, 3))
+    r, pack, triples = residues(rows, p), np.array([p * p, p, 1]), rows.tolist()
     pair = np.concatenate(list(_tile_pairs(n)))
     ij = (np.divmod(batch, n) for batch in _batched([pair]))  # the batches of d >= 3
     # scaled to (1, x, y), (0, 1, y) or (0, 0, 1), or zero: a unique key below 2p^2 < 2^61
@@ -267,50 +278,48 @@ def planar_buckets(triples: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.nda
 
 
 def concurrence_buckets(
-    lines: Sequence[Line], classes: Sequence[tuple[int, ProjPoint | None]] = ()
+    keys: np.ndarray, pivots: np.ndarray, classes: Sequence[tuple[int, ProjPoint | None]] = ()
 ) -> list[list[int]]:
-    """The sorted positions of the lines through each point where two or
-    more of the lines meet, in first-meeting pair order: ascending by the
-    two smallest positions of lines through the point.  ``classes`` gives
-    the leading lines' classes in order as (size, center or None).
+    """The sorted positions of the lines in d >= 3, given by their (L, 2,
+    d + 1) keys and (L, 2) pivots (``exactgeom.line_keys``), through each
+    point where two or more of them meet, in first-meeting pair order:
+    ascending by the two smallest positions of lines through the point.
+    ``classes`` gives the leading lines' classes in order as (size, center
+    or None).
 
-    Planar lines meet at the cross products of their covectors, grouped
-    mod p and confirmed (``planar_buckets``).  For d >= 3 a class whose
-    center is on all of its two or more lines is one group there, and its
-    pairs are not tested: two distinct lines share at most one point.
-    Residues mod ``PRIME`` propose the other points.  Lines a, b meet iff
-    their stacked keys M have rank 3; then M X^T (X = [I | E], E fixed
-    pseudo-random) has determinant 0, the side product of the Pluecker
-    coordinates of the key pencils mapped by X, so a nonzero residue of it
-    (an entry of a tile's int64 product of Pluecker rows and dual columns)
-    proves the pair skew.  Other pairs get the point g(w)*s1 - g(u)*s2 (b's
-    key rows s1, s2, their residuals u, w against a, a fixed pseudo-random
-    functional g): lines meeting at l*s1 + m*s2 have l*u + m*w = 0, so it
-    is a multiple of the meet.  Points scaled to a leading 1 are grouped by
-    sorting; per group two lines meet exactly and ``Line.contains`` checks
-    the others, or the pairs go to exact meets one by one.  Overflow:
+    A class whose center is on all of its two or more lines is one group
+    there, and its pairs are not tested: two distinct lines share at most
+    one point.  Residues mod ``PRIME`` propose the other points.  Lines a,
+    b meet iff their stacked keys M have rank 3; then M X^T (X = [I | E], E
+    fixed pseudo-random) has determinant 0, the side product of the
+    Pluecker coordinates of the key pencils mapped by X, so a nonzero
+    residue of it (an entry of a tile's int64 product of Pluecker rows and
+    dual columns) proves the pair skew.  Other pairs get the point
+    g(w)*s1 - g(u)*s2 (b's key rows s1, s2, their residuals u, w against
+    a, a fixed pseudo-random functional g): lines meeting at l*s1 + m*s2
+    have l*u + m*w = 0, so it is a multiple of the meet.  Points scaled to
+    a leading 1 are grouped by sorting; per group two lines meet exactly
+    and ``Line.contains`` checks the others, or the pairs go to exact meets
+    one by one, on ``Line`` objects spanned by the key rows.  Overflow:
     residues are below p < 2^30, products of two below 2^60, and no int64
     sum has more than six of them (< 6 * 2^60 < 2^63).  Identical lines
     raise ValueError, as ``meet`` does.
     """
-    if len({line.ambient_dim for line in lines}) > 1:
-        raise ValueError("lines live in different ambient dimensions")
-    if len({line.key for line in lines}) < len(lines):
+    n = len(keys)
+    if has_duplicate_rows(keys):
         raise ValueError("meet of identical lines is undefined")
-    if len(lines) < 2:
+    if n < 2:
         return []
-    if lines[0].ambient_dim == 2:
-        group, line = planar_buckets([line_covector_2d(line) for line in lines])
-        return [part.tolist() for part in np.split(line, _bounds(group)[1:-1])]
+    lines = _lines(keys, keys, pivots)  # each spanned by its key rows
     found: dict[ProjPoint, set[int]] = {}
-    label, start = -1 - np.arange(len(lines)), 0  # equal labels: a pair on a known center
+    label, start = -1 - np.arange(n), 0  # equal labels: a pair on a known center
     for c, (size, center) in enumerate(classes):
         at = range(start, start := start + size)
         if size >= 2 and center is not None and all(lines[m].contains(center) for m in at):
             found.setdefault(center, set()).update(at)
             label[at] = c
     groups: dict[bytes, set[int]] = {}  # residue point -> lines
-    for i, j, point in _candidates(lines, PRIME, label):  # zero points form a group of their own
+    for i, j, point in _candidates(keys, pivots, PRIME, label):  # zero points: a group of their own
         order = np.lexsort(point.T)
         point, first, second = point[order], i[order].tolist(), j[order].tolist()
         starts = np.flatnonzero(np.diff(point, axis=0, prepend=-1).any(axis=1)).tolist()
@@ -333,25 +342,26 @@ def concurrence_buckets(
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
     """All maximal concurrences of a line configuration (``concurrence_buckets``
-    given its class centers), witnessed by the points where their lines meet;
-    in the plane (``planar_buckets``), by the canonical cross product of covectors."""
-    lines = [line for _, _, line in cfg.lines()]
+    on its key arrays, given its class centers), witnessed by the points where
+    their lines meet; in the plane (``planar_buckets``), by the canonical cross
+    product of the lines' covectors, the cross products of their endpoint rows."""
     if cfg.d != 2:
-        classes = list(zip(cfg.class_sizes(), cfg.centers))
-        groups, meet_of = concurrence_buckets(lines, classes), lambda i, j: meet(lines[i], lines[j])
-        return IncidenceStructure.from_groups(groups, cfg.class_sizes(), meet_of)
-    cov, point = [line_covector_2d(line) for line in lines], ProjPoint.canonical
+        groups = concurrence_buckets(cfg.keys, cfg.pivots, list(zip(cfg.sizes, cfg.centers)))
+        meet_of = lambda i, j: meet(cfg.line(i), cfg.line(j))  # noqa: E731
+        return IncidenceStructure.from_groups(groups, cfg.sizes, meet_of)
+    cov = cross_rows(cfg.ends[:, 0], cfg.ends[:, 1])
+    rows, point = cov.tolist(), ProjPoint.canonical
     return IncidenceStructure(
-        cfg.class_sizes(), *planar_buckets(cov), lambda i, j: point(covector_2d(cov[i], cov[j]))
+        cfg.sizes, *planar_buckets(cov), lambda i, j: point(covector_2d(rows[i], rows[j]))
     )
 
 
 def extract_alignments(cfg: DualPointConfig) -> IncidenceStructure:
     """Maximal collinear subsets of a dual point configuration, witnessed by
     the covectors of their lines (``planar_buckets``)."""
-    coords = [p.coords for _, _, p in cfg.points()]
+    rows = cfg.coords.tolist()
     return IncidenceStructure(
-        cfg.class_sizes(), *planar_buckets(coords), lambda i, j: covector_2d(coords[i], coords[j])
+        cfg.sizes, *planar_buckets(cfg.coords), lambda i, j: covector_2d(rows[i], rows[j])
     )
 
 

@@ -17,19 +17,19 @@ stable along pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import count
 from typing import Sequence
 
 import numpy as np
 
-from .configs import ColoredLineConfig, DualPointConfig, embed_grid_config
+from .configs import ColoredLineConfig, DualPointConfig, _split, embed_grid_config
 from .exactgeom import (
-    Line,
     ProjPoint,
-    apply_matrix,
+    canonical_rows,
+    cross_rows,
+    image_rows,
+    int_array,
     key_ranks,
-    line_covector_2d,
     line_from_covector_2d,
 )
 from .gridmodel import ColoredGridConfig
@@ -47,11 +47,14 @@ PROJECTION_ATTEMPTS = 32  # fresh draws before ``project_generic`` gives up
 def apply_projective(
     cfg: ColoredLineConfig, matrix: Sequence[Sequence[int]]
 ) -> ColoredLineConfig:
-    """Map every line (and center) of a configuration through an integer matrix."""
-    image = partial(apply_matrix, matrix)
-    classes = [[Line(image(line.p), image(line.q)) for line in cls] for cls in cfg.classes]
-    centers = [None if c is None else image(c) for c in cfg.centers]
-    return ColoredLineConfig(len(matrix) - 1, classes, centers)
+    """Map every line (and center) of a configuration through an integer
+    matrix: one product of its endpoint rows (``image_rows``), with the
+    keys of the images computed in bulk."""
+    given = [c.coords for c in cfg.centers if c is not None]
+    mapped = iter(image_rows(matrix, int_array(given).reshape(len(given), cfg.d + 1)).tolist())
+    centers = [None if c is None else ProjPoint.canonical(tuple(next(mapped))) for c in cfg.centers]
+    ends = image_rows(matrix, cfg.ends)
+    return ColoredLineConfig.from_ends(len(matrix) - 1, ends, cfg.sizes, centers)
 
 
 def lift_to_concurrent(
@@ -163,35 +166,28 @@ def dualize(cfg: ColoredLineConfig) -> DualPointConfig:
     configuration is first translated by (j, j^2), for the least j >= 0
     that moves no line onto the pole, keeping every dual point finite: the
     covector (a, b, c) becomes (a, b, c - a*j - b*j^2), whose last entry,
-    zero iff the line passes the pole, vanishes for at most two j.
+    zero iff the line passes the pole, vanishes for at most two j.  The
+    covectors are the canonical cross products of the endpoint rows.
     """
     if cfg.d != 2:
         raise ValueError("dualize needs a planar configuration; project to d=2 first")
-    covectors = [[line_covector_2d(line) for line in cls] for cls in cfg.classes]
-    flat = [cov for cls in covectors for cov in cls]
-    j = next(j for j in count() if all(c - a * j - b * j * j for a, b, c in flat))
-    return DualPointConfig(
-        [[ProjPoint([a, b, a * j + b * j * j - c]) for a, b, c in cls] for cls in covectors]
-    )
+    covectors = cross_rows(cfg.ends[:, 0], cfg.ends[:, 1]).tolist()
+    j = next(j for j in count() if all(c - a * j - b * j * j for a, b, c in covectors))
+    points = int_array([[a, b, a * j + b * j * j - c] for a, b, c in covectors])
+    return DualPointConfig.from_coords(canonical_rows(points.reshape(-1, 3)), cfg.sizes)
 
 
 def undualize(dual: DualPointConfig) -> ColoredLineConfig:
     """Inverse duality: points back to lines (infinite points map to lines
     through the pole, which is legitimate and needed for direction colors)."""
-    classes = []
-    for cls in dual.classes:
-        lines = []
-        for p in cls:
-            x, y, z = p.coords
-            lines.append(line_from_covector_2d((x, y, -z)))
-        classes.append(lines)
-    return ColoredLineConfig(2, classes)
+    lines = [line_from_covector_2d((x, y, -z)) for x, y, z in dual.coords.tolist()]
+    return ColoredLineConfig(2, _split(lines, dual.sizes))
 
 
 def extract_planarity(cfg: ColoredLineConfig) -> tuple[bool, int]:
     """(all lines lie in a common 2-flat?, projective dimension of their span)."""
-    lines = [line for _, _, line in cfg.lines()]
-    if not lines:
+    total = cfg.total_lines()
+    if not total:
         return True, 0
-    dim = int(key_ranks(lines, np.arange(len(lines))[None], min(cfg.d + 1, 2 * len(lines)))[0]) - 1
+    dim = int(key_ranks(cfg.keys, np.arange(total)[None], min(cfg.d + 1, 2 * total))[0]) - 1
     return dim <= 2, dim

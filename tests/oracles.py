@@ -26,6 +26,10 @@ system of the two lines' spanning points by generic row reduction.
 ``loop_concurrence_buckets`` calls exact ``meet`` on one line pair at a
 time, skipping pairs already bucketed together: the reference for the
 mod-p pair kernel of ``concurrence_buckets``, order of the points included.
+``line_covector_2d`` is a planar line's covector, one cross product.
+``key_arrays`` stacks the ``int_rref`` keys and pivots of ``Line`` objects
+into the arrays a configuration stores: the reference for
+``exactgeom.line_keys`` and the input of the array kernels.
 ``loop_flatness_audit`` meets each group's witness and row-reduces its
 lines' keys with that point (``rank_of_directions``): the reference for
 the batched residue ranks of ``exactgeom.key_ranks`` behind
@@ -73,9 +77,9 @@ from incidencelab.exactgeom import (
     Rational,
     apply_matrix,
     covector_2d,
+    int_array,
     int_nullspace,
     int_rank,
-    line_covector_2d,
     meet,
 )
 from incidencelab.configs import (
@@ -429,6 +433,21 @@ def rref_meet(a: Line, b: Line) -> ProjPoint | None:
         return None
     l1, l2 = null[0][0], null[0][1]
     return ProjPoint([l1 * x + l2 * y for x, y in zip(a.p.coords, a.q.coords)])
+
+
+def line_covector_2d(line: Line) -> tuple[int, ...]:
+    """The canonical covector (a, b, c) of a planar line, a*x + b*y + c*w = 0:
+    the cross product of its spanning points."""
+    if line.ambient_dim != 2:
+        raise ValueError("covectors are defined for planar lines only")
+    return covector_2d(line.p.coords, line.q.coords)
+
+
+def key_arrays(lines: Sequence[Line], d: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """The (L, 2, d + 1) keys and (L, 2) pivots of lines in R^d, each line
+    row-reduced on its own by ``Line`` (``int_rref``)."""
+    keys = int_array([line.key for line in lines]).reshape(len(lines), 2, -1 if lines else d + 1)
+    return keys, np.array([line.pivots for line in lines], np.int64).reshape(len(lines), 2)
 
 
 def loop_concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]:

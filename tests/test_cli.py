@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from incidencelab import cli, configs, exactgeom, gridmodel, render, transforms
 from incidencelab.cli import main
 from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import IncidenceStructure
-from oracles import dump_json, fraction_xy
+from oracles import dump_json, fraction_canonical_ints, fraction_xy
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -370,6 +371,27 @@ class TestVerify:
         assert run(["verify", "bad.json", "--k-consistency", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed configuration bad.json") and reason in err
+
+    @pytest.mark.parametrize(
+        "gen,edit",
+        [
+            ("desargues", lambda data: data["classes"][0]["lines"][0].update(p="1231")),
+            ("dual-cycles --r 2", lambda data: data["classes"][0].update(points=["123", "124"])),
+            ("desargues", lambda data: data["classes"][0].update(center="1001")),
+            ("desargues", lambda data: data["classes"][0].update(center=[])),
+        ],
+        ids=["p-string", "points-strings", "center-string", "center-empty"],
+    )
+    def test_coordinates_not_a_list_exit_2(self, workdir, capsys, gen, edit):
+        # a string used to be read digit by digit, and an empty center as no center
+        run(["gen", *gen.split(), "-o", "cfg.json"])
+        data = json.loads((workdir / "cfg.json").read_text())
+        edit(data)
+        (workdir / "bad.json").write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["verify", "bad.json", "--k-consistency", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed configuration bad.json") and "not a list of" in err
 
     def test_minimality_on_inconsistent_grid_exits_1(self, workdir, capsys):
         # color 1 mixes axes 1 and 2; its axis-2 line meets no color-2 line
@@ -953,3 +975,110 @@ class TestJsonWriter:
     def test_golden_bytes(self, path):
         text = path.read_bytes().decode()
         assert cli._dump_json(json.loads(text)) == text == dump_json(json.loads(text))
+
+
+@st.composite
+def coordinate_texts(draw, ascii_only: bool):
+    """A coordinate as a file may give it: an integer, or "num/den", with a
+    unicode minus sign half the time, unless ``ascii_only``."""
+    num, den = draw(st.integers(-(2**70), 2**70)), draw(st.sampled_from([1, 1, 2, 3, 7, 2**40 + 1]))
+    if ascii_only or den == 1 and draw(st.booleans()):
+        return str(num)
+    text = f"{num}/{den}"
+    return text.replace("-", "\N{MINUS SIGN}") if draw(st.booleans()) else text
+
+
+@st.composite
+def point_files(draw, model: str):
+    """A lines file (d = 2..4, up to 3 classes of up to 4 lines, some with a
+    center) or a points file (up to 3 classes of up to 5 points): all-ASCII
+    integers half the time, so both reader paths run."""
+    width = 3 if model == "points" else draw(st.integers(3, 5))
+    point = st.lists(coordinate_texts(draw(st.booleans())), min_size=width, max_size=width)
+    classes = []
+    for color in range(1, draw(st.integers(1, 3)) + 1):
+        if model == "points":
+            classes.append({"color": color, "points": draw(st.lists(point, max_size=5))})
+            continue
+        lines = [{"p": draw(point), "q": draw(point)} for _ in range(draw(st.integers(0, 4)))]
+        classes.append({"color": color, "lines": lines})
+        if draw(st.booleans()):
+            classes[-1]["center"] = draw(point)
+    return {"model": model, "classes": classes, **({"d": width - 1} if model == "lines" else {})}
+
+
+def oracle_file(data) -> str | None:
+    """The bytes a read and a write must give, point by point through
+    ``Fraction``s, and lines checked by ``int_rref``; None where the file
+    holds a zero point, a line on one point or a point or line twice."""
+
+    def canonical(texts):
+        return [str(x) for x in fraction_canonical_ints([Fraction(t.replace("\N{MINUS SIGN}", "-")) for t in texts])]
+
+    out, seen = json.loads(json.dumps(data)), set()
+    try:
+        for entry in out["classes"]:
+            for item in entry.get("lines", entry.get("points")):
+                if data["model"] == "points":
+                    item[:] = canonical(item)
+                    key = tuple(item)
+                else:
+                    item.update(p=canonical(item["p"]), q=canonical(item["q"]))
+                    key = tuple(map(tuple, exactgeom.int_rref([list(map(int, item[e])) for e in "pq"])))
+                    if len(key) != 2:
+                        return None
+                if key in seen:
+                    return None
+                seen.add(key)
+            if "center" in entry:
+                entry["center"] = canonical(entry["center"])
+    except ValueError:  # a zero point
+        return None
+    return dump_json(out)
+
+
+class TestFileRoundTrip:
+    """Reading a lines or points file and writing it again: the canonical
+    integers of the ``Fraction`` oracle, byte for byte, on both reader paths
+    (ASCII integers in bulk, ``parse_rational`` per point otherwise); a
+    second round trip changes nothing."""
+
+    @pytest.mark.parametrize("model", ["lines", "points"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bytes(self, model, data):
+        file = data.draw(point_files(model))
+        expected = oracle_file(file)
+        if expected is None:
+            with pytest.raises(ValueError):
+                configs.config_from_json(file)
+            return
+        text = cli._dump_json(configs.config_to_json(configs.config_from_json(file)))
+        assert text == expected
+        assert cli._dump_json(configs.config_to_json(configs.config_from_json(json.loads(text)))) == text
+
+
+class TestExactFallback:
+    def test_verify_past_the_int64_bounds(self, workdir, capsys):
+        # the lines-pipeline artifact shape, mapped by a matrix with entries near
+        # 2^40: its coordinates pass 2^30, so keys, meets and ranks use Python ints
+        assert run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"]) == 0
+        argv = ["transform", "alg.json", "--lift", "--project", "3", "--seed", "11"]
+        assert run([*argv, "-o", "proj.json"]) == 0
+        cfg = configs.config_from_json(json.loads((workdir / "proj.json").read_text()))
+        matrix = [[2**40 + (5 * i + 3 * j * j + i * j) % 17 for j in range(4)] for i in range(4)]
+        assert exactgeom.int_rank(matrix) == 4
+        big = transforms.apply_projective(cfg, matrix)
+        assert exactgeom.magnitude(big.ends) >= 2**30 and big.keys.dtype == object
+        (workdir / "big.json").write_text(cli._dump_json(configs.config_to_json(big)))
+        checks = ["--k-consistency", "3", "--max-colorful", "3", "--flatness", "3"]
+        verdicts = []
+        for name in ("proj.json", "big.json"):
+            capsys.readouterr()
+            assert run(["verify", name, *checks, "--planarity", "nonplanar"]) == 0
+            verdicts.append(json.loads(capsys.readouterr().out)["checks"])
+        before, after = verdicts
+        assert before["flatness"]["audited"] > 0 and before["max_colorful"]["value"] == 3
+        at = exactgeom.ProjPoint([int(x) for x in before["max_colorful"].pop("witness")[1:-1].split(":")])
+        assert after["max_colorful"].pop("witness") == repr(exactgeom.apply_matrix(matrix, at))
+        assert after == before

@@ -7,24 +7,39 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from incidencelab import exactgeom
+from incidencelab.configs import ColoredLineConfig
 from incidencelab.exactgeom import (
     PRIME,
     Line,
     ProjFlat,
     ProjPoint,
     _canonical_ints,
+    apply_matrix,
+    canonical_rows,
     covector_2d,
     incident,
     int_nullspace,
     int_rank,
     int_rref,
+    cross_rows,
+    has_duplicate_rows,
+    image_rows,
+    int_array,
     key_ranks,
-    line_covector_2d,
     line_from_covector_2d,
+    line_keys,
+    magnitude,
     meet,
     parse_rational,
 )
-from oracles import fraction_canonical_ints, rank3x3, rank_of_directions, rref_meet
+from oracles import (
+    fraction_canonical_ints,
+    key_arrays,
+    line_covector_2d,
+    rank3x3,
+    rank_of_directions,
+    rref_meet,
+)
 
 nonzero_ints = st.integers(-50, 50).filter(lambda v: v != 0)
 small_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -102,7 +117,7 @@ def line_pairs(draw):
 
 class TestRationalIO:
     def test_format(self):
-        assert ProjPoint.from_strings(["3/7", "-5", "1"]).to_strings() == ["3", "-35", "7"]
+        assert ProjPoint([parse_rational(t) for t in ["3/7", "-5", "1"]]).to_strings() == ["3", "-35", "7"]
 
     def test_parse_unicode_minus(self):
         assert parse_rational("−3/7") == Fraction(-3, 7)
@@ -115,7 +130,7 @@ class TestRationalIO:
     @given(st.lists(small_fracs, min_size=2, max_size=5).filter(any))
     def test_round_trip(self, coords):
         p = ProjPoint(coords)
-        assert ProjPoint.from_strings(p.to_strings()) == p
+        assert ProjPoint([parse_rational(t) for t in p.to_strings()]) == p
         assert [parse_rational(t) for t in p.to_strings()] == list(p.coords)
 
 
@@ -313,7 +328,8 @@ class TestResidualKernel:
     @given(lines(2))
     def test_cross_product_covector(self, line):
         cov = covector_2d(line.p.coords, line.q.coords)
-        assert cov == line_covector_2d(Line(line.p, line.q))
+        p, q = (int_array([x.coords]) for x in (line.p, line.q))
+        assert cov == tuple(cross_rows(p, q)[0].tolist())
         assert [cov] == int_nullspace([line.p.coords, line.q.coords], 3)
 
 
@@ -428,7 +444,7 @@ class TestKeyRanks:
         expected = [int_rank([row for x in g for row in lines[x].key]) for g in groups.tolist()]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exactgeom, "PRIME", prime)
-            got = key_ranks(lines, groups, cap)
+            got = key_ranks(key_arrays(lines)[0], groups, cap)
         assert got.tolist() == expected
 
     def test_vanishing_residues_fall_back(self, monkeypatch):
@@ -438,7 +454,7 @@ class TestKeyRanks:
         lines = [Line(at, ProjPoint([x, y, PRIME * z, 0])) for x, y, z in directions]
         calls = []
         monkeypatch.setattr(exactgeom, "int_rank", lambda rows: calls.append(1) or int_rank(rows))
-        assert key_ranks(lines, np.array([[0, 1, 2]]), 4).tolist() == [4]
+        assert key_ranks(key_arrays(lines)[0], np.array([[0, 1, 2]]), 4).tolist() == [4]
         assert calls == [1]  # the residue rank is 3: column z vanishes mod PRIME
 
 
@@ -495,3 +511,133 @@ class TestLine:
     def test_at_infinity(self):
         a = Line(pt(0, 0, 1), pt(2, 1, 1))
         assert point_at_infinity(a) == pt(2, 1, 0)
+
+
+# coordinates on both sides of the 2^30 bound of ``line_keys`` and beyond int64
+wide = st.one_of(
+    st.integers(-6, 6),
+    st.integers(2**30 - 4, 2**30 + 4),
+    st.integers(-(2**30) - 4, -(2**30) + 4),
+    st.integers(-(2**70), 2**70),
+)
+
+
+def ends_of(pairs, d: int) -> np.ndarray:
+    """The (L, 2, d + 1) endpoint rows of point pairs, as a configuration stores them."""
+    return int_array([(p.coords, q.coords) for p, q in pairs]).reshape(len(pairs), 2, d + 1)
+
+
+@st.composite
+def endpoint_pairs(draw):
+    """(d, pairs): up to 8 pairs of points in R^d, d = 2..5, coordinates on
+    both sides of 2^30; one pair in ten is one point twice, up to scale."""
+    d = draw(st.integers(2, 5))
+    point = st.lists(wide, min_size=d + 1, max_size=d + 1).filter(any)
+    pairs = []
+    for _ in range(draw(st.integers(0, 8))):
+        p = draw(point)
+        if draw(st.integers(0, 9)):
+            q = draw(point)
+        else:
+            q = [draw(st.sampled_from([1, -3])) * x for x in p]
+        pairs.append((ProjPoint(p), ProjPoint(q)))
+    return d, pairs
+
+
+class TestLineKeys:
+    """Bulk canonical rows, keys and pivots against the row-by-row oracles:
+    ``int_rref`` and ``Line.pivots`` per line, on int64 and on Python ints."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(endpoint_pairs())
+    def test_matches_int_rref(self, case):
+        d, pairs = case
+        ends = ends_of(pairs, d)
+        try:
+            lines = [Line(p, q) for p, q in pairs]
+        except ValueError:  # one point twice
+            with pytest.raises(ValueError):
+                line_keys(ends)
+            return
+        keys, pivots = line_keys(ends)
+        assert keys.tolist() == [[list(row) for row in line.key] for line in lines]
+        assert pivots.tolist() == [list(line.pivots) for line in lines]
+        assert (keys.dtype == object) == (magnitude(ends) >= 2**30)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(wide, min_size=3, max_size=3), max_size=6))
+    def test_canonical_rows(self, rows):
+        array = int_array(rows).reshape(len(rows), 3)
+        if not all(map(any, rows)):
+            with pytest.raises(ValueError):
+                canonical_rows(array)
+            return
+        assert canonical_rows(array).tolist() == [list(fraction_canonical_ints(r)) for r in rows]
+
+
+@st.composite
+def projective_maps(draw):
+    """(matrix, points): a (d+1) x (D+1) integer matrix and up to 6 points of
+    R^D, D = 2..5, with entries on both sides of the 2^63 product bound."""
+    D, big = draw(st.integers(2, 5)), st.one_of(
+        st.integers(-3, 3),
+        st.integers(2**29, 2**33),
+        st.integers(-(2**33), -(2**29)),
+        st.integers(-(2**66), 2**66),
+    )
+    row = st.lists(big, min_size=D + 1, max_size=D + 1)
+    matrix = draw(st.lists(row, min_size=2, max_size=D + 1))
+    return matrix, [ProjPoint(p) for p in draw(st.lists(row.filter(any), max_size=6))]
+
+
+class TestImageRows:
+    """One matrix product and bulk canonicalization against ``apply_matrix``
+    point by point, with the int64 path exactly where the bound allows it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(projective_maps())
+    def test_matches_apply_matrix(self, case):
+        matrix, points = case
+        rows = int_array([p.coords for p in points]).reshape(len(points), len(matrix[0]))
+        try:
+            expected = [list(apply_matrix(matrix, p).coords) for p in points]
+        except ValueError:  # a point on the kernel
+            with pytest.raises(ValueError):
+                image_rows(matrix, rows)
+            return
+        got = image_rows(matrix, rows)
+        assert got.tolist() == expected
+        a = int_array(matrix)  # Python ints beyond int64
+        assert (got.dtype == object) == (a.dtype == object or a.shape[1] * magnitude(a) * magnitude(rows) >= 2**63)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            image_rows([[1, 0], [0, 1]], int_array([[1, 2, 3]]))
+
+
+class TestDuplicateLines:
+    """Duplicate detection (one lexsort of int64 keys, a set of Python-int
+    keys) against the set of ``Line`` keys."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(endpoint_pairs())
+    def test_matches_the_key_set(self, case):
+        d, pairs = case
+        pairs = [(p, q) for p, q in pairs if int_rank([p.coords, q.coords]) == 2]
+        pairs += pairs[: len(pairs) // 3]  # repeat some lines, as they are
+        pairs += [(q, p) for p, q in pairs[:1]]  # and one with its points swapped
+        ends = ends_of(pairs, d)
+        keys = line_keys(ends)[0]
+        lines = [Line(p, q) for p, q in pairs]
+        duplicate = len({line.key for line in lines}) < len(lines)
+        assert has_duplicate_rows(keys) == duplicate
+        if duplicate:
+            with pytest.raises(ValueError, match="duplicate line"):
+                ColoredLineConfig.from_ends(d, ends, [len(pairs)])
+        else:
+            assert ColoredLineConfig.from_ends(d, ends, [len(pairs)]) == ColoredLineConfig(d, [lines])
+
+    @given(st.lists(st.lists(st.sampled_from([0, 1, -1, 2**40, -(2**70)]), min_size=2, max_size=2)))
+    def test_rows(self, rows):
+        array = int_array(rows).reshape(len(rows), 2)
+        assert has_duplicate_rows(array) == (len(set(map(tuple, rows))) < len(rows))

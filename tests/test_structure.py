@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from incidencelab import structure
 from incidencelab.configs import DualPointConfig, embed_grid_config
 from incidencelab.constructions import ProbParams, gen_probabilistic
-from incidencelab.exactgeom import Line, ProjPoint, covector_2d, line_covector_2d, meet
+from incidencelab.exactgeom import Line, ProjPoint, covector_2d, meet
 from incidencelab.configs import ColoredLineConfig
 from incidencelab.gridmodel import (
     group_max_colorful,
@@ -27,6 +27,8 @@ from incidencelab.structure import (
     structure_consistency,
 )
 from oracles import (
+    key_arrays,
+    line_covector_2d,
     loop_alignments,
     loop_concurrence_buckets,
     loop_consistency,
@@ -259,6 +261,15 @@ def line_lists(draw, dims=st.integers(2, 5)):
     return [Line(pool[a], pool[b]) for a, b in pairs]
 
 
+def buckets(lines, classes=()):
+    """The kernel's groups of lines: ``planar_buckets`` of their covectors in
+    the plane, else ``concurrence_buckets`` of their key arrays."""
+    if lines and lines[0].ambient_dim == 2:
+        group, line = structure.planar_buckets([line_covector_2d(line) for line in lines])
+        return [part.tolist() for part in np.split(line, structure._bounds(group)[1:-1])] if len(line) else []
+    return concurrence_buckets(*key_arrays(lines), classes)
+
+
 def assert_kernel_matches_loop(lines, classes=None):
     """Equal groups and points, in order, on distinct lines; identical lines
     raise, and the loop raises only for identical lines.  ``classes`` are
@@ -270,10 +281,10 @@ def assert_kernel_matches_loop(lines, classes=None):
     classes = classes or [(len(lines), None)]
     if len({line.key for line in lines}) < len(lines) or expected is None:
         with pytest.raises(ValueError):
-            concurrence_buckets(lines, classes)
+            buckets(lines, classes)
         assert len({line.key for line in lines}) < len(lines)
         return
-    got = concurrence_buckets(lines, classes)
+    got = buckets(lines, classes)
     assert got == [sorted(m) for _, m in expected]
     if not lines:
         return
@@ -356,15 +367,15 @@ class TestConcurrenceKernel:
     def test_centered_classes_send_no_pair_to_points(self, monkeypatch, algebraic_3_3):
         # 972 lifted lines in four classes of 243 on their centers
         lifted = lift_to_concurrent(algebraic_3_3, audit=False)[0]
-        lines = [line for _, _, line in lifted.lines()]
+        keys, pivots = lifted.keys, lifted.pivots
         classes = list(zip(lifted.class_sizes(), lifted.centers))
         rows = []
         scaled = structure._scaled
         monkeypatch.setattr(structure, "_scaled", lambda m, p: rows.append(len(m)) or scaled(m, p))
-        with_centers = concurrence_buckets(lines, classes)
+        with_centers = concurrence_buckets(keys, pivots, classes)
         skipped = sum(rows)
         rows.clear()
-        assert concurrence_buckets(lines, [(size, None) for size, _ in classes]) == with_centers
+        assert concurrence_buckets(keys, pivots, [(size, None) for size, _ in classes]) == with_centers
         assert sum(rows) - skipped == 4 * (243 * 242 // 2)  # every same-class pair
 
     @pytest.mark.parametrize("chunk", [1, 7])  # tiles of side 1 and 7 over the 128 lines
@@ -374,9 +385,10 @@ class TestConcurrenceKernel:
         assert_kernel_matches_loop(lines)
 
     def test_no_lines_and_one_line(self):
-        line = line2((0, 0), (1, 1))
-        assert concurrence_buckets([]) == [] and loop_concurrence_buckets([]) == {}
-        assert concurrence_buckets([line]) == [] and loop_concurrence_buckets([line]) == {}
+        line = Line.through_affine((0, 0, 0), (1, 1, 1))
+        assert concurrence_buckets(*key_arrays([])) == [] and loop_concurrence_buckets([]) == {}
+        assert concurrence_buckets(*key_arrays([line])) == []
+        assert loop_concurrence_buckets([line]) == {}
 
     def test_identical_lines(self):
         a, b = line2((0, 0), (1, 1)), line2((0, 1), (1, 0))
@@ -389,11 +401,17 @@ class TestConcurrenceKernel:
         # pair; the kernel refuses identical lines whatever their order
         assert len(loop_concurrence_buckets([b, a, copy])) == 1
         with pytest.raises(ValueError):
-            concurrence_buckets([b, a, copy])
+            buckets([b, a, copy])
+        lift = [Line(ProjPoint([*ln.p.coords, 0]), ProjPoint([*ln.q.coords, 1])) for ln in (b, a)]
+        with pytest.raises(ValueError):  # the same in R^3, through the pair kernel
+            concurrence_buckets(*key_arrays([*lift, lift[1]]))
 
     def test_mixed_dimensions_raise(self):
-        with pytest.raises(ValueError):
-            concurrence_buckets([line2((0, 0), (1, 1)), Line.through_affine((0, 0, 0), (1, 1, 1))])
+        # lines become one key array where a configuration is built, in one dimension
+        mixed = [[line2((0, 0), (1, 1))], [Line.through_affine((0, 0, 0), (1, 1, 1))]]
+        for d in (2, 3):
+            with pytest.raises(ValueError):
+                ColoredLineConfig(d, mixed)
 
     def test_planar_lines_skip_the_kernel(self, monkeypatch, algebraic_3_2):
         lifted, s = lift_to_concurrent(algebraic_3_2, audit=False)
@@ -431,14 +449,14 @@ class TestConcurrenceKernel:
 
     def test_memory_is_bounded_on_alg_3_3(self, algebraic_3_3):
         # 972 lifted lines, 471,906 pairs
-        lines = [line for _, _, line in lift_to_concurrent(algebraic_3_3, audit=False)[0].lines()]
+        lifted = lift_to_concurrent(algebraic_3_3, audit=False)[0]
         tracemalloc.start()
         try:
-            buckets = concurrence_buckets(lines)
+            groups = concurrence_buckets(lifted.keys, lifted.pivots)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(buckets) == 2434
+        assert len(groups) == 2434
         assert peak < 32 * 2**20
 
 
