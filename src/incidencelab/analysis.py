@@ -22,10 +22,10 @@ import numpy as np
 
 from .configs import ColoredLineConfig
 from .constructions import ProbParams, probabilistic_batch_stats
-from .exactgeom import Line, key_ranks, meet
+from .exactgeom import Line, key_ranks
 from .gridmodel import ColoredGridConfig, LineRef, group_removable
 from .rng import TRIAL_OFFSET, substream
-from .structure import IncidenceStructure, Monomial
+from .structure import IncidenceStructure, Monomial, extract_structure_lines
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -302,21 +302,20 @@ class BipartiteReport:
 def bipartite_edges(A: list[Line], B: list[Line]) -> BipartiteReport:
     """Exact intersection-graph edge count plus an exhaustive K_{3,3} search.
 
-    The search scans all triples on the A side and intersects neighbor
-    bitmasks, so a reported witness is exact and absence is a proof for
-    the given families.
+    An edge is a pair (a, b) of lines that meet: they share a group of the
+    structure of the two-class configuration.  The search scans all triples
+    on the A side and intersects neighbor bitmasks, so a reported witness
+    is exact and absence is a proof for the given families.  Two equal
+    lines raise ValueError.
     """
-    masks = []
-    edges = 0
-    for a in A:
-        mask = 0
-        for j, b in enumerate(B):
-            if a.key == b.key:
-                raise ValueError("families share a line")
-            if meet(a, b) is not None:
-                mask |= 1 << j
-        edges += mask.bit_count()
-        masks.append(mask)
+    masks = [0] * len(A)
+    if A or B:
+        s = extract_structure_lines(ColoredLineConfig((A + B)[0].ambient_dim, [A, B]))
+        first, second = np.divmod(s.inner_pairs(), len(A) + len(B))
+        for i, j in zip(first.tolist(), second.tolist()):
+            if i < len(A) <= j:
+                masks[i] |= 1 << (j - len(A))
+    edges = sum(m.bit_count() for m in masks)
     rich = [i for i, m in enumerate(masks) if m.bit_count() >= 3]
     for i, j, l in combinations(rich, 3):
         common = masks[i] & masks[j] & masks[l]

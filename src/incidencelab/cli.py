@@ -331,6 +331,8 @@ def cmd_analyze(args, run: _Run) -> int:
         print(_dump_json(out), end="")
         return 0
     cfg = run.read_config(args.config)
+    if args.structure and cfg.num_colors > 26:
+        raise SystemExit2(f"--structure names at most 26 colors, a to z, not {cfg.num_colors}")
     s = extract_structure(cfg) if args.structure or args.match_structure else None
     if args.structure:
         out["structure"] = {

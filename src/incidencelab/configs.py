@@ -30,7 +30,6 @@ from .exactgeom import (
     has_duplicate_rows,
     int_array,
     line_keys,
-    meet,
     parse_rational,
 )
 
@@ -189,19 +188,6 @@ class DualPointConfig:
         for color, cls in enumerate(self.classes, start=1):
             for idx, p in enumerate(cls):
                 yield color, idx, p
-
-
-def concurrency_center(lines: Sequence[Line]) -> ProjPoint | None:
-    """Common point of a class of >= 2 lines, or None if not concurrent."""
-    center = meet(lines[0], lines[1]) if len(lines) >= 2 else None
-    if center is not None and all(ln.contains(center) for ln in lines[2:]):
-        return center
-    return None
-
-
-def with_computed_centers(cfg: ColoredLineConfig) -> ColoredLineConfig:
-    centers = [concurrency_center(cls) for cls in cfg.classes]
-    return ColoredLineConfig.from_ends(cfg.d, cfg.ends, cfg.sizes, centers)
 
 
 def _grid_ends(k: int, n: int, ids: np.ndarray) -> np.ndarray:

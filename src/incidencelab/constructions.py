@@ -35,12 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .configs import (
-    ColoredLineConfig,
-    DualPointConfig,
-    concurrency_center,
-    with_computed_centers,
-)
+from .configs import ColoredLineConfig, DualPointConfig
 from .exactgeom import (
     Line,
     ProjPoint,
@@ -59,12 +54,7 @@ from .rng import (
     splitmix64_block,
     substream,
 )
-from .structure import (
-    concurrence_buckets,
-    extract_alignments,
-    extract_structure_lines,
-    structure_consistency,
-)
+from .structure import extract_alignments, extract_structure_lines, structure_consistency
 from .transforms import extract_planarity
 
 SLAB_WORDS = 1 << 16  # uint64 words per slab of the stage-2 coverage cube
@@ -501,7 +491,7 @@ def _search_coloring(
 ) -> ColoredLineConfig | None:
     """Backtracking color assignment: class sizes 3, no repeated color in any
     bucket (except an exempted concurrent-class bucket), canonical first-use
-    order for the free colors; first assignment passing ``validate`` wins."""
+    order for the free colors; the first configuration ``validate`` returns wins."""
     colors = dict(fixed)
     counts = {c: 0 for c in (1, 2, 3, 4)}
     for c in fixed.values():
@@ -525,7 +515,7 @@ def _search_coloring(
                 cfg = ColoredLineConfig(3, classes)
             except ValueError:
                 return None
-            return cfg if validate(cfg) else None
+            return validate(cfg)
         idx = free_order[pos]
         for c in range(1, min(max_used + 1, 4) + 1):
             if counts[c] >= 3:
@@ -543,18 +533,25 @@ def _search_coloring(
     return rec(0, max(fixed.values(), default=1))
 
 
-def _validate_4x3(cfg: ColoredLineConfig, expect_concurrent: int) -> bool:
+def _validate_4x3(cfg: ColoredLineConfig, expect_concurrent: int) -> ColoredLineConfig | None:
+    """``cfg`` with its class centers if it is a 4x3 configuration, 3-consistent,
+    non-planar, with no colorful incidence and ``expect_concurrent`` concurrent
+    classes, else None.  A class is concurrent when one group holds all its
+    lines, and its center is that group's witness."""
     if cfg.class_sizes() != (3, 3, 3, 3):
-        return False
+        return None
     s = extract_structure_lines(cfg)
     order, _ = s.max_colorful()
-    if order != 3 or not structure_consistency(s, 3).ok:
-        return False
-    planar, _ = extract_planarity(cfg)
-    if planar:
-        return False
-    concurrent = sum(1 for cls in cfg.classes if concurrency_center(cls) is not None)
-    return concurrent == expect_concurrent
+    if order != 3 or not structure_consistency(s, 3).ok or extract_planarity(cfg)[0]:
+        return None
+    centers = [None] * 4
+    for g, refs in enumerate(s.members):
+        colors = [c for c, _ in refs]
+        for c in {c for c in colors if colors.count(c) == 3}:
+            centers[c - 1] = s.witness(g)
+    if sum(c is not None for c in centers) != expect_concurrent:
+        return None
+    return ColoredLineConfig.from_ends(cfg.d, cfg.ends, cfg.sizes, centers)
 
 
 def gen_desargues() -> ColoredLineConfig:
@@ -593,14 +590,12 @@ def gen_desargues() -> ColoredLineConfig:
         raise RuntimeError("witness does not produce 12 two-plane lines")
 
     one = ColoredLineConfig(3, [lines])
-    bucket_lists = concurrence_buckets(one.keys, one.pivots)
-    buckets = [frozenset(b) for b in bucket_lists]  # ordered by each point's sorted lines
-    candidates = [
-        frozenset(b)
-        for b in bucket_lists
-        if len(b) == 3
-        and key_ranks(one.keys, np.array([b]), 4)[0] == 4  # three directions span R^3
-    ]
+    s = extract_structure_lines(one)
+    buckets = [frozenset(i for _, i in refs) for refs in s.members]
+    start = np.array(s.bounds[:-1])[np.diff(s.bounds) == 3]
+    triples = s.line[start[:, None] + np.arange(3)]  # the lines of each group of three
+    spans = key_ranks(one.keys, triples, 4) == 4  # three directions span R^3
+    candidates = [frozenset(t) for t in triples[spans].tolist()]
     for cand in candidates:
         fixed = {i: 1 for i in cand}
         free = [i for i in range(12) if i not in cand]
@@ -613,7 +608,7 @@ def gen_desargues() -> ColoredLineConfig:
             lambda c: _validate_4x3(c, expect_concurrent=1),
         )
         if cfg is not None:
-            return with_computed_centers(cfg)
+            return cfg
     raise RuntimeError("no valid coloring found for the Desargues witness")
 
 
@@ -645,8 +640,8 @@ def gen_reye() -> ColoredLineConfig:
     result is 3-consistent with no colorful incidence; triples of parallel
     edges meet at infinity, so some incidence points are infinite."""
     lines = _cube_lines()
-    cube = ColoredLineConfig(3, [lines])
-    buckets = [frozenset(b) for b in concurrence_buckets(cube.keys, cube.pivots)]
+    s = extract_structure_lines(ColoredLineConfig(3, [lines]))
+    buckets = [frozenset(i for _, i in refs) for refs in s.members]
     if len(buckets) != 12 or any(len(b) != 4 for b in buckets):
         raise RuntimeError("cube lines do not form the expected 12x4 structure")
     memberships = [frozenset(i for i, b in enumerate(buckets) if idx in b) for idx in range(16)]
@@ -680,7 +675,7 @@ def gen_reye() -> ColoredLineConfig:
             lambda c: _validate_4x3(c, expect_concurrent=0),
         )
         if cfg is not None:
-            return with_computed_centers(cfg)
+            return cfg
     raise RuntimeError("no valid 12-line selection/coloring found on the cube")
 
 

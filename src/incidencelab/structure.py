@@ -3,10 +3,11 @@
 A structure holds the incidence core's int64 entry arrays ``(group,
 line)``: one group per concurrency point, listing the positions (in class
 order) of the lines through it, sorted by group, then line, with groups
-ascending by their sorted member lists, so equal structures have equal
-arrays.  All maximal concurrences are kept, including single-color ones
-(the center of a concurrent class, or the shared direction of a parallel
-class), so transform preservation audits can compare structures exactly.
+ascending by their two smallest lines (``_ordered``), so equal structures
+have equal arrays.  All maximal concurrences are kept, including
+single-color ones (the center of a concurrent class, or the shared
+direction of a parallel class), so transform preservation audits can
+compare structures exactly.
 A group's witness, its point, is met exactly from its first two lines
 only when asked.  ``monomials``, the groups as frozensets of ``(color,
 index)`` refs, is a view derived when asked; the classification tables of
@@ -16,13 +17,15 @@ For dual point configurations the same record type holds the maximal
 *alignments* (collinear subsets), witnessed by their covectors: the dual
 notion of concurrences, so the consistency checks apply unchanged.
 
-Both come from numpy kernels over the pairs on residues mod a prime,
-confirmed exactly: in the plane (``planar_buckets``) pairs group by their
-cross product (the line through two points, or the point where two lines
-meet) straight into entry arrays; in d >= 3 (``concurrence_buckets``, on a
-configuration's key and pivot arrays) skew pairs are certified in bulk, the others grouped by their meeting point, and
-the sorted lists of line positions go to one builder, as do grid structures,
-with one group per shared axis direction, which grid verifiers never count.
+Both come from numpy kernels over the pairs on residues mod a prime: in
+the plane (``planar_buckets``) pairs group by their cross product (the
+line through two points, or the point where two lines meet); in d >= 3
+(``concurrence_buckets``, on a configuration's key and pivot arrays) skew
+pairs are certified in bulk and the others grouped by their meeting
+point.  One exact step (``_confirmed``) turns the residue groups of both
+into entry arrays, and the ordering rule orders every structure's groups,
+grid structures too, whose shared axis directions, one group each, grid
+verifiers never count.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,15 +76,6 @@ class IncidenceStructure:
     group: np.ndarray
     line: np.ndarray
     meet_of: Callable[[int, int], object] | None = None
-
-    @classmethod
-    def from_groups(cls, groups: Iterable[list[int]], class_sizes: Sequence[int], meet_of=None):
-        """The structure of groups of line positions, each a sorted list."""
-        groups = sorted(groups)
-        sizes = list(map(len, groups))
-        line = np.fromiter(chain.from_iterable(groups), np.int64, sum(sizes))
-        group = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
-        return cls(tuple(class_sizes), group, line, meet_of)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IncidenceStructure) or self.class_sizes != other.class_sizes:
@@ -130,24 +124,38 @@ class IncidenceStructure:
         order, at = group_max_colorful(self.class_sizes, self.group, self.line)
         return order, None if at is None else self.witness(at)
 
+    def inner_pairs(self) -> np.ndarray:
+        """i * L + j for every two of the L lines, i < j, that share a group."""
+        n = self.group.size
+        later = np.searchsorted(self.group, self.group, "right") - np.arange(n) - 1
+        left = np.repeat(np.arange(n), later)  # each entry once per entry after it in its group
+        right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
+        return self.line[left] * sum(self.class_sizes) + self.line[right]
+
+
+def _ordered(group: np.ndarray, line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry arrays of groups of two or more lines (runs of ``group``, lines
+    ascending) in every structure's order, ascending by first * L + second, L
+    above every line: two points share at most one line, so no two share it."""
+    start = np.flatnonzero(np.diff(group, prepend=-1))
+    order = np.argsort(line[start] * (int(line.max(initial=0)) + 1) + line[start + 1])
+    size = np.diff(start, append=len(line))[order]
+    at = np.repeat(start[order] - np.cumsum(size) + size, size) + np.arange(len(line))
+    return np.repeat(np.arange(len(size), dtype=np.int64), size), line[at]
+
 
 def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
     """Grid-point concurrences plus one group per shared axis direction;
     witnesses meet the two lines embedded in R^(k+1)."""
     _, group, line = cfg.incidences
-    bounds, line = _bounds(group), line.tolist()
-    groups = [line[a:b] for a, b in zip(bounds, bounds[1:])]
     ids = np.concatenate((np.empty(0, np.int64), *cfg.ids))
     axes = ids // cfg.n**cfg.k
-    for axis in np.unique(axes).tolist():
-        members = np.flatnonzero(axes == axis).tolist()
-        if len(members) >= 2:
-            groups.append(members)
-
-    def meet_of(i: int, j: int):
-        return meet(*_grid_lines(cfg.k, cfg.n, ids[[i, j]]))
-
-    return IncidenceStructure.from_groups(groups, cfg.class_sizes(), meet_of)
+    shared = np.flatnonzero(np.bincount(axes)[axes] >= 2)  # lines sharing their axis
+    shared = shared[np.argsort(axes[shared], kind="stable")]
+    group = np.concatenate((group, axes[shared] + group.size))  # runs after the point groups
+    group, line = _ordered(group, np.concatenate((line, shared)))
+    meet_of = lambda i, j: meet(*_grid_lines(cfg.k, cfg.n, ids[[i, j]]))  # noqa: E731
+    return IncidenceStructure(cfg.class_sizes(), group, line, meet_of)
 
 
 # Side of the square tiles of pairs the kernels work on (at most n); bounds their temporaries.
@@ -188,20 +196,15 @@ def _tile_pairs(n: int, keep=None) -> Iterator[np.ndarray]:
             yield (i + i0) * n + j + j0
 
 
-def _batched(codes) -> Iterator[np.ndarray]:
-    """Pair codes of many tiles in batches of 16 * TILE, whose points are scaled at once."""
-    step, held = 16 * TILE, np.empty(0, np.int64)
-    for part in codes:
-        held = np.concatenate((held, part))
-        while len(held) >= step:
-            yield held[:step]
-            held = held[step:]
-    if len(held):
-        yield held
+def _batches(code: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (i, j) of codes i * n + j, in batches of 16 * TILE scaled at once."""
+    return (np.divmod(code[at : at + 16 * TILE], n) for at in range(0, len(code), 16 * TILE))
 
 
 def _candidates(keys: np.ndarray, pivots: np.ndarray, p: int, label: np.ndarray):
-    """Batches of the pairs (i, j > i) not certified skew, less equal ``label``s, with points."""
+    """The codes i * L + j of the pairs (i, j > i) of the L lines not
+    certified skew, less those of equal ``label``s, sorted by their points,
+    and the starts of the runs of equal points, then the pair count."""
     n = len(keys)
     r1, r2 = residues(keys[:, 0], p), residues(keys[:, 1], p)
     dim, (c1, c2), at = r1.shape[1], pivots.T, np.arange(n)
@@ -227,65 +230,85 @@ def _candidates(keys: np.ndarray, pivots: np.ndarray, p: int, label: np.ndarray)
             keep &= label[rows, None] != label[cols]  # and a negative label is unique
         return keep
 
-    for code in _batched(_tile_pairs(n, unskewed)):
-        i, j = np.divmod(code, n)
+    code = np.concatenate([np.empty(0, np.int64), *_tile_pairs(n, unskewed)])
+    points = [np.empty((0, dim), np.int64)]
+    for i, j in _batches(code, n):
         # g(Line.residual) of b's key rows against a = lines[i]
         u = (s[i] * g1[j] - r1[j, c1[i]] * t1[i] - r1[j, c2[i]] * t2[i]) % p
         w = (s[i] * g2[j] - r2[j, c1[i]] * t1[i] - r2[j, c2[i]] * t2[i]) % p
-        yield i, j, _scaled((r1[j] * w[:, None] - r2[j] * u[:, None]) % p, p)
+        points.append(_scaled((r1[j] * w[:, None] - r2[j] * u[:, None]) % p, p))
+    point = np.concatenate(points)
+    point = point[order := np.lexsort(point.T)]
+    return code[order], _bounds(np.diff(point, axis=0, prepend=-1).any(axis=1).cumsum())  # run ids
+
+
+def _confirmed(code: np.ndarray, starts: list[int], n: int, meet_of, on, found: dict):
+    """Entry arrays (``_ordered``) of the points where the pairs of codes
+    x * n + y meet, given sorted by residue point, the groups of equal ones
+    starting at ``starts`` (then the pair count), and of ``found``, points
+    known exactly mapped to sets of their lines.  Per group the first pair
+    meets exactly (``meet_of(x, y)``, None if the lines do not meet) and
+    ``on(m, point)`` checks every other line; if either fails, each pair
+    meets on its own.  Every pair through a point either is in a group
+    confirmed at it or meets there itself, so ``found``, keyed by the exact
+    point, merges all of its lines; it is emptied once they are listed."""
+    first, second = (code // n).tolist(), (code % n).tolist()
+    for a, b in zip(starts, starts[1:]):
+        x, y, members = first[a], second[a], {*first[a:b], *second[a:b]}
+        if (at := meet_of(x, y)) is not None and all(on(m, at) for m in members - {x, y}):
+            found.setdefault(at, set()).update(members)
+            continue
+        for x, y in zip(first[a:b], second[a:b]):
+            if (at := meet_of(x, y)) is not None:
+                found.setdefault(at, set()).update((x, y))
+    del first, second  # freed before the entry arrays are built, the step's peak
+    sizes = list(map(len, found.values()))
+    line = np.fromiter(chain.from_iterable(map(sorted, found.values())), np.int64, sum(sizes))
+    found.clear()  # and so are the points
+    return _ordered(np.repeat(np.arange(len(sizes)), sizes), line)
 
 
 def planar_buckets(triples) -> tuple[np.ndarray, np.ndarray]:
     """Entry arrays ``(group, line)``: the planar triples on each canonical
     cross product of two of them (points: the covectors of alignments; line
-    covectors: the points where lines meet), groups ascending by their two
-    smallest positions, which no two share.  One element twice: ValueError.
+    covectors: the points where lines meet).  One element twice: ValueError.
 
     Pairs group by the cross product of their primitive residues mod
-    ``PRIME``.  Distinct elements always meet, so a one-pair group is exact,
-    and a larger one is if its members lie on its first pair's exact cross
-    product; else, and for zero residues, pairs are crossed one by one.
-    Those points have no one-pair group (a, b): a third element on one has a
-    nonzero residue independent of a's or b's, giving the key of (a, b)."""
+    ``PRIME``.  Distinct elements always meet, so a one-pair group of a
+    nonzero residue is exact: a third element on its point has a nonzero
+    residue independent of a's or b's, giving some pair the key of (a, b).
+    The other groups go to ``_confirmed``, with ``covector_2d`` and an
+    integer dot product."""
     n, p = len(triples), PRIME
     if n < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     rows = canonical_rows(int_array(triples).reshape(n, 3))
+    if has_duplicate_rows(rows):
+        raise ValueError("one projective element twice")
     r, pack, triples = residues(rows, p), np.array([p * p, p, 1]), rows.tolist()
     pair = np.concatenate(list(_tile_pairs(n)))
-    ij = (np.divmod(batch, n) for batch in _batched([pair]))  # the batches of d >= 3
     # scaled to (1, x, y), (0, 1, y) or (0, 0, 1), or zero: a unique key below 2p^2 < 2^61
-    key = np.concatenate([_scaled(np.cross(r[i], r[j]) % p, p) @ pack for i, j in ij])
+    batches = _batches(pair, n)
+    key = np.concatenate([_scaled(np.cross(r[i], r[j]) % p, p) @ pack for i, j in batches])
     key, pair = key[order := np.argsort(key)], pair[order]
     bounds = np.array(_bounds(key))
     one = (np.diff(bounds) == 1) & (key[bounds[:-1]] != 0)
-    exact: dict[tuple[int, ...], set[int]] = {}  # exact point -> positions
-    for a, b in zip(bounds[:-1][~one].tolist(), bounds[1:][~one].tolist()):
-        i, j = (pair[a:b] // n).tolist(), (pair[a:b] % n).tolist()
-        at = covector_2d(triples[i[0]], triples[j[0]]) if key[a] else None
-        if at and all(not sum(x * y for x, y in zip(triples[m], at)) for m in {*i, *j}):
-            exact.setdefault(at, set()).update(i, j)
-        else:  # cross the pairs one by one
-            for x, y in zip(i, j):
-                exact.setdefault(covector_2d(triples[x], triples[y]), set()).update((x, y))
-    code = np.sort(pair[bounds[:-1][one]])  # one-pair groups, i * n + j
-    groups = sorted(sorted(m) for m in exact.values())
-    at, sizes = np.searchsorted(code, [g[0] * n + g[1] for g in groups]), list(map(len, groups))
-    line = np.stack(np.divmod(code, n), 1).ravel()
-    line = np.insert(line, np.repeat(2 * at, sizes), list(chain.from_iterable(groups)))
-    size = np.insert(np.full(len(code), 2), at, sizes)
-    return np.repeat(np.arange(len(size), dtype=np.int64), size), line
+    many = np.repeat(~one, np.diff(bounds))
+    cross = lambda x, y: covector_2d(triples[x], triples[y])  # noqa: E731
+    on = lambda m, at: not sum(x * y for x, y in zip(triples[m], at))  # noqa: E731
+    group, line = _confirmed(pair[many], _bounds(key[many]), n, cross, on, {})
+    code = pair[bounds[:-1][one]]  # one-pair groups, i * n + j
+    group = np.concatenate((np.repeat(np.arange(len(code)), 2), group + len(code)))
+    return _ordered(group, np.concatenate((np.stack(np.divmod(code, n), 1).ravel(), line)))
 
 
 def concurrence_buckets(
     keys: np.ndarray, pivots: np.ndarray, classes: Sequence[tuple[int, ProjPoint | None]] = ()
-) -> list[list[int]]:
-    """The sorted positions of the lines in d >= 3, given by their (L, 2,
-    d + 1) keys and (L, 2) pivots (``exactgeom.line_keys``), through each
-    point where two or more of them meet, in first-meeting pair order:
-    ascending by the two smallest positions of lines through the point.
-    ``classes`` gives the leading lines' classes in order as (size, center
-    or None).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entry arrays ``(group, line)`` of the lines in d >= 3, given by their
+    (L, 2, d + 1) keys and (L, 2) pivots (``exactgeom.line_keys``), through
+    each point where two or more of them meet.  ``classes`` gives the
+    leading lines' classes in order as (size, center or None).
 
     A class whose center is on all of its two or more lines is one group
     there, and its pairs are not tested: two distinct lines share at most
@@ -297,19 +320,18 @@ def concurrence_buckets(
     dual columns) proves the pair skew.  Other pairs get the point
     g(w)*s1 - g(u)*s2 (b's key rows s1, s2, their residuals u, w against
     a, a fixed pseudo-random functional g): lines meeting at l*s1 + m*s2
-    have l*u + m*w = 0, so it is a multiple of the meet.  Points scaled to
-    a leading 1 are grouped by sorting; per group two lines meet exactly
-    and ``Line.contains`` checks the others, or the pairs go to exact meets
-    one by one, on ``Line`` objects spanned by the key rows.  Overflow:
-    residues are below p < 2^30, products of two below 2^60, and no int64
-    sum has more than six of them (< 6 * 2^60 < 2^63).  Identical lines
-    raise ValueError, as ``meet`` does.
+    have l*u + m*w = 0, so it is a multiple of the meet.  The candidates of
+    all tiles, sorted by their points scaled to a leading 1, go to
+    ``_confirmed``, with ``meet`` and ``Line.contains`` on ``Line`` objects
+    spanned by the key rows.  Overflow: residues are below p < 2^30,
+    products of two below 2^60, and no int64 sum has more than six of them
+    (< 6 * 2^60 < 2^63).  Identical lines raise ValueError, as ``meet`` does.
     """
     n = len(keys)
     if has_duplicate_rows(keys):
         raise ValueError("meet of identical lines is undefined")
     if n < 2:
-        return []
+        return np.empty(0, np.int64), np.empty(0, np.int64)
     lines = _lines(keys, keys, pivots)  # each spanned by its key rows
     found: dict[ProjPoint, set[int]] = {}
     label, start = -1 - np.arange(n), 0  # equal labels: a pair on a known center
@@ -318,26 +340,9 @@ def concurrence_buckets(
         if size >= 2 and center is not None and all(lines[m].contains(center) for m in at):
             found.setdefault(center, set()).update(at)
             label[at] = c
-    groups: dict[bytes, set[int]] = {}  # residue point -> lines
-    for i, j, point in _candidates(keys, pivots, PRIME, label):  # zero points: a group of their own
-        order = np.lexsort(point.T)
-        point, first, second = point[order], i[order].tolist(), j[order].tolist()
-        starts = np.flatnonzero(np.diff(point, axis=0, prepend=-1).any(axis=1)).tolist()
-        for a, b, key in zip(starts, starts[1:] + [len(first)], map(bytes, point[starts])):
-            groups.setdefault(key, set()).update(first[a:b], second[a:b])
-    pending: list[tuple[int, int]] = []  # pairs to meet one by one
-    while groups:  # popped, so residue groups and exact points do not pile up
-        x, y, *rest = members = groups.popitem()[1]
-        at = meet(lines[x], lines[y])
-        if at is not None and all(lines[m].contains(at) for m in rest):
-            found.setdefault(at, members).update(members)
-        elif rest:  # a skew pair, a lost point, or two points in one residue class
-            pending += combinations(sorted(members), 2)
-    for x, y in pending:
-        if (at := meet(lines[x], lines[y])) is not None:
-            found.setdefault(at, set()).update((x, y))
-    # two points share at most one line, so their two smallest lines differ
-    return sorted(map(sorted, found.values()))
+    meet_of = lambda x, y: meet(lines[x], lines[y])  # noqa: E731
+    on = lambda m, at: lines[m].contains(at)  # noqa: E731
+    return _confirmed(*_candidates(keys, pivots, PRIME, label), n, meet_of, on, found)
 
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
@@ -346,9 +351,8 @@ def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
     their lines meet; in the plane (``planar_buckets``), by the canonical cross
     product of the lines' covectors, the cross products of their endpoint rows."""
     if cfg.d != 2:
-        groups = concurrence_buckets(cfg.keys, cfg.pivots, list(zip(cfg.sizes, cfg.centers)))
-        meet_of = lambda i, j: meet(cfg.line(i), cfg.line(j))  # noqa: E731
-        return IncidenceStructure.from_groups(groups, cfg.sizes, meet_of)
+        entries = concurrence_buckets(cfg.keys, cfg.pivots, list(zip(cfg.sizes, cfg.centers)))
+        return IncidenceStructure(cfg.sizes, *entries, lambda i, j: meet(cfg.line(i), cfg.line(j)))
     cov = cross_rows(cfg.ends[:, 0], cfg.ends[:, 1])
     rows, point = cov.tolist(), ProjPoint.canonical
     return IncidenceStructure(

@@ -93,15 +93,6 @@ class ProjectionResult:
     new_crossings: int  # two-line groups of a planar image that no source group has
 
 
-def _inner_pairs(s: IncidenceStructure, total: int) -> np.ndarray:
-    """i * total + j for every two lines i < j sharing a group of s."""
-    n = s.group.size
-    later = np.searchsorted(s.group, s.group, "right") - np.arange(n) - 1  # entries after each
-    left = np.repeat(np.arange(n), later)
-    right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
-    return s.line[left] * total + s.line[right]
-
-
 def _audit_projection(
     before: IncidenceStructure, after: IncidenceStructure, d: int
 ) -> tuple[bool, int]:
@@ -116,7 +107,7 @@ def _audit_projection(
     starts = np.flatnonzero(np.diff(after.group, prepend=-1))
     two = starts[np.diff(starts, append=after.group.size) == 2]  # first entries of pairs
     pairs = after.line[two] * total + after.line[two + 1]
-    new = after.group[two[~np.isin(pairs, _inner_pairs(before, total))]]
+    new = after.group[two[~np.isin(pairs, before.inner_pairs())]]
     kept = ~np.isin(after.group, new)
     same = np.array_equal(after.line[kept], before.line) and np.array_equal(
         np.diff(after.group[kept]) > 0, np.diff(before.group) > 0

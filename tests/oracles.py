@@ -41,8 +41,15 @@ nullspace: the reference for the cross products of ``planar_buckets``
 behind ``extract_alignments``, witness order included.
 ``set_audit_projection`` is the projection audit on monomial sets of
 frozensets: the reference for the array audit of ``project_generic``.
+``entries`` builds the entry arrays of groups of line positions from
+sorted lists, the reference for the structure's ordering rule;
 ``structure_of`` builds a structure from groups of refs, and
 ``random_structure`` random ones for the core comparisons.
+``concurrency_center`` meets a class's first two lines and checks the
+rest, and ``with_computed_centers`` records those centers: the reference
+for the class centers the 4x3 generators read off their structure.
+``loop_bipartite_edges`` meets every cross pair of two families: the
+reference for the structure's intersection graph in ``bipartite_edges``.
 ``dense_deletion`` (the whole n^(k+1) coverage cube) and
 ``sparse_deletion`` (a dict of covered points, line by line) are the
 references for the bit-packed deletion, ``dense_trial_stats`` (whole n^(k+1) count and coverage cubes)
@@ -520,6 +527,14 @@ def loop_alignments(classes: Sequence[Sequence[ProjPoint]]) -> dict[tuple[int, .
     return line_map
 
 
+def entries(groups: Iterable[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 entry arrays ``(group, line)`` of groups of line positions:
+    each group as a sorted list, the groups in ``sorted`` order of those lists."""
+    groups = sorted(map(sorted, groups))
+    line = np.array([m for g in groups for m in g], np.int64)
+    return np.repeat(np.arange(len(groups), dtype=np.int64), list(map(len, groups))), line
+
+
 def structure_of(
     monomials: Iterable[Collection[tuple[int, int]]], class_sizes: Sequence[int]
 ) -> IncidenceStructure:
@@ -527,8 +542,40 @@ def structure_of(
     witness of a group is the tuple of its first two line positions (one
     for a group of one line)."""
     first = [0, *accumulate(class_sizes)]
-    groups = [sorted(first[c - 1] + i for c, i in m) for m in monomials]
-    return IncidenceStructure.from_groups(groups, class_sizes, lambda *first: first)
+    groups = [[first[c - 1] + i for c, i in m] for m in monomials]
+    return IncidenceStructure(tuple(class_sizes), *entries(groups), lambda *first: first)
+
+
+def concurrency_center(lines: Sequence[Line]) -> ProjPoint | None:
+    """Common point of a class of >= 2 lines, or None if not concurrent."""
+    center = meet(lines[0], lines[1]) if len(lines) >= 2 else None
+    if center is not None and all(ln.contains(center) for ln in lines[2:]):
+        return center
+    return None
+
+
+def with_computed_centers(cfg: ColoredLineConfig) -> ColoredLineConfig:
+    """``cfg`` with the ``concurrency_center`` of each class recorded."""
+    centers = [concurrency_center(cls) for cls in cfg.classes]
+    return ColoredLineConfig.from_ends(cfg.d, cfg.ends, cfg.sizes, centers)
+
+
+def loop_bipartite_edges(A: Sequence[Line], B: Sequence[Line]):
+    """(edge count, K_{3,3} witness or None) of the intersection graph of two
+    line families, one exact ``meet`` per cross pair: the first three A lines
+    in ``combinations`` order with three common neighbors, and the three
+    smallest of those."""
+    masks = []
+    for a in A:
+        if any(a.key == b.key for b in B):
+            raise ValueError("families share a line")
+        masks.append(sum(1 << j for j, b in enumerate(B) if meet(a, b) is not None))
+    for i, j, l in combinations([i for i, m in enumerate(masks) if m.bit_count() >= 3], 3):
+        common = masks[i] & masks[j] & masks[l]
+        if common.bit_count() >= 3:
+            bs = [b for b in range(len(B)) if common >> b & 1][:3]
+            return sum(m.bit_count() for m in masks), ((i, j, l), tuple(bs))
+    return sum(m.bit_count() for m in masks), None
 
 
 def random_structure(seed: int, m: int, rainbow: bool) -> IncidenceStructure:

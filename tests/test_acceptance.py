@@ -20,7 +20,6 @@ from incidencelab.analysis import (
     minimality_audit,
     monte_carlo,
 )
-from incidencelab.configs import concurrency_center
 from incidencelab.constructions import (
     AlgebraicParams,
     ProbParams,
@@ -46,7 +45,13 @@ from incidencelab.transforms import (
     project_generic,
     undualize,
 )
-from oracles import GridLine, embed_grid_line, grid_meet, point_enumeration_incidences
+from oracles import (
+    GridLine,
+    concurrency_center,
+    embed_grid_line,
+    grid_meet,
+    point_enumeration_incidences,
+)
 from test_gridmodel import grid_point_incidences
 
 

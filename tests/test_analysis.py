@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from incidencelab.analysis import (
     TABLE_I,
@@ -32,7 +32,13 @@ from incidencelab.exactgeom import Line, ProjPoint
 from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import extract_structure_lines
 from incidencelab.transforms import lift_to_concurrent, project_generic
-from oracles import GridLine, grid_config, loop_flatness_audit, structure_of
+from oracles import (
+    GridLine,
+    grid_config,
+    loop_bipartite_edges,
+    loop_flatness_audit,
+    structure_of,
+)
 from test_structure import line_lists
 
 
@@ -300,3 +306,33 @@ class TestBipartite:
         A = gen_two_slit(1, slits, 20, seed=8)
         B = gen_two_slit(2, slits, 20, seed=8)
         assert bipartite_edges(A, B).k33 is None
+
+    @settings(max_examples=60, deadline=None)
+    @example(quadric=False, counts=(0, 0), rulings=0, seeds=(0, 0))
+    @example(quadric=True, counts=(0, 0), rulings=0, seeds=(0, 0))
+    @given(
+        quadric=st.booleans(),
+        counts=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+        rulings=st.integers(0, 4),
+        seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    )
+    def test_matches_loop(self, quadric, counts, rulings, seeds):
+        # the same edges and K_{3,3} witness as one meet per cross pair;
+        # added rulings of opposite families meet, so K_{3,3} occurs
+        slits = quadric_ruling_slits() if quadric else default_generic_slits()
+        families = []
+        for which, count, seed in zip((1, 2), counts, seeds):
+            extra = [quadric_ruling(3 - which, (1, t)) for t in range(3, 3 + rulings)]
+            lines = gen_two_slit(which, slits, count, seed) + extra
+            families.append(list({line.key: line for line in lines}.values()))
+        A, B = families
+        if {line.key for line in A} & {line.key for line in B}:
+            with pytest.raises(ValueError):
+                loop_bipartite_edges(A, B)
+            with pytest.raises(ValueError):
+                bipartite_edges(A, B)
+            return
+        rep = bipartite_edges(A, B)
+        assert (rep.edges, rep.k33) == loop_bipartite_edges(A, B)
+        if rulings >= 3:
+            assert rep.k33 is not None

@@ -16,7 +16,7 @@ from incidencelab import cli, configs, exactgeom, gridmodel, render, transforms
 from incidencelab.cli import main
 from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import IncidenceStructure
-from oracles import dump_json, fraction_canonical_ints, fraction_xy
+from oracles import dump_json, entries, fraction_canonical_ints, fraction_xy
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -522,6 +522,29 @@ class TestTransformAnalyze:
         assert out["match_structure"]["found"] is True
         assert len(out["structure"]["colorful_triples"]) == 12
 
+    @pytest.mark.parametrize("model", ["lines", "grid"])
+    @pytest.mark.parametrize("colors", [26, 27])
+    def test_analyze_structure_names_at_most_26_colors(self, workdir, capsys, model, colors):
+        # one letter a..z per color: past z, one error line, not a traceback
+        if model == "lines":  # lines through the origin, one per class
+            origin = ["0", "0", "0", "1"]
+            ends = [{"p": origin, "q": ["1", str(c), str(c * c), "1"]} for c in range(colors)]
+            classes = [{"color": c, "lines": [line]} for c, line in enumerate(ends, start=1)]
+            data = {"model": "lines", "d": 3, "classes": classes}
+        else:  # lines of [3]^3, one per class
+            bases = [(a, [x, y]) for a in (1, 2, 3) for x in (1, 2, 3) for y in (1, 2, 3)]
+            classes = [{"color": c, "axis": a, "bases": [b]} for c, (a, b) in enumerate(bases, 1)]
+            data = {"model": "grid", "k": 2, "n": 3, "classes": classes[:colors]}
+        (workdir / "c.json").write_text(json.dumps(data))
+        rc = run(["analyze", "c.json", "--structure"])
+        out, err = capsys.readouterr()
+        if colors == 26:
+            assert (rc, err) == (0, "")
+            assert any("z1" in name for name in json.loads(out)["structure"]["monomials"])
+        else:
+            assert (rc, out) == (2, "")
+            assert err == "error: --structure names at most 26 colors, a to z, not 27\n"
+
     def test_analyze_monte_carlo_csv(self, workdir, capsys):
         rc = run(
             [
@@ -707,7 +730,7 @@ class TestTransformAnalyze:
             monkeypatch.setattr(
                 transforms,
                 "extract_structure_lines",
-                lambda cfg: IncidenceStructure.from_groups([], cfg.class_sizes()),
+                lambda cfg: IncidenceStructure(cfg.class_sizes(), *entries([])),
             )
         assert run(argv) == 2
         err = capsys.readouterr().err

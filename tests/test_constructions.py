@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incidencelab.cli import _dump_json
-from incidencelab.configs import concurrency_center
 from incidencelab.constructions import (
     AlgebraicParams,
     SELECTION_CHUNK,
@@ -48,6 +47,7 @@ from oracles import (
     GridLine,
     closure_shift,
     colorful_point_exists,
+    concurrency_center,
     decoded,
     dense_deletion,
     dense_trial_stats,
@@ -56,6 +56,7 @@ from oracles import (
     rank_of_directions,
     six_fold_map,
     sparse_deletion,
+    with_computed_centers,
 )
 
 
@@ -613,6 +614,13 @@ class TestSearchDeterminism:
 
         assert gen_desargues() == desargues
         assert gen_reye() == reye
+
+    def test_centers_are_the_class_meets(self, desargues, reye):
+        # read off the structure: one group holding a whole class gives its center
+        assert desargues == with_computed_centers(desargues)
+        assert reye == with_computed_centers(reye)
+        assert sum(c is not None for c in desargues.centers) == 1
+        assert reye.centers == (None,) * 4
 
 
 class TestReye:

@@ -19,7 +19,6 @@ from incidencelab.gridmodel import (
 )
 from incidencelab.transforms import lift_to_concurrent, project_generic
 from incidencelab.structure import (
-    IncidenceStructure,
     concurrence_buckets,
     extract_alignments,
     extract_structure_grid,
@@ -27,6 +26,8 @@ from incidencelab.structure import (
     structure_consistency,
 )
 from oracles import (
+    decoded,
+    entries,
     key_arrays,
     line_covector_2d,
     loop_alignments,
@@ -35,9 +36,10 @@ from oracles import (
     loop_max_colorful,
     loop_planar_buckets,
     loop_removable,
+    point_enumeration_incidences,
     random_structure,
 )
-from test_gridmodel import orders, random_config
+from test_gridmodel import mixed_config, orders, random_config
 
 
 def line2(a, b):
@@ -100,6 +102,50 @@ class TestExtraction:
         assert len(directions) == 3  # one parallel class per axis
         for m in directions:
             assert len({c for c, _ in m}) == 1
+
+
+@st.composite
+def line_groups(draw):
+    """0..12 groups of 2..6 of up to 30 lines that pairwise share at most
+    one line, as a configuration's points do, under shuffled labels."""
+    n = draw(st.integers(2, 30))
+    groups: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 12))):
+        g = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=6, unique=True))
+        if all(len(set(g) & set(h)) <= 1 for h in groups):
+            groups.append(g)
+    label = draw(st.permutations(range(n)))
+    return [[label[m] for m in g] for g in groups]
+
+
+class TestOrderingRule:
+    """The one order of every structure's groups (``structure._ordered``)
+    against the oracle builder, ``sorted`` lists of sorted lists."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(groups=line_groups(), data=st.data())
+    def test_groups_sharing_at_most_one_line(self, groups, data):
+        groups = data.draw(st.permutations(groups))
+        runs = data.draw(st.permutations(range(3 * len(groups))))[: len(groups)]  # any run labels
+        group = np.repeat(np.array(runs, np.int64), list(map(len, groups)))
+        line = np.array([m for g in groups for m in sorted(g)], np.int64)
+        assert_same_entries(structure._ordered(group, line), entries(groups))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(2, 4), n=st.integers(2, 4), seed=st.integers(0, 10**6))
+    def test_grid_with_mixed_axis_classes(self, k, n, seed):
+        # an axis group's lines are not contiguous in class order
+        rng = random.Random(seed)
+        cfg = mixed_config(rng, k, n, rng.randint(1, 4), rng.randint(1, 3))
+        first = np.cumsum([0, *cfg.class_sizes()]).tolist()  # the position of each class's line 0
+        points = point_enumeration_incidences(cfg).values()
+        groups = [[first[c - 1] + i for c, i in refs] for refs in points]
+        axes = [line.axis for cls in decoded(cfg) for line in cls]  # in class order
+        for axis in range(1, k + 2):
+            on = [m for m, a in enumerate(axes) if a == axis]
+            groups += [on] if len(on) >= 2 else []
+        s = extract_structure_grid(cfg)
+        assert_same_entries((s.group, s.line), entries(groups))
 
 
 class TestStructureConsistency:
@@ -262,12 +308,17 @@ def line_lists(draw, dims=st.integers(2, 5)):
 
 
 def buckets(lines, classes=()):
-    """The kernel's groups of lines: ``planar_buckets`` of their covectors in
-    the plane, else ``concurrence_buckets`` of their key arrays."""
+    """The kernel's entry arrays: ``planar_buckets`` of the lines' covectors
+    in the plane, else ``concurrence_buckets`` of their key arrays."""
     if lines and lines[0].ambient_dim == 2:
-        group, line = structure.planar_buckets([line_covector_2d(line) for line in lines])
-        return [part.tolist() for part in np.split(line, structure._bounds(group)[1:-1])] if len(line) else []
+        return structure.planar_buckets([line_covector_2d(line) for line in lines])
     return concurrence_buckets(*key_arrays(lines), classes)
+
+
+def assert_same_entries(got, expected):
+    """Equal int64 ``(group, line)`` entry arrays."""
+    assert [part.dtype for part in got] == [np.dtype(np.int64)] * 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def assert_kernel_matches_loop(lines, classes=None):
@@ -284,8 +335,7 @@ def assert_kernel_matches_loop(lines, classes=None):
             buckets(lines, classes)
         assert len({line.key for line in lines}) < len(lines)
         return
-    got = buckets(lines, classes)
-    assert got == [sorted(m) for _, m in expected]
+    assert_same_entries(buckets(lines, classes), entries(m for _, m in expected))
     if not lines:
         return
     parts = np.split(np.array(lines, object), np.cumsum([size for size, _ in classes])[:-1])
@@ -375,7 +425,8 @@ class TestConcurrenceKernel:
         with_centers = concurrence_buckets(keys, pivots, classes)
         skipped = sum(rows)
         rows.clear()
-        assert concurrence_buckets(keys, pivots, [(size, None) for size, _ in classes]) == with_centers
+        without = concurrence_buckets(keys, pivots, [(size, None) for size, _ in classes])
+        assert_same_entries(without, with_centers)
         assert sum(rows) - skipped == 4 * (243 * 242 // 2)  # every same-class pair
 
     @pytest.mark.parametrize("chunk", [1, 7])  # tiles of side 1 and 7 over the 128 lines
@@ -386,8 +437,9 @@ class TestConcurrenceKernel:
 
     def test_no_lines_and_one_line(self):
         line = Line.through_affine((0, 0, 0), (1, 1, 1))
-        assert concurrence_buckets(*key_arrays([])) == [] and loop_concurrence_buckets([]) == {}
-        assert concurrence_buckets(*key_arrays([line])) == []
+        assert_same_entries(concurrence_buckets(*key_arrays([])), entries([]))
+        assert loop_concurrence_buckets([]) == {}
+        assert_same_entries(concurrence_buckets(*key_arrays([line])), entries([]))
         assert loop_concurrence_buckets([line]) == {}
 
     def test_identical_lines(self):
@@ -452,11 +504,11 @@ class TestConcurrenceKernel:
         lifted = lift_to_concurrent(algebraic_3_3, audit=False)[0]
         tracemalloc.start()
         try:
-            groups = concurrence_buckets(lifted.keys, lifted.pivots)
+            group, _ = concurrence_buckets(lifted.keys, lifted.pivots)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(groups) == 2434
+        assert group[-1] + 1 == 2434
         assert peak < 32 * 2**20
 
 
@@ -499,7 +551,7 @@ class TestPlanarKernel:
     @given(triples=planar_triples())
     def test_matches_loop(self, prime, chunk, triples):
         try:
-            expected = IncidenceStructure.from_groups(loop_planar_buckets(triples), [len(triples)])
+            expected = entries(loop_planar_buckets(triples))
         except ValueError:
             expected = None
         with pytest.MonkeyPatch.context() as mp:
@@ -509,9 +561,8 @@ class TestPlanarKernel:
                 with pytest.raises(ValueError):
                     structure.planar_buckets(triples)
                 return
-            group, line = structure.planar_buckets(triples)
-        assert group.dtype == line.dtype == np.int64
-        assert IncidenceStructure((len(triples),), group, line) == expected
+            got = structure.planar_buckets(triples)
+        assert_same_entries(got, expected)
 
     def test_few_exact_cross_products_on_alg_3_3(self, planar_3_3, monkeypatch):
         calls = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from incidencelab.analysis import parse_monomial
-from incidencelab.configs import ColoredLineConfig, concurrency_center
+from incidencelab.configs import ColoredLineConfig
 from incidencelab.exactgeom import Line, ProjPoint, meet
 from incidencelab.structure import (
     extract_alignments,
@@ -23,6 +23,7 @@ from incidencelab.transforms import (
 )
 from oracles import (
     GridLine,
+    concurrency_center,
     grid_config,
     set_audit_projection,
     structure_of,
