@@ -47,6 +47,8 @@ def _key(key) -> str:
 def _encode(obj, indent: str, out: list[str]) -> None:
     """Append the pieces of ``obj``, as ``json.dumps(obj, indent=2,
     sort_keys=True)`` writes it at ``indent``, to ``out``."""
+    if isinstance(obj, configs.DecimalRows):  # a tuple
+        return _encode_rows(obj.rows, indent, out, '"%d"')
     if not isinstance(obj, (dict, list, tuple)):
         try:
             out.append(_scalar(obj))
@@ -75,21 +77,29 @@ def _encode(obj, indent: str, out: list[str]) -> None:
     out[-1] = "\n" + indent + "]"
 
 
-def _encode_rows(rows: np.ndarray, indent: str, out: list[str]) -> None:
-    """A 2-d integer array as its ``tolist()``: one printf-style format of
-    a row template repeated per row ("%d" writes an int with no str)."""
-    inner = indent + "  "
-    sep = ",\n" + inner
-    row = "[\n" + inner + "  " + (sep + "  ").join(["%d"] * rows.shape[1]) + "\n" + inner + "]"
-    body = sep.join([row if rows.shape[1] else "[]"] * len(rows)) % tuple(rows.ravel().tolist())
+def _template(parts: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON list (or object) of ``parts`` at ``indent``, as ``json`` writes one."""
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(parts) + "\n" + indent + brackets[1]
+
+
+def _encode_rows(rows: np.ndarray, indent: str, out: list[str], slot="%d") -> None:
+    """Integer rows as their ``tolist()`` (entries by ``slot``: '"%d"' writes
+    decimal strings; (m, 2, D) rows as ``{"p": ..., "q": ...}`` objects):
+    one printf-style format of a row template repeated per row."""
+    inner, width = indent + "  ", rows.shape[-1]
+    row = _template([slot] * width, inner + "  " * (rows.ndim - 2)) if width else "[]"
+    if rows.ndim == 3:
+        row = _template(['"p": ' + row, '"q": ' + row], inner, "{}")
+    body = (",\n" + inner).join([row] * len(rows)) % tuple(rows.ravel().tolist())
     out.extend(("[\n" + inner, body, "\n" + indent + "]") if len(rows) else ("[]",))
 
 
 def _dump_json(data) -> str:
     """The bytes of ``json.dumps(data, indent=2, sort_keys=True)`` and a
-    newline, a 2-d integer array written as its ``tolist()``: dicts, lists
-    and arrays are walked here, scalars go to ``json``'s C encoder (which
-    ``json`` itself uses only without ``indent``)."""
+    newline, arrays written as their ``tolist()``: containers are walked
+    here, scalars go to ``json``'s C encoder (``json`` uses it only without
+    ``indent``)."""
     out: list[str] = []
     _encode(data, "", out)
     out.append("\n")

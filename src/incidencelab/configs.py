@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,15 +224,22 @@ def embed_grid_config(cfg: gridmodel.ColoredGridConfig) -> ColoredLineConfig:
     return ColoredLineConfig.from_ends(cfg.k + 1, ends, [len(c) for c in cfg.ids], centers)
 
 
-def _strings(rows: np.ndarray, sizes: Sequence[int]) -> tuple[tuple, ...]:
-    """Integer rows as lists of decimal strings, cut into classes of ``sizes``."""
-    return _split(rows.astype(str).tolist(), sizes)
+class DecimalRows(NamedTuple):
+    """Integer rows a file holds as lists of decimal strings: (m, D) points,
+    or (m, 2, D) lines as ``{"p": ..., "q": ...}`` objects; ``cli`` writes
+    them through one row template."""
+
+    rows: np.ndarray
+
+
+def _cut(rows: np.ndarray, sizes: Sequence[int]) -> list[DecimalRows]:
+    return [DecimalRows(rows[a - b : a]) for a, b in zip(np.cumsum(sizes).tolist(), sizes)]
 
 
 def lines_to_json(cfg: ColoredLineConfig) -> dict:
     classes = []
-    for color, (cls, center) in enumerate(zip(_strings(cfg.ends, cfg.sizes), cfg.centers), 1):
-        entry: dict = {"color": color, "lines": [{"p": p, "q": q} for p, q in cls]}
+    for color, (cls, center) in enumerate(zip(_cut(cfg.ends, cfg.sizes), cfg.centers)):
+        entry: dict = {"color": color + 1, "lines": cls}
         if center is not None:
             entry["center"] = center.to_strings()
         classes.append(entry)
@@ -292,8 +299,8 @@ def dual_to_json(cfg: DualPointConfig) -> dict:
     return {
         "model": "points",
         "classes": [
-            {"color": color, "points": list(cls)}
-            for color, cls in enumerate(_strings(cfg.coords, cfg.sizes), start=1)
+            {"color": color, "points": cls}
+            for color, cls in enumerate(_cut(cfg.coords, cfg.sizes), start=1)
         ],
     }
 

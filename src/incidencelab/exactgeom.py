@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -36,8 +36,9 @@ import numpy as np
 
 Rational = int | Fraction
 
-# The largest prime below 2^30: a product of two residues is below 2^60.
-PRIME = 2**30 - 35
+# The twelve largest primes below 2^30, PRIME first: products of two residues are below 2^60.
+PRIMES = tuple(2**30 - d for d in (35, 41, 83, 101, 105, 107, 135, 153, 161, 173, 203, 257))
+PRIME = PRIMES[0]
 _ASCII_INT = re.compile(r"-?[0-9]+")
 
 
@@ -186,6 +187,13 @@ def residues(rows, p: int) -> np.ndarray:
     """An integer array (or nested lists) reduced mod p, as int64 residues in [0, p)."""
     rows = rows if isinstance(rows, np.ndarray) else int_array(rows)
     return (rows % p).astype(np.int64)
+
+
+def primes_above(bits: int) -> tuple[int, ...] | None:
+    """The fewest leading ``PRIMES``, so ``PRIME`` first, whose product
+    exceeds 2^bits (None if all fall short): an integer below 2^(bits - 1)
+    that is 0 modulo each is 0."""
+    return next((PRIMES[:r] for r in range(1, len(PRIMES) + 1) if prod(PRIMES[:r]) >> bits), None)
 
 
 def key_ranks(keys: np.ndarray, groups: np.ndarray, cap: int) -> np.ndarray:

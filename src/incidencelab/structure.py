@@ -23,9 +23,11 @@ line through two points, or the point where two lines meet); in d >= 3
 (``concurrence_buckets``, on a configuration's key and pivot arrays) skew
 pairs are certified in bulk and the others grouped by their meeting
 point.  One exact step (``_confirmed``) turns the residue groups of both
-into entry arrays, and the ordering rule orders every structure's groups,
-grid structures too, whose shared axis directions, one group each, grid
-verifiers never count.
+into entry arrays, deciding them on residues mod a few ``exactgeom.PRIMES``
+(each kernel states its bound) and meeting pairs exactly only where that
+fails; the ordering rule orders every structure's groups, grid structures
+too, whose shared axis directions, one group each, grid verifiers never
+count.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ from .exactgeom import (
     cross_rows,
     has_duplicate_rows,
     int_array,
+    magnitude,
     meet,
+    primes_above,
     residues,
 )
 from .gridmodel import (
@@ -180,6 +184,12 @@ def _scaled(rows: np.ndarray, p: int) -> np.ndarray:
     return np.remainder(rows, p, out=rows)
 
 
+def _keyed(points: list, p: int, width: int) -> np.ndarray:
+    """Exact primitive points (so nonzero mod p) scaled as ``_scaled`` scales rows."""
+    rows = residues(points, p).reshape(len(points), width)
+    return rows * _inverse(rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)], p)[:, None] % p
+
+
 def _tile_pairs(n: int, keep=None) -> Iterator[np.ndarray]:
     """Per tile of side min(TILE, n), the codes i * n + j of its pairs i < j
     where ``keep(rows, cols)`` holds if given (a bool block; None skips it)."""
@@ -201,13 +211,12 @@ def _batches(code: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]
     return (np.divmod(code[at : at + 16 * TILE], n) for at in range(0, len(code), 16 * TILE))
 
 
-def _candidates(keys: np.ndarray, pivots: np.ndarray, p: int, label: np.ndarray):
-    """The codes i * L + j of the pairs (i, j > i) of the L lines not
-    certified skew, less those of equal ``label``s, sorted by their points,
-    and the starts of the runs of equal points, then the pair count."""
-    n = len(keys)
-    r1, r2 = residues(keys[:, 0], p), residues(keys[:, 1], p)
-    dim, (c1, c2), at = r1.shape[1], pivots.T, np.arange(n)
+def _candidates(r: np.ndarray, pivots: np.ndarray, p: int, label: np.ndarray):
+    """The codes i * L + j of the pairs (i, j > i) of the L lines (key
+    residues r mod p) not certified skew, less those of equal ``label``s, and
+    their points mod p scaled to a leading 1."""
+    n, dim = r.shape[0], r.shape[2]
+    r1, r2, (c1, c2), at = r[:, 0], r[:, 1], pivots.T, np.arange(n)
     # X = [I | E] and g are fixed and pseudo-random; see concurrence_buckets
     e = residues([[mix64(r * dim + c) for c in range(dim - 4)] for r in range(4)], p)
     g = residues([[mix64(4 * dim + c) for c in range(dim)]], p)[0]
@@ -237,35 +246,73 @@ def _candidates(keys: np.ndarray, pivots: np.ndarray, p: int, label: np.ndarray)
         u = (s[i] * g1[j] - r1[j, c1[i]] * t1[i] - r1[j, c2[i]] * t2[i]) % p
         w = (s[i] * g2[j] - r2[j, c1[i]] * t1[i] - r2[j, c2[i]] * t2[i]) % p
         points.append(_scaled((r1[j] * w[:, None] - r2[j] * u[:, None]) % p, p))
-    point = np.concatenate(points)
-    point = point[order := np.lexsort(point.T)]
-    return code[order], _bounds(np.diff(point, axis=0, prepend=-1).any(axis=1).cumsum())  # run ids
+    return code, np.concatenate(points)
 
 
-def _confirmed(code: np.ndarray, starts: list[int], n: int, meet_of, on, found: dict):
+def _residual(s, ab, pivots, free, m, v, q) -> np.ndarray:
+    """Coordinates of ``Line.residual`` of residue rows v (Q, E, D) against
+    the lines at positions m, mod each of the Q moduli q, at the lines' free
+    (non-pivot) columns ``free[m]``, where alone it may be nonzero.  s = p1
+    * p2 (Q, L) and ab = (p2 * r1, p1 * r2) at the free columns (Q, L, 2, D
+    - 2) are residues, so a coordinate is three products of two residues:
+    an int64 sum in (-2^61, 2^60)."""
+    get = lambda a, i: np.take_along_axis(a, i[None], axis=2)  # noqa: E731
+    (c1, c2), abm = pivots[m].T, np.take(ab, m, axis=1)
+    x = s[:, m, None] * get(v, free[m]) - get(v, c1[:, None]) * abm[:, :, 0]
+    return (x - get(v, c2[:, None]) * abm[:, :, 1]) % q[:, None, None]
+
+
+def _confirmed(code, point, n: int, extra: dict, exact, key, rows, on, decide, pairs_meet=False):
     """Entry arrays (``_ordered``) of the points where the pairs of codes
-    x * n + y meet, given sorted by residue point, the groups of equal ones
-    starting at ``starts`` (then the pair count), and of ``found``, points
-    known exactly mapped to sets of their lines.  Per group the first pair
-    meets exactly (``meet_of(x, y)``, None if the lines do not meet) and
-    ``on(m, point)`` checks every other line; if either fails, each pair
-    meets on its own.  Every pair through a point either is in a group
-    confirmed at it or meets there itself, so ``found``, keyed by the exact
-    point, merges all of its lines; it is emptied once they are listed."""
-    first, second = (code // n).tolist(), (code % n).tolist()
-    for a, b in zip(starts, starts[1:]):
-        x, y, members = first[a], second[a], {*first[a:b], *second[a:b]}
-        if (at := meet_of(x, y)) is not None and all(on(m, at) for m in members - {x, y}):
-            found.setdefault(at, set()).update(members)
-            continue
-        for x, y in zip(first[a:b], second[a:b]):
-            if (at := meet_of(x, y)) is not None:
-                found.setdefault(at, set()).update((x, y))
-    del first, second  # freed before the entry arrays are built, the step's peak
-    sizes = list(map(len, found.values()))
-    line = np.fromiter(chain.from_iterable(map(sorted, found.values())), np.int64, sum(sizes))
-    found.clear()  # and so are the points
-    return _ordered(np.repeat(np.arange(len(sizes)), sizes), line)
+    x * n + y (x < y) meet, given their keys ``point``: rows mod ``PRIME``
+    that are 0 or a function of the pair's exact point.  ``extra`` maps a
+    pair to more lines through its point.  A pair keyed 0 is met exactly
+    (``exact``: a tuple, or None if skew and dropped) and keyed by that
+    point (``key``).
+
+    Pairs group by key.  With ``decide``, a group is exact when its first
+    pair's point, an integer polynomial whose residues mod the moduli
+    (their product above twice each value decided) are ``rows(x, y)`` (Q,
+    G, w), is not 0 mod the first modulus and every line of the group lies
+    on it (``on(m, v)``; y does by construction): then every pair through
+    that point has the group's key.  With ``pairs_meet`` (distinct lines
+    always meet) a group of two lines is exact as it is.  The pairs of any
+    other group (a residue collision) are met exactly one by one and
+    merged by exact point; those points have the group's key, so no other
+    group holds them."""
+    met = {i: exact(*divmod(int(code[i]), n)) for i in np.flatnonzero(~point.any(axis=1)).tolist()}
+    if hits := {i: at for i, at in met.items() if at is not None}:
+        point[list(hits)] = key(list(hits.values()))
+    skew = np.isin(np.arange(len(code)), [i for i in met if i not in hits])  # never in ``extra``
+    code, point = code[~skew], point[~skew]
+    order = np.lexsort(point.T) if point.shape[1] > 1 else np.argsort(point[:, 0])
+    new = np.diff(point[order], axis=0, prepend=-1).any(axis=1)
+    gid, first = np.empty(len(code), np.int64), order[new]  # each group's first pair
+    gid[order] = new.cumsum() - 1
+    del order, new, point  # the peak is the entry arrays'
+    more = [gid[i] * n + lines for i, lines in extra.items()]
+    entry = np.concatenate([gid * n + code // n, gid * n + code % n, *more])
+    entry.sort()
+    group, line = np.divmod(entry[np.diff(entry, prepend=-1) != 0], n)
+    del entry
+    x, y = np.divmod(code[first], n)
+    ok = pairs_meet & (np.bincount(group, minlength=len(first)) == 2)
+    check = np.flatnonzero(~ok[group] & (line != y[group]) & decide)
+    ok[group[check]] = True
+    for at in range(0, len(check), 4 * TILE):
+        g = group[e := check[at : at + 4 * TILE]]
+        lead = np.diff(g, prepend=-1) != 0  # the batch's first entry of each group
+        v = rows(x[g[lead]], y[g[lead]])
+        ok[g[lead][~v[0].any(axis=1)]] = False
+        ok[g[~on(line[e], v[:, lead.cumsum() - 1])]] = False
+    found: dict[tuple, set[int]] = {}  # the pairs of groups that failed, met one by one
+    for i in np.flatnonzero(~ok[gid]).tolist():
+        if (at := exact(*divmod(int(code[i]), n))) is not None:
+            found.setdefault(at, set()).update(divmod(int(code[i]), n), extra.get(i, []))
+    sizes, keep = list(map(len, found.values())), ok[group]
+    more = np.fromiter(chain.from_iterable(map(sorted, found.values())), np.int64, sum(sizes))
+    group = np.concatenate((group[keep], np.repeat(np.arange(len(sizes)) + len(ok), sizes)))
+    return _ordered(group, np.concatenate((line[keep], more)))
 
 
 def planar_buckets(triples) -> tuple[np.ndarray, np.ndarray]:
@@ -273,33 +320,30 @@ def planar_buckets(triples) -> tuple[np.ndarray, np.ndarray]:
     cross product of two of them (points: the covectors of alignments; line
     covectors: the points where lines meet).  One element twice: ValueError.
 
-    Pairs group by the cross product of their primitive residues mod
-    ``PRIME``.  Distinct elements always meet, so a one-pair group of a
-    nonzero residue is exact: a third element on its point has a nonzero
-    residue independent of a's or b's, giving some pair the key of (a, b).
-    The other groups go to ``_confirmed``, with ``covector_2d`` and an
-    integer dot product."""
+    Pairs are keyed by the cross product of their primitive residues mod
+    ``PRIME``; a group of one pair is exact (a third element c on its point
+    gives (a, c) or (b, c) its key, or both are 0 and met exactly), and
+    ``_confirmed`` checks the others: m is on a x b iff det(m, a, b) = 0,
+    and with coordinates below 2^B, |det| < 6 * 2^(3B), decided mod primes
+    with a product above 2^(3B + 4), four up to B = 38.  Above the table (B
+    > 118), and where a key is 0, ``covector_2d`` meets pairs exactly."""
     n, p = len(triples), PRIME
     if n < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     rows = canonical_rows(int_array(triples).reshape(n, 3))
     if has_duplicate_rows(rows):
         raise ValueError("one projective element twice")
-    r, pack, triples = residues(rows, p), np.array([p * p, p, 1]), rows.tolist()
-    pair = np.concatenate(list(_tile_pairs(n)))
+    primes = primes_above(3 * magnitude(rows).bit_length() + 4)
+    q, decide = np.array(primes or (p,)), primes is not None
+    t, pack, triples = residues(rows[None], q[:, None, None]), [p * p, p, 1], rows.tolist()
+    pair, r = np.concatenate(list(_tile_pairs(n))), residues(rows, p)
     # scaled to (1, x, y), (0, 1, y) or (0, 0, 1), or zero: a unique key below 2p^2 < 2^61
-    batches = _batches(pair, n)
-    key = np.concatenate([_scaled(np.cross(r[i], r[j]) % p, p) @ pack for i, j in batches])
-    key, pair = key[order := np.argsort(key)], pair[order]
-    bounds = np.array(_bounds(key))
-    one = (np.diff(bounds) == 1) & (key[bounds[:-1]] != 0)
-    many = np.repeat(~one, np.diff(bounds))
-    cross = lambda x, y: covector_2d(triples[x], triples[y])  # noqa: E731
-    on = lambda m, at: not sum(x * y for x, y in zip(triples[m], at))  # noqa: E731
-    group, line = _confirmed(pair[many], _bounds(key[many]), n, cross, on, {})
-    code = pair[bounds[:-1][one]]  # one-pair groups, i * n + j
-    group = np.concatenate((np.repeat(np.arange(len(code)), 2), group + len(code)))
-    return _ordered(group, np.concatenate((np.stack(np.divmod(code, n), 1).ravel(), line)))
+    key = np.hstack([_scaled(np.cross(r[i], r[j]) % p, p) @ pack for i, j in _batches(pair, n)])
+    cross = lambda x, y: np.cross(t[:, x], t[:, y]) % q[:, None, None]  # noqa: E731
+    on = lambda m, v: ((t[:, m] * v).sum(axis=2) % q[:, None] == 0).all(axis=0)  # noqa: E731
+    exact = lambda x, y: covector_2d(triples[x], triples[y])  # noqa: E731
+    known = lambda points: (_keyed(points, p, 3) @ pack)[:, None]  # noqa: E731
+    return _confirmed(pair, key[:, None], n, {}, exact, known, cross, on, decide, pairs_meet=True)
 
 
 def concurrence_buckets(
@@ -310,39 +354,75 @@ def concurrence_buckets(
     each point where two or more of them meet.  ``classes`` gives the
     leading lines' classes in order as (size, center or None).
 
-    A class whose center is on all of its two or more lines is one group
-    there, and its pairs are not tested: two distinct lines share at most
-    one point.  Residues mod ``PRIME`` propose the other points.  Lines a,
-    b meet iff their stacked keys M have rank 3; then M X^T (X = [I | E], E
-    fixed pseudo-random) has determinant 0, the side product of the
+    Lines a, b meet iff their stacked keys M have rank 3; then M X^T (X = [I
+    | E], E fixed pseudo-random) has determinant 0, the side product of the
     Pluecker coordinates of the key pencils mapped by X, so a nonzero
-    residue of it (an entry of a tile's int64 product of Pluecker rows and
-    dual columns) proves the pair skew.  Other pairs get the point
-    g(w)*s1 - g(u)*s2 (b's key rows s1, s2, their residuals u, w against
-    a, a fixed pseudo-random functional g): lines meeting at l*s1 + m*s2
-    have l*u + m*w = 0, so it is a multiple of the meet.  The candidates of
-    all tiles, sorted by their points scaled to a leading 1, go to
-    ``_confirmed``, with ``meet`` and ``Line.contains`` on ``Line`` objects
-    spanned by the key rows.  Overflow: residues are below p < 2^30,
-    products of two below 2^60, and no int64 sum has more than six of them
-    (< 6 * 2^60 < 2^63).  Identical lines raise ValueError, as ``meet`` does.
-    """
+    residue of it mod ``PRIME`` (an entry of a tile's int64 product of
+    Pluecker rows and dual columns) proves the pair skew.  Other pairs are
+    keyed by g(w)*s1 - g(u)*s2 mod p (b's key rows s1, s2, their residuals
+    u, w against a, a fixed pseudo-random functional g): lines meeting at
+    l*s1 + m*s2 have l*u + m*w = 0, so it is 0 or their point mod p.
+    Residues are below 2^30, products of two below 2^60, and no int64 sum
+    has more than six of them (< 6 * 2^60 < 2^63).
+
+    A group's point is w[j]*s1 - u[j]*s2 of its first pair (j the first
+    column where u is not 0 mod the first modulus; s1 if none).  With B the bit
+    length of the largest key entry or center coordinate, |u[j]|, |w[j]| <
+    3 * 2^(3B), so the point is below 6 * 2^(4B) and a line's residual of
+    it below 3 * 2^(2B) * 6 * 2^(4B) < 2^(6B + 5); ``_confirmed`` decides it
+    mod the fewest ``PRIMES`` whose product is above 2^(6B + 6), eight up
+    to B = 38.  A class whose center is on all of its two or more lines
+    (residuals below 3 * 2^(3B)) is one group there, keyed by the center,
+    and its pairs are not tested: two distinct lines share at most one
+    point.  Above the table (B > 58) no center is checked and every pair is
+    met exactly (``meet``), as are pairs keyed 0 and those of a group that
+    fails.  Identical lines raise ValueError, as ``meet`` does."""
     n = len(keys)
     if has_duplicate_rows(keys):
         raise ValueError("meet of identical lines is undefined")
     if n < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    lines = _lines(keys, keys, pivots)  # each spanned by its key rows
-    found: dict[ProjPoint, set[int]] = {}
-    label, start = -1 - np.arange(n), 0  # equal labels: a pair on a known center
-    for c, (size, center) in enumerate(classes):
-        at = range(start, start := start + size)
-        if size >= 2 and center is not None and all(lines[m].contains(center) for m in at):
-            found.setdefault(center, set()).update(at)
-            label[at] = c
-    meet_of = lambda x, y: meet(lines[x], lines[y])  # noqa: E731
-    on = lambda m, at: lines[m].contains(at)  # noqa: E731
-    return _confirmed(*_candidates(keys, pivots, PRIME, label), n, meet_of, on, found)
+    big = max([magnitude(keys), *(abs(x) for _, c in classes if c is not None for x in c.coords)])
+    primes = primes_above(6 * big.bit_length() + 6)
+    q, decide = np.array(primes or (PRIME,)), primes is not None
+    r = np.empty((len(q), *keys.shape), np.int32)  # key residues, below 2^30
+    for i, p in enumerate(q.tolist()):
+        r[i] = residues(keys, p)
+    # per line the columns where its residuals may not be 0 (not pivots), and their factors there
+    dim, at = np.arange(keys.shape[2]), np.arange(n)
+    free = np.sort(np.where((dim == pivots[:, :1]) | (dim == pivots[:, 1:]), -1, dim))[:, 2:]
+    p1, p2 = (r[:, at, t, pivots[:, t]].astype(np.int64) for t in (0, 1))
+    s, ab = p1 * p2 % q[:, None], np.take_along_axis(r, free[None, :, None], axis=3)
+    ab = ab * np.stack((p2, p1), 2)[..., None] % q[:, None, None, None]
+    on = lambda m, v: ~_residual(s, ab, pivots, free, m, v, q).any(axis=(0, 2))  # noqa: E731
+    label, extra, firsts, centers = -1 - at, {}, [], []  # equal labels: a pair on a center
+    start = np.cumsum([0, *(size for size, _ in classes)])
+    given = [c for c, (size, center) in enumerate(classes) if size >= 2 and center and decide]
+    if given:  # each center against the lines of its class, all at once
+        sizes = [classes[c][0] for c in given]
+        v = residues([classes[c][1].coords for c in given], q[:, None, None])
+        lines = np.concatenate([at[start[c] : start[c + 1]] for c in given])
+        on_all = on(lines, v[:, np.repeat(np.arange(len(given)), sizes)])
+        for c in np.array(given)[np.logical_and.reduceat(on_all, np.cumsum([0, *sizes[:-1]]))]:
+            label[start[c] : start[c + 1]], extra[len(firsts)] = c, at[start[c] + 2 : start[c + 1]]
+            firsts.append(start[c] * n + start[c] + 1)  # keyed by the center; the rest in ``extra``
+            centers.append(classes[c][1].coords)
+
+    def rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        s1, s2 = np.take(r, y, axis=1).transpose(2, 0, 1, 3)  # the points w[j]*s1 - u[j]*s2
+        u, w = (_residual(s, ab, pivots, free, x, t, q) for t in (s1, s2))
+        j = (u[0] != 0).argmax(axis=1)[None, :, None]  # mod q[0]
+        uj, wj = np.take_along_axis(u, j, axis=2), np.take_along_axis(w, j, axis=2)
+        return np.where(u[0].any(axis=1)[:, None], (wj * s1 - uj * s2) % q[:, None, None], s1)
+
+    def exact(x: int, y: int) -> tuple | None:
+        at = meet(*_lines(keys[[x, y]], keys[[x, y]], pivots[[x, y]]))
+        return None if at is None else at.coords
+
+    code, point = _candidates(residues(keys, PRIME), pivots, PRIME, label)
+    key = lambda points: _keyed(points, PRIME, keys.shape[2])  # noqa: E731
+    code, point = np.concatenate((np.array(firsts, int), code)), np.vstack((key(centers), point))
+    return _confirmed(code, point, n, extra, exact, key, rows, on, decide)
 
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:

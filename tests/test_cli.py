@@ -933,8 +933,29 @@ array_documents = st.recursive(
 )
 
 
+@st.composite
+def decimal_rows(draw):
+    """Rows as line and point files hold them (``configs.DecimalRows``):
+    (m, D) point rows or (m, 2, D) line rows, int64 or Python ints above it."""
+    shape = (draw(st.integers(0, 5)), *draw(st.sampled_from([(), (2,)])), draw(st.integers(0, 4)))
+    size = int(np.prod(shape))
+    values = draw(st.lists(int64s | st.integers(-(2**70), 2**70), min_size=size, max_size=size))
+    return configs.DecimalRows(exactgeom.int_array(values).reshape(shape))
+
+
+decimal_documents = st.recursive(
+    decimal_rows() | scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
 def listed(data):
-    """``data`` with each array replaced by its ``tolist()``."""
+    """``data`` with each array replaced by its ``tolist()``, and each
+    ``DecimalRows`` by its rows as decimal strings, as line and point files hold them."""
+    if isinstance(data, configs.DecimalRows):
+        rows = data.rows.astype(str).tolist()
+        return [{"p": p, "q": q} for p, q in rows] if data.rows.ndim == 3 else rows
     if isinstance(data, np.ndarray):
         return data.tolist()
     if isinstance(data, dict):
@@ -953,6 +974,12 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(array_documents)
     def test_int_arrays_match_json_of_their_lists(self, data):
+        assert cli._dump_json(data) == dump_json(listed(data))
+
+    @settings(max_examples=300, deadline=None)
+    @given(decimal_documents)
+    def test_decimal_rows_match_json_of_their_strings(self, data):
+        # the rows of line and point files, written through one row template
         assert cli._dump_json(data) == dump_json(listed(data))
 
     @pytest.mark.parametrize(

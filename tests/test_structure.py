@@ -4,9 +4,9 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from incidencelab import structure
+from incidencelab import exactgeom, structure
 from incidencelab.configs import DualPointConfig, embed_grid_config
 from incidencelab.constructions import ProbParams, gen_probabilistic
 from incidencelab.exactgeom import Line, ProjPoint, covector_2d, meet
@@ -17,7 +17,7 @@ from incidencelab.gridmodel import (
     is_k_consistent,
     max_colorful_order,
 )
-from incidencelab.transforms import lift_to_concurrent, project_generic
+from incidencelab.transforms import dualize, lift_to_concurrent, project_generic
 from incidencelab.structure import (
     concurrence_buckets,
     extract_alignments,
@@ -234,11 +234,14 @@ class TestAlignments:
         assert got == [(sorted(refs), cov) for cov, refs in expected.items()]
 
     def test_dual_json_round_trip(self):
+        import json
+
+        from incidencelab.cli import _dump_json
         from incidencelab.configs import dual_from_json, dual_to_json
         from incidencelab.constructions import gen_dual_cycles
 
         cfg, _ = gen_dual_cycles(2)
-        assert dual_from_json(dual_to_json(cfg)) == cfg
+        assert dual_from_json(json.loads(_dump_json(dual_to_json(cfg)))) == cfg
 
 
 structures = st.builds(
@@ -579,3 +582,134 @@ class TestPlanarKernel:
             tracemalloc.stop()
         assert s.num_groups == 352354
         assert peak < 96 * 2**20  # one exact cross product per pair peaked at ~174 MiB
+
+
+# The 25 primes below 100, largest first: their product is about 2^120, so
+# small inputs stay within the table while every residue collides often.
+TINY = tuple(p for p in range(97, 1, -1) if all(p % q for q in range(2, p)))
+
+
+def led(prime: int, table=TINY) -> tuple[int, ...]:
+    """``table`` with ``prime`` first, as ``PRIME`` leads ``PRIMES``."""
+    return (prime, *(q for q in table if q != prime))
+
+
+def patch_primes(mp: pytest.MonkeyPatch, table: tuple[int, ...]) -> None:
+    """The prime table, and ``PRIME``, its first prime, where ``structure`` reads it."""
+    mp.setattr(exactgeom, "PRIMES", table)
+    mp.setattr(structure, "PRIME", table[0])
+
+
+def scaled_up(point: ProjPoint, factor: int) -> ProjPoint:
+    """A diagonal projective map of the point: it keeps every incidence."""
+    return ProjPoint([x * factor if t % 2 else x for t, x in enumerate(point.coords)])
+
+
+class TestResidueDecisions:
+    """The exact step behind both kernels (``structure._confirmed``): each
+    group is decided by residues mod a table of primes, or, above the
+    table, where a key is 0 or a group fails its check, by exact meets.
+    Against the loop oracles, in d = 2..5: with tiny primes, so residue
+    points collide and vanish; above the table, so the fallback runs; on
+    classes whose centers are right, wrong or missing; and the stated
+    bounds against exact values at their edge."""
+
+    @pytest.mark.parametrize(
+        "table", [led(2), led(5), led(7, TINY[-6:]), led(structure.PRIME)]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(lines=line_lists())
+    def test_tiny_prime_tables(self, table, lines):
+        with pytest.MonkeyPatch.context() as mp:
+            patch_primes(mp, table)
+            assert_kernel_matches_loop(lines)
+
+    @pytest.mark.parametrize("table", [led(3), led(structure.PRIME, TINY[:2])])
+    @settings(max_examples=60, deadline=None)
+    @given(case=centered_classes())
+    def test_tiny_prime_tables_on_centers(self, table, case):
+        lines, classes = case
+        with pytest.MonkeyPatch.context() as mp:
+            patch_primes(mp, table)
+            assert_kernel_matches_loop(lines, classes)
+
+    @pytest.mark.parametrize("prime", [2, 3, 7])
+    @settings(max_examples=60, deadline=None)
+    @given(triples=planar_triples())
+    def test_tiny_prime_tables_in_the_plane(self, prime, triples):
+        try:
+            expected = entries(loop_planar_buckets(triples))
+        except ValueError:
+            return  # one element twice, covered by TestPlanarKernel
+        with pytest.MonkeyPatch.context() as mp:
+            patch_primes(mp, led(prime))
+            assert_same_entries(structure.planar_buckets(triples), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=centered_classes(), factor=st.sampled_from([2**66 - 5, -(2**64) - 1]))
+    def test_above_the_table_every_pair_is_met(self, case, factor):
+        # coordinates near 2^66 (object arrays): keys need more primes than the table holds
+        lines, classes = case
+        lines = [Line(scaled_up(line.p, factor), scaled_up(line.q, factor)) for line in lines]
+        classes = [(size, center and scaled_up(center, factor)) for size, center in classes]
+        keys, pivots = key_arrays(lines)
+        assume(keys.dtype == object)  # some coordinate was scaled
+        assert exactgeom.primes_above(6 * exactgeom.magnitude(keys).bit_length() + 6) is None
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structure, "meet", lambda a, b: calls.append(1) or meet(a, b))
+            assert_kernel_matches_loop(lines, classes)
+        if loop_concurrence_buckets(lines):
+            assert calls  # two lines meet, and only an exact meet can say so
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.integers(1, 58), data=st.data())
+    def test_bounds_dominate_exact_values(self, bits, data):
+        # rows with entries below 2^B, most at the edge: key rows zero at the
+        # other row's pivot, centers and planar triples
+        top = 2**bits - 1
+        edge = st.sampled_from([top, -top, top - 1, 0]) | st.integers(-top, top)
+        dim = data.draw(st.integers(4, 6))
+        column = st.integers(0, dim - 1)
+        c1, c2 = sorted(data.draw(st.lists(column, min_size=2, max_size=2, unique=True)))
+        spanning = ProjPoint([1] + [0] * (dim - 1)), ProjPoint([0, 1] + [0] * (dim - 2))
+
+        def line() -> Line:  # key rows as given, with no row reduction
+            rows = [data.draw(st.lists(edge, min_size=dim, max_size=dim)) for _ in range(2)]
+            rows[0][c1], rows[0][c2], rows[1][c1], rows[1][c2] = top, 0, 0, -top
+            return Line(*spanning, rows, (c1, c2))
+
+        a, b, m = line(), line(), line()
+        u, w = a.residual(b.key[0]), a.residual(b.key[1])
+        points = [[w[j] * x - u[j] * y for x, y in zip(*b.key)] for j in range(dim)]
+        center = data.draw(st.lists(edge, min_size=dim, max_size=dim))
+        values = [x for v in [*points, b.key[0], center] for x in m.residual(v)]
+        assert max(map(abs, values)) < 2 ** (6 * bits + 5)
+        primes = exactgeom.primes_above(6 * bits + 6)
+        assert primes is not None and np.prod(primes, dtype=object) > 2 * 2 ** (6 * bits + 5)
+        triple = st.lists(edge, min_size=3, max_size=3)
+        x, (y1, y2, y3), (z1, z2, z3) = (data.draw(triple) for _ in range(3))
+        cross = (y2 * z3 - y3 * z2, y3 * z1 - y1 * z3, y1 * z2 - y2 * z1)
+        assert abs(sum(p * q for p, q in zip(x, cross))) < 2 ** (3 * bits + 3)
+        assert np.prod(exactgeom.primes_above(3 * bits + 4), dtype=object) > 2 * 2 ** (3 * bits + 3)
+
+    def test_no_python_exact_arithmetic_in_extraction(self, algebraic_3_3):
+        # alg(3,3) lifted (d = 4), projected to R^3 and to the plane, and dualized
+        lifted, s = lift_to_concurrent(algebraic_3_3, audit=False)
+        configs = [lifted, *(project_generic(lifted, s, d, 11).config for d in (3, 2))]
+        configs.append(dualize(configs[-1]))
+
+        def refuse(*args):
+            raise AssertionError("Python exact arithmetic during extraction")
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (exactgeom, structure):
+                mp.setattr(module, "meet", refuse)
+            mp.setattr(structure, "covector_2d", refuse)
+            mp.setattr(exactgeom.Line, "contains", refuse)
+            got = [structure.extract_structure(cfg) for cfg in configs]
+        assert [t.num_groups for t in got] == [s.num_groups, s.num_groups, 352354, 352354]
+        assert got[0] == s
+        for t, cfg in zip(got[1:3], configs[1:3]):  # witnesses are met after extraction
+            a, b = t.line[:2].tolist()
+            assert t.witness(0) == meet(cfg.line(a), cfg.line(b))
