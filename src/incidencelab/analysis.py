@@ -193,7 +193,7 @@ class MinimalityVerdict:
 def minimality_audit(cfg: ColoredGridConfig, k: int) -> MinimalityVerdict:
     """True iff removing any single line breaks k-consistency, decided in
     one pass over the grid-point groups (``gridmodel.group_removable``)."""
-    removable = group_removable(cfg.class_sizes(), *cfg.incidences[1:], k)
+    removable = group_removable(cfg.class_sizes(), *cfg.incidences[1:], k, cfg.carriers)
     return MinimalityVerdict(not removable, removable)
 
 
@@ -225,8 +225,7 @@ class MonteCarloReport:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(self.fieldnames), lineterminator="\n")
         writer.writeheader()
-        for row in self.rows:
-            writer.writerow(row)
+        writer.writerows(self.rows)
         return buf.getvalue()
 
 
@@ -261,19 +260,14 @@ def monte_carlo(params_grid: list[ProbParams], trials: int) -> MonteCarloReport:
                 "consistent": int(stats["consistent"]),
                 "bad_lines": stats["bad_lines"],
                 "max_colorful": stats["max_colorful"],
+                **dict(zip(size_fields, stats["sizes"])),
             }
-            for i, size in enumerate(stats["sizes"], start=1):
-                row[f"size_{i}"] = size
             per_rows.append(row)
         rows.extend(per_rows)
         sizes = [row[f] for row in per_rows for f in size_fields]
         q = quantiles(sizes, n=4) if len(sizes) > 1 else [sizes[0]] * 3
-        window = sum(
-            1
-            for row in per_rows
-            if min(row[f] for f in size_fields) >= 1
-            and max(row[f] for f in size_fields) <= 3 * min(row[f] for f in size_fields)
-        )
+        spans = [(min(s), max(s)) for s in ([row[f] for f in size_fields] for row in per_rows)]
+        window = sum(1 <= lo and hi <= 3 * lo for lo, hi in spans)
         summaries.append(
             MonteCarloSummary(
                 params.k,
@@ -319,12 +313,7 @@ def bipartite_edges(A: list[Line], B: list[Line]) -> BipartiteReport:
     rich = [i for i, m in enumerate(masks) if m.bit_count() >= 3]
     for i, j, l in combinations(rich, 3):
         common = masks[i] & masks[j] & masks[l]
-        if common.bit_count() >= 3:
-            bs = []
-            probe = common
-            while len(bs) < 3:
-                low = probe & -probe
-                bs.append(low.bit_length() - 1)
-                probe ^= low
-            return BipartiteReport(edges, ((i, j, l), tuple(bs)))
+        if common.bit_count() >= 3:  # the three lowest B-lines they share
+            bs = tuple(b for b in range(len(B)) if common >> b & 1)[:3]
+            return BipartiteReport(edges, ((i, j, l), bs))
     return BipartiteReport(edges, None)

@@ -119,14 +119,15 @@ class _Run:
         self.inputs: dict[str, str] = {}
         self.seeds: dict[str, int] = {}
 
-    def read_config(self, path: str):
+    def read_config(self, path: str, digest: bool = False):
         p = Path(path)
         try:
             raw = p.read_bytes()
             data = json.loads(raw.decode())
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit2(f"cannot read configuration {path}: {exc}")
-        self.inputs[str(p)] = _sha256(raw)
+        if digest:  # for the manifest of a command that writes an artifact
+            self.inputs[str(p)] = _sha256(raw)
         try:
             return configs.config_from_json(data)
         except (KeyError, ValueError, TypeError) as exc:
@@ -292,7 +293,7 @@ def cmd_verify(args, run: _Run) -> int:
 
 
 def cmd_transform(args, run: _Run) -> int:
-    cfg = run.read_config(args.config)
+    cfg = run.read_config(args.config, digest=True)
     s = None
     if args.lift:
         if not isinstance(cfg, ColoredGridConfig):
@@ -385,7 +386,7 @@ def cmd_analyze(args, run: _Run) -> int:
 
 
 def cmd_export(args, run: _Run) -> int:
-    cfg = run.read_config(args.config)
+    cfg = run.read_config(args.config, digest=True)
     if isinstance(cfg, ColoredGridConfig) or isinstance(cfg, ColoredLineConfig) and cfg.d > 2:
         run.seeds["projection"] = args.seed
         cfg = project_generic(_line_view(cfg, "svg"), extract_structure(cfg), 2, args.seed).config

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -68,16 +69,7 @@ _M1, _M2, _M4, _H = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -566,17 +558,10 @@ def gen_desargues() -> ColoredLineConfig:
         (1, 2, 4, -3),
         (1, 0, -2, 1),  # 2*plane4 - plane5: shares their common line
     ]
-    for triple in combinations(range(5), 3):
-        if int_rank([planes[t] for t in triple]) != 3:
-            raise RuntimeError("witness planes 1..5 are not in general position")
-    for quad in combinations(range(5), 4):
-        if int_rank([planes[t] for t in quad]) != 4:
-            raise RuntimeError("witness planes 1..5 are not in general position")
-    for triple in combinations((0, 1, 2, 5), 3):
-        if int_rank([planes[t] for t in triple]) != 3:
-            raise RuntimeError("witness planes 1,2,3,6 are not in general position")
-    if int_rank([planes[t] for t in (0, 1, 2, 5)]) != 4:
-        raise RuntimeError("witness planes 1,2,3,6 are not in general position")
+    for name, among in (("1..5", range(5)), ("1,2,3,6", (0, 1, 2, 5))):
+        for chosen in (*combinations(among, 3), *combinations(among, 4)):
+            if int_rank([planes[t] for t in chosen]) != len(chosen):
+                raise RuntimeError(f"witness planes {name} are not in general position")
     if int_rank([planes[3], planes[4], planes[5]]) != 2:
         raise RuntimeError("planes 4,5,6 must share a line")
 
@@ -613,24 +598,14 @@ def gen_desargues() -> ColoredLineConfig:
 
 
 def _cube_lines() -> list[Line]:
+    """The 12 edges of the unit cube, axis by axis, then its 4 long diagonals."""
     lines = []
-    for axis in range(3):
-        for b0 in (0, 1):
-            for b1 in (0, 1):
-                point = [0, 0, 0]
-                fixed = [t for t in range(3) if t != axis]
-                point[fixed[0]], point[fixed[1]] = b0, b1
-                direction = [0, 0, 0]
-                direction[axis] = 1
-                lines.append(Line.affine_with_direction(point, direction))
-    diagonals = [
-        ((0, 0, 0), (1, 1, 1)),
-        ((1, 0, 0), (0, 1, 1)),
-        ((0, 1, 0), (1, 0, 1)),
-        ((0, 0, 1), (1, 1, 0)),
-    ]
-    for a, b in diagonals:
-        lines.append(Line.through_affine(a, b))
+    for axis, b0, b1 in product(range(3), (0, 1), (0, 1)):
+        point = [b0, b1]
+        point.insert(axis, 0)  # the edge's other coordinates are b0, b1 in order
+        lines.append(Line.affine_with_direction(point, [int(t == axis) for t in range(3)]))
+    for a in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):  # each to the opposite corner
+        lines.append(Line.through_affine(a, tuple(1 - x for x in a)))
     return lines
 
 
@@ -649,15 +624,8 @@ def gen_reye() -> ColoredLineConfig:
         raise RuntimeError("every cube line should lie on exactly 3 incidence points")
 
     for drop in combinations(range(16), 4):
-        hit: set[int] = set()
-        ok = True
-        for idx in drop:
-            if hit & memberships[idx]:
-                ok = False
-                break
-            hit |= memberships[idx]
-        if not ok or len(hit) != 12:
-            continue
+        if len(frozenset().union(*(memberships[i] for i in drop))) != 12:
+            continue  # four lines of three points each cover all 12 only if disjoint
         kept = [i for i in range(16) if i not in drop]
         kept_lines = [lines[i] for i in kept]
         remap = {old: new for new, old in enumerate(kept)}
@@ -811,15 +779,13 @@ def gen_two_slit(
     stream = substream(seed, SLIT_OFFSET + which)
     out: list[Line] = []
     seen: set[tuple] = set()
-    i = 0
-    attempts = 0
+    i = 0  # two draws per attempt
     while len(out) < count:
-        if attempts > 20 * count + 100:
+        if i // 2 > 20 * count + 100:
             raise RuntimeError("could not sample enough distinct secant lines")
         t = splitmix64(stream, i) % 20011 - 10005
         u = splitmix64(stream, i + 1) % 20011 - 10005
         i += 2
-        attempts += 1
         line = Line(_point_on(sa, t), _point_on(sb, u))
         if line.key in seen:
             continue

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 LineRef = tuple[int, int]
+ONE_KEY_MAX = 2**63 - 1  # the largest one-key entry of ``ColoredGridConfig.incidences``
 
 
 def _line_count(k: int, n: int) -> int:
@@ -39,6 +40,11 @@ def _line_count(k: int, n: int) -> int:
     if (n > 1 and k >= 63) or max(n, k + 1) * n**k >= 2**63:
         raise ValueError(f"grid too large (k={k}, n={n}): n^(k+1), (k+1)*n^k must be < 2^63")
     return (k + 1) * n**k
+
+
+def _starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values."""
+    return np.concatenate((x[:1] == x[:1], x[1:] != x[:-1]))
 
 
 def _digits(ids: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -102,6 +108,11 @@ class ColoredGridConfig:
         ids[ref[0] - 1] = np.delete(ids[ref[0] - 1], ref[1])
         return ColoredGridConfig(self.k, self.n, ids)
 
+    @cached_property
+    def carriers(self) -> np.ndarray:
+        """The ``carrier_table`` of ``incidences``, shared by the grid verdicts."""
+        return carrier_table(self.class_sizes(), *self.incidences[1:])
+
     def coordinates(self, points: np.ndarray) -> list[tuple[int, ...]]:
         """The coordinates of an array of point ids."""
         return list(map(tuple, (_digits(points, self.n, self.k + 1) + 1).tolist()))
@@ -110,37 +121,62 @@ class ColoredGridConfig:
     def incidences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(points, group, line): the ids of the grid points on two or more
         lines in lexicographic order, and the core's entries of the lines
-        through them; built once and shared, so do not modify them.  Lines
-        on axes a < b meet iff their point ids with slots a and b zeroed
-        match: each axis pair is matched by sorting."""
+        through them; built once and shared, so do not modify them.
+
+        Lines on axes a < b meet iff their point ids with slots a and b
+        zeroed match: each axis pair is matched on keys sorted on both
+        sides.  A match's two entries are written as keys point id * L +
+        line position, L the line count, into one array sorted in place, so
+        runs are points and a line through a point of r lines (matched r-1
+        times there) is kept once.  The key is exact while (p + 1) * L <=
+        ``ONE_KEY_MAX`` = 2^63 - 1, p the largest point id on any line,
+        checked in Python ints; above that, the entries are (point id, line)
+        rows, sorted by two keys (``np.lexsort``)."""
         k, n = self.k, self.n
         ids = np.concatenate((np.empty(0, np.int64), *self.ids))
         axis, base = ids // n**k, ids % n**k
         weight = n ** (k - axis)  # of the line's own slot in a point id
         zeroed = base // weight * (weight * n) + base % weight
-        points, lines = [], []
+        size = len(ids)
+        one_key = (int((zeroed + (n - 1) * weight).max(initial=0)) + 1) * size <= ONE_KEY_MAX
+        pairs = []  # per axis pair: both sides' lines and point-id parts in key order, the matches
         for a, b in combinations(range(k + 1), 2):
             wa, wb = n ** (k - a), n ** (k - b)
             on_a, on_b = np.flatnonzero(axis == a), np.flatnonzero(axis == b)
             za, zb = zeroed[on_a], zeroed[on_b]
             key_a, key_b = za - za // wb % n * wb, zb - zb // wa % n * wa
-            order = np.argsort(key_b)
-            lo = np.searchsorted(key_b[order], key_a, "left")
-            count = np.searchsorted(key_b[order], key_a, "right") - lo
+            sa, sb = np.argsort(key_a), np.argsort(key_b)
+            key_a, key_b, slot_a = key_a[sa], key_b[sb], (zb - key_b)[sb]
+            lo = np.searchsorted(key_b, key_a, "left")
+            count = np.searchsorted(key_b, key_a, "right") - lo
+            pairs.append((on_a[sa], za[sa], on_b[sb], slot_a, lo, count))
+        # per pair its A-lines' entries, then its B-lines': one row of keys, or point ids and lines
+        entry = np.zeros((2 - one_key, 2 * sum(int(p[-1].sum()) for p in pairs)), np.int64)
+        at = 0
+        for on_a, za, on_b, slot_a, lo, count in pairs:
             ma = np.repeat(np.arange(len(on_a)), count)  # each match: A-line, B-line
-            mb = order[np.arange(len(ma)) + np.repeat(lo - np.cumsum(count) + count, count)]
-            pid = za[ma] + (zb[mb] - key_b[mb])
-            points += [pid, pid]
-            lines += [on_a[ma], on_b[mb]]
-        pid, line = np.concatenate(points), np.concatenate(lines)
-        del points, lines  # the pieces
-        order = np.lexsort((line, pid))
-        pid = pid[order]
-        line = line[order]
-        # a line through a point of r lines was matched r-1 times there
-        new = np.diff(pid, prepend=-1).astype(bool)  # pid is sorted: runs are points
-        keep = new | np.diff(line, prepend=-1).astype(bool)
-        return pid[new], np.cumsum(new[keep]) - 1, line[keep]
+            mb = np.arange(len(ma)) + np.repeat(lo - np.cumsum(count) + count, count)
+            a_part, b_part = slice(at, at + len(ma)), slice(at + len(ma), at + 2 * len(ma))
+            np.multiply(za[ma] + slot_a[mb], size if one_key else 1, out=entry[0, a_part])
+            entry[0, b_part] = entry[0, a_part]
+            entry[-1, a_part] += on_a[ma]
+            entry[-1, b_part] += on_b[mb]
+            at += 2 * len(ma)
+        del pairs, ma, mb
+        if one_key:  # a line through a point of r lines was matched r-1 times there
+            entry = entry.reshape(-1)
+            entry.sort()
+            entry = entry[_starts(entry)]
+            pid, line = np.divmod(entry, size, out=(np.empty_like(entry), entry))
+        else:  # rows of point ids and lines: sorted by two keys, repeats dropped
+            order = np.lexsort(entry[::-1])
+            for row in entry:  # one row at a time: a single row-sized temporary
+                row[:] = row[order]
+            pid, line = entry = entry[:, _starts(entry[0]) | _starts(entry[1])]
+        new = _starts(pid)
+        points = pid[new]
+        del pid, entry  # before the group ids
+        return points, np.cumsum(new) - 1, line
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,21 +216,26 @@ class ConsistencyVerdict:
 # the distinct (group, color) pairs decide which groups carry a color set.
 
 
-def _carriers(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int):
+def carrier_table(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """has[c-1, g]: group g holds a line of color c, one byte per (color, group)."""
+    has = np.zeros((len(class_sizes), group[-1] + 1 if group.size else 0), bool)
+    has[np.searchsorted(np.cumsum((0, *class_sizes)), line, "right") - 1, group] = True
+    return has
+
+
+def _carriers(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int, has=None):
     """(own, carrying): ``own[c-1]`` is (positions in class c, groups) of
     color c's entries, groups ascending.  ``carrying`` yields (c, T, at) for
     each (k-1)-set T of colors, in ``combinations`` order, and each c not in
     T, ``at`` marking c's entries at the groups carrying T: the AND of T's
-    rows of one table has[color, group], one byte per (color, group)."""
+    rows of the carrier table ``has``, built here unless passed in."""
     m = len(class_sizes)
     if not 1 <= k <= m:
         raise ValueError("k must be >= 1" if k < 1 else "k exceeds the number of colors")
+    has = carrier_table(class_sizes, group, line) if has is None else has
     first = np.cumsum((0, *class_sizes), dtype=np.int64)  # color c's first position
-    color = np.searchsorted(first, line, "right")  # an empty class owns no position
-    has = np.zeros((m, group[-1] + 1 if group.size else 0), bool)
-    has[color - 1, group] = True
-    masks = (color == c for c in range(1, m + 1))  # each color's entries, taken once
-    own = [(line[mine] - at, group[mine]) for at, mine in zip(first, masks)]
+    mine = (np.flatnonzero((lo <= line) & (line < hi)) for lo, hi in zip(first, first[1:]))
+    own = [(line[i] - lo, group[i]) for lo, i in zip(first, mine)]
 
     def carrying():
         for T in combinations(range(1, m + 1), k - 1) if k > 1 else ():
@@ -206,12 +247,12 @@ def _carriers(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k
 
 
 def group_consistency(
-    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int
+    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int, has=None
 ) -> ConsistencyVerdict:
     """k-consistency over incidence groups: line (c, i) fails S = {c} | T
     when no group through it carries every color of T.  Failures are
     listed by color, then T in ``combinations`` order, then index."""
-    own, carrying = _carriers(class_sizes, group, line, k)
+    own, carrying = _carriers(class_sizes, group, line, k, has)
     runs: list[list] = [[] for _ in class_sizes]
     for c, T, at in carrying:
         good = np.zeros(class_sizes[c - 1], bool)
@@ -221,7 +262,7 @@ def group_consistency(
 
 
 def group_removable(
-    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int
+    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int, has=None
 ) -> tuple[LineRef, ...]:
     """Lines whose removal keeps a k-consistent configuration k-consistent.
 
@@ -234,7 +275,9 @@ def group_removable(
     have exactly one carrier: one pass decides every line.  Raises
     ValueError if some (l, T) has no carrier at all.
     """
-    own, carrying = _carriers(class_sizes, group, line, k)
+    own, carrying = _carriers(class_sizes, group, line, k, has)
+    # an entry alone of its color in its group is both first and last of its run
+    solo = [s & np.roll(s, -1) for s in (_starts(at) for _, at in own)]
     essential = [np.zeros(size, bool) for size in class_sizes]
     for c, T, at in carrying:
         lines, groups = own[c - 1][0][at], own[c - 1][1][at]
@@ -242,21 +285,20 @@ def group_removable(
         if (carriers == 0).any():
             raise ValueError("minimality audit requires a k-consistent configuration")
         single = groups[carriers[lines] == 1]  # the only carrier of some line
-        for t in T:  # a line of color t alone in its color at such a group
+        for t in T:  # such a group carries t: is its first line of color t alone?
             pos, at_t = own[t - 1]
-            lo, hi = np.searchsorted(at_t, single, "left"), np.searchsorted(at_t, single, "right")
-            essential[t - 1][pos[lo[hi - lo == 1]]] = True
+            first = np.searchsorted(at_t, single)
+            essential[t - 1][pos[first[solo[t - 1][first]]]] = True
     keep = [np.flatnonzero(~e).tolist() for e in essential]
     return tuple((c, i) for c, idx in enumerate(keep, start=1) for i in idx)
 
 
 def group_max_colorful(
-    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray
+    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, has=None
 ) -> tuple[int, int | None]:
-    """Largest color count over the groups, with the first group reaching it."""
-    color = np.searchsorted(np.cumsum((0, *class_sizes)), line, "right")
-    pair = np.diff(group, prepend=-1).astype(bool) | np.diff(color, prepend=-1).astype(bool)
-    orders = np.bincount(group[pair])  # pair: an entry opens a (group, color) pair
+    """Largest color count over the groups, with the first group reaching
+    it: the column sums of the carrier table."""
+    orders = (carrier_table(class_sizes, group, line) if has is None else has).sum(axis=0)
     best = int(orders.argmax()) if orders.size else None
     return (0, None) if best is None else (int(orders[best]), best)
 
@@ -269,7 +311,7 @@ def group_max_colorful(
 
 def is_k_consistent(cfg: ColoredGridConfig, k: int) -> ConsistencyVerdict:
     """Check that every line of every color in every k-subset S has an S-incidence."""
-    return group_consistency(cfg.class_sizes(), *cfg.incidences[1:], k)
+    return group_consistency(cfg.class_sizes(), *cfg.incidences[1:], k, cfg.carriers)
 
 
 def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> bool:
@@ -281,7 +323,7 @@ def max_colorful_order(cfg: ColoredGridConfig) -> tuple[int, tuple[int, ...] | N
     """Largest number of distinct colors at any grid point, with the
     lexicographically first point reaching it."""
     points, group, line = cfg.incidences
-    order, at = group_max_colorful(cfg.class_sizes(), group, line)
+    order, at = group_max_colorful(cfg.class_sizes(), group, line, cfg.carriers)
     return order, None if at is None else cfg.coordinates(points[at : at + 1])[0]
 
 

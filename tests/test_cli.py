@@ -448,16 +448,24 @@ class TestVerify:
         done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
         assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
-    def test_grid_incidences_built_once(self, workdir, capsys, monkeypatch):
+    def count_builds(self, workdir, monkeypatch, name: str) -> int:
+        """How often a full grid ``verify`` builds a cached grid property."""
         builds = []
-        original = ColoredGridConfig.incidences.func
+        original = getattr(ColoredGridConfig, name).func
         counting = cached_property(lambda cfg: builds.append(cfg) or original(cfg))
-        counting.__set_name__(ColoredGridConfig, "incidences")
-        monkeypatch.setattr(ColoredGridConfig, "incidences", counting)
+        counting.__set_name__(ColoredGridConfig, name)
+        monkeypatch.setattr(ColoredGridConfig, name, counting)
         self.gen_alg()
         args = ["--k-consistency", "3", "--max-colorful", "3", "--minimality"]
         assert run(["verify", "alg.json", *args]) == 0
-        assert len(builds) == 1
+        return len(builds)
+
+    def test_grid_incidences_built_once(self, workdir, capsys, monkeypatch):
+        assert self.count_builds(workdir, monkeypatch, "incidences") == 1
+
+    def test_grid_carrier_table_built_once(self, workdir, capsys, monkeypatch):
+        # max colorful reads the column sums of the table consistency built
+        assert self.count_builds(workdir, monkeypatch, "carriers") == 1
 
     def test_structure_extracted_at_most_once(self, workdir, capsys, monkeypatch):
         calls = []
@@ -879,6 +887,17 @@ class TestManifest:
         assert manifest["outputs"] == {"lift.json": digest("lift.json")}
         manifest_bytes = (workdir / "lift.json.manifest.json").read_bytes()
         assert manifest_bytes.decode() == dump_json(manifest)
+
+    def test_only_artifact_commands_hash_inputs(self, workdir, capsys, monkeypatch):
+        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
+        hashed, original = [], cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda data: hashed.append(len(data)) or original(data))
+        assert run(["verify", "alg.json", "--k-consistency", "3", "--max-colorful", "3"]) == 0
+        assert run(["analyze", "alg.json", "--joint-bound", "3"]) in (0, 1)
+        assert hashed == []  # neither writes a manifest
+        assert run(["transform", "alg.json", "--lift", "-o", "lift.json"]) == 0
+        sizes = [(workdir / name).stat().st_size for name in ("alg.json", "lift.json")]
+        assert hashed == sizes  # the input, then the artifact
 
     def test_identical_reruns_identical_bytes(self, workdir):
         run(["gen", "probabilistic", "--k", "3", "--n", "4", "--seed", "9", "-o", "a.json"])

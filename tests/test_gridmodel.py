@@ -1,13 +1,15 @@
 import json
 import random
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 from math import isqrt
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from incidencelab import gridmodel
 from incidencelab.analysis import minimality_audit
 from incidencelab.cli import _dump_json
 from incidencelab.constructions import ProbParams, gen_probabilistic
@@ -216,6 +218,108 @@ class TestIdBound:
         assert max_colorful_order(cfg) == (2, corner)
         assert grid_from_json(file_data(cfg)) == cfg
         assert decoded(cfg) == ((first,), (last,))
+
+
+def pairwise_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
+    """{point: refs of the lines through it} from ``grid_meet`` of every two
+    lines: the reference for grids too large for the point sweep."""
+    refs = [((c, i), line) for c, cls in enumerate(decoded(cfg), 1) for i, line in enumerate(cls)]
+    out: dict[tuple[int, ...], set] = {}
+    for (ra, a), (rb, b) in combinations(refs, 2):
+        if (point := grid_meet(a, b)) is not None:
+            out.setdefault(point, set()).update((ra, rb))
+    return out
+
+
+def last_point_id(k: int, n: int, line: GridLine) -> int:
+    """The largest point id on a line: its axis slot at n, in Python ints."""
+    coords = [n if t == line.axis - 1 else x for t, x in enumerate(line.base)]
+    return sum((x - 1) * n ** (k - t) for t, x in enumerate(coords))
+
+
+def incidences_both_ways(cfg: ColoredGridConfig) -> bool:
+    """Check the one-key incidences against the two-key fallback's arrays,
+    forced by an unreachable key bound; True iff the one-key path ran."""
+    with patch.object(np, "lexsort", wraps=np.lexsort) as spy:  # the fallback's sort
+        arrays = ColoredGridConfig.incidences.func(cfg)
+    with patch.object(gridmodel, "ONE_KEY_MAX", -1):
+        fallback = ColoredGridConfig.incidences.func(cfg)
+    for fast, slow in zip(arrays, fallback):
+        assert fast.dtype == slow.dtype == np.int64
+        assert np.array_equal(fast, slow)
+    return not spy.called
+
+
+@st.composite
+def swept_grids(draw) -> ColoredGridConfig:
+    """k = 2..4 grids small enough for the point sweep, up to 14 distinct
+    lines on any axes in 1-4 classes, empty and single-line ones included."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 5, 3: 3, 4: 2}[k]))
+    ids = draw(st.lists(st.integers(0, (k + 1) * n**k - 1), unique=True, max_size=14))
+    m = draw(st.integers(1, 4))
+    colors = draw(st.lists(st.integers(0, m - 1), min_size=len(ids), max_size=len(ids)))
+    classes = [[i for i, c in zip(ids, colors) if c == color] for color in range(m)]
+    return ColoredGridConfig(k, n, classes)
+
+
+@st.composite
+def corner_grids(draw) -> ColoredGridConfig:
+    """Up to 8 distinct lines of the largest k = 2 grid, n = 2^21 - 1, whose
+    other coordinates lie in a window of three values: at the bottom corner,
+    a quarter or half way up, or at the top corner.  An axis-1 line reaches
+    x1 = n, so some grids leave axis 1 out: the one-key bound (p + 1) * L
+    <= 2^63 - 1 falls on either side of them."""
+    n = 2**21 - 1
+    low = draw(st.sampled_from([1, n // 4, n // 2 - 1, n // 2, n - 2]))
+    coords = st.lists(st.integers(low, low + 2), min_size=3, max_size=3)
+    axes = st.sampled_from(draw(st.sampled_from([(1, 2, 3), (2, 3)])))
+    lines = draw(st.lists(st.tuples(axes, coords), max_size=8))
+    lines = list(dict.fromkeys(
+        GridLine(axis, tuple(0 if t == axis - 1 else x for t, x in enumerate(xs)))
+        for axis, xs in lines
+    ))
+    colors = draw(st.lists(st.integers(0, 2), min_size=len(lines), max_size=len(lines)))
+    classes = [[line for line, c in zip(lines, colors) if c == color] for color in range(3)]
+    return grid_config(2, n, classes)
+
+
+class TestOneKeyIncidences:
+    """``incidences`` sorts one int64 key per entry, point id * L + line
+    position, while (p + 1) * L <= 2^63 - 1 for the largest point id p on a
+    line, and falls back to (point id, line) rows above that: both paths
+    give the same arrays, and the point sweep's (or every pair's) points."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(swept_grids())
+    @example(ColoredGridConfig(2, 2, [[], list(range(12)), []]))  # every line: 3 at each point
+    @example(ColoredGridConfig(4, 2, [[0], [], [16 * 4 + 5]]))  # single-line classes
+    def test_matches_point_enumeration(self, cfg):
+        assert incidence_dict(cfg) == point_enumeration_incidences(cfg)
+        assert incidences_both_ways(cfg)
+
+    @settings(max_examples=120, deadline=None)
+    @given(corner_grids())
+    def test_both_sides_of_the_key_bound(self, cfg):
+        lines = [line for cls in decoded(cfg) for line in cls]
+        top = max((last_point_id(2, cfg.n, line) for line in lines), default=0)
+        assert incidences_both_ways(cfg) == ((top + 1) * len(lines) <= 2**63 - 1)
+        assert incidence_dict(cfg) == pairwise_incidences(cfg)
+
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_edge_of_the_key_bound(self, fits):
+        # three lines through a point of the largest k = 3 grid, with lines
+        # far below it that raise L alone: (p + 1) * 4 fits, (p + 1) * 5 not
+        n, x, y = isqrt(isqrt(2**63 - 1)), 12_000, 7
+        star = [gl(2, x, 0, y, y), gl(3, x, y, 0, y), gl(4, x, y, y, 0)]
+        low = [gl(4, 1, 1, 1, 0), gl(3, 2, 2, 0, 2)][: 1 if fits else 2]
+        cfg = grid_config(3, n, [star[:2], star[2:] + low])
+        top = last_point_id(3, n, star[0])
+        assert top == max(last_point_id(3, n, line) for line in star + low)
+        assert (top + 1) * 4 <= 2**63 - 1 < (top + 1) * 5
+        assert incidences_both_ways(cfg) == fits
+        assert incidence_dict(cfg) == pairwise_incidences(cfg)
+        assert list(incidence_dict(cfg)) == [(x, y, y, y)]
 
 
 @st.composite
