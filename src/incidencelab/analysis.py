@@ -245,24 +245,16 @@ def monte_carlo(params_grid: list[ProbParams], trials: int) -> MonteCarloReport:
     k = ks.pop()
     size_fields = [f"size_{i}" for i in range(1, k + 2)]
     fieldnames = tuple(CSV_FIELDS_PREFIX + size_fields + ["max_colorful"])
-    rows = []
-    summaries = []
+    rows, summaries = [], []
     for params in params_grid:
-        per_rows = []
         seeds = (substream(params.seed, TRIAL_OFFSET + t) for t in range(trials))
         runs = [ProbParams(params.k, params.n, seed, params.p_sel) for seed in seeds]
-        for trial, stats in enumerate(probabilistic_batch_stats(runs)):
-            row = {
-                "k": params.k,
-                "n": params.n,
-                "seed": params.seed,
-                "trial": trial,
-                "consistent": int(stats["consistent"]),
-                "bad_lines": stats["bad_lines"],
-                "max_colorful": stats["max_colorful"],
-                **dict(zip(size_fields, stats["sizes"])),
-            }
-            per_rows.append(row)
+        per_rows = [
+            {"k": params.k, "n": params.n, "seed": params.seed, "trial": trial,
+             "consistent": int(stats["consistent"]), "bad_lines": stats["bad_lines"],
+             "max_colorful": stats["max_colorful"], **dict(zip(size_fields, stats["sizes"]))}
+            for trial, stats in enumerate(probabilistic_batch_stats(runs))
+        ]
         rows.extend(per_rows)
         sizes = [row[f] for row in per_rows for f in size_fields]
         q = quantiles(sizes, n=4) if len(sizes) > 1 else [sizes[0]] * 3

@@ -263,14 +263,17 @@ def _class_entries(data: dict, member: str) -> list:
 def _point_rows(points: list, width: int, where: str) -> np.ndarray:
     """The canonical (N, width) rows of a file's points, each a JSON list of
     ``width`` coordinate strings (else ValueError, naming ``where``): ASCII
-    integers all at once, anything else ``parse_rational`` per coordinate."""
+    integers all at once, by ``np.fromstring`` if no token passes 18 chars
+    (it clamps past int64), else by ``int``; else ``parse_rational`` each."""
     for i, point in enumerate(points):
         if type(point) is not list or len(point) != width:
             raise ValueError(f"{where}[{i}] is {point!r}, not a list of {width} coordinate strings")
     flat = [x for point in points for x in point]
     text = ",".join(flat) if all(type(x) is str for x in flat) else ""
     if _ASCII_INTS.fullmatch(text) and text.count(",") == len(flat) - 1:
-        return canonical_rows(int_array(list(map(int, flat))).reshape(len(points), width))
+        if max(map(len, flat)) > 18:
+            return canonical_rows(int_array(list(map(int, flat))).reshape(len(points), width))
+        return canonical_rows(np.fromstring(text, np.int64, sep=",").reshape(len(points), width))
     rows = [_canonical_ints([parse_rational(t) for t in point]) for point in points]
     return int_array(rows).reshape(len(points), width)
 

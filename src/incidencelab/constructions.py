@@ -9,11 +9,13 @@
 * ``gen_probabilistic`` — two-stage random selection: keep each grid line
   independently with an exact rational probability, then delete every
   line through a point covered by all k+1 axes (which unconditionally
-  kills all (k+1)-incidences), ANDing bit-packed coverage words
-  (``_coverage``).  Monte Carlo trials run in batches that hold only
-  their survivors, and one exact ``_trial_stats`` call per batch gathers
-  bit tables of the surviving lines at them.  Selection and the deletion
-  stream in blocks and slabs, in O(n^k) memory for any n.
+  kills all (k+1)-incidences): ``_coverage`` ANDs bit-packed words in
+  slabs of one buffer and ORs out each axis by a fold chosen from the
+  slab's shape, and ``_deletion`` returns each axis's survivors.  Monte
+  Carlo trials run in batches of 2^20 lines per axis that hold only their
+  survivors; one exact ``_trial_stats`` call per batch gathers add-filled
+  bit tables of them.  Selection and deletion stream in blocks and slabs,
+  in O(n^k) memory for any n.
 * ``gen_tricolor`` — the planar-style 3-color closed polygon family:
   2-consistent, no colorful incidence.
 * ``gen_desargues`` / ``gen_reye`` — the two non-planar 4x3
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt
+from math import isqrt, prod
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +62,7 @@ from .transforms import extract_planarity
 
 SLAB_WORDS = 1 << 16  # uint64 words per slab of the stage-2 coverage cube
 SELECTION_CHUNK = 1 << 13  # draws per axis in one block of the stage-1 selection
-TRIAL_BATCH_LINES = 1 << 18  # lines per axis in one batch of Monte Carlo trial statistics
+TRIAL_BATCH_LINES = 1 << 20  # lines per axis in one batch of Monte Carlo trial statistics
 _M1, _M2, _M4, _H = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 0x01))
 
 
@@ -235,10 +237,15 @@ def _words(k: int, n: int, masks) -> list[np.ndarray]:
 
 
 def _fold(cube: np.ndarray, dim: int) -> np.ndarray:
-    """OR of ``cube`` along ``dim`` as log2(length) halvings, each one OR
-    of contiguous slices; ``np.bitwise_or.reduce`` along a middle dim runs
-    word by word once the dims after it are short."""
-    lead, size = (slice(None),) * dim, cube.shape[dim]
+    """OR of ``cube`` along ``dim``, by its shape: one ``np.bitwise_or.reduce``
+    along an inner dim of length > 1 whose rows (the words after it) are 1
+    or at least 32 long, else log2(length) halvings of contiguous slices (a
+    view at length 1).  On the slabs of n = 16..256 the reduce took 0.2-0.8
+    of the halvings' time, but lost on rows of 8-16 words, by far on a dim
+    of length 1, and on the outer word dim at W = 2, 3 (won by 0.3 at W = 4)."""
+    lead, size, run = (slice(None),) * dim, cube.shape[dim], prod(cube.shape[dim + 1 :])
+    if dim and size > 1 and not 1 < run < 32:
+        return np.bitwise_or.reduce(cube, axis=dim)
     while size > 1:
         half = size // 2
         head = cube[lead + (slice(half),)] | cube[lead + (slice(half, 2 * half),)]
@@ -257,22 +264,24 @@ def _coverage(words: list[np.ndarray], width: int):
     (words of x_(k+1), x_1, ..., x_k): axis a's lines are its OR along dim
     (a + 1) % (k + 1).  It runs in slabs of ``width`` whole x1-slices (axis
     1 has no x1 slot, the others add their rows at those x1), each exact
-    and holding W * width * n^(k-1) words: O(n^k) bytes at ``_slab_width``.
+    and holding W * width * n^(k-1) words in one buffer that every slab
+    reuses: O(n^k) bytes at ``_slab_width``.
     """
-    k = len(words) - 1
+    k, size = len(words) - 1, len(words[-1])
     lines = [np.zeros_like(w) for w in words]
+    buffer = np.empty((len(words[0]), min(width, size), *words[0].shape[1:]), np.uint64)
     covered = 0
-    for lo in range(0, len(words[k]), width):
-        rows = slice(lo, lo + width)
-        cube = words[0][:, None] & np.expand_dims(words[1][:, rows], 2)  # x1, x2 missing
+    for lo in range(0, size, width):
+        rows, cube = slice(lo, lo + width), buffer[:, : size - lo]
+        np.bitwise_and(words[0][:, None], words[1][:, rows, None], out=cube)  # x1, x2 missing
         for j in range(2, k):
-            cube &= np.expand_dims(words[j][:, rows], j + 1)
+            cube &= words[j][(slice(None), rows) + (slice(None),) * (j - 1) + (None,)]
         cube *= words[k][rows]
         covered += int(_popcount(cube).sum())
         lines[0] |= _fold(cube, 1)
         for a in range(1, k):
             lines[a][:, rows] = _fold(cube, a + 1)
-        lines[k][rows] = _fold(cube, 0) != 0
+        np.not_equal(_fold(cube, 0), 0, out=lines[k][rows])
     return lines, covered
 
 
@@ -281,21 +290,20 @@ def _slab_width(k: int, n: int) -> int:
     return max(1, SLAB_WORDS // (n ** (k - 1) * -(-n // 64)))
 
 
-def _deletion(k: int, n: int, masks, width: int):
-    """Stage 2 on the stage-1 masks: (final masks, number of grid points
-    covered by all k+1 axes)."""
+def _deletion(k: int, n: int, masks, width: int) -> tuple[list[np.ndarray], int]:
+    """Stage 2 on the stage-1 masks: (per axis, the base indices of its
+    surviving lines; the number of grid points covered by all k+1 axes).
+    The kept words of one axis at a time are unpacked to a mask and read."""
     words = _words(k, n, masks)
     hit, covered = _coverage(words, width)
-    kept = [(words[a] & ~hit[a]).reshape(len(words[a]), -1).T.copy() for a in range(k)]
-    final = [np.unpackbits(w.view(np.uint8), axis=1, count=n, bitorder="little") for w in kept]
-    return [m.view(bool).reshape(-1) for m in final] + [masks[k] & ~hit[k].reshape(-1)], covered
-
-
-def _stage_masks(params: ProbParams):
-    k, n = params.k, params.n
-    selected = _selection_masks(k, n, params.seed, selection_threshold(params.p_sel))
-    final, covered = _deletion(k, n, selected, _slab_width(k, n))
-    return selected, final, covered
+    survivors = []
+    for a in range(k):  # kept words as (lines without x_(k+1), W), bit x for x_(k+1) = x + 1
+        kept = np.ascontiguousarray((words[a] & ~hit[a]).reshape(len(words[a]), -1).T)
+        bits = np.unpackbits(kept.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+        survivors.append(np.flatnonzero(bits))  # nonzero reads a bool view far faster than uint8
+        del bits  # before the next axis unpacks
+    kept = hit[k].reshape(-1)  # selected > hit, on bools: selected and not hit
+    return survivors + [np.flatnonzero(np.greater(masks[k], kept, out=kept))], covered
 
 
 def gen_probabilistic(
@@ -308,19 +316,19 @@ def gen_probabilistic(
     per axis, one draw per line in base-index order).  Stage 2 deletes,
     simultaneously on the stage-1 sets, every line through a point
     covered by all k+1 axes; the survivor therefore has no
-    (k+1)-incidence regardless of the randomness.  A mask's indices are
-    base indices, so they give the line ids directly.
+    (k+1)-incidence regardless of the randomness.  Base indices give the
+    line ids directly.
     """
     k, n = params.k, params.n
-    selected, final, covered = _stage_masks(params)
-    stages = {"before": selected, "after": final}
-    before, after = (
-        ColoredGridConfig(k, n, [np.flatnonzero(m) + a * n**k for a, m in enumerate(masks)])
-        if stage in emit else None
-        for stage, masks in stages.items()
-    )
-    sizes = (tuple(int(np.count_nonzero(m)) for m in masks) for masks in stages.values())
-    return before, after, DeletionReport(*astuple(params), *sizes, covered)
+    selected = _selection_masks(k, n, params.seed, selection_threshold(params.p_sel))
+    sizes = tuple(int(np.count_nonzero(m)) for m in selected)
+    before = (ColoredGridConfig(k, n, [np.flatnonzero(m) + a * n**k for a, m in enumerate(selected)])
+              if "before" in emit else None)
+    final, covered = _deletion(k, n, selected, _slab_width(k, n))
+    del selected
+    after = (ColoredGridConfig(k, n, [ids + a * n**k for a, ids in enumerate(final)])
+             if "after" in emit else None)
+    return before, after, DeletionReport(*astuple(params), sizes, tuple(map(len, final)), covered)
 
 
 def _split(k: int, n: int, index: np.ndarray, axis: int, slot: int):
@@ -334,14 +342,17 @@ def _hits(k: int, n: int, survivors: list[np.ndarray], rows: int) -> list[list[n
     """``hits[a][c]``, a != c: W = ceil(n/64) words per survivor of axis a,
     bit x set iff a survivor of c meets it at x_a = x.  Each side's
     ``_split`` at the other's slot, computed once per pair, places its
-    survivors as bits in a table of ``rows`` rows and gathers the other's."""
+    survivors as bits in a table of ``rows`` rows and gathers the other's.
+    One ``np.add.at`` fills a table: dropping a slot's digit from a base
+    index is a bijection onto (rest, digit), so no two survivors set the
+    same bit, and adding is ORing."""
     hits, words = [[None] * (k + 1) for _ in range(k + 1)], -(-n // 64)
     for a, c in combinations(range(k + 1), 2):
         split = {(s, t): _split(k, n, survivors[s], s, t) for s, t in ((a, c), (c, a))}
         for s, t in ((a, c), (c, a)):
             at, x = split[t, s]
             table = np.zeros((rows, words), dtype=np.uint64)
-            np.bitwise_or.at(table, (at, x >> 6), np.uint64(1) << (x & 63).astype(np.uint64))
+            np.add.at(table.reshape(-1), at * words + (x >> 6), np.uint64(1) << (x & 63).astype(np.uint64))
             hits[s][t] = table[split[s, t][0]]
     return hits
 
@@ -385,16 +396,17 @@ def probabilistic_batch_stats(runs: Sequence[ProbParams]) -> list[dict]:
     k, n = runs[0].k, runs[0].n
     if any((p.k, p.n) != (k, n) for p in runs):
         raise ValueError("trial statistics in batches need one k and one n")
-    size, out = max(1, TRIAL_BATCH_LINES // n**k), []
+    size, width, out = max(1, TRIAL_BATCH_LINES // n**k), _slab_width(k, n), []
     for lo in range(0, len(runs), size):
         batch = []  # per trial, per axis, its survivors
         for t, params in enumerate(runs[lo : lo + size]):
-            selected, final, covered = _stage_masks(params)
-            batch.append([np.flatnonzero(m) + t * n**k for m in final])
+            selected = _selection_masks(k, n, params.seed, selection_threshold(params.p_sel))
+            survivors, covered = _deletion(k, n, selected, width)
+            batch.append([ids + t * n**k for ids in survivors])
             out.append({"k": k, "n": n, "seed": params.seed,
                         "selected_sizes": tuple(int(np.count_nonzero(m)) for m in selected),
-                        "sizes": tuple(map(len, batch[-1])), "covered_points": covered})
-            del selected, final  # a batch holds survivors only
+                        "sizes": tuple(map(len, survivors)), "covered_points": covered})
+            del selected  # a batch holds survivors only
         bad, orders = _trial_stats(k, n, [np.concatenate(s) for s in zip(*batch)], len(batch))
         for stats, b, m in zip(out[lo:], bad.tolist(), orders.tolist()):
             stats.update(consistent=b == 0, bad_lines=b, max_colorful=m)
@@ -432,7 +444,6 @@ def gen_tricolor(n: int, steps: Sequence[Rational]) -> ColoredLineConfig:
     vertex = [Fraction(0)] * 3
     vertices = [tuple(vertex)]
     for j, s in enumerate(lengths):
-        vertex = list(vertex)
         vertex[j % 3] += s
         vertices.append(tuple(vertex))
     if vertices[-1] != vertices[0]:
@@ -440,9 +451,7 @@ def gen_tricolor(n: int, steps: Sequence[Rational]) -> ColoredLineConfig:
     classes: list[list[Line]] = [[], [], []]
     seen: set[tuple] = set()
     for j in range(3 * n):
-        direction = [0, 0, 0]
-        direction[j % 3] = 1
-        line = Line.affine_with_direction(vertices[j], direction)
+        line = Line.affine_with_direction(vertices[j], [int(t == j % 3) for t in range(3)])
         if line.key in seen:
             raise ValueError("degenerate parameters: coincident lines")
         seen.add(line.key)
@@ -550,14 +559,8 @@ def gen_desargues() -> ColoredLineConfig:
     """The 12 lines lying in exactly two of six fixed planes, with the
     (unique up to relabeling) coloring making it 3-consistent without
     a colorful incidence; exactly one class is concurrent non-coplanar."""
-    planes = [
-        (1, 0, 0, 0),
-        (0, 1, 0, 0),
-        (0, 0, 1, 0),
-        (1, 1, 1, -1),
-        (1, 2, 4, -3),
-        (1, 0, -2, 1),  # 2*plane4 - plane5: shares their common line
-    ]
+    # the sixth plane is 2*plane4 - plane5, so it shares their common line
+    planes = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, -1), (1, 2, 4, -3), (1, 0, -2, 1)]
     for name, among in (("1..5", range(5)), ("1,2,3,6", (0, 1, 2, 5))):
         for chosen in (*combinations(among, 3), *combinations(among, 4)):
             if int_rank([planes[t] for t in chosen]) != len(chosen):
@@ -689,9 +692,7 @@ def gen_dual_cycles(
         raise ValueError("need r distinct nonzero start coordinates")
 
     p1 = [ProjPoint([0, 1, 0]), ProjPoint([1, 0, 0])]  # vertical, horizontal
-    p2: list[ProjPoint] = []
-    p3: list[ProjPoint] = []
-    p4: list[ProjPoint] = []
+    p2, p3, p4 = [], [], []
     for x0 in xs:
         a = (x0, a3 * x0)
         b = (a3 * x0 / a4, a3 * x0)
@@ -747,12 +748,7 @@ def quadric_ruling(family: int, param: tuple[int, int]) -> Line:
 
 def quadric_ruling_slits() -> tuple[Line, Line, Line, Line]:
     """Slits in special position: both families are rulings of x*y = z*w."""
-    return (
-        quadric_ruling(1, (1, 1)),
-        quadric_ruling(1, (2, 1)),
-        quadric_ruling(2, (1, 1)),
-        quadric_ruling(2, (1, 2)),
-    )
+    return tuple(quadric_ruling(f, st) for f, st in ((1, (1, 1)), (1, (2, 1)), (2, (1, 1)), (2, (1, 2))))
 
 
 def _point_on(line: Line, t: int) -> ProjPoint:

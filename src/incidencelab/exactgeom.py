@@ -78,11 +78,12 @@ def _reduce_row(row: Sequence[int]) -> tuple[int, ...]:
 
 
 def int_array(values) -> np.ndarray:
-    """Integers (nested lists or an array) as int64 if all fit, else as Python ints."""
+    """Integers (nested lists or an array) as int64 if all fit, negated too, else as Python ints."""
     try:
-        return np.array(values, np.int64)
+        a = np.array(values, np.int64)
     except OverflowError:
         return np.array(values, object)
+    return a if not a.size or a.min() > -(2**63) else np.array(values, object)
 
 
 def magnitude(a: np.ndarray) -> int:

@@ -56,6 +56,7 @@ def substream(seed: int, s: int) -> int:
 
 # (i + 1) * GAMMA mod 2**64 for i < 2**13, the length of a stage-1 selection block
 _STEPS = np.arange(1, (1 << 13) + 1, dtype=np.uint64) * np.uint64(GAMMA)
+_MIX = ((np.uint64(30), np.uint64(_M1)), (np.uint64(27), np.uint64(_M2)), (np.uint64(31), None))
 
 
 def splitmix64_block(seed, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -73,10 +74,10 @@ def splitmix64_block(seed, start: int, count: int, out: np.ndarray | None = None
     z = out[None] if one else out
     np.add(steps, np.array(offsets, dtype=np.uint64)[:, None], out=z)
     shifted = np.empty_like(z)
-    for shift, mult in ((30, _M1), (27, _M2)):
-        z ^= np.right_shift(z, np.uint64(shift), out=shifted)
-        z *= np.uint64(mult)
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    for shift, mult in _MIX:  # numpy scalars built at import, not per block
+        z ^= np.right_shift(z, shift, out=shifted)
+        if mult is not None:
+            z *= mult
     return out
 
 

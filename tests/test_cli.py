@@ -1127,6 +1127,43 @@ class TestFileRoundTrip:
         assert cli._dump_json(configs.config_to_json(configs.config_from_json(json.loads(text)))) == text
 
 
+integer_tokens = st.builds(
+    lambda sign, zeros, digits: sign + "0" * zeros + digits,
+    st.sampled_from(["", "-"]),
+    st.integers(0, 3),
+    st.from_regex(r"[0-9]{1,18}", fullmatch=True)
+    | st.from_regex(r"[0-9]{19,22}", fullmatch=True)
+    | st.sampled_from(["999999999999999999", str(2**63 - 1), str(2**63), str(2**64)]),
+)
+
+
+class TestIntegerPointRows:
+    """All-ASCII integer points are read as ``int`` reads them: by
+    ``np.fromstring`` when no token is longer than 18 characters (it
+    clamps 2^63 to 2^63 - 1), else one ``int`` per token; signs, leading
+    zeros and -2^63, which int64 cannot negate, included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_int(self, data):
+        width = data.draw(st.integers(2, 4), label="width")
+        point = st.lists(integer_tokens, min_size=width, max_size=width)
+        points = data.draw(st.lists(point, min_size=1, max_size=6), label="points")
+        rows = [[int(t) for t in p] for p in points]
+        if not all(any(row) for row in rows):
+            with pytest.raises(ValueError):
+                configs._point_rows(points, width, "points")
+            return
+        got = configs._point_rows(points, width, "points")
+        assert got.shape == (len(points), width)
+        assert got.tolist() == [list(fraction_canonical_ints(row)) for row in rows]
+
+    @pytest.mark.parametrize("token", [str(2**63), str(-(2**63)), "-" + str(2**63 + 1), "0" * 18 + "7"])
+    def test_long_tokens_stay_exact(self, token):
+        got = configs._point_rows([[token, "0", "1"]], 3, "points")
+        assert got.tolist() == [list(fraction_canonical_ints([int(token), 0, 1]))]
+
+
 class TestExactFallback:
     def test_verify_past_the_int64_bounds(self, workdir, capsys):
         # the lines-pipeline artifact shape, mapped by a matrix with entries near

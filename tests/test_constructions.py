@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -11,12 +11,14 @@ from incidencelab.cli import _dump_json
 from incidencelab.constructions import (
     AlgebraicParams,
     SELECTION_CHUNK,
+    TRIAL_BATCH_LINES,
     ProbParams,
     _deletion,
+    _hits,
     _popcount,
     _selection_masks,
     _slab_width,
-    _stage_masks,
+    _split,
     _trial_stats,
     default_generic_slits,
     gen_algebraic,
@@ -60,6 +62,25 @@ from oracles import (
 )
 
 
+def deletion_masks(k, n, masks, width):
+    """``_deletion`` with each axis's survivors, strictly increasing base
+    indices, turned into a base-index mask."""
+    survivors, covered = _deletion(k, n, masks, width)
+    final = [np.zeros(n**k, dtype=bool) for _ in survivors]
+    for mask, ids in zip(final, survivors):
+        assert ids.dtype == np.int64 and (np.diff(ids) > 0).all()
+        mask[ids] = True
+    return final, covered
+
+
+def stage_masks(params: ProbParams):
+    """(stage-1 masks, stage-2 masks, covered points) of one run, the
+    deletion in slabs of ``_slab_width``."""
+    k, n = params.k, params.n
+    selected = _selection_masks(k, n, params.seed, selection_threshold(params.p_sel))
+    return (selected, *deletion_masks(k, n, selected, _slab_width(k, n)))
+
+
 @st.composite
 def axis_masks(draw, k, n):
     """k+1 base-index masks of one density: none, all, or a random share."""
@@ -74,7 +95,7 @@ def final_masks(draw, k, n):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
     densities = draw(st.lists(density, min_size=k + 1, max_size=k + 1))
-    return _deletion(k, n, [rng.random(n**k) < p for p in densities], 1)[0]
+    return deletion_masks(k, n, [rng.random(n**k) < p for p in densities], 1)[0]
 
 
 @st.composite
@@ -95,7 +116,33 @@ def trial_masks(draw, k, n):
         elif kind == "share":
             mask = rng.random(n**k) < draw(st.floats(0.05, 0.95), label="density")
         masks.append(mask)
-    return _deletion(k, n, masks, 1)[0] if draw(st.booleans(), label="deleted") else masks
+    return deletion_masks(k, n, masks, 1)[0] if draw(st.booleans(), label="deleted") else masks
+
+
+@st.composite
+def planted_sparse_masks(draw, k, n):
+    """k+1 sparse base-index masks with a few grid points planted on a line
+    of every axis (so covered) or of every axis but one (so not)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="rng"))
+    masks = [rng.random(n**k) < draw(st.floats(0, 0.002), label="density") for _ in range(k + 1)]
+    for _ in range(draw(st.integers(0, 4), label="points")):
+        point = rng.integers(0, n, k + 1).tolist()
+        missing = draw(st.integers(0, k + 1), label="missing axis")  # k + 1: none
+        for axis in set(range(k + 1)) - {missing}:
+            masks[axis][np.ravel_multi_index(point[:axis] + point[axis + 1 :], (n,) * k)] = True
+    return masks
+
+
+def or_filled_hits(k, n, survivors, rows):
+    """``_hits`` with each table filled by a 2-d ``np.bitwise_or.at``, which
+    is right whether or not two survivors set the same bit."""
+    words, hits = -(-n // 64), [[None] * (k + 1) for _ in range(k + 1)]
+    for s, t in permutations(range(k + 1), 2):
+        at, x = _split(k, n, survivors[t], t, s)
+        table = np.zeros((rows, words), dtype=np.uint64)
+        np.bitwise_or.at(table, (at, x >> 6), np.uint64(1) << (x & 63).astype(np.uint64))
+        hits[s][t] = table[_split(k, n, survivors[s], s, t)[0]]
+    return hits
 
 
 def batch_stats(k, n, trials) -> list[tuple[int, int]]:
@@ -320,7 +367,7 @@ class TestProbabilistic:
         assert dense_cov == sparse_cov
         for md, ms in zip(dense_final, sparse_final):
             assert (md == ms).all()
-        _, final, covered = _stage_masks(params)
+        _, final, covered = stage_masks(params)
         assert covered == dense_cov
         for m, md in zip(final, dense_final):
             assert np.array_equal(m, md)
@@ -330,18 +377,31 @@ class TestProbabilistic:
     def test_slab_deletion_matches_oracles(self, k, n, data):
         width = data.draw(st.integers(1, n + 1), label="width")
         masks = data.draw(axis_masks(k, n))
-        final, covered = _deletion(k, n, masks, width)
+        final, covered = deletion_masks(k, n, masks, width)
         for oracle in (dense_deletion, sparse_deletion):
             oracle_final, oracle_covered = oracle(k, n, masks)
             assert covered == oracle_covered
             for m, om in zip(final, oracle_final):
                 assert np.array_equal(m, om)
 
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(65, 100), data=st.data())
+    def test_wide_slab_deletion_matches_sparse_oracle(self, n, data):
+        # x_(k+1) spans two uint64 words; slabs of one x1-slice up to all of them
+        k = 3
+        width = data.draw(st.integers(1, n + 1), label="width")
+        masks = data.draw(planted_sparse_masks(k, n), label="masks")
+        final, covered = deletion_masks(k, n, masks, width)
+        sparse_final, sparse_covered = sparse_deletion(k, n, masks)
+        assert covered == sparse_covered
+        for m, ms in zip(final, sparse_final):
+            assert np.array_equal(m, ms)
+
     def test_slabs_with_a_partial_last_slab_match_dense(self):
         # n=41 streams slabs of 38 x1-slices, the last one holding 3
         k, n = 3, 41
         assert n % _slab_width(k, n) != 0
-        selected, final, covered = _stage_masks(ProbParams(k, n, 11))
+        selected, final, covered = stage_masks(ProbParams(k, n, 11))
         dense_final, dense_cov = dense_deletion(k, n, selected)
         assert covered == dense_cov > 0
         for m, md in zip(final, dense_final):
@@ -357,14 +417,14 @@ class TestProbabilistic:
         expected = dense_trial_stats(k, n, dense_final)
         assert expected[1] == k
         for width in (1, 7, n + 1):
-            final, covered = _deletion(k, n, masks, width)
+            final, covered = deletion_masks(k, n, masks, width)
             assert covered == dense_cov
             for m, md in zip(final, dense_final):
                 assert np.array_equal(m, md)
         assert mask_stats(k, n, final) == expected
         sparse = [rng.random(n**k) < 0.01 for _ in range(k + 1)]
         sparse_final, sparse_cov = sparse_deletion(k, n, sparse)
-        final, covered = _deletion(k, n, sparse, 7)
+        final, covered = deletion_masks(k, n, sparse, 7)
         assert covered == sparse_cov
         for m, ms in zip(final, sparse_final):
             assert np.array_equal(m, ms)
@@ -461,7 +521,7 @@ class TestProbabilistic:
         pair[0][n**k - 1] = pair[1][n**k - 1] = True  # both through (n, ..., n)
         pair[3][0] = True  # through no point of them
         empty = [np.zeros(n**k, dtype=bool) for _ in range(k + 1)]
-        trials = [_deletion(k, n, share, 7)[0], pair, share, empty, pair]
+        trials = [deletion_masks(k, n, share, 7)[0], pair, share, empty, pair]
         expected = [dense_trial_stats(k, n, m) for m in trials]
         assert [order for _, order in expected] == [k, 2, k + 1, 0, 2]
         assert batch_stats(k, n, trials) == expected
@@ -473,13 +533,39 @@ class TestProbabilistic:
         with pytest.raises(ValueError):
             probabilistic_batch_stats([ProbParams(3, 16, 1), ProbParams(3, 17, 1)])
 
+    @pytest.mark.parametrize("trials", [3, 4, 5])
+    def test_batches_straddle_the_batch_size(self, trials):
+        # n = 64 runs 4 trials per batch: one partial batch, one whole, one and a tail
+        assert TRIAL_BATCH_LINES // 64**3 == 4
+        runs = [ProbParams(3, 64, substream(9, t)) for t in range(trials)]
+        assert probabilistic_batch_stats(runs) == [probabilistic_trial_stats(p) for p in runs]
+
+    @pytest.mark.parametrize("k,n", [(3, 63), (3, 64), (3, 65), (3, 128), (4, 63), (4, 64), (4, 65), (4, 128)])
+    def test_add_filled_hit_tables_equal_or_filled(self, k, n):
+        # one survivor's place in a table is a bijection of its base index,
+        # so adding its bit equals ORing it; two trials, a sparse and a
+        # dense axis among them, and both ends of the base-index range
+        rng, trials = np.random.default_rng(k * n), 2
+        lines = trials * n**k
+        survivors = []
+        for axis in range(k + 1):
+            count = min(lines, 3000 if axis % 2 else 40_000)
+            ids = np.unique(np.concatenate([[0, lines - 1], rng.integers(0, lines, count)]))
+            survivors.append(ids.astype(np.int64))
+        rows = trials * n ** (k - 1)
+        hits, expected = _hits(k, n, survivors, rows), or_filled_hits(k, n, survivors, rows)
+        for s, t in permutations(range(k + 1), 2):
+            assert hits[s][t].dtype == np.uint64
+            assert np.array_equal(hits[s][t], expected[s][t])
+            assert hits[s][t].any()
+
     @pytest.mark.parametrize("k", [3, 4])
     def test_survivor_stats_reach_k_plus_one_on_stage_1_masks(self, k):
         # full axes cover every grid point k+1 times; deletion removes them all
         n = 2
         full = [np.ones(n**k, dtype=bool) for _ in range(k + 1)]
         assert mask_stats(k, n, full) == dense_trial_stats(k, n, full) == (0, k + 1)
-        final = _deletion(k, n, full, 1)[0]
+        final = deletion_masks(k, n, full, 1)[0]
         assert mask_stats(k, n, final) == dense_trial_stats(k, n, final) == (0, 0)
 
     @pytest.mark.parametrize("k,m", [(3, m) for m in range(4)] + [(4, m) for m in range(5)])
@@ -512,9 +598,9 @@ class TestProbabilistic:
         # seed 2 leaves every final class empty; the sparser deletion keeps
         # lines on every axis, so its cubes hold points
         k, n = 4, 20
-        _, final, _ = _stage_masks(ProbParams(k, n, 2))
+        _, final, _ = stage_masks(ProbParams(k, n, 2))
         rng = np.random.default_rng(2)
-        kept, _ = _deletion(k, n, [rng.random(n**k) < 0.2 for _ in range(k + 1)], 1)
+        kept, _ = deletion_masks(k, n, [rng.random(n**k) < 0.2 for _ in range(k + 1)], 1)
         assert all(m.any() for m in kept)
         for masks in (final, kept):
             tracemalloc.start()
