@@ -193,7 +193,7 @@ class MinimalityVerdict:
 def minimality_audit(cfg: ColoredGridConfig, k: int) -> MinimalityVerdict:
     """True iff removing any single line breaks k-consistency, decided in
     one pass over the grid-point groups (``gridmodel.group_removable``)."""
-    removable = group_removable(cfg.class_sizes(), *cfg.incidences[1:], k, cfg.carriers)
+    removable = group_removable(cfg.class_sizes(), *cfg.incidences[1:], k, cfg.carriers, cfg.own)
     return MinimalityVerdict(not removable, removable)
 
 

@@ -298,7 +298,7 @@ def cmd_transform(args, run: _Run) -> int:
     if args.lift:
         if not isinstance(cfg, ColoredGridConfig):
             raise SystemExit2("--lift applies to grid configurations")
-        cfg, s = lift_to_concurrent(cfg, audit=not args.no_audit)
+        cfg, s = lift_to_concurrent(cfg, audit=not args.no_audit and args.project is None)
     if args.project is not None:
         if isinstance(cfg, ColoredGridConfig):
             s, cfg = extract_structure(cfg), embed_grid_config(cfg)
@@ -456,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--dualize", action="store_true")
     t.add_argument("--undualize", action="store_true")
-    t.add_argument("--no-audit", action="store_true")
+    t.add_argument("--no-audit", action="store_true", help="skip a lift-only transform's audit")
     t.add_argument("-o", "--output", default="transformed.json")
 
     a = sub.add_parser("analyze", help="structure reports and experiments")

@@ -113,6 +113,11 @@ class ColoredGridConfig:
         """The ``carrier_table`` of ``incidences``, shared by the grid verdicts."""
         return carrier_table(self.class_sizes(), *self.incidences[1:])
 
+    @cached_property
+    def own(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The ``color_entries`` of ``incidences``, shared by the grid verdicts."""
+        return color_entries(self.class_sizes(), *self.incidences[1:])
+
     def coordinates(self, points: np.ndarray) -> list[tuple[int, ...]]:
         """The coordinates of an array of point ids."""
         return list(map(tuple, (_digits(points, self.n, self.k + 1) + 1).tolist()))
@@ -223,19 +228,22 @@ def carrier_table(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarra
     return has
 
 
-def _carriers(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int, has=None):
-    """(own, carrying): ``own[c-1]`` is (positions in class c, groups) of
-    color c's entries, groups ascending.  ``carrying`` yields (c, T, at) for
-    each (k-1)-set T of colors, in ``combinations`` order, and each c not in
-    T, ``at`` marking c's entries at the groups carrying T: the AND of T's
-    rows of the carrier table ``has``, built here unless passed in."""
+def color_entries(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray) -> list:
+    """``own[c-1]``: (positions in class c, groups) of color c's entries, groups ascending."""
+    first = np.cumsum((0, *class_sizes), dtype=np.int64)  # color c's first position
+    mine = (np.flatnonzero((lo <= line) & (line < hi)) for lo, hi in zip(first, first[1:]))
+    return [(line[i] - lo, group[i]) for lo, i in zip(first, mine)]
+
+
+def _carriers(class_sizes, group, line, k: int, has=None, own=None):
+    """(own, carrying): the ``color_entries`` and, per (k-1)-set T of colors in ``combinations``
+    order and c not in T, (c, T, at), ``at`` marking c's entries at the groups carrying T: the AND
+    of T's rows of the carrier table ``has``.  ``own`` and ``has`` are built unless given."""
     m = len(class_sizes)
     if not 1 <= k <= m:
         raise ValueError("k must be >= 1" if k < 1 else "k exceeds the number of colors")
     has = carrier_table(class_sizes, group, line) if has is None else has
-    first = np.cumsum((0, *class_sizes), dtype=np.int64)  # color c's first position
-    mine = (np.flatnonzero((lo <= line) & (line < hi)) for lo, hi in zip(first, first[1:]))
-    own = [(line[i] - lo, group[i]) for lo, i in zip(first, mine)]
+    own = color_entries(class_sizes, group, line) if own is None else own
 
     def carrying():
         for T in combinations(range(1, m + 1), k - 1) if k > 1 else ():
@@ -247,12 +255,12 @@ def _carriers(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k
 
 
 def group_consistency(
-    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int, has=None
+    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int, has=None, own=None
 ) -> ConsistencyVerdict:
     """k-consistency over incidence groups: line (c, i) fails S = {c} | T
     when no group through it carries every color of T.  Failures are
     listed by color, then T in ``combinations`` order, then index."""
-    own, carrying = _carriers(class_sizes, group, line, k, has)
+    own, carrying = _carriers(class_sizes, group, line, k, has, own)
     runs: list[list] = [[] for _ in class_sizes]
     for c, T, at in carrying:
         good = np.zeros(class_sizes[c - 1], bool)
@@ -262,7 +270,7 @@ def group_consistency(
 
 
 def group_removable(
-    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int, has=None
+    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int, has=None, own=None
 ) -> tuple[LineRef, ...]:
     """Lines whose removal keeps a k-consistent configuration k-consistent.
 
@@ -275,7 +283,7 @@ def group_removable(
     have exactly one carrier: one pass decides every line.  Raises
     ValueError if some (l, T) has no carrier at all.
     """
-    own, carrying = _carriers(class_sizes, group, line, k, has)
+    own, carrying = _carriers(class_sizes, group, line, k, has, own)
     # an entry alone of its color in its group is both first and last of its run
     solo = [s & np.roll(s, -1) for s in (_starts(at) for _, at in own)]
     essential = [np.zeros(size, bool) for size in class_sizes]
@@ -298,7 +306,8 @@ def group_max_colorful(
 ) -> tuple[int, int | None]:
     """Largest color count over the groups, with the first group reaching
     it: the column sums of the carrier table."""
-    orders = (carrier_table(class_sizes, group, line) if has is None else has).sum(axis=0)
+    has = carrier_table(class_sizes, group, line) if has is None else has
+    orders = has.sum(axis=0, dtype=np.min_scalar_type(len(has)))  # a byte a group to 255 colors
     best = int(orders.argmax()) if orders.size else None
     return (0, None) if best is None else (int(orders[best]), best)
 
@@ -311,7 +320,7 @@ def group_max_colorful(
 
 def is_k_consistent(cfg: ColoredGridConfig, k: int) -> ConsistencyVerdict:
     """Check that every line of every color in every k-subset S has an S-incidence."""
-    return group_consistency(cfg.class_sizes(), *cfg.incidences[1:], k, cfg.carriers)
+    return group_consistency(cfg.class_sizes(), *cfg.incidences[1:], k, cfg.carriers, cfg.own)
 
 
 def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> bool:

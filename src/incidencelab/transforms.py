@@ -66,8 +66,9 @@ def lift_to_concurrent(
     coordinate-sum range is sent to infinity; the class of axis a becomes
     concurrent through the image of its direction, the affine unit point
     on axis a.  Returns the lift and the grid's incidence structure, which
-    it preserves; ``audit`` checks that on the lifted lines with the pair
-    kernel of ``concurrence_buckets``, quadratic in the number of lines.
+    it preserves.  ``audit`` checks that on the lifted lines (the pair kernel
+    of ``concurrence_buckets``, quadratic in the number of lines), for lift-only
+    transforms: ``project_generic`` audits each image against the structure.
     """
     if any(c.size and c[0] // cfg.n**cfg.k != c[-1] // cfg.n**cfg.k for c in cfg.ids):
         raise ValueError("lift requires axis-parallel classes")  # ids sort by axis first

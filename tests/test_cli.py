@@ -467,6 +467,14 @@ class TestVerify:
         # max colorful reads the column sums of the table consistency built
         assert self.count_builds(workdir, monkeypatch, "carriers") == 1
 
+    def test_grid_color_entries_built_once(self, workdir, capsys, monkeypatch):
+        # consistency and the minimality audit share each color's entry arrays
+        builds = []
+        original = gridmodel.color_entries
+        monkeypatch.setattr(gridmodel, "color_entries", lambda *a: builds.append(a) or original(*a))
+        assert self.count_builds(workdir, monkeypatch, "own") == 1
+        assert len(builds) == 1
+
     def test_structure_extracted_at_most_once(self, workdir, capsys, monkeypatch):
         calls = []
         for name in ("extract_structure", "extract_structure_lines"):
@@ -627,25 +635,8 @@ class TestTransformAnalyze:
         assert run([*argv, "-o", "mc.csv"]) == 0
         assert len((workdir / "mc.csv").read_text().splitlines()) == 2
 
-    def test_lift_project_extracts_the_lifted_structure_once(self, workdir, monkeypatch):
-        extracted = []
-        original = transforms.extract_structure_lines
-
-        def counting(cfg):
-            extracted.append(cfg)
-            return original(cfg)
-
-        for module in (cli, transforms):
-            monkeypatch.setattr(module, "extract_structure_lines", counting)
-        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
-        argv = ["transform", "alg.json", "--lift", "--project", "3", "--seed", "11"]
-        assert run([*argv, "-o", "proj.json"]) == 0
-        lifted = extracted[0]  # the lift audit
-        assert [cfg is lifted for cfg in extracted].count(True) == 1
-
-    def test_grid_projection_extracts_only_the_images(self, workdir, monkeypatch):
-        # the grid's own structure is the audit reference, so each projection
-        # attempt extracts its image and the embedded source is never extracted
+    def count_extractions(self, monkeypatch, argv):
+        """The line configurations a ``transform`` extracts, and its projection results."""
         extracted, results = [], []
         original = transforms.extract_structure_lines
 
@@ -660,8 +651,54 @@ class TestTransformAnalyze:
             cli, "project_generic", lambda *a: results.append(project(*a)) or results[-1]
         )
         run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
-        argv = ["transform", "alg.json", "--project", "3", "--seed", "11", "-o", "proj.json"]
-        assert run(argv) == 0
+        assert run(["transform", "alg.json", *argv, "-o", "out.json"]) == 0
+        return extracted, results
+
+    def test_lift_project_extracts_only_the_images(self, workdir, monkeypatch):
+        # the projection audits each image against the grid's own structure,
+        # which certifies the written file, so the lift itself is never extracted
+        argv = ["--lift", "--project", "3", "--seed", "11"]
+        extracted, results = self.count_extractions(monkeypatch, argv)
+        assert len(extracted) == results[0].attempts
+        assert all(cfg.d == 3 for cfg in extracted)
+
+    def test_lift_only_extracts_the_lift_once(self, workdir, monkeypatch):
+        # a lift written as the artifact is certified by its own audit
+        extracted, results = self.count_extractions(monkeypatch, ["--lift"])
+        assert results == [] and [cfg.d for cfg in extracted] == [4]
+
+    @pytest.mark.parametrize("argv", [["--project", "3"], ["--project", "2", "--dualize"]])
+    def test_broken_lift_under_projection_exits_2(self, workdir, capsys, monkeypatch, argv):
+        # a lift with one line turned about its class center leaves every grid
+        # point of that line, among them groups of three or more lines (alg(3,2)
+        # is 3-consistent); no projection of it passes the audit, in R^3 or R^2
+        lift = cli.lift_to_concurrent
+
+        def broken(cfg, audit=True):
+            lifted, s = lift(cfg, audit)
+            classes = [list(cls) for cls in lifted.classes]
+            point, center = classes[0][0].p, classes[0][0].q
+            assert center == lifted.centers[0]
+            moved = exactgeom.ProjPoint((point.coords[0] + 1, *point.coords[1:]))
+            classes[0][0] = exactgeom.Line(center, moved)
+            lifted = configs.ColoredLineConfig(lifted.d, classes, lifted.centers)
+            assert transforms.extract_structure_lines(lifted) != s
+            return lifted, s
+
+        monkeypatch.setattr(cli, "lift_to_concurrent", broken)
+        run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
+        assert run(["verify", "alg.json", "--k-consistency", "3"]) == 0
+        capsys.readouterr()
+        assert run(["transform", "alg.json", "--lift", *argv, "--seed", "11", "-o", "out.json"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no generic projection found in 32 attempts\n"
+        assert not (workdir / "out.json").exists()
+        assert not (workdir / "out.json.manifest.json").exists()
+
+    def test_grid_projection_extracts_only_the_images(self, workdir, monkeypatch):
+        # the grid's own structure is the audit reference, so each projection
+        # attempt extracts its image and the embedded source is never extracted
+        extracted, results = self.count_extractions(monkeypatch, ["--project", "3", "--seed", "11"])
         assert len(extracted) == results[0].attempts
         assert all(cfg.d == 3 for cfg in extracted)
 
