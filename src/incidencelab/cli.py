@@ -19,8 +19,10 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,37 +46,27 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _encode(obj, indent: str, out: list[str]) -> None:
-    """Append the pieces of ``obj``, as ``json.dumps(obj, indent=2,
-    sort_keys=True)`` writes it at ``indent``, to ``out``."""
+def _encode(obj, indent: str) -> Iterator[str]:
+    """The pieces of ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)``
+    writes it at ``indent``."""
     if isinstance(obj, configs.DecimalRows):  # a tuple
-        return _encode_rows(obj.rows, indent, out, '"%d"')
+        return (yield from _encode_rows(obj.rows, indent, '"%d"'))
     if not isinstance(obj, (dict, list, tuple)):
         try:
-            out.append(_scalar(obj))
+            piece = _scalar(obj)
         except TypeError:  # json writes no ndarray: grid bases are 2-d integer ones
             if not (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind in "iu"):
                 raise
-            _encode_rows(obj, indent, out)
-        return
+            return (yield from _encode_rows(obj, indent))
+        return (yield piece)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
     if not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-        return
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict):
-        out.append("{\n" + inner)
-        for key, value in sorted(obj.items()):
-            out.append(_key(key) + ": ")
-            _encode(value, inner, out)
-            out.append(sep)
-        out[-1] = "\n" + indent + "}"
-        return
-    out.append("[\n" + inner)
-    for value in obj:
-        _encode(value, inner, out)
-        out.append(sep)
-    out[-1] = "\n" + indent + "]"
+        return (yield brackets)
+    inner, keyed = indent + "  ", isinstance(obj, dict)
+    for i, (key, value) in enumerate(sorted(obj.items()) if keyed else enumerate(obj)):
+        yield (",\n" if i else brackets[0] + "\n") + inner + (_key(key) + ": " if keyed else "")
+        yield from _encode(value, inner)
+    yield "\n" + indent + brackets[1]
 
 
 def _template(parts: list[str], indent: str, brackets: str = "[]") -> str:
@@ -83,16 +75,41 @@ def _template(parts: list[str], indent: str, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(parts) + "\n" + indent + brackets[1]
 
 
-def _encode_rows(rows: np.ndarray, indent: str, out: list[str], slot="%d") -> None:
+_BLOCK_ROWS = 1 << 14  # rows per piece, so no array's whole text is held at once
+
+
+def _encode_rows(rows: np.ndarray, indent: str, slot="%d") -> Iterator[str]:
     """Integer rows as their ``tolist()`` (entries by ``slot``: '"%d"' writes
-    decimal strings; (m, 2, D) rows as ``{"p": ..., "q": ...}`` objects):
-    one printf-style format of a row template repeated per row."""
+    decimal strings; (m, 2, D) rows as ``{"p": ..., "q": ...}`` objects), in
+    pieces of ``_BLOCK_ROWS`` rows.  Entries spanning a range narrower than
+    their count (grid bases: 1..n) are joined from per-column token tables,
+    each value formatted once with the fixed text up to the next slot; wider
+    ranges fill a printf-style row template."""
     inner, width = indent + "  ", rows.shape[-1]
     row = _template([slot] * width, inner + "  " * (rows.ndim - 2)) if width else "[]"
     if rows.ndim == 3:
         row = _template(['"p": ' + row, '"q": ' + row], inner, "{}")
-    body = (",\n" + inner).join([row] * len(rows)) % tuple(rows.ravel().tolist())
-    out.extend(("[\n" + inner, body, "\n" + indent + "]") if len(rows) else ("[]",))
+    if not len(rows):
+        return (yield "[]")
+    sep, flat = ",\n" + inner, rows.reshape(len(rows), -1)
+    lo, hi = (int(flat.min()), int(flat.max())) if flat.size else (0, 0)
+    if hi - lo < flat.size:
+        parts, values = row.split("%d"), list(map(str, range(lo, hi + 1)))
+        starts, ends = [parts[0]] + [""] * (len(parts) - 2), [*parts[1:-1], parts[-1] + sep]
+        table = np.array([s + v + e for s, e in zip(starts, ends) for v in values], dtype=object)
+        index = (flat - lo).astype(np.intp) + np.arange(flat.shape[1]) * len(values)
+    yield "[\n" + inner
+    for a in range(0, len(rows), _BLOCK_ROWS):
+        cut = len(sep) * (a + _BLOCK_ROWS >= len(rows))  # no separator after the last row
+        if hi - lo < flat.size:
+            pieces = table[index[a : a + _BLOCK_ROWS]].ravel().tolist()
+            pieces[-1] = pieces[-1][: len(pieces[-1]) - cut]
+            yield "".join(pieces)
+        else:
+            block = flat[a : a + _BLOCK_ROWS]
+            text = (row + sep) * len(block)
+            yield text[: len(text) - cut] % tuple(block.ravel().tolist())
+    yield "\n" + indent + "]"
 
 
 def _dump_json(data) -> str:
@@ -100,14 +117,7 @@ def _dump_json(data) -> str:
     newline, arrays written as their ``tolist()``: containers are walked
     here, scalars go to ``json``'s C encoder (``json`` uses it only without
     ``indent``)."""
-    out: list[str] = []
-    _encode(data, "", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return "".join(chain(_encode(data, ""), "\n"))
 
 
 class _Run:
@@ -127,21 +137,26 @@ class _Run:
         except (OSError, json.JSONDecodeError) as exc:
             raise SystemExit2(f"cannot read configuration {path}: {exc}")
         if digest:  # for the manifest of a command that writes an artifact
-            self.inputs[str(p)] = _sha256(raw)
+            self.inputs[str(p)] = hashlib.sha256(raw).hexdigest()
         try:
             return configs.config_from_json(data)
         except (KeyError, ValueError, TypeError) as exc:
             raise SystemExit2(f"malformed configuration {path}: {exc}")
 
-    def write_artifact(self, path: str, text: str) -> None:
-        p, data = Path(path), text.encode()
-        p.write_bytes(data)
+    def write_artifact(self, path: str, data) -> None:
+        """Write and hash ``data``: a str, or a JSON document piece by piece."""
+        p, digest = Path(path), hashlib.sha256()
+        with p.open("wb", buffering=1 << 20) as f:  # small pieces: few system calls
+            for piece in [data] if isinstance(data, str) else chain(_encode(data, ""), "\n"):
+                raw = piece.encode()
+                f.write(raw)
+                digest.update(raw)
         manifest = {
             "command": self.argv,
             "version": __version__,
             "seeds": self.seeds,
             "inputs": self.inputs,
-            "outputs": {str(p): _sha256(data)},
+            "outputs": {str(p): digest.hexdigest()},
             "timings": {"wall_s": round(time.time() - self.t0, 3)},
         }
         Path(str(p) + ".manifest.json").write_text(_dump_json(manifest))
@@ -205,7 +220,7 @@ def cmd_gen(args, run: _Run) -> int:
         cfg = ColoredLineConfig(3, [lines])
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit2(f"unknown construction {sub}")
-    run.write_artifact(args.output, _dump_json(configs.config_to_json(cfg)))
+    run.write_artifact(args.output, configs.config_to_json(cfg))
     if report is not None:
         print(_dump_json(report), end="")
     return 0
@@ -317,7 +332,7 @@ def cmd_transform(args, run: _Run) -> int:
         if not isinstance(cfg, DualPointConfig):
             raise SystemExit2("--undualize needs a dual point configuration")
         cfg = undualize(cfg)
-    run.write_artifact(args.output, _dump_json(configs.config_to_json(cfg)))
+    run.write_artifact(args.output, configs.config_to_json(cfg))
     return 0
 
 

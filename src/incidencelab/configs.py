@@ -14,7 +14,6 @@ discriminator so pipeline commands can dispatch on file content.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
@@ -33,7 +32,14 @@ from .exactgeom import (
     parse_rational,
 )
 
-_ASCII_INTS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+def _ascii_ints(text: str) -> bool:
+    """Whether ``text`` is ``-?[0-9]+(,-?[0-9]+)*``, by C-speed ``str`` passes: only
+    digits, commas and "-", no empty or bare "-" token, and each "-" leading its token."""
+    allowed = str.maketrans("", "", "0123456789,-")
+    return text.isascii() and not text.translate(allowed) and text[-1:].isdigit() and (
+        text[:1] != "," and ",," not in text and "-," not in text
+        and text.count("-") == text.startswith("-") + text.count(",-"))
 
 
 def _split(items: Sequence, sizes: Sequence[int]) -> tuple[tuple, ...]:
@@ -270,7 +276,7 @@ def _point_rows(points: list, width: int, where: str) -> np.ndarray:
             raise ValueError(f"{where}[{i}] is {point!r}, not a list of {width} coordinate strings")
     flat = [x for point in points for x in point]
     text = ",".join(flat) if all(type(x) is str for x in flat) else ""
-    if _ASCII_INTS.fullmatch(text) and text.count(",") == len(flat) - 1:
+    if _ascii_ints(text) and text.count(",") == len(flat) - 1:
         if max(map(len, flat)) > 18:
             return canonical_rows(int_array(list(map(int, flat))).reshape(len(points), width))
         return canonical_rows(np.fromstring(text, np.int64, sep=",").reshape(len(points), width))

@@ -368,11 +368,6 @@ class Line:
         s, a, b = p1 * p2, v[c1] * p2, v[c2] * p1
         return [s * x - a * y - b * z for x, y, z in zip(v, r1, r2)]
 
-    def contains(self, point: ProjPoint) -> bool:
-        if point.ambient_dim != self.ambient_dim:
-            raise ValueError("point and line live in different ambient dimensions")
-        return not any(self.residual(point.coords))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Line) and self.key == other.key
 

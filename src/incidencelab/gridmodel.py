@@ -365,10 +365,13 @@ def grid_from_json(data: dict) -> ColoredGridConfig:
     classes: list[list[np.ndarray]] = [[] for _ in entries]
     for pos, entry in enumerate(entries):
         color, axis, bases = entry["color"], entry["axis"], entry["bases"]
+        # bulk checks (lists of k entries, all ints; [None] fails them), then one read
+        exact = type(bases) is list and set(map(type, bases)) <= {list}
+        flat = list(chain.from_iterable(bases)) if exact and set(map(len, bases)) <= {k} else [None]
+        exact = type(color) is type(axis) is int and set(map(type, flat)) <= {int}
         try:
-            rows = np.array(bases, dtype=np.int64).reshape(len(bases), k)
-            exact = set(map(type, [color, axis, *chain.from_iterable(bases)])) <= {int}
-        except (TypeError, ValueError, OverflowError):
+            rows = exact and np.fromiter(flat, np.int64, len(flat)).reshape(-1, k)
+        except OverflowError:  # an int past int64
             exact = False
         ok = exact and 1 <= color <= len(entries) and 1 <= axis <= k + 1
         if not (ok and (not rows.size or 1 <= rows.min() and rows.max() <= n)):

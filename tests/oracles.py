@@ -6,7 +6,9 @@ plus base) is the oracles' own decoded model of one: ``encode`` and
 ``gridline_from_index``; ``grid_config`` builds a configuration from
 classes of ``GridLine``s and ``decoded`` gives its classes back as them.
 ``grid_to_json`` writes a grid file's dict from those lines, with list
-bases: the reference for the library's array bases.
+bases: the reference for the library's array bases; ``grid_from_json``
+reads one through ``np.array`` of the nested lists, the reference for the
+library's bulk-checked reader.
 ``embed_grid_line`` is one line embedded by the library's
 ``embed_grid_config``.
 
@@ -30,6 +32,8 @@ mod-p pair kernel of ``concurrence_buckets``, order of the points included.
 ``key_arrays`` stacks the ``int_rref`` keys and pivots of ``Line`` objects
 into the arrays a configuration stores: the reference for
 ``exactgeom.line_keys`` and the input of the array kernels.
+``line_contains`` tests a point against a line's key by its residual
+(``Line.residual``), the containment test of the oracles below.
 ``loop_flatness_audit`` meets each group's witness and row-reduces its
 lines' keys with that point (``rank_of_directions``): the reference for
 the batched residue ranks of ``exactgeom.key_ranks`` behind
@@ -63,16 +67,19 @@ every line's spanning points off the pole before taking covectors, the
 reference for the covector shift of ``dualize``; ``fraction_xy`` is the
 reference for the renderer's float coordinates.
 ``dump_json`` is ``json``'s own indented writer (its pure-Python encoder),
-the reference for the CLI's JSON writer.
+the reference for the CLI's JSON writer.  ``ASCII_INTS`` is the regular
+expression of comma-joined ASCII integers, the reference for the ``str``
+checks of ``configs._ascii_ints``.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, chain, combinations, product
 from math import gcd, lcm
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -94,7 +101,7 @@ from incidencelab.configs import (
     DualPointConfig,
     embed_grid_config,
 )
-from incidencelab.gridmodel import ColoredGridConfig
+from incidencelab.gridmodel import ColoredGridConfig, _line_count
 from incidencelab.structure import IncidenceStructure
 
 
@@ -168,6 +175,37 @@ def grid_to_json(cfg: ColoredGridConfig) -> dict:
         for axis, bases in sorted(by_axis.items()) or [(1, [])]:
             classes.append({"color": color, "axis": axis, "bases": bases})
     return {"model": "grid", "k": cfg.k, "n": cfg.n, "classes": classes}
+
+
+def grid_from_json(data: dict) -> ColoredGridConfig:
+    """The configuration of a grid file, each class entry read by one
+    ``np.array`` of its nested bases lists and one type set over a list of
+    its color, axis and entries: the reference for the bulk checks and the
+    ``np.fromiter`` read of ``gridmodel.grid_from_json``, error messages included."""
+    if data.get("model", "grid") != "grid":
+        raise ValueError("not a grid configuration")
+    k, n, entries = data["k"], data["n"], data["classes"]
+    if type(k) is not int or type(n) is not int or not isinstance(entries, list):
+        raise ValueError("a grid configuration needs integer k and n and a list of classes")
+    span = _line_count(k, n) // (k + 1)
+    classes: list[list[np.ndarray]] = [[] for _ in entries]
+    for pos, entry in enumerate(entries):
+        color, axis, bases = entry["color"], entry["axis"], entry["bases"]
+        try:
+            rows = np.array(bases, dtype=np.int64).reshape(len(bases), k)
+            exact = set(map(type, [color, axis, *chain.from_iterable(bases)])) <= {int}
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        ok = exact and 1 <= color <= len(entries) and 1 <= axis <= k + 1
+        if not (ok and (not rows.size or 1 <= rows.min() and rows.max() <= n)):
+            raise ValueError(
+                f"classes[{pos}] has color {color!r}, axis {axis!r}: colors are ints in "
+                f"1..{len(entries)}, axes ints in 1..{k + 1}, bases lists of {k} ints in 1..{n}"
+            )
+        classes[color - 1].append((axis - 1) * span + (rows - 1) @ n ** np.arange(k - 1, -1, -1))
+    while classes and not classes[-1]:
+        classes.pop()  # the highest color present is the last class
+    return ColoredGridConfig(k, n, [np.concatenate((np.empty(0, np.int64), *c)) for c in classes])
 
 
 def embed_grid_line(line: GridLine) -> Line:
@@ -474,6 +512,13 @@ def loop_concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]
     return buckets
 
 
+def line_contains(line: Line, point: ProjPoint) -> bool:
+    """Whether ``point`` lies on ``line``: its residual against the line's key vanishes."""
+    if point.ambient_dim != line.ambient_dim:
+        raise ValueError("point and line live in different ambient dimensions")
+    return not any(line.residual(point.coords))
+
+
 def rank_of_directions(lines: Sequence[Line], at: ProjPoint) -> int:
     """Projective dimension of the smallest flat containing concurrent lines.
 
@@ -484,7 +529,7 @@ def rank_of_directions(lines: Sequence[Line], at: ProjPoint) -> int:
     if not lines:
         raise ValueError("need at least one line")
     for ln in lines:
-        if not ln.contains(at):
+        if not line_contains(ln, at):
             raise ValueError(f"line {ln!r} does not pass through {at!r}")
     return int_rank([at.coords, *(row for ln in lines for row in ln.key)]) - 1
 
@@ -549,7 +594,7 @@ def structure_of(
 def concurrency_center(lines: Sequence[Line]) -> ProjPoint | None:
     """Common point of a class of >= 2 lines, or None if not concurrent."""
     center = meet(lines[0], lines[1]) if len(lines) >= 2 else None
-    if center is not None and all(ln.contains(center) for ln in lines[2:]):
+    if center is not None and all(line_contains(ln, center) for ln in lines[2:]):
         return center
     return None
 
@@ -755,7 +800,7 @@ def translated_dual(cfg: ColoredLineConfig) -> tuple[int, DualPointConfig]:
     after translating their spanning points by (j, j^2)."""
     lines = [line for _, _, line in cfg.lines()]
     j = 0
-    while any(line.contains(ProjPoint([-j, -j * j, 1])) for line in lines):
+    while any(line_contains(line, ProjPoint([-j, -j * j, 1])) for line in lines):
         j += 1
     shift = [[1, 0, j], [0, 1, j * j], [0, 0, 1]]
     classes = []
@@ -778,3 +823,6 @@ def fraction_xy(p: ProjPoint) -> tuple[float, float]:
 def dump_json(data) -> str:
     """The bytes every JSON file and printed report of the CLI must have."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+ASCII_INTS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")

@@ -7,16 +7,18 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incidencelab import cli, configs, exactgeom, gridmodel, render, transforms
+from incidencelab import cli, configs, constructions, exactgeom, gridmodel, render, transforms
 from incidencelab.cli import main
 from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import IncidenceStructure
-from oracles import dump_json, entries, fraction_canonical_ints, fraction_xy
+from oracles import ASCII_INTS, dump_json, entries, fraction_canonical_ints, fraction_xy
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -927,14 +929,28 @@ class TestManifest:
 
     def test_only_artifact_commands_hash_inputs(self, workdir, capsys, monkeypatch):
         run(["gen", "algebraic", "--k", "3", "--p", "2", "-o", "alg.json"])
-        hashed, original = [], cli._sha256
-        monkeypatch.setattr(cli, "_sha256", lambda data: hashed.append(len(data)) or original(data))
+        hashed = []  # the byte count of each digest taken, updated piece by piece
+
+        class CountingSha256:
+            def __init__(self, data=b""):
+                self.digest, self.size = hashlib.sha256(), 0
+                hashed.append(self)
+                self.update(data)
+
+            def update(self, data):
+                self.size += len(data)
+                self.digest.update(data)
+
+            def hexdigest(self):
+                return self.digest.hexdigest()
+
+        monkeypatch.setattr(cli, "hashlib", SimpleNamespace(sha256=CountingSha256))
         assert run(["verify", "alg.json", "--k-consistency", "3", "--max-colorful", "3"]) == 0
         assert run(["analyze", "alg.json", "--joint-bound", "3"]) in (0, 1)
         assert hashed == []  # neither writes a manifest
         assert run(["transform", "alg.json", "--lift", "-o", "lift.json"]) == 0
         sizes = [(workdir / name).stat().st_size for name in ("alg.json", "lift.json")]
-        assert hashed == sizes  # the input, then the artifact
+        assert [h.size for h in hashed] == sizes  # the input, then the artifact
 
     def test_identical_reruns_identical_bytes(self, workdir):
         run(["gen", "probabilistic", "--k", "3", "--n", "4", "--seed", "9", "-o", "a.json"])
@@ -982,8 +998,30 @@ int64_arrays = st.integers(1, 4).flatmap(
         lambda rows: np.array(rows, dtype=np.int64).reshape(len(rows), width)
     )
 )
+
+
+@st.composite
+def narrow_arrays(draw):
+    """2-d integer arrays on both sides of the writer's range rule: entries
+    spanning hi - lo = size - 1 (written from token tables) or size (by the
+    row template), int64 (negative ones included) or uint64 (at or above
+    2^63 included)."""
+    m, width = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    size = m * width
+    span = size - draw(st.sampled_from([1, 0])) if size > 1 else 0
+    if draw(st.booleans()):
+        dtype, lo = np.int64, st.integers(-(2**63), 2**63 - 1 - span) | st.integers(-9, 0)
+    else:
+        dtype, lo = np.uint64, st.integers(2**63 - 3, 2**64 - 1 - span) | st.integers(0, 9)
+    offsets = draw(st.lists(st.integers(0, span), min_size=size, max_size=size))
+    ends = draw(st.permutations(range(size)))[:2]
+    offsets[ends[0]], offsets[ends[-1]] = 0, span  # the range is exactly ``span``
+    base = draw(lo)
+    return np.array([base + x for x in offsets], dtype=dtype).reshape(m, width)
+
+
 array_documents = st.recursive(
-    int64_arrays | scalars,
+    int64_arrays | narrow_arrays() | scalars,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
     max_leaves=12,
 )
@@ -995,7 +1033,11 @@ def decimal_rows(draw):
     (m, D) point rows or (m, 2, D) line rows, int64 or Python ints above it."""
     shape = (draw(st.integers(0, 5)), *draw(st.sampled_from([(), (2,)])), draw(st.integers(0, 4)))
     size = int(np.prod(shape))
-    values = draw(st.lists(int64s | st.integers(-(2**70), 2**70), min_size=size, max_size=size))
+    entries = int64s | st.integers(-(2**70), 2**70)
+    if draw(st.booleans()):  # a range narrower than the count: token tables
+        lo = draw(entries)
+        entries = st.integers(lo, lo + max(size - 1, 0))
+    values = draw(st.lists(entries, min_size=size, max_size=size))
     return configs.DecimalRows(exactgeom.int_array(values).reshape(shape))
 
 
@@ -1081,6 +1123,31 @@ class TestJsonWriter:
     def test_golden_bytes(self, path):
         text = path.read_bytes().decode()
         assert cli._dump_json(json.loads(text)) == text == dump_json(json.loads(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), narrow_arrays() | int64_arrays | decimal_rows())
+    def test_row_blocks_match_json_of_their_lists(self, block, rows):
+        # rows cut into pieces of ``block`` rows: full blocks, a shorter last one, or one
+        data = {"rows": rows, "after": [rows]}
+        with patch.object(cli, "_BLOCK_ROWS", block):
+            assert cli._dump_json(data) == dump_json(listed(data))
+
+    def test_grid_artifact_streams_in_bounded_memory(self, workdir):
+        # a k = 3, n = 128 grid file (7 MB) is written and hashed piece by piece:
+        # its dict's bases arrays and one block of text at a time, never the whole text
+        _, cfg, _ = constructions.gen_probabilistic(constructions.ProbParams(3, 128, 1), ("after",))
+        run = cli._Run(["ilab"])
+        tracemalloc.start()
+        try:
+            run.write_artifact("p.json", configs.config_to_json(cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = (workdir / "p.json").read_bytes()
+        assert data.decode() == cli._dump_json(configs.config_to_json(cfg))
+        manifest = json.loads((workdir / "p.json.manifest.json").read_text())
+        assert manifest["outputs"] == {"p.json": hashlib.sha256(data).hexdigest()}
+        assert len(data) > 6 * 10**6 and peak <= 1.2 * len(data)
 
 
 @st.composite
@@ -1174,6 +1241,17 @@ integer_tokens = st.builds(
 )
 
 
+# texts for the integer gate: any of its characters, non-ASCII digits and
+# signs, integer tokens, and tokens that misplace a minus sign or are empty
+gate_tokens = st.sampled_from(["", "-", "7", "-0", "12", "--3", "4-", "-5-6", "+1", " 2"])
+gate_texts = (
+    st.text(alphabet="0123456789,-", max_size=12)
+    | st.text(alphabet="09,- +a\u0663\uff11\u2212", max_size=8)
+    | st.lists(integer_tokens, min_size=1, max_size=4).map(",".join)
+    | st.lists(gate_tokens, min_size=1, max_size=4).map(",".join)
+)
+
+
 class TestIntegerPointRows:
     """All-ASCII integer points are read as ``int`` reads them: by
     ``np.fromstring`` when no token is longer than 18 characters (it
@@ -1194,6 +1272,12 @@ class TestIntegerPointRows:
         got = configs._point_rows(points, width, "points")
         assert got.shape == (len(points), width)
         assert got.tolist() == [list(fraction_canonical_ints(row)) for row in rows]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(gate_texts)
+    def test_gate_matches_regex(self, text):
+        # the str checks accept exactly the comma-joined ASCII integers
+        assert configs._ascii_ints(text) == bool(ASCII_INTS.fullmatch(text))
 
     @pytest.mark.parametrize("token", [str(2**63), str(-(2**63)), "-" + str(2**63 + 1), "0" * 18 + "7"])
     def test_long_tokens_stay_exact(self, token):

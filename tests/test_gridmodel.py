@@ -31,6 +31,7 @@ from oracles import (
     dump_json,
     embed_grid_line,
     grid_config,
+    grid_from_json as oracle_grid_from_json,
     grid_to_json as oracle_grid_to_json,
     grid_meet,
     loop_consistency,
@@ -334,9 +335,70 @@ def grid_files(draw) -> ColoredGridConfig:
     return ColoredGridConfig(k, n, classes)
 
 
+# values a grid file may hold where an int in range belongs: JSON's other
+# scalars and ints out of every range, or out of int64
+BAD_VALUES = [True, False, 1.0, 2.5, "1", "", None, 0, -1, 2**63, 2**64, -(2**63) - 1]
+
+
+@st.composite
+def mutated_grid_files(draw) -> dict:
+    """A parsed grid file of ``grid_files``, with up to three mutations: a
+    bad value as a base entry, color or axis (one of ``BAD_VALUES``, or
+    n + 1), a short or long row, a row that is no list, bases that are not
+    a list, an empty class entry, or a class entry that is not an object."""
+    data = file_data(draw(grid_files()))
+    entries = data["classes"]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["base", "row"] * 2 + ["color", "axis", "bases", "empty", "entry"]))
+        if kind == "empty" or not entries:
+            color = draw(st.integers(1, len(entries) + 1))
+            entries.insert(draw(st.integers(0, len(entries))), {"color": color, "axis": 1, "bases": []})
+            continue
+        pos = draw(st.integers(0, len(entries) - 1))
+        if kind == "entry":
+            entries[pos] = draw(st.sampled_from([[], [1, 1], "classes", 3]))
+            continue
+        entry, bad = entries[pos], draw(st.sampled_from([*BAD_VALUES, data["n"] + 1]))
+        if not isinstance(entry, dict):
+            continue
+        if kind in ("color", "axis"):
+            entry[kind] = bad
+            continue
+        if kind == "bases":
+            entry["bases"] = draw(st.sampled_from([None, 3, "", "[[1, 1]]", {}, {"1": [1, 1]}]))
+            continue
+        bases = entry["bases"]
+        if type(bases) is not list or not bases:
+            continue
+        i = draw(st.integers(0, len(bases) - 1))
+        if type(bases[i]) is not list:
+            continue
+        if kind == "row":
+            row = bases[i]
+            bad_rows = [row[:-1], row + [1], [], [row], "1" * len(row), "", {}, {"1": 1}, 1, None]
+            bases[i] = draw(st.sampled_from(bad_rows))
+        elif bases[i]:
+            bases[i][draw(st.integers(0, len(bases[i]) - 1))] = bad
+    return data
+
+
+def read_outcome(reader, data):
+    """A reader's configuration of ``data``, or its exception's type and message."""
+    try:
+        return reader(data)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
+
+
 class TestGridFile:
     """Grid files hold int64 bases arrays; their bytes are those of the
     line-by-line oracle's plain lists."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_grid_files())
+    def test_reader_matches_nested_array_oracle(self, data):
+        # the same configuration, or the same exception and message at the same entry
+        assert read_outcome(grid_from_json, data) == read_outcome(oracle_grid_from_json, data)
 
     @settings(max_examples=200, deadline=None)
     @given(grid_files())

@@ -706,7 +706,7 @@ class TestResidueDecisions:
             for module in (exactgeom, structure):
                 mp.setattr(module, "meet", refuse)
             mp.setattr(structure, "covector_2d", refuse)
-            mp.setattr(exactgeom.Line, "contains", refuse)
+            mp.setattr(exactgeom.Line, "residual", refuse)  # the Python containment test
             got = [structure.extract_structure(cfg) for cfg in configs]
         assert [t.num_groups for t in got] == [s.num_groups, s.num_groups, 352354, 352354]
         assert got[0] == s
