@@ -23,9 +23,9 @@ import numpy as np
 from .configs import ColoredLineConfig
 from .constructions import ProbParams, probabilistic_batch_stats
 from .exactgeom import Line, key_ranks
-from .gridmodel import ColoredGridConfig, LineRef, group_removable
+from .gridmodel import IncidenceStructure, LineRef, Monomial, group_removable
 from .rng import TRIAL_OFFSET, substream
-from .structure import IncidenceStructure, Monomial, extract_structure_lines
+from .structure import extract_structure_lines
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -190,10 +190,11 @@ class MinimalityVerdict:
     removable: tuple[LineRef, ...]
 
 
-def minimality_audit(cfg: ColoredGridConfig, k: int) -> MinimalityVerdict:
+def minimality_audit(s: IncidenceStructure, k: int) -> MinimalityVerdict:
     """True iff removing any single line breaks k-consistency, decided in
-    one pass over the grid-point groups (``gridmodel.group_removable``)."""
-    removable = group_removable(cfg.class_sizes(), *cfg.incidences[1:], k, cfg.carriers, cfg.own)
+    one pass over the record's groups (``gridmodel.group_removable``): a
+    grid's ``points``, or an extracted structure."""
+    removable = group_removable(s, k)
     return MinimalityVerdict(not removable, removable)
 
 

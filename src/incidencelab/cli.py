@@ -270,14 +270,12 @@ def _verify_checks(cfg, args) -> tuple[dict, bool]:
             "pass": passed,
         }
     if args.minimality:
-        if not grid:
-            raise SystemExit2("--minimality applies to grid configurations")
         if args.k_consistency is None:
             raise SystemExit2("--minimality needs --k-consistency K")
         # minimality is defined for K-consistent configurations only
         checks["minimality"] = {"pass": False, "evaluated": False}
         if checks["k_consistency"]["pass"]:
-            verdict = analysis.minimality_audit(cfg, args.k_consistency)
+            verdict = analysis.minimality_audit(cfg.points if grid else s, args.k_consistency)
             checks["minimality"] = {
                 "pass": verdict.minimal,
                 "evaluated": True,

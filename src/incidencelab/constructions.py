@@ -767,8 +767,8 @@ def gen_two_slit(
     slit's spanning points and the integer t is drawn from the seeded
     substream for the chosen family.
     """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
+    if which not in (1, 2) or count < 0:
+        raise ValueError("which must be 1 or 2" if count >= 0 else "count must be >= 0")
     sa, sb = (slits[0], slits[1]) if which == 1 else (slits[2], slits[3])
     if meet(sa, sb) is not None:
         raise ValueError("the chosen family's slits must be skew")

@@ -1,5 +1,5 @@
 """Combinatorial model of axis-aligned lines in the grid [n]^(k+1), and the
-incidence core shared by every configuration model.
+incidence record and core shared by every configuration model.
 
 A configuration stores each class as one sorted array of int64 line ids,
 the only representation of a grid line, so all incidence questions reduce
@@ -10,13 +10,16 @@ is that number over all k+1 coordinates, so id order is lexicographic
 order.  Ids and their intermediates stay below max(n, k+1)*n^k, which
 ``_line_count`` keeps below 2^63.
 
-The incidence core (``group_*``) decides k-consistency, minimality and
-the max colorful order for grid, line and dual configurations alike, from
-int64 entry arrays ``(group, line)`` of their incidence groups: grid points
-here, extracted monomials in ``structure``.  Colors are 1-based class
-indices; verdicts name a line ``(color, index)``, by its position in id order.
-Carriers of a color set come from one color x group table, and a verdict
-counts its failures from index arrays, building the list only on request.
+Every verdict reads one record, an ``IncidenceStructure``: int64 entry
+arrays ``(group, line)`` of the incidence groups of a configuration, the
+grid points of ``ColoredGridConfig.points`` here, the extracted
+concurrences or alignments in ``structure``.  The incidence core
+(``group_*``) decides k-consistency, minimality and the max colorful
+order from a record, for grid, line and dual configurations alike.
+Colors are 1-based class indices; verdicts name a line ``(color,
+index)``, by its position in id order.  Carriers of a color set come from
+the record's color x group table (``carriers``), and a verdict counts its
+failures from index arrays, building the list only on request.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import index
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 LineRef = tuple[int, int]
+Monomial = frozenset[LineRef]
 ONE_KEY_MAX = 2**63 - 1  # the largest one-key entry of ``ColoredGridConfig.incidences``
 
 
@@ -109,14 +113,9 @@ class ColoredGridConfig:
         return ColoredGridConfig(self.k, self.n, ids)
 
     @cached_property
-    def carriers(self) -> np.ndarray:
-        """The ``carrier_table`` of ``incidences``, shared by the grid verdicts."""
-        return carrier_table(self.class_sizes(), *self.incidences[1:])
-
-    @cached_property
-    def own(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The ``color_entries`` of ``incidences``, shared by the grid verdicts."""
-        return color_entries(self.class_sizes(), *self.incidences[1:])
+    def points(self) -> "IncidenceStructure":
+        """The verdict record: the grid-point groups of ``incidences``, in point order."""
+        return IncidenceStructure(self.class_sizes(), *self.incidences[1:])
 
     def coordinates(self, points: np.ndarray) -> list[tuple[int, ...]]:
         """The coordinates of an array of point ids."""
@@ -216,62 +215,130 @@ class ConsistencyVerdict:
 
 
 # ---------------------------------------------------------------------------
-# The incidence core.  Entries (group, line), sorted by group then line,
-# put each line (its position in class order) into a group at most once;
+# The incidence record and core.  Entries (group, line), sorted by group then
+# line, put each line (its position in class order) into a group at most once;
 # the distinct (group, color) pairs decide which groups carry a color set.
 
 
-def carrier_table(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray) -> np.ndarray:
-    """has[c-1, g]: group g holds a line of color c, one byte per (color, group)."""
-    has = np.zeros((len(class_sizes), group[-1] + 1 if group.size else 0), bool)
-    has[np.searchsorted(np.cumsum((0, *class_sizes)), line, "right") - 1, group] = True
-    return has
+@dataclass(frozen=True, eq=False)
+class IncidenceStructure:
+    """Maximal concurrences as entry arrays, the record every verdict reads;
+    ``meet_of(i, j)`` is the point (or covector) shared by the lines at
+    positions i and j.  Extracted structures order their groups by one rule
+    (``structure._ordered``); a grid's record (``ColoredGridConfig.points``)
+    is the one exception and keeps point order.  Equality ignores
+    ``meet_of``: witnesses differ across incidence-preserving transforms."""
+
+    class_sizes: tuple[int, ...]
+    group: np.ndarray
+    line: np.ndarray
+    meet_of: Callable[[int, int], object] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IncidenceStructure) or self.class_sizes != other.class_sizes:
+            return False
+        return np.array_equal(self.group, other.group) and np.array_equal(self.line, other.line)
+
+    @property
+    def num_colors(self) -> int:
+        return len(self.class_sizes)
+
+    @cached_property
+    def bounds(self) -> list[int]:
+        """The first entry of each group, then the entry count."""
+        return [*np.flatnonzero(_starts(self.group)).tolist(), len(self.group)]
+
+    @property
+    def num_groups(self) -> int:
+        return len(self.bounds) - 1
+
+    @cached_property
+    def carriers(self) -> np.ndarray:
+        """carriers[c-1, g]: group g holds a line of color c, one byte per
+        (color, group); sized by the last group id, not by ``bounds`` (a list)."""
+        group, line = self.group, self.line
+        has = np.zeros((self.num_colors, group[-1] + 1 if group.size else 0), bool)
+        has[np.searchsorted(np.cumsum((0, *self.class_sizes)), line, "right") - 1, group] = True
+        return has
+
+    @cached_property
+    def own(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``own[c-1]``: (positions in class c, groups) of color c's entries, groups ascending."""
+        line, first = self.line, np.cumsum((0, *self.class_sizes), dtype=np.int64)
+        mine = (np.flatnonzero((lo <= line) & (line < hi)) for lo, hi in zip(first, first[1:]))
+        return [(line[i] - lo, self.group[i]) for lo, i in zip(first, mine)]
+
+    @cached_property
+    def members(self) -> list[list[LineRef]]:
+        """Each group's lines as sorted ``(color, index)`` refs, in group order."""
+        refs = [(c, i) for c, size in enumerate(self.class_sizes, start=1) for i in range(size)]
+        line = [refs[i] for i in self.line.tolist()]
+        return [line[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
+
+    @cached_property
+    def monomials(self) -> frozenset[Monomial]:
+        """The groups as frozensets of refs."""
+        return frozenset(map(frozenset, self.members))
+
+    def colorful_triples(self) -> frozenset[Monomial]:
+        """Monomials of exactly three lines in three distinct colors."""
+        return frozenset(
+            m for m in self.monomials if len(m) == 3 and len({c for c, _ in m}) == 3
+        )
+
+    def witness(self, g: int):
+        """Group g's point (or covector), computed from its first two lines."""
+        lo, hi = self.bounds[g : g + 2]
+        return self.meet_of(*self.line[lo : min(hi, lo + 2)].tolist())
+
+    def max_colorful(self) -> tuple[int, object | None]:
+        """Largest color count over all groups, with the witness of the
+        first group reaching it."""
+        order, at = group_max_colorful(self)
+        return order, None if at is None else self.witness(at)
+
+    def inner_pairs(self) -> np.ndarray:
+        """i * L + j for every two of the L lines, i < j, that share a group."""
+        n = self.group.size
+        later = np.searchsorted(self.group, self.group, "right") - np.arange(n) - 1
+        left = np.repeat(np.arange(n), later)  # each entry once per entry after it in its group
+        right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
+        return self.line[left] * sum(self.class_sizes) + self.line[right]
 
 
-def color_entries(class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray) -> list:
-    """``own[c-1]``: (positions in class c, groups) of color c's entries, groups ascending."""
-    first = np.cumsum((0, *class_sizes), dtype=np.int64)  # color c's first position
-    mine = (np.flatnonzero((lo <= line) & (line < hi)) for lo, hi in zip(first, first[1:]))
-    return [(line[i] - lo, group[i]) for lo, i in zip(first, mine)]
-
-
-def _carriers(class_sizes, group, line, k: int, has=None, own=None):
-    """(own, carrying): the ``color_entries`` and, per (k-1)-set T of colors in ``combinations``
-    order and c not in T, (c, T, at), ``at`` marking c's entries at the groups carrying T: the AND
-    of T's rows of the carrier table ``has``.  ``own`` and ``has`` are built unless given."""
-    m = len(class_sizes)
+def _carriers(s: IncidenceStructure, k: int):
+    """Per (k-1)-set T of colors in ``combinations`` order and c not in T, (c, T, at), ``at``
+    marking c's entries (``s.own``) at the groups carrying T: the AND of T's rows of
+    ``s.carriers``.  A k outside 1..m raises ValueError."""
+    m = s.num_colors
     if not 1 <= k <= m:
         raise ValueError("k must be >= 1" if k < 1 else "k exceeds the number of colors")
-    has = carrier_table(class_sizes, group, line) if has is None else has
-    own = color_entries(class_sizes, group, line) if own is None else own
+    has, own = s.carriers, s.own  # both built before any per-T array
 
     def carrying():
         for T in combinations(range(1, m + 1), k - 1) if k > 1 else ():
-            carries = np.logical_and.reduce(has[np.array(T) - 1])
+            carries = has[T[0] - 1].copy()  # ANDed in place: one row-sized array per T
+            for t in T[1:]:
+                carries &= has[t - 1]
             for c in sorted(set(range(1, m + 1)).difference(T)):
                 yield c, T, carries[own[c - 1][1]]
 
-    return own, carrying()
+    return carrying()
 
 
-def group_consistency(
-    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int, has=None, own=None
-) -> ConsistencyVerdict:
+def group_consistency(s: IncidenceStructure, k: int) -> ConsistencyVerdict:
     """k-consistency over incidence groups: line (c, i) fails S = {c} | T
     when no group through it carries every color of T.  Failures are
     listed by color, then T in ``combinations`` order, then index."""
-    own, carrying = _carriers(class_sizes, group, line, k, has, own)
-    runs: list[list] = [[] for _ in class_sizes]
-    for c, T, at in carrying:
-        good = np.zeros(class_sizes[c - 1], bool)
-        good[own[c - 1][0][at]] = True
+    runs: list[list] = [[] for _ in s.class_sizes]
+    for c, T, at in _carriers(s, k):
+        good = np.zeros(s.class_sizes[c - 1], bool)
+        good[s.own[c - 1][0][at]] = True
         runs[c - 1].append((c, frozenset((c, *T)), np.flatnonzero(~good)))
     return ConsistencyVerdict(tuple(chain.from_iterable(runs)))
 
 
-def group_removable(
-    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, k: int, has=None, own=None
-) -> tuple[LineRef, ...]:
+def group_removable(s: IncidenceStructure, k: int) -> tuple[LineRef, ...]:
     """Lines whose removal keeps a k-consistent configuration k-consistent.
 
     Removing r changes only the groups through r, and such a group stops
@@ -283,13 +350,13 @@ def group_removable(
     have exactly one carrier: one pass decides every line.  Raises
     ValueError if some (l, T) has no carrier at all.
     """
-    own, carrying = _carriers(class_sizes, group, line, k, has, own)
+    carrying, own, sizes = _carriers(s, k), s.own, s.class_sizes
     # an entry alone of its color in its group is both first and last of its run
-    solo = [s & np.roll(s, -1) for s in (_starts(at) for _, at in own)]
-    essential = [np.zeros(size, bool) for size in class_sizes]
+    solo = [x & np.roll(x, -1) for x in (_starts(at) for _, at in own)]
+    essential = [np.zeros(size, bool) for size in sizes]
     for c, T, at in carrying:
         lines, groups = own[c - 1][0][at], own[c - 1][1][at]
-        carriers = np.bincount(lines, minlength=class_sizes[c - 1])
+        carriers = np.bincount(lines, minlength=sizes[c - 1])
         if (carriers == 0).any():
             raise ValueError("minimality audit requires a k-consistent configuration")
         single = groups[carriers[lines] == 1]  # the only carrier of some line
@@ -301,26 +368,23 @@ def group_removable(
     return tuple((c, i) for c, idx in enumerate(keep, start=1) for i in idx)
 
 
-def group_max_colorful(
-    class_sizes: Sequence[int], group: np.ndarray, line: np.ndarray, has=None
-) -> tuple[int, int | None]:
+def group_max_colorful(s: IncidenceStructure) -> tuple[int, int | None]:
     """Largest color count over the groups, with the first group reaching
     it: the column sums of the carrier table."""
-    has = carrier_table(class_sizes, group, line) if has is None else has
-    orders = has.sum(axis=0, dtype=np.min_scalar_type(len(has)))  # a byte a group to 255 colors
+    orders = s.carriers.sum(axis=0, dtype=np.min_scalar_type(s.num_colors))  # a byte to 255
     best = int(orders.argmax()) if orders.size else None
     return (0, None) if best is None else (int(orders[best]), best)
 
 
-# Grid entry points.  Their groups are the grid points of ``incidences``
-# only: the grid has no points at infinity (two lines on one axis never
-# meet in it), so the shared-axis directions that ``extract_structure_grid``
-# adds never count.
+# Grid entry points.  Their record is ``points``, the grid points of
+# ``incidences`` only: the grid has no points at infinity (two lines on one
+# axis never meet in it), so the shared-axis directions that
+# ``extract_structure_grid`` adds never count.
 
 
 def is_k_consistent(cfg: ColoredGridConfig, k: int) -> ConsistencyVerdict:
     """Check that every line of every color in every k-subset S has an S-incidence."""
-    return group_consistency(cfg.class_sizes(), *cfg.incidences[1:], k, cfg.carriers, cfg.own)
+    return group_consistency(cfg.points, k)
 
 
 def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> bool:
@@ -331,9 +395,8 @@ def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> 
 def max_colorful_order(cfg: ColoredGridConfig) -> tuple[int, tuple[int, ...] | None]:
     """Largest number of distinct colors at any grid point, with the
     lexicographically first point reaching it."""
-    points, group, line = cfg.incidences
-    order, at = group_max_colorful(cfg.class_sizes(), group, line, cfg.carriers)
-    return order, None if at is None else cfg.coordinates(points[at : at + 1])[0]
+    order, at = group_max_colorful(cfg.points)
+    return order, None if at is None else cfg.coordinates(cfg.incidences[0][at : at + 1])[0]
 
 
 def grid_to_json(cfg: ColoredGridConfig) -> dict:

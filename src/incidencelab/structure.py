@@ -1,13 +1,15 @@
 """Incidence structures: the maximal concurrences of a configuration.
 
-A structure holds the incidence core's int64 entry arrays ``(group,
-line)``: one group per concurrency point, listing the positions (in class
-order) of the lines through it, sorted by group, then line, with groups
-ascending by their two smallest lines (``_ordered``), so equal structures
-have equal arrays.  All maximal concurrences are kept, including
-single-color ones (the center of a concurrent class, or the shared
-direction of a parallel class), so transform preservation audits can
-compare structures exactly.
+Extraction builds the record every verdict reads, ``gridmodel``'s
+``IncidenceStructure`` (importable from here too), which caches its
+carrier table and per-color entries.  It holds int64 entry arrays
+``(group, line)``: one group per concurrency point, listing the positions
+(in class order) of the lines through it, sorted by group, then line, with
+groups ascending by their two smallest lines (``_ordered``), so equal
+structures have equal arrays.  All maximal concurrences are kept,
+including single-color ones (the center of a concurrent class, or the
+shared direction of a parallel class), so transform preservation audits
+can compare structures exactly.
 A group's witness, its point, is met exactly from its first two lines
 only when asked.  ``monomials``, the groups as frozensets of ``(color,
 index)`` refs, is a view derived when asked; the classification tables of
@@ -25,17 +27,16 @@ pairs are certified in bulk and the others grouped by their meeting
 point.  One exact step (``_confirmed``) turns the residue groups of both
 into entry arrays, deciding them on residues mod a few ``exactgeom.PRIMES``
 (each kernel states its bound) and meeting pairs exactly only where that
-fails; the ordering rule orders every structure's groups, grid structures
-too, whose shared axis directions, one group each, grid verifiers never
-count.
+fails.  The ordering rule orders every extracted structure's groups, the
+grid's too, whose shared axis directions, one group each, grid verdicts
+never count: they read the grid's own record of its points
+(``ColoredGridConfig.points``), which keeps point order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -56,85 +57,11 @@ from .exactgeom import (
 from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,
-    LineRef,
+    IncidenceStructure,
+    Monomial,  # noqa: F401 - the record's types stay importable from here
     group_consistency,
-    group_max_colorful,
 )
 from .rng import mix64
-
-Monomial = frozenset[LineRef]
-
-
-def _bounds(group: np.ndarray) -> list[int]:
-    """The first entry of each group of sorted entries, then the entry count."""
-    return [*np.flatnonzero(np.diff(group, prepend=-1)).tolist(), len(group)]
-
-
-@dataclass(frozen=True, eq=False)
-class IncidenceStructure:
-    """Maximal concurrences as entry arrays; ``meet_of(i, j)`` is the point
-    (or covector) shared by the lines at positions i and j.  Equality
-    ignores it: witnesses differ across incidence-preserving transforms."""
-
-    class_sizes: tuple[int, ...]
-    group: np.ndarray
-    line: np.ndarray
-    meet_of: Callable[[int, int], object] | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IncidenceStructure) or self.class_sizes != other.class_sizes:
-            return False
-        return np.array_equal(self.group, other.group) and np.array_equal(self.line, other.line)
-
-    @property
-    def num_colors(self) -> int:
-        return len(self.class_sizes)
-
-    @cached_property
-    def bounds(self) -> list[int]:
-        """The first entry of each group, then the entry count."""
-        return _bounds(self.group)
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.bounds) - 1
-
-    @cached_property
-    def members(self) -> list[list[LineRef]]:
-        """Each group's lines as sorted ``(color, index)`` refs, in group order."""
-        refs = [(c, i) for c, size in enumerate(self.class_sizes, start=1) for i in range(size)]
-        line = [refs[i] for i in self.line.tolist()]
-        return [line[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
-
-    @cached_property
-    def monomials(self) -> frozenset[Monomial]:
-        """The groups as frozensets of refs."""
-        return frozenset(map(frozenset, self.members))
-
-    def colorful_triples(self) -> frozenset[Monomial]:
-        """Monomials of exactly three lines in three distinct colors."""
-        return frozenset(
-            m for m in self.monomials if len(m) == 3 and len({c for c, _ in m}) == 3
-        )
-
-    def witness(self, g: int):
-        """Group g's point (or covector), computed from its first two lines."""
-        lo, hi = self.bounds[g : g + 2]
-        return self.meet_of(*self.line[lo : min(hi, lo + 2)].tolist())
-
-    def max_colorful(self) -> tuple[int, object | None]:
-        """Largest color count over all groups, with the witness of the
-        first group reaching it."""
-        order, at = group_max_colorful(self.class_sizes, self.group, self.line)
-        return order, None if at is None else self.witness(at)
-
-    def inner_pairs(self) -> np.ndarray:
-        """i * L + j for every two of the L lines, i < j, that share a group."""
-        n = self.group.size
-        later = np.searchsorted(self.group, self.group, "right") - np.arange(n) - 1
-        left = np.repeat(np.arange(n), later)  # each entry once per entry after it in its group
-        right = left + 1 + np.arange(left.size) - np.repeat(np.cumsum(later) - later, later)
-        return self.line[left] * sum(self.class_sizes) + self.line[right]
 
 
 def _ordered(group: np.ndarray, line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,16 +105,11 @@ def _inverse(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _scaled(rows: np.ndarray, p: int) -> np.ndarray:
-    """Residue rows scaled in place to a leading 1; zero rows stay zero."""
+    """Residue rows scaled in place to a leading 1; zero rows stay zero (the
+    residues of an exact primitive point, a center or a met pair, never are)."""
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     rows *= _inverse(np.maximum(lead, 1), p)[:, None]
     return np.remainder(rows, p, out=rows)
-
-
-def _keyed(points: list, p: int, width: int) -> np.ndarray:
-    """Exact primitive points (so nonzero mod p) scaled as ``_scaled`` scales rows."""
-    rows = residues(points, p).reshape(len(points), width)
-    return rows * _inverse(rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)], p)[:, None] % p
 
 
 def _tile_pairs(n: int, keep=None) -> Iterator[np.ndarray]:
@@ -342,7 +264,7 @@ def planar_buckets(triples) -> tuple[np.ndarray, np.ndarray]:
     cross = lambda x, y: np.cross(t[:, x], t[:, y]) % q[:, None, None]  # noqa: E731
     on = lambda m, v: ((t[:, m] * v).sum(axis=2) % q[:, None] == 0).all(axis=0)  # noqa: E731
     exact = lambda x, y: covector_2d(triples[x], triples[y])  # noqa: E731
-    known = lambda points: (_keyed(points, p, 3) @ pack)[:, None]  # noqa: E731
+    known = lambda pts: (_scaled(residues(pts, p).reshape(-1, 3), p) @ pack)[:, None]  # noqa: E731
     return _confirmed(pair, key[:, None], n, {}, exact, known, cross, on, decide, pairs_meet=True)
 
 
@@ -420,7 +342,7 @@ def concurrence_buckets(
         return None if at is None else at.coords
 
     code, point = _candidates(residues(keys, PRIME), pivots, PRIME, label)
-    key = lambda points: _keyed(points, PRIME, keys.shape[2])  # noqa: E731
+    key = lambda points: _scaled(residues(points, PRIME).reshape(-1, len(dim)), PRIME)  # noqa: E731
     code, point = np.concatenate((np.array(firsts, int), code)), np.vstack((key(centers), point))
     return _confirmed(code, point, n, extra, exact, key, rows, on, decide)
 
@@ -467,4 +389,4 @@ def structure_consistency(s: IncidenceStructure, k: int) -> ConsistencyVerdict:
     c in S iff some monomial containing it covers the other colors of S.
     Failures are listed by color, then S, then index.
     """
-    return group_consistency(s.class_sizes, s.group, s.line, k)
+    return group_consistency(s, k)

@@ -66,7 +66,7 @@ def test_criterion_1_smallest_algebraic_instance():
     sizes_ok = cfg.class_sizes() == (32, 32, 32, 32)
     consistent = is_k_consistent(cfg, 3).ok
     order, _ = max_colorful_order(cfg)
-    minimal = minimality_audit(cfg, 3).minimal
+    minimal = minimality_audit(cfg.points, 3).minimal
     elapsed = time.time() - t0
     ok = sizes_ok and consistent and order == 3 and minimal and elapsed < 5.0
     report(

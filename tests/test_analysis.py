@@ -109,7 +109,7 @@ class TestJointBound:
 
 class TestMinimality:
     def test_algebraic_minimal(self, algebraic_3_2):
-        verdict = minimality_audit(algebraic_3_2, 3)
+        verdict = minimality_audit(algebraic_3_2.points, 3)
         assert verdict.minimal
         assert verdict.removable == ()
 
@@ -124,24 +124,24 @@ class TestMinimality:
                 [GridLine(2, (1, 0, 1)), GridLine(2, (2, 0, 1))],
             ],
         )
-        verdict = minimality_audit(cfg, 2)
+        verdict = minimality_audit(cfg.points, 2)
         assert not verdict.minimal
         assert len(verdict.removable) >= 1
 
     def test_algebraic_4_2_minimal(self, algebraic_4_2):
         # 10,240 lines: out of reach for one re-verification per line
-        verdict = minimality_audit(algebraic_4_2, 4)
+        verdict = minimality_audit(algebraic_4_2.points, 4)
         assert verdict.minimal
         assert verdict.removable == ()
 
     def test_empty_vacuously_minimal(self):
         cfg = ColoredGridConfig(2, 2, [[], [], []])
-        assert minimality_audit(cfg, 2).minimal
+        assert minimality_audit(cfg.points, 2).minimal
 
     def test_requires_consistency(self, algebraic_3_2):
         smaller = algebraic_3_2.without_line((1, 0))
         with pytest.raises(ValueError):
-            minimality_audit(smaller, 3)
+            minimality_audit(smaller.points, 3)
 
 
 class TestFlatness:

@@ -163,6 +163,17 @@ class TestGen:
         data = json.loads((workdir / "ts.json").read_text())
         assert len(data["classes"][0]["lines"]) == 7
 
+    def test_two_slit_count(self, workdir, capsys):
+        # a negative count is a usage error that writes no file; zero lines is a valid request
+        argv = ["gen", "two-slit", "--seed", "1", "-o", "ts.json", "--count"]
+        assert run([*argv, "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (workdir / "ts.json").exists()
+        assert not (workdir / "ts.json.manifest.json").exists()
+        assert run([*argv, "0"]) == 0
+        assert json.loads((workdir / "ts.json").read_text())["classes"][0]["lines"] == []
+
 
 class TestVerify:
     def gen_alg(self):
@@ -450,16 +461,20 @@ class TestVerify:
         done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
         assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
-    def count_builds(self, workdir, monkeypatch, name: str) -> int:
-        """How often a full grid ``verify`` builds a cached grid property."""
-        builds = []
-        original = getattr(ColoredGridConfig, name).func
-        counting = cached_property(lambda cfg: builds.append(cfg) or original(cfg))
-        counting.__set_name__(ColoredGridConfig, name)
-        monkeypatch.setattr(ColoredGridConfig, name, counting)
+    def count_builds(self, workdir, monkeypatch, name: str, owner=ColoredGridConfig, *transform):
+        """How often a full ``verify`` of the alg(3,2) grid file, or of the
+        file ``transform`` makes of it, builds a cached property of ``owner``."""
         self.gen_alg()
+        path = "t.json" if transform else "alg.json"
+        if transform:
+            assert run(["transform", "alg.json", *transform, "-o", path]) == 0
+        builds = []
+        original = getattr(owner, name).func
+        counting = cached_property(lambda obj: builds.append(obj) or original(obj))
+        counting.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, counting)
         args = ["--k-consistency", "3", "--max-colorful", "3", "--minimality"]
-        assert run(["verify", "alg.json", *args]) == 0
+        assert run(["verify", path, *args]) == 0
         return len(builds)
 
     def test_grid_incidences_built_once(self, workdir, capsys, monkeypatch):
@@ -467,15 +482,16 @@ class TestVerify:
 
     def test_grid_carrier_table_built_once(self, workdir, capsys, monkeypatch):
         # max colorful reads the column sums of the table consistency built
-        assert self.count_builds(workdir, monkeypatch, "carriers") == 1
+        assert self.count_builds(workdir, monkeypatch, "carriers", IncidenceStructure) == 1
 
     def test_grid_color_entries_built_once(self, workdir, capsys, monkeypatch):
         # consistency and the minimality audit share each color's entry arrays
-        builds = []
-        original = gridmodel.color_entries
-        monkeypatch.setattr(gridmodel, "color_entries", lambda *a: builds.append(a) or original(*a))
-        assert self.count_builds(workdir, monkeypatch, "own") == 1
-        assert len(builds) == 1
+        assert self.count_builds(workdir, monkeypatch, "own", IncidenceStructure) == 1
+
+    def test_lines_carrier_table_built_once(self, workdir, capsys, monkeypatch):
+        # a line file's three verdicts read one extracted structure and its one table
+        lift = ["--lift", "--project", "3", "--seed", "11"]
+        assert self.count_builds(workdir, monkeypatch, "carriers", IncidenceStructure, *lift) == 1
 
     def test_structure_extracted_at_most_once(self, workdir, capsys, monkeypatch):
         calls = []
@@ -513,6 +529,91 @@ class TestVerify:
         assert verdict["checks"]["max_colorful"]["pass"] is True
         failed = verdict["checks"]["k_consistency"]["failures"]
         assert failed and all(sorted(S) == [2, 3, 4] for _, S in failed)
+
+
+class TestCrossModelVerdicts:
+    """One configuration as a grid file and after ``transform --lift
+    --project 3``, ``--project 2`` and ``--project 2 --dualize`` (seed 11),
+    each verified with ``--k-consistency K --max-colorful 4 --minimality``:
+    consistency, the max colorful value and minimality run on one record
+    per model, the grid's points or the extracted structure."""
+
+    MODELS = {
+        "grid": None,
+        "R3": ["--lift", "--project", "3"],
+        "plane": ["--lift", "--project", "2"],
+        "dual": ["--lift", "--project", "2", "--dualize"],
+    }
+    INPUTS = {
+        "alg32": ["algebraic", "--k", "3", "--p", "2"],
+        "alg33": ["algebraic", "--k", "3", "--p", "3"],
+        "prob16": ["probabilistic", "--k", "3", "--n", "16", "--seed", "1"],
+    }
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory) -> dict:
+        root, files = tmp_path_factory.mktemp("models"), {}
+        for name, argv in self.INPUTS.items():
+            grid = str(root / f"{name}.json")
+            assert run(["gen", *argv, "-o", grid]) == 0
+            for model, transform in self.MODELS.items():
+                path = str(root / f"{name}_{model}.json") if transform else grid
+                if transform:
+                    assert run(["transform", grid, *transform, "--seed", "11", "-o", path]) == 0
+                files[name, model] = path
+        return files
+
+    def outcomes(self, files, capsys, name: str, k: int) -> dict:
+        """Per model: exit code, consistency pass and failures_total, the max
+        colorful value, and minimality pass, evaluated and removable_total."""
+        capsys.readouterr()
+        out = {}
+        for model in self.MODELS:
+            argv = ["--k-consistency", str(k), "--max-colorful", "4", "--minimality"]
+            rc = run(["verify", files[name, model], *argv])
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            kc, mc, mn = checks["k_consistency"], checks["max_colorful"], checks["minimality"]
+            out[model] = (
+                rc, kc["pass"], kc["failures_total"], mc["value"],
+                mn["pass"], mn["evaluated"], mn.get("removable_total"),
+            )
+        return out
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("alg32", (0, True, 0, 3, True, True, 0)),
+            ("alg33", (0, True, 0, 3, True, True, 0)),
+            # not 3-consistent: minimality is not evaluated, and exit 1 as on the grid
+            ("prob16", (1, False, 132, 2, False, False, None)),
+        ],
+    )
+    def test_k3_agrees_on_every_model(self, files, capsys, name, expected):
+        assert self.outcomes(files, capsys, name, 3) == dict.fromkeys(self.MODELS, expected)
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            # 2-consistent, and every one of the 128 (972) lines can go
+            ("alg32", dict.fromkeys(MODELS, (1, True, 0, 3, False, True, 128))),
+            ("alg33", dict.fromkeys(MODELS, (1, True, 0, 3, False, True, 972))),
+            # Projected to the plane, any two lines meet, and any two dual
+            # points are aligned: every line of the 44 crosses a line of each
+            # other color, so the 126 failures of the grid and of R^3 become 0,
+            # and as no class has a single line, each line can go.
+            (
+                "prob16",
+                {
+                    "grid": (1, False, 126, 2, False, False, None),
+                    "R3": (1, False, 126, 2, False, False, None),
+                    "plane": (1, True, 0, 2, False, True, 44),
+                    "dual": (1, True, 0, 2, False, True, 44),
+                },
+            ),
+        ],
+    )
+    def test_k2_on_every_model(self, files, capsys, name, expected):
+        assert self.outcomes(files, capsys, name, 2) == expected
 
 
 class TestTransformAnalyze:

@@ -16,6 +16,7 @@ from incidencelab.constructions import ProbParams, gen_probabilistic
 from incidencelab.exactgeom import ProjPoint, meet
 from incidencelab.gridmodel import (
     ColoredGridConfig,
+    IncidenceStructure,
     breaks_consistency_without,
     grid_from_json,
     grid_to_json,
@@ -589,10 +590,10 @@ class TestCoreAgainstOracles:
         for k in orders(cfg.num_colors):
             if not is_k_consistent(cfg, k).ok:
                 with pytest.raises(ValueError):
-                    minimality_audit(cfg, k)
+                    minimality_audit(cfg.points, k)
                 continue
             removable = rescan_removable(cfg, k)
-            assert minimality_audit(cfg, k).removable == removable
+            assert minimality_audit(cfg.points, k).removable == removable
             assert removable == tuple(
                 (c, i)
                 for c, size in enumerate(cfg.class_sizes(), start=1)
@@ -623,7 +624,7 @@ class TestCoreAgainstOracles:
             cfg = dense_mixed_config(rng, 2, 3, 3, 1.0)
             if not is_k_consistent(cfg, 2).ok:
                 continue
-            removable = minimality_audit(cfg, 2).removable
+            removable = minimality_audit(cfg.points, 2).removable
             assert removable == rescan_removable(cfg, 2)
             compared += 1
             nontrivial += 0 < len(removable) < sum(cfg.class_sizes())
@@ -664,7 +665,7 @@ class TestCarrierKernel:
         sizes, groups, group, line = case
         for k in range(1, len(sizes) + 1):
             expected = loop_consistency(sizes, groups, k)
-            verdict = group_consistency(sizes, group, line, k)
+            verdict = group_consistency(IncidenceStructure(tuple(sizes), group, line), k)
             assert verdict.failures == expected
             assert verdict.ok == (not expected) and verdict.total == len(expected)
             for limit in (0, 1, 50, verdict.total + 1):
@@ -674,14 +675,15 @@ class TestCarrierKernel:
     @given(entry_arrays())
     def test_removable_matches_loop(self, case):
         sizes, groups, group, line = case
+        s = IncidenceStructure(tuple(sizes), group, line)
         for k in range(1, len(sizes) + 1):
             try:
                 expected = loop_removable(sizes, groups, k)
             except ValueError:
                 with pytest.raises(ValueError):
-                    group_removable(sizes, group, line, k)
+                    group_removable(s, k)
                 continue
-            assert group_removable(sizes, group, line, k) == expected
+            assert group_removable(s, k) == expected
 
     def test_grid_verdict_runs_in_bounded_memory(self):
         # k = 3, n = 128: 111,903 lines on 272,049 points, and 330,019

@@ -267,22 +267,21 @@ class TestCoreAgainstLoopOracle:
     @settings(max_examples=60, deadline=None)
     @given(structures)
     def test_removable(self, s):
-        group, line = s.group, s.line
         for k in orders(s.num_colors):
             try:
                 expected = loop_removable(s.class_sizes, s.monomials, k)
             except ValueError:
                 with pytest.raises(ValueError):
-                    group_removable(s.class_sizes, group, line, k)
+                    group_removable(s, k)
                 continue
-            assert group_removable(s.class_sizes, group, line, k) == expected
+            assert group_removable(s, k) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(structures)
     def test_max_colorful(self, s):
         by_refs = sorted(s.monomials, key=sorted)
         expected = loop_max_colorful((sorted(m), m) for m in by_refs)
-        order, at = group_max_colorful(s.class_sizes, s.group, s.line)
+        order, at = group_max_colorful(s)
         assert (order, None if at is None else s.members[at]) == expected
         assert s.max_colorful() == (order, None if at is None else s.witness(at))
 
@@ -422,9 +421,15 @@ class TestConcurrenceKernel:
         lifted = lift_to_concurrent(algebraic_3_3, audit=False)[0]
         keys, pivots = lifted.keys, lifted.pivots
         classes = list(zip(lifted.class_sizes(), lifted.centers))
-        rows = []
-        scaled = structure._scaled
-        monkeypatch.setattr(structure, "_scaled", lambda m, p: rows.append(len(m)) or scaled(m, p))
+        rows = []  # the pairs whose meeting points the pair kernel computes
+        candidates = structure._candidates
+
+        def counting(*args):
+            code, points = candidates(*args)
+            rows.append(len(points))
+            return code, points
+
+        monkeypatch.setattr(structure, "_candidates", counting)
         with_centers = concurrence_buckets(keys, pivots, classes)
         skipped = sum(rows)
         rows.clear()
