@@ -19,8 +19,9 @@
 * ``gen_tricolor`` — the planar-style 3-color closed polygon family:
   2-consistent, no colorful incidence.
 * ``gen_desargues`` / ``gen_reye`` — the two non-planar 4x3
-  configurations, realized from fixed rational witnesses with colorings
-  found by verifier-driven search.
+  configurations: fixed rational witness lines colored by the stated
+  ``DESARGUES_COLORS`` / ``REYE_COLORS``, each result certified by the
+  verifiers before it is returned.
 * ``gen_dual_cycles`` — dual point sets made of six-step projection
   cycles across three concurrent lines plus two direction points.
 * ``gen_two_slit`` — sampled lines secant to two fixed skew lines.
@@ -45,7 +46,6 @@ from .exactgeom import (
     Rational,
     int_nullspace,
     int_rank,
-    key_ranks,
     meet,
 )
 from .gridmodel import ColoredGridConfig
@@ -482,83 +482,46 @@ def _line_in_plane(line: Line, cov: Sequence[int]) -> bool:
     )
 
 
-def _search_coloring(
-    lines: Sequence[Line],
-    buckets: Sequence[frozenset[int]],
-    fixed: dict[int, int],
-    free_order: Sequence[int],
-    exempt_bucket: frozenset[int] | None,
-    validate,
-) -> ColoredLineConfig | None:
-    """Backtracking color assignment: class sizes 3, no repeated color in any
-    bucket (except an exempted concurrent-class bucket), canonical first-use
-    order for the free colors; the first configuration ``validate`` returns wins."""
-    colors = dict(fixed)
-    counts = {c: 0 for c in (1, 2, 3, 4)}
-    for c in fixed.values():
-        counts[c] += 1
-
-    def bucket_ok(idx: int) -> bool:
-        for bucket in buckets:
-            if bucket == exempt_bucket or idx not in bucket:
-                continue
-            seen = [colors[i] for i in bucket if i != idx and i in colors]
-            if colors[idx] in seen:
-                return False
-        return True
-
-    def rec(pos: int, max_used: int):
-        if pos == len(free_order):
-            classes: list[list[Line]] = [[], [], [], []]
-            for i, line in enumerate(lines):
-                classes[colors[i] - 1].append(line)
-            try:
-                cfg = ColoredLineConfig(3, classes)
-            except ValueError:
-                return None
-            return validate(cfg)
-        idx = free_order[pos]
-        for c in range(1, min(max_used + 1, 4) + 1):
-            if counts[c] >= 3:
-                continue
-            colors[idx] = c
-            counts[c] += 1
-            if bucket_ok(idx):
-                found = rec(pos + 1, max(max_used, c))
-                if found is not None:
-                    return found
-            counts[c] -= 1
-            del colors[idx]
-        return None
-
-    return rec(0, max(fixed.values(), default=1))
+# The colors of ``_two_plane_lines()`` in order; class 1 is the concurrent one.
+DESARGUES_COLORS = (1, 1, 2, 3, 4, 1, 3, 4, 2, 4, 2, 3)
+# The colors of ``_cube_lines()`` in order; 0 leaves a line out.
+REYE_COLORS = (0, 1, 2, 3, 1, 0, 3, 4, 3, 4, 2, 0, 2, 1, 0, 4)
 
 
-def _validate_4x3(cfg: ColoredLineConfig, expect_concurrent: int) -> ColoredLineConfig | None:
-    """``cfg`` with its class centers if it is a 4x3 configuration, 3-consistent,
-    non-planar, with no colorful incidence and ``expect_concurrent`` concurrent
-    classes, else None.  A class is concurrent when one group holds all its
-    lines, and its center is that group's witness."""
-    if cfg.class_sizes() != (3, 3, 3, 3):
-        return None
+def _colored(lines: Sequence[Line], colors: Sequence[int]) -> ColoredLineConfig:
+    """The lines of each color 1..4 as its class, in their order (0: left out)."""
+    classes = [[line for line, c in zip(lines, colors) if c == k] for k in (1, 2, 3, 4)]
+    return ColoredLineConfig(3, classes)
+
+
+def _validate_4x3(cfg: ColoredLineConfig, expect_concurrent: int, name: str) -> ColoredLineConfig:
+    """``cfg`` with its class centers, certified to be a 4x3 configuration,
+    3-consistent, non-planar, with no colorful incidence and
+    ``expect_concurrent`` concurrent classes; RuntimeError names the checks
+    that fail.  A class is concurrent when one group holds all its lines,
+    and its center is that group's witness."""
     s = extract_structure_lines(cfg)
-    order, _ = s.max_colorful()
-    if order != 3 or not structure_consistency(s, 3).ok or extract_planarity(cfg)[0]:
-        return None
     centers = [None] * 4
     for g, refs in enumerate(s.members):
         colors = [c for c, _ in refs]
         for c in {c for c in colors if colors.count(c) == 3}:
             centers[c - 1] = s.witness(g)
-    if sum(c is not None for c in centers) != expect_concurrent:
-        return None
+    concurrent = sum(c is not None for c in centers)
+    checks = {
+        "class sizes 3, 3, 3, 3": cfg.class_sizes() == (3, 3, 3, 3),
+        "3-consistency": structure_consistency(s, 3).ok,
+        "max colorful 3": s.max_colorful()[0] == 3,
+        "non-planarity": not extract_planarity(cfg)[0],
+        f"{expect_concurrent} concurrent classes": concurrent == expect_concurrent,
+    }
+    failed = [check for check, ok in checks.items() if not ok]
+    if failed:
+        raise RuntimeError(f"the stated {name} coloring fails {', '.join(failed)}")
     return ColoredLineConfig.from_ends(cfg.d, cfg.ends, cfg.sizes, centers)
 
 
-def gen_desargues() -> ColoredLineConfig:
-    """The 12 lines lying in exactly two of six fixed planes, with the
-    (unique up to relabeling) coloring making it 3-consistent without
-    a colorful incidence; exactly one class is concurrent non-coplanar."""
+def _two_plane_lines() -> list[Line]:
+    """The 12 lines lying in exactly two of six fixed planes, plane pair by plane pair."""
     # the sixth plane is 2*plane4 - plane5, so it shares their common line
     planes = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, -1), (1, 2, 4, -3), (1, 0, -2, 1)]
     for name, among in (("1..5", range(5)), ("1,2,3,6", (0, 1, 2, 5))):
@@ -576,28 +539,15 @@ def gen_desargues() -> ColoredLineConfig:
             lines.append(line)
     if len(lines) != 12:
         raise RuntimeError("witness does not produce 12 two-plane lines")
+    return lines
 
-    one = ColoredLineConfig(3, [lines])
-    s = extract_structure_lines(one)
-    buckets = [frozenset(i for _, i in refs) for refs in s.members]
-    start = np.array(s.bounds[:-1])[np.diff(s.bounds) == 3]
-    triples = s.line[start[:, None] + np.arange(3)]  # the lines of each group of three
-    spans = key_ranks(one.keys, triples, 4) == 4  # three directions span R^3
-    candidates = [frozenset(t) for t in triples[spans].tolist()]
-    for cand in candidates:
-        fixed = {i: 1 for i in cand}
-        free = [i for i in range(12) if i not in cand]
-        cfg = _search_coloring(
-            lines,
-            buckets,
-            fixed,
-            free,
-            cand,
-            lambda c: _validate_4x3(c, expect_concurrent=1),
-        )
-        if cfg is not None:
-            return cfg
-    raise RuntimeError("no valid coloring found for the Desargues witness")
+
+def gen_desargues() -> ColoredLineConfig:
+    """The 12 two-plane lines colored by ``DESARGUES_COLORS`` (the coloring,
+    unique up to relabeling, making them 3-consistent without a colorful
+    incidence), certified by ``_validate_4x3``; exactly one class is
+    concurrent non-coplanar."""
+    return _validate_4x3(_colored(_two_plane_lines(), DESARGUES_COLORS), 1, "Desargues")
 
 
 def _cube_lines() -> list[Line]:
@@ -613,41 +563,12 @@ def _cube_lines() -> list[Line]:
 
 
 def gen_reye() -> ColoredLineConfig:
-    """Twelve of the sixteen cube lines (edges + long diagonals) forming a
-    12-point/12-line structure with three lines per point, colored so the
-    result is 3-consistent with no colorful incidence; triples of parallel
+    """Twelve of the sixteen cube lines (edges + long diagonals), kept and
+    colored by ``REYE_COLORS``: a 12-point/12-line structure with three
+    lines per point, certified by ``_validate_4x3`` to be 3-consistent with
+    no colorful incidence and no concurrent class; triples of parallel
     edges meet at infinity, so some incidence points are infinite."""
-    lines = _cube_lines()
-    s = extract_structure_lines(ColoredLineConfig(3, [lines]))
-    buckets = [frozenset(i for _, i in refs) for refs in s.members]
-    if len(buckets) != 12 or any(len(b) != 4 for b in buckets):
-        raise RuntimeError("cube lines do not form the expected 12x4 structure")
-    memberships = [frozenset(i for i, b in enumerate(buckets) if idx in b) for idx in range(16)]
-    if any(len(m) != 3 for m in memberships):
-        raise RuntimeError("every cube line should lie on exactly 3 incidence points")
-
-    for drop in combinations(range(16), 4):
-        if len(frozenset().union(*(memberships[i] for i in drop))) != 12:
-            continue  # four lines of three points each cover all 12 only if disjoint
-        kept = [i for i in range(16) if i not in drop]
-        kept_lines = [lines[i] for i in kept]
-        remap = {old: new for new, old in enumerate(kept)}
-        kept_buckets = [
-            frozenset(remap[i] for i in bucket if i in remap) for bucket in buckets
-        ]
-        if any(len(b) != 3 for b in kept_buckets):
-            continue
-        cfg = _search_coloring(
-            kept_lines,
-            kept_buckets,
-            {0: 1},
-            list(range(1, 12)),
-            None,
-            lambda c: _validate_4x3(c, expect_concurrent=0),
-        )
-        if cfg is not None:
-            return cfg
-    raise RuntimeError("no valid 12-line selection/coloring found on the cube")
+    return _validate_4x3(_colored(_cube_lines(), REYE_COLORS), 0, "Reye")
 
 
 # ---------------------------------------------------------------------------

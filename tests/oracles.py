@@ -52,6 +52,10 @@ sorted lists, the reference for the structure's ordering rule;
 ``concurrency_center`` meets a class's first two lines and checks the
 rest, and ``with_computed_centers`` records those centers: the reference
 for the class centers the 4x3 generators read off their structure.
+``_search_coloring`` is the backtracking color search that found the
+stated colorings of the 4x3 generators: ``search_desargues_colors`` and
+``search_reye_colors`` rerun it on their witness lines, each candidate
+certified by the generators' ``_validate_4x3``.
 ``loop_bipartite_edges`` meets every cross pair of two families: the
 reference for the structure's intersection graph in ``bipartite_edges``.
 ``dense_deletion`` (the whole n^(k+1) coverage cube) and
@@ -94,6 +98,7 @@ from incidencelab.exactgeom import (
     int_array,
     int_nullspace,
     int_rank,
+    key_ranks,
     meet,
 )
 from incidencelab.configs import (
@@ -101,8 +106,9 @@ from incidencelab.configs import (
     DualPointConfig,
     embed_grid_config,
 )
+from incidencelab.constructions import _validate_4x3
 from incidencelab.gridmodel import ColoredGridConfig, _line_count
-from incidencelab.structure import IncidenceStructure
+from incidencelab.structure import IncidenceStructure, extract_structure_lines
 
 
 @dataclass(frozen=True, order=True)
@@ -603,6 +609,128 @@ def with_computed_centers(cfg: ColoredLineConfig) -> ColoredLineConfig:
     """``cfg`` with the ``concurrency_center`` of each class recorded."""
     centers = [concurrency_center(cls) for cls in cfg.classes]
     return ColoredLineConfig.from_ends(cfg.d, cfg.ends, cfg.sizes, centers)
+
+
+def _search_coloring(
+    lines: Sequence[Line],
+    buckets: Sequence[frozenset[int]],
+    fixed: dict[int, int],
+    free_order: Sequence[int],
+    exempt_bucket: frozenset[int] | None,
+    validate,
+) -> ColoredLineConfig | None:
+    """Backtracking color assignment: class sizes 3, no repeated color in any
+    bucket (except an exempted concurrent-class bucket), canonical first-use
+    order for the free colors; the first configuration ``validate`` returns wins."""
+    colors = dict(fixed)
+    counts = {c: 0 for c in (1, 2, 3, 4)}
+    for c in fixed.values():
+        counts[c] += 1
+
+    def bucket_ok(idx: int) -> bool:
+        for bucket in buckets:
+            if bucket == exempt_bucket or idx not in bucket:
+                continue
+            seen = [colors[i] for i in bucket if i != idx and i in colors]
+            if colors[idx] in seen:
+                return False
+        return True
+
+    def rec(pos: int, max_used: int):
+        if pos == len(free_order):
+            classes: list[list[Line]] = [[], [], [], []]
+            for i, line in enumerate(lines):
+                classes[colors[i] - 1].append(line)
+            try:
+                cfg = ColoredLineConfig(3, classes)
+            except ValueError:
+                return None
+            return validate(cfg)
+        idx = free_order[pos]
+        for c in range(1, min(max_used + 1, 4) + 1):
+            if counts[c] >= 3:
+                continue
+            colors[idx] = c
+            counts[c] += 1
+            if bucket_ok(idx):
+                found = rec(pos + 1, max(max_used, c))
+                if found is not None:
+                    return found
+            counts[c] -= 1
+            del colors[idx]
+        return None
+
+    return rec(0, max(fixed.values(), default=1))
+
+
+def _validated(expect_concurrent: int, name: str):
+    """``_validate_4x3`` as the search's ``validate``: None where it raises."""
+
+    def validate(cfg: ColoredLineConfig) -> ColoredLineConfig | None:
+        try:
+            return _validate_4x3(cfg, expect_concurrent, name)
+        except RuntimeError:
+            return None
+
+    return validate
+
+
+def _colors_of(cfg: ColoredLineConfig, lines: Sequence[Line]) -> tuple[int, ...]:
+    """The color of each of ``lines`` in ``cfg``, 0 for a line it leaves out."""
+    color = {line.key: c for c, _, line in cfg.lines()}
+    return tuple(color.get(line.key, 0) for line in lines)
+
+
+def search_desargues_colors(lines: Sequence[Line]) -> tuple[int, ...] | None:
+    """The first coloring of the 12 two-plane ``lines`` that passes
+    ``_validate_4x3`` with one concurrent class, trying as that class each
+    group of three lines whose directions span R^3."""
+    one = ColoredLineConfig(3, [lines])
+    s = extract_structure_lines(one)
+    buckets = [frozenset(i for _, i in refs) for refs in s.members]
+    start = np.array(s.bounds[:-1])[np.diff(s.bounds) == 3]
+    triples = s.line[start[:, None] + np.arange(3)]  # the lines of each group of three
+    spans = key_ranks(one.keys, triples, 4) == 4  # three directions span R^3
+    candidates = [frozenset(t) for t in triples[spans].tolist()]
+    for cand in candidates:
+        fixed = {i: 1 for i in cand}
+        free = [i for i in range(12) if i not in cand]
+        cfg = _search_coloring(lines, buckets, fixed, free, cand, _validated(1, "Desargues"))
+        if cfg is not None:
+            return _colors_of(cfg, lines)
+    return None
+
+
+def search_reye_colors(lines: Sequence[Line]) -> tuple[int, ...] | None:
+    """The first coloring of twelve of the 16 cube ``lines`` (0 for the four
+    left out) that passes ``_validate_4x3`` with no concurrent class, over
+    the four-line drops in ``combinations`` order that leave three lines
+    on each of the 12 incidence points."""
+    s = extract_structure_lines(ColoredLineConfig(3, [lines]))
+    buckets = [frozenset(i for _, i in refs) for refs in s.members]
+    if len(buckets) != 12 or any(len(b) != 4 for b in buckets):
+        raise RuntimeError("cube lines do not form the expected 12x4 structure")
+    memberships = [frozenset(i for i, b in enumerate(buckets) if idx in b) for idx in range(16)]
+    if any(len(m) != 3 for m in memberships):
+        raise RuntimeError("every cube line should lie on exactly 3 incidence points")
+
+    for drop in combinations(range(16), 4):
+        if len(frozenset().union(*(memberships[i] for i in drop))) != 12:
+            continue  # four lines of three points each cover all 12 only if disjoint
+        kept = [i for i in range(16) if i not in drop]
+        kept_lines = [lines[i] for i in kept]
+        remap = {old: new for new, old in enumerate(kept)}
+        kept_buckets = [
+            frozenset(remap[i] for i in bucket if i in remap) for bucket in buckets
+        ]
+        if any(len(b) != 3 for b in kept_buckets):
+            continue
+        cfg = _search_coloring(
+            kept_lines, kept_buckets, {0: 1}, list(range(1, 12)), None, _validated(0, "Reye")
+        )
+        if cfg is not None:
+            return _colors_of(cfg, lines)
+    return None
 
 
 def loop_bipartite_edges(A: Sequence[Line], B: Sequence[Line]):

@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import operator
 from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
-from functools import cached_property
+from collections import defaultdict
+from functools import cached_property, reduce
 from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -148,6 +152,15 @@ class TestGen:
         reye = json.loads((workdir / "reye.json").read_text())
         assert reye["model"] == "lines"
         assert sum(len(c["lines"]) for c in reye["classes"]) == 12
+
+    def test_failed_certificate_exits_2_and_writes_nothing(self, workdir, capsys, monkeypatch):
+        colors = list(constructions.DESARGUES_COLORS)
+        colors[1], colors[2] = colors[2], colors[1]  # two lines swap classes
+        monkeypatch.setattr(constructions, "DESARGUES_COLORS", tuple(colors))
+        assert run(["gen", "desargues", "-o", "des.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(workdir.iterdir()) == []
 
     def test_dual_cycles(self, workdir, capsys):
         assert run(["gen", "dual-cycles", "--r", "2", "-o", "dc.json"]) == 0
@@ -1410,3 +1423,110 @@ class TestExactFallback:
         at = exactgeom.ProjPoint([int(x) for x in before["max_colorful"].pop("witness")[1:-1].split(":")])
         assert after["max_colorful"].pop("witness") == repr(exactgeom.apply_matrix(matrix, at))
         assert after == before
+
+
+# one small file from every generator, and the commands that read a file
+GENERATED = {
+    "algebraic": ["--k", "3", "--p", "2"],
+    "probabilistic": ["--k", "3", "--n", "4", "--seed", "1"],
+    "tricolor": ["--steps", "1,1,1,-1,-1,-1"],
+    "desargues": [],
+    "reye": [],
+    "dual-cycles": ["--r", "2"],
+    "two-slit": ["--count", "4", "--seed", "7"],
+}
+READERS = [
+    ["verify", "--k-consistency", "3", "--max-colorful", "3", "--minimality"],
+    ["verify", "--flatness", "3", "--planarity", "nonplanar"],
+    ["analyze", "--structure", "--joint-bound", "3", "--flatness", "3"],
+    ["analyze", "--match-structure", "II"],
+    ["transform", "--lift", "-o", "{out}/out.json"],
+    ["transform", "--project", "2", "--dualize", "--seed", "1", "-o", "{out}/out.json"],
+    ["transform", "--undualize", "-o", "{out}/out.json"],
+    ["export", "--seed", "1", "--svg", "{out}/out.svg"],
+]
+PAST_INT64 = [2**63, 2**63 + 1, 2**64, 10**30, -(2**63) - 1, -(10**30)]
+PAST_INT64 += list(map(str, PAST_INT64))  # as ints, and as coordinate strings
+RATIONALS = ["3/2", "-7/3", "0/5", "4/2", "1/0"]
+SWAPPED = [None, True, 0, 7, -1, 1.5, "x", "2", [[1]], {}, {"p": []}]
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """Each generator's file as a JSON document, with its nodes by depth:
+    the (parent path, key) pairs of every dict entry and list item."""
+    out, files = tmp_path_factory.mktemp("generated"), {}
+    for name, args in GENERATED.items():
+        assert main(["gen", name, *args, "-o", str(out / f"{name}.json")]) == 0
+        doc = json.loads((out / f"{name}.json").read_text())
+        by_depth, stack = defaultdict(list), [((), doc)]
+        while stack:
+            path, node = stack.pop()
+            for key in node if isinstance(node, dict) else range(len(node)):
+                by_depth[len(path)].append((path, key))
+                if isinstance(node[key], (dict, list)):
+                    stack.append(((*path, key), node[key]))
+        files[name] = doc, [by_depth[depth] for depth in sorted(by_depth)]
+    return out, files
+
+
+@st.composite
+def mutations(draw, by_depth):
+    """One edit at a node of a depth drawn first: the node dropped, its key
+    renamed, or its value replaced by another type, an int past int64 (or
+    its decimal string), a num/den string or an empty list."""
+    depth = draw(st.integers(0, len(by_depth) - 1), label="depth")
+    path, key = draw(st.sampled_from(by_depth[depth]), label="node")
+    op = draw(st.sampled_from(["drop", "rename", "swap", "int64", "rational", "empty"]))
+    value = {
+        "swap": st.sampled_from(SWAPPED),
+        "int64": st.sampled_from(PAST_INT64),
+        "rational": st.sampled_from(RATIONALS),
+        "empty": st.just([]),
+    }.get(op, st.none())
+    return path, key, op, draw(value, label="value")
+
+
+def mutated(doc, edits):
+    """A copy of ``doc`` with ``edits`` applied in order; an edit whose node
+    an earlier one removed or replaced is skipped."""
+    doc = json.loads(json.dumps(doc))
+    for path, key, op, value in edits:
+        try:
+            node = reduce(operator.getitem, path, doc)
+            node[key]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if not isinstance(node, (dict, list)):
+            continue
+        if op == "drop":
+            del node[key]
+        elif op != "rename":
+            node[key] = value
+        elif isinstance(node, dict):
+            node[key + "_"] = node.pop(key)
+    return doc
+
+
+class TestMalformedFiles:
+    """Every generator's file, mutated, through every reading command: an
+    exit code of 0, 1 or 2, never an exception out of ``main``, and an
+    ``error:`` line with every 2."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes(self, generated, data):
+        out, files = generated
+        name = data.draw(st.sampled_from(sorted(files)), label="generator")
+        doc, by_depth = files[name]
+        edits = data.draw(st.lists(mutations(by_depth), min_size=1, max_size=3), label="edits")
+        path = out / "mutated.json"
+        path.write_text(json.dumps(mutated(doc, edits)))
+        command, *flags = data.draw(st.sampled_from(READERS), label="command")
+        argv = [command, str(path), *(flag.format(out=out) for flag in flags)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert any(line.startswith("error: ") for line in err.getvalue().splitlines())

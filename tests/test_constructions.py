@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incidencelab import constructions
 from incidencelab.cli import _dump_json
 from incidencelab.constructions import (
+    DESARGUES_COLORS,
+    REYE_COLORS,
     AlgebraicParams,
     SELECTION_CHUNK,
     TRIAL_BATCH_LINES,
     ProbParams,
+    _cube_lines,
     _deletion,
     _hits,
     _popcount,
@@ -20,6 +24,7 @@ from incidencelab.constructions import (
     _slab_width,
     _split,
     _trial_stats,
+    _two_plane_lines,
     default_generic_slits,
     gen_algebraic,
     gen_dual_cycles,
@@ -56,6 +61,8 @@ from oracles import (
     grid_config,
     gridline_from_index,
     rank_of_directions,
+    search_desargues_colors,
+    search_reye_colors,
     six_fold_map,
     sparse_deletion,
     with_computed_centers,
@@ -700,6 +707,19 @@ class TestSearchDeterminism:
 
         assert gen_desargues() == desargues
         assert gen_reye() == reye
+
+    def test_stated_colorings_are_the_search_results(self):
+        # the backtracking search that found them, rerun on the witness lines
+        assert search_desargues_colors(_two_plane_lines()) == DESARGUES_COLORS
+        assert search_reye_colors(_cube_lines()) == REYE_COLORS
+
+    def test_swapped_colors_fail_the_certificate(self, monkeypatch):
+        for name, gen in (("DESARGUES_COLORS", "gen_desargues"), ("REYE_COLORS", "gen_reye")):
+            colors = list(getattr(constructions, name))
+            colors[1], colors[2] = colors[2], colors[1]  # two lines swap classes
+            monkeypatch.setattr(constructions, name, tuple(colors))
+            with pytest.raises(RuntimeError, match="fails 3-consistency"):
+                getattr(constructions, gen)()
 
     def test_centers_are_the_class_meets(self, desargues, reye):
         # read off the structure: one group holding a whole class gives its center
