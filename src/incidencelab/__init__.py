@@ -40,13 +40,7 @@ from .constructions import (
     gen_tricolor,
     gen_two_slit,
 )
-from .exactgeom import (
-    Line,
-    ProjFlat,
-    ProjPoint,
-    incident,
-    meet,
-)
+from .exactgeom import Line, ProjPoint, incident, meet
 from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,11 +133,6 @@ class ColoredLineConfig:
         """The lines as ``Line`` objects, class by class (built on first use)."""
         return _split(_lines(self.ends, self.keys, self.pivots), self.sizes)
 
-    def lines(self) -> Iterator[tuple[int, int, Line]]:
-        for color, cls in enumerate(self.classes, start=1):
-            for idx, line in enumerate(cls):
-                yield color, idx, line
-
 
 @dataclass(frozen=True, eq=False)
 class DualPointConfig:
@@ -189,11 +184,6 @@ class DualPointConfig:
     def classes(self) -> tuple[tuple[ProjPoint, ...], ...]:
         """The points as ``ProjPoint`` objects, class by class (built on first use)."""
         return _split([ProjPoint.canonical(tuple(p)) for p in self.coords.tolist()], self.sizes)
-
-    def points(self) -> Iterator[tuple[int, int, ProjPoint]]:
-        for color, cls in enumerate(self.classes, start=1):
-            for idx, p in enumerate(cls):
-                yield color, idx, p
 
 
 def _grid_ends(k: int, n: int, ids: np.ndarray) -> np.ndarray:

@@ -1,19 +1,19 @@
 """Exact rational projective linear algebra.
 
-Points, lines and flats in projective d-space with arbitrary-precision
-rational coordinates.  Every object canonicalizes its homogeneous
-coordinates to a primitive integer vector (denominators cleared, gcd
-divided out, first nonzero entry positive), so equality is tuple
-equality, hashing is O(1), and every predicate reduces to exact integer
-arithmetic.  No floating point is used anywhere.
+Points and lines in projective d-space with arbitrary-precision rational
+coordinates, and spans by exact rank (``int_rank``).  A point canonicalizes
+its homogeneous coordinates to a primitive integer vector (denominators
+cleared, gcd divided out, first nonzero entry positive), so equality is
+tuple equality, hashing is O(1), and every predicate reduces to exact
+integer arithmetic.  No floating point is used anywhere.
 
 Configurations hold points and lines as integer arrays: int64 under a
 stated bound, Python-int object arrays above it.  Rows are canonicalized
 in bulk, line keys come from 2x2 minors of the endpoints (``line_keys``,
 int64 below 2^30) and a projective map is one product (``image_rows``,
-int64 below 2^63).  A ``Line`` built from stored key rows skips row
-reduction; ``meet`` and ``Line.contains`` on it are fraction-free
-residual tests on plain ints (see ``Line.residual``).
+int64 below 2^63; ``apply_matrix`` maps one point by it).  A ``Line``
+built from stored key rows skips row reduction; ``meet`` on it is a
+fraction-free residual test on plain ints (see ``Line.residual``).
 
 Conventions
 -----------
@@ -29,14 +29,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
 
 Rational = int | Fraction
 
-# The twelve largest primes below 2^30, PRIME first: products of two residues are below 2^60.
+# The largest primes below 2^30, PRIME first (twelve, more on demand): residue products < 2^60.
 PRIMES = tuple(2**30 - d for d in (35, 41, 83, 101, 105, 107, 135, 153, 161, 173, 203, 257))
 PRIME = PRIMES[0]
 _ASCII_INT = re.compile(r"-?[0-9]+")
@@ -190,10 +189,24 @@ def residues(rows, p: int) -> np.ndarray:
     return (rows % p).astype(np.int64)
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7: exact for odd n from 11 below 3.2 * 10^9."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in (2, 3, 5, 7):
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and x != n - 1 and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
 def primes_above(bits: int) -> tuple[int, ...] | None:
     """The fewest leading ``PRIMES``, so ``PRIME`` first, whose product
-    exceeds 2^bits (None if all fall short): an integer below 2^(bits - 1)
-    that is 0 modulo each is 0."""
+    exceeds 2^bits: an integer below 2^(bits - 1) that is 0 modulo each is
+    0.  The table grows on demand by the next primes below its last entry
+    while that is above 2^29 (so all stay in (2^29, 2^30)); None if it cannot."""
+    global PRIMES
+    while not prod(PRIMES) >> bits and PRIMES[-1] > 2**29:
+        PRIMES += (next(n for n in range(PRIMES[-1] - 2, 0, -2) if _is_prime(n)),)
     return next((PRIMES[:r] for r in range(1, len(PRIMES) + 1) if prod(PRIMES[:r]) >> bits), None)
 
 
@@ -278,41 +291,12 @@ class ProjPoint:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class ProjFlat:
-    """A flat (point, line, plane, ...) as a canonical row-reduced point basis."""
-
-    basis: tuple[ProjPoint, ...]
-
-    def __init__(self, points: Sequence[ProjPoint]):
-        if not points:
-            raise ValueError("a flat needs at least one spanning point")
-        dims = {p.ambient_dim for p in points}
-        if len(dims) != 1:
-            raise ValueError("spanning points live in different ambient dimensions")
-        rows = int_rref([p.coords for p in points])
-        object.__setattr__(self, "basis", tuple(ProjPoint(r) for r in rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis) - 1
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis[0].ambient_dim
-
-    def contains(self, p: ProjPoint) -> bool:
-        return incident(p, self)
-
-
-def incident(p: ProjPoint, flat: ProjFlat) -> bool:
-    """True iff p lies in the span of the flat's basis (exact rank test)."""
-    if p.ambient_dim != flat.ambient_dim:
-        raise ValueError(
-            f"ambient dimension mismatch: point in {p.ambient_dim}, flat in {flat.ambient_dim}"
-        )
-    rows = [q.coords for q in flat.basis]
-    return int_rank([*rows, p.coords]) == len(flat.basis)
+def incident(p: ProjPoint, points: Sequence[ProjPoint]) -> bool:
+    """True iff p lies in the span of ``points`` (exact rank test)."""
+    if any(q.ambient_dim != p.ambient_dim for q in points):
+        raise ValueError("the point and its spanning points live in different ambient dimensions")
+    rows = [q.coords for q in points]
+    return int_rank([*rows, p.coords]) == int_rank(rows)
 
 
 @dataclass(frozen=True)
@@ -408,10 +392,8 @@ def meet(a: Line, b: Line) -> ProjPoint | None:
 
 def apply_matrix(matrix: Sequence[Sequence[int]], point: ProjPoint) -> ProjPoint:
     """Image of a point under a projective transformation given by integer
-    matrix rows (integer dot products)."""
-    if len(matrix[0]) != len(point.coords):
-        raise ValueError("matrix shape does not match point coordinates")
-    return ProjPoint.canonical(_reduce_row([sum(map(mul, row, point.coords)) for row in matrix]))
+    matrix rows: ``image_rows`` of its one row."""
+    return ProjPoint.canonical(tuple(image_rows(matrix, int_array([point.coords]))[0].tolist()))
 
 
 def covector_2d(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -421,10 +403,3 @@ def covector_2d(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     (p1, p2, p3), (q1, q2, q3) = p, q
     return _reduce_row((p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1))
 
-
-def line_from_covector_2d(cov: Sequence[int]) -> Line:
-    """A planar line materialized from its covector (two spanning points)."""
-    if len(cov) != 3 or not any(cov):
-        raise ValueError("covector must be a nonzero triple")
-    basis = int_nullspace([tuple(cov)], 3)
-    return Line(ProjPoint(basis[0]), ProjPoint(basis[1]))

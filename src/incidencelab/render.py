@@ -3,15 +3,21 @@
 Draws a 2D line configuration (or a dual point configuration) in a
 figure style: colored lines clipped to a frame, incidence points as
 filled dots, and incidence points at infinity indicated by arrowheads on
-the frame boundary pointing along their direction.  Rendering converts
-exact rationals to floats; nothing here feeds back into predicates.
+the frame boundary pointing along their direction.  Everything is drawn
+from integer rows: the lines' covectors, each group's witness (the rule of
+``IncidenceStructure.witness``, a slab of groups at once) and the points,
+converted to floats only here; nothing feeds back into predicates.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
+import numpy as np
+
 from .configs import ColoredLineConfig, DualPointConfig
-from .exactgeom import covector_2d
-from .structure import extract_alignments, extract_structure_lines
+from .exactgeom import cross_rows
+from .structure import IncidenceStructure, extract_alignments, extract_structure_lines
 
 PALETTE = [
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3",
@@ -20,15 +26,32 @@ PALETTE = [
 
 _SIZE = 640.0
 _MARGIN = 0.15
+SLAB = 1 << 14  # groups whose witnesses are crossed at once
 
 
-def _color(i: int) -> str:
-    return PALETTE[(i - 1) % len(PALETTE)]
+def _xy(slabs: Iterable[np.ndarray]) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    """(x / w, y / w) of the finite rows (x, y, w) of some arrays and (x, y) of the
+    others, as floats in row order (int true division rounds correctly)."""
+    finite, infinite = [], []
+    for rows in slabs:
+        for x, y, w in rows.tolist():
+            finite.append((x / w, y / w)) if w else infinite.append((float(x), float(y)))
+    return finite, infinite
 
 
-def _finite_xy(p) -> tuple[float, float]:
-    x, y, w = p.coords
-    return x / w, y / w  # int true division rounds correctly
+def _witnesses(s: IncidenceStructure, rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Each group's witness, as ``s.witness`` gives it: the canonical cross
+    product of the rows of its first two lines (covectors or points), in
+    slabs of ``SLAB`` groups, which bound the Python ints of large rows."""
+    first = np.array(s.bounds[:-1], np.int64)
+    for at in range(0, len(first), SLAB):
+        lo = first[at : at + SLAB]
+        yield cross_rows(rows[s.line[lo]], rows[s.line[lo + 1]])
+
+
+def _colors(sizes) -> list[str]:
+    """The color of each line (or point), class by class."""
+    return [PALETTE[c % len(PALETTE)] for c, size in enumerate(sizes) for _ in range(size)]
 
 
 def _frame(points: list[tuple[float, float]]) -> tuple[float, float, float, float]:
@@ -80,8 +103,12 @@ class _Canvas:
     def size(self) -> tuple[float, float]:
         return (self.x1 - self.x0) * self.scale, (self.y1 - self.y0) * self.scale
 
-    def line(self, p, q, color: str) -> None:
-        (x1, y1), (x2, y2) = self.to_screen(*p), self.to_screen(*q)
+    def line(self, covector, color: str) -> None:
+        """The line of a covector (a, b, c), where it crosses the frame."""
+        seg = _clip_line(covector, (self.x0, self.y0, self.x1, self.y1))
+        if seg is None:
+            return
+        (x1, y1), (x2, y2) = (self.to_screen(*p) for p in seg)
         self.parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="{color}" stroke-width="2"/>'
@@ -130,25 +157,11 @@ class _Canvas:
 def render_line_config(cfg: ColoredLineConfig) -> str:
     if cfg.d != 2:
         raise ValueError("rendering needs a planar configuration; project to d=2 first")
-    s = extract_structure_lines(cfg)
-    finite_pts = []
-    infinite_dirs = []
-    for w in map(s.witness, range(s.num_groups)):
-        if w.is_infinite:
-            infinite_dirs.append((float(w.coords[0]), float(w.coords[1])))
-        else:
-            finite_pts.append(_finite_xy(w))
-    anchor_pts = list(finite_pts)
-    for _, _, line in cfg.lines():
-        for p in (line.p, line.q):
-            if not p.is_infinite:
-                anchor_pts.append(_finite_xy(p))
-    canvas = _Canvas(_frame(anchor_pts))
-    frame = (canvas.x0, canvas.y0, canvas.x1, canvas.y1)
-    for color, _, line in cfg.lines():
-        seg = _clip_line(covector_2d(line.p.coords, line.q.coords), frame)
-        if seg is not None:
-            canvas.line(seg[0], seg[1], _color(color))
+    cov = cross_rows(cfg.ends[:, 0], cfg.ends[:, 1])
+    finite_pts, infinite_dirs = _xy(_witnesses(extract_structure_lines(cfg), cov))
+    canvas = _Canvas(_frame(finite_pts + _xy([cfg.ends.reshape(-1, 3)])[0]))
+    for covector, color in zip(cov.tolist(), _colors(cfg.sizes)):
+        canvas.line(covector, color)
     for pt in finite_pts:
         canvas.dot(pt)
     for direction in infinite_dirs:
@@ -157,23 +170,16 @@ def render_line_config(cfg: ColoredLineConfig) -> str:
 
 
 def render_dual_config(cfg: DualPointConfig) -> str:
-    s = extract_alignments(cfg)
-    finite = [
-        (_finite_xy(p), color)
-        for color, _, p in cfg.points()
-        if not p.is_infinite
-    ]
-    canvas = _Canvas(_frame([xy for xy, _ in finite]))
-    frame = (canvas.x0, canvas.y0, canvas.x1, canvas.y1)
-    for covector in map(s.witness, range(s.num_groups)):
-        seg = _clip_line(covector, frame)
-        if seg is not None:
-            canvas.line(seg[0], seg[1], "#dddddd")
-    for xy, color in finite:
-        canvas.dot(xy, fill=_color(color), r=5.0)
-    for color, _, p in cfg.points():
-        if p.is_infinite:
-            canvas.arrowhead((float(p.coords[0]), float(p.coords[1])))
+    finite, infinite = _xy([cfg.coords])
+    colors = [c for c, w in zip(_colors(cfg.sizes), cfg.coords[:, 2].tolist()) if w]
+    canvas = _Canvas(_frame(finite))
+    for covectors in _witnesses(extract_alignments(cfg), cfg.coords):
+        for covector in covectors.tolist():
+            canvas.line(covector, "#dddddd")
+    for xy, color in zip(finite, colors):
+        canvas.dot(xy, fill=color, r=5.0)
+    for direction in infinite:
+        canvas.arrowhead(direction)
     return canvas.render()
 
 

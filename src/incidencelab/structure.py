@@ -247,8 +247,8 @@ def planar_buckets(triples) -> tuple[np.ndarray, np.ndarray]:
     gives (a, c) or (b, c) its key, or both are 0 and met exactly), and
     ``_confirmed`` checks the others: m is on a x b iff det(m, a, b) = 0,
     and with coordinates below 2^B, |det| < 6 * 2^(3B), decided mod primes
-    with a product above 2^(3B + 4), four up to B = 38.  Above the table (B
-    > 118), and where a key is 0, ``covector_2d`` meets pairs exactly."""
+    with a product above 2^(3B + 4), four up to B = 38.  Pairs keyed 0, and
+    all where a table that cannot grow falls short, are met by ``covector_2d``."""
     n, p = len(triples), PRIME
     if n < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
@@ -293,12 +293,12 @@ def concurrence_buckets(
     3 * 2^(3B), so the point is below 6 * 2^(4B) and a line's residual of
     it below 3 * 2^(2B) * 6 * 2^(4B) < 2^(6B + 5); ``_confirmed`` decides it
     mod the fewest ``PRIMES`` whose product is above 2^(6B + 6), eight up
-    to B = 38.  A class whose center is on all of its two or more lines
-    (residuals below 3 * 2^(3B)) is one group there, keyed by the center,
-    and its pairs are not tested: two distinct lines share at most one
-    point.  Above the table (B > 58) no center is checked and every pair is
-    met exactly (``meet``), as are pairs keyed 0 and those of a group that
-    fails.  Identical lines raise ValueError, as ``meet`` does."""
+    to B = 38, more above.  A class whose center is on all of its two or
+    more lines (residuals below 3 * 2^(3B)) is one group there, keyed by the
+    center, and its pairs are not tested: two distinct lines share at most
+    one point.  Pairs keyed 0 and those of a group that fails are met
+    exactly (``meet``); so is every pair, with no center checked, where a
+    table that cannot grow falls short.  Identical lines raise ValueError."""
     n = len(keys)
     if has_duplicate_rows(keys):
         raise ValueError("meet of identical lines is undefined")

@@ -22,16 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .configs import ColoredLineConfig, DualPointConfig, _split, embed_grid_config
-from .exactgeom import (
-    ProjPoint,
-    canonical_rows,
-    cross_rows,
-    image_rows,
-    int_array,
-    key_ranks,
-    line_from_covector_2d,
-)
+from .configs import ColoredLineConfig, DualPointConfig, embed_grid_config
+from .exactgeom import ProjPoint, canonical_rows, cross_rows, image_rows, int_array, key_ranks
 from .gridmodel import ColoredGridConfig
 from .rng import RETRY_OFFSET, splitmix64, substream
 from .structure import (
@@ -170,10 +162,18 @@ def dualize(cfg: ColoredLineConfig) -> DualPointConfig:
 
 
 def undualize(dual: DualPointConfig) -> ColoredLineConfig:
-    """Inverse duality: points back to lines (infinite points map to lines
-    through the pole, which is legitimate and needed for direction colors)."""
-    lines = [line_from_covector_2d((x, y, -z)) for x, y, z in dual.coords.tolist()]
-    return ColoredLineConfig(2, _split(lines, dual.sizes))
+    """Inverse duality: the point (x, y, z) back to the line of canonical
+    covector r = (x, y, -z), spanned by r[c] * e_f - r[f] * e_c, canonical, for
+    its first nonzero column c and its other columns f in order (as
+    ``int_nullspace`` gives them).  An infinite point maps to a line through
+    the pole, which is legitimate and needed for direction colors."""
+    r = canonical_rows(dual.coords * np.array([1, 1, -1]))
+    c, at = (r != 0).argmax(axis=1), np.arange(len(r))[:, None]
+    f = np.array([[1, 2], [0, 2], [0, 1]])[c]
+    ends = np.zeros((len(r), 2, 3), r.dtype)
+    ends[at, [0, 1], f] = r[at, c[:, None]]
+    ends[at, [0, 1], c[:, None]] = -r[at, f]
+    return ColoredLineConfig.from_ends(2, canonical_rows(ends), dual.sizes)
 
 
 def extract_planarity(cfg: ColoredLineConfig) -> tuple[bool, int]:

@@ -84,7 +84,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -93,7 +93,7 @@ from incidencelab.exactgeom import (
     Line,
     ProjPoint,
     Rational,
-    apply_matrix,
+    _reduce_row,
     covector_2d,
     int_array,
     int_nullspace,
@@ -494,6 +494,30 @@ def line_covector_2d(line: Line) -> tuple[int, ...]:
     return covector_2d(line.p.coords, line.q.coords)
 
 
+def line_from_covector_2d(cov: Sequence[int]) -> Line:
+    """A planar line materialized from its covector: the two spanning points
+    ``int_nullspace`` gives for it (the rule ``undualize`` writes in closed form)."""
+    if len(cov) != 3 or not any(cov):
+        raise ValueError("covector must be a nonzero triple")
+    basis = int_nullspace([tuple(cov)], 3)
+    return Line(ProjPoint(basis[0]), ProjPoint(basis[1]))
+
+
+def loop_apply_matrix(matrix: Sequence[Sequence[int]], point: ProjPoint) -> ProjPoint:
+    """Image of a point under integer matrix rows, one Python dot product per
+    row (``image_rows`` is one matrix product)."""
+    if len(matrix[0]) != len(point.coords):
+        raise ValueError("matrix shape does not match point coordinates")
+    image = [sum(a * x for a, x in zip(row, point.coords)) for row in matrix]
+    return ProjPoint.canonical(_reduce_row(image))
+
+
+def primes_below(n: int, count: int) -> tuple[int, ...]:
+    """The ``count`` largest primes below n, by trial division."""
+    odd = (m for m in range(n - 1 - n % 2, 1, -2) if all(m % q for q in range(3, isqrt(m) + 1, 2)))
+    return tuple(next(odd) for _ in range(count))
+
+
 def key_arrays(lines: Sequence[Line], d: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """The (L, 2, d + 1) keys and (L, 2) pivots of lines in R^d, each line
     row-reduced on its own by ``Line`` (``int_rref``)."""
@@ -677,7 +701,7 @@ def _validated(expect_concurrent: int, name: str):
 
 def _colors_of(cfg: ColoredLineConfig, lines: Sequence[Line]) -> tuple[int, ...]:
     """The color of each of ``lines`` in ``cfg``, 0 for a line it leaves out."""
-    color = {line.key: c for c, _, line in cfg.lines()}
+    color = {line.key: c for c, cls in enumerate(cfg.classes, start=1) for line in cls}
     return tuple(color.get(line.key, 0) for line in lines)
 
 
@@ -926,7 +950,7 @@ def translated_dual(cfg: ColoredLineConfig) -> tuple[int, DualPointConfig]:
     """(j, dual) of a planar configuration: the least j >= 0 for which no
     line passes through (-j, -j^2), and the pole-polar dual of the lines
     after translating their spanning points by (j, j^2)."""
-    lines = [line for _, _, line in cfg.lines()]
+    lines = [line for cls in cfg.classes for line in cls]
     j = 0
     while any(line_contains(line, ProjPoint([-j, -j * j, 1])) for line in lines):
         j += 1
@@ -935,7 +959,7 @@ def translated_dual(cfg: ColoredLineConfig) -> tuple[int, DualPointConfig]:
     for cls in cfg.classes:
         points = []
         for line in cls:
-            moved = Line(apply_matrix(shift, line.p), apply_matrix(shift, line.q))
+            moved = Line(loop_apply_matrix(shift, line.p), loop_apply_matrix(shift, line.q))
             a, b, c = line_covector_2d(moved)
             points.append(ProjPoint([a, b, -c]))
         classes.append(points)

@@ -962,7 +962,7 @@ class TestExport:
         # equal as floats; a zero over a negative w is -0.0 here, which the
         # canvas only ever subtracts from nonzero frame bounds
         p = exactgeom.ProjPoint([x, y, w])
-        assert render._finite_xy(p) == fraction_xy(p)
+        assert render._xy([exactgeom.int_array([p.coords])]) == ([fraction_xy(p)], [])
 
 
 ALG32_DUAL = [
@@ -1489,7 +1489,9 @@ def mutations(draw, by_depth):
 
 def mutated(doc, edits):
     """A copy of ``doc`` with ``edits`` applied in order; an edit whose node
-    an earlier one removed or replaced is skipped."""
+    an earlier one removed or replaced is skipped. Each value goes in as a
+    copy of its own, so a later edit never reaches into a shared ``SWAPPED``
+    list or dict (and never writes one into itself, a cycle no file holds)."""
     doc = json.loads(json.dumps(doc))
     for path, key, op, value in edits:
         try:
@@ -1502,7 +1504,7 @@ def mutated(doc, edits):
         if op == "drop":
             del node[key]
         elif op != "rename":
-            node[key] = value
+            node[key] = json.loads(json.dumps(value))
         elif isinstance(node, dict):
             node[key + "_"] = node.pop(key)
     return doc

@@ -37,7 +37,7 @@ from incidencelab.constructions import (
     quadric_ruling,
     quadric_ruling_slits,
 )
-from incidencelab.exactgeom import ProjFlat, meet
+from incidencelab.exactgeom import int_rank, meet
 from incidencelab.gridmodel import (
     ColoredGridConfig,
     grid_to_json,
@@ -686,8 +686,9 @@ class TestDesargues:
         s = extract_structure_lines(desargues)
         triples = s.colorful_triples()
         assert len(triples) == 12
-        for color, idx, _ in desargues.lines():
-            assert sum(1 for m in triples if (color, idx) in m) == 3
+        for color, cls in enumerate(desargues.classes, start=1):
+            for idx in range(len(cls)):
+                assert sum(1 for m in triples if (color, idx) in m) == 3
 
     def test_verdicts(self, desargues):
         s = extract_structure_lines(desargues)
@@ -736,8 +737,9 @@ class TestReye:
         assert len(s.monomials) == 12
         for m in s.monomials:
             assert len(m) == 3
-        for color, idx, _ in reye.lines():
-            assert sum(1 for m in s.monomials if (color, idx) in m) == 3
+        for color, cls in enumerate(reye.classes, start=1):
+            for idx in range(len(cls)):
+                assert sum(1 for m in s.monomials if (color, idx) in m) == 3
 
     def test_infinite_incidence_points(self, reye):
         s = extract_structure_lines(reye)
@@ -745,8 +747,7 @@ class TestReye:
 
     def test_incidence_points_span_3_flat(self, reye):
         s = extract_structure_lines(reye)
-        flat = ProjFlat([s.witness(g) for g in range(s.num_groups)])
-        assert flat.dim == 3
+        assert int_rank([s.witness(g).coords for g in range(s.num_groups)]) - 1 == 3
 
     def test_verdicts(self, reye):
         s = extract_structure_lines(reye)

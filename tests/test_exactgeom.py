@@ -11,7 +11,6 @@ from incidencelab.configs import ColoredLineConfig
 from incidencelab.exactgeom import (
     PRIME,
     Line,
-    ProjFlat,
     ProjPoint,
     _canonical_ints,
     apply_matrix,
@@ -26,7 +25,6 @@ from incidencelab.exactgeom import (
     image_rows,
     int_array,
     key_ranks,
-    line_from_covector_2d,
     line_keys,
     magnitude,
     meet,
@@ -37,6 +35,8 @@ from oracles import (
     key_arrays,
     line_contains,
     line_covector_2d,
+    line_from_covector_2d,
+    loop_apply_matrix,
     rank3x3,
     rank_of_directions,
     rref_meet,
@@ -227,24 +227,20 @@ class TestProjPoint:
 
 class TestIncident:
     def test_midpoint_on_segment_line(self):
-        f = ProjFlat([pt(1, 0, 1), pt(-1, 0, 1)])
-        assert incident(pt(0, 0, 1), f)
+        assert incident(pt(0, 0, 1), [pt(1, 0, 1), pt(-1, 0, 1)])
 
     def test_off_line(self):
-        f = ProjFlat([pt(1, 0, 1), pt(-1, 0, 1)])
-        assert not incident(pt(1, 1, 1), f)
+        assert not incident(pt(1, 1, 1), [pt(1, 0, 1), pt(-1, 0, 1)])
 
     def test_infinite_point_on_vertical_line(self):
         # rank of the 3x3 rational matrix is the independent oracle
         rows = [(0, 0, 1), (0, 1, 1), (0, 1, 0)]
         assert rank3x3(rows) == 2
-        f = ProjFlat([pt(0, 0, 1), pt(0, 1, 1)])
-        assert incident(pt(0, 1, 0), f)
+        assert incident(pt(0, 1, 0), [pt(0, 0, 1), pt(0, 1, 1)])
 
     def test_dimension_mismatch(self):
-        f = ProjFlat([pt(0, 0, 1), pt(0, 1, 1)])
         with pytest.raises(ValueError):
-            incident(pt(1, 0, 0, 1), f)
+            incident(pt(1, 0, 0, 1), [pt(0, 0, 1), pt(0, 1, 1)])
 
 
 class TestMeet:
@@ -336,20 +332,18 @@ class TestResidualKernel:
 
 class TestSpan:
     def test_collinear_points(self):
-        f = ProjFlat([pt(0, 0, 1), pt(1, 1, 1), pt(2, 2, 1)])
-        assert f.dim == 1
+        assert int_rank([pt(0, 0, 1).coords, pt(1, 1, 1).coords, pt(2, 2, 1).coords]) - 1 == 1
 
     def test_general_position_r3(self):
-        f = ProjFlat([pt(0, 0, 0, 1), pt(1, 0, 0, 1), pt(0, 1, 0, 1), pt(0, 0, 1, 1)])
-        assert f.dim == 3
+        pts = [pt(0, 0, 0, 1), pt(1, 0, 0, 1), pt(0, 1, 0, 1), pt(0, 0, 1, 1)]
+        assert int_rank([p.coords for p in pts]) - 1 == 3
 
     @given(st.lists(st.tuples(*[st.integers(-9, 9)] * 3), min_size=1, max_size=6))
     def test_span_containment(self, triples):
         pts = [ProjPoint(t) for t in triples if any(t)]
         if not pts:
             return
-        f = ProjFlat(pts)
-        assert all(incident(p, f) for p in pts)
+        assert all(incident(p, pts) for p in pts)
 
 
 class TestRankOfDirections:
@@ -592,8 +586,9 @@ def projective_maps(draw):
 
 
 class TestImageRows:
-    """One matrix product and bulk canonicalization against ``apply_matrix``
-    point by point, with the int64 path exactly where the bound allows it."""
+    """One matrix product and bulk canonicalization against Python dot
+    products point by point (``loop_apply_matrix``), with the int64 path
+    exactly where the bound allows it; ``apply_matrix`` is its one-row call."""
 
     @settings(max_examples=300, deadline=None)
     @given(projective_maps())
@@ -601,19 +596,22 @@ class TestImageRows:
         matrix, points = case
         rows = int_array([p.coords for p in points]).reshape(len(points), len(matrix[0]))
         try:
-            expected = [list(apply_matrix(matrix, p).coords) for p in points]
+            expected = [list(loop_apply_matrix(matrix, p).coords) for p in points]
         except ValueError:  # a point on the kernel
             with pytest.raises(ValueError):
                 image_rows(matrix, rows)
             return
         got = image_rows(matrix, rows)
         assert got.tolist() == expected
+        assert [list(apply_matrix(matrix, p).coords) for p in points] == expected
         a = int_array(matrix)  # Python ints beyond int64
         assert (got.dtype == object) == (a.dtype == object or a.shape[1] * magnitude(a) * magnitude(rows) >= 2**63)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             image_rows([[1, 0], [0, 1]], int_array([[1, 2, 3]]))
+        with pytest.raises(ValueError):
+            apply_matrix([[1, 0], [0, 1]], pt(1, 2, 3))
 
 
 class TestDuplicateLines:

@@ -37,6 +37,7 @@ from oracles import (
     loop_planar_buckets,
     loop_removable,
     point_enumeration_incidences,
+    primes_below,
     random_structure,
 )
 from test_gridmodel import mixed_config, orders, random_config
@@ -439,7 +440,8 @@ class TestConcurrenceKernel:
 
     @pytest.mark.parametrize("chunk", [1, 7])  # tiles of side 1 and 7 over the 128 lines
     def test_partial_chunks_on_a_lift(self, chunk, monkeypatch, algebraic_3_2):
-        lines = [line for _, _, line in lift_to_concurrent(algebraic_3_2, audit=False)[0].lines()]
+        lifted = lift_to_concurrent(algebraic_3_2, audit=False)[0]
+        lines = [line for cls in lifted.classes for line in cls]
         monkeypatch.setattr(structure, "TILE", chunk)
         assert_kernel_matches_loop(lines)
 
@@ -500,7 +502,7 @@ class TestConcurrenceKernel:
         # in the plane a group's witness is the cross product of two covectors
         lifted, s = lift_to_concurrent(algebraic_3_2, audit=False)
         planar = project_generic(lifted, s, 2, 11).config
-        lines = [line for _, _, line in planar.lines()]
+        lines = [line for cls in planar.classes for line in cls]
         s = extract_structure_lines(planar)
         witnesses = [s.witness(g) for g in range(s.num_groups)]
         pairs = [s.line[a : a + 2].tolist() for a in s.bounds[:-1]]
@@ -599,6 +601,11 @@ def led(prime: int, table=TINY) -> tuple[int, ...]:
     return (prime, *(q for q in table if q != prime))
 
 
+# The twelve fixed primes with the last below 2^29 instead: a table that
+# cannot grow, so keys past its reach (B > 58 in d >= 3) fall back to meets.
+FIXED = (*exactgeom.PRIMES[:11], 2**29 - 3)
+
+
 def patch_primes(mp: pytest.MonkeyPatch, table: tuple[int, ...]) -> None:
     """The prime table, and ``PRIME``, its first prime, where ``structure`` reads it."""
     mp.setattr(exactgeom, "PRIMES", table)
@@ -653,15 +660,16 @@ class TestResidueDecisions:
     @settings(max_examples=60, deadline=None)
     @given(case=centered_classes(), factor=st.sampled_from([2**66 - 5, -(2**64) - 1]))
     def test_above_the_table_every_pair_is_met(self, case, factor):
-        # coordinates near 2^66 (object arrays): keys need more primes than the table holds
+        # coordinates near 2^66 (object arrays): keys need more primes than a fixed table holds
         lines, classes = case
         lines = [Line(scaled_up(line.p, factor), scaled_up(line.q, factor)) for line in lines]
         classes = [(size, center and scaled_up(center, factor)) for size, center in classes]
         keys, pivots = key_arrays(lines)
         assume(keys.dtype == object)  # some coordinate was scaled
-        assert exactgeom.primes_above(6 * exactgeom.magnitude(keys).bit_length() + 6) is None
         calls = []
         with pytest.MonkeyPatch.context() as mp:
+            patch_primes(mp, FIXED)  # the table would grow to hold them
+            assert exactgeom.primes_above(6 * exactgeom.magnitude(keys).bit_length() + 6) is None
             mp.setattr(structure, "meet", lambda a, b: calls.append(1) or meet(a, b))
             assert_kernel_matches_loop(lines, classes)
         if loop_concurrence_buckets(lines):
@@ -704,17 +712,59 @@ class TestResidueDecisions:
         configs = [lifted, *(project_generic(lifted, s, d, 11).config for d in (3, 2))]
         configs.append(dualize(configs[-1]))
 
-        def refuse(*args):
-            raise AssertionError("Python exact arithmetic during extraction")
-
         with pytest.MonkeyPatch.context() as mp:
-            for module in (exactgeom, structure):
-                mp.setattr(module, "meet", refuse)
-            mp.setattr(structure, "covector_2d", refuse)
-            mp.setattr(exactgeom.Line, "residual", refuse)  # the Python containment test
+            refusing_exact_arithmetic(mp)
             got = [structure.extract_structure(cfg) for cfg in configs]
         assert [t.num_groups for t in got] == [s.num_groups, s.num_groups, 352354, 352354]
         assert got[0] == s
         for t, cfg in zip(got[1:3], configs[1:3]):  # witnesses are met after extraction
             a, b = t.line[:2].tolist()
             assert t.witness(0) == meet(cfg.line(a), cfg.line(b))
+
+
+def refusing_exact_arithmetic(mp: pytest.MonkeyPatch) -> None:
+    """Make every Python exact step of extraction raise: ``meet``,
+    ``covector_2d`` and the residual containment test."""
+
+    def refuse(*args):
+        raise AssertionError("Python exact arithmetic during extraction")
+
+    for module in (exactgeom, structure):
+        mp.setattr(module, "meet", refuse)
+    mp.setattr(structure, "covector_2d", refuse)
+    mp.setattr(exactgeom.Line, "residual", refuse)
+
+
+class TestPrimeTable:
+    """``primes_above`` grows the table on demand by the next primes below
+    its last entry, while that is above 2^29, so wide keys are decided on
+    residues too; a table that ends below 2^29 never grows."""
+
+    def test_extension_is_the_next_primes(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exactgeom, "PRIMES", exactgeom.PRIMES[:12])  # as at import
+            fixed = exactgeom.PRIMES
+            got = exactgeom.primes_above(30 * 20)
+            assert exactgeom.PRIMES == got and got[:12] == fixed
+            assert got[12:] == primes_below(2**30 - 257, len(got) - 12)
+            assert np.prod(got, dtype=object) >> 600 and not np.prod(got[:-1], dtype=object) >> 600
+            assert exactgeom.primes_above(6 * 38 + 6) == fixed[:8]  # the fewest, as before
+
+    @pytest.mark.parametrize("table", [led(7), led(structure.PRIME, TINY[:2]), FIXED])
+    def test_tables_below_2_to_the_29_do_not_grow(self, table):
+        with pytest.MonkeyPatch.context() as mp:
+            patch_primes(mp, table)
+            assert exactgeom.primes_above(10**4) is None
+            assert exactgeom.PRIMES == table
+
+    def test_transform_of_a_transform_is_decided_on_residues(self, algebraic_3_3):
+        # alg(3,3) lifted, projected to R^4 (seed 11), then to R^3 (seed 12), as
+        # ``transform --lift --project 4`` then ``transform --project 3`` write it:
+        # keys of about 68 bits, past the twelve fixed primes
+        lifted, s = lift_to_concurrent(algebraic_3_3, audit=False)
+        image = project_generic(project_generic(lifted, s, 4, 11).config, s, 3, 12).config
+        bits = exactgeom.magnitude(image.keys).bit_length()
+        assert bits > 58 and len(exactgeom.primes_above(6 * bits + 6)) > 12
+        with pytest.MonkeyPatch.context() as mp:
+            refusing_exact_arithmetic(mp)
+            assert extract_structure_lines(image) == s

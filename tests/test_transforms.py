@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from incidencelab.analysis import parse_monomial
-from incidencelab.configs import ColoredLineConfig
+from incidencelab.configs import ColoredLineConfig, DualPointConfig
 from incidencelab.exactgeom import Line, ProjPoint, meet
 from incidencelab.structure import (
     extract_alignments,
@@ -25,6 +25,7 @@ from oracles import (
     GridLine,
     concurrency_center,
     grid_config,
+    line_from_covector_2d,
     set_audit_projection,
     structure_of,
     translated_dual,
@@ -123,6 +124,21 @@ class TestProjectGeneric:
             project_generic(tricolor, extract_structure_lines(tricolor), 4, seed=0)
 
 
+# coordinates near 2^30 and beyond 2^64, zero leading entries and points at infinity
+wide = st.integers(-9, 9) | st.sampled_from([0, 2**30 - 1, -(2**30), 2**30 + 1, 2**63 - 1]) | (
+    st.integers(2**64, 2**70) | st.integers(-(2**70), -(2**64))
+)
+
+
+@st.composite
+def dual_points(draw):
+    """One to three classes of distinct planar points with wide coordinates."""
+    triples = st.tuples(wide, wide, wide | st.just(0)).filter(any)
+    points = draw(st.lists(triples.map(ProjPoint), min_size=1, max_size=8, unique=True))
+    cuts = sorted(draw(st.lists(st.integers(0, len(points)), max_size=2)))
+    return [points[a:b] for a, b in zip([0, *cuts], [*cuts, len(points)])]
+
+
 class TestDuality:
     def planar_config(self):
         return ColoredLineConfig(
@@ -160,8 +176,8 @@ class TestDuality:
             2, [[line2((0, 0), (1, 1))], [line2((0, 0), (1, 2))]]
         )
         dual = dualize(cfg)
-        for _, _, p in dual.points():
-            assert not p.is_infinite
+        for cls in dual.classes:
+            assert not any(p.is_infinite for p in cls)
 
     @pytest.mark.parametrize(
         "lines, j",
@@ -182,9 +198,18 @@ class TestDuality:
     def test_covector_shift_matches_translated_lines(self, cfg):
         assert dualize(cfg) == translated_dual(cfg)[1]
 
-    def test_inverse_accepts_directions(self):
-        from incidencelab.configs import DualPointConfig
+    @settings(max_examples=300, deadline=None)
+    @given(dual_points())
+    def test_undualize_is_the_nullspace_rule(self, classes):
+        # against the rule it writes in closed form: the two spanning points
+        # ``int_nullspace`` gives for the covector (x, y, -z) of each point
+        lines = [[line_from_covector_2d((x, y, -z)) for x, y, z in (p.coords for p in c)] for c in classes]
+        got = undualize(DualPointConfig(classes))
+        assert got == ColoredLineConfig(2, lines)
+        ends = [[list(line.p.coords), list(line.q.coords)] for cls in lines for line in cls]
+        assert got.ends.tolist() == ends
 
+    def test_inverse_accepts_directions(self):
         dual = undualize(
             DualPointConfig([[ProjPoint([0, 1, 0])], [ProjPoint.affine((1, 1))]])
         )
