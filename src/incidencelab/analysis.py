@@ -254,7 +254,7 @@ def monte_carlo(params_grid: list[ProbParams], trials: int) -> MonteCarloReport:
             {"k": params.k, "n": params.n, "seed": params.seed, "trial": trial,
              "consistent": int(stats["consistent"]), "bad_lines": stats["bad_lines"],
              "max_colorful": stats["max_colorful"], **dict(zip(size_fields, stats["sizes"]))}
-            for trial, stats in enumerate(probabilistic_batch_stats(runs))
+            for trial, stats in enumerate(probabilistic_batch_stats(runs, counts=False))
         ]
         rows.extend(per_rows)
         sizes = [row[f] for row in per_rows for f in size_fields]

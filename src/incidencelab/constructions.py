@@ -48,7 +48,7 @@ from .exactgeom import (
     int_rank,
     meet,
 )
-from .gridmodel import ColoredGridConfig
+from .gridmodel import ColoredGridConfig, _line_count
 from .rng import (
     SLIT_OFFSET,
     default_selection_probability,
@@ -165,6 +165,7 @@ class ProbParams:
             raise ValueError("probabilistic construction needs k >= 3")
         if n < 2:
             raise ValueError("probabilistic construction needs n >= 2")
+        _line_count(k, n)  # too large a grid fails here, before any array
         if p_sel is None:
             p_sel = default_selection_probability(k, n)
         p_sel = Fraction(p_sel)
@@ -255,29 +256,32 @@ def _fold(cube: np.ndarray, dim: int) -> np.ndarray:
     return cube[lead + (0,)]
 
 
-def _coverage(words: list[np.ndarray], width: int):
+def _coverage(words: list[np.ndarray], width: int, counts: bool = True):
     """The coverage kernel: (per axis, its lines through a point covered by
-    all k+1 axes; the number of such points).  Axes are 0-based, k for
-    axis k+1, whose lines are bool.
+    all k+1 axes; the number of such points, None unless ``counts``).  Axes
+    are 0-based, k for axis k+1, whose lines are bool.
 
     The cube, the AND of the packed words times axis k+1's mask, spans
     (words of x_(k+1), x_1, ..., x_k): axis a's lines are its OR along dim
     (a + 1) % (k + 1).  It runs in slabs of ``width`` whole x1-slices (axis
     1 has no x1 slot, the others add their rows at those x1), each exact
     and holding W * width * n^(k-1) words in one buffer that every slab
-    reuses: O(n^k) bytes at ``_slab_width``.
+    reuses: O(n^k) bytes at ``_slab_width``.  A slab starts from axis k's
+    words times axis k+1's 0/1 mask and ANDs axis 1's words last: the one
+    operand broadcast over x1, it then runs over whole x2..xk planes.
     """
     k, size = len(words) - 1, len(words[-1])
     lines = [np.zeros_like(w) for w in words]
     buffer = np.empty((len(words[0]), min(width, size), *words[0].shape[1:]), np.uint64)
-    covered = 0
+    covered = 0 if counts else None
     for lo in range(0, size, width):
         rows, cube = slice(lo, lo + width), buffer[:, : size - lo]
-        np.bitwise_and(words[0][:, None], words[1][:, rows, None], out=cube)  # x1, x2 missing
-        for j in range(2, k):
+        np.multiply(words[k - 1][:, rows, ..., None], words[k][rows].view(np.uint8), out=cube)
+        for j in range(1, k - 1):  # x_(j+1) missing
             cube &= words[j][(slice(None), rows) + (slice(None),) * (j - 1) + (None,)]
-        cube *= words[k][rows]
-        covered += int(_popcount(cube).sum())
+        cube &= words[0][:, None]
+        if counts:
+            covered += int(_popcount(cube).sum())
         lines[0] |= _fold(cube, 1)
         for a in range(1, k):
             lines[a][:, rows] = _fold(cube, a + 1)
@@ -290,20 +294,32 @@ def _slab_width(k: int, n: int) -> int:
     return max(1, SLAB_WORDS // (n ** (k - 1) * -(-n // 64)))
 
 
-def _deletion(k: int, n: int, masks, width: int) -> tuple[list[np.ndarray], int]:
+def _set_bits(octets: np.ndarray) -> np.ndarray:
+    """Ascending positions of the set bits of a flat uint8 array, bit i of
+    byte j at 8j + i: ``np.flatnonzero(np.unpackbits(octets, bitorder="little"))``
+    with only the nonzero bytes unpacked."""
+    at = np.flatnonzero(octets != 0)
+    bits = np.flatnonzero(np.unpackbits(octets[at], bitorder="little").view(bool))
+    return at[bits >> 3] * 8 + (bits & 7)
+
+
+def _deletion(
+    k: int, n: int, masks, width: int, counts: bool = True
+) -> tuple[list[np.ndarray], int | None]:
     """Stage 2 on the stage-1 masks: (per axis, the base indices of its
-    surviving lines; the number of grid points covered by all k+1 axes).
-    The kept words of one axis at a time are unpacked to a mask and read."""
+    surviving lines; the number of grid points covered by all k+1 axes,
+    None unless ``counts``).  Survivors are read from the nonzero bytes of
+    each axis's kept lines, packed 8 to a byte."""
     words = _words(k, n, masks)
-    hit, covered = _coverage(words, width)
-    survivors = []
+    hit, covered = _coverage(words, width, counts)
+    survivors, row = [], 64 * len(words[0])  # bits per line without x_(k+1)
     for a in range(k):  # kept words as (lines without x_(k+1), W), bit x for x_(k+1) = x + 1
         kept = np.ascontiguousarray((words[a] & ~hit[a]).reshape(len(words[a]), -1).T)
-        bits = np.unpackbits(kept.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
-        survivors.append(np.flatnonzero(bits))  # nonzero reads a bool view far faster than uint8
-        del bits  # before the next axis unpacks
+        at = _set_bits(kept.view(np.uint8).reshape(-1))
+        survivors.append(at - at // row * (row - n))  # no bit past n is set
     kept = hit[k].reshape(-1)  # selected > hit, on bools: selected and not hit
-    return survivors + [np.flatnonzero(np.greater(masks[k], kept, out=kept))], covered
+    kept = np.packbits(np.greater(masks[k], kept, out=kept), bitorder="little")
+    return survivors + [_set_bits(kept)], covered
 
 
 def gen_probabilistic(
@@ -388,11 +404,13 @@ def _trial_stats(k: int, n: int, survivors: list[np.ndarray], trials: int):
     return bad, orders
 
 
-def probabilistic_batch_stats(runs: Sequence[ProbParams]) -> list[dict]:
+def probabilistic_batch_stats(runs: Sequence[ProbParams], counts: bool = True) -> list[dict]:
     """``probabilistic_trial_stats`` of each run, all of one k and n, in
     batches of max(1, TRIAL_BATCH_LINES // n^k) runs: a trial keeps only
     its stage counts and its survivors, offset by its place in the batch,
-    and one ``_trial_stats`` call serves the whole batch."""
+    and one ``_trial_stats`` call serves the whole batch.  Without
+    ``counts`` the dicts leave out ``selected_sizes`` and
+    ``covered_points``, and no trial computes them."""
     k, n = runs[0].k, runs[0].n
     if any((p.k, p.n) != (k, n) for p in runs):
         raise ValueError("trial statistics in batches need one k and one n")
@@ -401,11 +419,13 @@ def probabilistic_batch_stats(runs: Sequence[ProbParams]) -> list[dict]:
         batch = []  # per trial, per axis, its survivors
         for t, params in enumerate(runs[lo : lo + size]):
             selected = _selection_masks(k, n, params.seed, selection_threshold(params.p_sel))
-            survivors, covered = _deletion(k, n, selected, width)
+            survivors, covered = _deletion(k, n, selected, width, counts)
             batch.append([ids + t * n**k for ids in survivors])
-            out.append({"k": k, "n": n, "seed": params.seed,
-                        "selected_sizes": tuple(int(np.count_nonzero(m)) for m in selected),
-                        "sizes": tuple(map(len, survivors)), "covered_points": covered})
+            stats = {"k": k, "n": n, "seed": params.seed, "sizes": tuple(map(len, survivors))}
+            if counts:
+                stats.update(selected_sizes=tuple(int(np.count_nonzero(m)) for m in selected),
+                             covered_points=covered)
+            out.append(stats)
             del selected  # a batch holds survivors only
         bad, orders = _trial_stats(k, n, [np.concatenate(s) for s in zip(*batch)], len(batch))
         for stats, b, m in zip(out[lo:], bad.tolist(), orders.tolist()):

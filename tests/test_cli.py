@@ -77,6 +77,16 @@ class TestGen:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (workdir / "x.json").exists()
 
+    @pytest.mark.parametrize("k,n", [(3, 3_000_000), (62, 2)])
+    def test_probabilistic_grid_too_large_exits_2(self, workdir, capsys, k, n):
+        # the grid model's own bound, checked before any array is allocated
+        argv = ["gen", "probabilistic", "--k", str(k), "--n", str(n), "--seed", "1"]
+        assert run([*argv, "-o", "x.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid too large (k={k}, n={n}): n^(k+1), (k+1)*n^k must be < 2^63\n"
+        )
+        assert not (workdir / "x.json").exists()
+
     def test_zero_denominator_p_sel_exits_2(self, workdir, capsys):
         argv = ["gen", "probabilistic", "--k", "3", "--n", "4", "--seed", "1"]
         assert run([*argv, "--p-sel", "1/0"]) == 2
@@ -750,6 +760,15 @@ class TestTransformAnalyze:
         argv = ["analyze", "--monte-carlo", "--k", "3", "--n", "128", "--trials", "1"]
         assert run([*argv, "-o", "mc.csv"]) == 0
         assert len((workdir / "mc.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("k,n", [(3, 3_000_000), (62, 2)])
+    def test_analyze_monte_carlo_grid_too_large_exits_2(self, workdir, capsys, k, n):
+        argv = ["analyze", "--monte-carlo", "--k", str(k), "--n", str(n), "--trials", "1"]
+        assert run([*argv, "-o", "mc.csv"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid too large (k={k}, n={n}): n^(k+1), (k+1)*n^k must be < 2^63\n"
+        )
+        assert not (workdir / "mc.csv").exists()
 
     def count_extractions(self, monkeypatch, argv):
         """The line configurations a ``transform`` extracts, and its projection results."""

@@ -21,6 +21,7 @@ from incidencelab.constructions import (
     _hits,
     _popcount,
     _selection_masks,
+    _set_bits,
     _slab_width,
     _split,
     _trial_stats,
@@ -86,6 +87,14 @@ def stage_masks(params: ProbParams):
     k, n = params.k, params.n
     selected = _selection_masks(k, n, params.seed, selection_threshold(params.p_sel))
     return (selected, *deletion_masks(k, n, selected, _slab_width(k, n)))
+
+
+def one_bit(size: int, byte: int, bit: int) -> bytes:
+    """``size`` zero bytes but bit ``bit`` of byte ``byte % size``: at 0 or 7,
+    on either side of a byte edge, and of a uint64 word edge at bytes 7/8."""
+    octets = bytearray(size)
+    octets[byte % size] = 1 << bit
+    return bytes(octets)
 
 
 @st.composite
@@ -446,6 +455,22 @@ class TestProbabilistic:
         assert [int(c) for c in counts[:4]] == [0, 1, 1, 64]
         assert np.array_equal(words, kept)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        octets=st.one_of(
+            st.just(b""),
+            st.integers(1, 40).map(lambda size: b"\xff" * size),
+            st.builds(one_bit, st.integers(1, 40), st.sampled_from([0, 7, 8, 15, 16, 63, 64, 127]),
+                      st.sampled_from([0, 7])),
+            st.binary(max_size=200),
+        )
+    )
+    def test_set_bits_match_unpacked_flatnonzero(self, octets):
+        octets = np.frombuffer(octets, dtype=np.uint8)
+        expected = np.flatnonzero(np.unpackbits(octets, bitorder="little"))
+        got = _set_bits(octets)
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+
     def test_swar_popcount_matches_bin_count(self, monkeypatch):
         # the path of numpy < 2, which has no bitwise_count
         monkeypatch.delattr(np, "bitwise_count", raising=False)
@@ -539,6 +564,15 @@ class TestProbabilistic:
         assert probabilistic_batch_stats(runs) == [probabilistic_trial_stats(p) for p in runs]
         with pytest.raises(ValueError):
             probabilistic_batch_stats([ProbParams(3, 16, 1), ProbParams(3, 17, 1)])
+
+    @pytest.mark.parametrize("n,trials", [(16, 7), (64, 3), (64, 4), (64, 5)])
+    def test_batches_without_counts_drop_only_the_counts(self, n, trials):
+        # the Monte Carlo report reads neither count, so its trials skip both
+        runs = [ProbParams(3, n, substream(9, t)) for t in range(trials)]
+        counted = probabilistic_batch_stats(runs)
+        for stats in counted:
+            del stats["selected_sizes"], stats["covered_points"]
+        assert probabilistic_batch_stats(runs, counts=False) == counted
 
     @pytest.mark.parametrize("trials", [3, 4, 5])
     def test_batches_straddle_the_batch_size(self, trials):
