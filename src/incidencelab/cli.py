@@ -261,6 +261,8 @@ def _verify_checks(cfg, args) -> tuple[dict, bool]:
             witness_repr = list(witness) if witness else None
         else:
             order, witness = s.max_colorful()
+            if witness is not None and isinstance(cfg, DualPointConfig):
+                witness = witness.coords  # a covector, written as a tuple
             witness_repr = repr(witness) if witness is not None else None
         passed = order <= args.max_colorful
         checks["max_colorful"] = {

@@ -48,15 +48,6 @@ def _split(items: Sequence, sizes: Sequence[int]) -> tuple[tuple, ...]:
     return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
-def _lines(ends: np.ndarray, keys: np.ndarray, pivots: np.ndarray) -> list[Line]:
-    """The ``Line`` objects of endpoint, key and pivot rows (no row reduction)."""
-    point = ProjPoint.canonical
-    return [
-        Line(point(tuple(p)), point(tuple(q)), (tuple(k1), tuple(k2)), c)
-        for (p, q), (k1, k2), c in zip(ends.tolist(), keys.tolist(), pivots.tolist())
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class ColoredLineConfig:
     """Colored, pairwise-distinct lines in projective R^d.
@@ -124,14 +115,14 @@ class ColoredLineConfig:
     def total_lines(self) -> int:
         return len(self.ends)
 
-    def line(self, i: int) -> Line:
-        """The line at position i (in class order)."""
-        return _lines(self.ends[i : i + 1], self.keys[i : i + 1], self.pivots[i : i + 1])[0]
-
     @cached_property
     def classes(self) -> tuple[tuple[Line, ...], ...]:
-        """The lines as ``Line`` objects, class by class (built on first use)."""
-        return _split(_lines(self.ends, self.keys, self.pivots), self.sizes)
+        """The lines as ``Line`` objects, class by class, from the stored rows
+        with no row reduction (built on first use)."""
+        point = ProjPoint.canonical
+        rows = zip(self.ends.tolist(), self.keys.tolist(), self.pivots.tolist())
+        lines = [Line(point(tuple(p)), point(tuple(q)), tuple(map(tuple, k)), c) for (p, q), k, c in rows]
+        return _split(lines, self.sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,12 +189,6 @@ def _grid_ends(k: int, n: int, ids: np.ndarray) -> np.ndarray:
     ends[:, 0, k + 1] = 1
     ends[at, 1, axes] = 1
     return ends
-
-
-def _grid_lines(k: int, n: int, ids: np.ndarray) -> list[Line]:
-    """The lines of a grid id array as exact rational lines in R^(k+1)."""
-    ends = _grid_ends(k, n, ids)
-    return _lines(ends, *line_keys(ends))
 
 
 def embed_grid_config(cfg: gridmodel.ColoredGridConfig) -> ColoredLineConfig:

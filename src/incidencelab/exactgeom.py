@@ -11,9 +11,9 @@ Configurations hold points and lines as integer arrays: int64 under a
 stated bound, Python-int object arrays above it.  Rows are canonicalized
 in bulk, line keys come from 2x2 minors of the endpoints (``line_keys``,
 int64 below 2^30) and a projective map is one product (``image_rows``,
-int64 below 2^63; ``apply_matrix`` maps one point by it).  A ``Line``
-built from stored key rows skips row reduction; ``meet`` on it is a
-fraction-free residual test on plain ints (see ``Line.residual``).
+int64 below 2^63; ``apply_matrix`` maps one point by it).  Pairs meet in
+bulk, line keys by a residual test (``meet``: one pair of ``meet_rows``),
+planar rows by ``cross_rows``.  A ``Line`` skips row reduction of stored keys.
 
 Conventions
 -----------
@@ -68,11 +68,7 @@ def _reduce_row(row: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*row)
     if not g:
         raise ValueError("zero vector has no canonical homogeneous form")
-    for first in row:
-        if first:
-            break
-    if first < 0:
-        g = -g
+    g = -g if next(x for x in row if x) < 0 else g
     return tuple([x // g for x in row])
 
 
@@ -131,11 +127,50 @@ def image_rows(matrix: Sequence[Sequence[int]], rows: np.ndarray) -> np.ndarray:
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Canonical cross products (``covector_2d``) of (N, 3) integer rows;
-    int64 when every entry is below 2^30, else Python ints."""
+    """Canonical cross products of (N, 3) integer rows: the covectors of the
+    lines through two points, or the points where two lines meet; int64
+    when every entry is below 2^30, else Python ints."""
     if max(magnitude(a), magnitude(b)) >= 2**30:
         a, b = a.astype(object), b.astype(object)
     return canonical_rows(np.cross(a, b).reshape(len(a), 3))
+
+
+def meet_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical points where the lines of (N, 2, D) key rows a and b
+    meet, and a mask of the pairs that do (the others' rows are 0).  Each
+    of a's rows r1, r2 (pivots p1, p2 at their first nonzero columns c1,
+    c2) is zero at the other's pivot, so p1*p2*v - v[c1]*p2*r1 -
+    v[c2]*p1*r2, the residual of v, is 0 iff v is on a.  The residuals u, w
+    of b's rows s1, s2 are dependent iff the lines meet, at w[j]*s1 -
+    u[j]*s2 (j the first column with u[j] != 0; at s1 if u = 0).  Entries
+    below 2^B give |u|, |w| < 3 * 2^(3B) and |w[j]*u - u[j]*w| < 18 *
+    2^(6B): int64 when all are below 2^9, else Python ints.  Keys of other
+    shapes, or of identical lines (u = w = 0): ValueError."""
+    if a.shape != b.shape or a.shape[1:2] != (2,):
+        raise ValueError("lines live in different ambient dimensions")
+    if max(magnitude(a), magnitude(b)) >= 2**9:
+        a, b = a.astype(object), b.astype(object)
+    at, (c1, c2) = np.arange(len(a)), (a != 0).argmax(axis=2).T
+    r1, r2, s1, s2 = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    p1, p2 = r1[at, c1, None], r2[at, c2, None]
+    u, w = (p1 * p2 * v - v[at, c1, None] * p2 * r1 - v[at, c2, None] * p1 * r2 for v in (s1, s2))
+    nonzero = u != 0
+    has, j = nonzero.any(axis=1), nonzero.argmax(axis=1)
+    if not (has | (w != 0).any(axis=1)).all():
+        raise ValueError("meet of identical lines is undefined")
+    uj, wj = u[at, j, None], w[at, j, None]
+    met = ~has | ~(wj * u - uj * w).any(axis=1)
+    rows = np.zeros_like(s1)
+    rows[met] = canonical_rows(np.where(has[:, None], wj * s1 - uj * s2, s1)[met])
+    return rows, met
+
+
+def common_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical row on both elements of each pair and a mask of the pairs
+    that have one: ``meet_rows`` of (N, 2, D) line keys, else ``cross_rows``."""
+    if a.ndim == 3:
+        return meet_rows(a, b)
+    return cross_rows(a, b), np.ones(len(a), bool)
 
 
 def has_duplicate_rows(rows: np.ndarray) -> bool:
@@ -272,10 +307,6 @@ class ProjPoint:
     def affine(cls, values: Sequence[Rational]) -> "ProjPoint":
         return cls([*values, 1])
 
-    @classmethod
-    def direction(cls, values: Sequence[Rational]) -> "ProjPoint":
-        return cls([*values, 0])
-
     @property
     def ambient_dim(self) -> int:
         return len(self.coords) - 1
@@ -336,21 +367,11 @@ class Line:
     def affine_with_direction(
         cls, point: Sequence[Rational], direction: Sequence[Rational]
     ) -> "Line":
-        return cls(ProjPoint.affine(point), ProjPoint.direction(direction))
+        return cls(ProjPoint.affine(point), ProjPoint([*direction, 0]))
 
     @property
     def ambient_dim(self) -> int:
         return len(self.key[0]) - 1
-
-    def residual(self, v: Sequence[int]) -> list[int]:
-        """p1*p2*v - v[c1]*p2*r1 - v[c2]*p1*r2 for the key rows r1, r2 with
-        pivots p1, p2 at columns c1 < c2: each key row is zero at the other's
-        pivot, so this vanishes at both pivots, and it is zero iff v lies on
-        the line.  Fraction-free and linear in v."""
-        (r1, r2), (c1, c2) = self.key, self.pivots
-        p1, p2 = r1[c1], r2[c2]
-        s, a, b = p1 * p2, v[c1] * p2, v[c2] * p1
-        return [s * x - a * y - b * z for x, y, z in zip(v, r1, r2)]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Line) and self.key == other.key
@@ -363,43 +384,14 @@ class Line:
 
 
 def meet(a: Line, b: Line) -> ProjPoint | None:
-    """The unique common point of two distinct lines, or None if they are skew.
-
-    The residuals u, w of b's key rows s1, s2 against a are linearly
-    dependent iff the lines meet; then w[j]*u - u[j]*w = 0 for a column
-    j with u[j] != 0, so w[j]*s1 - u[j]*s2 lies on both lines.
-
-    Raises ValueError for identical lines (configurations assume pairwise
-    distinct lines, so asking for their meet is a caller bug).
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("lines live in different ambient dimensions")
-    if a.key == b.key:
-        raise ValueError("meet of identical lines is undefined")
-    s1, s2 = b.key
-    u, w = a.residual(s1), a.residual(s2)
-    for j, uj in enumerate(u):
-        if uj:
-            break
-    else:
-        return ProjPoint.canonical(s1)  # s1, a canonical key row, lies on a
-    wj = w[j]
-    for x, y in zip(u, w):
-        if wj * x != uj * y:
-            return None
-    return ProjPoint.canonical(_reduce_row([wj * x - uj * y for x, y in zip(s1, s2)]))
+    """The common point of two distinct lines, or None if they are skew:
+    ``meet_rows`` of their keys (ValueError as there)."""
+    rows, met = meet_rows(int_array([a.key]), int_array([b.key]))
+    return ProjPoint.canonical(tuple(rows[0].tolist())) if met[0] else None
 
 
 def apply_matrix(matrix: Sequence[Sequence[int]], point: ProjPoint) -> ProjPoint:
     """Image of a point under a projective transformation given by integer
     matrix rows: ``image_rows`` of its one row."""
     return ProjPoint.canonical(tuple(image_rows(matrix, int_array([point.coords]))[0].tolist()))
-
-
-def covector_2d(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """The canonical cross product of two independent integer triples: the
-    covector (a, b, c) of the line a*x + b*y + c*w = 0 through two points,
-    or the point where two lines with those covectors meet; else ValueError."""
-    (p1, p2, p3), (q1, q2, q3) = p, q
-    return _reduce_row((p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1))
 

@@ -28,9 +28,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import index
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from .exactgeom import ProjPoint, common_rows
 
 LineRef = tuple[int, int]
 Monomial = frozenset[LineRef]
@@ -223,16 +225,16 @@ class ConsistencyVerdict:
 @dataclass(frozen=True, eq=False)
 class IncidenceStructure:
     """Maximal concurrences as entry arrays, the record every verdict reads;
-    ``meet_of(i, j)`` is the point (or covector) shared by the lines at
-    positions i and j.  Extracted structures order their groups by one rule
-    (``structure._ordered``); a grid's record (``ColoredGridConfig.points``)
-    is the one exception and keeps point order.  Equality ignores
-    ``meet_of``: witnesses differ across incidence-preserving transforms."""
+    ``rows[positions]``: the lines' rows witnesses come from (line keys,
+    planar covectors or dual points).  Extracted structures order their
+    groups by one rule (``structure._ordered``); a grid's record
+    (``ColoredGridConfig.points``) keeps point order.  Equality ignores
+    ``rows``: witnesses differ across incidence-preserving transforms."""
 
     class_sizes: tuple[int, ...]
     group: np.ndarray
     line: np.ndarray
-    meet_of: Callable[[int, int], object] | None = None
+    rows: object = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IncidenceStructure) or self.class_sizes != other.class_sizes:
@@ -244,9 +246,14 @@ class IncidenceStructure:
         return len(self.class_sizes)
 
     @cached_property
+    def firsts(self) -> np.ndarray:
+        """The first entry of each group."""
+        return np.flatnonzero(_starts(self.group))
+
+    @cached_property
     def bounds(self) -> list[int]:
         """The first entry of each group, then the entry count."""
-        return [*np.flatnonzero(_starts(self.group)).tolist(), len(self.group)]
+        return [*self.firsts.tolist(), len(self.group)]
 
     @property
     def num_groups(self) -> int:
@@ -286,10 +293,14 @@ class IncidenceStructure:
             m for m in self.monomials if len(m) == 3 and len({c for c, _ in m}) == 3
         )
 
-    def witness(self, g: int):
-        """Group g's point (or covector), computed from its first two lines."""
-        lo, hi = self.bounds[g : g + 2]
-        return self.meet_of(*self.line[lo : min(hi, lo + 2)].tolist())
+    def witnesses(self, groups: np.ndarray) -> np.ndarray:
+        """Canonical rows of the groups' points (dual: covectors), ``common_rows`` of two lines' rows."""
+        first = self.firsts[groups]
+        return common_rows(self.rows[self.line[first]], self.rows[self.line[first + 1]])[0]
+
+    def witness(self, g: int) -> ProjPoint:
+        """Group g's point (or covector): ``witnesses`` of the one group."""
+        return ProjPoint.canonical(tuple(self.witnesses(np.array([g]))[0].tolist()))
 
     def max_colorful(self) -> tuple[int, object | None]:
         """Largest color count over all groups, with the witness of the

@@ -4,19 +4,21 @@ Draws a 2D line configuration (or a dual point configuration) in a
 figure style: colored lines clipped to a frame, incidence points as
 filled dots, and incidence points at infinity indicated by arrowheads on
 the frame boundary pointing along their direction.  Everything is drawn
-from integer rows: the lines' covectors, each group's witness (the rule of
-``IncidenceStructure.witness``, a slab of groups at once) and the points,
-converted to floats only here; nothing feeds back into predicates.
+from integer rows: the record's line covectors, its witnesses
+(``IncidenceStructure.witnesses``, a slab of groups at once) and the
+points, converted to floats only here; nothing feeds back into
+predicates.  The dots are written through one row template.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from math import hypot
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .configs import ColoredLineConfig, DualPointConfig
-from .exactgeom import cross_rows
 from .structure import IncidenceStructure, extract_alignments, extract_structure_lines
 
 PALETTE = [
@@ -26,7 +28,7 @@ PALETTE = [
 
 _SIZE = 640.0
 _MARGIN = 0.15
-SLAB = 1 << 14  # groups whose witnesses are crossed at once
+SLAB = 1 << 14  # groups whose witnesses are met, or dots written, at once
 
 
 def _xy(slabs: Iterable[np.ndarray]) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
@@ -39,14 +41,11 @@ def _xy(slabs: Iterable[np.ndarray]) -> tuple[list[tuple[float, float]], list[tu
     return finite, infinite
 
 
-def _witnesses(s: IncidenceStructure, rows: np.ndarray) -> Iterator[np.ndarray]:
-    """Each group's witness, as ``s.witness`` gives it: the canonical cross
-    product of the rows of its first two lines (covectors or points), in
-    slabs of ``SLAB`` groups, which bound the Python ints of large rows."""
-    first = np.array(s.bounds[:-1], np.int64)
-    for at in range(0, len(first), SLAB):
-        lo = first[at : at + SLAB]
-        yield cross_rows(rows[s.line[lo]], rows[s.line[lo + 1]])
+def _witness_slabs(s: IncidenceStructure) -> Iterator[np.ndarray]:
+    """Every group's witness in slabs of ``SLAB`` groups, which bound the Python ints of large rows."""
+    groups = np.arange(len(s.firsts))
+    for at in range(0, len(groups), SLAB):
+        yield s.witnesses(groups[at : at + SLAB])
 
 
 def _colors(sizes) -> list[str]:
@@ -54,15 +53,11 @@ def _colors(sizes) -> list[str]:
     return [PALETTE[c % len(PALETTE)] for c, size in enumerate(sizes) for _ in range(size)]
 
 
-def _frame(points: list[tuple[float, float]]) -> tuple[float, float, float, float]:
-    if not points:
+def _frame(xy: np.ndarray) -> tuple[float, float, float, float]:
+    if not len(xy):
         return -1.0, -1.0, 1.0, 1.0
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    side = max(x1 - x0, y1 - y0, 1.0)
-    pad = side * _MARGIN + 0.2
+    (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+    pad = max(x1 - x0, y1 - y0, 1.0) * _MARGIN + 0.2
     return x0 - pad, y0 - pad, x1 + pad, y1 + pad
 
 
@@ -100,9 +95,6 @@ class _Canvas:
     def to_screen(self, x: float, y: float) -> tuple[float, float]:
         return (x - self.x0) * self.scale, (self.y1 - y) * self.scale
 
-    def size(self) -> tuple[float, float]:
-        return (self.x1 - self.x0) * self.scale, (self.y1 - self.y0) * self.scale
-
     def line(self, covector, color: str) -> None:
         """The line of a covector (a, b, c), where it crosses the frame."""
         seg = _clip_line(covector, (self.x0, self.y0, self.x1, self.y1))
@@ -114,17 +106,20 @@ class _Canvas:
             f'stroke="{color}" stroke-width="2"/>'
         )
 
-    def dot(self, p, fill: str = "#000000", r: float = 4.0) -> None:
-        x, y = self.to_screen(*p)
-        self.parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{fill}"/>')
+    def dots(self, xy: np.ndarray, fills: Iterable[str], r: float) -> None:
+        """Filled circles at (F, 2) points, through one row template, ``SLAB`` at a time."""
+        xy = np.stack(((xy[:, 0] - self.x0) * self.scale, (self.y1 - xy[:, 1]) * self.scale), 1)
+        row, fills = f'<circle cx="%.2f" cy="%.2f" r="{r}" fill="%s"/>', iter(fills)
+        for at in range(0, len(xy), SLAB):
+            block = xy[at : at + SLAB].tolist()
+            values = chain.from_iterable((x, y, fill) for (x, y), fill in zip(block, fills))
+            self.parts.append("\n".join([row] * len(block)) % tuple(values))
 
     def arrowhead(self, direction: tuple[float, float]) -> None:
         # place at the frame border along `direction` from the frame center
-        import math
-
         cx, cy = (self.x0 + self.x1) / 2, (self.y0 + self.y1) / 2
         dx, dy = direction
-        norm = math.hypot(dx, dy)
+        norm = hypot(dx, dy)
         if norm == 0:
             return
         dx, dy = dx / norm, dy / norm
@@ -145,7 +140,7 @@ class _Canvas:
         self.parts.append(f'<polygon points="{joined}" fill="#333333"/>')
 
     def render(self) -> str:
-        w, h = self.size()
+        w, h = (self.x1 - self.x0) * self.scale, (self.y1 - self.y0) * self.scale
         head = (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
             f'viewBox="0 0 {w:.2f} {h:.2f}">'
@@ -157,13 +152,15 @@ class _Canvas:
 def render_line_config(cfg: ColoredLineConfig) -> str:
     if cfg.d != 2:
         raise ValueError("rendering needs a planar configuration; project to d=2 first")
-    cov = cross_rows(cfg.ends[:, 0], cfg.ends[:, 1])
-    finite_pts, infinite_dirs = _xy(_witnesses(extract_structure_lines(cfg), cov))
-    canvas = _Canvas(_frame(finite_pts + _xy([cfg.ends.reshape(-1, 3)])[0]))
+    s = extract_structure_lines(cfg)
+    cov, (finite, infinite_dirs) = s.rows, _xy(_witness_slabs(s))
+    del s  # drawing needs none of its entry arrays
+    finite = np.array(finite, float).reshape(-1, 2)
+    ends = np.array(_xy([cfg.ends.reshape(-1, 3)])[0], float).reshape(-1, 2)
+    canvas = _Canvas(_frame(np.vstack((finite, ends))))
     for covector, color in zip(cov.tolist(), _colors(cfg.sizes)):
         canvas.line(covector, color)
-    for pt in finite_pts:
-        canvas.dot(pt)
+    canvas.dots(finite, repeat("#000000"), 4.0)
     for direction in infinite_dirs:
         canvas.arrowhead(direction)
     return canvas.render()
@@ -172,12 +169,12 @@ def render_line_config(cfg: ColoredLineConfig) -> str:
 def render_dual_config(cfg: DualPointConfig) -> str:
     finite, infinite = _xy([cfg.coords])
     colors = [c for c, w in zip(_colors(cfg.sizes), cfg.coords[:, 2].tolist()) if w]
+    finite = np.array(finite, float).reshape(-1, 2)
     canvas = _Canvas(_frame(finite))
-    for covectors in _witnesses(extract_alignments(cfg), cfg.coords):
+    for covectors in _witness_slabs(extract_alignments(cfg)):
         for covector in covectors.tolist():
             canvas.line(covector, "#dddddd")
-    for xy, color in zip(finite, colors):
-        canvas.dot(xy, fill=color, r=5.0)
+    canvas.dots(finite, colors, 5.0)
     for direction in infinite:
         canvas.arrowhead(direction)
     return canvas.render()

@@ -10,10 +10,12 @@ structures have equal arrays.  All maximal concurrences are kept,
 including single-color ones (the center of a concurrent class, or the
 shared direction of a parallel class), so transform preservation audits
 can compare structures exactly.
-A group's witness, its point, is met exactly from its first two lines
-only when asked.  ``monomials``, the groups as frozensets of ``(color,
-index)`` refs, is a view derived when asked; the classification tables of
-4x3 configurations read its colorful triples (``colorful_triples``).
+The record holds the rows its witnesses come from (line keys, planar
+covectors or dual points; a grid's keys are built for the lines asked
+for): a group's witness is ``common_rows`` of its first two lines' rows,
+computed only when asked.  ``monomials``, the groups as frozensets of
+``(color, index)`` refs, is a view derived when asked; the classification
+tables of 4x3 configurations read its colorful triples.
 
 For dual point configurations the same record type holds the maximal
 *alignments* (collinear subsets), witnessed by their covectors: the dual
@@ -26,11 +28,12 @@ line through two points, or the point where two lines meet); in d >= 3
 pairs are certified in bulk and the others grouped by their meeting
 point.  One exact step (``_confirmed``) turns the residue groups of both
 into entry arrays, deciding them on residues mod a few ``exactgeom.PRIMES``
-(each kernel states its bound) and meeting pairs exactly only where that
-fails.  The ordering rule orders every extracted structure's groups, the
-grid's too, whose shared axis directions, one group each, grid verdicts
-never count: they read the grid's own record of its points
-(``ColoredGridConfig.points``), which keeps point order.
+(each kernel states its bound) and meeting pairs exactly, in bulk
+(``common_rows``), only where that fails.  The ordering rule orders every
+extracted structure's groups, the grid's too, whose shared axis
+directions, one group each, grid verdicts never count: they read the
+grid's own record of its points (``ColoredGridConfig.points``), which
+keeps point order.
 """
 
 from __future__ import annotations
@@ -40,17 +43,18 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .configs import ColoredLineConfig, DualPointConfig, _grid_lines, _lines
+from .configs import ColoredLineConfig, DualPointConfig, _grid_ends
 from .exactgeom import (
     PRIME,
     ProjPoint,
     canonical_rows,
-    covector_2d,
+    common_rows,
     cross_rows,
     has_duplicate_rows,
     int_array,
+    line_keys,
     magnitude,
-    meet,
+    meet,  # noqa: F401 - the exact meet stays importable from here
     primes_above,
     residues,
 )
@@ -75,6 +79,16 @@ def _ordered(group: np.ndarray, line: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.repeat(np.arange(len(size), dtype=np.int64), size), line[at]
 
 
+class _GridKeys:
+    """The key rows of grid lines in R^(k+1), built for the positions asked for."""
+
+    def __init__(self, k: int, n: int, ids: np.ndarray):
+        self.k, self.n, self.ids = k, n, ids
+
+    def __getitem__(self, at: np.ndarray) -> np.ndarray:
+        return line_keys(_grid_ends(self.k, self.n, self.ids[at]))[0]
+
+
 def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
     """Grid-point concurrences plus one group per shared axis direction;
     witnesses meet the two lines embedded in R^(k+1)."""
@@ -85,8 +99,7 @@ def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
     shared = shared[np.argsort(axes[shared], kind="stable")]
     group = np.concatenate((group, axes[shared] + group.size))  # runs after the point groups
     group, line = _ordered(group, np.concatenate((line, shared)))
-    meet_of = lambda i, j: meet(*_grid_lines(cfg.k, cfg.n, ids[[i, j]]))  # noqa: E731
-    return IncidenceStructure(cfg.class_sizes(), group, line, meet_of)
+    return IncidenceStructure(cfg.class_sizes(), group, line, _GridKeys(cfg.k, cfg.n, ids))
 
 
 # Side of the square tiles of pairs the kernels work on (at most n); bounds their temporaries.
@@ -164,7 +177,7 @@ def _candidates(r: np.ndarray, pivots: np.ndarray, p: int, label: np.ndarray):
     code = np.concatenate([np.empty(0, np.int64), *_tile_pairs(n, unskewed)])
     points = [np.empty((0, dim), np.int64)]
     for i, j in _batches(code, n):
-        # g(Line.residual) of b's key rows against a = lines[i]
+        # g(residual, as in ``meet_rows``) of b's key rows against a = lines[i]
         u = (s[i] * g1[j] - r1[j, c1[i]] * t1[i] - r1[j, c2[i]] * t2[i]) % p
         w = (s[i] * g2[j] - r2[j, c1[i]] * t1[i] - r2[j, c2[i]] * t2[i]) % p
         points.append(_scaled((r1[j] * w[:, None] - r2[j] * u[:, None]) % p, p))
@@ -172,25 +185,32 @@ def _candidates(r: np.ndarray, pivots: np.ndarray, p: int, label: np.ndarray):
 
 
 def _residual(s, ab, pivots, free, m, v, q) -> np.ndarray:
-    """Coordinates of ``Line.residual`` of residue rows v (Q, E, D) against
-    the lines at positions m, mod each of the Q moduli q, at the lines' free
-    (non-pivot) columns ``free[m]``, where alone it may be nonzero.  s = p1
-    * p2 (Q, L) and ab = (p2 * r1, p1 * r2) at the free columns (Q, L, 2, D
-    - 2) are residues, so a coordinate is three products of two residues:
-    an int64 sum in (-2^61, 2^60)."""
+    """Coordinates of the residual (as in ``meet_rows``) of residue rows v
+    (Q, E, D) against the lines at positions m, mod each of the Q moduli q,
+    at the lines' free (non-pivot) columns ``free[m]``, where alone it may
+    be nonzero.  s = p1 * p2 (Q, L) and ab = (p2 * r1, p1 * r2) at the
+    free columns (Q, L, 2, D - 2) are residues, so a coordinate is three
+    products of two residues: an int64 sum in (-2^61, 2^60)."""
     get = lambda a, i: np.take_along_axis(a, i[None], axis=2)  # noqa: E731
     (c1, c2), abm = pivots[m].T, np.take(ab, m, axis=1)
     x = s[:, m, None] * get(v, free[m]) - get(v, c1[:, None]) * abm[:, :, 0]
     return (x - get(v, c2[:, None]) * abm[:, :, 1]) % q[:, None, None]
 
 
-def _confirmed(code, point, n: int, extra: dict, exact, key, rows, on, decide, pairs_meet=False):
+def _met(code: np.ndarray, n: int, elements) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per slab of 16 * TILE pairs x * n + y of ``elements``: the met pairs' positions and points."""
+    for at, (x, y) in zip(range(0, len(code), 16 * TILE), _batches(code, n)):
+        rows, met = common_rows(elements[x], elements[y])
+        yield np.flatnonzero(met) + at, rows[met]
+
+
+def _confirmed(code, point, n: int, extra: dict, elements, key, rows, on, decide, pairs_meet=False):
     """Entry arrays (``_ordered``) of the points where the pairs of codes
-    x * n + y (x < y) meet, given their keys ``point``: rows mod ``PRIME``
-    that are 0 or a function of the pair's exact point.  ``extra`` maps a
-    pair to more lines through its point.  A pair keyed 0 is met exactly
-    (``exact``: a tuple, or None if skew and dropped) and keyed by that
-    point (``key``).
+    x * n + y (x < y) of ``elements`` (line keys or planar rows) meet,
+    given their keys ``point``: rows mod ``PRIME`` that are 0 or a function
+    of the pair's exact point.  ``extra`` maps a pair to more lines through
+    its point.  Pairs keyed 0 are met exactly (``_met``; a skew one is
+    dropped) and keyed by their points (``key``).
 
     Pairs group by key.  With ``decide``, a group is exact when its first
     pair's point, an integer polynomial whose residues mod the moduli
@@ -199,14 +219,14 @@ def _confirmed(code, point, n: int, extra: dict, exact, key, rows, on, decide, p
     on it (``on(m, v)``; y does by construction): then every pair through
     that point has the group's key.  With ``pairs_meet`` (distinct lines
     always meet) a group of two lines is exact as it is.  The pairs of any
-    other group (a residue collision) are met exactly one by one and
+    other group (a residue collision) are met exactly, in slabs, and
     merged by exact point; those points have the group's key, so no other
     group holds them."""
-    met = {i: exact(*divmod(int(code[i]), n)) for i in np.flatnonzero(~point.any(axis=1)).tolist()}
-    if hits := {i: at for i, at in met.items() if at is not None}:
-        point[list(hits)] = key(list(hits.values()))
-    skew = np.isin(np.arange(len(code)), [i for i in met if i not in hits])  # never in ``extra``
-    code, point = code[~skew], point[~skew]
+    zero, keep = np.flatnonzero(~point.any(axis=1)), np.ones(len(code), bool)
+    keep[zero] = False  # skew unless met; never in ``extra``
+    for at, hits in _met(code[zero], n, elements):
+        point[zero[at]], keep[zero[at]] = key(hits), True
+    code, point = code[keep], point[keep]
     order = np.lexsort(point.T) if point.shape[1] > 1 else np.argsort(point[:, 0])
     new = np.diff(point[order], axis=0, prepend=-1).any(axis=1)
     gid, first = np.empty(len(code), np.int64), order[new]  # each group's first pair
@@ -227,10 +247,11 @@ def _confirmed(code, point, n: int, extra: dict, exact, key, rows, on, decide, p
         v = rows(x[g[lead]], y[g[lead]])
         ok[g[lead][~v[0].any(axis=1)]] = False
         ok[g[~on(line[e], v[:, lead.cumsum() - 1])]] = False
-    found: dict[tuple, set[int]] = {}  # the pairs of groups that failed, met one by one
-    for i in np.flatnonzero(~ok[gid]).tolist():
-        if (at := exact(*divmod(int(code[i]), n))) is not None:
-            found.setdefault(at, set()).update(divmod(int(code[i]), n), extra.get(i, []))
+    found: dict[tuple, set[int]] = {}  # the pairs of groups that failed, by exact point
+    fail = np.flatnonzero(~ok[gid])
+    for at, hits in _met(code[fail], n, elements):
+        for i, exact in zip(fail[at].tolist(), map(tuple, hits.tolist())):
+            found.setdefault(exact, set()).update(divmod(int(code[i]), n), extra.get(i, []))
     sizes, keep = list(map(len, found.values())), ok[group]
     more = np.fromiter(chain.from_iterable(map(sorted, found.values())), np.int64, sum(sizes))
     group = np.concatenate((group[keep], np.repeat(np.arange(len(sizes)) + len(ok), sizes)))
@@ -248,7 +269,8 @@ def planar_buckets(triples) -> tuple[np.ndarray, np.ndarray]:
     ``_confirmed`` checks the others: m is on a x b iff det(m, a, b) = 0,
     and with coordinates below 2^B, |det| < 6 * 2^(3B), decided mod primes
     with a product above 2^(3B + 4), four up to B = 38.  Pairs keyed 0, and
-    all where a table that cannot grow falls short, are met by ``covector_2d``."""
+    all where a table that cannot grow falls short, are crossed exactly
+    (``cross_rows``)."""
     n, p = len(triples), PRIME
     if n < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
@@ -257,15 +279,14 @@ def planar_buckets(triples) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("one projective element twice")
     primes = primes_above(3 * magnitude(rows).bit_length() + 4)
     q, decide = np.array(primes or (p,)), primes is not None
-    t, pack, triples = residues(rows[None], q[:, None, None]), [p * p, p, 1], rows.tolist()
+    t, pack = residues(rows[None], q[:, None, None]), [p * p, p, 1]
     pair, r = np.concatenate(list(_tile_pairs(n))), residues(rows, p)
     # scaled to (1, x, y), (0, 1, y) or (0, 0, 1), or zero: a unique key below 2p^2 < 2^61
     key = np.hstack([_scaled(np.cross(r[i], r[j]) % p, p) @ pack for i, j in _batches(pair, n)])
     cross = lambda x, y: np.cross(t[:, x], t[:, y]) % q[:, None, None]  # noqa: E731
     on = lambda m, v: ((t[:, m] * v).sum(axis=2) % q[:, None] == 0).all(axis=0)  # noqa: E731
-    exact = lambda x, y: covector_2d(triples[x], triples[y])  # noqa: E731
     known = lambda pts: (_scaled(residues(pts, p).reshape(-1, 3), p) @ pack)[:, None]  # noqa: E731
-    return _confirmed(pair, key[:, None], n, {}, exact, known, cross, on, decide, pairs_meet=True)
+    return _confirmed(pair, key[:, None], n, {}, rows, known, cross, on, decide, pairs_meet=True)
 
 
 def concurrence_buckets(
@@ -297,8 +318,8 @@ def concurrence_buckets(
     more lines (residuals below 3 * 2^(3B)) is one group there, keyed by the
     center, and its pairs are not tested: two distinct lines share at most
     one point.  Pairs keyed 0 and those of a group that fails are met
-    exactly (``meet``); so is every pair, with no center checked, where a
-    table that cannot grow falls short.  Identical lines raise ValueError."""
+    exactly (``meet_rows``); so is every pair, with no center checked, where
+    a table that cannot grow falls short.  Identical lines raise ValueError."""
     n = len(keys)
     if has_duplicate_rows(keys):
         raise ValueError("meet of identical lines is undefined")
@@ -337,38 +358,29 @@ def concurrence_buckets(
         uj, wj = np.take_along_axis(u, j, axis=2), np.take_along_axis(w, j, axis=2)
         return np.where(u[0].any(axis=1)[:, None], (wj * s1 - uj * s2) % q[:, None, None], s1)
 
-    def exact(x: int, y: int) -> tuple | None:
-        at = meet(*_lines(keys[[x, y]], keys[[x, y]], pivots[[x, y]]))
-        return None if at is None else at.coords
-
     code, point = _candidates(residues(keys, PRIME), pivots, PRIME, label)
     key = lambda points: _scaled(residues(points, PRIME).reshape(-1, len(dim)), PRIME)  # noqa: E731
     code, point = np.concatenate((np.array(firsts, int), code)), np.vstack((key(centers), point))
-    return _confirmed(code, point, n, extra, exact, key, rows, on, decide)
+    return _confirmed(code, point, n, extra, keys, key, rows, on, decide)
 
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
     """All maximal concurrences of a line configuration (``concurrence_buckets``
     on its key arrays, given its class centers), witnessed by the points where
-    their lines meet; in the plane (``planar_buckets``), by the canonical cross
-    product of the lines' covectors, the cross products of their endpoint rows."""
+    their keys meet; in the plane (``planar_buckets``), by the canonical cross
+    products of the lines' covectors, the cross products of their endpoint rows."""
     if cfg.d != 2:
         entries = concurrence_buckets(cfg.keys, cfg.pivots, list(zip(cfg.sizes, cfg.centers)))
-        return IncidenceStructure(cfg.sizes, *entries, lambda i, j: meet(cfg.line(i), cfg.line(j)))
+        return IncidenceStructure(cfg.sizes, *entries, cfg.keys)
     cov = cross_rows(cfg.ends[:, 0], cfg.ends[:, 1])
-    rows, point = cov.tolist(), ProjPoint.canonical
-    return IncidenceStructure(
-        cfg.sizes, *planar_buckets(cov), lambda i, j: point(covector_2d(rows[i], rows[j]))
-    )
+    return IncidenceStructure(cfg.sizes, *planar_buckets(cov), cov)
 
 
 def extract_alignments(cfg: DualPointConfig) -> IncidenceStructure:
     """Maximal collinear subsets of a dual point configuration, witnessed by
-    the covectors of their lines (``planar_buckets``)."""
-    rows = cfg.coords.tolist()
-    return IncidenceStructure(
-        cfg.sizes, *planar_buckets(cfg.coords), lambda i, j: covector_2d(rows[i], rows[j])
-    )
+    the covectors of their lines, the cross products of their points
+    (``planar_buckets``)."""
+    return IncidenceStructure(cfg.sizes, *planar_buckets(cfg.coords), cfg.coords)
 
 
 def extract_structure(cfg) -> IncidenceStructure:

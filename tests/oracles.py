@@ -23,17 +23,21 @@ each line's groups, with one unbounded int color bitmask per group: the
 reference for the array core on arbitrary groups of refs, as line and
 dual structures have them.  ``grid_meet`` meets two grid lines slot by
 slot; the exact rational ``meet`` of embedded lines is checked against it.  ``rref_meet``
-is the reference for the residual-test ``meet``: it solves the 4-column
-system of the two lines' spanning points by generic row reduction.
-``loop_concurrence_buckets`` calls exact ``meet`` on one line pair at a
-time, skipping pairs already bucketed together: the reference for the
-mod-p pair kernel of ``concurrence_buckets``, order of the points included.
-``line_covector_2d`` is a planar line's covector, one cross product.
+is the reference for the bulk residual kernel ``meet_rows`` (and ``meet``,
+its one-pair call): it solves the 4-column system of the two lines'
+spanning points by generic row reduction.  ``residual`` is a line's
+residual of one row and ``loop_meet`` the residual rule as a Python loop
+over one pair, which the oracles below meet with, sharing no code with
+the kernel.  ``loop_concurrence_buckets`` calls ``loop_meet`` on one line
+pair at a time, skipping pairs already bucketed together: the reference
+for the mod-p pair kernel of ``concurrence_buckets``, order of the points
+included.  ``cross`` is one canonical cross product of two integer
+triples, ``line_covector_2d`` a planar line's covector by it.
 ``key_arrays`` stacks the ``int_rref`` keys and pivots of ``Line`` objects
 into the arrays a configuration stores: the reference for
 ``exactgeom.line_keys`` and the input of the array kernels.
-``line_contains`` tests a point against a line's key by its residual
-(``Line.residual``), the containment test of the oracles below.
+``line_contains`` tests a point against a line's key by its
+``residual``, the containment test of the oracles below.
 ``loop_flatness_audit`` meets each group's witness and row-reduces its
 lines' keys with that point (``rank_of_directions``): the reference for
 the batched residue ranks of ``exactgeom.key_ranks`` behind
@@ -47,7 +51,9 @@ behind ``extract_alignments``, witness order included.
 frozensets: the reference for the array audit of ``project_generic``.
 ``entries`` builds the entry arrays of groups of line positions from
 sorted lists, the reference for the structure's ordering rule;
-``structure_of`` builds a structure from groups of refs, and
+``structure_of`` builds a structure from groups of refs (a
+``PositionRecord``, whose witness of a group is its first two line
+positions), and
 ``random_structure`` random ones for the core comparisons.
 ``concurrency_center`` meets a class's first two lines and checks the
 rest, and ``with_computed_centers`` records those centers: the reference
@@ -94,12 +100,10 @@ from incidencelab.exactgeom import (
     ProjPoint,
     Rational,
     _reduce_row,
-    covector_2d,
     int_array,
     int_nullspace,
     int_rank,
     key_ranks,
-    meet,
 )
 from incidencelab.configs import (
     ColoredLineConfig,
@@ -486,12 +490,54 @@ def rref_meet(a: Line, b: Line) -> ProjPoint | None:
     return ProjPoint([l1 * x + l2 * y for x, y in zip(a.p.coords, a.q.coords)])
 
 
+def residual(line: Line, v: Sequence[int]) -> list[int]:
+    """p1*p2*v - v[c1]*p2*r1 - v[c2]*p1*r2 for the line's key rows r1, r2
+    with pivots p1, p2 at columns c1 < c2: each key row is zero at the
+    other's pivot, so this vanishes at both pivots, and it is zero iff v
+    lies on the line.  Fraction-free and linear in v."""
+    (r1, r2), (c1, c2) = line.key, line.pivots
+    p1, p2 = r1[c1], r2[c2]
+    s, a, b = p1 * p2, v[c1] * p2, v[c2] * p1
+    return [s * x - a * y - b * z for x, y, z in zip(v, r1, r2)]
+
+
+def loop_meet(a: Line, b: Line) -> ProjPoint | None:
+    """The common point of two distinct lines, or None if they are skew,
+    one pair by Python loops: the residuals u, w of b's key rows s1, s2
+    against a are dependent iff the lines meet; then w[j]*u - u[j]*w = 0
+    for a column j with u[j] != 0, and w[j]*s1 - u[j]*s2 is on both."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("lines live in different ambient dimensions")
+    if a.key == b.key:
+        raise ValueError("meet of identical lines is undefined")
+    s1, s2 = b.key
+    u, w = residual(a, s1), residual(a, s2)
+    for j, uj in enumerate(u):
+        if uj:
+            break
+    else:
+        return ProjPoint.canonical(s1)  # s1, a canonical key row, lies on a
+    wj = w[j]
+    for x, y in zip(u, w):
+        if wj * x != uj * y:
+            return None
+    return ProjPoint.canonical(_reduce_row([wj * x - uj * y for x, y in zip(s1, s2)]))
+
+
+def cross(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The canonical cross product of two independent integer triples: the
+    covector of the line through two points, or the point where two lines
+    with those covectors meet; else ValueError."""
+    (p1, p2, p3), (q1, q2, q3) = p, q
+    return _reduce_row((p2 * q3 - p3 * q2, p3 * q1 - p1 * q3, p1 * q2 - p2 * q1))
+
+
 def line_covector_2d(line: Line) -> tuple[int, ...]:
     """The canonical covector (a, b, c) of a planar line, a*x + b*y + c*w = 0:
     the cross product of its spanning points."""
     if line.ambient_dim != 2:
         raise ValueError("covectors are defined for planar lines only")
-    return covector_2d(line.p.coords, line.q.coords)
+    return cross(line.p.coords, line.q.coords)
 
 
 def line_from_covector_2d(cov: Sequence[int]) -> Line:
@@ -533,7 +579,7 @@ def loop_concurrence_buckets(lines: Sequence[Line]) -> dict[ProjPoint, set[int]]
     for i, j in combinations(range(len(lines)), 2):
         if on_points[i] & on_points[j]:
             continue  # already bucketed at a shared point
-        pt = meet(lines[i], lines[j])
+        pt = loop_meet(lines[i], lines[j])
         if pt is None:
             continue
         buckets.setdefault(pt, set()).update((i, j))
@@ -546,7 +592,7 @@ def line_contains(line: Line, point: ProjPoint) -> bool:
     """Whether ``point`` lies on ``line``: its residual against the line's key vanishes."""
     if point.ambient_dim != line.ambient_dim:
         raise ValueError("point and line live in different ambient dimensions")
-    return not any(line.residual(point.coords))
+    return not any(residual(line, point.coords))
 
 
 def rank_of_directions(lines: Sequence[Line], at: ProjPoint) -> int:
@@ -584,7 +630,7 @@ def loop_planar_buckets(triples: Sequence[Sequence[int]]) -> list[list[int]]:
     lines meet.  One projective element twice raises ValueError."""
     buckets: dict[tuple[int, ...], set[int]] = {}
     for (i, a), (j, b) in combinations(enumerate(triples), 2):
-        buckets.setdefault(covector_2d(a, b), set()).update((i, j))
+        buckets.setdefault(cross(a, b), set()).update((i, j))
     return [sorted(m) for m in buckets.values()]
 
 
@@ -610,20 +656,28 @@ def entries(groups: Iterable[Iterable[int]]) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(len(groups), dtype=np.int64), list(map(len, groups))), line
 
 
+class PositionRecord(IncidenceStructure):
+    """A record whose witness of a group is the tuple of its first two line
+    positions (one for a group of one line), so a witness names its group."""
+
+    def witness(self, g: int) -> tuple[int, ...]:
+        lo, hi = self.bounds[g : g + 2]
+        return tuple(self.line[lo : min(hi, lo + 2)].tolist())
+
+
 def structure_of(
     monomials: Iterable[Collection[tuple[int, int]]], class_sizes: Sequence[int]
 ) -> IncidenceStructure:
-    """The structure with the given groups of ``(color, index)`` refs; the
-    witness of a group is the tuple of its first two line positions (one
-    for a group of one line)."""
+    """The structure (a ``PositionRecord``) with the given groups of
+    ``(color, index)`` refs."""
     first = [0, *accumulate(class_sizes)]
     groups = [[first[c - 1] + i for c, i in m] for m in monomials]
-    return IncidenceStructure(tuple(class_sizes), *entries(groups), lambda *first: first)
+    return PositionRecord(tuple(class_sizes), *entries(groups))
 
 
 def concurrency_center(lines: Sequence[Line]) -> ProjPoint | None:
     """Common point of a class of >= 2 lines, or None if not concurrent."""
-    center = meet(lines[0], lines[1]) if len(lines) >= 2 else None
+    center = loop_meet(lines[0], lines[1]) if len(lines) >= 2 else None
     if center is not None and all(line_contains(ln, center) for ln in lines[2:]):
         return center
     return None
@@ -759,14 +813,14 @@ def search_reye_colors(lines: Sequence[Line]) -> tuple[int, ...] | None:
 
 def loop_bipartite_edges(A: Sequence[Line], B: Sequence[Line]):
     """(edge count, K_{3,3} witness or None) of the intersection graph of two
-    line families, one exact ``meet`` per cross pair: the first three A lines
+    line families, one exact ``loop_meet`` per cross pair: the first three A lines
     in ``combinations`` order with three common neighbors, and the three
     smallest of those."""
     masks = []
     for a in A:
         if any(a.key == b.key for b in B):
             raise ValueError("families share a line")
-        masks.append(sum(1 << j for j, b in enumerate(B) if meet(a, b) is not None))
+        masks.append(sum(1 << j for j, b in enumerate(B) if loop_meet(a, b) is not None))
     for i, j, l in combinations([i for i, m in enumerate(masks) if m.bit_count() >= 3], 3):
         common = masks[i] & masks[j] & masks[l]
         if common.bit_count() >= 3:

@@ -15,7 +15,7 @@ from incidencelab.exactgeom import (
     _canonical_ints,
     apply_matrix,
     canonical_rows,
-    covector_2d,
+    common_rows,
     incident,
     int_nullspace,
     int_rank,
@@ -28,15 +28,18 @@ from incidencelab.exactgeom import (
     line_keys,
     magnitude,
     meet,
+    meet_rows,
     parse_rational,
 )
 from oracles import (
+    cross,
     fraction_canonical_ints,
     key_arrays,
     line_contains,
     line_covector_2d,
     line_from_covector_2d,
     loop_apply_matrix,
+    loop_meet,
     rank3x3,
     rank_of_directions,
     rref_meet,
@@ -56,8 +59,8 @@ coord = st.one_of(small, st.integers(2**64, 2**66), st.integers(-(2**66), -(2**6
 
 
 @st.composite
-def points(draw, d, at_infinity=False):
-    c = draw(st.lists(coord, min_size=d + 1, max_size=d + 1))
+def points(draw, d, at_infinity=False, entries=coord):
+    c = draw(st.lists(entries, min_size=d + 1, max_size=d + 1))
     if at_infinity:
         c[-1] = 0
     assume(any(c))
@@ -65,8 +68,8 @@ def points(draw, d, at_infinity=False):
 
 
 @st.composite
-def lines(draw, d, at_infinity=False):
-    p, q = draw(points(d, at_infinity)), draw(points(d, at_infinity))
+def lines(draw, d, at_infinity=False, entries=coord):
+    p, q = draw(points(d, at_infinity, entries)), draw(points(d, at_infinity, entries))
     assume(p != q)
     return Line(p, q)
 
@@ -324,10 +327,117 @@ class TestResidualKernel:
 
     @given(lines(2))
     def test_cross_product_covector(self, line):
-        cov = covector_2d(line.p.coords, line.q.coords)
+        cov = cross(line.p.coords, line.q.coords)
         p, q = (int_array([x.coords]) for x in (line.p, line.q))
         assert cov == tuple(cross_rows(p, q)[0].tolist())
         assert [cov] == int_nullspace([line.p.coords, line.q.coords], 3)
+
+
+# factors of a diagonal map (every other coordinate scaled; it keeps every
+# incidence) that put key entries around the 2^9 bound of ``meet_rows``,
+# around 2^30 and 2^62, and past 2^64
+key_scales = st.sampled_from([1, 2**9 - 3, 2**9 + 1, 2**10 - 3, 2**30 + 3, 2**62 - 57, 2**64 + 13])
+
+
+def scaled_line(line: Line, factor: int) -> Line:
+    return Line(*(ProjPoint([x * factor if t % 2 else x for t, x in enumerate(p.coords)]) for p in (line.p, line.q)))
+
+
+@st.composite
+def key_pairs(draw, d):
+    """(kind, a, b) in R^d through small points, scaled by one of
+    ``key_scales``: ``line_pairs``' kinds, and b spanned by a's first key row
+    and the unit point at a's second pivot, so b's first key row lies on a
+    (u = 0 in ``meet_rows``)."""
+    kind = draw(st.sampled_from(["meeting", "parallel", "first row", "identical", "random"]))
+    a = draw(lines(d, entries=small))
+    if kind == "meeting":
+        x, y = draw(on_line(a)), draw(points(d, entries=small))
+        assume(x != y)
+        b = Line(x, y)
+    elif kind == "parallel":
+        assume(point_at_infinity(a) is not None)
+        y = draw(points(d, entries=small))
+        assume(y != point_at_infinity(a))
+        b = Line(y, point_at_infinity(a))
+    elif kind == "first row":
+        unit = [0] * (d + 1)
+        unit[a.pivots[1]] = 1
+        b = Line(ProjPoint(a.key[0]), ProjPoint(unit))
+    elif kind == "identical":
+        x, y = draw(on_line(a)), draw(on_line(a))
+        assume(x != y)
+        b = Line(x, y)
+    else:
+        b = draw(lines(d, entries=small))
+    factor = draw(key_scales)
+    return kind, scaled_line(a, factor), scaled_line(b, factor)
+
+
+def keys_of(lines) -> np.ndarray:
+    return key_arrays(lines)[0]
+
+
+class TestMeetRows:
+    """The bulk residual kernel (and ``meet``, its one-pair call) against
+    row reduction (``rref_meet``) in d = 2..5, on int64 below its 2^9 bound
+    and on Python ints above it: meeting, skew and parallel pairs, b's first
+    key row on a, identical lines and mixed dimensions."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(2, 5).flatmap(key_pairs))
+    def test_matches_rref_meet(self, case):
+        kind, a, b = case
+        if a.key == b.key:
+            for kernel in (meet, rref_meet, loop_meet):
+                with pytest.raises(ValueError):
+                    kernel(a, b)
+            with pytest.raises(ValueError):
+                meet_rows(keys_of([a]), keys_of([b]))
+            return
+        assert kind != "identical"
+        expected = rref_meet(a, b)
+        rows, met = meet_rows(keys_of([a]), keys_of([b]))
+        assert met.tolist() == [expected is not None]
+        assert rows.tolist() == [list(expected.coords) if expected else [0] * len(a.key[0])]
+        assert meet(a, b) == expected == loop_meet(a, b)
+        big = max(magnitude(keys_of([line])) for line in (a, b)) >= 2**9
+        assert (rows.dtype == object) == big
+        if kind in ("meeting", "parallel", "first row"):
+            assert expected is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda d: st.lists(key_pairs(d), min_size=1, max_size=6)))
+    def test_pairs_at_once(self, cases):
+        cases = [(a, b) for _, a, b in cases if a.key != b.key]
+        assume(cases)
+        rows, met = meet_rows(keys_of([a for a, _ in cases]), keys_of([b for _, b in cases]))
+        expected = [rref_meet(a, b) for a, b in cases]
+        assert met.tolist() == [e is not None for e in expected]
+        assert [tuple(r) for r, m in zip(rows.tolist(), met) if m] == [e.coords for e in expected if e]
+        assert not rows[~met].any()
+        twice = cases[0][0]  # one identical pair among them
+        with pytest.raises(ValueError):
+            meet_rows(keys_of([a for a, _ in cases] + [twice]), keys_of([b for _, b in cases] + [twice]))
+
+    def test_mixed_dimensions_raise(self):
+        a = Line(pt(0, 0, 1), pt(1, 0, 1))
+        b = Line(pt(0, 0, 0, 1), pt(0, 1, 0, 1))
+        with pytest.raises(ValueError):
+            meet(a, b)
+        with pytest.raises(ValueError):
+            meet_rows(keys_of([a]), keys_of([b]))
+
+    @given(st.lists(st.tuples(*[st.integers(-6, 6)] * 3).filter(any), min_size=2, max_size=2, unique=True))
+    def test_common_rows_picks_the_kernel_by_shape(self, triples):
+        p, q = (int_array([t]) for t in triples)
+        assume(int_rank(triples) == 2 and all(int_rank([t, (1, 2, 3)]) == 2 for t in triples))
+        rows, met = common_rows(p, q)
+        assert rows.tolist() == [list(cross(*triples))] and met.tolist() == [True]
+        a, b = Line(ProjPoint(triples[0]), pt(1, 2, 3)), Line(ProjPoint(triples[1]), pt(1, 2, 3))
+        assume(a.key != b.key)
+        rows, met = common_rows(keys_of([a]), keys_of([b]))
+        assert rows.tolist() == [[1, 2, 3]] and met.tolist() == [True]
 
 
 class TestSpan:
@@ -486,7 +596,7 @@ class TestCanonicalPoint:
     @given(st.lists(st.integers(-(2**70), 2**70), min_size=6, max_size=6))
     def test_cross_product_is_taken_as_it_is(self, entries):
         try:
-            cov = covector_2d(entries[:3], entries[3:])
+            cov = tuple(cross_rows(int_array([entries[:3]]), int_array([entries[3:]]))[0].tolist())
         except ValueError:  # dependent triples
             assume(False)
         assert ProjPoint.canonical(cov) == ProjPoint(cov)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from itertools import product
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from incidencelab import exactgeom, structure
 from incidencelab.configs import DualPointConfig, embed_grid_config
 from incidencelab.constructions import ProbParams, gen_probabilistic
-from incidencelab.exactgeom import Line, ProjPoint, covector_2d, meet
+from incidencelab.exactgeom import Line, ProjPoint, common_rows, meet
 from incidencelab.configs import ColoredLineConfig
 from incidencelab.gridmodel import (
     group_max_colorful,
@@ -26,6 +27,7 @@ from incidencelab.structure import (
     structure_consistency,
 )
 from oracles import (
+    cross,
     decoded,
     entries,
     key_arrays,
@@ -34,11 +36,13 @@ from oracles import (
     loop_concurrence_buckets,
     loop_consistency,
     loop_max_colorful,
+    loop_meet,
     loop_planar_buckets,
     loop_removable,
     point_enumeration_incidences,
     primes_below,
     random_structure,
+    residual,
 )
 from test_gridmodel import mixed_config, orders, random_config
 
@@ -231,7 +235,8 @@ class TestAlignments:
         s, expected = extract_alignments(DualPointConfig(classes)), loop_alignments(classes)
         assert s.class_sizes == tuple(map(len, classes))
         # groups and covectors, in order
-        got = [(refs, s.witness(g)) for g, refs in enumerate(s.members)]
+        covectors = s.witnesses(np.arange(s.num_groups)).tolist()
+        got = [(refs, tuple(cov)) for refs, cov in zip(s.members, covectors)]
         assert got == [(sorted(refs), cov) for cov, refs in expected.items()]
 
     def test_dual_json_round_trip(self):
@@ -490,13 +495,13 @@ class TestConcurrenceKernel:
     @settings(max_examples=200, deadline=None)
     @given(lines=line_lists(st.just(2)))
     def test_planar_witnesses_are_canonical_cross_products(self, lines):
-        # taken as covector_2d returns them, with no second canonicalization
+        # taken as the canonical cross product, with no second canonicalization
         lines = list({line.key: line for line in lines}.values())
         s = extract_structure_lines(ColoredLineConfig(2, [lines]))
         cov = [line_covector_2d(line) for line in lines]
         for g in range(s.num_groups):
             a, b = s.line[s.bounds[g] : s.bounds[g] + 2].tolist()
-            assert s.witness(g) == ProjPoint(covector_2d(cov[a], cov[b]))
+            assert s.witness(g) == ProjPoint(cross(cov[a], cov[b]))
 
     def test_planar_witnesses_are_meets(self, algebraic_3_2):
         # in the plane a group's witness is the cross product of two covectors
@@ -575,10 +580,10 @@ class TestPlanarKernel:
         assert_same_entries(got, expected)
 
     def test_few_exact_cross_products_on_alg_3_3(self, planar_3_3, monkeypatch):
-        calls = []
-        monkeypatch.setattr(structure, "covector_2d", lambda a, b: calls.append(1) or covector_2d(a, b))
+        calls = []  # the pairs crossed exactly
+        monkeypatch.setattr(structure, "common_rows", lambda a, b: calls.append(len(a)) or common_rows(a, b))
         assert extract_structure_lines(planar_3_3).num_groups == 352354
-        assert len(calls) < 10000  # one per pair would be 471,906
+        assert sum(calls) < 10000  # one per pair would be 471,906
 
     def test_memory_is_bounded_on_alg_3_3(self, planar_3_3):
         tracemalloc.start()
@@ -670,10 +675,34 @@ class TestResidueDecisions:
         with pytest.MonkeyPatch.context() as mp:
             patch_primes(mp, FIXED)  # the table would grow to hold them
             assert exactgeom.primes_above(6 * exactgeom.magnitude(keys).bit_length() + 6) is None
-            mp.setattr(structure, "meet", lambda a, b: calls.append(1) or meet(a, b))
+            mp.setattr(structure, "common_rows", lambda a, b: calls.append(len(a)) or common_rows(a, b))
             assert_kernel_matches_loop(lines, classes)
         if loop_concurrence_buckets(lines):
-            assert calls  # two lines meet, and only an exact meet can say so
+            assert sum(calls)  # two lines meet, and only an exact meet can say so
+
+    @pytest.mark.parametrize("table", [led(2), led(7, TINY[-6:])])
+    def test_batched_fallback_on_the_alg_3_2_lift(self, table, algebraic_3_2):
+        # grouping mod 2, so residue points collide and vanish, or a table whose
+        # product (about 2^16) stays below the 2^30 the keys need and cannot grow,
+        # so every pair is met: pairs are met in slabs of 16 * TILE (TILE = 4 here,
+        # so many slabs), and the entries and witnesses are the ones pinned
+        lifted = lift_to_concurrent(algebraic_3_2, audit=False)[0]
+        lines = [line for cls in lifted.classes for line in cls]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            patch_primes(mp, table)
+            mp.setattr(structure, "TILE", 4)
+            mp.setattr(structure, "common_rows", lambda a, b: calls.append(len(a)) or common_rows(a, b))
+            s = extract_structure_lines(lifted)
+        assert len(calls) > 2 and max(calls) == 16 * 4
+        entries_digest = hashlib.sha256(np.concatenate((s.group, s.line)).tobytes()).hexdigest()
+        assert entries_digest == "c3ecf4c1f99a925a8f6754892cc155f62696d54aa3f831a1f5250bb9dbd91170"
+        witnesses = [tuple(w) for w in s.witnesses(np.arange(s.num_groups)).tolist()]
+        assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == (
+            "dfd6224ad884d9d34a2d5385e97cb557dc0e5ea8554811d55d947f59236c2d9f"
+        )
+        pairs = [s.line[a : a + 2].tolist() for a in s.bounds[:-1]]
+        assert witnesses == [loop_meet(lines[a], lines[b]).coords for a, b in pairs]
 
     @settings(max_examples=200, deadline=None)
     @given(bits=st.integers(1, 58), data=st.data())
@@ -693,10 +722,10 @@ class TestResidueDecisions:
             return Line(*spanning, rows, (c1, c2))
 
         a, b, m = line(), line(), line()
-        u, w = a.residual(b.key[0]), a.residual(b.key[1])
+        u, w = residual(a, b.key[0]), residual(a, b.key[1])
         points = [[w[j] * x - u[j] * y for x, y in zip(*b.key)] for j in range(dim)]
         center = data.draw(st.lists(edge, min_size=dim, max_size=dim))
-        values = [x for v in [*points, b.key[0], center] for x in m.residual(v)]
+        values = [x for v in [*points, b.key[0], center] for x in residual(m, v)]
         assert max(map(abs, values)) < 2 ** (6 * bits + 5)
         primes = exactgeom.primes_above(6 * bits + 6)
         assert primes is not None and np.prod(primes, dtype=object) > 2 * 2 ** (6 * bits + 5)
@@ -718,21 +747,22 @@ class TestResidueDecisions:
         assert [t.num_groups for t in got] == [s.num_groups, s.num_groups, 352354, 352354]
         assert got[0] == s
         for t, cfg in zip(got[1:3], configs[1:3]):  # witnesses are met after extraction
+            lines = [line for cls in cfg.classes for line in cls]
             a, b = t.line[:2].tolist()
-            assert t.witness(0) == meet(cfg.line(a), cfg.line(b))
+            assert t.witness(0) == loop_meet(lines[a], lines[b])
 
 
 def refusing_exact_arithmetic(mp: pytest.MonkeyPatch) -> None:
-    """Make every Python exact step of extraction raise: ``meet``,
-    ``covector_2d`` and the residual containment test."""
+    """Make every exact pair step of extraction raise: ``meet``, and the
+    kernels behind ``common_rows``, ``meet_rows`` and ``cross_rows``."""
 
     def refuse(*args):
-        raise AssertionError("Python exact arithmetic during extraction")
+        raise AssertionError("exact pair arithmetic during extraction")
 
     for module in (exactgeom, structure):
         mp.setattr(module, "meet", refuse)
-    mp.setattr(structure, "covector_2d", refuse)
-    mp.setattr(exactgeom.Line, "residual", refuse)
+    mp.setattr(exactgeom, "meet_rows", refuse)
+    mp.setattr(exactgeom, "cross_rows", refuse)
 
 
 class TestPrimeTable:
