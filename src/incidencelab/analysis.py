@@ -144,12 +144,12 @@ def flatness_audit(
     rank is that of the lines' stacked keys less one (``key_ranks`` per group size)."""
     if t < 2:
         raise ValueError("flatness audit needs t >= 2")
-    bounds = np.array(s.bounds)
-    sizes = np.diff(bounds)
+    firsts = s.firsts
+    sizes = np.diff(firsts, append=len(s.line))
     rank = np.zeros(len(sizes), np.int64)
     for size in np.unique(sizes[sizes >= t]).tolist():
         at = np.flatnonzero(sizes == size)
-        members = s.line[bounds[at, None] + np.arange(size)]
+        members = s.line[firsts[at, None] + np.arange(size)]
         rank[at] = key_ranks(cfg.keys, members, min(cfg.d, size) + 1) - 1
     rank, sizes = rank.tolist(), sizes.tolist()
     return [
@@ -258,7 +258,7 @@ def monte_carlo(params_grid: list[ProbParams], trials: int) -> MonteCarloReport:
         ]
         rows.extend(per_rows)
         sizes = [row[f] for row in per_rows for f in size_fields]
-        q = quantiles(sizes, n=4) if len(sizes) > 1 else [sizes[0]] * 3
+        q = quantiles(sizes, n=4)  # k + 1 >= 4 sizes per trial (ProbParams needs k >= 3)
         spans = [(min(s), max(s)) for s in ([row[f] for f in size_fields] for row in per_rows)]
         window = sum(1 <= lo and hi <= 3 * lo for lo, hi in spans)
         summaries.append(

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt, prod
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +44,7 @@ from .exactgeom import (
     Line,
     ProjPoint,
     Rational,
-    int_nullspace,
-    int_rank,
+    is_prime,
     meet,
 )
 from .gridmodel import ColoredGridConfig, _line_count
@@ -70,10 +69,6 @@ _M1, _M2, _M4, _H = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0
 # Finite-field helpers
 
 
-def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
-
-
 @dataclass(frozen=True)
 class AlgebraicParams:
     """Parameters of the finite-field selection: a prime p and the vectors
@@ -88,6 +83,8 @@ class AlgebraicParams:
     def __post_init__(self) -> None:
         if self.k < 3:
             raise ValueError("algebraic construction needs k >= 3")
+        if self.p >= 2**8:  # n^(k+1) >= p^8 >= 2^64: too large a grid, before trial division
+            _line_count(self.k, self.n)
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
@@ -116,8 +113,9 @@ def gen_algebraic(params: AlgebraicParams) -> ColoredGridConfig:
     time; the pivot digit is solved from them, and each line id is the
     weighted sum of the digit columns.  Temporaries stay O(class size).
     """
-    k, p, v = params.k, params.p, params.v
-    n, size = params.n, params.class_size
+    k, p, n = params.k, params.p, params.n
+    _line_count(k, n)  # too large a grid fails here, before any array
+    v, size = params.v, params.class_size
     # the weight of digit t of the s-th slot (in slot order) in a line id
     weights = [p**t * n ** (k - 1 - s) for s in range(k) for t in range(k - 1)]
     classes = []
@@ -488,21 +486,24 @@ def gen_tricolor(n: int, steps: Sequence[Rational]) -> ColoredLineConfig:
 # The two non-planar 4x3 configurations
 
 
-def _plane_pair_line(cov_a: Sequence[int], cov_b: Sequence[int]) -> Line:
-    basis = int_nullspace([tuple(cov_a), tuple(cov_b)], 4)
-    if len(basis) != 2:
-        raise ValueError("planes do not meet in a line")
-    return Line(ProjPoint(basis[0]), ProjPoint(basis[1]))
-
-
-def _line_in_plane(line: Line, cov: Sequence[int]) -> bool:
-    return (
-        sum(c * x for c, x in zip(cov, line.p.coords)) == 0
-        and sum(c * x for c, x in zip(cov, line.q.coords)) == 0
-    )
-
-
-# The colors of ``_two_plane_lines()`` in order; class 1 is the concurrent one.
+# The 12 lines lying in exactly two of six planes, x = 0, y = 0, z = 0,
+# x + y + z = w, x + 2y + 4z = 3w and x - 2z = -w (the last three share a
+# line), plane pair by plane pair, as endpoint rows.
+DESARGUES_ENDS = (
+    ((0, 0, 1, 0), (0, 0, 0, 1)),
+    ((0, 1, 0, 0), (0, 0, 0, 1)),
+    ((0, 1, -1, 0), (0, 1, 0, 1)),
+    ((0, 2, -1, 0), (0, 3, 0, 2)),
+    ((0, 1, 0, 0), (0, 0, 1, 2)),
+    ((1, 0, 0, 0), (0, 0, 0, 1)),
+    ((1, 0, -1, 0), (1, 0, 0, 1)),
+    ((4, 0, -1, 0), (3, 0, 0, 1)),
+    ((2, 0, 1, 0), (1, 0, 0, -1)),
+    ((1, -1, 0, 0), (1, 0, 0, 1)),
+    ((2, -1, 0, 0), (3, 0, 0, 1)),
+    ((0, 1, 0, 0), (1, 0, 0, -1)),
+)
+# The colors of ``DESARGUES_ENDS`` in order; class 1 is the concurrent one.
 DESARGUES_COLORS = (1, 1, 2, 3, 4, 1, 3, 4, 2, 4, 2, 3)
 # The colors of ``_cube_lines()`` in order; 0 leaves a line out.
 REYE_COLORS = (0, 1, 2, 3, 1, 0, 3, 4, 3, 4, 2, 0, 2, 1, 0, 4)
@@ -540,34 +541,13 @@ def _validate_4x3(cfg: ColoredLineConfig, expect_concurrent: int, name: str) -> 
     return ColoredLineConfig.from_ends(cfg.d, cfg.ends, cfg.sizes, centers)
 
 
-def _two_plane_lines() -> list[Line]:
-    """The 12 lines lying in exactly two of six fixed planes, plane pair by plane pair."""
-    # the sixth plane is 2*plane4 - plane5, so it shares their common line
-    planes = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, -1), (1, 2, 4, -3), (1, 0, -2, 1)]
-    for name, among in (("1..5", range(5)), ("1,2,3,6", (0, 1, 2, 5))):
-        for chosen in (*combinations(among, 3), *combinations(among, 4)):
-            if int_rank([planes[t] for t in chosen]) != len(chosen):
-                raise RuntimeError(f"witness planes {name} are not in general position")
-    if int_rank([planes[3], planes[4], planes[5]]) != 2:
-        raise RuntimeError("planes 4,5,6 must share a line")
-
-    lines: list[Line] = []
-    for a, b in combinations(range(6), 2):
-        line = _plane_pair_line(planes[a], planes[b])
-        containing = sum(1 for cov in planes if _line_in_plane(line, cov))
-        if containing == 2 and line not in lines:
-            lines.append(line)
-    if len(lines) != 12:
-        raise RuntimeError("witness does not produce 12 two-plane lines")
-    return lines
-
-
 def gen_desargues() -> ColoredLineConfig:
-    """The 12 two-plane lines colored by ``DESARGUES_COLORS`` (the coloring,
-    unique up to relabeling, making them 3-consistent without a colorful
-    incidence), certified by ``_validate_4x3``; exactly one class is
-    concurrent non-coplanar."""
-    return _validate_4x3(_colored(_two_plane_lines(), DESARGUES_COLORS), 1, "Desargues")
+    """The 12 two-plane lines ``DESARGUES_ENDS`` colored by ``DESARGUES_COLORS``
+    (the coloring, unique up to relabeling, making them 3-consistent without
+    a colorful incidence), certified by ``_validate_4x3``; exactly one class
+    is concurrent non-coplanar."""
+    lines = [Line(ProjPoint(p), ProjPoint(q)) for p, q in DESARGUES_ENDS]
+    return _validate_4x3(_colored(lines, DESARGUES_COLORS), 1, "Desargues")
 
 
 def _cube_lines() -> list[Line]:

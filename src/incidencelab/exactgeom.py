@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -224,14 +224,9 @@ def residues(rows, p: int) -> np.ndarray:
     return (rows % p).astype(np.int64)
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2, 3, 5 and 7: exact for odd n from 11 below 3.2 * 10^9."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-    for a in (2, 3, 5, 7):
-        x = pow(a, (n - 1) >> s, n)
-        if x != 1 and x != n - 1 and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
-            return False
-    return True
+def is_prime(n: int) -> bool:
+    """Trial division, exact for every n."""
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def primes_above(bits: int) -> tuple[int, ...] | None:
@@ -241,7 +236,7 @@ def primes_above(bits: int) -> tuple[int, ...] | None:
     while that is above 2^29 (so all stay in (2^29, 2^30)); None if it cannot."""
     global PRIMES
     while not prod(PRIMES) >> bits and PRIMES[-1] > 2**29:
-        PRIMES += (next(n for n in range(PRIMES[-1] - 2, 0, -2) if _is_prime(n)),)
+        PRIMES += (next(n for n in range(PRIMES[-1] - 2, 0, -2) if is_prime(n)),)
     return next((PRIMES[:r] for r in range(1, len(PRIMES) + 1) if prod(PRIMES[:r]) >> bits), None)
 
 
@@ -271,22 +266,6 @@ def key_ranks(keys: np.ndarray, groups: np.ndarray, cap: int) -> np.ndarray:
     return rank
 
 
-def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the right nullspace, one vector per free column."""
-    rref = int_rref(rows)
-    pivots = [next(c for c, x in enumerate(row) if x) for row in rref]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        scale = lcm(*(row[p] for row, p in zip(rref, pivots))) if rref else 1
-        vec[f] = scale
-        for row, p in zip(rref, pivots):
-            vec[p] = -row[f] * (scale // row[p])
-        basis.append(_reduce_row(vec))
-    return basis
-
-
 @dataclass(frozen=True)
 class ProjPoint:
     """A projective point as a canonical primitive integer coordinate tuple."""
@@ -310,10 +289,6 @@ class ProjPoint:
     @property
     def ambient_dim(self) -> int:
         return len(self.coords) - 1
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.coords[-1] == 0
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coords]

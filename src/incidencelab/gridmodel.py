@@ -109,11 +109,6 @@ class ColoredGridConfig:
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(cls) for cls in self.ids)
 
-    def without_line(self, ref: LineRef) -> "ColoredGridConfig":
-        ids = list(self.ids)
-        ids[ref[0] - 1] = np.delete(ids[ref[0] - 1], ref[1])
-        return ColoredGridConfig(self.k, self.n, ids)
-
     @cached_property
     def points(self) -> "IncidenceStructure":
         """The verdict record: the grid-point groups of ``incidences``, in point order."""
@@ -251,18 +246,9 @@ class IncidenceStructure:
         return np.flatnonzero(_starts(self.group))
 
     @cached_property
-    def bounds(self) -> list[int]:
-        """The first entry of each group, then the entry count."""
-        return [*self.firsts.tolist(), len(self.group)]
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.bounds) - 1
-
-    @cached_property
     def carriers(self) -> np.ndarray:
         """carriers[c-1, g]: group g holds a line of color c, one byte per
-        (color, group); sized by the last group id, not by ``bounds`` (a list)."""
+        (color, group); sized by the last group id."""
         group, line = self.group, self.line
         has = np.zeros((self.num_colors, group[-1] + 1 if group.size else 0), bool)
         has[np.searchsorted(np.cumsum((0, *self.class_sizes)), line, "right") - 1, group] = True
@@ -279,8 +265,8 @@ class IncidenceStructure:
     def members(self) -> list[list[LineRef]]:
         """Each group's lines as sorted ``(color, index)`` refs, in group order."""
         refs = [(c, i) for c, size in enumerate(self.class_sizes, start=1) for i in range(size)]
-        line = [refs[i] for i in self.line.tolist()]
-        return [line[a:b] for a, b in zip(self.bounds, self.bounds[1:])]
+        line, firsts = [refs[i] for i in self.line.tolist()], self.firsts.tolist()
+        return [line[a:b] for a, b in zip(firsts, [*firsts[1:], len(line)])]
 
     @cached_property
     def monomials(self) -> frozenset[Monomial]:
@@ -400,7 +386,9 @@ def is_k_consistent(cfg: ColoredGridConfig, k: int) -> ConsistencyVerdict:
 
 def breaks_consistency_without(cfg: ColoredGridConfig, k: int, ref: LineRef) -> bool:
     """True iff removing the referenced line makes the configuration inconsistent."""
-    return not is_k_consistent(cfg.without_line(ref), k).ok
+    ids = list(cfg.ids)
+    ids[ref[0] - 1] = np.delete(ids[ref[0] - 1], ref[1])
+    return not is_k_consistent(ColoredGridConfig(cfg.k, cfg.n, ids), k).ok
 
 
 def max_colorful_order(cfg: ColoredGridConfig) -> tuple[int, tuple[int, ...] | None]:

@@ -97,7 +97,7 @@ def _audit_projection(
     # its line set and gain nothing.  So the image less its two-line
     # groups that share no source group is the source.
     total = sum(before.class_sizes)
-    starts = np.flatnonzero(np.diff(after.group, prepend=-1))
+    starts = after.firsts
     two = starts[np.diff(starts, append=after.group.size) == 2]  # first entries of pairs
     pairs = after.line[two] * total + after.line[two + 1]
     new = after.group[two[~np.isin(pairs, before.inner_pairs())]]
@@ -164,9 +164,9 @@ def dualize(cfg: ColoredLineConfig) -> DualPointConfig:
 def undualize(dual: DualPointConfig) -> ColoredLineConfig:
     """Inverse duality: the point (x, y, z) back to the line of canonical
     covector r = (x, y, -z), spanned by r[c] * e_f - r[f] * e_c, canonical, for
-    its first nonzero column c and its other columns f in order (as
-    ``int_nullspace`` gives them).  An infinite point maps to a line through
-    the pole, which is legitimate and needed for direction colors."""
+    its first nonzero column c and its other columns f in order.  An infinite
+    point maps to a line through the pole, which is legitimate and needed for
+    direction colors."""
     r = canonical_rows(dual.coords * np.array([1, 1, -1]))
     c, at = (r != 0).argmax(axis=1), np.arange(len(r))[:, None]
     f = np.array([[1, 2], [0, 2], [0, 1]])[c]

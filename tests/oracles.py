@@ -58,6 +58,9 @@ positions), and
 ``concurrency_center`` meets a class's first two lines and checks the
 rest, and ``with_computed_centers`` records those centers: the reference
 for the class centers the 4x3 generators read off their structure.
+``two_plane_lines`` derives the Desargues witness lines from six planes,
+each the ``int_nullspace`` (a primitive integer basis by ``int_rref``) of
+a plane pair: the reference for the stated rows ``DESARGUES_ENDS``.
 ``_search_coloring`` is the backtracking color search that found the
 stated colorings of the 4x3 generators: ``search_desargues_colors`` and
 ``search_reye_colors`` rerun it on their witness lines, each candidate
@@ -101,8 +104,8 @@ from incidencelab.exactgeom import (
     Rational,
     _reduce_row,
     int_array,
-    int_nullspace,
     int_rank,
+    int_rref,
     key_ranks,
 )
 from incidencelab.configs import (
@@ -470,6 +473,22 @@ def rank3x3(rows) -> int:
     return 1 if any(any(v != 0 for v in row) for row in rows) else 0
 
 
+def int_nullspace(rows: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the right nullspace, one vector per free column."""
+    rref = int_rref(rows)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rref]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        scale = lcm(*(row[p] for row, p in zip(rref, pivots))) if rref else 1
+        vec[f] = scale
+        for row, p in zip(rref, pivots):
+            vec[p] = -row[f] * (scale // row[p])
+        basis.append(_reduce_row(vec))
+    return basis
+
+
 def rref_meet(a: Line, b: Line) -> ProjPoint | None:
     """Common point of two distinct lines from the nullspace of the
     (d+1) x 4 matrix of their spanning points, or None if they are skew."""
@@ -661,7 +680,7 @@ class PositionRecord(IncidenceStructure):
     positions (one for a group of one line), so a witness names its group."""
 
     def witness(self, g: int) -> tuple[int, ...]:
-        lo, hi = self.bounds[g : g + 2]
+        lo, hi = np.searchsorted(self.group, [g, g + 1]).tolist()
         return tuple(self.line[lo : min(hi, lo + 2)].tolist())
 
 
@@ -759,6 +778,26 @@ def _colors_of(cfg: ColoredLineConfig, lines: Sequence[Line]) -> tuple[int, ...]
     return tuple(color.get(line.key, 0) for line in lines)
 
 
+# Six planes as covectors: x = 0, y = 0, z = 0, x + y + z = w, x + 2y + 4z = 3w
+# and x - 2z = -w, the sixth 2 * plane4 - plane5, so planes 4, 5 and 6 share a line.
+DESARGUES_PLANES = (
+    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, -1), (1, 2, 4, -3), (1, 0, -2, 1)
+)
+
+
+def two_plane_lines() -> list[Line]:
+    """The lines lying in exactly two of ``DESARGUES_PLANES``, plane pair by
+    plane pair: each spanned by the ``int_nullspace`` of its two planes, and
+    lying in every plane in their span."""
+    lines: list[Line] = []
+    for a, b in combinations(DESARGUES_PLANES, 2):
+        line = Line(*map(ProjPoint, int_nullspace([a, b], 4)))
+        containing = sum(int_rank([a, b, cov]) == 2 for cov in DESARGUES_PLANES)
+        if containing == 2 and line not in lines:
+            lines.append(line)
+    return lines
+
+
 def search_desargues_colors(lines: Sequence[Line]) -> tuple[int, ...] | None:
     """The first coloring of the 12 two-plane ``lines`` that passes
     ``_validate_4x3`` with one concurrent class, trying as that class each
@@ -766,7 +805,7 @@ def search_desargues_colors(lines: Sequence[Line]) -> tuple[int, ...] | None:
     one = ColoredLineConfig(3, [lines])
     s = extract_structure_lines(one)
     buckets = [frozenset(i for _, i in refs) for refs in s.members]
-    start = np.array(s.bounds[:-1])[np.diff(s.bounds) == 3]
+    start = s.firsts[np.diff(s.firsts, append=len(s.line)) == 3]
     triples = s.line[start[:, None] + np.arange(3)]  # the lines of each group of three
     spans = key_ranks(one.keys, triples, 4) == 4  # three directions span R^3
     candidates = [frozenset(t) for t in triples[spans].tolist()]

@@ -139,7 +139,8 @@ class TestMinimality:
         assert minimality_audit(cfg.points, 2).minimal
 
     def test_requires_consistency(self, algebraic_3_2):
-        smaller = algebraic_3_2.without_line((1, 0))
+        ids = [algebraic_3_2.ids[0][1:], *algebraic_3_2.ids[1:]]  # line (1, 0) removed
+        smaller = ColoredGridConfig(algebraic_3_2.k, algebraic_3_2.n, ids)
         with pytest.raises(ValueError):
             minimality_audit(smaller.points, 3)
 

@@ -72,9 +72,21 @@ class TestGen:
         assert run(["gen", "algebraic", "--k", "3", "--p", "4", "-o", "x.json"]) == 2
 
     def test_out_of_memory_exits_2(self, workdir, capsys):
-        # 7^19 lines of 8 bytes: 81 PiB, beyond any address space
+        # n = 7^4 = 2401 and n^6 = 7^24 is past 2^63: the grid bound, checked before any array
         assert run(["gen", "algebraic", "--k", "5", "--p", "7", "-o", "x.json"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == (
+            "error: grid too large (k=5, n=2401): n^(k+1), (k+1)*n^k must be < 2^63\n"
+        )
+        assert not (workdir / "x.json").exists()
+
+    @pytest.mark.parametrize("p", [1000003, 1000000000000000003])
+    def test_large_prime_p_exits_2(self, workdir, capsys, p):
+        # the grid bound is checked before the primality test, whose trial
+        # division would run to sqrt(p), and before any array
+        assert run(["gen", "algebraic", "--k", "3", "--p", str(p), "-o", "x.json"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid too large (k=3, n={p * p}): n^(k+1), (k+1)*n^k must be < 2^63\n"
+        )
         assert not (workdir / "x.json").exists()
 
     @pytest.mark.parametrize("k,n", [(3, 3_000_000), (62, 2)])

@@ -11,6 +11,7 @@ from incidencelab import constructions
 from incidencelab.cli import _dump_json
 from incidencelab.constructions import (
     DESARGUES_COLORS,
+    DESARGUES_ENDS,
     REYE_COLORS,
     AlgebraicParams,
     SELECTION_CHUNK,
@@ -25,22 +26,21 @@ from incidencelab.constructions import (
     _slab_width,
     _split,
     _trial_stats,
-    _two_plane_lines,
     default_generic_slits,
     gen_algebraic,
     gen_dual_cycles,
     gen_probabilistic,
     gen_tricolor,
     gen_two_slit,
-    is_prime,
     probabilistic_batch_stats,
     probabilistic_trial_stats,
     quadric_ruling,
     quadric_ruling_slits,
 )
-from incidencelab.exactgeom import int_rank, meet
+from incidencelab.exactgeom import Line, ProjPoint, int_rank, is_prime, meet
 from incidencelab.gridmodel import (
     ColoredGridConfig,
+    breaks_consistency_without,
     grid_to_json,
     is_k_consistent,
     max_colorful_order,
@@ -52,6 +52,7 @@ from incidencelab.structure import (
     structure_consistency,
 )
 from oracles import (
+    DESARGUES_PLANES,
     GridLine,
     closure_shift,
     colorful_point_exists,
@@ -66,6 +67,7 @@ from oracles import (
     search_reye_colors,
     six_fold_map,
     sparse_deletion,
+    two_plane_lines,
     with_computed_centers,
 )
 
@@ -332,8 +334,7 @@ class TestAlgebraic:
     def test_consistent_and_minimal_smoke(self, algebraic_3_2):
         assert is_k_consistent(algebraic_3_2, 3).ok
         assert max_colorful_order(algebraic_3_2)[0] == 3
-        smaller = algebraic_3_2.without_line((2, 17))
-        assert not is_k_consistent(smaller, 3).ok
+        assert breaks_consistency_without(algebraic_3_2, 3, (2, 17))
 
 
 class TestProbabilistic:
@@ -712,6 +713,20 @@ class TestDesargues:
     def test_twelve_lines(self, desargues):
         assert desargues.class_sizes() == (3, 3, 3, 3)
 
+    def test_stated_rows_are_the_two_plane_lines(self):
+        # the derivation from six planes, as line keys and as endpoint rows, in order
+        lines = two_plane_lines()
+        stated = [Line(ProjPoint(p), ProjPoint(q)) for p, q in DESARGUES_ENDS]
+        assert [line.key for line in lines] == [line.key for line in stated]
+        assert [(line.p.coords, line.q.coords) for line in lines] == list(DESARGUES_ENDS)
+
+    def test_planes_in_general_position(self):
+        # every 3 or 4 of planes 1..5, or of planes 1, 2, 3, 6, are independent; 4, 5, 6 share a line
+        for among in (range(5), (0, 1, 2, 5)):
+            for chosen in (*combinations(among, 3), *combinations(among, 4)):
+                assert int_rank([DESARGUES_PLANES[t] for t in chosen]) == len(chosen)
+        assert int_rank(DESARGUES_PLANES[3:]) == 2
+
     def test_exactly_one_concurrent_class(self, desargues):
         centers = [concurrency_center(cls) for cls in desargues.classes]
         assert sum(1 for c in centers if c is not None) == 1
@@ -745,7 +760,7 @@ class TestSearchDeterminism:
 
     def test_stated_colorings_are_the_search_results(self):
         # the backtracking search that found them, rerun on the witness lines
-        assert search_desargues_colors(_two_plane_lines()) == DESARGUES_COLORS
+        assert search_desargues_colors(two_plane_lines()) == DESARGUES_COLORS
         assert search_reye_colors(_cube_lines()) == REYE_COLORS
 
     def test_swapped_colors_fail_the_certificate(self, monkeypatch):
@@ -777,11 +792,11 @@ class TestReye:
 
     def test_infinite_incidence_points(self, reye):
         s = extract_structure_lines(reye)
-        assert any(s.witness(g).is_infinite for g in range(s.num_groups))
+        assert any(s.witness(g).coords[-1] == 0 for g in range(len(s.firsts)))
 
     def test_incidence_points_span_3_flat(self, reye):
         s = extract_structure_lines(reye)
-        assert int_rank([s.witness(g).coords for g in range(s.num_groups)]) - 1 == 3
+        assert int_rank([s.witness(g).coords for g in range(len(s.firsts))]) - 1 == 3
 
     def test_verdicts(self, reye):
         s = extract_structure_lines(reye)

@@ -17,13 +17,13 @@ from incidencelab.exactgeom import (
     canonical_rows,
     common_rows,
     incident,
-    int_nullspace,
     int_rank,
     int_rref,
     cross_rows,
     has_duplicate_rows,
     image_rows,
     int_array,
+    is_prime,
     key_ranks,
     line_keys,
     magnitude,
@@ -33,6 +33,7 @@ from incidencelab.exactgeom import (
 )
 from oracles import (
     cross,
+    int_nullspace,
     fraction_canonical_ints,
     key_arrays,
     line_contains,
@@ -40,6 +41,7 @@ from oracles import (
     line_from_covector_2d,
     loop_apply_matrix,
     loop_meet,
+    primes_below,
     rank3x3,
     rank_of_directions,
     rref_meet,
@@ -197,8 +199,8 @@ class TestProjPoint:
         assert ProjPoint(coords) == ProjPoint([scale * c for c in coords])
 
     def test_infinity_flag(self):
-        assert pt(1, 2, 0).is_infinite
-        assert not pt(1, 2, 3).is_infinite
+        assert pt(1, 2, 0).coords[-1] == 0
+        assert pt(1, 2, 3).coords[-1] != 0
         assert pt(2, 4, 2).coords == (1, 2, 1)
 
     @settings(max_examples=300, deadline=None)
@@ -575,6 +577,23 @@ class TestIntLinalg:
         for vec in int_nullspace(rows, 4):
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+class TestIsPrime:
+    """The one primality test: ``AlgebraicParams`` checks p by it, and
+    ``primes_above`` grows the residue prime table by it."""
+
+    def test_matches_a_sieve_below_2_to_the_16(self):
+        sieve = np.ones(2**16, bool)
+        sieve[:2] = False
+        for f in range(2, 2**8):
+            sieve[f * f :: f] = False
+        assert [is_prime(n) for n in range(2**16)] == sieve.tolist()
+
+    def test_matches_trial_division_below_the_table(self):
+        # the twenty primes below the fixed table's last entry, as ``primes_above`` finds them
+        below = primes_below(2**30 - 257, 20)
+        assert [n for n in range(2**30 - 258, below[-1] - 1, -1) if is_prime(n)] == list(below)
 
 
 class TestCovector:

@@ -131,11 +131,11 @@ def mixed_config(
 def grid_point_incidences(cfg: ColoredGridConfig) -> dict[tuple[int, ...], set]:
     """The finite (grid-point) monomials of the extracted grid structure."""
     s = extract_structure_grid(cfg)
-    witnesses = map(s.witness, range(s.num_groups))
+    witnesses = map(s.witness, range(len(s.firsts)))
     return {
         tuple(v // w.coords[-1] for v in w.coords[:-1]): set(m)
         for m, w in zip(s.members, witnesses)
-        if not w.is_infinite
+        if w.coords[-1] != 0
     }
 
 
@@ -723,7 +723,7 @@ class TestCrossModelOracle:
             if a.axis == b.axis:
                 # distinct parallels: no grid point, projectively a direction
                 assert got is None
-                assert exact is not None and exact.is_infinite
+                assert exact is not None and exact.coords[-1] == 0
             elif got is None:
                 assert exact is None
             else:

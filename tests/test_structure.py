@@ -90,20 +90,20 @@ class TestExtraction:
             cfg = request.getfixturevalue(grid)
         s, embedded = extract_structure_grid(cfg), extract_structure_lines(embed_grid_config(cfg))
         assert s == embedded
-        witnesses = [s.witness(g) for g in range(s.num_groups)]
-        assert witnesses == [embedded.witness(g) for g in range(embedded.num_groups)]
+        witnesses = [s.witness(g) for g in range(len(s.firsts))]
+        assert witnesses == [embedded.witness(g) for g in range(len(embedded.firsts))]
 
     def test_single_line_axes_share_no_direction(self):
         cfg = random_config(random.Random(7), 2, 4, 1)  # one line per axis
         s = extract_structure_grid(cfg)
         assert s == extract_structure_lines(embed_grid_config(cfg))
-        assert not any(s.witness(g).is_infinite for g in range(s.num_groups))
+        assert not any(s.witness(g).coords[-1] == 0 for g in range(len(s.firsts)))
 
     def test_grid_direction_monomials(self):
         rng = random.Random(3)
         cfg = random_config(rng, 2, 4, 3)
         s = extract_structure_grid(cfg)
-        directions = [m for g, m in enumerate(s.members) if s.witness(g).is_infinite]
+        directions = [m for g, m in enumerate(s.members) if s.witness(g).coords[-1] == 0]
         assert len(directions) == 3  # one parallel class per axis
         for m in directions:
             assert len({c for c, _ in m}) == 1
@@ -235,7 +235,7 @@ class TestAlignments:
         s, expected = extract_alignments(DualPointConfig(classes)), loop_alignments(classes)
         assert s.class_sizes == tuple(map(len, classes))
         # groups and covectors, in order
-        covectors = s.witnesses(np.arange(s.num_groups)).tolist()
+        covectors = s.witnesses(np.arange(len(s.firsts))).tolist()
         got = [(refs, tuple(cov)) for refs, cov in zip(s.members, covectors)]
         assert got == [(sorted(refs), cov) for cov, refs in expected.items()]
 
@@ -350,7 +350,7 @@ def assert_kernel_matches_loop(lines, classes=None):
     centers = [center for _, center in classes]
     cfg = ColoredLineConfig(lines[0].ambient_dim, [part.tolist() for part in parts], centers)
     s = extract_structure_lines(cfg)
-    assert [s.witness(g) for g in range(s.num_groups)] == [at for at, _ in expected]
+    assert [s.witness(g) for g in range(len(s.firsts))] == [at for at, _ in expected]
 
 
 @st.composite
@@ -499,8 +499,8 @@ class TestConcurrenceKernel:
         lines = list({line.key: line for line in lines}.values())
         s = extract_structure_lines(ColoredLineConfig(2, [lines]))
         cov = [line_covector_2d(line) for line in lines]
-        for g in range(s.num_groups):
-            a, b = s.line[s.bounds[g] : s.bounds[g] + 2].tolist()
+        for g in range(len(s.firsts)):
+            a, b = s.line[s.firsts[g] : s.firsts[g] + 2].tolist()
             assert s.witness(g) == ProjPoint(cross(cov[a], cov[b]))
 
     def test_planar_witnesses_are_meets(self, algebraic_3_2):
@@ -509,8 +509,8 @@ class TestConcurrenceKernel:
         planar = project_generic(lifted, s, 2, 11).config
         lines = [line for cls in planar.classes for line in cls]
         s = extract_structure_lines(planar)
-        witnesses = [s.witness(g) for g in range(s.num_groups)]
-        pairs = [s.line[a : a + 2].tolist() for a in s.bounds[:-1]]
+        witnesses = [s.witness(g) for g in range(len(s.firsts))]
+        pairs = [s.line[a : a + 2].tolist() for a in s.firsts.tolist()]
         assert witnesses == [meet(lines[i], lines[j]) for i, j in pairs]
         assert len(witnesses) > 1000
 
@@ -582,7 +582,7 @@ class TestPlanarKernel:
     def test_few_exact_cross_products_on_alg_3_3(self, planar_3_3, monkeypatch):
         calls = []  # the pairs crossed exactly
         monkeypatch.setattr(structure, "common_rows", lambda a, b: calls.append(len(a)) or common_rows(a, b))
-        assert extract_structure_lines(planar_3_3).num_groups == 352354
+        assert len(extract_structure_lines(planar_3_3).firsts) == 352354
         assert sum(calls) < 10000  # one per pair would be 471,906
 
     def test_memory_is_bounded_on_alg_3_3(self, planar_3_3):
@@ -592,7 +592,7 @@ class TestPlanarKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert s.num_groups == 352354
+        assert len(s.firsts) == 352354
         assert peak < 96 * 2**20  # one exact cross product per pair peaked at ~174 MiB
 
 
@@ -697,11 +697,11 @@ class TestResidueDecisions:
         assert len(calls) > 2 and max(calls) == 16 * 4
         entries_digest = hashlib.sha256(np.concatenate((s.group, s.line)).tobytes()).hexdigest()
         assert entries_digest == "c3ecf4c1f99a925a8f6754892cc155f62696d54aa3f831a1f5250bb9dbd91170"
-        witnesses = [tuple(w) for w in s.witnesses(np.arange(s.num_groups)).tolist()]
+        witnesses = [tuple(w) for w in s.witnesses(np.arange(len(s.firsts))).tolist()]
         assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == (
             "dfd6224ad884d9d34a2d5385e97cb557dc0e5ea8554811d55d947f59236c2d9f"
         )
-        pairs = [s.line[a : a + 2].tolist() for a in s.bounds[:-1]]
+        pairs = [s.line[a : a + 2].tolist() for a in s.firsts.tolist()]
         assert witnesses == [loop_meet(lines[a], lines[b]).coords for a, b in pairs]
 
     @settings(max_examples=200, deadline=None)
@@ -744,7 +744,7 @@ class TestResidueDecisions:
         with pytest.MonkeyPatch.context() as mp:
             refusing_exact_arithmetic(mp)
             got = [structure.extract_structure(cfg) for cfg in configs]
-        assert [t.num_groups for t in got] == [s.num_groups, s.num_groups, 352354, 352354]
+        assert [len(t.firsts) for t in got] == [len(s.firsts), len(s.firsts), 352354, 352354]
         assert got[0] == s
         for t, cfg in zip(got[1:3], configs[1:3]):  # witnesses are met after extraction
             lines = [line for cls in cfg.classes for line in cls]

@@ -177,7 +177,7 @@ class TestDuality:
         )
         dual = dualize(cfg)
         for cls in dual.classes:
-            assert not any(p.is_infinite for p in cls)
+            assert not any(p.coords[-1] == 0 for p in cls)
 
     @pytest.mark.parametrize(
         "lines, j",
