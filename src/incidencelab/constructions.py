@@ -49,6 +49,7 @@ from .exactgeom import (
 )
 from .gridmodel import ColoredGridConfig, _line_count
 from .rng import (
+    BLOCK,
     SLIT_OFFSET,
     default_selection_probability,
     selection_threshold,
@@ -60,7 +61,7 @@ from .structure import extract_alignments, extract_structure_lines, structure_co
 from .transforms import extract_planarity
 
 SLAB_WORDS = 1 << 16  # uint64 words per slab of the stage-2 coverage cube
-SELECTION_CHUNK = 1 << 13  # draws per axis in one block of the stage-1 selection
+SELECTION_CHUNK = BLOCK  # draws per axis in one block of the stage-1 selection
 TRIAL_BATCH_LINES = 1 << 20  # lines per axis in one batch of Monte Carlo trial statistics
 _M1, _M2, _M4, _H = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 0x01))
 
@@ -156,22 +157,19 @@ class ProbParams:
     k: int
     n: int
     seed: int
-    p_sel: Fraction
+    p_sel: Fraction | None = None
 
-    def __init__(self, k: int, n: int, seed: int, p_sel: Fraction | None = None):
-        if k < 3:
+    def __post_init__(self) -> None:
+        if self.k < 3:
             raise ValueError("probabilistic construction needs k >= 3")
-        if n < 2:
+        if self.n < 2:
             raise ValueError("probabilistic construction needs n >= 2")
-        _line_count(k, n)  # too large a grid fails here, before any array
-        if p_sel is None:
-            p_sel = default_selection_probability(k, n)
-        p_sel = Fraction(p_sel)
+        _line_count(self.k, self.n)  # too large a grid fails here, before any array
+        p_sel = Fraction(
+            default_selection_probability(self.k, self.n) if self.p_sel is None else self.p_sel
+        )
         if not 0 < p_sel <= 1:
             raise ValueError("selection probability must lie in (0, 1]")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "p_sel", p_sel)
 
 

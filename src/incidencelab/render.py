@@ -2,12 +2,13 @@
 
 Draws a 2D line configuration (or a dual point configuration) in a
 figure style: colored lines clipped to a frame, incidence points as
-filled dots, and incidence points at infinity indicated by arrowheads on
-the frame boundary pointing along their direction.  Everything is drawn
-from integer rows: the record's line covectors, its witnesses
-(``IncidenceStructure.witnesses``, a slab of groups at once) and the
-points, converted to floats only here; nothing feeds back into
-predicates.  The dots are written through one row template.
+filled dots, and points at infinity as arrowheads on the frame boundary
+along their direction.  ``render_svg`` gathers each model's covectors,
+points and colors and draws them through one path, from integer rows:
+witnesses are met ``SLAB`` groups at a time, which bounds the meet
+kernel's arrays.  A finite row (x, y, w) is drawn at (x / w, y / w),
+divided as Python ints (an object view of the rows), so each float is
+correctly rounded at any size; nothing feeds back into predicates.
 """
 
 from __future__ import annotations
@@ -31,20 +32,19 @@ _MARGIN = 0.15
 SLAB = 1 << 14  # groups whose witnesses are met, or dots written, at once
 
 
-def _xy(slabs: Iterable[np.ndarray]) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
-    """(x / w, y / w) of the finite rows (x, y, w) of some arrays and (x, y) of the
-    others, as floats in row order (int true division rounds correctly)."""
-    finite, infinite = [], []
-    for rows in slabs:
-        for x, y, w in rows.tolist():
-            finite.append((x / w, y / w)) if w else infinite.append((float(x), float(y)))
-    return finite, infinite
+def _xy(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x / w, y / w) of the finite rows (x, y, w) of an integer array and (x, y) of
+    the others, as two (F, 2) and (I, 2) float arrays in row order; the division of
+    Python ints (``astype(object)``) rounds correctly, whatever the rows' size."""
+    rows = rows.reshape(-1, 3).astype(object)
+    finite = rows[:, 2] != 0
+    return (rows[finite, :2] / rows[finite, 2:]).astype(float), rows[~finite, :2].astype(float)
 
 
 def _witness_slabs(s: IncidenceStructure) -> Iterator[np.ndarray]:
-    """Every group's witness in slabs of ``SLAB`` groups, which bound the Python ints of large rows."""
+    """Every group's witness in slabs of ``SLAB`` groups (one empty slab if there is none)."""
     groups = np.arange(len(s.firsts))
-    for at in range(0, len(groups), SLAB):
+    for at in range(0, max(len(groups), 1), SLAB):
         yield s.witnesses(groups[at : at + SLAB])
 
 
@@ -149,40 +149,27 @@ class _Canvas:
         return "\n".join([head, bg, *self.parts, "</svg>"])
 
 
-def render_line_config(cfg: ColoredLineConfig) -> str:
-    if cfg.d != 2:
-        raise ValueError("rendering needs a planar configuration; project to d=2 first")
-    s = extract_structure_lines(cfg)
-    cov, (finite, infinite_dirs) = s.rows, _xy(_witness_slabs(s))
-    del s  # drawing needs none of its entry arrays
-    finite = np.array(finite, float).reshape(-1, 2)
-    ends = np.array(_xy([cfg.ends.reshape(-1, 3)])[0], float).reshape(-1, 2)
-    canvas = _Canvas(_frame(np.vstack((finite, ends))))
-    for covector, color in zip(cov.tolist(), _colors(cfg.sizes)):
-        canvas.line(covector, color)
-    canvas.dots(finite, repeat("#000000"), 4.0)
-    for direction in infinite_dirs:
-        canvas.arrowhead(direction)
-    return canvas.render()
-
-
-def render_dual_config(cfg: DualPointConfig) -> str:
-    finite, infinite = _xy([cfg.coords])
-    colors = [c for c, w in zip(_colors(cfg.sizes), cfg.coords[:, 2].tolist()) if w]
-    finite = np.array(finite, float).reshape(-1, 2)
-    canvas = _Canvas(_frame(finite))
-    for covectors in _witness_slabs(extract_alignments(cfg)):
-        for covector in covectors.tolist():
-            canvas.line(covector, "#dddddd")
-    canvas.dots(finite, colors, 5.0)
-    for direction in infinite:
-        canvas.arrowhead(direction)
-    return canvas.render()
-
-
 def render_svg(cfg) -> str:
+    """A planar line file's lines with its incidence points as black dots, or a dual
+    point file's points as colored dots with its alignments as gray lines."""
     if isinstance(cfg, ColoredLineConfig):
-        return render_line_config(cfg)
-    if isinstance(cfg, DualPointConfig):
-        return render_dual_config(cfg)
-    raise TypeError("SVG rendering needs a planar line or dual point configuration")
+        if cfg.d != 2:
+            raise ValueError("rendering needs a planar configuration; project to d=2 first")
+        s = extract_structure_lines(cfg)
+        covectors, strokes, points = s.rows.tolist(), _colors(cfg.sizes), _witness_slabs(s)
+        fills, r, framed = repeat("#000000"), 4.0, _xy(cfg.ends)[0]
+        del s  # the slabs hold the record until they are met; drawing needs none of it
+    elif isinstance(cfg, DualPointConfig):
+        covectors = chain.from_iterable(c.tolist() for c in _witness_slabs(extract_alignments(cfg)))
+        strokes, points, r, framed = repeat("#dddddd"), [cfg.coords], 5.0, np.empty((0, 2))
+        fills = [c for c, w in zip(_colors(cfg.sizes), cfg.coords[:, 2].tolist()) if w]
+    else:
+        raise TypeError("SVG rendering needs a planar line or dual point configuration")
+    finite, infinite = map(np.concatenate, zip(*map(_xy, points)))
+    canvas = _Canvas(_frame(np.vstack((finite, framed))))
+    for covector, color in zip(covectors, strokes):
+        canvas.line(covector, color)
+    canvas.dots(finite, fills, r)
+    for direction in infinite.tolist():
+        canvas.arrowhead(direction)
+    return canvas.render()

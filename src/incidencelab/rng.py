@@ -54,8 +54,9 @@ def substream(seed: int, s: int) -> int:
     return splitmix64(seed, s)
 
 
-# (i + 1) * GAMMA mod 2**64 for i < 2**13, the length of a stage-1 selection block
-_STEPS = np.arange(1, (1 << 13) + 1, dtype=np.uint64) * np.uint64(GAMMA)
+BLOCK = 1 << 13  # outputs per seed in one stage-1 selection block
+# the step table: (i + 1) * GAMMA mod 2**64 for i < BLOCK
+_STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GAMMA)
 _MIX = ((np.uint64(30), np.uint64(_M1)), (np.uint64(27), np.uint64(_M2)), (np.uint64(31), None))
 
 

@@ -967,6 +967,13 @@ class TestTransformAnalyze:
         assert not (workdir / "proj.json").exists()
 
 
+EXPORT = ["export", "in.json", "--svg", "out.svg"]
+EDGE_LINES = (
+    '{"model": "lines", "d": 2, "classes": [{"color": 1, "lines": '
+    '[{"p": ["0","0","1"], "q": ["1","0","1"]}%s]}]}'
+)
+
+
 class TestExport:
     def test_svg_valid(self, workdir):
         run(["gen", "desargues", "-o", "des.json"])
@@ -993,7 +1000,61 @@ class TestExport:
         # equal as floats; a zero over a negative w is -0.0 here, which the
         # canvas only ever subtracts from nonzero frame bounds
         p = exactgeom.ProjPoint([x, y, w])
-        assert render._xy([exactgeom.int_array([p.coords])]) == ([fraction_xy(p)], [])
+        xy = render._xy(exactgeom.int_array([p.coords]))
+        assert tuple([*map(tuple, a.tolist())] for a in xy) == ([fraction_xy(p)], [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_xy_rows_match_fractions(self, data):
+        # whole arrays, finite and infinite rows mixed: int64 entries past 2^53 (which
+        # float64 would round before dividing), or Python ints past 2^64
+        wide = data.draw(st.booleans())
+        big = st.integers(2**53 + 1, 2**63 - 1) | st.integers(-(2**63) + 1, -(2**53) - 1)
+        coord = st.integers(-50, 50) | big
+        if wide:
+            coord |= st.integers(2**64, 2**120) | st.integers(-(2**120), -(2**64))
+        rows = data.draw(st.lists(st.tuples(coord, coord, st.just(0) | coord), max_size=40))
+        finite, infinite = render._xy(np.array(rows, object if wide else np.int64))
+        assert finite.dtype == infinite.dtype == np.float64
+        assert finite.tolist() == [list(fraction_xy(exactgeom.ProjPoint(r))) for r in rows if r[2]]
+        assert infinite.tolist() == [[float(x), float(y)] for x, y, w in rows if not w]
+
+    @pytest.mark.parametrize(
+        "text, argvs, digest",
+        [
+            # one planar line: no incidence point, so its one witness slab is empty
+            (
+                EDGE_LINES % "",
+                [EXPORT],
+                "f177a4f8fad04a3abde70b3964ae45cfd58bfb84f615865d7eb42d6f4a9a217f",
+            ),
+            # and a parallel line: they meet at infinity, drawn as one arrowhead
+            (
+                EDGE_LINES % ', {"p": ["0","1","1"], "q": ["1","1","1"]}',
+                [EXPORT],
+                "72545b2eaea8d0909c4e5acce80623522c9bb92431b1b8c9b4d93553dbfef7ee",
+            ),
+            # a point file of one point at infinity: no dot, no alignment
+            (
+                '{"model": "points", "classes": [{"color": 1, "points": [["1","2","0"]]}]}',
+                [EXPORT],
+                "05a95dfdeb6601997c3e99414f58315cf12360f9d9fa1c05d247d53531d919cd",
+            ),
+            # a grid file: projected to the plane first
+            (
+                None,
+                [["gen", "algebraic", "--k", "3", "--p", "2", "-o", "in.json"], [*EXPORT, "--seed", "1"]],
+                "881709c94ffb6793f8a250fe16920d3cc4e661e67560a12e22f0f8f40c52dcf8",
+            ),
+        ],
+        ids=["one-line", "parallel-lines", "point-at-infinity", "grid"],
+    )
+    def test_edge_bytes(self, workdir, capsys, text, argvs, digest):
+        if text is not None:
+            (workdir / "in.json").write_text(text + "\n")
+        for argv in argvs:
+            assert run(argv) == 0
+        assert hashlib.sha256((workdir / "out.svg").read_bytes()).hexdigest() == digest
 
 
 ALG32_DUAL = [
