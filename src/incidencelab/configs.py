@@ -1,15 +1,16 @@
 """Colored configurations of rational lines and of dual planar points.
 
 ``ColoredLineConfig`` is the continuous counterpart of the grid model:
-classes of pairwise-distinct projective lines in R^d, with an optional
-concurrency center recorded per class, stored as one (L, 2, d + 1) array
-of canonical endpoint rows with keys and pivots from ``line_keys`` (one
-lexsort of the keys finds duplicates).  ``DualPointConfig`` holds the
-planar points produced by duality as one (P, 3) array.  Arrays are int64
-under ``exactgeom``'s bounds, Python ints above them.  ``Line`` and
-``ProjPoint`` objects are built from stored rows only when asked.  Both
-serialize to JSON with rationals as "num/den" strings and a "model"
-discriminator so pipeline commands can dispatch on file content.
+classes of pairwise-distinct projective lines in R^d as one (L, 2, d + 1)
+array of canonical endpoint rows with keys and pivots from ``line_keys``
+(one lexsort of the keys finds duplicates), and an optional center per
+class, carried and written back (extraction finds concurrent classes
+itself).  ``DualPointConfig`` holds the planar points produced by duality
+as one (P, 3) array.  Arrays are int64 under ``exactgeom``'s bounds,
+Python ints above them.  ``Line`` and ``ProjPoint`` objects are built
+from stored rows only when asked.  Both serialize to JSON with rationals
+as "num/den" strings and a "model" discriminator so pipeline commands
+can dispatch on file content.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ColoredLineConfig:
     transforms map lines in order, so ``(color, index)`` references stay
     stable along a pipeline.  Generators emit deterministic orders.  Built
     from classes of ``Line`` objects, or from endpoint rows (``from_ends``).
-    Equal configurations have equal lines (keys), classes and centers.
+    Equal configurations have equal lines (keys), classes and carried centers.
     """
 
     d: int
@@ -177,26 +178,12 @@ class DualPointConfig:
         return _split([ProjPoint.canonical(tuple(p)) for p in self.coords.tolist()], self.sizes)
 
 
-def _grid_ends(k: int, n: int, ids: np.ndarray) -> np.ndarray:
-    """The (L, 2, k + 2) endpoint rows of grid lines in R^(k+1), straight from
-    the id digits: the affine point of the base digits + 1 with a 1 in the
-    axis slot, and the axis direction (both already canonical)."""
-    axes, digits = ids // n**k, gridmodel._digits(ids % n**k, n, k) + 1
-    slot, at = np.arange(k + 1), np.arange(len(ids))
-    ends = np.zeros((len(ids), 2, k + 2), np.int64)
-    ends[:, 0, : k + 1] = digits[at[:, None], np.minimum(slot - (slot > axes[:, None]), k - 1)]
-    ends[at, 0, axes] = 1
-    ends[:, 0, k + 1] = 1
-    ends[at, 1, axes] = 1
-    return ends
-
-
 def embed_grid_config(cfg: gridmodel.ColoredGridConfig) -> ColoredLineConfig:
     """The grid configuration as rational lines in R^(k+1), parallel per axis:
     a class of two or more lines on one axis (ids sort by axis first) is
     concurrent at their direction."""
     span, unit = cfg.n**cfg.k, np.eye(cfg.k + 2, dtype=np.int64).tolist()
-    ends = _grid_ends(cfg.k, cfg.n, np.concatenate((np.empty(0, np.int64), *cfg.ids)))
+    ends = gridmodel._grid_ends(cfg.k, cfg.n, np.concatenate((np.empty(0, np.int64), *cfg.ids)))
     centers = [
         ProjPoint.canonical(tuple(unit[c[0] // span]))
         if len(c) >= 2 and c[0] // span == c[-1] // span else None

@@ -601,9 +601,9 @@ def gen_dual_cycles(
     """
     if r < 2:
         raise ValueError("r >= 2 required: with r = 1 a colorful alignment is forced")
-    a2, a3, a4 = (Fraction(a) for a in slopes)
-    if len({a2, a3, a4}) != 3 or 0 in (a2, a3, a4):
+    if len(slopes) != 3 or len({*map(Fraction, slopes)} - {0}) != 3:
         raise ValueError("slopes must be three distinct nonzero rationals")
+    a2, a3, a4 = map(Fraction, slopes)
     if starts is None:
         starts = [Fraction(3) ** i for i in range(r)]
     xs = [Fraction(s) for s in starts]

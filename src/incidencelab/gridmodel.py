@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactgeom import ProjPoint, common_rows
+from .exactgeom import ProjPoint, common_rows, line_keys
 
 LineRef = tuple[int, int]
 Monomial = frozenset[LineRef]
@@ -56,6 +56,31 @@ def _starts(x: np.ndarray) -> np.ndarray:
 def _digits(ids: np.ndarray, n: int, width: int) -> np.ndarray:
     """The ``width`` big-endian base-n digits of each id, one row per id."""
     return ids[:, None] // n ** np.arange(width - 1, -1, -1) % n
+
+
+def _grid_ends(k: int, n: int, ids: np.ndarray) -> np.ndarray:
+    """The (L, 2, k + 2) endpoint rows of grid lines in R^(k+1), straight from
+    the id digits: the affine point of the base digits + 1 with a 1 in the
+    axis slot, and the axis direction (both already canonical)."""
+    axes, digits = ids // n**k, _digits(ids % n**k, n, k) + 1
+    slot, at = np.arange(k + 1), np.arange(len(ids))
+    ends = np.zeros((len(ids), 2, k + 2), np.int64)
+    ends[:, 0, : k + 1] = digits[at[:, None], np.minimum(slot - (slot > axes[:, None]), k - 1)]
+    ends[at, 0, axes] = ends[at, 1, axes] = 1
+    ends[:, 0, k + 1] = 1
+    return ends
+
+
+class _GridKeys:
+    """The key rows of a grid configuration's lines in R^(k+1), built for the
+    positions asked for (a verdict that asks for none holds no row)."""
+
+    def __init__(self, cfg: ColoredGridConfig):
+        self.cfg = cfg
+
+    def __getitem__(self, at: np.ndarray) -> np.ndarray:
+        ids = np.concatenate((np.empty(0, np.int64), *self.cfg.ids))[at]
+        return line_keys(_grid_ends(self.cfg.k, self.cfg.n, ids))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +136,9 @@ class ColoredGridConfig:
 
     @cached_property
     def points(self) -> "IncidenceStructure":
-        """The verdict record: the grid-point groups of ``incidences``, in point order."""
-        return IncidenceStructure(self.class_sizes(), *self.incidences[1:])
+        """The verdict record: the grid-point groups of ``incidences``, in point
+        order, witnessed by the lines' keys in R^(k+1) (``_GridKeys``)."""
+        return IncidenceStructure(self.class_sizes(), *self.incidences[1:], _GridKeys(self))
 
     def coordinates(self, points: np.ndarray) -> list[tuple[int, ...]]:
         """The coordinates of an array of point ids."""

@@ -43,18 +43,17 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .configs import ColoredLineConfig, DualPointConfig, _grid_ends
+from .configs import ColoredLineConfig, DualPointConfig
 from .exactgeom import (
     PRIME,
-    ProjPoint,
     canonical_rows,
     common_rows,
     cross_rows,
     has_duplicate_rows,
     int_array,
-    line_keys,
     magnitude,
     meet,  # noqa: F401 - the exact meet stays importable from here
+    meet_rows,
     primes_above,
     residues,
 )
@@ -79,27 +78,16 @@ def _ordered(group: np.ndarray, line: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.repeat(np.arange(len(size), dtype=np.int64), size), line[at]
 
 
-class _GridKeys:
-    """The key rows of grid lines in R^(k+1), built for the positions asked for."""
-
-    def __init__(self, k: int, n: int, ids: np.ndarray):
-        self.k, self.n, self.ids = k, n, ids
-
-    def __getitem__(self, at: np.ndarray) -> np.ndarray:
-        return line_keys(_grid_ends(self.k, self.n, self.ids[at]))[0]
-
-
 def extract_structure_grid(cfg: ColoredGridConfig) -> IncidenceStructure:
     """Grid-point concurrences plus one group per shared axis direction;
     witnesses meet the two lines embedded in R^(k+1)."""
     _, group, line = cfg.incidences
-    ids = np.concatenate((np.empty(0, np.int64), *cfg.ids))
-    axes = ids // cfg.n**cfg.k
+    axes = np.concatenate((np.empty(0, np.int64), *cfg.ids)) // cfg.n**cfg.k
     shared = np.flatnonzero(np.bincount(axes)[axes] >= 2)  # lines sharing their axis
     shared = shared[np.argsort(axes[shared], kind="stable")]
     group = np.concatenate((group, axes[shared] + group.size))  # runs after the point groups
     group, line = _ordered(group, np.concatenate((line, shared)))
-    return IncidenceStructure(cfg.class_sizes(), group, line, _GridKeys(cfg.k, cfg.n, ids))
+    return IncidenceStructure(cfg.class_sizes(), group, line, cfg.points.rows)
 
 
 # Side of the square tiles of pairs the kernels work on (at most n); bounds their temporaries.
@@ -119,7 +107,7 @@ def _inverse(x: np.ndarray, p: int) -> np.ndarray:
 
 def _scaled(rows: np.ndarray, p: int) -> np.ndarray:
     """Residue rows scaled in place to a leading 1; zero rows stay zero (the
-    residues of an exact primitive point, a center or a met pair, never are)."""
+    residues of an exact primitive point, a class's or a met pair's, never are)."""
     lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
     rows *= _inverse(np.maximum(lead, 1), p)[:, None]
     return np.remainder(rows, p, out=rows)
@@ -290,12 +278,12 @@ def planar_buckets(triples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def concurrence_buckets(
-    keys: np.ndarray, pivots: np.ndarray, classes: Sequence[tuple[int, ProjPoint | None]] = ()
+    keys: np.ndarray, pivots: np.ndarray, sizes: Sequence[int] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entry arrays ``(group, line)`` of the lines in d >= 3, given by their
     (L, 2, d + 1) keys and (L, 2) pivots (``exactgeom.line_keys``), through
-    each point where two or more of them meet.  ``classes`` gives the
-    leading lines' classes in order as (size, center or None).
+    each point where two or more of them meet.  ``sizes`` gives the sizes of
+    the leading lines' classes in order.
 
     Lines a, b meet iff their stacked keys M have rank 3; then M X^T (X = [I
     | E], E fixed pseudo-random) has determinant 0, the side product of the
@@ -309,24 +297,24 @@ def concurrence_buckets(
     has more than six of them (< 6 * 2^60 < 2^63).
 
     A group's point is w[j]*s1 - u[j]*s2 of its first pair (j the first
-    column where u is not 0 mod the first modulus; s1 if none).  With B the bit
-    length of the largest key entry or center coordinate, |u[j]|, |w[j]| <
-    3 * 2^(3B), so the point is below 6 * 2^(4B) and a line's residual of
-    it below 3 * 2^(2B) * 6 * 2^(4B) < 2^(6B + 5); ``_confirmed`` decides it
-    mod the fewest ``PRIMES`` whose product is above 2^(6B + 6), eight up
-    to B = 38, more above.  A class whose center is on all of its two or
-    more lines (residuals below 3 * 2^(3B)) is one group there, keyed by the
-    center, and its pairs are not tested: two distinct lines share at most
-    one point.  Pairs keyed 0 and those of a group that fails are met
-    exactly (``meet_rows``); so is every pair, with no center checked, where
-    a table that cannot grow falls short.  Identical lines raise ValueError."""
+    column where u is not 0 mod the first modulus; s1 if none).  With B the
+    bit length of the largest key entry, |u[j]|, |w[j]| < 3 * 2^(3B), so it,
+    like an exact meet (``meet_rows``), is below 6 * 2^(4B) and a line's
+    residual of it below 3 * 2^(2B) * 6 * 2^(4B) < 2^(6B + 5); ``_confirmed``
+    decides it mod the fewest ``PRIMES`` whose product is above 2^(6B + 6),
+    eight up to B = 38, more above.  A class of two or more lines whose
+    first two meet (``meet_rows``) at a point on all of them, so decided,
+    is one group there, keyed by that point, and its pairs are not tested:
+    two distinct lines share at most one point.  Pairs keyed 0 and those of
+    a group that fails are met exactly (``meet_rows``); so is every pair,
+    with no class tested, where a table that cannot grow falls short.
+    Identical lines raise ValueError."""
     n = len(keys)
     if has_duplicate_rows(keys):
         raise ValueError("meet of identical lines is undefined")
     if n < 2:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    big = max([magnitude(keys), *(abs(x) for _, c in classes if c is not None for x in c.coords)])
-    primes = primes_above(6 * big.bit_length() + 6)
+    primes = primes_above(6 * magnitude(keys).bit_length() + 6)
     q, decide = np.array(primes or (PRIME,)), primes is not None
     r = np.empty((len(q), *keys.shape), np.int32)  # key residues, below 2^30
     for i, p in enumerate(q.tolist()):
@@ -338,18 +326,16 @@ def concurrence_buckets(
     s, ab = p1 * p2 % q[:, None], np.take_along_axis(r, free[None, :, None], axis=3)
     ab = ab * np.stack((p2, p1), 2)[..., None] % q[:, None, None, None]
     on = lambda m, v: ~_residual(s, ab, pivots, free, m, v, q).any(axis=(0, 2))  # noqa: E731
-    label, extra, firsts, centers = -1 - at, {}, [], []  # equal labels: a pair on a center
-    start = np.cumsum([0, *(size for size, _ in classes)])
-    given = [c for c, (size, center) in enumerate(classes) if size >= 2 and center and decide]
-    if given:  # each center against the lines of its class, all at once
-        sizes = [classes[c][0] for c in given]
-        v = residues([classes[c][1].coords for c in given], q[:, None, None])
-        lines = np.concatenate([at[start[c] : start[c + 1]] for c in given])
-        on_all = on(lines, v[:, np.repeat(np.arange(len(given)), sizes)])
-        for c in np.array(given)[np.logical_and.reduceat(on_all, np.cumsum([0, *sizes[:-1]]))]:
-            label[start[c] : start[c + 1]], extra[len(firsts)] = c, at[start[c] + 2 : start[c + 1]]
-            firsts.append(start[c] * n + start[c] + 1)  # keyed by the center; the rest in ``extra``
-            centers.append(classes[c][1].coords)
+    label, extra, firsts, start = -1 - at, {}, [], np.cumsum([0, *sizes])  # one label per center
+    pencil = np.flatnonzero(np.diff(start) >= 2 if decide else [])  # classes of two or more
+    center, met = meet_rows(keys[start[pencil]], keys[start[pencil] + 1])  # of the first two
+    owner = np.repeat(np.arange(len(pencil)), np.diff(start)[pencil])
+    lines = np.concatenate([at[:0], *(at[start[c] : start[c + 1]] for c in pencil)])
+    off = ~on(lines, residues(center, q[:, None, None])[:, owner])  # all classes at once
+    concurrent = met & (np.bincount(owner[off], minlength=len(pencil)) == 0)
+    for c in pencil[concurrent].tolist():
+        label[start[c] : start[c + 1]], extra[len(firsts)] = c, at[start[c] + 2 : start[c + 1]]
+        firsts.append(start[c] * n + start[c] + 1)  # keyed by its center; the rest in ``extra``
 
     def rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         s1, s2 = np.take(r, y, axis=1).transpose(2, 0, 1, 3)  # the points w[j]*s1 - u[j]*s2
@@ -360,17 +346,18 @@ def concurrence_buckets(
 
     code, point = _candidates(residues(keys, PRIME), pivots, PRIME, label)
     key = lambda points: _scaled(residues(points, PRIME).reshape(-1, len(dim)), PRIME)  # noqa: E731
-    code, point = np.concatenate((np.array(firsts, int), code)), np.vstack((key(centers), point))
+    code = np.concatenate((np.array(firsts, int), code))
+    point = np.vstack((key(center[concurrent]), point))
     return _confirmed(code, point, n, extra, keys, key, rows, on, decide)
 
 
 def extract_structure_lines(cfg: ColoredLineConfig) -> IncidenceStructure:
     """All maximal concurrences of a line configuration (``concurrence_buckets``
-    on its key arrays, given its class centers), witnessed by the points where
-    their keys meet; in the plane (``planar_buckets``), by the canonical cross
+    on its key arrays and class sizes), witnessed by the points where their
+    keys meet; in the plane (``planar_buckets``), by the canonical cross
     products of the lines' covectors, the cross products of their endpoint rows."""
     if cfg.d != 2:
-        entries = concurrence_buckets(cfg.keys, cfg.pivots, list(zip(cfg.sizes, cfg.centers)))
+        entries = concurrence_buckets(cfg.keys, cfg.pivots, cfg.sizes)
         return IncidenceStructure(cfg.sizes, *entries, cfg.keys)
     cov = cross_rows(cfg.ends[:, 0], cfg.ends[:, 1])
     return IncidenceStructure(cfg.sizes, *planar_buckets(cov), cov)

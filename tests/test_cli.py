@@ -191,6 +191,13 @@ class TestGen:
         report = json.loads(capsys.readouterr().out)
         assert report["direction_triples_consistent"] is True
 
+    @pytest.mark.parametrize("slopes", ["1 2", "1 2 5 7"])
+    def test_dual_cycles_wrong_slope_count_exits_2(self, workdir, capsys, slopes):
+        argv = ["gen", "dual-cycles", "--r", "2", "--slopes", slopes, "-o", "dc.json"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: slopes must be three distinct nonzero rationals\n"
+        assert not (workdir / "dc.json").exists()
+
     def test_two_slit(self, workdir):
         assert run(
             ["gen", "two-slit", "--which", "1", "--count", "7", "--seed", "3", "-o", "ts.json"]

@@ -525,6 +525,25 @@ class TestMaxColorful:
         cfg = ColoredGridConfig(2, 2, [[], [], []])
         assert max_colorful_order(cfg) == (0, None)
 
+    @pytest.mark.parametrize("case", ["alg32", "alg42", "prob16", *range(12)])
+    def test_point_record_witnesses_grid_points(self, case, algebraic_3_2, algebraic_4_2):
+        # the record of points witnesses each group by its grid point (*coords, 1), on
+        # the paper's grids, ``gen probabilistic --k 3 --n 16 --seed 1`` and mixed-axis grids
+        if case == "prob16":
+            cfg = gen_probabilistic(ProbParams(3, 16, 1), ("after",))[1]
+        elif isinstance(case, int):
+            rng = random.Random(case)  # 5 to 24 grid points each
+            k, m = rng.randint(2, 3), rng.randint(2, 3)
+            cfg = mixed_config(rng, k, 3, m, rng.randint(4, 8))
+        else:
+            cfg = {"alg32": algebraic_3_2, "alg42": algebraic_4_2}[case]
+        s = cfg.points
+        witnesses = [tuple(w) for w in s.witnesses(np.arange(len(s.firsts))).tolist()]
+        assert witnesses == [(*c, 1) for c in cfg.coordinates(cfg.incidences[0])]
+        order, point = max_colorful_order(cfg)
+        assert s.max_colorful() == (order, point and ProjPoint((*point, 1)))
+        assert case != "prob16" or point == (3, 15, 13, 3)
+
 
 def dense_mixed_config(
     rng: random.Random, k: int, n: int, m: int, keep: float

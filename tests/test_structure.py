@@ -315,12 +315,12 @@ def line_lists(draw, dims=st.integers(2, 5)):
     return [Line(pool[a], pool[b]) for a, b in pairs]
 
 
-def buckets(lines, classes=()):
+def buckets(lines, sizes=()):
     """The kernel's entry arrays: ``planar_buckets`` of the lines' covectors
-    in the plane, else ``concurrence_buckets`` of their key arrays."""
+    in the plane, else ``concurrence_buckets`` of their key arrays and class sizes."""
     if lines and lines[0].ambient_dim == 2:
         return structure.planar_buckets([line_covector_2d(line) for line in lines])
-    return concurrence_buckets(*key_arrays(lines), classes)
+    return concurrence_buckets(*key_arrays(lines), sizes)
 
 
 def assert_same_entries(got, expected):
@@ -332,25 +332,41 @@ def assert_same_entries(got, expected):
 def assert_kernel_matches_loop(lines, classes=None):
     """Equal groups and points, in order, on distinct lines; identical lines
     raise, and the loop raises only for identical lines.  ``classes`` are
-    (size, center) pairs, one class of every line by default."""
+    (size, center) pairs, one class of every line by default: the kernel
+    gets the sizes, the configuration the centers too."""
     try:
         expected = list(loop_concurrence_buckets(lines).items())
     except ValueError:
         expected = None
     classes = classes or [(len(lines), None)]
+    sizes = [size for size, _ in classes]
     if len({line.key for line in lines}) < len(lines) or expected is None:
         with pytest.raises(ValueError):
-            buckets(lines, classes)
+            buckets(lines, sizes)
         assert len({line.key for line in lines}) < len(lines)
         return
-    assert_same_entries(buckets(lines, classes), entries(m for _, m in expected))
+    assert_same_entries(buckets(lines, sizes), entries(m for _, m in expected))
     if not lines:
         return
-    parts = np.split(np.array(lines, object), np.cumsum([size for size, _ in classes])[:-1])
-    centers = [center for _, center in classes]
-    cfg = ColoredLineConfig(lines[0].ambient_dim, [part.tolist() for part in parts], centers)
-    s = extract_structure_lines(cfg)
+    parts = np.split(np.array(lines, object), np.cumsum(sizes)[:-1])
+    d, parts = lines[0].ambient_dim, [part.tolist() for part in parts]
+    s = extract_structure_lines(ColoredLineConfig(d, parts, [center for _, center in classes]))
+    assert s == extract_structure_lines(ColoredLineConfig(d, parts))  # centers given, wrong or none
     assert [s.witness(g) for g in range(len(s.firsts))] == [at for at, _ in expected]
+
+
+def counted_points(monkeypatch) -> list[int]:
+    """A list that gets, per ``_candidates`` call, the number of pairs whose
+    meeting points the pair kernel computes."""
+    rows, candidates = [], structure._candidates
+
+    def counting(*args):
+        code, points = candidates(*args)
+        rows.append(len(points))
+        return code, points
+
+    monkeypatch.setattr(structure, "_candidates", counting)
+    return rows
 
 
 @st.composite
@@ -414,8 +430,10 @@ class TestConcurrenceKernel:
     @settings(max_examples=60, deadline=None)
     @given(case=centered_classes())
     def test_centers_match_loop(self, prime, tile, case):
-        # a class on its center is one group whose pairs are never tested;
-        # wrong and missing centers, and lines off them, keep the pair path
+        # a class whose first two lines meet at a point on all its lines is
+        # one group whose pairs are never tested, whatever center the
+        # configuration states (given, wrong or missing: the same entries);
+        # lines off that point keep the pair path
         lines, classes = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(structure, "PRIME", prime)
@@ -425,23 +443,33 @@ class TestConcurrenceKernel:
     def test_centered_classes_send_no_pair_to_points(self, monkeypatch, algebraic_3_3):
         # 972 lifted lines in four classes of 243 on their centers
         lifted = lift_to_concurrent(algebraic_3_3, audit=False)[0]
-        keys, pivots = lifted.keys, lifted.pivots
-        classes = list(zip(lifted.class_sizes(), lifted.centers))
-        rows = []  # the pairs whose meeting points the pair kernel computes
-        candidates = structure._candidates
-
-        def counting(*args):
-            code, points = candidates(*args)
-            rows.append(len(points))
-            return code, points
-
-        monkeypatch.setattr(structure, "_candidates", counting)
-        with_centers = concurrence_buckets(keys, pivots, classes)
+        keys, pivots, rows = lifted.keys, lifted.pivots, counted_points(monkeypatch)
+        with_classes = concurrence_buckets(keys, pivots, lifted.sizes)
         skipped = sum(rows)
         rows.clear()
-        without = concurrence_buckets(keys, pivots, [(size, None) for size, _ in classes])
-        assert_same_entries(without, with_centers)
+        without = concurrence_buckets(keys, pivots)
+        assert_same_entries(without, with_classes)
         assert sum(rows) - skipped == 4 * (243 * 242 // 2)  # every same-class pair
+
+    def test_extraction_finds_centers_itself(self, monkeypatch, algebraic_3_3):
+        # the lifted alg(3,3) file with and without its ``center`` entries:
+        # the same entries, the same 4,374 pairs to points, in bounded memory
+        lifted = lift_to_concurrent(algebraic_3_3, audit=False)[0]
+        bare = ColoredLineConfig.from_ends(lifted.d, lifted.ends, lifted.sizes)
+        assert all(lifted.centers) and not any(bare.centers)
+        rows = counted_points(monkeypatch)
+        stated = extract_structure_lines(lifted)
+        assert sum(rows) == 4374
+        rows.clear()
+        tracemalloc.start()
+        try:
+            found = extract_structure_lines(bare)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(rows) == 4374
+        assert_same_entries((found.group, found.line), (stated.group, stated.line))
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("chunk", [1, 7])  # tiles of side 1 and 7 over the 128 lines
     def test_partial_chunks_on_a_lift(self, chunk, monkeypatch, algebraic_3_2):
