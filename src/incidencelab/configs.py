@@ -242,7 +242,12 @@ def _point_rows(points: list, width: int, where: str) -> np.ndarray:
         if max(map(len, flat)) > 18:
             return canonical_rows(int_array(list(map(int, flat))).reshape(len(points), width))
         return canonical_rows(np.fromstring(text, np.int64, sep=",").reshape(len(points), width))
-    rows = [_canonical_ints([parse_rational(t) for t in point]) for point in points]
+    rows = []
+    for i, point in enumerate(points):
+        try:
+            rows.append(_canonical_ints([parse_rational(t) for t in point]))
+        except ValueError as exc:
+            raise ValueError(f"{where}[{i}]: {exc}") from None
     return int_array(rows).reshape(len(points), width)
 
 

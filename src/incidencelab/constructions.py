@@ -9,13 +9,18 @@
 * ``gen_probabilistic`` — two-stage random selection: keep each grid line
   independently with an exact rational probability, then delete every
   line through a point covered by all k+1 axes (which unconditionally
-  kills all (k+1)-incidences): ``_coverage`` ANDs bit-packed words in
-  slabs of one buffer and ORs out each axis by a fold chosen from the
-  slab's shape, and ``_deletion`` returns each axis's survivors.  Monte
-  Carlo trials run in batches of 2^20 lines per axis that hold only their
+  kills all (k+1)-incidences): ``_coverage`` ANDs bit-packed words (of 1,
+  2, 4 or 8 bytes, by n) in slabs of one buffer and ORs out each axis by
+  a fold chosen from the slab's shape, and ``_deletion`` returns each
+  axis's survivors.  Stage 2 runs on a group of trials at once, their
+  (T, k+1, n^k) stage-1 masks holding at most 2^20 lines in all (T = 64
+  at k = 3, n = 16; 1 from n = 64), and its survivors come out offset by
+  their trial's place in the group.  Monte Carlo trials run in batches of
+  2^20 lines per axis, each a run of groups, that hold only their
   survivors; one exact ``_trial_stats`` call per batch gathers add-filled
-  bit tables of them.  Selection and deletion stream in blocks and slabs,
-  in O(n^k) memory for any n.
+  flat bit tables of them.  Selection and deletion stream in blocks and
+  slabs, in O(n^k) memory for any n.  ``gen_algebraic`` and ``ProbParams``
+  refuse a construction past ``MAX_CONSTRUCTION_BYTES`` before building it.
 * ``gen_tricolor`` — the planar-style 3-color closed polygon family:
   2-consistent, no colorful incidence.
 * ``gen_desargues`` / ``gen_reye`` — the two non-planar 4x3
@@ -33,8 +38,10 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import prod
+from operator import and_, or_
 from typing import Sequence
 
 import numpy as np
@@ -60,10 +67,20 @@ from .rng import (
 from .structure import extract_alignments, extract_structure_lines, structure_consistency
 from .transforms import extract_planarity
 
-SLAB_WORDS = 1 << 16  # uint64 words per slab of the stage-2 coverage cube
+SLAB_BYTES = 1 << 19  # bytes per slab of the stage-2 coverage cube
 SELECTION_CHUNK = BLOCK  # draws per axis in one block of the stage-1 selection
 TRIAL_BATCH_LINES = 1 << 20  # lines per axis in one batch of Monte Carlo trial statistics
+# The most bytes a construction may hold in its line arrays, checked from k
+# and p or n before any is built: 8 per int64 line id of ``gen_algebraic``,
+# 1 per grid line of the stage-1 masks of a probabilistic trial.
+MAX_CONSTRUCTION_BYTES = 1 << 30
 _M1, _M2, _M4, _H = (np.uint64(0x0101010101010101 * b) for b in (0x55, 0x33, 0x0F, 0x01))
+
+
+def _check_size(what: str, lines: int, width: int) -> None:
+    """ValueError if ``lines`` of ``width`` bytes pass ``MAX_CONSTRUCTION_BYTES``."""
+    if lines * width > MAX_CONSTRUCTION_BYTES:
+        raise ValueError(f"construction too large ({what}: {lines} lines, {lines * width} bytes > 2^30)")
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +132,8 @@ def gen_algebraic(params: AlgebraicParams) -> ColoredGridConfig:
     weighted sum of the digit columns.  Temporaries stay O(class size).
     """
     k, p, n = params.k, params.p, params.n
-    _line_count(k, n)  # too large a grid fails here, before any array
+    _line_count(k, n)  # too large a grid or construction fails here, before any array
+    _check_size(f"k={k}, p={p}", (k + 1) * params.class_size, 8)
     v, size = params.v, params.class_size
     # the weight of digit t of the s-th slot (in slot order) in a line id
     weights = [p**t * n ** (k - 1 - s) for s in range(k) for t in range(k - 1)]
@@ -164,7 +182,8 @@ class ProbParams:
             raise ValueError("probabilistic construction needs k >= 3")
         if self.n < 2:
             raise ValueError("probabilistic construction needs n >= 2")
-        _line_count(self.k, self.n)  # too large a grid fails here, before any array
+        lines = _line_count(self.k, self.n)  # too large a grid fails here, before any array
+        _check_size(f"k={self.k}, n={self.n}", lines, 1)
         p_sel = Fraction(
             default_selection_probability(self.k, self.n) if self.p_sel is None else self.p_sel
         )
@@ -190,104 +209,129 @@ class DeletionReport:
         return tuple(s - f for s, f in zip(self.selected_sizes, self.final_sizes))
 
 
-def _selection_masks(k: int, n: int, seed: int, threshold: int) -> np.ndarray:
-    # u < threshold as u <= threshold - 1, which fits in uint64 for p_sel in (0, 1]
-    limit = np.uint64(threshold - 1)
-    seeds = [substream(seed, axis) for axis in range(1, k + 2)]
-    masks = np.empty((k + 1, n**k), dtype=bool)
+def _selection_masks(k: int, n: int, runs: Sequence[ProbParams]) -> np.ndarray:
+    """The (T, k+1, n^k) stage-1 masks of T runs of one k and n."""
+    masks = np.empty((len(runs), k + 1, n**k), dtype=bool)
     draws = np.empty((k + 1, min(SELECTION_CHUNK, n**k)), dtype=np.uint64)
-    for lo in range(0, n**k, SELECTION_CHUNK):
-        block = draws[:, : n**k - lo]
-        splitmix64_block(seeds, lo, block.shape[1], out=block)
-        np.less_equal(block, limit, out=masks[:, lo : lo + SELECTION_CHUNK])
+    for mask, params in zip(masks, runs):
+        # u < threshold as u <= threshold - 1, which fits in uint64 for p_sel in (0, 1]
+        limit = np.uint64(selection_threshold(params.p_sel) - 1)
+        seeds = [substream(params.seed, axis) for axis in range(1, k + 2)]
+        for lo in range(0, n**k, SELECTION_CHUNK):
+            block = draws[:, : n**k - lo]
+            splitmix64_block(seeds, lo, block.shape[1], out=block)
+            np.less_equal(block, limit, out=mask[:, lo : lo + SELECTION_CHUNK])
     return masks
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word: ``np.bitwise_count``, or SWAR in two arrays on numpy < 2."""
+def _popcount(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Set bits of each unsigned word, into ``out`` if given: ``np.bitwise_count``,
+    or SWAR in two arrays on numpy < 2."""
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(words)
+        return np.bitwise_count(words, out=out)
     scratch = words >> 1
-    count = words - np.bitwise_and(scratch, _M1, out=scratch)  # 2-bit counts
+    count = np.subtract(words, np.bitwise_and(scratch, _M1, out=scratch), out=out)  # 2-bit counts
     np.bitwise_and(np.right_shift(count, 2, out=scratch), _M2, out=scratch)
     count &= _M2
     count += scratch  # 4-bit counts
     count += np.right_shift(count, 4, out=scratch)
     count &= _M4  # byte counts, summed into the top byte:
-    return np.right_shift(np.multiply(count, _H, out=count), 56, out=count)
+    return np.right_shift(np.multiply(count, _H, out=count), 8 * count.itemsize - 8, out=count)
 
 
-def _words(k: int, n: int, masks) -> list[np.ndarray]:
-    """Coverage words of the k+1 stage-1 masks.  A mask of axis a <= k has
-    x_(k+1) as its last slot; packed along it, it is (W, n, ..., n) words,
-    W = ceil(n/64), one bit per line (in the cube, per grid point) and zero
-    past n.  Axis k+1 has no x_(k+1) slot: its bool mask, shaped
-    (n, ..., n), multiplies whole words.  The cube ANDs packed axes, so no
-    bit past n is ever set."""
-    packed = []
-    for mask in masks[:k]:
-        octets = np.zeros((n ** (k - 1), 8 * -(-n // 64)), dtype=np.uint8)
-        bits = np.packbits(mask.reshape(-1, n), axis=1, bitorder="little")
-        octets[:, : bits.shape[1]] = bits
-        packed.append(octets.view(np.uint64).T.copy().reshape(-1, *[n] * (k - 1)))
-    return packed + [masks[k].reshape((n,) * k)]
+def _word_bytes(n: int) -> int:
+    """Bytes of one coverage word: the fewest of 1, 2, 4 holding n bits, else 8."""
+    return min(8, 1 << max(0, (n - 1).bit_length() - 3))
+
+
+def _words(k: int, n: int, masks: np.ndarray) -> list[np.ndarray]:
+    """Coverage words of a group's (T, k+1, n^k) stage-1 masks.  A mask of
+    axis a <= k has x_(k+1) as its last slot; packed along it, it is (T, W,
+    n, ..., n) words, one bit per line (in the cube, per grid point) and
+    zero past n: one word of 1, 2 or 4 bytes for n <= 32, else W =
+    ceil(n/64) of 8 (``_word_bytes``).  Axis k+1 has no x_(k+1) slot: its
+    bool mask, shaped (T, n, ..., n), multiplies whole words.  The cube
+    ANDs packed axes, so no bit past n is ever set."""
+    trials, lines, size = len(masks), n ** (k - 1), _word_bytes(n)
+    width = -(-n // (8 * size))
+    if n % 8:  # each line's bits start a byte
+        octets = np.packbits(masks[:, :k].reshape(-1, n), axis=1, bitorder="little")
+    else:  # they do already: one flat pack, several times faster
+        octets = np.packbits(masks, bitorder="little").reshape(trials, k + 1, -1)[:, :k].reshape(-1, n // 8)
+    if octets.shape[1] < size * width:  # zero bytes up to whole words
+        octets = np.concatenate([octets, np.zeros((len(octets), size * width - octets.shape[1]), np.uint8)], 1)
+    words = octets.view(f"u{size}").reshape(trials, k, lines, width)
+    words = np.ascontiguousarray(words.transpose(0, 1, 3, 2))  # a view at W = 1
+    shaped = [words[:, a].reshape(trials, width, *[n] * (k - 1)) for a in range(k)]
+    return shaped + [masks[:, k].reshape((trials,) + (n,) * k)]
 
 
 def _fold(cube: np.ndarray, dim: int) -> np.ndarray:
-    """OR of ``cube`` along ``dim``, by its shape: one ``np.bitwise_or.reduce``
-    along an inner dim of length > 1 whose rows (the words after it) are 1
-    or at least 32 long, else log2(length) halvings of contiguous slices (a
-    view at length 1).  On the slabs of n = 16..256 the reduce took 0.2-0.8
-    of the halvings' time, but lost on rows of 8-16 words, by far on a dim
-    of length 1, and on the outer word dim at W = 2, 3 (won by 0.3 at W = 4)."""
+    """OR of ``cube`` (trials, words, x...) along ``dim`` >= 1, by its shape:
+    one ``np.bitwise_or.reduce`` along an x dim of length > 1 whose rows
+    (the elements after it) are 1 or at least 32 long, else its slices
+    ORed in turn into one new array of 1/length of the cube (a view at
+    length 1).  On the uint64 slabs of n = 16..256 the reduce took 0.2-0.8
+    of the time of halvings, but lost on rows of 8-16 words, by far on a
+    dim of length 1, and on the word dim at W = 2, 3 (won by 0.3 at W = 4);
+    slices in turn took 1.0-1.6 of the time of halvings, which hold half
+    the cube."""
     lead, size, run = (slice(None),) * dim, cube.shape[dim], prod(cube.shape[dim + 1 :])
-    if dim and size > 1 and not 1 < run < 32:
+    if dim > 1 and size > 1 and not 1 < run < 32:
         return np.bitwise_or.reduce(cube, axis=dim)
-    while size > 1:
-        half = size // 2
-        head = cube[lead + (slice(half),)] | cube[lead + (slice(half, 2 * half),)]
-        if size % 2:
-            head[lead + (0,)] |= cube[lead + (size - 1,)]
-        cube, size = head, half
-    return cube[lead + (0,)]
+    if size == 1:
+        return cube[lead + (0,)]
+    out = cube[lead + (0,)] | cube[lead + (1,)]
+    for i in range(2, size):
+        out |= cube[lead + (i,)]
+    return out
 
 
 def _coverage(words: list[np.ndarray], width: int, counts: bool = True):
-    """The coverage kernel: (per axis, its lines through a point covered by
-    all k+1 axes; the number of such points, None unless ``counts``).  Axes
-    are 0-based, k for axis k+1, whose lines are bool.
+    """The coverage kernel of a group of T trials: (per axis, its lines
+    through no point covered by all k+1 axes, the packed ones as their
+    ``words``, ANDed in place; per trial, the number of such points, an
+    int64 array, None unless ``counts``).  Axes are 0-based, k for axis
+    k+1, whose lines are bool.
 
-    The cube, the AND of the packed words times axis k+1's mask, spans
-    (words of x_(k+1), x_1, ..., x_k): axis a's lines are its OR along dim
-    (a + 1) % (k + 1).  It runs in slabs of ``width`` whole x1-slices (axis
-    1 has no x1 slot, the others add their rows at those x1), each exact
-    and holding W * width * n^(k-1) words in one buffer that every slab
-    reuses: O(n^k) bytes at ``_slab_width``.  A slab starts from axis k's
-    words times axis k+1's 0/1 mask and ANDs axis 1's words last: the one
-    operand broadcast over x1, it then runs over whole x2..xk planes.
+    Trial by trial, the cube, the AND of the packed words times axis k+1's
+    mask, spans (trials, words of x_(k+1), x_1, ..., x_k): axis a's lines
+    through a covered point are its OR along dim (a + 1) % (k + 1) + 1.
+    It runs in slabs of ``width`` whole x1-slices of every trial (axis 1
+    has no x1 slot, the others add their rows at those x1, which no later
+    slab reads), each exact and holding T * W * width * n^(k-1) words in
+    one buffer that every slab reuses: about ``SLAB_BYTES`` at
+    ``_slab_width``.  A slab starts from axis k's words times axis k+1's
+    0/1 mask and ANDs axis 1's words last: the one operand broadcast over
+    x1, it then runs over whole x2..xk planes.
     """
-    k, size = len(words) - 1, len(words[-1])
-    lines = [np.zeros_like(w) for w in words]
-    buffer = np.empty((len(words[0]), min(width, size), *words[0].shape[1:]), np.uint64)
-    covered = 0 if counts else None
+    k, size = len(words) - 1, words[-1].shape[1]
+    hit, kept = np.zeros_like(words[0]), np.empty(words[k].shape, dtype=bool)
+    buffer = np.empty((*words[0].shape[:2], min(width, size), *words[0].shape[2:]), words[0].dtype)
+    covered = np.zeros(len(buffer), np.int64) if counts else None
+    every = (slice(None),) * 2  # all trials, all words
     for lo in range(0, size, width):
-        rows, cube = slice(lo, lo + width), buffer[:, : size - lo]
-        np.multiply(words[k - 1][:, rows, ..., None], words[k][rows].view(np.uint8), out=cube)
+        rows, cube = slice(lo, lo + width), buffer[:, :, : size - lo]
+        np.multiply(words[k - 1][:, :, rows, ..., None], words[k][:, None, rows].view(np.uint8), out=cube)
         for j in range(1, k - 1):  # x_(j+1) missing
-            cube &= words[j][(slice(None), rows) + (slice(None),) * (j - 1) + (None,)]
-        cube &= words[0][:, None]
-        if counts:
-            covered += int(_popcount(cube).sum())
-        lines[0] |= _fold(cube, 1)
+            cube &= words[j][every + (rows,) + (slice(None),) * (j - 1) + (None,)]
+        cube &= words[0][:, :, None]
+        hit |= _fold(cube, 2)
         for a in range(1, k):
-            lines[a][:, rows] = _fold(cube, a + 1)
-        np.not_equal(_fold(cube, 0), 0, out=lines[k][rows])
-    return lines, covered
+            words[a][:, :, rows] &= ~_fold(cube, a + 2)
+        np.not_equal(_fold(cube, 1), 0, out=kept[:, rows])  # hit; selected > hit on bools: not hit
+        np.greater(words[k][:, rows], kept[:, rows], out=kept[:, rows])
+        if counts:  # after the folds: narrow words are counted in place, 8-byte ones into uint8
+            count = _popcount(cube, out=cube if cube.itemsize < 8 else None)
+            covered += count.sum(axis=tuple(range(1, cube.ndim)), dtype=np.int64)
+    words[0] &= ~hit
+    return words[:k] + [kept], covered
 
 
-def _slab_width(k: int, n: int) -> int:
-    """x1-slices per slab of the coverage cube: about SLAB_WORDS words."""
-    return max(1, SLAB_WORDS // (n ** (k - 1) * -(-n // 64)))
+def _slab_width(k: int, n: int, trials: int = 1) -> int:
+    """x1-slices per slab of the coverage cube of ``trials`` trials: about SLAB_BYTES."""
+    size = _word_bytes(n)
+    return max(1, SLAB_BYTES // (trials * n ** (k - 1) * size * -(-n // (8 * size))))
 
 
 def _set_bits(octets: np.ndarray) -> np.ndarray:
@@ -301,21 +345,22 @@ def _set_bits(octets: np.ndarray) -> np.ndarray:
 
 def _deletion(
     k: int, n: int, masks, width: int, counts: bool = True
-) -> tuple[list[np.ndarray], int | None]:
-    """Stage 2 on the stage-1 masks: (per axis, the base indices of its
-    surviving lines; the number of grid points covered by all k+1 axes,
-    None unless ``counts``).  Survivors are read from the nonzero bytes of
-    each axis's kept lines, packed 8 to a byte."""
-    words = _words(k, n, masks)
-    hit, covered = _coverage(words, width, counts)
-    survivors, row = [], 64 * len(words[0])  # bits per line without x_(k+1)
-    for a in range(k):  # kept words as (lines without x_(k+1), W), bit x for x_(k+1) = x + 1
-        kept = np.ascontiguousarray((words[a] & ~hit[a]).reshape(len(words[a]), -1).T)
-        at = _set_bits(kept.view(np.uint8).reshape(-1))
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Stage 2 on the stage-1 masks of a group of T trials, (T, k+1, n^k),
+    or of one trial, (k+1, n^k), the group of one: (per axis, the ascending
+    base indices of its surviving lines, trial t's offset by t * n^k; per
+    trial, the number of grid points covered by all k+1 axes, an int64
+    array, None unless ``counts``).  Survivors are read from the nonzero
+    bytes of each axis's kept lines, packed 8 to a byte, in one scan of
+    the group."""
+    masks = np.asarray(masks).reshape(-1, k + 1, n**k)
+    kept, covered = _coverage(_words(k, n, masks), width, counts)
+    survivors, row = [], 8 * kept[0].itemsize * kept[0].shape[1]  # bits per line without x_(k+1)
+    for words in kept[:k]:  # as (T, lines without x_(k+1), W), bit x for x_(k+1) = x + 1
+        words = np.ascontiguousarray(words.reshape(*words.shape[:2], -1).transpose(0, 2, 1))
+        at = _set_bits(words.view(np.uint8).reshape(-1))
         survivors.append(at - at // row * (row - n))  # no bit past n is set
-    kept = hit[k].reshape(-1)  # selected > hit, on bools: selected and not hit
-    kept = np.packbits(np.greater(masks[k], kept, out=kept), bitorder="little")
-    return survivors + [_set_bits(kept)], covered
+    return survivors + [_set_bits(np.packbits(kept[k], bitorder="little"))], covered
 
 
 def gen_probabilistic(
@@ -332,7 +377,7 @@ def gen_probabilistic(
     line ids directly.
     """
     k, n = params.k, params.n
-    selected = _selection_masks(k, n, params.seed, selection_threshold(params.p_sel))
+    selected = _selection_masks(k, n, [params])[0]
     sizes = tuple(int(np.count_nonzero(m)) for m in selected)
     before = (ColoredGridConfig(k, n, [np.flatnonzero(m) + a * n**k for a, m in enumerate(selected)])
               if "before" in emit else None)
@@ -340,7 +385,7 @@ def gen_probabilistic(
     del selected
     after = (ColoredGridConfig(k, n, [ids + a * n**k for a, ids in enumerate(final)])
              if "after" in emit else None)
-    return before, after, DeletionReport(*astuple(params), sizes, tuple(map(len, final)), covered)
+    return before, after, DeletionReport(*astuple(params), sizes, tuple(map(len, final)), int(covered[0]))
 
 
 def _split(k: int, n: int, index: np.ndarray, axis: int, slot: int):
@@ -354,19 +399,26 @@ def _hits(k: int, n: int, survivors: list[np.ndarray], rows: int) -> list[list[n
     """``hits[a][c]``, a != c: W = ceil(n/64) words per survivor of axis a,
     bit x set iff a survivor of c meets it at x_a = x.  Each side's
     ``_split`` at the other's slot, computed once per pair, places its
-    survivors as bits in a table of ``rows`` rows and gathers the other's.
-    One ``np.add.at`` fills a table: dropping a slot's digit from a base
-    index is a bijection onto (rest, digit), so no two survivors set the
-    same bit, and adding is ORing."""
+    survivors as bits in a flat table of ``rows`` * W words and gathers the
+    other's, an (N, W) view of a flat gather.  One ``np.add.at`` fills a
+    table: dropping a slot's digit from a base index is a bijection onto
+    (rest, digit), so no two survivors set the same bit, and adding is
+    ORing."""
     hits, words = [[None] * (k + 1) for _ in range(k + 1)], -(-n // 64)
     for a, c in combinations(range(k + 1), 2):
         split = {(s, t): _split(k, n, survivors[s], s, t) for s, t in ((a, c), (c, a))}
         for s, t in ((a, c), (c, a)):
             at, x = split[t, s]
-            table = np.zeros((rows, words), dtype=np.uint64)
-            np.add.at(table.reshape(-1), at * words + (x >> 6), np.uint64(1) << (x & 63).astype(np.uint64))
-            hits[s][t] = table[split[s, t][0]]
+            table = np.zeros(rows * words, dtype=np.uint64)
+            np.add.at(table, at * words + (x >> 6), np.uint64(1) << (x & 63).astype(np.uint64))
+            place = split[s, t][0][:, None] * words + np.arange(words)  # each survivor's W words
+            hits[s][t] = table[place.reshape(-1)].reshape(-1, words)
     return hits
+
+
+def _nonzero(words: np.ndarray) -> np.ndarray:
+    """Which rows of (N, W) words have a set bit."""
+    return (words[:, 0] if words.shape[1] == 1 else np.bitwise_or.reduce(words, axis=1)) != 0
 
 
 def _trial_stats(k: int, n: int, survivors: list[np.ndarray], trials: int):
@@ -383,49 +435,53 @@ def _trial_stats(k: int, n: int, survivors: list[np.ndarray], trials: int):
     the rest of S."""
     bad, orders = np.zeros(trials, np.int64), np.zeros(trials, np.int64)
     hits = _hits(k, n, survivors, trials * n ** (k - 1))
+    trial = [ids // n**k for ids in survivors]
     for a in range(k + 1):
-        trial, mine = survivors[a] // n**k, [h for h in hits[a] if h is not None]
-        good = np.array([np.bitwise_and.reduce(mine[:b] + mine[b + 1 :]).any(axis=1)
-                         for b in range(k)])  # b: the other axis left out
-        bad += np.bincount(trial[~good.all(axis=0)], minlength=trials)
-        orders[trial[good.any(axis=0)]] = k
-    orders[(survivors[0] // n**k)[np.bitwise_and.reduce(hits[0][1:]).any(axis=1)]] = k + 1
+        mine = [h for h in hits[a] if h is not None]
+        good = [_nonzero(reduce(and_, mine[:b] + mine[b + 1 :])) for b in range(k)]  # b: left out
+        bad += np.bincount(trial[a][~reduce(and_, good)], minlength=trials)
+        orders[trial[a][reduce(or_, good)]] = k
+    orders[trial[0][_nonzero(reduce(and_, hits[0][1:]))]] = k + 1
     for m, S in ((m, S) for m in range(k - 1, 1, -1) for S in combinations(range(k + 1), m)):
         if orders.all():
             break
-        trial = survivors[S[0]] // n**k
-        rest = orders[trial] == 0  # the survivors of trials without an order yet
-        covers = np.bitwise_and.reduce([hits[S[0]][c][rest] for c in S[1:]]).any(axis=1)
-        orders[trial[rest][covers]] = m
+        rest = orders[trial[S[0]]] == 0  # the survivors of trials without an order yet
+        covers = _nonzero(reduce(and_, [hits[S[0]][c][rest] for c in S[1:]]))
+        orders[trial[S[0]][rest][covers]] = m
     return bad, orders
 
 
 def probabilistic_batch_stats(runs: Sequence[ProbParams], counts: bool = True) -> list[dict]:
     """``probabilistic_trial_stats`` of each run, all of one k and n, in
-    batches of max(1, TRIAL_BATCH_LINES // n^k) runs: a trial keeps only
-    its stage counts and its survivors, offset by its place in the batch,
+    batches of max(1, TRIAL_BATCH_LINES // n^k) runs, each selected and
+    deleted in groups of max(1, TRIAL_BATCH_LINES // ((k+1) n^k)) runs: a
+    group's stage-1 masks, (T, k+1, n^k), take one ``_deletion`` pass, a
+    batch keeps only its survivors, offset by their trial's place in it,
     and one ``_trial_stats`` call serves the whole batch.  Without
     ``counts`` the dicts leave out ``selected_sizes`` and
     ``covered_points``, and no trial computes them."""
     k, n = runs[0].k, runs[0].n
     if any((p.k, p.n) != (k, n) for p in runs):
         raise ValueError("trial statistics in batches need one k and one n")
-    size, width, out = max(1, TRIAL_BATCH_LINES // n**k), _slab_width(k, n), []
+    size, group = max(1, TRIAL_BATCH_LINES // n**k), max(1, TRIAL_BATCH_LINES // ((k + 1) * n**k))
+    width, out = _slab_width(k, n, group), []
     for lo in range(0, len(runs), size):
-        batch = []  # per trial, per axis, its survivors
-        for t, params in enumerate(runs[lo : lo + size]):
-            selected = _selection_masks(k, n, params.seed, selection_threshold(params.p_sel))
-            survivors, covered = _deletion(k, n, selected, width, counts)
-            batch.append([ids + t * n**k for ids in survivors])
-            stats = {"k": k, "n": n, "seed": params.seed, "sizes": tuple(map(len, survivors))}
+        batch, parts, counted = runs[lo : lo + size], [], []  # per group and axis survivors; per trial counts
+        for start in range(0, len(batch), group):
+            masks = _selection_masks(k, n, batch[start : start + group])
+            survivors, covered = _deletion(k, n, masks, width, counts)
+            parts.append([ids + start * n**k for ids in survivors])
             if counts:
-                stats.update(selected_sizes=tuple(int(np.count_nonzero(m)) for m in selected),
-                             covered_points=covered)
-            out.append(stats)
-            del selected  # a batch holds survivors only
-        bad, orders = _trial_stats(k, n, [np.concatenate(s) for s in zip(*batch)], len(batch))
-        for stats, b, m in zip(out[lo:], bad.tolist(), orders.tolist()):
-            stats.update(consistent=b == 0, bad_lines=b, max_colorful=m)
+                counted += zip(np.count_nonzero(masks, axis=2).tolist(), covered.tolist())
+            del masks  # a batch holds survivors only
+        survivors = [np.concatenate(s) for s in zip(*parts)]
+        ends = np.array([np.searchsorted(ids, np.arange(len(batch) + 1) * n**k) for ids in survivors])
+        bad, orders = _trial_stats(k, n, survivors, len(batch))
+        for t, (sizes, b, m) in enumerate(zip(np.diff(ends).T.tolist(), bad.tolist(), orders.tolist())):
+            out.append({"k": k, "n": n, "seed": batch[t].seed, "sizes": tuple(sizes)})
+            if counts:
+                out[-1].update(selected_sizes=tuple(counted[t][0]), covered_points=counted[t][1])
+            out[-1].update(consistent=b == 0, bad_lines=b, max_colorful=m)
     return out
 
 

@@ -19,8 +19,9 @@ Conventions
 -----------
 * Homogeneous coordinates are ``(x_1, ..., x_d, w)``; a point is at
   infinity iff ``w == 0``.  The affine point ``x`` embeds as ``(x, 1)``.
-* Coordinates parse from ``"num/den"`` strings and are ints from then
-  on: canonical coordinates serialize as integer strings (``"5"``).
+* Coordinates parse from ``"num/den"`` strings (a decimal exponent at
+  most ``MAX_EXPONENT`` in magnitude) and are ints from then on:
+  canonical coordinates serialize as integer strings (``"5"``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,17 +39,27 @@ Rational = int | Fraction
 # The largest primes below 2^30, PRIME first (twelve, more on demand): residue products < 2^60.
 PRIMES = tuple(2**30 - d for d in (35, 41, 83, 101, 105, 107, 135, 153, 161, 173, 203, 257))
 PRIME = PRIMES[0]
+# The largest exponent magnitude of a coordinate text ("1e4300"): a power of
+# ten about as long as Python's 4,300-digit cap on int strings, which bounds
+# every run of digits.  ``Fraction`` computes 10^exp exactly, so it is
+# measured first.
+MAX_EXPONENT = 4300
 _ASCII_INT = re.compile(r"-?[0-9]+")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # as ``Fraction`` reads it
 
 
 def parse_rational(text: str) -> Rational:
     """Parse a "num/den" string (tolerating unicode minus signs), else
-    ValueError; an ASCII integer string parses to its int."""
+    ValueError; an ASCII integer string parses to its int.  A decimal
+    exponent past ``MAX_EXPONENT`` in magnitude is a ValueError."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a 'num/den' string, not {text!r}")
     text = text.strip().replace("−", "-")
     if _ASCII_INT.fullmatch(text):
         return int(text)
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent of {text[:40]!r} past {MAX_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -229,15 +240,39 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
+def _primes_below(top: int, span: int) -> list[int]:
+    """The primes in [top - span, top), descending, by one numpy sieve of
+    that window by every f up to sqrt(top) (for top - span > sqrt(top))."""
+    window = np.ones(span, dtype=bool)
+    for f in range(2, isqrt(top) + 1):
+        window[-(top - span) % f :: f] = False
+    return (top - span + np.flatnonzero(window)[::-1]).tolist()
+
+
 def primes_above(bits: int) -> tuple[int, ...] | None:
     """The fewest leading ``PRIMES``, so ``PRIME`` first, whose product
     exceeds 2^bits: an integer below 2^(bits - 1) that is 0 modulo each is
     0.  The table grows on demand by the next primes below its last entry
-    while that is above 2^29 (so all stay in (2^29, 2^30)); None if it cannot."""
+    while that is above 2^29 (so all stay in (2^29, 2^30)), taken from
+    sieved windows sized for the bits still missing, under one running
+    product; None if it cannot."""
     global PRIMES
-    while not prod(PRIMES) >> bits and PRIMES[-1] > 2**29:
-        PRIMES += (next(n for n in range(PRIMES[-1] - 2, 0, -2) if is_prime(n)),)
-    return next((PRIMES[:r] for r in range(1, len(PRIMES) + 1) if prod(PRIMES[:r]) >> bits), None)
+    total = 1
+    for r, p in enumerate(PRIMES, 1):
+        total *= p
+        if total >> bits:
+            return PRIMES[:r]
+    grown, top = list(PRIMES), PRIMES[-1]
+    while not total >> bits and grown[-1] > 2**29:
+        span = 24 * ((bits - total.bit_length()) // 29 + 1) + 1024  # primes near 2^30: 1 in 21
+        for p in _primes_below(top, span):
+            total *= p
+            grown.append(p)
+            if total >> bits or p <= 2**29:
+                break
+        top -= span
+    PRIMES = tuple(grown)
+    return PRIMES if total >> bits else None
 
 
 def key_ranks(keys: np.ndarray, groups: np.ndarray, cap: int) -> np.ndarray:

@@ -1498,6 +1498,68 @@ class TestIntegerPointRows:
         assert got.tolist() == [list(fraction_canonical_ints([int(token), 0, 1]))]
 
 
+class TestSizeBounds:
+    """Inputs whose cost a small file or a few parameters would set past
+    any machine exit 2 at once with one ``error:`` line, and write nothing;
+    the sizes the paper's constructions need stay within the bounds."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["gen", "algebraic", "--k", "4", "--p", "5", "-o", "x.out"],
+             "k=4, p=5: 244140625 lines, 1953125000 bytes > 2^30"),
+            (["gen", "probabilistic", "--k", "3", "--n", "1024", "--seed", "1", "-o", "x.out"],
+             "k=3, n=1024: 4294967296 lines, 4294967296 bytes > 2^30"),
+            (["analyze", "--monte-carlo", "--k", "3", "--n", "16,1024", "--trials", "1", "-o", "x.out"],
+             "k=3, n=1024: 4294967296 lines, 4294967296 bytes > 2^30"),
+        ],
+        ids=["alg45", "prob1024", "mc1024"],
+    )
+    def test_construction_too_large_exits_2(self, workdir, capsys, argv, message):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: construction too large ({message})\n"
+        assert not (workdir / "x.out").exists()
+
+    def test_paper_sizes_stay_within_the_cap(self):
+        # alg(5,2), alg(4,3) and the paper-size probabilistic grid
+        for k, p in [(5, 2), (4, 3)]:
+            params = constructions.AlgebraicParams(k, p)
+            assert 8 * (k + 1) * params.class_size <= constructions.MAX_CONSTRUCTION_BYTES
+        assert constructions.gen_algebraic(constructions.AlgebraicParams(4, 3)).class_sizes() == (3**11,) * 5
+        constructions.ProbParams(3, 512, 5)
+        with pytest.raises(ValueError, match="construction too large"):
+            constructions.ProbParams(3, 646, 5)
+
+    @pytest.mark.parametrize("model", ["points", "lines"])
+    def test_huge_exponent_exits_2(self, workdir, capsys, model):
+        # "1e5000000" is 10^5000000 to Fraction; "1e4300" still reads
+        def write(text):
+            if model == "points":
+                data = {"model": "points", "classes": [{"color": 1, "points": [["1", "2", "1"], ["3", text, "1"]]}]}
+            else:
+                line = {"p": ["1", "2", "1", "1"], "q": ["3", text, "1", "1"]}
+                data = {"model": "lines", "d": 3, "classes": [{"color": 1, "lines": [line]}]}
+            (workdir / "e.json").write_text(json.dumps(data))
+
+        write("1e5000000")
+        assert run(["analyze", "e.json", "--structure"]) == 2
+        where = "points[1]" if model == "points" else "endpoints[1]"
+        assert capsys.readouterr().err == (
+            f"error: malformed configuration e.json: classes[0] {where}: "
+            "exponent of '1e5000000' past 4300 in magnitude\n"
+        )
+        write("1e4300")
+        assert run(["analyze", "e.json", "--structure"]) == 0
+
+    def test_4000_digit_coordinate_reads(self, workdir, capsys):
+        # its residues need about 1,330 table primes, grown in one step
+        big = "7" * 4000
+        points = [["1", "2", "1"], ["3", big, "1"], ["5", "6", "1"], ["2", "5", "3"]]
+        (workdir / "big.json").write_text(json.dumps({"model": "points", "classes": [{"color": 1, "points": points}]}))
+        assert run(["analyze", "big.json", "--structure"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestExactFallback:
     def test_verify_past_the_int64_bounds(self, workdir, capsys):
         # the lines-pipeline artifact shape, mapped by a matrix with entries near

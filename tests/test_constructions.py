@@ -73,22 +73,41 @@ from oracles import (
 
 
 def deletion_masks(k, n, masks, width):
-    """``_deletion`` with each axis's survivors, strictly increasing base
-    indices, turned into a base-index mask."""
+    """``_deletion`` of one trial's masks, the group of one, with each
+    axis's survivors, strictly increasing base indices, turned into a
+    base-index mask."""
     survivors, covered = _deletion(k, n, masks, width)
     final = [np.zeros(n**k, dtype=bool) for _ in survivors]
     for mask, ids in zip(final, survivors):
         assert ids.dtype == np.int64 and (np.diff(ids) > 0).all()
         mask[ids] = True
-    return final, covered
+    assert covered.shape == (1,)
+    return final, int(covered[0])
 
 
 def stage_masks(params: ProbParams):
     """(stage-1 masks, stage-2 masks, covered points) of one run, the
     deletion in slabs of ``_slab_width``."""
     k, n = params.k, params.n
-    selected = _selection_masks(k, n, params.seed, selection_threshold(params.p_sel))
+    selected = _selection_masks(k, n, [params])[0]
     return (selected, *deletion_masks(k, n, selected, _slab_width(k, n)))
+
+
+def check_group(k, n, trials, width, oracle=sparse_deletion):
+    """One ``_deletion`` pass over a group of trials' masks, (T, k+1, n^k),
+    against ``oracle`` of each trial on its own: trial t's survivors,
+    offset by t * n^k, and its covered points."""
+    survivors, covered = _deletion(k, n, np.array(trials), width)
+    assert covered.dtype == np.int64 and covered.shape == (len(trials),)
+    for ids in survivors:  # each in some trial's range, strictly increasing
+        assert ids.dtype == np.int64 and (np.diff(ids) > 0).all()
+        assert ids.size == 0 or 0 <= ids[0] and ids[-1] < len(trials) * n**k
+    for t, masks in enumerate(trials):
+        final, expected = oracle(k, n, masks)
+        assert covered[t] == expected
+        for ids, mask in zip(survivors, final):
+            mine = ids[(t * n**k <= ids) & (ids < (t + 1) * n**k)]
+            assert np.array_equal(mine - t * n**k, np.flatnonzero(mask))
 
 
 def one_bit(size: int, byte: int, bit: int) -> bytes:
@@ -378,7 +397,7 @@ class TestProbabilistic:
     def test_sparse_matches_dense(self, n, seed):
         k = 3
         params = ProbParams(k, n, seed)
-        masks = _selection_masks(k, n, seed, selection_threshold(params.p_sel))
+        masks = _selection_masks(k, n, [params])[0]
         dense_final, dense_cov = dense_deletion(k, n, masks)
         sparse_final, sparse_cov = sparse_deletion(k, n, masks)
         assert dense_cov == sparse_cov
@@ -472,6 +491,19 @@ class TestProbabilistic:
         got = _set_bits(octets)
         assert got.dtype == np.int64 and np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("swar", [False, True])
+    def test_popcount_of_every_word_width_in_place(self, monkeypatch, swar):
+        # coverage words of 1, 2, 4 and 8 bytes, counted into themselves
+        if swar:
+            monkeypatch.delattr(np, "bitwise_count", raising=False)
+        rng = np.random.default_rng(5)
+        for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+            top = np.iinfo(dtype).max
+            words = np.concatenate([np.array([0, 1, top], dtype), rng.integers(0, top, 500, dtype, True)])
+            expected = [bin(int(w)).count("1") for w in words]
+            assert _popcount(words, out=words) is words
+            assert words.tolist() == expected
+
     def test_swar_popcount_matches_bin_count(self, monkeypatch):
         # the path of numpy < 2, which has no bitwise_count
         monkeypatch.delattr(np, "bitwise_count", raising=False)
@@ -506,7 +538,7 @@ class TestProbabilistic:
         k, n, seed = 3, 41, 5
         assert n**k % SELECTION_CHUNK != 0
         threshold = selection_threshold(ProbParams(k, n, seed).p_sel)
-        for axis, mask in enumerate(_selection_masks(k, n, seed, threshold), start=1):
+        for axis, mask in enumerate(_selection_masks(k, n, [ProbParams(k, n, seed)])[0], start=1):
             whole = splitmix64_block(substream(seed, axis), 0, n**k) < threshold
             assert np.array_equal(mask, whole)
 
@@ -652,6 +684,65 @@ class TestProbabilistic:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * n ** (k + 1)  # one float32 n^(k+1) array
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([3, 4]), data=st.data())
+    def test_grouped_deletion_matches_sparse_oracle_per_trial(self, k, data):
+        # a group of 1-9 trials of every density in one pass, in slabs of
+        # one x1-slice up to all of them
+        n = data.draw(st.integers(2, 9 if k == 3 else 5), label="n")
+        trials = data.draw(st.lists(axis_masks(k, n), min_size=1, max_size=9), label="trials")
+        check_group(k, n, trials, data.draw(st.integers(1, n + 1), label="width"))
+
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.sampled_from([62, 63, 64, 65, 66]), data=st.data())
+    def test_grouped_deletion_matches_sparse_oracle_around_one_word(self, n, data):
+        # x_(k+1) fills one uint64 word or spills into a second
+        trials = data.draw(st.lists(planted_sparse_masks(3, n), min_size=1, max_size=9), label="trials")
+        check_group(3, n, trials, data.draw(st.integers(1, n + 1), label="width"))
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 9, 16, 17, 24, 32, 33])
+    def test_grouped_deletion_in_every_word_width(self, n):
+        # words of 1, 2, 4 and 8 bytes, full or padded, over three trials
+        # that share no mask
+        k, rng = 3, np.random.default_rng(n)
+        trials = [[rng.random(n**k) < p for _ in range(k + 1)] for p in (0.2, 0.5, 0.9)]
+        check_group(k, n, trials, _slab_width(k, n, 3), dense_deletion)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from([3, 4]), data=st.data())
+    def test_groups_end_inside_stats_batches(self, k, data):
+        # TRIAL_BATCH_LINES = (k+1) n^k g + n^k r runs groups of g trials
+        # in batches of (k+1) g + r: a batch's last group is short unless g
+        # divides r, and a run's last batch may end inside any group
+        n = data.draw(st.integers(2, 6 if k == 3 else 4), label="n")
+        g, r = data.draw(st.integers(1, 5), label="group"), data.draw(st.integers(0, k), label="r")
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=25), label="seeds")
+        runs = [ProbParams(k, n, seed) for seed in seeds]
+        expected = [probabilistic_trial_stats(p) for p in runs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructions, "TRIAL_BATCH_LINES", (k + 1) * n**k * g + n**k * r)
+            assert probabilistic_batch_stats(runs) == expected
+            for stats in expected:
+                del stats["selected_sizes"], stats["covered_points"]
+            assert probabilistic_batch_stats(runs, counts=False) == expected
+
+    @pytest.mark.parametrize("k,n", [(3, 16), (3, 32), (4, 12), (4, 16)])
+    def test_group_peak_stays_within_one_n64_trial(self, k, n):
+        # a group's masks hold at most TRIAL_BATCH_LINES lines, one n = 64
+        # trial's, and its words, slabs and survivors no more than that trial's
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                probabilistic_batch_stats(runs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        group = TRIAL_BATCH_LINES // ((k + 1) * n**k)
+        assert group > 1 and TRIAL_BATCH_LINES // (4 * 64**3) == 1
+        runs = [ProbParams(k, n, substream(3, t)) for t in range(group)]
+        assert peak(runs) <= peak([ProbParams(3, 64, 3)])
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from incidencelab import exactgeom
 from incidencelab.configs import ColoredLineConfig
 from incidencelab.exactgeom import (
+    MAX_EXPONENT,
     PRIME,
     Line,
     ProjPoint,
@@ -149,11 +150,49 @@ def fraction_or_none(text: str) -> Fraction | None:
         return None
 
 
+def exponent_past_bound(text: str) -> bool:
+    """Whether ``text``, stripped and with unicode minus signs replaced,
+    ends in an integer after its last e or E that is past ``MAX_EXPONENT``
+    in magnitude: ``Fraction`` would compute that power of ten exactly."""
+    _, e, tail = text.strip().replace("−", "-").lower().rpartition("e")
+    try:
+        return bool(e) and abs(int(tail)) > MAX_EXPONENT
+    except ValueError:
+        return False
+
+
 rational_texts = st.one_of(
     st.integers(-(2**70), 2**70).map(str),
     st.from_regex(r"\A\s?[-−+]?[0-9]{1,22}(/[-−+]?[0-9]{1,22})?\s?\Z"),
     st.text(alphabet="0123456789-−+/._ eE\t\n٣", max_size=10),
 )
+# decimal texts with an exponent on both sides of the bound
+exponent_texts = st.builds(
+    "{}{}{}{}".format,
+    st.from_regex(r"\A[-−+]?([0-9]{1,30}(\.[0-9]{0,30})?|\.[0-9]{1,30})\Z"),
+    st.sampled_from("eE"),
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 10**7).map(str) | st.sampled_from(["4299", "4300", "4301", "04300", "4_300", "0004301"]),
+)
+
+
+def check_parse(text: str) -> None:
+    """``parse_rational`` against ``Fraction``: a ValueError past the
+    exponent bound, checked first, else where ``Fraction`` refuses, else
+    its value, an int for an ASCII integer string only."""
+    if exponent_past_bound(text):  # Fraction(text) would compute 10^exp
+        with pytest.raises(ValueError):
+            parse_rational(text)
+        return
+    expected = fraction_or_none(text)
+    if expected is None:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+        return
+    got = parse_rational(text)
+    assert got == expected
+    ascii_int = re.fullmatch(r"-?[0-9]+", text.strip().replace("−", "-"))
+    assert type(got) is (int if ascii_int else Fraction)
 
 
 class TestIntegerParse:
@@ -163,15 +202,25 @@ class TestIntegerParse:
     @settings(max_examples=600)
     @given(rational_texts)
     def test_matches_fraction(self, text):
-        expected = fraction_or_none(text)
-        if expected is None:
-            with pytest.raises(ValueError):
+        check_parse(text)
+
+    @settings(max_examples=300)
+    @given(exponent_texts)
+    def test_exponents_within_the_bound_match_fraction(self, text):
+        # past the bound a ValueError, at once; within it Fraction's value
+        check_parse(text)
+
+    @pytest.mark.parametrize(
+        "text,past",
+        [("1e4300", False), ("-2.5E-4300", False), ("1e+04300", False), ("1e4301", True),
+         ("1E-4301", True), ("0E500001", True), ("1e5000000", True), (" .5e-99999 ", True)],
+    )
+    def test_exponent_bound(self, text, past):
+        if past:
+            with pytest.raises(ValueError, match=f"past {MAX_EXPONENT} in magnitude"):
                 parse_rational(text)
-            return
-        got = parse_rational(text)
-        assert got == expected
-        ascii_int = re.fullmatch(r"-?[0-9]+", text.strip().replace("−", "-"))
-        assert type(got) is (int if ascii_int else Fraction)
+        else:
+            assert parse_rational(text) == Fraction(text.strip())
 
     @pytest.mark.parametrize("text", ["7", " -12 ", "−3", "-0", "007", str(2**80)])
     def test_integers_are_ints(self, text):
@@ -580,8 +629,8 @@ class TestIntLinalg:
 
 
 class TestIsPrime:
-    """The one primality test: ``AlgebraicParams`` checks p by it, and
-    ``primes_above`` grows the residue prime table by it."""
+    """The one primality test: ``AlgebraicParams`` checks p by it; the
+    residue prime table grows by a sieve that must agree with it."""
 
     def test_matches_a_sieve_below_2_to_the_16(self):
         sieve = np.ones(2**16, bool)

@@ -808,6 +808,22 @@ class TestPrimeTable:
             assert np.prod(got, dtype=object) >> 600 and not np.prod(got[:-1], dtype=object) >> 600
             assert exactgeom.primes_above(6 * 38 + 6) == fixed[:8]  # the fewest, as before
 
+    def test_growths_are_the_next_primes_by_trial_division(self):
+        # from the fixed twelve in one step or in several, up and down: the
+        # table is the next primes below them, grown only as far as a call
+        # needs, and each call returns the fewest leading primes of it
+        table = exactgeom.PRIMES[:12] + primes_below(2**30 - 257, 300)
+        for steps in [(8900,), (359, 360, 1000, 999, 1001, 4000, 30, 8900)]:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(exactgeom, "PRIMES", table[:12])
+                for bits in steps:
+                    known = len(exactgeom.PRIMES)
+                    got = exactgeom.primes_above(bits)
+                    assert got == table[: len(got)]
+                    assert np.prod(got, dtype=object) >> bits and not np.prod(got[:-1], dtype=object) >> bits
+                    assert exactgeom.PRIMES == table[: max(known, len(got))]
+                assert exactgeom.PRIMES == got and len(got) > 250  # the last call needs the most
+
     @pytest.mark.parametrize("table", [led(7), led(structure.PRIME, TINY[:2]), FIXED])
     def test_tables_below_2_to_the_29_do_not_grow(self, table):
         with pytest.MonkeyPatch.context() as mp:
