@@ -40,7 +40,6 @@ from .constructions import (
     gen_tricolor,
     gen_two_slit,
 )
-from .exactgeom import Line, ProjPoint, incident, meet
 from .gridmodel import (
     ColoredGridConfig,
     ConsistencyVerdict,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .configs import ColoredLineConfig
 from .constructions import ProbParams, probabilistic_batch_stats
-from .exactgeom import Line, key_ranks
+from .exactgeom import key_ranks
 from .gridmodel import IncidenceStructure, LineRef, Monomial, group_removable
 from .rng import TRIAL_OFFSET, substream
 from .structure import extract_structure_lines
@@ -286,27 +286,29 @@ class BipartiteReport:
     k33: tuple[tuple[int, int, int], tuple[int, int, int]] | None
 
 
-def bipartite_edges(A: list[Line], B: list[Line]) -> BipartiteReport:
-    """Exact intersection-graph edge count plus an exhaustive K_{3,3} search.
+def bipartite_edges(cfg: ColoredLineConfig) -> BipartiteReport:
+    """Exact intersection-graph edge count plus an exhaustive K_{3,3} search,
+    between the two classes A and B of ``cfg`` (another number of classes:
+    ValueError).
 
     An edge is a pair (a, b) of lines that meet: they share a group of the
-    structure of the two-class configuration.  The search scans all triples
-    on the A side and intersects neighbor bitmasks, so a reported witness
-    is exact and absence is a proof for the given families.  Two equal
-    lines raise ValueError.
+    structure of the configuration.  The search scans all triples on the A
+    side and intersects neighbor bitmasks, so a reported witness is exact
+    and absence is a proof for the given families.
     """
-    masks = [0] * len(A)
-    if A or B:
-        s = extract_structure_lines(ColoredLineConfig((A + B)[0].ambient_dim, [A, B]))
-        first, second = np.divmod(s.inner_pairs(), len(A) + len(B))
-        for i, j in zip(first.tolist(), second.tolist()):
-            if i < len(A) <= j:
-                masks[i] |= 1 << (j - len(A))
+    if cfg.num_colors != 2:
+        raise ValueError(f"an intersection graph needs two classes, not {cfg.num_colors}")
+    a, b = cfg.sizes
+    masks = [0] * a
+    first, second = np.divmod(extract_structure_lines(cfg).inner_pairs(), a + b)
+    for i, j in zip(first.tolist(), second.tolist()):
+        if i < a <= j:
+            masks[i] |= 1 << (j - a)
     edges = sum(m.bit_count() for m in masks)
     rich = [i for i, m in enumerate(masks) if m.bit_count() >= 3]
     for i, j, l in combinations(rich, 3):
         common = masks[i] & masks[j] & masks[l]
         if common.bit_count() >= 3:  # the three lowest B-lines they share
-            bs = tuple(b for b in range(len(B)) if common >> b & 1)[:3]
+            bs = tuple(x for x in range(b) if common >> x & 1)[:3]
             return BipartiteReport(edges, ((i, j, l), bs))
     return BipartiteReport(edges, None)

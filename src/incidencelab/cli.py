@@ -216,8 +216,8 @@ def cmd_gen(args, run: _Run) -> int:
             else constructions.default_generic_slits()
         )
         run.seeds["sampling"] = args.seed
-        lines = constructions.gen_two_slit(args.which, slits, args.count, args.seed)
-        cfg = ColoredLineConfig(3, [lines])
+        ends = constructions.gen_two_slit(args.which, slits, args.count, args.seed)
+        cfg = ColoredLineConfig.from_ends(3, ends, [len(ends)])
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit2(f"unknown construction {sub}")
     run.write_artifact(args.output, configs.config_to_json(cfg))
@@ -261,9 +261,8 @@ def _verify_checks(cfg, args) -> tuple[dict, bool]:
             witness_repr = list(witness) if witness else None
         else:
             order, witness = s.max_colorful()
-            if witness is not None and isinstance(cfg, DualPointConfig):
-                witness = witness.coords  # a covector, written as a tuple
-            witness_repr = repr(witness) if witness is not None else None
+            sep = ", " if isinstance(cfg, DualPointConfig) else ":"  # a covector, or a point
+            witness_repr = None if witness is None else "(" + sep.join(map(str, witness)) + ")"
         passed = order <= args.max_colorful
         checks["max_colorful"] = {
             "bound": args.max_colorful,

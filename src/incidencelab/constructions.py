@@ -48,11 +48,14 @@ import numpy as np
 
 from .configs import ColoredLineConfig, DualPointConfig
 from .exactgeom import (
-    Line,
-    ProjPoint,
     Rational,
+    _canonical_ints,
+    canonical_rows,
+    int_array,
     is_prime,
-    meet,
+    line_keys,
+    magnitude,
+    meet_rows,
 )
 from .gridmodel import ColoredGridConfig, _line_count
 from .rng import (
@@ -60,7 +63,6 @@ from .rng import (
     SLIT_OFFSET,
     default_selection_probability,
     selection_threshold,
-    splitmix64,
     splitmix64_block,
     substream,
 )
@@ -520,15 +522,14 @@ def gen_tricolor(n: int, steps: Sequence[Rational]) -> ColoredLineConfig:
         vertices.append(tuple(vertex))
     if vertices[-1] != vertices[0]:
         raise ValueError("steps do not close the polygon")
-    classes: list[list[Line]] = [[], [], []]
-    seen: set[tuple] = set()
-    for j in range(3 * n):
-        line = Line.affine_with_direction(vertices[j], [int(t == j % 3) for t in range(3)])
-        if line.key in seen:
-            raise ValueError("degenerate parameters: coincident lines")
-        seen.add(line.key)
-        classes[j % 3].append(line)
-    cfg = ColoredLineConfig(3, classes)
+    # edge j: through vertex j along axis j % 3, in class j % 3
+    edges = sorted(range(3 * n), key=lambda j: j % 3)
+    unit = np.eye(4, dtype=np.int64).tolist()
+    ends = [(_canonical_ints([*vertices[j], 1]), unit[j % 3]) for j in edges]
+    try:
+        cfg = ColoredLineConfig.from_ends(3, int_array(ends), [n] * 3)
+    except ValueError:
+        raise ValueError("degenerate parameters: coincident lines") from None
     s = extract_structure_lines(cfg)
     order, _ = s.max_colorful()
     if not structure_consistency(s, 2).ok or order != 2:
@@ -563,10 +564,12 @@ DESARGUES_COLORS = (1, 1, 2, 3, 4, 1, 3, 4, 2, 4, 2, 3)
 REYE_COLORS = (0, 1, 2, 3, 1, 0, 3, 4, 3, 4, 2, 0, 2, 1, 0, 4)
 
 
-def _colored(lines: Sequence[Line], colors: Sequence[int]) -> ColoredLineConfig:
-    """The lines of each color 1..4 as its class, in their order (0: left out)."""
-    classes = [[line for line, c in zip(lines, colors) if c == k] for k in (1, 2, 3, 4)]
-    return ColoredLineConfig(3, classes)
+def _colored(ends: Sequence, colors: Sequence[int]) -> ColoredLineConfig:
+    """The lines of endpoint rows ``ends`` of each color 1..4 as its class,
+    in their order (0: left out)."""
+    order = [i for k in (1, 2, 3, 4) for i, c in enumerate(colors) if c == k]
+    rows = np.array([[_canonical_ints(p), _canonical_ints(q)] for p, q in ends], np.int64)
+    return ColoredLineConfig.from_ends(3, rows[order], [colors.count(k) for k in (1, 2, 3, 4)])
 
 
 def _validate_4x3(cfg: ColoredLineConfig, expect_concurrent: int, name: str) -> ColoredLineConfig:
@@ -600,19 +603,19 @@ def gen_desargues() -> ColoredLineConfig:
     (the coloring, unique up to relabeling, making them 3-consistent without
     a colorful incidence), certified by ``_validate_4x3``; exactly one class
     is concurrent non-coplanar."""
-    lines = [Line(ProjPoint(p), ProjPoint(q)) for p, q in DESARGUES_ENDS]
-    return _validate_4x3(_colored(lines, DESARGUES_COLORS), 1, "Desargues")
+    return _validate_4x3(_colored(DESARGUES_ENDS, DESARGUES_COLORS), 1, "Desargues")
 
 
-def _cube_lines() -> list[Line]:
-    """The 12 edges of the unit cube, axis by axis, then its 4 long diagonals."""
+def _cube_lines() -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The endpoint rows of the 12 edges of the unit cube, axis by axis (a
+    corner and the axis direction), then of its 4 long diagonals."""
     lines = []
     for axis, b0, b1 in product(range(3), (0, 1), (0, 1)):
-        point = [b0, b1]
+        point = [b0, b1, 1]
         point.insert(axis, 0)  # the edge's other coordinates are b0, b1 in order
-        lines.append(Line.affine_with_direction(point, [int(t == axis) for t in range(3)]))
+        lines.append((tuple(point), tuple(int(t == axis) for t in range(4))))
     for a in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):  # each to the opposite corner
-        lines.append(Line.through_affine(a, tuple(1 - x for x in a)))
+        lines.append(((*a, 1), (*(1 - x for x in a), 1)))
     return lines
 
 
@@ -666,7 +669,7 @@ def gen_dual_cycles(
     if len(xs) != r or len(set(xs)) != r or 0 in xs:
         raise ValueError("need r distinct nonzero start coordinates")
 
-    p1 = [ProjPoint([0, 1, 0]), ProjPoint([1, 0, 0])]  # vertical, horizontal
+    p1 = [(0, 1, 0), (1, 0, 0)]  # vertical, horizontal
     p2, p3, p4 = [], [], []
     for x0 in xs:
         a = (x0, a3 * x0)
@@ -675,11 +678,11 @@ def gen_dual_cycles(
         d = (a2 * x0 / a4, a2 * a3 * x0 / a4)
         e = (a2 * x0 / a4, a2 * x0)
         f = (x0, a2 * x0)
-        p3.extend([ProjPoint.affine(a), ProjPoint.affine(d)])
-        p4.extend([ProjPoint.affine(b), ProjPoint.affine(e)])
-        p2.extend([ProjPoint.affine(c), ProjPoint.affine(f)])
+        p3.extend([_canonical_ints([*a, 1]), _canonical_ints([*d, 1])])
+        p4.extend([_canonical_ints([*b, 1]), _canonical_ints([*e, 1])])
+        p2.extend([_canonical_ints([*c, 1]), _canonical_ints([*f, 1])])
     try:
-        cfg = DualPointConfig([p1, p2, p3, p4])
+        cfg = DualPointConfig.from_coords(int_array(p1 + p2 + p3 + p4), [2, 2 * r, 2 * r, 2 * r])
     except ValueError as exc:
         raise ValueError(f"starts cause coincident points: {exc}") from exc
 
@@ -699,67 +702,62 @@ def gen_dual_cycles(
 # Two-slit families
 
 
-def default_generic_slits() -> tuple[Line, Line, Line, Line]:
-    """Four pairwise-generic slits: two skew lines per family."""
-    s1 = Line.affine_with_direction((0, 0, 0), (1, 0, 0))
-    s1p = Line.affine_with_direction((0, 1, 0), (0, 0, 1))
-    s2 = Line.affine_with_direction((1, 0, 1), (0, 1, 0))
-    s2p = Line.affine_with_direction((2, 3, 5), (1, 1, 2))
-    return s1, s1p, s2, s2p
+def default_generic_slits() -> np.ndarray:
+    """Four pairwise-generic slits, two skew lines per family, as (4, 2, 4)
+    endpoint rows: an affine point of each and its direction."""
+    return np.array([
+        [[0, 0, 0, 1], [1, 0, 0, 0]],
+        [[0, 1, 0, 1], [0, 0, 1, 0]],
+        [[1, 0, 1, 1], [0, 1, 0, 0]],
+        [[2, 3, 5, 1], [1, 1, 2, 0]],
+    ], np.int64)
 
 
-def quadric_ruling(family: int, param: tuple[int, int]) -> Line:
-    """A ruling line of the quadric x*y = z*w (homogeneous coordinates).
+def quadric_ruling(family: int, param: tuple[int, int]) -> np.ndarray:
+    """The (2, 4) endpoint rows of a ruling line of the quadric x*y = z*w
+    (homogeneous coordinates).
 
     Family 1 fixes (s:t), family 2 fixes (u:v); opposite families meet.
     """
     s, t = param
     if family == 1:
-        return Line(ProjPoint([s, 0, 0, t]), ProjPoint([0, t, s, 0]))
+        return canonical_rows(int_array([[s, 0, 0, t], [0, t, s, 0]]))
     if family == 2:
-        return Line(ProjPoint([s, 0, t, 0]), ProjPoint([0, t, 0, s]))
+        return canonical_rows(int_array([[s, 0, t, 0], [0, t, 0, s]]))
     raise ValueError("family must be 1 or 2")
 
 
-def quadric_ruling_slits() -> tuple[Line, Line, Line, Line]:
+def quadric_ruling_slits() -> np.ndarray:
     """Slits in special position: both families are rulings of x*y = z*w."""
-    return tuple(quadric_ruling(f, st) for f, st in ((1, (1, 1)), (1, (2, 1)), (2, (1, 1)), (2, (1, 2))))
+    return np.stack([quadric_ruling(f, st) for f, st in ((1, (1, 1)), (1, (2, 1)), (2, (1, 1)), (2, (1, 2)))])
 
 
-def _point_on(line: Line, t: int) -> ProjPoint:
-    return ProjPoint([a + t * b for a, b in zip(line.p.coords, line.q.coords)])
+def gen_two_slit(which: int, slits: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """The (count, 2, 4) endpoint rows of ``count`` distinct lines secant to
+    the chosen family's two slits, of (4, 2, 4) endpoint rows ``slits``.
 
-
-def gen_two_slit(
-    which: int,
-    slits: tuple[Line, Line, Line, Line],
-    count: int,
-    seed: int,
-) -> list[Line]:
-    """Sample ``count`` distinct lines secant to the chosen family's two slits.
-
-    Each line joins a point p + t*q of each slit, where p and q are the
-    slit's spanning points and the integer t is drawn from the seeded
-    substream for the chosen family.
+    Attempt i joins a point p + t*q of each slit, where p and q are the
+    slit's endpoint rows and the integers t, u are draws 2i and 2i + 1 of
+    the seeded substream for the chosen family; a line an earlier attempt
+    drew is skipped.
     """
     if which not in (1, 2) or count < 0:
         raise ValueError("which must be 1 or 2" if count >= 0 else "count must be >= 0")
-    sa, sb = (slits[0], slits[1]) if which == 1 else (slits[2], slits[3])
-    if meet(sa, sb) is not None:
+    pair = int_array(slits)[2 * which - 2 : 2 * which]
+    keys, _ = line_keys(pair)
+    if meet_rows(keys[:1], keys[1:])[1][0]:
         raise ValueError("the chosen family's slits must be skew")
-    stream = substream(seed, SLIT_OFFSET + which)
-    out: list[Line] = []
-    seen: set[tuple] = set()
-    i = 0  # two draws per attempt
-    while len(out) < count:
-        if i // 2 > 20 * count + 100:
+    pair = pair.astype(object) if magnitude(pair) >= 2**48 else pair  # |p + t*q| < 2^62
+    stream, limit, attempts = substream(seed, SLIT_OFFSET + which), 20 * count + 101, 0
+    ends, kept = np.empty((0, 2, 4), np.int64), []
+    while len(kept) < count:
+        if attempts == limit:
             raise RuntimeError("could not sample enough distinct secant lines")
-        t = splitmix64(stream, i) % 20011 - 10005
-        u = splitmix64(stream, i + 1) % 20011 - 10005
-        i += 2
-        line = Line(_point_on(sa, t), _point_on(sb, u))
-        if line.key in seen:
-            continue
-        seen.add(line.key)
-        out.append(line)
-    return out
+        attempts = min(attempts + count - len(kept), limit)
+        tu = (splitmix64_block(stream, 0, 2 * attempts) % np.uint64(20011)).astype(np.int64) - 10005
+        ends = canonical_rows(pair[:, 0] + tu.reshape(-1, 2, 1) * pair[:, 1])
+        first: dict = {}
+        for i, key in enumerate(map(tuple, line_keys(ends)[0].reshape(attempts, -1).tolist())):
+            first.setdefault(key, i)
+        kept = list(first.values())
+    return ends[kept[:count]]

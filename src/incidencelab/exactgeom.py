@@ -1,19 +1,23 @@
 """Exact rational projective linear algebra.
 
 Points and lines in projective d-space with arbitrary-precision rational
-coordinates, and spans by exact rank (``int_rank``).  A point canonicalizes
-its homogeneous coordinates to a primitive integer vector (denominators
+coordinates, and spans by exact rank (``int_rank``).  A point's homogeneous
+coordinates canonicalize to a primitive integer vector (denominators
 cleared, gcd divided out, first nonzero entry positive), so equality is
-tuple equality, hashing is O(1), and every predicate reduces to exact
-integer arithmetic.  No floating point is used anywhere.
+tuple equality and every predicate reduces to exact integer arithmetic.
+No floating point is used anywhere.
 
 Configurations hold points and lines as integer arrays: int64 under a
 stated bound, Python-int object arrays above it.  Rows are canonicalized
 in bulk, line keys come from 2x2 minors of the endpoints (``line_keys``,
 int64 below 2^30) and a projective map is one product (``image_rows``,
-int64 below 2^63; ``apply_matrix`` maps one point by it).  Pairs meet in
-bulk, line keys by a residual test (``meet``: one pair of ``meet_rows``),
-planar rows by ``cross_rows``.  A ``Line`` skips row reduction of stored keys.
+int64 below 2^63).  Pairs meet in bulk, line keys by a residual test
+(``meet_rows``), planar rows by ``cross_rows``.
+
+The objects ``ProjPoint`` and ``Line``, with ``incident``, ``meet`` (one
+pair of ``meet_rows``) and ``apply_matrix`` (one row of ``image_rows``),
+have no caller in the library: they stay because the benchmark's tracer
+binds them by name.
 
 Conventions
 -----------
@@ -27,6 +31,7 @@ Conventions
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -51,12 +56,17 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # as ``Fraction`` reads
 def parse_rational(text: str) -> Rational:
     """Parse a "num/den" string (tolerating unicode minus signs), else
     ValueError; an ASCII integer string parses to its int.  A decimal
-    exponent past ``MAX_EXPONENT`` in magnitude is a ValueError."""
+    exponent past ``MAX_EXPONENT`` in magnitude, or an integer past
+    Python's cap on int string digits, is a ValueError."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a 'num/den' string, not {text!r}")
     text = text.strip().replace("−", "-")
     if _ASCII_INT.fullmatch(text):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # past Python's cap on the digits of an int string
+            digits, cap = len(text.lstrip("-")), sys.get_int_max_str_digits()
+            raise ValueError(f"{text[:40]!r} has {digits} digits, past {cap}") from None
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
         raise ValueError(f"exponent of {text[:40]!r} past {MAX_EXPONENT} in magnitude")
@@ -317,16 +327,9 @@ class ProjPoint:
         object.__setattr__(point, "coords", coords)
         return point
 
-    @classmethod
-    def affine(cls, values: Sequence[Rational]) -> "ProjPoint":
-        return cls([*values, 1])
-
     @property
     def ambient_dim(self) -> int:
         return len(self.coords) - 1
-
-    def to_strings(self) -> list[str]:
-        return [str(c) for c in self.coords]
 
     def __repr__(self) -> str:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
@@ -347,8 +350,7 @@ class Line:
     The canonical key (reduced row-echelon basis of the two coordinate
     rows, with pivot columns ``pivots``) identifies the line independently
     of the chosen point pair, so lines hash and compare by the geometric
-    object they represent.  A key given with its pivots (stored key rows,
-    see ``line_keys``) is taken as it is, with no row reduction.
+    object they represent.
     """
 
     p: ProjPoint
@@ -356,28 +358,16 @@ class Line:
     key: tuple[tuple[int, ...], ...]
     pivots: tuple[int, int]
 
-    def __init__(self, p: ProjPoint, q: ProjPoint, key=None, pivots=None):
-        if key is None:
-            if p.ambient_dim != q.ambient_dim:
-                raise ValueError("line endpoints in different ambient dimensions")
-            key = int_rref([p.coords, q.coords])
-            if len(key) != 2:
-                raise ValueError("a line needs two distinct projective points")
-            pivots = tuple(next(c for c, x in enumerate(r) if x) for r in key)
+    def __init__(self, p: ProjPoint, q: ProjPoint):
+        if p.ambient_dim != q.ambient_dim:
+            raise ValueError("line endpoints in different ambient dimensions")
+        key = int_rref([p.coords, q.coords])
+        if len(key) != 2:
+            raise ValueError("a line needs two distinct projective points")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "key", tuple(key))
-        object.__setattr__(self, "pivots", tuple(pivots))
-
-    @classmethod
-    def through_affine(cls, a: Sequence[Rational], b: Sequence[Rational]) -> "Line":
-        return cls(ProjPoint.affine(a), ProjPoint.affine(b))
-
-    @classmethod
-    def affine_with_direction(
-        cls, point: Sequence[Rational], direction: Sequence[Rational]
-    ) -> "Line":
-        return cls(ProjPoint.affine(point), ProjPoint([*direction, 0]))
+        object.__setattr__(self, "pivots", tuple(next(c for c, x in enumerate(r) if x) for r in key))
 
     @property
     def ambient_dim(self) -> int:
@@ -404,4 +394,3 @@ def apply_matrix(matrix: Sequence[Sequence[int]], point: ProjPoint) -> ProjPoint
     """Image of a point under a projective transformation given by integer
     matrix rows: ``image_rows`` of its one row."""
     return ProjPoint.canonical(tuple(image_rows(matrix, int_array([point.coords]))[0].tolist()))
-

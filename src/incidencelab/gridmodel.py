@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactgeom import ProjPoint, common_rows, line_keys
+from .exactgeom import common_rows, line_keys
 
 LineRef = tuple[int, int]
 Monomial = frozenset[LineRef]
@@ -310,11 +310,11 @@ class IncidenceStructure:
         first = self.firsts[groups]
         return common_rows(self.rows[self.line[first]], self.rows[self.line[first + 1]])[0]
 
-    def witness(self, g: int) -> ProjPoint:
-        """Group g's point (or covector): ``witnesses`` of the one group."""
-        return ProjPoint.canonical(tuple(self.witnesses(np.array([g]))[0].tolist()))
+    def witness(self, g: int) -> tuple[int, ...]:
+        """Group g's point (or covector) as a canonical row: ``witnesses`` of the one group."""
+        return tuple(self.witnesses(np.array([g]))[0].tolist())
 
-    def max_colorful(self) -> tuple[int, object | None]:
+    def max_colorful(self) -> tuple[int, tuple[int, ...] | None]:
         """Largest color count over all groups, with the witness of the
         first group reaching it."""
         order, at = group_max_colorful(self)

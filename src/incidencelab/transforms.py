@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .configs import ColoredLineConfig, DualPointConfig, embed_grid_config
-from .exactgeom import ProjPoint, canonical_rows, cross_rows, image_rows, int_array, key_ranks
+from .exactgeom import canonical_rows, cross_rows, image_rows, int_array, key_ranks
 from .gridmodel import ColoredGridConfig
 from .rng import RETRY_OFFSET, splitmix64, substream
 from .structure import (
@@ -42,9 +42,9 @@ def apply_projective(
     """Map every line (and center) of a configuration through an integer
     matrix: one product of its endpoint rows (``image_rows``), with the
     keys of the images computed in bulk."""
-    given = [c.coords for c in cfg.centers if c is not None]
+    given = [c for c in cfg.centers if c is not None]
     mapped = iter(image_rows(matrix, int_array(given).reshape(len(given), cfg.d + 1)).tolist())
-    centers = [None if c is None else ProjPoint.canonical(tuple(next(mapped))) for c in cfg.centers]
+    centers = [None if c is None else next(mapped) for c in cfg.centers]
     ends = image_rows(matrix, cfg.ends)
     return ColoredLineConfig.from_ends(len(matrix) - 1, ends, cfg.sizes, centers)
 

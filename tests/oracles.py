@@ -79,6 +79,15 @@ reference for ``exactgeom._canonical_ints``; ``translated_dual`` moves
 every line's spanning points off the pole before taking covectors, the
 reference for the covector shift of ``dualize``; ``fraction_xy`` is the
 reference for the renderer's float coordinates.
+``line_config`` and ``dual_config`` build configurations from classes of
+``Line`` and ``ProjPoint`` objects through the library's row constructors,
+``family_config`` from families of endpoint rows, and ``line_classes``,
+``point_classes`` and ``lines_of`` turn rows back into objects; ``affine``,
+``through_affine`` and ``with_direction`` build objects from affine
+coordinates.  ``tricolor_lines``, ``cube_lines``, ``dual_cycle_points`` and
+``two_slit_lines`` (on ``generic_slit_lines``, ``quadric_slit_lines`` or
+``quadric_ruling_line``s) build each generator's lines or points as
+objects, one at a time: the references for the rows the generators emit.
 ``dump_json`` is ``json``'s own indented writer (its pure-Python encoder),
 the reference for the CLI's JSON writer.  ``ASCII_INTS`` is the regular
 expression of comma-joined ASCII integers, the reference for the ``str``
@@ -114,6 +123,7 @@ from incidencelab.configs import (
     embed_grid_config,
 )
 from incidencelab.constructions import _validate_4x3
+from incidencelab.rng import SLIT_OFFSET, splitmix64, substream
 from incidencelab.gridmodel import ColoredGridConfig, _line_count
 from incidencelab.structure import IncidenceStructure, extract_structure_lines
 
@@ -221,10 +231,82 @@ def grid_from_json(data: dict) -> ColoredGridConfig:
     return ColoredGridConfig(k, n, [np.concatenate((np.empty(0, np.int64), *c)) for c in classes])
 
 
+def affine(values: Sequence[Rational]) -> ProjPoint:
+    """The affine point ``values``, as (values, 1)."""
+    return ProjPoint([*values, 1])
+
+
+def point_strings(p: ProjPoint) -> list[str]:
+    """A point's coordinates as a file writes them."""
+    return [str(c) for c in p.coords]
+
+
+def through_affine(a: Sequence[Rational], b: Sequence[Rational]) -> Line:
+    """The line through two affine points."""
+    return Line(affine(a), affine(b))
+
+
+def with_direction(point: Sequence[Rational], direction: Sequence[Rational]) -> Line:
+    """The line through the affine ``point`` along ``direction`` (its point at infinity)."""
+    return Line(affine(point), ProjPoint([*direction, 0]))
+
+
+def line_config(d: int, classes: Iterable[Iterable[Line]], centers=None) -> ColoredLineConfig:
+    """The configuration of classes of ``Line`` objects in R^d, with a center
+    per class (a ``ProjPoint``, a row or None) if given: ``from_ends`` of
+    their spanning points."""
+    classes = [list(cls) for cls in classes]
+    lines = [line for cls in classes for line in cls]
+    if any(line.ambient_dim != d for line in lines):
+        raise ValueError("line ambient dimension does not match d")
+    ends = int_array([(line.p.coords, line.q.coords) for line in lines]).reshape(len(lines), 2, d + 1)
+    rows = None if centers is None else [getattr(c, "coords", c) for c in centers]
+    return ColoredLineConfig.from_ends(d, ends, [len(cls) for cls in classes], rows)
+
+
+def dual_config(classes: Iterable[Iterable[ProjPoint]]) -> DualPointConfig:
+    """The dual point configuration of classes of planar ``ProjPoint``s: ``from_coords``."""
+    classes = [list(cls) for cls in classes]
+    points = [p for cls in classes for p in cls]
+    if any(p.ambient_dim != 2 for p in points):
+        raise ValueError("dual points live in the projective plane")
+    coords = int_array([p.coords for p in points]).reshape(len(points), 3)
+    return DualPointConfig.from_coords(coords, [len(cls) for cls in classes])
+
+
+def _cut(items: Sequence, sizes: Sequence[int]) -> tuple[tuple, ...]:
+    """A flat sequence cut into consecutive classes of the given sizes."""
+    bounds = [0, *accumulate(sizes)]
+    return tuple(tuple(items[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+def lines_of(ends: np.ndarray) -> list[Line]:
+    """The ``Line`` objects of (L, 2, D) canonical endpoint rows, each
+    row-reduced on its own."""
+    return [Line(ProjPoint.canonical(tuple(p)), ProjPoint.canonical(tuple(q))) for p, q in ends.tolist()]
+
+
+def line_classes(cfg: ColoredLineConfig) -> tuple[tuple[Line, ...], ...]:
+    """The lines of a configuration as ``Line`` objects, class by class."""
+    return _cut(lines_of(cfg.ends), cfg.sizes)
+
+
+def family_config(*families: np.ndarray) -> ColoredLineConfig:
+    """The configuration in R^3 with one class per family of (N, 2, 4)
+    endpoint rows."""
+    ends = np.concatenate([np.reshape(f, (-1, 2, 4)) for f in families])
+    return ColoredLineConfig.from_ends(3, ends, [len(f) for f in families])
+
+
+def point_classes(cfg: DualPointConfig) -> tuple[tuple[ProjPoint, ...], ...]:
+    """The points of a dual configuration as ``ProjPoint``s, class by class."""
+    return _cut([ProjPoint.canonical(tuple(p)) for p in cfg.coords.tolist()], cfg.sizes)
+
+
 def embed_grid_line(line: GridLine) -> Line:
     """The exact rational line in R^(k+1) that ``embed_grid_config`` makes of ``line``."""
     k, n = len(line.base) - 1, max(line.base)
-    return embed_grid_config(ColoredGridConfig(k, n, [encode(k, n, [line])])).classes[0][0]
+    return line_classes(embed_grid_config(ColoredGridConfig(k, n, [encode(k, n, [line])])))[0][0]
 
 
 def point_on_line(point: tuple[int, ...], line: GridLine) -> bool:
@@ -633,11 +715,11 @@ def loop_flatness_audit(cfg: ColoredLineConfig, s: IncidenceStructure, t: int) -
     """(point, refs, rank, flat) of each group of >= t lines, group by
     group: its witness met from two lines, and ``rank_of_directions`` of
     its lines through that point."""
-    records = []
+    records, classes = [], line_classes(cfg)
     for g, refs in enumerate(s.members):
         if len(refs) >= t:
             point = s.witness(g)
-            rank = rank_of_directions([cfg.classes[c - 1][i] for c, i in refs], point)
+            rank = rank_of_directions([classes[c - 1][i] for c, i in refs], ProjPoint.canonical(point))
             records.append((point, tuple(refs), rank, rank <= min(cfg.d, len(refs)) - 1))
     return records
 
@@ -704,8 +786,8 @@ def concurrency_center(lines: Sequence[Line]) -> ProjPoint | None:
 
 def with_computed_centers(cfg: ColoredLineConfig) -> ColoredLineConfig:
     """``cfg`` with the ``concurrency_center`` of each class recorded."""
-    centers = [concurrency_center(cls) for cls in cfg.classes]
-    return ColoredLineConfig.from_ends(cfg.d, cfg.ends, cfg.sizes, centers)
+    centers = [concurrency_center(cls) for cls in line_classes(cfg)]
+    return ColoredLineConfig.from_ends(cfg.d, cfg.ends, cfg.sizes, [c and c.coords for c in centers])
 
 
 def _search_coloring(
@@ -739,7 +821,7 @@ def _search_coloring(
             for i, line in enumerate(lines):
                 classes[colors[i] - 1].append(line)
             try:
-                cfg = ColoredLineConfig(3, classes)
+                cfg = line_config(3, classes)
             except ValueError:
                 return None
             return validate(cfg)
@@ -774,7 +856,7 @@ def _validated(expect_concurrent: int, name: str):
 
 def _colors_of(cfg: ColoredLineConfig, lines: Sequence[Line]) -> tuple[int, ...]:
     """The color of each of ``lines`` in ``cfg``, 0 for a line it leaves out."""
-    color = {line.key: c for c, cls in enumerate(cfg.classes, start=1) for line in cls}
+    color = {line.key: c for c, cls in enumerate(line_classes(cfg), start=1) for line in cls}
     return tuple(color.get(line.key, 0) for line in lines)
 
 
@@ -802,7 +884,7 @@ def search_desargues_colors(lines: Sequence[Line]) -> tuple[int, ...] | None:
     """The first coloring of the 12 two-plane ``lines`` that passes
     ``_validate_4x3`` with one concurrent class, trying as that class each
     group of three lines whose directions span R^3."""
-    one = ColoredLineConfig(3, [lines])
+    one = line_config(3, [lines])
     s = extract_structure_lines(one)
     buckets = [frozenset(i for _, i in refs) for refs in s.members]
     start = s.firsts[np.diff(s.firsts, append=len(s.line)) == 3]
@@ -823,7 +905,7 @@ def search_reye_colors(lines: Sequence[Line]) -> tuple[int, ...] | None:
     left out) that passes ``_validate_4x3`` with no concurrent class, over
     the four-line drops in ``combinations`` order that leave three lines
     on each of the 12 incidence points."""
-    s = extract_structure_lines(ColoredLineConfig(3, [lines]))
+    s = extract_structure_lines(line_config(3, [lines]))
     buckets = [frozenset(i for _, i in refs) for refs in s.members]
     if len(buckets) != 12 or any(len(b) != 4 for b in buckets):
         raise RuntimeError("cube lines do not form the expected 12x4 structure")
@@ -866,6 +948,100 @@ def loop_bipartite_edges(A: Sequence[Line], B: Sequence[Line]):
             bs = [b for b in range(len(B)) if common >> b & 1][:3]
             return sum(m.bit_count() for m in masks), ((i, j, l), tuple(bs))
     return sum(m.bit_count() for m in masks), None
+
+
+def tricolor_lines(steps: Sequence[Rational]) -> ColoredLineConfig:
+    """The lines of the tricolor polygon of ``steps`` as ``Line`` objects:
+    edge j through vertex j along axis j % 3, in class j % 3 (coincident
+    lines: ValueError).  The reference for ``gen_tricolor``'s rows, before
+    its checks."""
+    vertex, classes = [Fraction(0)] * 3, [[], [], []]
+    for j, step in enumerate(steps):
+        classes[j % 3].append(with_direction(vertex, [int(t == j % 3) for t in range(3)]))
+        vertex[j % 3] += Fraction(step)
+    return line_config(3, classes)
+
+
+def cube_lines() -> list[Line]:
+    """The 12 edges of the unit cube, axis by axis, then its 4 long
+    diagonals: the reference for ``constructions._cube_lines``."""
+    lines = []
+    for axis, b0, b1 in product(range(3), (0, 1), (0, 1)):
+        point = [b0, b1]
+        point.insert(axis, 0)  # the edge's other coordinates are b0, b1 in order
+        lines.append(with_direction(point, [int(t == axis) for t in range(3)]))
+    for a in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):  # each to the opposite corner
+        lines.append(through_affine(a, tuple(1 - x for x in a)))
+    return lines
+
+
+def dual_cycle_points(slopes: Sequence[Rational], starts: Sequence[Rational]) -> DualPointConfig:
+    """The two direction points and the six-step cycles from each of
+    ``starts`` as ``ProjPoint`` classes (coincident points: ValueError): the
+    reference for ``gen_dual_cycles``' rows, before its checks."""
+    a2, a3, a4 = map(Fraction, slopes)
+    p1 = [ProjPoint([0, 1, 0]), ProjPoint([1, 0, 0])]
+    p2, p3, p4 = [], [], []
+    for x0 in map(Fraction, starts):
+        a = (x0, a3 * x0)
+        b = (a3 * x0 / a4, a3 * x0)
+        c = (a3 * x0 / a4, a2 * a3 * x0 / a4)
+        d = (a2 * x0 / a4, a2 * a3 * x0 / a4)
+        e = (a2 * x0 / a4, a2 * x0)
+        f = (x0, a2 * x0)
+        p3.extend([affine(a), affine(d)])
+        p4.extend([affine(b), affine(e)])
+        p2.extend([affine(c), affine(f)])
+    return dual_config([p1, p2, p3, p4])
+
+
+def generic_slit_lines() -> tuple[Line, Line, Line, Line]:
+    """``constructions.default_generic_slits`` as ``Line`` objects."""
+    return (
+        with_direction((0, 0, 0), (1, 0, 0)),
+        with_direction((0, 1, 0), (0, 0, 1)),
+        with_direction((1, 0, 1), (0, 1, 0)),
+        with_direction((2, 3, 5), (1, 1, 2)),
+    )
+
+
+def quadric_ruling_line(family: int, param: tuple[int, int]) -> Line:
+    """``constructions.quadric_ruling`` as a ``Line``."""
+    s, t = param
+    if family == 1:
+        return Line(ProjPoint([s, 0, 0, t]), ProjPoint([0, t, s, 0]))
+    if family == 2:
+        return Line(ProjPoint([s, 0, t, 0]), ProjPoint([0, t, 0, s]))
+    raise ValueError("family must be 1 or 2")
+
+
+def quadric_slit_lines() -> tuple[Line, Line, Line, Line]:
+    """``constructions.quadric_ruling_slits`` as ``Line`` objects."""
+    return tuple(quadric_ruling_line(f, st) for f, st in ((1, (1, 1)), (1, (2, 1)), (2, (1, 1)), (2, (1, 2))))
+
+
+def two_slit_lines(which: int, slits: Sequence[Line], count: int, seed: int) -> list[Line]:
+    """``count`` distinct secants of the chosen family's two slits, one
+    ``Line`` per attempt: attempt i joins p + t*q on each slit, t and u
+    draws 2i and 2i + 1 of the family's substream, skipping a line drawn
+    before.  The reference for ``gen_two_slit``."""
+    sa, sb = slits[2 * which - 2 : 2 * which]
+    if loop_meet(sa, sb) is not None:
+        raise ValueError("the chosen family's slits must be skew")
+    stream = substream(seed, SLIT_OFFSET + which)
+    out: list[Line] = []
+    i = 0
+    while len(out) < count:
+        if i // 2 > 20 * count + 100:
+            raise RuntimeError("could not sample enough distinct secant lines")
+        t = splitmix64(stream, i) % 20011 - 10005
+        u = splitmix64(stream, i + 1) % 20011 - 10005
+        i += 2
+        line = Line(*(ProjPoint([a + x * b for a, b in zip(sl.p.coords, sl.q.coords)])
+                      for sl, x in ((sa, t), (sb, u))))
+        if line not in out:
+            out.append(line)
+    return out
 
 
 def random_structure(seed: int, m: int, rainbow: bool) -> IncidenceStructure:
@@ -1043,20 +1219,20 @@ def translated_dual(cfg: ColoredLineConfig) -> tuple[int, DualPointConfig]:
     """(j, dual) of a planar configuration: the least j >= 0 for which no
     line passes through (-j, -j^2), and the pole-polar dual of the lines
     after translating their spanning points by (j, j^2)."""
-    lines = [line for cls in cfg.classes for line in cls]
+    lines = [line for cls in line_classes(cfg) for line in cls]
     j = 0
     while any(line_contains(line, ProjPoint([-j, -j * j, 1])) for line in lines):
         j += 1
     shift = [[1, 0, j], [0, 1, j * j], [0, 0, 1]]
     classes = []
-    for cls in cfg.classes:
+    for cls in line_classes(cfg):
         points = []
         for line in cls:
             moved = Line(loop_apply_matrix(shift, line.p), loop_apply_matrix(shift, line.q))
             a, b, c = line_covector_2d(moved)
             points.append(ProjPoint([a, b, -c]))
         classes.append(points)
-    return j, DualPointConfig(classes)
+    return j, dual_config(classes)
 
 
 def fraction_xy(p: ProjPoint) -> tuple[float, float]:

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from incidencelab.analysis import (
@@ -30,7 +31,7 @@ from incidencelab.constructions import (
     quadric_ruling,
     quadric_ruling_slits,
 )
-from incidencelab.exactgeom import ProjPoint, meet
+from incidencelab.exactgeom import meet
 from incidencelab.gridmodel import is_k_consistent, max_colorful_order
 from incidencelab.structure import (
     extract_alignments,
@@ -47,9 +48,13 @@ from incidencelab.transforms import (
 )
 from oracles import (
     GridLine,
+    affine,
     concurrency_center,
     embed_grid_line,
+    family_config,
     grid_meet,
+    line_classes,
+    lines_of,
     point_enumeration_incidences,
 )
 from test_gridmodel import grid_point_incidences
@@ -225,7 +230,7 @@ def test_criterion_8_duality_round_trip(desargues):
     sizes_ok = sizes == (2, 4, 4, 4)
     even_sizes_ok = all(s % 2 == 0 and s >= 4 for s in sizes[1:])
     concurrent_ok = all(
-        concurrency_center(cls) is not None for cls in lines.classes[1:]
+        concurrency_center(cls) is not None for cls in line_classes(lines)[1:]
     )
     dual_consistency = rep.triples_with_direction_color
     no_colorful = extract_alignments(dual_cfg).max_colorful()[0] <= 3
@@ -246,18 +251,19 @@ def test_criterion_9_two_slit_dichotomy():
     slits = default_generic_slits()
     A = gen_two_slit(1, slits, 50, seed=20)
     B = gen_two_slit(2, slits, 50, seed=21)
-    generic = bipartite_edges(A, B)
+    generic = bipartite_edges(family_config(A, B))
 
     qslits = quadric_ruling_slits()
-    A2 = gen_two_slit(1, qslits, 47, seed=20) + [
+    A2 = np.concatenate((gen_two_slit(1, qslits, 47, seed=20), [
         quadric_ruling(2, (1, t)) for t in (3, 4, 5)
-    ]
-    B2 = gen_two_slit(2, qslits, 47, seed=21) + [
+    ]))
+    B2 = np.concatenate((gen_two_slit(2, qslits, 47, seed=21), [
         quadric_ruling(1, (t, 1)) for t in (3, 4, 5)
-    ]
-    for extra in A2[-3:]:
-        assert meet(extra, qslits[0]) is not None and meet(extra, qslits[1]) is not None
-    quadric = bipartite_edges(A2, B2)
+    ]))
+    slit_lines = lines_of(qslits)
+    for extra in lines_of(A2[-3:]):
+        assert meet(extra, slit_lines[0]) is not None and meet(extra, slit_lines[1]) is not None
+    quadric = bipartite_edges(family_config(A2, B2))
     elapsed = time.time() - t0
     ok = generic.k33 is None and quadric.k33 is not None and elapsed < 30.0
     report(
@@ -291,7 +297,7 @@ def test_criterion_10_cross_module_oracle(k, n):
         elif got is None:
             agree = exact is None
         else:
-            agree = exact == ProjPoint.affine(got)
+            agree = exact == affine(got)
         mismatches += not agree
     ok = mismatches == 0
     report(

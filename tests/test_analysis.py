@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,7 +21,6 @@ from incidencelab.analysis import (
     parse_monomial,
     flatness_audit,
 )
-from incidencelab.configs import ColoredLineConfig
 from incidencelab.constructions import (
     ProbParams,
     default_generic_slits,
@@ -34,7 +34,11 @@ from incidencelab.structure import extract_structure_lines
 from incidencelab.transforms import lift_to_concurrent, project_generic
 from oracles import (
     GridLine,
+    affine,
+    family_config,
     grid_config,
+    line_config,
+    lines_of,
     loop_bipartite_edges,
     loop_flatness_audit,
     structure_of,
@@ -147,25 +151,25 @@ class TestMinimality:
 
 class TestFlatness:
     def test_coplanar_triple_is_flat(self):
-        at = ProjPoint.affine((0, 0, 0))
+        at = affine((0, 0, 0))
         lines = [
-            Line(at, ProjPoint.affine((1, 0, 0))),
-            Line(at, ProjPoint.affine((0, 1, 0))),
-            Line(at, ProjPoint.affine((1, 1, 0))),
+            Line(at, affine((1, 0, 0))),
+            Line(at, affine((0, 1, 0))),
+            Line(at, affine((1, 1, 0))),
         ]
-        cfg = ColoredLineConfig(3, [[lines[0]], [lines[1]], [lines[2]]])
+        cfg = line_config(3, [[lines[0]], [lines[1]], [lines[2]]])
         records = flatness_audit(cfg, extract_structure_lines(cfg), 3)
         assert len(records) == 1
         assert records[0].rank == 2 and records[0].flat
 
     def test_independent_directions_not_flat(self):
-        at = ProjPoint.affine((0, 0, 0))
+        at = affine((0, 0, 0))
         lines = [
-            Line(at, ProjPoint.affine((1, 0, 0))),
-            Line(at, ProjPoint.affine((0, 1, 0))),
-            Line(at, ProjPoint.affine((0, 0, 1))),
+            Line(at, affine((1, 0, 0))),
+            Line(at, affine((0, 1, 0))),
+            Line(at, affine((0, 0, 1))),
         ]
-        cfg = ColoredLineConfig(3, [[lines[0]], [lines[1]], [lines[2]]])
+        cfg = line_config(3, [[lines[0]], [lines[1]], [lines[2]]])
         records = flatness_audit(cfg, extract_structure_lines(cfg), 3)
         assert records[0].rank == 3 and not records[0].flat
 
@@ -215,7 +219,7 @@ class TestFlatnessAgainstLoop:
     @settings(max_examples=150, deadline=None)
     @given(lines=pencils(), colors=st.integers(1, 3))
     def test_matches_loop(self, t, lines, colors):
-        cfg = ColoredLineConfig(lines[0].ambient_dim, [lines[c::colors] for c in range(colors)])
+        cfg = line_config(lines[0].ambient_dim, [lines[c::colors] for c in range(colors)])
         assert_audit_matches_loop(cfg, t)
 
     @pytest.mark.parametrize("fixture", ["algebraic_3_2", "algebraic_3_3"])
@@ -277,27 +281,28 @@ class TestMonteCarlo:
 
 class TestBipartite:
     def test_empty(self):
-        assert bipartite_edges([], []).edges == 0
+        assert bipartite_edges(line_config(3, [[], []])).edges == 0
 
     def test_crossing_pair(self):
-        a = Line(ProjPoint.affine((0, 0, 0)), ProjPoint.affine((1, 0, 0)))
-        b = Line(ProjPoint.affine((0, 0, 0)), ProjPoint.affine((0, 1, 0)))
-        rep = bipartite_edges([a], [b])
+        a = Line(affine((0, 0, 0)), affine((1, 0, 0)))
+        b = Line(affine((0, 0, 0)), affine((0, 1, 0)))
+        rep = bipartite_edges(line_config(3, [[a], [b]]))
         assert rep.edges == 1 and rep.k33 is None
 
     def test_quadric_k33_found(self):
         slits = quadric_ruling_slits()
-        A = gen_two_slit(1, slits, 5, seed=2) + [
+        A = np.concatenate((gen_two_slit(1, slits, 5, seed=2), [
             quadric_ruling(2, (1, t)) for t in (3, 4, 5)
-        ]
-        B = gen_two_slit(2, slits, 5, seed=2) + [
+        ]))
+        B = np.concatenate((gen_two_slit(2, slits, 5, seed=2), [
             quadric_ruling(1, (t, 1)) for t in (3, 4, 5)
-        ]
-        rep = bipartite_edges(A, B)
+        ]))
+        rep = bipartite_edges(family_config(A, B))
         assert rep.k33 is not None
         (ta, tb) = rep.k33
         from incidencelab.exactgeom import meet
 
+        A, B = lines_of(A), lines_of(B)
         for i in ta:
             for j in tb:
                 assert meet(A[i], B[j]) is not None
@@ -306,7 +311,7 @@ class TestBipartite:
         slits = default_generic_slits()
         A = gen_two_slit(1, slits, 20, seed=8)
         B = gen_two_slit(2, slits, 20, seed=8)
-        assert bipartite_edges(A, B).k33 is None
+        assert bipartite_edges(family_config(A, B)).k33 is None
 
     @settings(max_examples=60, deadline=None)
     @example(quadric=False, counts=(0, 0), rulings=0, seeds=(0, 0))
@@ -324,16 +329,17 @@ class TestBipartite:
         families = []
         for which, count, seed in zip((1, 2), counts, seeds):
             extra = [quadric_ruling(3 - which, (1, t)) for t in range(3, 3 + rulings)]
-            lines = gen_two_slit(which, slits, count, seed) + extra
+            extra = np.array(extra, np.int64).reshape(-1, 2, 4)
+            lines = lines_of(np.concatenate((gen_two_slit(which, slits, count, seed), extra)))
             families.append(list({line.key: line for line in lines}.values()))
         A, B = families
         if {line.key for line in A} & {line.key for line in B}:
             with pytest.raises(ValueError):
                 loop_bipartite_edges(A, B)
             with pytest.raises(ValueError):
-                bipartite_edges(A, B)
+                bipartite_edges(line_config(3, [A, B]))
             return
-        rep = bipartite_edges(A, B)
+        rep = bipartite_edges(line_config(3, [A, B]))
         assert (rep.edges, rep.k33) == loop_bipartite_edges(A, B)
         if rulings >= 3:
             assert rep.k33 is not None

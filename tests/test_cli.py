@@ -22,7 +22,15 @@ from incidencelab import cli, configs, constructions, exactgeom, gridmodel, rend
 from incidencelab.cli import main
 from incidencelab.gridmodel import ColoredGridConfig
 from incidencelab.structure import IncidenceStructure
-from oracles import ASCII_INTS, dump_json, entries, fraction_canonical_ints, fraction_xy
+from oracles import (
+    ASCII_INTS,
+    dump_json,
+    entries,
+    fraction_canonical_ints,
+    fraction_xy,
+    line_classes,
+    line_config,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -141,7 +149,7 @@ class TestGen:
         # Line either, and embedding it shows that the count is live
         cfg = configs.config_from_json(json.loads((workdir / "p.json").read_text()))
         assert list(cfg.class_sizes()) == expected and built == []
-        assert len(configs.embed_grid_config(cfg).classes) == 4 and len(built) == sum(expected)
+        assert len(line_classes(configs.embed_grid_config(cfg))) == 4 and len(built) == sum(expected)
 
     @pytest.mark.parametrize(
         "emit,digest",
@@ -830,12 +838,12 @@ class TestTransformAnalyze:
 
         def broken(cfg, audit=True):
             lifted, s = lift(cfg, audit)
-            classes = [list(cls) for cls in lifted.classes]
+            classes = [list(cls) for cls in line_classes(lifted)]
             point, center = classes[0][0].p, classes[0][0].q
-            assert center == lifted.centers[0]
+            assert center.coords == lifted.centers[0]
             moved = exactgeom.ProjPoint((point.coords[0] + 1, *point.coords[1:]))
             classes[0][0] = exactgeom.Line(center, moved)
-            lifted = configs.ColoredLineConfig(lifted.d, classes, lifted.centers)
+            lifted = line_config(lifted.d, classes, lifted.centers)
             assert transforms.extract_structure_lines(lifted) != s
             return lifted, s
 
@@ -1550,6 +1558,24 @@ class TestSizeBounds:
         )
         write("1e4300")
         assert run(["analyze", "e.json", "--structure"]) == 0
+
+    @pytest.mark.parametrize("model", ["points", "lines"])
+    def test_int_past_digit_cap_exits_2(self, workdir, capsys, model):
+        # Python reads no int string past 4,300 digits; the error names the entry
+        big = "7" * 5001
+        if model == "points":
+            data = {"model": "points", "classes": [{"color": 1, "points": [["1", "2", "1"], ["3", big, "1"]]}]}
+        else:
+            line = {"p": ["1", "2", "1", "1"], "q": ["3", big, "1", "1"]}
+            data = {"model": "lines", "d": 3, "classes": [{"color": 1, "lines": [line]}]}
+        (workdir / "e.json").write_text(json.dumps(data))
+        assert run(["export", "e.json", "--svg", "e.svg"]) == 2
+        where = "points[1]" if model == "points" else "endpoints[1]"
+        assert capsys.readouterr().err == (
+            f"error: malformed configuration e.json: classes[0] {where}: "
+            f"'{big[:40]}' has 5001 digits, past 4300\n"
+        )
+        assert list(workdir.iterdir()) == [workdir / "e.json"]
 
     def test_4000_digit_coordinate_reads(self, workdir, capsys):
         # its residues need about 1,330 table primes, grown in one step

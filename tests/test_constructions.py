@@ -5,7 +5,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from incidencelab import constructions
 from incidencelab.cli import _dump_json
@@ -26,10 +26,13 @@ from incidencelab.constructions import (
     _slab_width,
     _split,
     _trial_stats,
+    _validate_4x3,
     default_generic_slits,
     gen_algebraic,
+    gen_desargues,
     gen_dual_cycles,
     gen_probabilistic,
+    gen_reye,
     gen_tricolor,
     gen_two_slit,
     probabilistic_batch_stats,
@@ -37,6 +40,7 @@ from incidencelab.constructions import (
     quadric_ruling,
     quadric_ruling_slits,
 )
+from incidencelab.configs import ColoredLineConfig
 from incidencelab.exactgeom import Line, ProjPoint, int_rank, is_prime, meet
 from incidencelab.gridmodel import (
     ColoredGridConfig,
@@ -57,17 +61,27 @@ from oracles import (
     closure_shift,
     colorful_point_exists,
     concurrency_center,
+    cube_lines,
     decoded,
     dense_deletion,
     dense_trial_stats,
+    dual_cycle_points,
+    generic_slit_lines,
     grid_config,
     gridline_from_index,
+    line_classes,
+    line_config,
+    lines_of,
+    quadric_ruling_line,
+    quadric_slit_lines,
     rank_of_directions,
     search_desargues_colors,
     search_reye_colors,
     six_fold_map,
     sparse_deletion,
+    tricolor_lines,
     two_plane_lines,
+    two_slit_lines,
     with_computed_centers,
 )
 
@@ -819,14 +833,14 @@ class TestDesargues:
         assert int_rank(DESARGUES_PLANES[3:]) == 2
 
     def test_exactly_one_concurrent_class(self, desargues):
-        centers = [concurrency_center(cls) for cls in desargues.classes]
+        centers = [concurrency_center(cls) for cls in line_classes(desargues)]
         assert sum(1 for c in centers if c is not None) == 1
 
     def test_twelve_colorful_triples_three_per_line(self, desargues):
         s = extract_structure_lines(desargues)
         triples = s.colorful_triples()
         assert len(triples) == 12
-        for color, cls in enumerate(desargues.classes, start=1):
+        for color, cls in enumerate(line_classes(desargues), start=1):
             for idx in range(len(cls)):
                 assert sum(1 for m in triples if (color, idx) in m) == 3
 
@@ -836,7 +850,7 @@ class TestDesargues:
         assert s.max_colorful()[0] == 3
 
     def test_concurrent_class_spans_rank_3(self, desargues):
-        for cls in desargues.classes:
+        for cls in line_classes(desargues):
             center = concurrency_center(cls)
             if center is not None:
                 assert rank_of_directions(cls, center) == 3
@@ -852,7 +866,7 @@ class TestSearchDeterminism:
     def test_stated_colorings_are_the_search_results(self):
         # the backtracking search that found them, rerun on the witness lines
         assert search_desargues_colors(two_plane_lines()) == DESARGUES_COLORS
-        assert search_reye_colors(_cube_lines()) == REYE_COLORS
+        assert search_reye_colors(cube_lines()) == REYE_COLORS
 
     def test_swapped_colors_fail_the_certificate(self, monkeypatch):
         for name, gen in (("DESARGUES_COLORS", "gen_desargues"), ("REYE_COLORS", "gen_reye")):
@@ -877,17 +891,17 @@ class TestReye:
         assert len(s.monomials) == 12
         for m in s.monomials:
             assert len(m) == 3
-        for color, cls in enumerate(reye.classes, start=1):
+        for color, cls in enumerate(line_classes(reye), start=1):
             for idx in range(len(cls)):
                 assert sum(1 for m in s.monomials if (color, idx) in m) == 3
 
     def test_infinite_incidence_points(self, reye):
         s = extract_structure_lines(reye)
-        assert any(s.witness(g).coords[-1] == 0 for g in range(len(s.firsts)))
+        assert any(s.witness(g)[-1] == 0 for g in range(len(s.firsts)))
 
     def test_incidence_points_span_3_flat(self, reye):
         s = extract_structure_lines(reye)
-        assert int_rank([s.witness(g).coords for g in range(len(s.firsts))]) - 1 == 3
+        assert int_rank([s.witness(g) for g in range(len(s.firsts))]) - 1 == 3
 
     def test_verdicts(self, reye):
         s = extract_structure_lines(reye)
@@ -940,16 +954,16 @@ class TestDualCycles:
 
 class TestTwoSlit:
     def test_lines_meet_both_slits(self):
-        slits = default_generic_slits()
-        lines = gen_two_slit(1, slits, 15, seed=4)
+        slits = lines_of(default_generic_slits())
+        lines = lines_of(gen_two_slit(1, default_generic_slits(), 15, seed=4))
         assert len(lines) == len({ln.key for ln in lines}) == 15
         for ln in lines:
             assert meet(ln, slits[0]) is not None
             assert meet(ln, slits[1]) is not None
 
     def test_family_two(self):
-        slits = default_generic_slits()
-        lines = gen_two_slit(2, slits, 5, seed=4)
+        slits = lines_of(default_generic_slits())
+        lines = lines_of(gen_two_slit(2, default_generic_slits(), 5, seed=4))
         for ln in lines:
             assert meet(ln, slits[2]) is not None
             assert meet(ln, slits[3]) is not None
@@ -962,14 +976,122 @@ class TestTwoSlit:
 
     def test_deterministic(self):
         slits = default_generic_slits()
-        assert gen_two_slit(1, slits, 8, seed=3) == gen_two_slit(1, slits, 8, seed=3)
+        assert np.array_equal(gen_two_slit(1, slits, 8, seed=3), gen_two_slit(1, slits, 8, seed=3))
 
     def test_quadric_rulings_meet_opposite_slits(self):
-        slits = quadric_ruling_slits()
+        slits = lines_of(quadric_ruling_slits())
         for t in (3, 4, 5):
-            r2 = quadric_ruling(2, (1, t))
+            r2, r1 = lines_of(np.stack((quadric_ruling(2, (1, t)), quadric_ruling(1, (t, 1)))))
             assert meet(r2, slits[0]) is not None
             assert meet(r2, slits[1]) is not None
-            r1 = quadric_ruling(1, (t, 1))
             assert meet(r1, slits[2]) is not None
             assert meet(r1, slits[3]) is not None
+
+
+small_steps = st.one_of(st.sampled_from([-2, -1, 1, 2]).map(Fraction), small_nonzero)
+
+
+@st.composite
+def closing_steps(draw):
+    """(n, steps) of a closed tricolor polygon: per axis n - 1 nonzero steps
+    and the one that closes it; small integer steps make coincident lines."""
+    n = draw(st.integers(2, 4))
+    per_axis = []
+    for _ in range(3):
+        steps = draw(st.lists(small_steps, min_size=n - 1, max_size=n - 1))
+        assume(sum(steps) != 0)
+        per_axis.append([*steps, -sum(steps)])
+    return n, [per_axis[j % 3][j // 3] for j in range(3 * n)]
+
+
+@st.composite
+def cycle_parameters(draw):
+    """(r, slopes, starts) of dual cycles; with a drawn flag, start 1 is
+    a2 * start 0 / a4, which puts its first point on start 0's fourth."""
+    r = draw(st.integers(2, 3))
+    slopes = draw(st.lists(small_nonzero, min_size=3, max_size=3, unique=True))
+    starts = draw(st.lists(small_nonzero, min_size=r, max_size=r, unique=True))
+    if draw(st.booleans()):
+        starts[1] = slopes[0] * starts[0] / slopes[2]
+        assume(len(set(starts)) == r)
+    return r, slopes, starts
+
+
+class TestRowGeneratorsMatchObjectReferences:
+    """Each generator's rows against the ``Line`` and ``ProjPoint`` objects
+    its reference in the oracles builds: equal configurations (keys, classes
+    and centers) with equal endpoint or point rows."""
+
+    @settings(max_examples=80, deadline=None)
+    @example((2, [1, 1, 1, -1, -1, -1]))
+    @example((2, [Fraction(1, 2), 1, 2, Fraction(-1, 2), -1, -2]))
+    @given(closing_steps())
+    def test_tricolor(self, drawn):
+        n, steps = drawn
+        try:
+            expected = tricolor_lines(steps)
+        except ValueError:
+            with pytest.raises(ValueError, match="^degenerate parameters: coincident lines$"):
+                gen_tricolor(n, steps)
+            return
+        try:
+            cfg = gen_tricolor(n, steps)
+        except ValueError as exc:
+            assert str(exc) == "degenerate parameters: polygon fails its own checks"
+            return
+        assert cfg == expected and np.array_equal(cfg.ends, expected.ends)
+
+    def test_4x3_configurations(self):
+        # the cube lines as rows, and both 4x3 generators from object-built lines, centers included
+        assert np.array_equal(_cube_lines(), [(line.p.coords, line.q.coords) for line in cube_lines()])
+        for lines, colors, concurrent, name, gen in (
+            (two_plane_lines(), DESARGUES_COLORS, 1, "Desargues", gen_desargues),
+            (cube_lines(), REYE_COLORS, 0, "Reye", gen_reye),
+        ):
+            classes = [[line for line, c in zip(lines, colors) if c == k] for k in (1, 2, 3, 4)]
+            expected = _validate_4x3(line_config(3, classes), concurrent, name)
+            cfg = gen()
+            assert cfg == expected and cfg.centers == expected.centers
+            assert np.array_equal(cfg.ends, expected.ends)
+
+    @settings(max_examples=60, deadline=None)
+    @example((2, [1, 2, 5], [1, 3]))  # the defaults
+    @example((3, [1, 2, 5], [1, 3, 9]))
+    @given(cycle_parameters())
+    def test_dual_cycles(self, params):
+        r, slopes, starts = params
+        try:
+            expected = dual_cycle_points(slopes, starts)
+        except ValueError:
+            with pytest.raises(ValueError, match="^starts cause coincident points: "):
+                gen_dual_cycles(r, slopes, starts)
+            return
+        try:
+            cfg, _ = gen_dual_cycles(r, slopes, starts)
+        except ValueError as exc:
+            assert "colorful alignment" in str(exc) or "direction-color triple" in str(exc)
+            return
+        assert cfg == expected and np.array_equal(cfg.coords, expected.coords)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        which=st.sampled_from([1, 2]),
+        kind=st.sampled_from(["generic", "quadric", "wide"]),
+        count=st.integers(0, 40),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_two_slit(self, which, kind, count, seed):
+        # "wide": rulings with entries near 2^61, whose secants leave int64
+        if kind == "wide":
+            params = [(1, (2**61 + 1, 1)), (1, (1, 3)), (2, (2**61 + 3, 1)), (2, (1, 5))]
+            slits = np.stack([quadric_ruling(f, st) for f, st in params])
+            lines = [quadric_ruling_line(f, st) for f, st in params]
+        elif kind == "quadric":
+            slits, lines = quadric_ruling_slits(), quadric_slit_lines()
+        else:
+            slits, lines = default_generic_slits(), generic_slit_lines()
+        assert np.array_equal(slits, [(line.p.coords, line.q.coords) for line in lines])
+        ends = gen_two_slit(which, slits, count, seed)
+        expected = line_config(3, [two_slit_lines(which, lines, count, seed)])
+        assert ColoredLineConfig.from_ends(3, ends, [count]) == expected
+        assert np.array_equal(ends, expected.ends.reshape(count, 2, 4))

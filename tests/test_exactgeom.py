@@ -39,9 +39,11 @@ from oracles import (
     key_arrays,
     line_contains,
     line_covector_2d,
+    line_config,
     line_from_covector_2d,
     loop_apply_matrix,
     loop_meet,
+    point_strings,
     primes_below,
     rank3x3,
     rank_of_directions,
@@ -124,10 +126,15 @@ def line_pairs(draw):
 
 class TestRationalIO:
     def test_format(self):
-        assert ProjPoint([parse_rational(t) for t in ["3/7", "-5", "1"]]).to_strings() == ["3", "-35", "7"]
+        assert point_strings(ProjPoint([parse_rational(t) for t in ["3/7", "-5", "1"]])) == ["3", "-35", "7"]
 
     def test_parse_unicode_minus(self):
         assert parse_rational("−3/7") == Fraction(-3, 7)
+
+    def test_parse_names_an_int_past_the_digit_cap(self):
+        assert parse_rational("-" + "7" * 4300) == -int("7" * 4300)
+        with pytest.raises(ValueError, match=r"^'-7{39}' has 4301 digits, past 4300$"):
+            parse_rational("-" + "7" * 4301)
 
     @pytest.mark.parametrize("bad", [1, None, ["1"], "1/0", "-2/0", "x"])
     def test_parse_rejects_non_rationals(self, bad):
@@ -137,8 +144,8 @@ class TestRationalIO:
     @given(st.lists(small_fracs, min_size=2, max_size=5).filter(any))
     def test_round_trip(self, coords):
         p = ProjPoint(coords)
-        assert ProjPoint([parse_rational(t) for t in p.to_strings()]) == p
-        assert [parse_rational(t) for t in p.to_strings()] == list(p.coords)
+        assert ProjPoint([parse_rational(t) for t in point_strings(p)]) == p
+        assert [parse_rational(t) for t in point_strings(p)] == list(p.coords)
 
 
 def fraction_or_none(text: str) -> Fraction | None:
@@ -812,7 +819,7 @@ class TestDuplicateLines:
             with pytest.raises(ValueError, match="duplicate line"):
                 ColoredLineConfig.from_ends(d, ends, [len(pairs)])
         else:
-            assert ColoredLineConfig.from_ends(d, ends, [len(pairs)]) == ColoredLineConfig(d, [lines])
+            assert ColoredLineConfig.from_ends(d, ends, [len(pairs)]) == line_config(d, [lines])
 
     @given(st.lists(st.lists(st.sampled_from([0, 1, -1, 2**40, -(2**70)]), min_size=2, max_size=2)))
     def test_rows(self, rows):

@@ -2,13 +2,14 @@ import hashlib
 import random
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from incidencelab import exactgeom, structure
-from incidencelab.configs import DualPointConfig, embed_grid_config
+from incidencelab.configs import embed_grid_config
 from incidencelab.constructions import ProbParams, gen_probabilistic
 from incidencelab.exactgeom import Line, ProjPoint, common_rows, meet
 from incidencelab.configs import ColoredLineConfig
@@ -27,10 +28,14 @@ from incidencelab.structure import (
     structure_consistency,
 )
 from oracles import (
+    affine,
     cross,
     decoded,
+    dual_config,
     entries,
     key_arrays,
+    line_classes,
+    line_config,
     line_covector_2d,
     loop_alignments,
     loop_concurrence_buckets,
@@ -43,24 +48,25 @@ from oracles import (
     primes_below,
     random_structure,
     residual,
+    through_affine,
 )
 from test_gridmodel import mixed_config, orders, random_config
 
 
 def line2(a, b):
-    return Line(ProjPoint.affine(a), ProjPoint.affine(b))
+    return Line(affine(a), affine(b))
 
 
 class TestExtraction:
     def test_two_crossing_lines(self):
-        cfg = ColoredLineConfig(2, [[line2((0, 0), (1, 1))], [line2((0, 1), (1, 0))]])
+        cfg = line_config(2, [[line2((0, 0), (1, 1))], [line2((0, 1), (1, 0))]])
         s = extract_structure_lines(cfg)
         assert len(s.monomials) == 1
         (m,) = s.monomials
         assert m == frozenset({(1, 0), (2, 0)})
 
     def test_monomials_are_maximal(self):
-        cfg = ColoredLineConfig(
+        cfg = line_config(
             2,
             [
                 [line2((0, 0), (1, 1)), line2((0, 0), (1, 2))],
@@ -97,13 +103,13 @@ class TestExtraction:
         cfg = random_config(random.Random(7), 2, 4, 1)  # one line per axis
         s = extract_structure_grid(cfg)
         assert s == extract_structure_lines(embed_grid_config(cfg))
-        assert not any(s.witness(g).coords[-1] == 0 for g in range(len(s.firsts)))
+        assert not any(s.witness(g)[-1] == 0 for g in range(len(s.firsts)))
 
     def test_grid_direction_monomials(self):
         rng = random.Random(3)
         cfg = random_config(rng, 2, 4, 3)
         s = extract_structure_grid(cfg)
-        directions = [m for g, m in enumerate(s.members) if s.witness(g).coords[-1] == 0]
+        directions = [m for g, m in enumerate(s.members) if s.witness(g)[-1] == 0]
         assert len(directions) == 3  # one parallel class per axis
         for m in directions:
             assert len({c for c, _ in m}) == 1
@@ -202,11 +208,11 @@ def dual_point_classes(draw):
 class TestAlignments:
     def test_collinear_triple(self):
         pts = [
-            [ProjPoint.affine((0, 0))],
-            [ProjPoint.affine((1, 1))],
-            [ProjPoint.affine((2, 2)), ProjPoint.affine((5, 0))],
+            [affine((0, 0))],
+            [affine((1, 1))],
+            [affine((2, 2)), affine((5, 0))],
         ]
-        s = extract_alignments(DualPointConfig(pts))
+        s = extract_alignments(dual_config(pts))
         big = [m for m in s.monomials if len(m) == 3]
         assert big == [frozenset({(1, 0), (2, 0), (3, 0)})]
 
@@ -214,10 +220,10 @@ class TestAlignments:
         # two points sharing an x-coordinate align with the vertical direction
         pts = [
             [ProjPoint([0, 1, 0])],
-            [ProjPoint.affine((3, 1))],
-            [ProjPoint.affine((3, 5))],
+            [affine((3, 1))],
+            [affine((3, 5))],
         ]
-        s = extract_alignments(DualPointConfig(pts))
+        s = extract_alignments(dual_config(pts))
         assert frozenset({(1, 0), (2, 0), (3, 0)}) in s.monomials
 
     @settings(max_examples=200, deadline=None)
@@ -226,13 +232,13 @@ class TestAlignments:
         coords = [p.coords for cls in classes for p in cls]
         if len(set(coords)) < len(coords):
             with pytest.raises(ValueError):
-                DualPointConfig(classes)
+                dual_config(classes)
             with pytest.raises(ValueError):
                 structure.planar_buckets(coords)
             with pytest.raises(ValueError):
                 loop_alignments(classes)
             return
-        s, expected = extract_alignments(DualPointConfig(classes)), loop_alignments(classes)
+        s, expected = extract_alignments(dual_config(classes)), loop_alignments(classes)
         assert s.class_sizes == tuple(map(len, classes))
         # groups and covectors, in order
         covectors = s.witnesses(np.arange(len(s.firsts))).tolist()
@@ -350,9 +356,9 @@ def assert_kernel_matches_loop(lines, classes=None):
         return
     parts = np.split(np.array(lines, object), np.cumsum(sizes)[:-1])
     d, parts = lines[0].ambient_dim, [part.tolist() for part in parts]
-    s = extract_structure_lines(ColoredLineConfig(d, parts, [center for _, center in classes]))
-    assert s == extract_structure_lines(ColoredLineConfig(d, parts))  # centers given, wrong or none
-    assert [s.witness(g) for g in range(len(s.firsts))] == [at for at, _ in expected]
+    s = extract_structure_lines(line_config(d, parts, [center for _, center in classes]))
+    assert s == extract_structure_lines(line_config(d, parts))  # centers given, wrong or none
+    assert [s.witness(g) for g in range(len(s.firsts))] == [at.coords for at, _ in expected]
 
 
 def counted_points(monkeypatch) -> list[int]:
@@ -474,12 +480,12 @@ class TestConcurrenceKernel:
     @pytest.mark.parametrize("chunk", [1, 7])  # tiles of side 1 and 7 over the 128 lines
     def test_partial_chunks_on_a_lift(self, chunk, monkeypatch, algebraic_3_2):
         lifted = lift_to_concurrent(algebraic_3_2, audit=False)[0]
-        lines = [line for cls in lifted.classes for line in cls]
+        lines = [line for cls in line_classes(lifted) for line in cls]
         monkeypatch.setattr(structure, "TILE", chunk)
         assert_kernel_matches_loop(lines)
 
     def test_no_lines_and_one_line(self):
-        line = Line.through_affine((0, 0, 0), (1, 1, 1))
+        line = through_affine((0, 0, 0), (1, 1, 1))
         assert_same_entries(concurrence_buckets(*key_arrays([])), entries([]))
         assert loop_concurrence_buckets([]) == {}
         assert_same_entries(concurrence_buckets(*key_arrays([line])), entries([]))
@@ -503,10 +509,10 @@ class TestConcurrenceKernel:
 
     def test_mixed_dimensions_raise(self):
         # lines become one key array where a configuration is built, in one dimension
-        mixed = [[line2((0, 0), (1, 1))], [Line.through_affine((0, 0, 0), (1, 1, 1))]]
+        mixed = [[line2((0, 0), (1, 1))], [through_affine((0, 0, 0), (1, 1, 1))]]
         for d in (2, 3):
             with pytest.raises(ValueError):
-                ColoredLineConfig(d, mixed)
+                line_config(d, mixed)
 
     def test_planar_lines_skip_the_kernel(self, monkeypatch, algebraic_3_2):
         lifted, s = lift_to_concurrent(algebraic_3_2, audit=False)
@@ -525,21 +531,21 @@ class TestConcurrenceKernel:
     def test_planar_witnesses_are_canonical_cross_products(self, lines):
         # taken as the canonical cross product, with no second canonicalization
         lines = list({line.key: line for line in lines}.values())
-        s = extract_structure_lines(ColoredLineConfig(2, [lines]))
+        s = extract_structure_lines(line_config(2, [lines]))
         cov = [line_covector_2d(line) for line in lines]
         for g in range(len(s.firsts)):
             a, b = s.line[s.firsts[g] : s.firsts[g] + 2].tolist()
-            assert s.witness(g) == ProjPoint(cross(cov[a], cov[b]))
+            assert s.witness(g) == ProjPoint(cross(cov[a], cov[b])).coords
 
     def test_planar_witnesses_are_meets(self, algebraic_3_2):
         # in the plane a group's witness is the cross product of two covectors
         lifted, s = lift_to_concurrent(algebraic_3_2, audit=False)
         planar = project_generic(lifted, s, 2, 11).config
-        lines = [line for cls in planar.classes for line in cls]
+        lines = [line for cls in line_classes(planar) for line in cls]
         s = extract_structure_lines(planar)
         witnesses = [s.witness(g) for g in range(len(s.firsts))]
         pairs = [s.line[a : a + 2].tolist() for a in s.firsts.tolist()]
-        assert witnesses == [meet(lines[i], lines[j]) for i, j in pairs]
+        assert witnesses == [meet(lines[i], lines[j]).coords for i, j in pairs]
         assert len(witnesses) > 1000
 
     def test_memory_is_bounded_on_alg_3_3(self, algebraic_3_3):
@@ -715,7 +721,7 @@ class TestResidueDecisions:
         # so every pair is met: pairs are met in slabs of 16 * TILE (TILE = 4 here,
         # so many slabs), and the entries and witnesses are the ones pinned
         lifted = lift_to_concurrent(algebraic_3_2, audit=False)[0]
-        lines = [line for cls in lifted.classes for line in cls]
+        lines = [line for cls in line_classes(lifted) for line in cls]
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             patch_primes(mp, table)
@@ -742,12 +748,11 @@ class TestResidueDecisions:
         dim = data.draw(st.integers(4, 6))
         column = st.integers(0, dim - 1)
         c1, c2 = sorted(data.draw(st.lists(column, min_size=2, max_size=2, unique=True)))
-        spanning = ProjPoint([1] + [0] * (dim - 1)), ProjPoint([0, 1] + [0] * (dim - 2))
 
-        def line() -> Line:  # key rows as given, with no row reduction
+        def line() -> SimpleNamespace:  # key rows as given, with no row reduction
             rows = [data.draw(st.lists(edge, min_size=dim, max_size=dim)) for _ in range(2)]
             rows[0][c1], rows[0][c2], rows[1][c1], rows[1][c2] = top, 0, 0, -top
-            return Line(*spanning, rows, (c1, c2))
+            return SimpleNamespace(key=rows, pivots=(c1, c2))
 
         a, b, m = line(), line(), line()
         u, w = residual(a, b.key[0]), residual(a, b.key[1])
@@ -775,9 +780,9 @@ class TestResidueDecisions:
         assert [len(t.firsts) for t in got] == [len(s.firsts), len(s.firsts), 352354, 352354]
         assert got[0] == s
         for t, cfg in zip(got[1:3], configs[1:3]):  # witnesses are met after extraction
-            lines = [line for cls in cfg.classes for line in cls]
+            lines = [line for cls in line_classes(cfg) for line in cls]
             a, b = t.line[:2].tolist()
-            assert t.witness(0) == loop_meet(lines[a], lines[b])
+            assert t.witness(0) == loop_meet(lines[a], lines[b]).coords
 
 
 def refusing_exact_arithmetic(mp: pytest.MonkeyPatch) -> None:

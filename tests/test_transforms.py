@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from incidencelab.analysis import parse_monomial
-from incidencelab.configs import ColoredLineConfig, DualPointConfig
 from incidencelab.exactgeom import Line, ProjPoint, meet
 from incidencelab.structure import (
     extract_alignments,
@@ -23,9 +22,14 @@ from incidencelab.transforms import (
 )
 from oracles import (
     GridLine,
+    affine,
     concurrency_center,
+    dual_config,
     grid_config,
+    line_classes,
+    line_config,
     line_from_covector_2d,
+    point_classes,
     set_audit_projection,
     structure_of,
     translated_dual,
@@ -34,7 +38,7 @@ from test_gridmodel import random_config
 
 
 def line2(a, b):
-    return Line(ProjPoint.affine(a), ProjPoint.affine(b))
+    return Line(affine(a), affine(b))
 
 
 planar_coord = st.integers(-5, 5) | st.integers(2**64, 2**66) | st.integers(-(2**66), -(2**64))
@@ -53,7 +57,7 @@ def planar_configs(draw):
     assume(lines)
     lines = list(lines.values())
     cut = draw(st.integers(1, len(lines)))
-    return ColoredLineConfig(2, [lines[:cut], lines[cut:]])
+    return line_config(2, [lines[:cut], lines[cut:]])
 
 
 class TestLift:
@@ -63,12 +67,12 @@ class TestLift:
         for axis, center in enumerate(lifted.centers, start=1):
             expected = [0] * d
             expected[axis - 1] = 1
-            assert center == ProjPoint.affine(expected)
+            assert center == affine(expected).coords
 
     def test_classes_concurrent(self, algebraic_3_2):
         lifted, _ = lift_to_concurrent(algebraic_3_2)
-        for cls, center in zip(lifted.classes, lifted.centers):
-            assert concurrency_center(cls) == center
+        for cls, center in zip(line_classes(lifted), lifted.centers):
+            assert concurrency_center(cls).coords == center
 
     def test_structure_preserved(self, algebraic_3_2):
         lifted, s = lift_to_concurrent(algebraic_3_2)
@@ -87,7 +91,7 @@ class TestLift:
         with pytest.raises(ValueError, match="axis-parallel"):
             lift_to_concurrent(cfg)
         one_axis = grid_config(2, 2, [[], [GridLine(1, (0, 1, 1)), GridLine(1, (0, 2, 2))]])
-        assert lift_to_concurrent(one_axis)[0].centers[1] == ProjPoint.affine([1, 0, 0])
+        assert lift_to_concurrent(one_axis)[0].centers[1] == affine([1, 0, 0]).coords
 
 
 class TestProjectGeneric:
@@ -105,16 +109,16 @@ class TestProjectGeneric:
 
     def test_plane_projection_creates_recorded_crossings(self):
         # two skew lines in R^3 are forced to cross in the plane
-        skew = ColoredLineConfig(
+        skew = line_config(
             3,
             [
-                [Line(ProjPoint.affine((0, 0, 0)), ProjPoint.affine((1, 0, 0)))],
-                [Line(ProjPoint.affine((0, 1, 0)), ProjPoint.affine((0, 1, 1)))],
+                [Line(affine((0, 0, 0)), affine((1, 0, 0)))],
+                [Line(affine((0, 1, 0)), affine((0, 1, 1)))],
             ],
         )
         res = project_generic(skew, extract_structure_lines(skew), 2, seed=1)
         assert res.new_crossings == 1
-        a, b = res.config.classes[0][0], res.config.classes[1][0]
+        a, b = line_classes(res.config)[0][0], line_classes(res.config)[1][0]
         assert meet(a, b) is not None
 
     def test_target_range_validated(self, tricolor):
@@ -141,7 +145,7 @@ def dual_points(draw):
 
 class TestDuality:
     def planar_config(self):
-        return ColoredLineConfig(
+        return line_config(
             2,
             [
                 [line2((0, 0), (1, 1)), line2((0, 2), (1, 3))],
@@ -172,11 +176,11 @@ class TestDuality:
     def test_line_through_pole_handled(self):
         # a line through the origin would dualize to an infinite point;
         # the forward map pre-translates so all dual points are finite
-        cfg = ColoredLineConfig(
+        cfg = line_config(
             2, [[line2((0, 0), (1, 1))], [line2((0, 0), (1, 2))]]
         )
         dual = dualize(cfg)
-        for cls in dual.classes:
+        for cls in point_classes(dual):
             assert not any(p.coords[-1] == 0 for p in cls)
 
     @pytest.mark.parametrize(
@@ -190,7 +194,7 @@ class TestDuality:
         ],
     )
     def test_covector_shift_skips_lines_through_the_parabola(self, lines, j):
-        cfg = ColoredLineConfig(2, [lines])
+        cfg = line_config(2, [lines])
         assert translated_dual(cfg) == (j, dualize(cfg))
 
     @settings(max_examples=200, deadline=None)
@@ -204,21 +208,21 @@ class TestDuality:
         # against the rule it writes in closed form: the two spanning points
         # ``int_nullspace`` gives for the covector (x, y, -z) of each point
         lines = [[line_from_covector_2d((x, y, -z)) for x, y, z in (p.coords for p in c)] for c in classes]
-        got = undualize(DualPointConfig(classes))
-        assert got == ColoredLineConfig(2, lines)
+        got = undualize(dual_config(classes))
+        assert got == line_config(2, lines)
         ends = [[list(line.p.coords), list(line.q.coords)] for cls in lines for line in cls]
         assert got.ends.tolist() == ends
 
     def test_inverse_accepts_directions(self):
         dual = undualize(
-            DualPointConfig([[ProjPoint([0, 1, 0])], [ProjPoint.affine((1, 1))]])
+            dual_config([[ProjPoint([0, 1, 0])], [affine((1, 1))]])
         )
         assert dual.class_sizes() == (1, 1)
 
     def test_2222_line_config_maps_to_2222_points(self):
         # the small-configuration argument works in the dual: a 2,2,2,2
         # line configuration corresponds to a 2,2,2,2 point configuration
-        cfg = ColoredLineConfig(
+        cfg = line_config(
             2,
             [
                 [line2((0, 0), (1, 1)), line2((0, 1), (1, 2))],
@@ -233,12 +237,12 @@ class TestDuality:
 
 class TestPlanarity:
     def test_parallel_lines_in_plane(self):
-        cfg = ColoredLineConfig(
+        cfg = line_config(
             3,
             [
                 [
-                    Line(ProjPoint.affine((0, 0, 0)), ProjPoint.affine((1, 0, 0))),
-                    Line(ProjPoint.affine((0, 1, 0)), ProjPoint.affine((1, 1, 0))),
+                    Line(affine((0, 0, 0)), affine((1, 0, 0))),
+                    Line(affine((0, 1, 0)), affine((1, 1, 0))),
                 ]
             ],
         )
